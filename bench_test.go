@@ -373,6 +373,7 @@ func BenchmarkCheckpointSeek(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			s, rec := benchLongRecording(b, cfg.interval)
 			target := rec.EventCount * 9 / 10
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sess, err := replay.Seek(s, rec, target, replay.Options{})

@@ -186,12 +186,17 @@ func (e *Engine) Replay(ctx context.Context, s *Scenario, rec *Recording, o Repl
 
 // Seek opens a replay positioned at the target event of a recording: the
 // nearest checkpoint at or before the target is restored and only the
-// remainder is re-executed, so seek latency on a checkpointed recording
-// is bounded by the checkpoint interval instead of the trace length.
-// Recordings without checkpoints (older files, or Options without
-// CheckpointInterval) fall back to replaying from the start. The session
-// must be finished with RunToEnd or released with Close. Seek requires a
-// perfect-model recording; see replay.ErrSeekUnsupported.
+// remainder — at most one checkpoint interval — is re-executed under the
+// scheduler. The restore itself rebuilds thread positions by feed replay
+// of the prefix, at about a sixth of scheduled replay's cost per event.
+// The recording's replay plan (feed plan, input map, segment bounds) is
+// derived by the first Seek, ReplaySegmented or Debug call on it and
+// shared by every later one, so a recording must not be mutated once it
+// has been replayed. Recordings without checkpoints (older files, or
+// Options without CheckpointInterval) fall back to replaying from the
+// start. The session must be finished with RunToEnd or released with
+// Close. Seek requires a perfect-model recording; see
+// replay.ErrSeekUnsupported.
 func (e *Engine) Seek(ctx context.Context, s *Scenario, rec *Recording, target uint64, o ReplayOptions) (*SeekSession, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"fmt"
+	"sort"
 
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
@@ -100,11 +101,13 @@ func Best(snaps []*vm.Snapshot, target uint64) *vm.Snapshot {
 // thread's position by feed replay. events must be the complete event
 // prefix (every event, with values — a perfect-model recording's Full
 // stream); threads is the thread count of the snapshot being restored.
+// The prefix is validated and counted per thread first, so every feed
+// slice is allocated exactly once.
 func Feeds(events []trace.Event, seq uint64, threads int) ([][]vm.FeedEntry, error) {
 	if uint64(len(events)) < seq {
 		return nil, fmt.Errorf("checkpoint: prefix needs %d events, recording has %d", seq, len(events))
 	}
-	feeds := make([][]vm.FeedEntry, threads)
+	counts := make([]int, threads)
 	for i := uint64(0); i < seq; i++ {
 		e := &events[i]
 		if e.Seq != i {
@@ -113,6 +116,16 @@ func Feeds(events []trace.Event, seq uint64, threads int) ([][]vm.FeedEntry, err
 		if e.TID < 0 || int(e.TID) >= threads {
 			return nil, fmt.Errorf("checkpoint: event %d belongs to thread %d, snapshot has %d threads", i, e.TID, threads)
 		}
+		counts[e.TID]++
+	}
+	feeds := make([][]vm.FeedEntry, threads)
+	for tid, n := range counts {
+		if n > 0 {
+			feeds[tid] = make([]vm.FeedEntry, 0, n)
+		}
+	}
+	for i := uint64(0); i < seq; i++ {
+		e := &events[i]
 		fe := vm.FeedEntry{Kind: e.Kind, OK: true}
 		//lint:exhaustive-default kinds without replay payloads need no feed fields; the zero FeedEntry is correct for them
 		switch e.Kind {
@@ -198,36 +211,78 @@ func (p *FeedPlan) At(cp *vm.Snapshot) ([][]vm.FeedEntry, error) {
 // the codec does not persist them (checkpoint volume stays proportional
 // to live state, not trace length). It validates the rebuilt histories
 // against the persisted input cursors.
+//
+// The prefix is walked once for all snapshots, visited in Seq order (the
+// slice itself may be in any order): each snapshot receives cap-limited
+// prefixes of one growing array per stream — what a live capture holds
+// too (see vm.StreamSnap) — so the histories are read-only. When several
+// snapshots are malformed the error is that of the first in slice order.
 func RehydrateStreams(snaps []*vm.Snapshot, events []trace.Event) error {
-	for _, s := range snaps {
-		if uint64(len(events)) < s.Seq {
-			return fmt.Errorf("checkpoint: rehydrate needs %d events, recording has %d", s.Seq, len(events))
+	order := make([]int, len(snaps))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return snaps[order[a]].Seq < snaps[order[b]].Seq })
+	r := rehydrator{events: events}
+	var firstErr error
+	firstBad := len(snaps)
+	for _, idx := range order {
+		if err := r.fill(snaps[idx]); err != nil && idx < firstBad {
+			firstErr, firstBad = err, idx
 		}
-		for i := range s.Streams {
-			s.Streams[i].Inputs = nil
-			s.Streams[i].Outputs = nil
-		}
-		for i := uint64(0); i < s.Seq; i++ {
-			e := &events[i]
-			//lint:exhaustive-default only stream events rebuild Inputs/Outputs; other kinds do not touch streams
-			switch e.Kind {
-			case trace.EvInput, trace.EvOutput:
-				if int(e.Obj) >= len(s.Streams) {
-					return fmt.Errorf("checkpoint: event %d touches stream %d, snapshot has %d", i, e.Obj, len(s.Streams))
-				}
-				st := &s.Streams[e.Obj]
-				if e.Kind == trace.EvInput {
-					st.Inputs = append(st.Inputs, e.Val)
-				} else {
-					st.Outputs = append(st.Outputs, e.Val)
-				}
+	}
+	return firstErr
+}
+
+// rehydrator walks an event stream once, forward, extending one history
+// per stream as it goes.
+type rehydrator struct {
+	events []trace.Event
+	pos    uint64 // events[:pos] are reflected in hist
+	hist   []struct{ in, out []trace.Value }
+}
+
+// fill advances the walk to s.Seq and hands s its histories. Snapshots
+// must arrive in Seq order.
+func (r *rehydrator) fill(s *vm.Snapshot) error {
+	if uint64(len(r.events)) < s.Seq {
+		return fmt.Errorf("checkpoint: rehydrate needs %d events, recording has %d", s.Seq, len(r.events))
+	}
+	for ; r.pos < s.Seq; r.pos++ {
+		e := &r.events[r.pos]
+		//lint:exhaustive-default only stream events rebuild Inputs/Outputs; other kinds do not touch streams
+		switch e.Kind {
+		case trace.EvInput, trace.EvOutput:
+			for int(e.Obj) >= len(r.hist) {
+				r.hist = append(r.hist, struct{ in, out []trace.Value }{})
+			}
+			if h := &r.hist[e.Obj]; e.Kind == trace.EvInput {
+				h.in = append(h.in, e.Val)
+			} else {
+				h.out = append(h.out, e.Val)
 			}
 		}
-		for i := range s.Streams {
-			if len(s.Streams[i].Inputs) != s.Streams[i].InIndex {
-				return fmt.Errorf("checkpoint: stream %q rebuilt %d inputs, cursor says %d",
-					s.Streams[i].Name, len(s.Streams[i].Inputs), s.Streams[i].InIndex)
+	}
+	// hist reaches exactly as far as the highest stream the prefix touches;
+	// if that is past the snapshot's table, report the first such event.
+	if len(r.hist) > len(s.Streams) {
+		for i, e := range r.events[:s.Seq] {
+			if (e.Kind == trace.EvInput || e.Kind == trace.EvOutput) && int(e.Obj) >= len(s.Streams) {
+				return fmt.Errorf("checkpoint: event %d touches stream %d, snapshot has %d", i, e.Obj, len(s.Streams))
 			}
+		}
+	}
+	for i := range s.Streams {
+		st := &s.Streams[i]
+		st.Inputs, st.Outputs = nil, nil
+		if i < len(r.hist) {
+			// Capacity cut to length: an append through the snapshot can
+			// never write into the array the walk keeps extending.
+			h := &r.hist[i]
+			st.Inputs, st.Outputs = h.in[:len(h.in):len(h.in)], h.out[:len(h.out):len(h.out)]
+		}
+		if len(st.Inputs) != st.InIndex {
+			return fmt.Errorf("checkpoint: stream %q rebuilt %d inputs, cursor says %d", st.Name, len(st.Inputs), st.InIndex)
 		}
 	}
 	return nil

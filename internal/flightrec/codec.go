@@ -558,16 +558,15 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// writeUvarint and writeVarint encode straight into the writer's free
+// buffer space: a local scratch array would escape through Write and cost
+// one heap allocation per field.
 func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
+	w.Write(binary.AppendUvarint(w.AvailableBuffer(), v))
 }
 
 func writeVarint(w *bufio.Writer, v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	w.Write(buf[:n])
+	w.Write(binary.AppendVarint(w.AvailableBuffer(), v))
 }
 
 func writeString(w *bufio.Writer, s string) {

@@ -35,7 +35,7 @@
 //
 // The Store interface is the replay-side contract: replay.SeekStore,
 // replay.SegmentedStore and the store-backed Debugger consume it in place
-// of a monolithic *record.Recording. NewRecordingStore adapts an in-memory
-// Recording, Open a spill directory, so every replay entry point works
-// identically over both.
+// of a monolithic *record.Recording. Recording.Store is an in-memory
+// recording's implementation, Open a spill directory's, so every replay
+// entry point works identically over both.
 package flightrec

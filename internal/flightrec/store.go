@@ -5,58 +5,21 @@ import (
 
 	"debugdet/internal/checkpoint"
 	"debugdet/internal/record"
-	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
 )
 
-// Meta is the run identity a segment store carries: what was recorded,
-// under which determinism model, and how the run ended. It is the
-// information replay needs before touching any event data.
-type Meta struct {
-	Scenario string
-	Model    record.Model
-	Seed     int64
-	Params   scenario.Params
-	// Streams maps stream object IDs to names (index = ObjID), as in
-	// Recording.Streams.
-	Streams []string
-	// SchedComplete reports whether the store's schedule covers every
-	// event of the run (required for seek and segmented replay).
-	SchedComplete bool
-	// Failed and FailureSig are the run's terminal condition per the
-	// scenario's failure specification.
-	Failed     bool
-	FailureSig string
-	// EventCount is the total number of events the run applied —
-	// including events whose segments have been evicted from disk.
-	EventCount uint64
-	// Interval is the checkpoint/rotation interval the store was
-	// recorded with (0 when the source recording had no checkpoints).
-	Interval uint64
-}
+// Meta is the run identity a segment store carries (see record.Meta; the
+// type lives beside Recording so a recording's own store can return it).
+type Meta = record.Meta
 
-// SegmentInfo describes one checkpoint-delimited segment.
-type SegmentInfo struct {
-	// Index is the segment's rotation number within the whole run. For a
-	// store under retention the first retained segment's Index is > 0.
-	Index int
-	// From and To delimit the segment's event range [From, To). A
-	// segment with From > 0 begins at its boundary snapshot's Seq.
-	From, To uint64
-	// Bytes is the encoded size of the segment (0 when unknown, e.g. for
-	// the in-memory recording adapter).
-	Bytes int64
-	// File is the spill file name, relative to the store directory
-	// ("" for in-memory segments).
-	File string
-}
-
-// Events returns the number of events in the segment.
-func (si SegmentInfo) Events() uint64 { return si.To - si.From }
+// SegmentInfo describes one checkpoint-delimited segment (see
+// record.SegmentInfo).
+type SegmentInfo = record.SegmentInfo
 
 // Store is the segment-store contract replay consumes in place of a
-// monolithic *record.Recording: run identity, the retained segments and
+// monolithic *record.Recording (whose own store, Recording.Store, is one
+// implementation): run identity, the retained segments and
 // their events, the boundary snapshots with everything vm.Restore needs
 // (feeds, schedule suffix, inputs). Implementations must be safe for
 // concurrent readers — segmented replay shares one store across workers.

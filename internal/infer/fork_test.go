@@ -3,6 +3,7 @@ package infer
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"debugdet/internal/scenario"
@@ -275,5 +276,79 @@ func TestSearchValidatesOptions(t *testing.T) {
 	// The zero defaults all remain valid.
 	if err := (Options{}).Validate(); err != nil {
 		t.Fatalf("zero options rejected: %v", err)
+	}
+}
+
+// TestFrozenForestSnapshotsSurviveConcurrentForks: the forest's snapshots
+// alias the stream histories of the machines that captured them (see
+// vm.StreamSnap) — a forked path even keeps its base path's snapshots — and
+// after Freeze every worker restores from them at once. Each must still
+// equal the private copy taken when the forest froze, and every forked run
+// must stay bit-identical to scratch. Run it under -race.
+func TestFrozenForestSnapshotsSurviveConcurrentForks(t *testing.T) {
+	s := workload.Bank()
+	rec := s.Exec(scenario.ExecOptions{Seed: s.DefaultSeed})
+	sched := rec.Trace.Schedule()
+	picks := rec.Result.InputsUsed["xfer.pick"]
+	// Candidate k replays the recorded schedule with the k-th draw from the
+	// end altered: it diverges late, past most snapshots.
+	mk := func(k int) Candidate {
+		forced := append([]trace.Value(nil), picks...)
+		if k > 0 {
+			forced[len(forced)-k] = trace.Int(forced[len(forced)-k].AsInt() + 1)
+		}
+		vals := map[string][]trace.Value{"xfer.pick": forced}
+		return Candidate{
+			Seed:      int64(100 + k),
+			Scheduler: func() vm.Scheduler { return vm.NewReplayScheduler(sched) },
+			Inputs: func() vm.InputSource {
+				return &vm.MapInputs{Values: vals, Base: s.SearchSource(9, s.DefaultParams)}
+			},
+		}
+	}
+	f := NewForker(ForkerConfig{Scenario: s, Interval: 16})
+	f.Run(mk(0)) // the trunk
+	f.Run(mk(1)) // a forked path: base snapshots plus its own
+	if len(f.forest) != 2 {
+		t.Fatalf("forest holds %d paths, want the trunk and one fork", len(f.forest))
+	}
+	f.Freeze()
+	type histories struct{ in, out [][]trace.Value }
+	copies := map[*vm.Snapshot]histories{}
+	for _, p := range f.forest {
+		for _, snap := range p.snaps {
+			var h histories
+			for _, st := range snap.Streams {
+				h.in = append(h.in, append([]trace.Value(nil), st.Inputs...))
+				h.out = append(h.out, append([]trace.Value(nil), st.Outputs...))
+			}
+			copies[snap] = h
+		}
+	}
+
+	var wg sync.WaitGroup
+	for k := 2; k < 6; k++ {
+		c := mk(k)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, steps, _ := f.Run(c)
+			want := s.Exec(scenario.ExecOptions{Seed: c.Seed, Scheduler: c.Scheduler(), Inputs: c.Inputs()})
+			if steps == 0 || steps >= got.Result.Steps {
+				t.Errorf("candidate %d executed %d of %d steps, want a proper suffix", c.Seed, steps, got.Result.Steps)
+			}
+			if !trace.EventsEqual(got.Trace, want.Trace, false) || !reflect.DeepEqual(got.Result.Outputs, want.Result.Outputs) {
+				t.Errorf("candidate %d: forked run differs from scratch", c.Seed)
+			}
+		}()
+	}
+	wg.Wait()
+	for snap, h := range copies {
+		for i, st := range snap.Streams {
+			if !reflect.DeepEqual(append([]trace.Value(nil), st.Inputs...), h.in[i]) ||
+				!reflect.DeepEqual(append([]trace.Value(nil), st.Outputs...), h.out[i]) {
+				t.Fatalf("snapshot at %d: stream %q history changed under concurrent forks", snap.Seq, st.Name)
+			}
+		}
 	}
 }

@@ -2,6 +2,13 @@ package record
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"debugdet/internal/checkpoint"
@@ -342,5 +349,125 @@ func TestLoadRejectsCheckpointTruncation(t *testing.T) {
 		if _, err := Load(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("prefix of %d/%d bytes loaded without error", cut, len(full))
 		}
+	}
+}
+
+// TestLoadBoundsReservationsByInput: a tiny .ddrc whose event or schedule
+// count claims 2^30 elements used to reserve tens of GiB before reading
+// one. It must fail with the typed error having allocated next to nothing.
+func TestLoadBoundsReservationsByInput(t *testing.T) {
+	var buf bytes.Buffer
+	if err := (&Recording{Scenario: "x", Model: Perfect}).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// An empty recording ends: event count 0, schedule count 0, then the
+	// five-byte empty snapshot section.
+	data := buf.Bytes()
+	tail := len(data) - 7
+	if data[tail] != 0 || data[tail+1] != 0 || string(data[tail+2:tail+6]) != "DDCP" {
+		t.Fatalf("unexpected empty-recording layout: % x", data[tail:])
+	}
+	huge := binary.AppendUvarint(nil, 1<<30)
+	hostile := map[string][]byte{
+		"events":   append(append([]byte(nil), data[:tail]...), huge...),
+		"schedule": append(append([]byte(nil), data[:tail+1]...), huge...),
+	}
+	for name, file := range hostile {
+		for _, sized := range []bool{true, false} {
+			var rd io.Reader = bytes.NewReader(file)
+			if !sized {
+				rd = struct{ io.Reader }{rd}
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Load(rd)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrBadRecording) && !errors.Is(err, trace.ErrCorrupt) {
+				t.Errorf("%s (sized=%v): error %v, want a typed corrupt-input error", name, sized, err)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+				t.Errorf("%s (sized=%v): a %d-byte file made Load allocate %d bytes", name, sized, len(file), alloc)
+			}
+		}
+	}
+}
+
+// TestLoadReservesHonestCountsExactly: an honest recording's events and
+// schedule each land in one allocation of exactly their length, from a
+// byte reader and from a file.
+func TestLoadReservesHonestCountsExactly(t *testing.T) {
+	rec := recordCheckpointedBank(t)
+	var buf bytes.Buffer
+	if err := rec.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "bank.ddrc")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for name, rd := range map[string]io.Reader{"bytes": bytes.NewReader(buf.Bytes()), "file": f} {
+		got, err := Load(rd)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got.Full) != len(rec.Full) || cap(got.Full) != len(rec.Full) {
+			t.Errorf("%s: %d events in capacity %d, want exactly %d", name, len(got.Full), cap(got.Full), len(rec.Full))
+		}
+		if len(got.Sched) != len(rec.Sched) || cap(got.Sched) != len(rec.Sched) {
+			t.Errorf("%s: %d schedule entries in capacity %d, want exactly %d", name, len(got.Sched), cap(got.Sched), len(rec.Sched))
+		}
+		if len(got.Checkpoints) != len(rec.Checkpoints) {
+			t.Errorf("%s: %d checkpoints, want %d", name, len(got.Checkpoints), len(rec.Checkpoints))
+		}
+	}
+}
+
+// TestFullStreamSharesTheMachineTrace: while every event is persisted in
+// full the recorder keeps no second copy of the log — a perfect recording's
+// Full is the run's collected trace — and the first event below full
+// fidelity ends the sharing without losing or reordering anything.
+func TestFullStreamSharesTheMachineTrace(t *testing.T) {
+	s, err := workload.ByName("bank")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, view, err := Record(s, Perfect, s.DefaultSeed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Full) == 0 || len(rec.Full) != len(view.Trace.Events) || &rec.Full[0] != &view.Trace.Events[0] {
+		t.Fatalf("perfect recording holds its own copy of the %d-event log", len(view.Trace.Events))
+	}
+	if cap(rec.Full) != len(rec.Full) {
+		t.Fatalf("shared full stream has spare capacity %d: an append would write into the trace", cap(rec.Full)-len(rec.Full))
+	}
+
+	// Full for 40 events, schedule-only for 40, full again.
+	level := func(e *trace.Event) Level {
+		if e.Seq >= 40 && e.Seq < 80 {
+			return LevelSched
+		}
+		return LevelFull
+	}
+	mixed, view, err := RecordWithPolicy(s, DebugRCSE, FactoryFor(PolicyFunc{N: "mixed", F: level}), s.DefaultSeed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []trace.Event
+	for i := range view.Trace.Events {
+		if level(&view.Trace.Events[i]) == LevelFull {
+			want = append(want, view.Trace.Events[i])
+		}
+	}
+	if len(want) != len(view.Trace.Events)-40 || !reflect.DeepEqual(mixed.Full, want) {
+		t.Fatalf("mixed-fidelity recording kept %d full events, want %d in trace order", len(mixed.Full), len(want))
+	}
+	if !mixed.SchedComplete || len(mixed.Sched) != len(view.Trace.Events) {
+		t.Fatalf("mixed-fidelity schedule has %d entries for %d events", len(mixed.Sched), len(view.Trace.Events))
 	}
 }

@@ -57,6 +57,12 @@ type Recorder struct {
 	full  []trace.Event
 	sched []trace.ThreadID
 
+	// tr is the machine's own collected trace for as long as every event
+	// so far was persisted in full: the full stream is then exactly tr's
+	// events, and the recorder keeps no second copy of the log. It is nil
+	// once full holds the stream (or when the machine collects no trace).
+	tr *trace.Log
+
 	// schedComplete stays true while every event so far has contributed
 	// at least a schedule entry — the condition under which the schedule
 	// stream can drive a ReplayScheduler.
@@ -71,13 +77,20 @@ type Recorder struct {
 // NewRecorder builds a recorder pricing its work against the machine's
 // cost model.
 func NewRecorder(m *vm.Machine, policy Policy) *Recorder {
-	return &Recorder{policy: policy, cost: m.Cost(), schedComplete: true}
+	return &Recorder{policy: policy, cost: m.Cost(), schedComplete: true, tr: m.Trace()}
 }
 
 // OnEvent implements vm.Observer.
 func (r *Recorder) OnEvent(e *trace.Event) uint64 {
 	r.events++
-	switch r.policy.Level(e) {
+	level := r.policy.Level(e)
+	if r.tr != nil && (level != LevelFull || uint64(len(r.tr.Events)) != r.events) {
+		// Below full fidelity (or an event that is not tr's latest: a
+		// recorder driven by hand): from here on the log is the recorder's.
+		r.full = append(r.full, r.tr.Events[:r.events-1]...)
+		r.tr = nil
+	}
+	switch level {
 	case LevelSkip:
 		r.schedComplete = false
 		return 0
@@ -87,7 +100,9 @@ func (r *Recorder) OnEvent(e *trace.Event) uint64 {
 		r.bytes++
 		return r.cost.RecordByteCycles
 	default: // LevelFull
-		r.full = append(r.full, *e)
+		if r.tr == nil {
+			r.full = trace.AppendEvent(r.full, *e)
+		}
 		r.sched = append(r.sched, e.TID)
 		r.fullCount++
 		b := fullEventBytes(e)

@@ -18,6 +18,12 @@ import (
 // the developer has available at debug time. Depending on the model it
 // ranges from a complete event log (perfect) down to just a failure
 // signature (failure determinism).
+//
+// A Recording is plain data and may be copied, but it must not be mutated
+// after its first replay call: replays share one read-only view derived
+// from it (see Store), a perfect recording's Full is the recorded run's
+// own trace, and its Checkpoints share the recorded machine's stream
+// histories (see vm.StreamSnap).
 type Recording struct {
 	Scenario string
 	Model    Model
@@ -61,6 +67,10 @@ type Recording struct {
 	BaseCycles  uint64
 	TotalCycles uint64
 	EventCount  uint64
+
+	// store is the replay-side view derived from the fields above (see
+	// Store), built on first use; guarded by storeMu.
+	store *Store
 }
 
 // Capture finalizes a recording after the recorded run finished: it stores
@@ -68,12 +78,16 @@ type Recording struct {
 // numbers.
 func Capture(s *scenario.Scenario, view *scenario.RunView, r *Recorder, model Model, seed int64, params scenario.Params) *Recording {
 	failed, sig := s.CheckFailure(view)
+	full := r.full
+	if r.tr != nil {
+		full = r.tr.Events[:r.events:r.events]
+	}
 	return &Recording{
 		Scenario:      s.Name,
 		Model:         model,
 		Seed:          seed,
 		Params:        params,
-		Full:          r.full,
+		Full:          full,
 		Sched:         r.sched,
 		SchedComplete: r.schedComplete,
 		Streams:       view.Machine.StreamNames(),
@@ -228,6 +242,9 @@ func (r *Recording) saveVersion(w io.Writer, ver byte) error {
 
 // Load reads a recording written by Save.
 func Load(rd io.Reader) (*Recording, error) {
+	// The input's size, where rd can tell, bounds what the event and
+	// schedule counts in it may reserve before their elements are read.
+	limit := trace.InputLen(rd)
 	br := bufio.NewReader(rd)
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -240,7 +257,7 @@ func Load(rd io.Reader) (*Recording, error) {
 	if err != nil || (ver != recVersion && ver != recVersionLegacy) {
 		return nil, fmt.Errorf("%w: bad version", ErrBadRecording)
 	}
-	l, err := trace.Decode(br)
+	l, err := trace.DecodeBounded(br, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -275,11 +292,11 @@ func Load(rd io.Reader) (*Recording, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: schedule count: %v", ErrBadRecording, err)
 	}
-	const maxSched = 1 << 30
-	if nSched > maxSched {
-		return nil, fmt.Errorf("%w: implausible schedule length %d", ErrBadRecording, nSched)
+	reserve, err := trace.Reserve(nSched, 1, limit) // an entry is at least one byte
+	if err != nil {
+		return nil, fmt.Errorf("%w: schedule: %v", ErrBadRecording, err)
 	}
-	r.Sched = make([]trace.ThreadID, 0, nSched)
+	r.Sched = make([]trace.ThreadID, 0, reserve)
 	prev := int64(0)
 	for i := uint64(0); i < nSched; i++ {
 		d, err := binary.ReadVarint(br)

@@ -47,7 +47,7 @@ type SegmentedResult struct {
 // (ErrSeekUnsupported otherwise): segmentation needs the complete event
 // stream both to restore from and to validate against.
 func Segmented(s *scenario.Scenario, rec *record.Recording, o Options) (*SegmentedResult, error) {
-	return SegmentedStore(s, flightrec.NewRecordingStore(rec), o)
+	return SegmentedStore(s, rec.Store(), o)
 }
 
 // SegmentedStore is Segmented over a segment store. For a flight

@@ -142,11 +142,14 @@ func replayPerfect(s *scenario.Scenario, rec *record.Recording, o Options) *Resu
 	if !rec.SchedComplete {
 		return &Result{Note: "perfect recording lacks a complete schedule"}
 	}
+	// The error is the Store interface's: a recording's own store derives
+	// its inputs in memory and cannot fail.
+	inputs, _ := rec.Store().Inputs()
 	view := s.Exec(scenario.ExecOptions{
 		Seed:      rec.Seed,
 		Params:    rec.Params,
 		Scheduler: vm.NewReplayScheduler(rec.Sched),
-		Inputs:    &vm.MapInputs{Values: rec.InputsByStream(), Base: vm.ZeroInputs},
+		Inputs:    inputs,
 		MaxSteps:  o.MaxSteps,
 		RelaxTime: true,
 	})

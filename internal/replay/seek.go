@@ -20,7 +20,7 @@ import (
 // equivalence tests pin that for every corpus scenario.
 //
 // Seek operates over the flightrec.Store interface, so it works the same
-// on an in-memory recording (via flightrec.NewRecordingStore) and on a
+// on an in-memory recording (via Recording.Store) and on a
 // flight recorder's spill directory (flightrec.Open) — SeekStore is the
 // store-backed entry point, Seek the recording-shaped convenience.
 
@@ -56,10 +56,11 @@ type SeekSession struct {
 
 // replayConfig assembles the machine configuration every replay machine
 // of a perfect store shares: the forced schedule suffix, the recorded
-// inputs, and the scenario build parameterized as recorded. Both shared
-// pieces come from the store, which caches them — segmented replay
-// restores many machines of one store, and the recorded-input map and
-// schedule are immutable and safe to share.
+// inputs, and the scenario build parameterized as recorded. The schedule
+// and the input map come from the store and are immutable, so every
+// machine of one store shares them; a Recording's store derives the map
+// once per recording, for whichever Seek, Segmented or Debugger call asks
+// first (record.Recording.Store).
 func replayConfig(s *scenario.Scenario, st flightrec.Store, meta flightrec.Meta, o Options, schedFrom uint64) (vm.Config, func(*vm.Machine) func(*vm.Thread), error) {
 	p := s.DefaultParams.Clone(meta.Params)
 	sched, err := st.Sched(schedFrom)
@@ -84,11 +85,6 @@ func replayConfig(s *scenario.Scenario, st flightrec.Store, meta flightrec.Meta,
 	return cfg, setup, nil
 }
 
-// recordedInputs builds the forced input source of a perfect recording.
-func recordedInputs(rec *record.Recording) vm.InputSource {
-	return &vm.MapInputs{Values: rec.InputsByStream(), Base: vm.ZeroInputs}
-}
-
 // Seek opens a session positioned at target: the execution state is that
 // of the recorded run after target events, reached from the nearest
 // checkpoint at or before target. A recording without a usable checkpoint
@@ -96,7 +92,7 @@ func recordedInputs(rec *record.Recording) vm.InputSource {
 // start — same session, full-prefix cost. Targets beyond the end of the
 // recording position at the end.
 func Seek(s *scenario.Scenario, rec *record.Recording, target uint64, o Options) (*SeekSession, error) {
-	return SeekStore(s, flightrec.NewRecordingStore(rec), target, o)
+	return SeekStore(s, rec.Store(), target, o)
 }
 
 // SeekStore opens a seek session over a segment store — an in-memory

@@ -51,7 +51,7 @@ type DebugOptions struct {
 // NewDebugger opens a time-travel session over a recording, positioned at
 // event 0.
 func NewDebugger(s *scenario.Scenario, rec *record.Recording, o DebugOptions) (*Debugger, error) {
-	return NewStoreDebugger(s, flightrec.NewRecordingStore(rec), o)
+	return NewStoreDebugger(s, rec.Store(), o)
 }
 
 // NewStoreDebugger opens a time-travel session over a segment store,

@@ -114,9 +114,55 @@ func Encode(w io.Writer, l *Log) (int64, error) {
 	return cw.n, nil
 }
 
+// InputLen reports how many bytes r can still deliver when r can tell — a
+// Len method (bytes.Reader, bytes.Buffer) or a seekable source (a file) —
+// and -1 otherwise.
+func InputLen(r io.Reader) int64 {
+	if l, ok := r.(interface{ Len() int }); ok {
+		return int64(l.Len())
+	}
+	if s, ok := r.(io.Seeker); ok {
+		cur, err := s.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return -1 // a pipe or terminal
+		}
+		end, err := s.Seek(0, io.SeekEnd)
+		if _, rerr := s.Seek(cur, io.SeekStart); err != nil || rerr != nil {
+			return -1
+		}
+		return end - cur
+	}
+	return -1
+}
+
+// reserveChunk is how many elements a decoder reserves for a count it
+// cannot check against the input size; the slice grows from there.
+const reserveChunk = 4096
+
+// Reserve returns how many elements to preallocate for a count n read from
+// the input, each element at least elemBytes long there, so that a header
+// claiming a billion elements cannot reserve gigabytes before one is read.
+// With the remaining input size known (limit, from InputLen) an honest
+// count is reserved exactly and one the input cannot hold is corrupt; with
+// limit < 0 at most reserveChunk is reserved.
+func Reserve(n uint64, elemBytes int, limit int64) (int, error) {
+	switch {
+	case limit < 0:
+		return int(min(n, reserveChunk)), nil
+	case n > uint64(limit)/uint64(elemBytes):
+		return 0, fmt.Errorf("%w: count %d exceeds the %d bytes of input", ErrCorrupt, n, limit)
+	}
+	return int(n), nil
+}
+
 // Decode reads a log in the binary format.
 func Decode(r io.Reader) (*Log, error) {
-	br := bufio.NewReader(r)
+	return DecodeBounded(bufio.NewReader(r), InputLen(r))
+}
+
+// DecodeBounded is Decode for a caller that buffers the input itself;
+// limit is InputLen of the underlying reader, taken before buffering.
+func DecodeBounded(br *bufio.Reader, limit int64) (*Log, error) {
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMagic, err)
@@ -203,11 +249,11 @@ func Decode(r io.Reader) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	const maxEvents = 1 << 30
-	if ne > maxEvents {
-		return nil, fmt.Errorf("%w: implausible event count %d", ErrCorrupt, ne)
+	reserve, err := Reserve(ne, 8, limit) // an event is at least eight one-byte fields
+	if err != nil {
+		return nil, err
 	}
-	l.Events = make([]Event, 0, ne)
+	l.Events = make([]Event, 0, reserve)
 	var prevSeq, prevTime uint64
 	for i := uint64(0); i < ne; i++ {
 		var e Event
@@ -253,7 +299,7 @@ func Decode(r io.Reader) (*Log, error) {
 		if e.Val, err = readValue(br); err != nil {
 			return nil, err
 		}
-		l.Events = append(l.Events, e)
+		l.Events = AppendEvent(l.Events, e)
 	}
 	return l, nil
 }
@@ -321,16 +367,15 @@ func readValue(r *bufio.Reader) (Value, error) {
 	return v, nil
 }
 
+// writeUvarint and writeVarint encode straight into the writer's free
+// buffer space: a local scratch array would escape through Write and cost
+// one heap allocation per field.
 func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
+	w.Write(binary.AppendUvarint(w.AvailableBuffer(), v))
 }
 
 func writeVarint(w *bufio.Writer, v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	w.Write(buf[:n])
+	w.Write(binary.AppendVarint(w.AvailableBuffer(), v))
 }
 
 func writeString(w *bufio.Writer, s string) {

@@ -120,7 +120,25 @@ func NewLog(h Header) *Log {
 }
 
 // Append adds an event to the log.
-func (l *Log) Append(e Event) { l.Events = append(l.Events, e) }
+func (l *Log) Append(e Event) { l.Events = AppendEvent(l.Events, e) }
+
+// growDoubleFrom is the event count from which a full log doubles instead
+// of following append's growth. Go grows large slices by about 1.25x, so a
+// log that reaches n events that way allocates, clears and copies about 5n
+// along the way; doubling costs about 2n. Logs that stay small — nearly
+// every search candidate — keep append's tighter fit.
+const growDoubleFrom = 4096
+
+// AppendEvent is append for event logs that may grow long (see
+// growDoubleFrom).
+func AppendEvent(events []Event, e Event) []Event {
+	if len(events) == cap(events) && len(events) >= growDoubleFrom {
+		grown := make([]Event, len(events), 2*len(events))
+		copy(grown, events)
+		events = grown
+	}
+	return append(events, e)
+}
 
 // Len returns the number of events.
 func (l *Log) Len() int { return len(l.Events) }

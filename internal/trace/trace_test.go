@@ -2,7 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -259,5 +263,81 @@ func TestSiteTable(t *testing.T) {
 	c.Register("z")
 	if _, ok := tab.Lookup("z"); ok {
 		t.Fatal("Clone is not independent")
+	}
+}
+
+// hostileCount returns an encoding of an empty log whose event count —
+// the final byte, 0 — is replaced by a claim of 2^30 events.
+func hostileCount(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := Encode(&buf, NewLog(Header{Scenario: "x"})); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	if data[len(data)-1] != 0 {
+		t.Fatalf("an empty log should end with its zero event count, ends with %#x", data[len(data)-1])
+	}
+	return binary.AppendUvarint(data[:len(data)-1:len(data)-1], 1<<30)
+}
+
+// totalAlloc returns the bytes f allocates.
+func totalAlloc(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDecodeBoundsReservationByInput: a ~20-byte file claiming 2^30 events
+// used to reserve ~100 GiB before reading one. With the input size known
+// the count is rejected outright; with it unknown (a bare io.Reader) the
+// decoder reserves one small chunk and fails at the missing first event.
+func TestDecodeBoundsReservationByInput(t *testing.T) {
+	data := hostileCount(t)
+	for name, open := range map[string]func() io.Reader{
+		"sized":   func() io.Reader { return bytes.NewReader(data) },
+		"unsized": func() io.Reader { return struct{ io.Reader }{bytes.NewReader(data)} },
+	} {
+		var err error
+		alloc := totalAlloc(func() { _, err = Decode(open()) })
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: error %v, want ErrCorrupt", name, err)
+		}
+		if alloc >= 1<<20 {
+			t.Errorf("%s: a %d-byte file made Decode allocate %d bytes", name, len(data), alloc)
+		}
+	}
+}
+
+// TestDecodeReservesHonestCountExactly: an honest log's events land in one
+// allocation of exactly their number, from a sized reader; from an unsized
+// one they still all arrive.
+func TestDecodeReservesHonestCountExactly(t *testing.T) {
+	l := randomLog(rand.New(rand.NewSource(5)))
+	for len(l.Events) < 3*reserveChunk {
+		l.Events = append(l.Events, l.Events...)
+	}
+	for i := range l.Events {
+		l.Events[i].Seq, l.Events[i].Time = uint64(i), uint64(i)
+	}
+	var buf bytes.Buffer
+	if _, err := Encode(&buf, l); err != nil {
+		t.Fatal(err)
+	}
+	sized, err := Decode(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sized.Events) != len(l.Events) || cap(sized.Events) != len(l.Events) {
+		t.Fatalf("decoded %d events into capacity %d, want exactly %d", len(sized.Events), cap(sized.Events), len(l.Events))
+	}
+	unsized, err := Decode(struct{ io.Reader }{bytes.NewReader(buf.Bytes())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !EventsEqual(sized, unsized, false) || !EventsEqual(l, sized, false) {
+		t.Fatal("sized and unsized decodes differ")
 	}
 }

@@ -75,6 +75,12 @@ type DiskSnap struct {
 // may be registered lazily during execution, so the snapshot records the
 // name table: restore re-registers missing streams in snapshot order,
 // keeping object IDs stable.
+//
+// Inputs and Outputs are read-only: a stream's histories are only ever
+// appended to, so a snapshot holds a capacity-limited prefix of the live
+// array (every snapshot of one run, and the machine itself, share it)
+// instead of a copy — capture costs O(live state), not O(history). Restore
+// copies them when it installs a snapshot.
 type StreamSnap struct {
 	Name    string
 	InIndex int
@@ -164,8 +170,8 @@ func (m *Machine) Snapshot(running trace.ThreadID) *Snapshot {
 		s.Streams[i] = StreamSnap{
 			Name:    st.name,
 			InIndex: st.inIndex,
-			Inputs:  append([]trace.Value(nil), st.inputs...),
-			Outputs: append([]trace.Value(nil), st.outputs...),
+			Inputs:  st.inputs[:len(st.inputs):len(st.inputs)],
+			Outputs: st.outputs[:len(st.outputs):len(st.outputs)],
 		}
 	}
 	for i := range m.disks {

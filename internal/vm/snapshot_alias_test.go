@@ -1,0 +1,128 @@
+package vm
+
+import (
+	"reflect"
+	"runtime"
+	"testing"
+
+	"debugdet/internal/trace"
+)
+
+// A snapshot's stream histories are capacity-limited prefixes of the live
+// machine's arrays, not copies (see StreamSnap). These tests pin that the
+// sharing is invisible: a snapshot never changes after capture, however
+// far the machine runs on, and capture does not pay for the history.
+
+// everyN snapshots the machine after every n-th event and keeps, beside
+// each snapshot, a private deep copy of its histories taken at that moment.
+type everyN struct {
+	m      *Machine
+	n      uint64
+	snaps  []*Snapshot
+	copies []*Snapshot
+}
+
+func (o *everyN) OnEvent(e *trace.Event) uint64 {
+	if (e.Seq+1)%o.n == 0 && !e.Kind.IsTerminal() {
+		s := o.m.Snapshot(e.TID)
+		c := *s
+		c.Streams = make([]StreamSnap, len(s.Streams))
+		for i, st := range s.Streams {
+			c.Streams[i] = st
+			c.Streams[i].Inputs = append([]trace.Value(nil), st.Inputs...)
+			c.Streams[i].Outputs = append([]trace.Value(nil), st.Outputs...)
+		}
+		o.snaps, o.copies = append(o.snaps, s), append(o.copies, &c)
+	}
+	return 0
+}
+
+// echoProgram: two workers each copy inputs from their own stream to a
+// shared output stream, so histories grow through the whole run and their
+// arrays are reallocated many times after the first snapshots.
+func echoProgram(rounds int) func(*Machine) func(*Thread) {
+	return func(m *Machine) func(*Thread) {
+		site := m.Site("echo")
+		out := m.Stream("out")
+		worker := func(name string) func(*Thread) {
+			in := m.DeclareStream(name, trace.TaintEnv)
+			return func(th *Thread) {
+				for i := 0; i < rounds; i++ {
+					th.Output(site, out, th.Input(site, in))
+				}
+			}
+		}
+		a, b := worker("in.a"), worker("in.b")
+		return func(th *Thread) {
+			th.Spawn(site, "a", a)
+			th.Spawn(site, "b", b)
+		}
+	}
+}
+
+func TestSnapshotsAreImmutableAfterCapture(t *testing.T) {
+	cfg := Config{Seed: 7, Inputs: SeededInputs(7, 1000), CollectTrace: true}
+	setup := echoProgram(300)
+	m := New(cfg)
+	body := setup(m)
+	obs := &everyN{m: m, n: 64}
+	m.Attach(obs)
+	res := m.Run(body)
+	if res.Outcome != OutcomeOK || len(obs.snaps) < 10 {
+		t.Fatalf("outcome %v with %d snapshots", res.Outcome, len(obs.snaps))
+	}
+	for i, snap := range obs.snaps {
+		if err := snap.EqualState(obs.copies[i]); err != nil {
+			t.Fatalf("snapshot at %d changed after capture: %v", snap.Seq, err)
+		}
+		if !reflect.DeepEqual(snap.Streams, obs.copies[i].Streams) {
+			t.Fatalf("snapshot at %d: stream histories changed after capture", snap.Seq)
+		}
+		// Restoring from the (shared) snapshot and replaying the suffix
+		// must reproduce the original run — and leave the snapshot alone.
+		rcfg := cfg
+		rcfg.Scheduler = NewReplayScheduler(res.Trace.Schedule()[snap.SchedPos:])
+		m2, err := Restore(rcfg, setup, snap, feedsFor(res.Trace.Events, snap.Seq, len(snap.Threads)))
+		if err != nil {
+			t.Fatalf("restore at %d: %v", snap.Seq, err)
+		}
+		m2.Continue(0)
+		res2 := m2.Finish()
+		if !reflect.DeepEqual(res2.Trace.Events, res.Trace.Events[snap.Seq:]) {
+			t.Fatalf("suffix replayed from the snapshot at %d differs from the original run", snap.Seq)
+		}
+		if !reflect.DeepEqual(res2.Outputs, res.Outputs) {
+			t.Fatalf("outputs replayed from the snapshot at %d differ", snap.Seq)
+		}
+		if !reflect.DeepEqual(snap.Streams, obs.copies[i].Streams) {
+			t.Fatalf("restoring the snapshot at %d modified it", snap.Seq)
+		}
+	}
+}
+
+// TestSnapshotCostIgnoresHistory: capture on a machine that has emitted
+// 10k stream values allocates for its live state (a thread, a stream
+// table), not for the ~560 KB of history.
+func TestSnapshotCostIgnoresHistory(t *testing.T) {
+	const values = 10000
+	m := New(Config{Seed: 1})
+	site, out := m.Site("emit"), m.Stream("out")
+	m.Start(func(th *Thread) {
+		for i := 0; i <= values; i++ {
+			th.Output(site, out, trace.Int(int64(i)))
+		}
+	})
+	m.Continue(values)
+	defer m.Finish()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	snap := m.Snapshot(NoRunningThread)
+	runtime.ReadMemStats(&after)
+	if got := len(snap.Streams[out].Outputs); got != values {
+		t.Fatalf("snapshot holds %d outputs, want %d", got, values)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<10 {
+		t.Fatalf("Snapshot allocated %d bytes with %d values of history; it must not copy the history", alloc, values)
+	}
+}

@@ -1,0 +1,115 @@
+package debugdet_test
+
+import (
+	"bytes"
+	"context"
+	"runtime"
+	"testing"
+
+	"debugdet"
+)
+
+// Linear-scaling guards for the load and seek paths. They measure bytes
+// allocated (runtime.MemStats.TotalAlloc), which for a deterministic,
+// single-goroutine call is a property of the code, not of the machine —
+// so they can gate tier-1 where a wall-clock bound could not.
+
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// recordBank records a perfect, checkpointed run of the bank scenario with
+// the given number of transfers per thread (about 34 events each).
+func recordBank(t *testing.T, transfers, interval int64) (*debugdet.Scenario, *debugdet.Recording) {
+	t.Helper()
+	eng := debugdet.New()
+	s, err := eng.ByName("bank")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := eng.Record(context.Background(), s, debugdet.Perfect, debugdet.Options{
+		Params:             debugdet.Params{"transfers": transfers},
+		CheckpointInterval: interval,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, rec
+}
+
+// TestLoadCostIndependentOfCheckpointCount: loading the same run costs the
+// same whether it carries four times as many checkpoints or not — stream
+// histories are rehydrated in one pass over the events, not one pass per
+// snapshot (which made the finer recording cost about 4x).
+func TestLoadCostIndependentOfCheckpointCount(t *testing.T) {
+	load := func(interval int64) (uint64, int) {
+		_, rec := recordBank(t, 1500, interval)
+		var buf bytes.Buffer
+		if err := debugdet.SaveRecording(&buf, rec); err != nil {
+			t.Fatal(err)
+		}
+		var loaded *debugdet.Recording
+		n := allocated(func() {
+			var err error
+			if loaded, err = debugdet.LoadRecording(bytes.NewReader(buf.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// Subtract what the snapshots' own live state costs: it is
+		// legitimately proportional to their number.
+		return n - uint64(rec.CheckpointBytes), len(loaded.Checkpoints)
+	}
+	fine, nFine := load(256)
+	coarse, nCoarse := load(1024)
+	t.Logf("load: %d bytes with %d checkpoints, %d bytes with %d", fine, nFine, coarse, nCoarse)
+	if nFine < 3*nCoarse || nCoarse < 10 {
+		t.Fatalf("%d checkpoints at interval 256, %d at 1024: not the 4x contrast this test needs", nFine, nCoarse)
+	}
+	if float64(fine) > 1.25*float64(coarse) {
+		t.Fatalf("load allocates %d bytes with %d checkpoints, %d with %d: more than 1.25x apart",
+			fine, nFine, coarse, nCoarse)
+	}
+}
+
+// TestSecondSeekCostIndependentOfRecordingLength: once a recording's replay
+// plan exists, a seek allocates for the restore and the suffix only —
+// under 4 MB on a 100k-event recording, and no more than on a recording
+// half as long when both seek the same distance past the same checkpoint.
+func TestSecondSeekCostIndependentOfRecordingLength(t *testing.T) {
+	const interval, target = 1024, 40*1024 + 100
+	seekCost := func(transfers int64) (uint64, uint64) {
+		s, rec := recordBank(t, transfers, interval)
+		eng := debugdet.New()
+		seek := func() {
+			sess, err := eng.Seek(context.Background(), s, rec, target, debugdet.ReplayOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sess.FromCheckpoint || sess.SuffixFrom != 40*1024 || sess.Pos() != target {
+				t.Fatalf("seek resumed from %d (checkpoint=%v) and landed at %d", sess.SuffixFrom, sess.FromCheckpoint, sess.Pos())
+			}
+			sess.Close()
+		}
+		seek() // derives the recording's plan
+		return allocated(seek), rec.EventCount
+	}
+	short, nShort := seekCost(1500)
+	long, nLong := seekCost(3100)
+	t.Logf("second seek: %d bytes on %d events, %d bytes on %d events", short, nShort, long, nLong)
+	if nLong < 100_000 || nShort > nLong*6/10 || nShort <= target {
+		t.Fatalf("recordings have %d and %d events: not the contrast this test needs", nShort, nLong)
+	}
+	if long >= 4<<20 {
+		t.Fatalf("second seek on a %d-event recording allocates %d bytes, want < 4 MB", nLong, long)
+	}
+	if float64(long) > 1.1*float64(short) {
+		t.Fatalf("second seek allocates %d bytes on %d events but %d on %d: it scales with recording length",
+			long, nLong, short, nShort)
+	}
+}
