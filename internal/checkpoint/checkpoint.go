@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"debugdet/internal/trace"
@@ -223,7 +224,13 @@ func RehydrateStreams(snaps []*vm.Snapshot, events []trace.Event) error {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return snaps[order[a]].Seq < snaps[order[b]].Seq })
-	r := rehydrator{events: events}
+	// One history slot per stream of the widest snapshot, fixed up front:
+	// stream IDs come straight from the file and must not size anything.
+	streams := 0
+	for _, s := range snaps {
+		streams = max(streams, len(s.Streams))
+	}
+	r := rehydrator{events: events, hist: make([]struct{ in, out []trace.Value }, streams)}
 	var firstErr error
 	firstBad := len(snaps)
 	for _, idx := range order {
@@ -240,6 +247,7 @@ type rehydrator struct {
 	events []trace.Event
 	pos    uint64 // events[:pos] are reflected in hist
 	hist   []struct{ in, out []trace.Value }
+	top    uint64 // events[:pos] touch no stream at or past top
 }
 
 // fill advances the walk to s.Seq and hands s its histories. Snapshots
@@ -253,9 +261,11 @@ func (r *rehydrator) fill(s *vm.Snapshot) error {
 		//lint:exhaustive-default only stream events rebuild Inputs/Outputs; other kinds do not touch streams
 		switch e.Kind {
 		case trace.EvInput, trace.EvOutput:
-			for int(e.Obj) >= len(r.hist) {
-				r.hist = append(r.hist, struct{ in, out []trace.Value }{})
+			if uint64(e.Obj) >= uint64(len(r.hist)) {
+				r.top = math.MaxUint64 // past every snapshot's table: reported below
+				continue
 			}
+			r.top = max(r.top, uint64(e.Obj)+1)
 			if h := &r.hist[e.Obj]; e.Kind == trace.EvInput {
 				h.in = append(h.in, e.Val)
 			} else {
@@ -263,24 +273,18 @@ func (r *rehydrator) fill(s *vm.Snapshot) error {
 			}
 		}
 	}
-	// hist reaches exactly as far as the highest stream the prefix touches;
-	// if that is past the snapshot's table, report the first such event.
-	if len(r.hist) > len(s.Streams) {
+	if r.top > uint64(len(s.Streams)) {
 		for i, e := range r.events[:s.Seq] {
-			if (e.Kind == trace.EvInput || e.Kind == trace.EvOutput) && int(e.Obj) >= len(s.Streams) {
+			if (e.Kind == trace.EvInput || e.Kind == trace.EvOutput) && uint64(e.Obj) >= uint64(len(s.Streams)) {
 				return fmt.Errorf("checkpoint: event %d touches stream %d, snapshot has %d", i, e.Obj, len(s.Streams))
 			}
 		}
 	}
 	for i := range s.Streams {
-		st := &s.Streams[i]
-		st.Inputs, st.Outputs = nil, nil
-		if i < len(r.hist) {
-			// Capacity cut to length: an append through the snapshot can
-			// never write into the array the walk keeps extending.
-			h := &r.hist[i]
-			st.Inputs, st.Outputs = h.in[:len(h.in):len(h.in)], h.out[:len(h.out):len(h.out)]
-		}
+		// Capacity cut to length: an append through the snapshot can never
+		// write into the array the walk keeps extending.
+		st, h := &s.Streams[i], &r.hist[i]
+		st.Inputs, st.Outputs = h.in[:len(h.in):len(h.in)], h.out[:len(h.out):len(h.out)]
 		if len(st.Inputs) != st.InIndex {
 			return fmt.Errorf("checkpoint: stream %q rebuilt %d inputs, cursor says %d", st.Name, len(st.Inputs), st.InIndex)
 		}

@@ -3,7 +3,9 @@ package checkpoint_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"debugdet/internal/checkpoint"
@@ -206,14 +208,36 @@ func TestRehydrateMatchesReferenceOnAdversarialInput(t *testing.T) {
 	}
 
 	// The reported event is the earliest touching any missing stream, which
-	// need not be the lowest missing stream — and a stream ID far past the
-	// table pads the walk's history table with slots nothing touched.
+	// need not be the lowest missing stream.
 	for _, script := range []string{"i0 i2 i1", "i0 o3 . i1"} {
 		evs := streamEvents(script)
 		got, want := []*vm.Snapshot{snapAt(uint64(len(evs)), 1)}, []*vm.Snapshot{snapAt(uint64(len(evs)), 1)}
 		g, w := checkpoint.RehydrateStreams(got, evs), rehydrateReference(want, evs)
 		if g == nil || fmt.Sprint(g) != fmt.Sprint(w) {
 			t.Errorf("%q: error %q, reference %q", script, g, w)
+		}
+	}
+}
+
+// TestRehydrateHostileStreamID: a stream ID is read straight from the file
+// and must size nothing. An event naming stream 2^40 (or 2^64-1, which as
+// an int is negative) under any snapshot past it is the usual typed error,
+// at once and without reserving a slot per skipped ID.
+func TestRehydrateHostileStreamID(t *testing.T) {
+	for _, obj := range []trace.ObjID{1 << 40, math.MaxUint64} {
+		events := streamEvents("i0 i0 . i0")
+		events[1].Obj = obj
+		snaps := []*vm.Snapshot{snapAt(1, 1), snapAt(4, 3)}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := checkpoint.RehydrateStreams(snaps, events)
+		runtime.ReadMemStats(&after)
+		want := fmt.Sprintf("checkpoint: event 1 touches stream %d, snapshot has 1", obj)
+		if err == nil || err.Error() != want {
+			t.Errorf("stream %d: error %v, want %q", obj, err, want)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+			t.Errorf("stream %d: rehydrate allocated %d bytes", obj, d)
 		}
 	}
 }

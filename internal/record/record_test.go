@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -424,50 +423,5 @@ func TestLoadReservesHonestCountsExactly(t *testing.T) {
 		if len(got.Checkpoints) != len(rec.Checkpoints) {
 			t.Errorf("%s: %d checkpoints, want %d", name, len(got.Checkpoints), len(rec.Checkpoints))
 		}
-	}
-}
-
-// TestFullStreamSharesTheMachineTrace: while every event is persisted in
-// full the recorder keeps no second copy of the log — a perfect recording's
-// Full is the run's collected trace — and the first event below full
-// fidelity ends the sharing without losing or reordering anything.
-func TestFullStreamSharesTheMachineTrace(t *testing.T) {
-	s, err := workload.ByName("bank")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, view, err := Record(s, Perfect, s.DefaultSeed, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Full) == 0 || len(rec.Full) != len(view.Trace.Events) || &rec.Full[0] != &view.Trace.Events[0] {
-		t.Fatalf("perfect recording holds its own copy of the %d-event log", len(view.Trace.Events))
-	}
-	if cap(rec.Full) != len(rec.Full) {
-		t.Fatalf("shared full stream has spare capacity %d: an append would write into the trace", cap(rec.Full)-len(rec.Full))
-	}
-
-	// Full for 40 events, schedule-only for 40, full again.
-	level := func(e *trace.Event) Level {
-		if e.Seq >= 40 && e.Seq < 80 {
-			return LevelSched
-		}
-		return LevelFull
-	}
-	mixed, view, err := RecordWithPolicy(s, DebugRCSE, FactoryFor(PolicyFunc{N: "mixed", F: level}), s.DefaultSeed, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []trace.Event
-	for i := range view.Trace.Events {
-		if level(&view.Trace.Events[i]) == LevelFull {
-			want = append(want, view.Trace.Events[i])
-		}
-	}
-	if len(want) != len(view.Trace.Events)-40 || !reflect.DeepEqual(mixed.Full, want) {
-		t.Fatalf("mixed-fidelity recording kept %d full events, want %d in trace order", len(mixed.Full), len(want))
-	}
-	if !mixed.SchedComplete || len(mixed.Sched) != len(view.Trace.Events) {
-		t.Fatalf("mixed-fidelity schedule has %d entries for %d events", len(mixed.Sched), len(view.Trace.Events))
 	}
 }

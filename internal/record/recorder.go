@@ -57,12 +57,6 @@ type Recorder struct {
 	full  []trace.Event
 	sched []trace.ThreadID
 
-	// tr is the machine's own collected trace for as long as every event
-	// so far was persisted in full: the full stream is then exactly tr's
-	// events, and the recorder keeps no second copy of the log. It is nil
-	// once full holds the stream (or when the machine collects no trace).
-	tr *trace.Log
-
 	// schedComplete stays true while every event so far has contributed
 	// at least a schedule entry — the condition under which the schedule
 	// stream can drive a ReplayScheduler.
@@ -77,20 +71,13 @@ type Recorder struct {
 // NewRecorder builds a recorder pricing its work against the machine's
 // cost model.
 func NewRecorder(m *vm.Machine, policy Policy) *Recorder {
-	return &Recorder{policy: policy, cost: m.Cost(), schedComplete: true, tr: m.Trace()}
+	return &Recorder{policy: policy, cost: m.Cost(), schedComplete: true}
 }
 
 // OnEvent implements vm.Observer.
 func (r *Recorder) OnEvent(e *trace.Event) uint64 {
 	r.events++
-	level := r.policy.Level(e)
-	if r.tr != nil && (level != LevelFull || uint64(len(r.tr.Events)) != r.events) {
-		// Below full fidelity (or an event that is not tr's latest: a
-		// recorder driven by hand): from here on the log is the recorder's.
-		r.full = append(r.full, r.tr.Events[:r.events-1]...)
-		r.tr = nil
-	}
-	switch level {
+	switch r.policy.Level(e) {
 	case LevelSkip:
 		r.schedComplete = false
 		return 0
@@ -100,9 +87,7 @@ func (r *Recorder) OnEvent(e *trace.Event) uint64 {
 		r.bytes++
 		return r.cost.RecordByteCycles
 	default: // LevelFull
-		if r.tr == nil {
-			r.full = trace.AppendEvent(r.full, *e)
-		}
+		r.full = trace.AppendEvent(r.full, *e)
 		r.sched = append(r.sched, e.TID)
 		r.fullCount++
 		b := fullEventBytes(e)

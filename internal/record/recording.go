@@ -21,9 +21,8 @@ import (
 //
 // A Recording is plain data and may be copied, but it must not be mutated
 // after its first replay call: replays share one read-only view derived
-// from it (see Store), a perfect recording's Full is the recorded run's
-// own trace, and its Checkpoints share the recorded machine's stream
-// histories (see vm.StreamSnap).
+// from it (see Store), and its Checkpoints share the recorded machine's
+// stream histories (see vm.StreamSnap).
 type Recording struct {
 	Scenario string
 	Model    Model
@@ -68,9 +67,10 @@ type Recording struct {
 	TotalCycles uint64
 	EventCount  uint64
 
-	// store is the replay-side view derived from the fields above (see
-	// Store), built on first use; guarded by storeMu.
-	store *Store
+	// cache holds the replay-side view derived from the fields above (see
+	// Store), built on first use. It is not part of the recording's value:
+	// comparisons of Recordings must ignore it.
+	cache *storeCache
 }
 
 // Capture finalizes a recording after the recorded run finished: it stores
@@ -78,16 +78,12 @@ type Recording struct {
 // numbers.
 func Capture(s *scenario.Scenario, view *scenario.RunView, r *Recorder, model Model, seed int64, params scenario.Params) *Recording {
 	failed, sig := s.CheckFailure(view)
-	full := r.full
-	if r.tr != nil {
-		full = r.tr.Events[:r.events:r.events]
-	}
 	return &Recording{
 		Scenario:      s.Name,
 		Model:         model,
 		Seed:          seed,
 		Params:        params,
-		Full:          full,
+		Full:          r.full,
 		Sched:         r.sched,
 		SchedComplete: r.schedComplete,
 		Streams:       view.Machine.StreamNames(),
@@ -98,6 +94,7 @@ func Capture(s *scenario.Scenario, view *scenario.RunView, r *Recorder, model Mo
 		BaseCycles:    view.Result.BaseCycles(),
 		TotalCycles:   view.Result.TotalCycles(),
 		EventCount:    r.events,
+		cache:         &storeCache{},
 	}
 }
 
@@ -271,6 +268,7 @@ func Load(rd io.Reader) (*Recording, error) {
 		Seed:     l.Header.Seed,
 		Params:   scenario.Params(l.Header.Params),
 		Full:     l.Events,
+		cache:    &storeCache{},
 	}
 	lab := l.Header.Labels
 	r.Failed = lab["failed"] == "true"
@@ -292,11 +290,12 @@ func Load(rd io.Reader) (*Recording, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: schedule count: %v", ErrBadRecording, err)
 	}
-	reserve, err := trace.Reserve(nSched, 1, limit) // an entry is at least one byte
-	if err != nil {
-		return nil, fmt.Errorf("%w: schedule: %v", ErrBadRecording, err)
+	if limit >= 0 {
+		if nSched > uint64(limit) { // an entry is at least one byte
+			return nil, fmt.Errorf("%w: schedule length %d exceeds the %d bytes of input", ErrBadRecording, nSched, limit)
+		}
+		r.Sched = make([]trace.ThreadID, 0, nSched)
 	}
-	r.Sched = make([]trace.ThreadID, 0, reserve)
 	prev := int64(0)
 	for i := uint64(0); i < nSched; i++ {
 		d, err := binary.ReadVarint(br)

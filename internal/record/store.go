@@ -97,21 +97,28 @@ func keyOf(r *Recording) storeKey {
 	return k
 }
 
-// storeMu guards the store field of every Recording: callers copy
-// Recordings by value, so the struct cannot carry its own lock.
-var storeMu sync.Mutex
+// storeCache is a Recording's slot for its Store. Capture and Load allocate
+// it and nothing reassigns it, so copying a Recording by value shares the
+// slot without racing with a replay that fills it.
+type storeCache struct {
+	mu sync.Mutex
+	st *Store
+}
 
 // Store returns the recording's replay-side view, the same one for every
 // caller until the recording's events or checkpoints are replaced. The
 // recording is shared, not copied.
 func (r *Recording) Store() *Store {
-	k := keyOf(r)
-	storeMu.Lock()
-	defer storeMu.Unlock()
-	if r.store == nil || r.store.key != k {
-		r.store = &Store{rec: r, key: k, bounds: r.SegmentBounds()}
+	c := r.cache
+	if c == nil { // not from Capture or Load: nowhere to keep it
+		c = &storeCache{}
 	}
-	return r.store
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if k := keyOf(r); c.st == nil || c.st.key != k {
+		c.st = &Store{rec: r, key: k, bounds: r.SegmentBounds()}
+	}
+	return c.st
 }
 
 // Meta implements flightrec.Store.

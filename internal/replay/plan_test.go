@@ -106,6 +106,29 @@ func TestConcurrentSeeksShareOnePlan(t *testing.T) {
 	wg.Wait()
 }
 
+// TestCopyingARecordingDuringItsFirstReplay: Recordings are plain data and
+// get copied by value. The first replay fills a slot the copy shares; it
+// does not write the struct being copied (run under -race), and the copy
+// replays like the original.
+func TestCopyingARecordingDuringItsFirstReplay(t *testing.T) {
+	rec := bankRecording(t, 64)
+	target := rec.EventCount / 2
+	var wg sync.WaitGroup
+	var from uint64
+	var suffix []trace.Event
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		from, suffix = suffixOf(t, rec, target)
+	}()
+	c := *rec
+	wg.Wait()
+	cFrom, cSuffix := suffixOf(t, &c, target)
+	if cFrom != from || len(cSuffix) != len(suffix) {
+		t.Fatalf("copy resumed from %d with %d suffix events, original from %d with %d", cFrom, len(cSuffix), from, len(suffix))
+	}
+}
+
 func TestChangedCheckpointsAreNotServedAStalePlan(t *testing.T) {
 	rec := bankRecording(t, 64)
 	coarse := bankRecording(t, 96).Checkpoints

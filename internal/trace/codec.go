@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"sort"
 )
 
@@ -114,45 +115,21 @@ func Encode(w io.Writer, l *Log) (int64, error) {
 	return cw.n, nil
 }
 
-// InputLen reports how many bytes r can still deliver when r can tell — a
-// Len method (bytes.Reader, bytes.Buffer) or a seekable source (a file) —
-// and -1 otherwise.
+// InputLen returns an upper bound on the bytes r can still deliver when r
+// can tell — a Len method (bytes.Reader, bytes.Buffer) or a regular file's
+// size — and -1 otherwise. Decoders check element counts against it (and
+// reserve nothing up front without it), so a header claiming a billion
+// elements cannot reserve gigabytes before one is read.
 func InputLen(r io.Reader) int64 {
-	if l, ok := r.(interface{ Len() int }); ok {
-		return int64(l.Len())
-	}
-	if s, ok := r.(io.Seeker); ok {
-		cur, err := s.Seek(0, io.SeekCurrent)
-		if err != nil {
-			return -1 // a pipe or terminal
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return int64(r.Len())
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			return fi.Size()
 		}
-		end, err := s.Seek(0, io.SeekEnd)
-		if _, rerr := s.Seek(cur, io.SeekStart); err != nil || rerr != nil {
-			return -1
-		}
-		return end - cur
 	}
 	return -1
-}
-
-// reserveChunk is how many elements a decoder reserves for a count it
-// cannot check against the input size; the slice grows from there.
-const reserveChunk = 4096
-
-// Reserve returns how many elements to preallocate for a count n read from
-// the input, each element at least elemBytes long there, so that a header
-// claiming a billion elements cannot reserve gigabytes before one is read.
-// With the remaining input size known (limit, from InputLen) an honest
-// count is reserved exactly and one the input cannot hold is corrupt; with
-// limit < 0 at most reserveChunk is reserved.
-func Reserve(n uint64, elemBytes int, limit int64) (int, error) {
-	switch {
-	case limit < 0:
-		return int(min(n, reserveChunk)), nil
-	case n > uint64(limit)/uint64(elemBytes):
-		return 0, fmt.Errorf("%w: count %d exceeds the %d bytes of input", ErrCorrupt, n, limit)
-	}
-	return int(n), nil
 }
 
 // Decode reads a log in the binary format.
@@ -249,11 +226,12 @@ func DecodeBounded(br *bufio.Reader, limit int64) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	reserve, err := Reserve(ne, 8, limit) // an event is at least eight one-byte fields
-	if err != nil {
-		return nil, err
+	if limit >= 0 {
+		if ne > uint64(limit)/8 { // an event is at least eight one-byte fields
+			return nil, fmt.Errorf("%w: event count %d exceeds the %d bytes of input", ErrCorrupt, ne, limit)
+		}
+		l.Events = make([]Event, 0, ne)
 	}
-	l.Events = make([]Event, 0, reserve)
 	var prevSeq, prevTime uint64
 	for i := uint64(0); i < ne; i++ {
 		var e Event

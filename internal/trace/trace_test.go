@@ -293,7 +293,7 @@ func totalAlloc(f func()) uint64 {
 // TestDecodeBoundsReservationByInput: a ~20-byte file claiming 2^30 events
 // used to reserve ~100 GiB before reading one. With the input size known
 // the count is rejected outright; with it unknown (a bare io.Reader) the
-// decoder reserves one small chunk and fails at the missing first event.
+// decoder reserves nothing and fails at the missing first event.
 func TestDecodeBoundsReservationByInput(t *testing.T) {
 	data := hostileCount(t)
 	for name, open := range map[string]func() io.Reader{
@@ -316,7 +316,7 @@ func TestDecodeBoundsReservationByInput(t *testing.T) {
 // one they still all arrive.
 func TestDecodeReservesHonestCountExactly(t *testing.T) {
 	l := randomLog(rand.New(rand.NewSource(5)))
-	for len(l.Events) < 3*reserveChunk {
+	for len(l.Events) < 3*growDoubleFrom {
 		l.Events = append(l.Events, l.Events...)
 	}
 	for i := range l.Events {

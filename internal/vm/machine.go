@@ -266,15 +266,6 @@ func (m *Machine) checkSetup(op string) {
 // exit or a terminal event stops the machine. It must be called exactly
 // once (and not combined with Start).
 func (m *Machine) Run(main func(*Thread)) *Result {
-	// A run forced through a recorded schedule to completion emits one
-	// event per decision (and stops at the step limit): size the trace once
-	// instead of growing it. Paused executions (Start/Restore + Continue)
-	// usually stop early and keep the default.
-	if rs, ok := m.sched.(*ReplayScheduler); ok && m.tr != nil {
-		if n := min(uint64(len(rs.schedule)), m.cfg.MaxSteps); n > uint64(cap(m.tr.Events)) {
-			m.tr.Events = make([]trace.Event, 0, n)
-		}
-	}
 	m.Start(main)
 	m.loop()
 	return m.Finish()
