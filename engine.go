@@ -216,11 +216,18 @@ func (e *Engine) SeekStore(ctx context.Context, s *Scenario, st SegmentStore, ta
 }
 
 // ReplaySegmented validates a perfect recording by replaying its
-// checkpoint-delimited trace segments concurrently across the engine's
-// worker budget (o.Workers overrides). The result is deep-equal for every
-// worker count — the same sequential-equivalence contract as EvaluateBatch
-// — and reports the first event, if any, where the replay departs from the
-// recording.
+// checkpoint-delimited trace segments across the engine's worker budget
+// (o.Workers overrides). Each worker takes one contiguous run of segments,
+// restores the snapshot that opens it — the only step whose cost grows
+// with the prefix — and replays through the boundaries inside it: a call
+// restores min(workers, segments) snapshots, less one for the run that
+// starts at event 0 (SegmentedResult.Restores), and one worker costs what
+// Replay does. Every event is executed and compared, and everything in
+// the result but Restores is deep-equal for every worker count — the same
+// sequential-equivalence contract as EvaluateBatch; Mismatch reports the
+// first event, if any, where the replay departs from the recording. That
+// each checkpoint restores is Seek's contract: only workers ≥ segments
+// restores them all here.
 func (e *Engine) ReplaySegmented(ctx context.Context, s *Scenario, rec *Recording, o ReplayOptions) (*SegmentedResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -232,8 +239,10 @@ func (e *Engine) ReplaySegmented(ctx context.Context, s *Scenario, rec *Recordin
 }
 
 // ReplaySegmentedStore is ReplaySegmented over a segment store: it
-// replays and validates the store's retained segments concurrently. Over
-// a spill directory under retention that is the retained tail of the run.
+// replays and validates the store's retained segments, one contiguous run
+// of them per worker. Over a spill directory under retention that is the
+// retained tail of the run, and the first run restores too (event 0 is
+// gone), so Restores is min(workers, segments).
 func (e *Engine) ReplaySegmentedStore(ctx context.Context, s *Scenario, st SegmentStore, o ReplayOptions) (*SegmentedResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"debugdet/internal/checkpoint"
@@ -444,6 +445,9 @@ func readFeedLog(r io.Reader, fn func(i uint64, fe *feedEntry) error) (uint64, e
 		}
 		if err != nil {
 			return count, fmt.Errorf("%w: feed entry %d: %v", ErrCorrupt, count, err)
+		}
+		if tid < math.MinInt32 || tid > math.MaxInt32 {
+			return count, fmt.Errorf("%w: feed entry %d: thread %d out of range", ErrCorrupt, count, tid)
 		}
 		fe := feedEntry{TID: trace.ThreadID(tid)}
 		kb, err := readByte(br)

@@ -1,7 +1,6 @@
 package flightrec
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"reflect"
@@ -200,20 +199,12 @@ func TestManifestRejectsTruncation(t *testing.T) {
 func TestFeedLogRoundtrip(t *testing.T) {
 	s := workload.Bank()
 	rec := recordCheckpointed(t, s, 64)
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	writeFeedHeader(bw)
-	for i := range rec.Full {
-		writeFeedEntry(bw, &rec.Full[i])
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	log := FeedLogBytes(rec.Full)
 
 	threads := maxTID(rec.Full) + 1
 	var perThread [][]vm.FeedEntry = make([][]vm.FeedEntry, threads)
 	var sched []trace.ThreadID
-	count, err := readFeedLog(bytes.NewReader(buf.Bytes()), func(i uint64, fe *feedEntry) error {
+	count, err := readFeedLog(bytes.NewReader(log), func(i uint64, fe *feedEntry) error {
 		perThread[fe.TID] = append(perThread[fe.TID], fe.feed())
 		sched = append(sched, fe.TID)
 		return nil
@@ -242,16 +233,7 @@ func TestFeedLogRoundtrip(t *testing.T) {
 func TestFeedLogTruncation(t *testing.T) {
 	s := workload.Bank()
 	rec := recordCheckpointed(t, s, 64)
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	writeFeedHeader(bw)
-	for i := range rec.Full {
-		writeFeedEntry(bw, &rec.Full[i])
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := FeedLogBytes(rec.Full)
 	total := uint64(len(rec.Full))
 	for cut := 0; cut < len(full); cut++ {
 		count, err := readFeedLog(bytes.NewReader(full[:cut]), func(uint64, *feedEntry) error { return nil })

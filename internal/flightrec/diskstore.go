@@ -13,12 +13,13 @@ import (
 // DiskStore is a spill directory opened for replay. The manifest is read
 // eagerly; segment files lazily (and cached); the feed log on first
 // demand, in one pass that derives everything vm.Restore and the replay
-// configuration need: the full per-thread feeds, per-boundary feed
-// counts, the schedule stream, the absolute per-stream input sequences,
-// and the input/output records that rehydrate boundary snapshots' stream
-// histories. Opening a store therefore costs O(run) memory at debug time
-// — the bounded resource is the recorder's memory at record time, not the
-// debugger's.
+// configuration need: the full per-thread feeds, the schedule stream, each
+// stream's input and output history, and — per retained boundary — how
+// much of each of those precedes it. Every boundary snapshot's stream
+// histories and every restore's feeds are prefixes of those shared arrays,
+// never copies. Opening a store therefore costs O(run) memory at debug
+// time — the bounded resource is the recorder's memory at record time, not
+// the debugger's.
 //
 // A DiskStore is safe for concurrent readers.
 type DiskStore struct {
@@ -33,22 +34,27 @@ type DiskStore struct {
 	feeds    *feedData
 }
 
-// feedData is everything one scan of the feed log yields.
+// feedData is everything one scan of the feed log yields. All of it is
+// read-only once built.
 type feedData struct {
-	perThread [][]vm.FeedEntry
-	counts    map[uint64][]int // boundary seq → events per thread before it
+	perThread [][]vm.FeedEntry // per thread, carved out of one array
 	sched     []trace.ThreadID
-	inputs    map[string][]trace.Value
-	ios       []ioRec
+	streams   []streamHist             // by stream ID
+	inputs    map[string][]trace.Value // the streams' input histories, by name
+	bounds    map[uint64]*prefixCounts // by boundary seq
 }
 
-// ioRec is one input/output event of the run, for stream-history
-// rehydration: event index, direction, stream and value.
-type ioRec struct {
-	idx uint64
-	in  bool
-	obj trace.ObjID
-	val trace.Value
+// streamHist is one stream's whole input and output history, in event
+// order.
+type streamHist struct {
+	in, out []trace.Value
+}
+
+// prefixCounts says how much of the run precedes one boundary: entries of
+// each thread's feed, and values of each stream's histories.
+type prefixCounts struct {
+	feeds   []int // by thread
+	in, out []int // by stream
 }
 
 // Open reads the manifest of a spill directory and returns the store.
@@ -148,30 +154,32 @@ func (ds *DiskStore) segment(i int) (*Segment, error) {
 	return seg, nil
 }
 
-// rehydrate rebuilds a boundary snapshot's per-stream histories from the
-// feed log's input/output records (the codec persists only the cursor).
+// rehydrate gives a boundary snapshot its per-stream histories (the codec
+// persists only the cursor): capacity-limited prefixes of the store's
+// shared histories, which the snapshot's read-only contract (see
+// vm.StreamSnap) lets every snapshot of the store alias.
 func (ds *DiskStore) rehydrate(snap *vm.Snapshot) error {
 	fd, err := ds.feedData()
 	if err != nil {
 		return err
 	}
-	for _, io := range fd.ios {
-		if io.idx >= snap.Seq {
-			break
-		}
-		if int(io.obj) >= len(snap.Streams) {
+	pc := fd.bounds[snap.Seq]
+	if pc == nil {
+		pc = &prefixCounts{} // nothing precedes a snapshot at 0
+	}
+	for id := len(snap.Streams); id < len(pc.in); id++ {
+		if pc.in[id] > 0 || pc.out[id] > 0 {
 			return fmt.Errorf("%w: stream %d in feed log, snapshot at %d has %d streams",
-				ErrCorrupt, io.obj, snap.Seq, len(snap.Streams))
-		}
-		st := &snap.Streams[io.obj]
-		if io.in {
-			st.Inputs = append(st.Inputs, io.val)
-		} else {
-			st.Outputs = append(st.Outputs, io.val)
+				ErrCorrupt, id, snap.Seq, len(snap.Streams))
 		}
 	}
 	for i := range snap.Streams {
 		st := &snap.Streams[i]
+		if i < len(pc.in) {
+			h := &fd.streams[i]
+			st.Inputs = h.in[:pc.in[i]:pc.in[i]]
+			st.Outputs = h.out[:pc.out[i]:pc.out[i]]
+		}
 		if len(st.Inputs) != st.InIndex {
 			return fmt.Errorf("%w: snapshot at %d stream %q rebuilt %d inputs, cursor is %d",
 				ErrCorrupt, snap.Seq, st.Name, len(st.Inputs), st.InIndex)
@@ -221,8 +229,10 @@ func (ds *DiskStore) Feeds(snap *vm.Snapshot) ([][]vm.FeedEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	counts, ok := fd.counts[snap.Seq]
-	if !ok {
+	var counts []int
+	if pc := fd.bounds[snap.Seq]; pc != nil {
+		counts = pc.feeds
+	} else {
 		if snap.Seq > uint64(len(fd.sched)) {
 			return nil, fmt.Errorf("flightrec: feeds need %d events, log has %d", snap.Seq, len(fd.sched))
 		}
@@ -269,62 +279,103 @@ func (ds *DiskStore) feedData() (*feedData, error) {
 	return ds.feeds, ds.feedErr
 }
 
-// scanFeeds is the single feed-log pass.
+// scanFeeds is the single feed-log pass. It reserves the entry and
+// schedule arrays once, from the manifest's entry count — after holding
+// that count against the file's size, so a hostile manifest reserves
+// nothing — and sizes nothing else by a number read from the file: thread
+// and stream IDs are bounded by the threads spawned so far and the
+// manifest's stream table before they index anything.
 func (ds *DiskStore) scanFeeds() (*feedData, error) {
 	f, err := os.Open(filepath.Join(ds.dir, feedLogName))
 	if err != nil {
 		return nil, fmt.Errorf("flightrec: feed log: %w", err)
 	}
 	defer f.Close()
-	fd := &feedData{
-		counts: make(map[uint64][]int),
-		inputs: make(map[string][]trace.Value),
+	// An entry is at least a thread varint and a kind byte.
+	if size := trace.InputLen(f); size >= 0 && ds.man.FeedCount > uint64(size)/2 {
+		return nil, fmt.Errorf("%w: manifest declares %d feed entries, feed log is %d bytes", ErrCorrupt, ds.man.FeedCount, size)
 	}
+	names := ds.man.Meta.Streams
+	fd := &feedData{
+		sched:   make([]trace.ThreadID, 0, ds.man.FeedCount),
+		streams: make([]streamHist, len(names)),
+		inputs:  make(map[string][]trace.Value),
+		bounds:  make(map[uint64]*prefixCounts),
+	}
+	entries := make([]vm.FeedEntry, 0, ds.man.FeedCount) // in event order
+	perTID := []int{}                                    // entries per thread so far
+	spawned := 0
 	bounds := ds.SnapshotSeqs()
-	next := 0
-	perTID := []int{}
-	streams := ds.man.Meta.Streams
-	count, err := readFeedLog(f, func(i uint64, fe *feedEntry) error {
-		for next < len(bounds) && bounds[next] == i {
-			fd.counts[i] = append([]int(nil), perTID...)
-			next++
+	mark := func(seq uint64) {
+		for ; len(bounds) > 0 && bounds[0] == seq; bounds = bounds[1:] {
+			pc := &prefixCounts{
+				feeds: append([]int(nil), perTID...),
+				in:    make([]int, len(names)),
+				out:   make([]int, len(names)),
+			}
+			for id := range fd.streams {
+				pc.in[id], pc.out[id] = len(fd.streams[id].in), len(fd.streams[id].out)
+			}
+			fd.bounds[seq] = pc
 		}
+	}
+	count, err := readFeedLog(f, func(i uint64, fe *feedEntry) error {
+		mark(i)
 		tid := int(fe.TID)
 		if tid < 0 {
 			return fmt.Errorf("%w: feed entry %d has thread %d", ErrCorrupt, i, tid)
 		}
-		for tid >= len(fd.perThread) {
-			fd.perThread = append(fd.perThread, nil)
+		// Thread IDs are dense in spawn order: thread t runs only after
+		// t spawns.
+		if tid > spawned {
+			return fmt.Errorf("%w: feed entry %d has thread %d, %d spawned so far", ErrCorrupt, i, tid, spawned)
+		}
+		for tid >= len(perTID) {
 			perTID = append(perTID, 0)
 		}
-		fd.perThread[tid] = append(fd.perThread[tid], fe.feed())
 		perTID[tid]++
+		entries = append(entries, fe.feed())
 		fd.sched = append(fd.sched, fe.TID)
-		//lint:exhaustive-default only stream events feed the rehydrated inputs and io index; other kinds are schedule-only here
+		//lint:exhaustive-default only spawns and stream events are tallied here; other kinds are feed-and-schedule-only
 		switch fe.Kind {
+		case trace.EvSpawn:
+			spawned++
 		case trace.EvInput:
-			if int(fe.Obj) >= len(streams) {
-				return fmt.Errorf("%w: feed entry %d reads stream %d, manifest has %d streams", ErrCorrupt, i, fe.Obj, len(streams))
+			if uint64(fe.Obj) >= uint64(len(names)) {
+				return fmt.Errorf("%w: feed entry %d reads stream %d, manifest has %d streams", ErrCorrupt, i, fe.Obj, len(names))
 			}
-			fd.inputs[streams[fe.Obj]] = append(fd.inputs[streams[fe.Obj]], fe.Val)
-			fd.ios = append(fd.ios, ioRec{idx: i, in: true, obj: fe.Obj, val: fe.Val})
+			fd.streams[fe.Obj].in = append(fd.streams[fe.Obj].in, fe.Val)
 		case trace.EvOutput:
-			if int(fe.Obj) >= len(streams) {
-				return fmt.Errorf("%w: feed entry %d writes stream %d, manifest has %d streams", ErrCorrupt, i, fe.Obj, len(streams))
+			if uint64(fe.Obj) >= uint64(len(names)) {
+				return fmt.Errorf("%w: feed entry %d writes stream %d, manifest has %d streams", ErrCorrupt, i, fe.Obj, len(names))
 			}
-			fd.ios = append(fd.ios, ioRec{idx: i, in: false, obj: fe.Obj, val: fe.Val})
+			fd.streams[fe.Obj].out = append(fd.streams[fe.Obj].out, fe.Val)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for next < len(bounds) && bounds[next] == count {
-		fd.counts[count] = append([]int(nil), perTID...)
-		next++
-	}
+	mark(count)
 	if count != ds.man.FeedCount {
 		return nil, fmt.Errorf("%w: feed log has %d entries, manifest declares %d", ErrCorrupt, count, ds.man.FeedCount)
+	}
+	for id, name := range names {
+		if in := fd.streams[id].in; len(in) > 0 {
+			fd.inputs[name] = in
+		}
+	}
+	// Deal the entries out to their threads: one array, each thread's feed
+	// a capacity-limited run of it.
+	carved := make([]vm.FeedEntry, len(entries))
+	fd.perThread = make([][]vm.FeedEntry, len(perTID))
+	off := 0
+	for tid, n := range perTID {
+		fd.perThread[tid] = carved[off : off : off+n]
+		off += n
+	}
+	for i, tid := range fd.sched {
+		fd.perThread[tid] = append(fd.perThread[tid], entries[i])
 	}
 	return fd, nil
 }

@@ -1,0 +1,48 @@
+package flightrec
+
+import (
+	"bufio"
+	"bytes"
+	"os"
+	"path/filepath"
+
+	"debugdet/internal/trace"
+)
+
+// Hooks for the external tests that build hostile spill directories.
+
+// FeedLogName is the feed log's file name inside a spill directory.
+const FeedLogName = feedLogName
+
+// FeedLogBytes encodes events as a feed log.
+func FeedLogBytes(events []trace.Event) []byte {
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	writeFeedHeader(bw)
+	for i := range events {
+		writeFeedEntry(bw, &events[i])
+	}
+	bw.Flush()
+	return buf.Bytes()
+}
+
+// SetFeedCount rewrites the feed entry count a spill directory's manifest
+// declares.
+func SetFeedCount(dir string, n uint64) error {
+	path := filepath.Join(dir, manifestName)
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	man, err := decodeManifest(f)
+	f.Close()
+	if err != nil {
+		return err
+	}
+	man.FeedCount = n
+	var buf bytes.Buffer
+	if err := encodeManifest(&buf, man); err != nil {
+		return err
+	}
+	return os.WriteFile(path, buf.Bytes(), 0o644)
+}

@@ -203,8 +203,10 @@ func TestFlightSeekEquivalence(t *testing.T) {
 }
 
 // TestFlightSegmentedWorkerInvariance: segmented replay over a spill
-// directory validates, and its result is deep-equal for every worker
-// count.
+// directory validates, and its result is deep-equal — event times and
+// final cycle counts included — for every worker count: sequential, uneven
+// chunks, one chunk per segment and more workers than segments. Only
+// Restores varies: one per chunk, less the chunk that starts at event 0.
 func TestFlightSegmentedWorkerInvariance(t *testing.T) {
 	for _, s := range flightScenarios(t) {
 		t.Run(s.Name, func(t *testing.T) {
@@ -213,37 +215,58 @@ func TestFlightSegmentedWorkerInvariance(t *testing.T) {
 			if interval < 4 {
 				interval = 4
 			}
-			res := flightRecord(t, s, flightrec.Options{Interval: interval})
-			st := res.Store
-
-			type fingerprint struct {
-				Ok        bool
-				Segments  int
-				Mismatch  int64
-				WorkSteps uint64
-				Events    []trace.Event
-			}
-			var base *fingerprint
-			for _, workers := range []int{1, 2, 4} {
-				sr, err := replay.SegmentedStore(s, st, replay.Options{Workers: workers})
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if !sr.Ok || sr.Mismatch != -1 {
-					t.Fatalf("workers=%d: Ok=%v Mismatch=%d", workers, sr.Ok, sr.Mismatch)
-				}
-				fp := &fingerprint{sr.Ok, sr.Segments, sr.Mismatch, sr.WorkSteps, sr.View.Trace.Events}
-				if base == nil {
-					base = fp
-					assertEventsMatch(t, "stitched", fp.Events, plain.Full)
-					continue
-				}
-				if !reflect.DeepEqual(fp, base) {
-					t.Fatalf("workers=%d: result differs from workers=1", workers)
-				}
-			}
+			st := flightRecord(t, s, flightrec.Options{Interval: interval}).Store
+			stitched := segmentedInvariant(t, s, st, 1)
+			assertEventsMatch(t, "stitched", stitched, plain.Full)
 		})
 	}
+	// Under retention the tail does not start at event 0, so every chunk
+	// restores — the first included.
+	t.Run("retained-tail", func(t *testing.T) {
+		s, plain, res := retainedRecording(t, 6)
+		stitched := segmentedInvariant(t, s, res.Store, 0)
+		lo, _ := flightrec.Retained(res.Store)
+		assertEventsMatch(t, "stitched tail", stitched, plain.Full[lo:])
+	})
+}
+
+// segmentedInvariant replays the store with every worker count of the
+// sweep, fails unless the results agree in everything but Restores, and
+// returns the stitched events. fresh is the number of chunks that start
+// without a restore (1 when the store retains event 0).
+func segmentedInvariant(t *testing.T, s *scenario.Scenario, st flightrec.Store, fresh int) []trace.Event {
+	t.Helper()
+	type fingerprint struct {
+		Ok        bool
+		Segments  int
+		Mismatch  int64
+		WorkSteps uint64
+		Note      string
+		Events    []trace.Event
+		Result    vm.Result
+	}
+	n := len(st.Segments())
+	var base *fingerprint
+	for _, workers := range []int{1, 2, 3, n, n + 5} {
+		sr, err := replay.SegmentedStore(s, st, replay.Options{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !sr.Ok || sr.Mismatch != -1 {
+			t.Fatalf("workers=%d: Ok=%v Mismatch=%d", workers, sr.Ok, sr.Mismatch)
+		}
+		if want := min(workers, n) - fresh; sr.Restores != want {
+			t.Fatalf("workers=%d over %d segments: %d restores, want %d", workers, n, sr.Restores, want)
+		}
+		fp := &fingerprint{sr.Ok, sr.Segments, sr.Mismatch, sr.WorkSteps, sr.Note, sr.View.Trace.Events, *sr.View.Result}
+		fp.Result.Trace = nil
+		if base == nil {
+			base = fp
+		} else if !reflect.DeepEqual(fp, base) {
+			t.Fatalf("workers=%d: result differs from workers=1", workers)
+		}
+	}
+	return base.Events
 }
 
 // TestFlightDegenerateLayouts pins the two degenerate segment layouts:

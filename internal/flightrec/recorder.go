@@ -91,10 +91,16 @@ type Recorder struct {
 	feedCW *countingWriter
 	feedW  *bufio.Writer
 
+	// cur is the building segment and ring the sealed ones still in
+	// memory; curB and ringB are their footprints in encoded-size units
+	// (boundary snapshot plus events), summed as the events arrive. free is
+	// the event array of the segment spilled last, for the next one to
+	// build in: a recorder in steady state allocates no event storage.
 	cur       *Segment
-	curSnapB  int64
+	curB      int64
 	ring      []*Segment
-	ringSnapB []int64
+	ringB     []int64
+	free      []trace.Event
 	spilled   []SegmentInfo
 	evicted   int
 	nextIndex int
@@ -141,9 +147,9 @@ func NewRecorder(m *vm.Machine, name string, seed int64, params scenario.Params,
 			Interval:      o.Interval,
 		},
 		feedF:     f,
-		cur:       &Segment{},
 		nextIndex: 1,
 	}
+	r.cur = &Segment{Events: r.eventBuf()}
 	r.feedCW = &countingWriter{w: f}
 	r.feedW = bufio.NewWriterSize(r.feedCW, 1<<16)
 	writeFeedHeader(r.feedW)
@@ -164,6 +170,7 @@ func (r *Recorder) OnEvent(e *trace.Event) uint64 {
 	r.cur.Events = append(r.cur.Events, *e)
 	b := record.FullEventBytes(e)
 	r.bytes += int64(b) + 1
+	r.curB += int64(b) + 1
 	r.memBytes += int64(b) + 1
 	cost := r.cost.RecordCost(b)
 	cost += r.ckpt.OnEvent(e)
@@ -191,13 +198,28 @@ func (r *Recorder) rotate(snap *vm.Snapshot) {
 	r.cur = &Segment{
 		SegmentInfo: SegmentInfo{Index: r.nextIndex, From: snap.Seq, To: snap.Seq},
 		Snap:        snap,
+		Events:      r.eventBuf(),
 	}
 	r.nextIndex++
-	r.curSnapB = checkpoint.SnapshotSize(snap)
-	r.memBytes += r.curSnapB
+	r.curB = checkpoint.SnapshotSize(snap)
+	r.memBytes += r.curB
 	if r.memBytes > r.peakMem {
 		r.peakMem = r.memBytes
 	}
+}
+
+// maxReservedEvents caps what eventBuf reserves, so an Interval chosen to
+// mean "never rotate" costs nothing up front; a longer segment grows.
+const maxReservedEvents = 1 << 14
+
+// eventBuf returns an empty event array for a new building segment: the
+// one the last spill released, or a fresh one sized for a whole segment.
+func (r *Recorder) eventBuf() []trace.Event {
+	if buf := r.free; buf != nil {
+		r.free = nil
+		return buf
+	}
+	return make([]trace.Event, 0, min(r.o.Interval, maxReservedEvents))
 }
 
 // seal closes the building segment at `to`, pushes it into the ring and
@@ -210,8 +232,8 @@ func (r *Recorder) seal(to uint64) {
 		return
 	}
 	r.ring = append(r.ring, seg)
-	r.ringSnapB = append(r.ringSnapB, r.curSnapB)
-	r.curSnapB = 0
+	r.ringB = append(r.ringB, r.curB)
+	r.curB = 0
 	r.sealed++
 	for len(r.ring) > r.o.RingSegments {
 		r.spillOldest()
@@ -221,19 +243,15 @@ func (r *Recorder) seal(to uint64) {
 // spillOldest encodes the ring's oldest segment to its .ddseg file,
 // applies retention, and rewrites the manifest.
 func (r *Recorder) spillOldest() {
-	seg := r.ring[0]
-	snapB := r.ringSnapB[0]
+	seg, b := r.ring[0], r.ringB[0]
 	r.ring = r.ring[1:]
-	r.ringSnapB = r.ringSnapB[1:]
+	r.ringB = r.ringB[1:]
 	if err := r.spill(seg); err != nil {
 		r.fail(err)
 		return
 	}
-	var evBytes int64
-	for i := range seg.Events {
-		evBytes += int64(record.FullEventBytes(&seg.Events[i])) + 1
-	}
-	r.memBytes -= evBytes + snapB
+	r.memBytes -= b
+	r.free = seg.Events[:0]
 	r.trimRetention()
 	if err := r.writeManifest(); err != nil {
 		r.fail(err)

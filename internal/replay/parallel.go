@@ -9,16 +9,20 @@ import (
 	"debugdet/internal/record"
 	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
+	"debugdet/internal/vm"
 )
 
 // Segmented parallel replay (DESIGN.md §5): the store's checkpoints split
-// the trace into segments that replay — and validate against the recorded
-// events — concurrently, each worker restoring its segment's boundary
-// snapshot and replaying one interval. The result obeys a sequential
+// the trace into segments, and the segments into one contiguous chunk per
+// worker. Each worker restores the snapshot that opens its chunk — the
+// only O(prefix) step — and replays through the chunk's interior
+// boundaries on that one machine. The result obeys a sequential
 // equivalence contract like the inference and evaluation pools: the
 // stitched trace, the final state and the validation verdict are
-// deep-equal for every worker count, because segments share nothing
-// mutable and the stitching is positional.
+// deep-equal for every worker count, because chunks share nothing mutable,
+// a machine crossing a boundary adopts the boundary snapshot's counters
+// (so it is indistinguishable from one restored there) and the stitching
+// and the validation against the recorded events are positional.
 
 // SegmentedResult is a finished segmented replay.
 type SegmentedResult struct {
@@ -36,115 +40,154 @@ type SegmentedResult struct {
 	// WorkSteps is the total events executed across all segments —
 	// the same as a sequential replay; the win is wall-clock.
 	WorkSteps uint64
+	// Restores is how many snapshots this call restored: one per worker
+	// that had segments to replay, less one when the store still retains
+	// event 0 (the first chunk starts a fresh machine). It is the one
+	// field that depends on Options.Workers, and the cost that does: a
+	// restore re-executes its snapshot's whole prefix as feed replay.
+	Restores int
 	// Note describes how the replay was obtained.
 	Note string
 }
 
 // Segmented validates a perfect recording by replaying its checkpoint
-// segments concurrently across o.Workers workers (0 = GOMAXPROCS, 1 =
-// sequential). A recording without checkpoints degenerates to one segment
-// — a sequential validated replay. Only perfect recordings are supported
-// (ErrSeekUnsupported otherwise): segmentation needs the complete event
-// stream both to restore from and to validate against.
+// segments across o.Workers workers (0 = GOMAXPROCS, 1 = sequential), each
+// taking one contiguous run of segments. A recording without checkpoints
+// degenerates to one segment — a sequential validated replay. Only perfect
+// recordings are supported (ErrSeekUnsupported otherwise): segmentation
+// needs the complete event stream both to restore from and to validate
+// against.
 func Segmented(s *scenario.Scenario, rec *record.Recording, o Options) (*SegmentedResult, error) {
 	return SegmentedStore(s, rec.Store(), o)
+}
+
+// chunk is one worker's share of a segmented replay: a contiguous run of
+// segments replayed on one machine.
+type chunk struct {
+	// pieces holds the traces of the chunk's machines in order: one,
+	// unless a replay stopped short of a boundary and the next segment had
+	// to start from its own snapshot.
+	pieces   [][]trace.Event
+	restores int
+	// view and ok are the finished replay, for the chunk that holds the
+	// final segment.
+	view *scenario.RunView
+	ok   bool
+	err  error
 }
 
 // SegmentedStore is Segmented over a segment store. For a flight
 // recorder's spill directory it replays and validates the retained tail:
 // the first retained segment restores from its boundary snapshot (or
-// from the start, when segment 0 is still retained) and the last one
-// runs to the end of the execution.
+// starts a fresh machine, when segment 0 is still retained) and the last
+// one runs to the end of the execution.
+//
+// What it verifies is the event stream: every retained event is executed
+// and compared, whatever the worker count. Which snapshots it restores
+// depends on the worker count (SegmentedResult.Restores); that each
+// snapshot restores is the seek equivalence tests' contract, not this
+// call's.
 func SegmentedStore(s *scenario.Scenario, st flightrec.Store, o Options) (*SegmentedResult, error) {
 	meta := st.Meta()
 	if meta.Model != record.Perfect || !meta.SchedComplete {
 		return nil, ErrSeekUnsupported
 	}
-	workers := o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	infos := st.Segments()
 	n := len(infos)
 	if n == 0 {
 		return nil, fmt.Errorf("replay: segmented: store retains no segments")
 	}
-
-	type segment struct {
-		events []trace.Event // replayed events of the segment
-		view   *scenario.RunView
-		ok     bool
-		err    error
+	workers := o.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	segs := make([]segment, n)
-
-	runSegment := func(i int) {
-		from := infos[i].From
-		var to uint64 // 0 = run to completion (the final segment)
-		if i+1 < n {
-			to = infos[i+1].From
-		}
-		sess, err := SeekStore(s, st, from, o)
-		if err != nil {
-			segs[i].err = fmt.Errorf("segment %d at %d: %w", i, from, err)
-			return
-		}
-		if to > 0 {
-			sess.Continue(to)
-			segs[i].events = append([]trace.Event(nil), sess.Machine.Trace().Events...)
-			sess.Close()
-			segs[i].ok = true
-			return
-		}
-		view, ok := sess.RunToEnd()
-		segs[i].events = view.Trace.Events
-		segs[i].view = view
-		segs[i].ok = ok
-	}
-
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 {
-		for i := range segs {
-			runSegment(i)
+
+	// runChunk replays segments [lo, hi) into c.
+	runChunk := func(c *chunk, lo, hi int) {
+		var sess *SeekSession
+		closeSession := func() {
+			if sess != nil {
+				c.pieces = append(c.pieces, sess.Machine.Trace().Events)
+				sess.Close()
+			}
 		}
-	} else {
-		idxCh := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			//lint:nondet-ok bounded worker pool over disjoint segments; results land in per-index slots and are joined after wg.Wait, so host scheduling is unobservable
-			go func() {
-				defer wg.Done()
-				for i := range idxCh {
-					runSegment(i)
+		defer closeSession()
+		for i := lo; i < hi; i++ {
+			from := infos[i].From
+			var err error
+			if sess == nil || sess.Done() || sess.Pos() != from {
+				// No machine stands at this boundary — it opens the chunk,
+				// or the replay stopped short of it — so the segment
+				// starts from its own snapshot, as every segment does when
+				// each is a chunk of its own.
+				closeSession()
+				if sess, err = SeekStore(s, st, from, o); err == nil && sess.FromCheckpoint {
+					c.restores++
 				}
-			}()
+			} else {
+				err = adoptBoundary(st, sess.Machine, from)
+			}
+			if err != nil {
+				c.err = fmt.Errorf("segment %d at %d: %w", i, from, err)
+				return
+			}
+			if i+1 < n {
+				sess.Continue(infos[i+1].From)
+			} else {
+				c.view, c.ok = sess.RunToEnd()
+			}
 		}
-		for i := range segs {
-			idxCh <- i
+	}
+
+	// Equal segment counts, not equal event counts: segments are one
+	// checkpoint interval each, except the last.
+	chunks := make([]chunk, workers)
+	bound := func(c int) int { return c * n / workers }
+	if workers == 1 {
+		runChunk(&chunks[0], 0, n)
+	} else {
+		var wg sync.WaitGroup
+		for c := range chunks {
+			wg.Add(1)
+			//lint:nondet-ok one goroutine per chunk over disjoint segments; results land in per-chunk slots and are joined after wg.Wait, so host scheduling is unobservable
+			go func(c int) {
+				defer wg.Done()
+				runChunk(&chunks[c], bound(c), bound(c+1))
+			}(c)
 		}
-		close(idxCh)
 		wg.Wait()
 	}
 
 	// Sequential-equivalence: surface the lowest-index error, stitch in
 	// order, validate positionally against the stored events.
-	for i := range segs {
-		if segs[i].err != nil {
-			return nil, segs[i].err
-		}
-	}
 	res := &SegmentedResult{Segments: n, Mismatch: -1, Note: fmt.Sprintf("segmented replay over %d checkpoints", n-1)}
-	final := segs[n-1]
+	var pieces [][]trace.Event
+	total := 0
+	for c := range chunks {
+		if chunks[c].err != nil {
+			return nil, chunks[c].err
+		}
+		for _, p := range chunks[c].pieces {
+			pieces = append(pieces, p)
+			total += len(p)
+		}
+		res.Restores += chunks[c].restores
+	}
+	final := &chunks[workers-1]
 	stitched := trace.NewLog(final.view.Trace.Header)
 	stitched.Sites = final.view.Trace.Sites
-	for i := range segs {
-		res.WorkSteps += uint64(len(segs[i].events))
-		stitched.Events = append(stitched.Events, segs[i].events...)
+	if len(pieces) == 1 {
+		stitched.Events = pieces[0] // one finished machine's trace: nothing to copy
+	} else {
+		stitched.Events = make([]trace.Event, 0, total)
+		for _, p := range pieces {
+			stitched.Events = append(stitched.Events, p...)
+		}
 	}
+	res.WorkSteps = uint64(total)
 	res.Ok = final.ok
 	mismatch, err := validateStitched(st, infos, stitched.Events, infos[0].From)
 	if err != nil {
@@ -162,6 +205,20 @@ func SegmentedStore(s *scenario.Scenario, st flightrec.Store, o Options) (*Segme
 	finalRes.Trace = stitched
 	res.View = &scenario.RunView{Machine: final.view.Machine, Result: &finalRes, Trace: stitched}
 	return res, nil
+}
+
+// adoptBoundary gives a machine paused at a segment boundary the counters
+// of the boundary's snapshot, so that what it emits from there on is what a
+// machine restored from that snapshot would.
+func adoptBoundary(st flightrec.Store, m *vm.Machine, from uint64) error {
+	cp, err := st.BestSnapshot(from)
+	if err != nil {
+		return err
+	}
+	if cp == nil {
+		return fmt.Errorf("replay: segmented: no boundary snapshot")
+	}
+	return m.AdoptCounters(cp)
 }
 
 // validateStitched compares the stitched replay positionally against the

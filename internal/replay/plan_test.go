@@ -183,7 +183,8 @@ func TestReplaysLeaveSharedSnapshotsUntouched(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := Segmented(workload.Bank(), rec, Options{Workers: 4})
+			// One worker per segment: every checkpoint is restored.
+			res, err := Segmented(workload.Bank(), rec, Options{Workers: len(rec.Checkpoints) + 1})
 			if err != nil || !res.Ok {
 				t.Errorf("segmented replay: ok=%v err=%v", res != nil && res.Ok, err)
 			}

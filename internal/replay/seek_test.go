@@ -159,7 +159,8 @@ func TestSeekUnsupportedModels(t *testing.T) {
 }
 
 // segmentedFingerprint reduces a segmented result to the fields the
-// sequential-equivalence contract pins.
+// sequential-equivalence contract pins. SegmentedResult.Restores is not
+// among them: it is the one field that depends on the worker count.
 type segmentedFingerprint struct {
 	Ok        bool
 	Segments  int
@@ -192,10 +193,10 @@ func fingerprint(res *SegmentedResult) segmentedFingerprint {
 
 // TestSegmentedEquivalence is the segmented-replay acceptance test: on
 // every corpus scenario the parallel segment validation succeeds, matches
-// the sequential replay trace, and is deep-equal across worker counts
-// (1, 4, GOMAXPROCS).
+// the sequential replay trace, and is deep-equal across worker counts:
+// sequential, uneven chunks (2, 3), GOMAXPROCS, one chunk per segment and
+// more workers than segments.
 func TestSegmentedEquivalence(t *testing.T) {
-	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, s := range workload.All() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
@@ -206,6 +207,13 @@ func TestSegmentedEquivalence(t *testing.T) {
 				t.Fatalf("sequential replay not ok: %s", full.Note)
 			}
 
+			wantSegs := 1
+			for _, cp := range rec.Checkpoints {
+				if cp.Seq > 0 && cp.Seq < uint64(len(rec.Full)) {
+					wantSegs++
+				}
+			}
+			workerCounts := append(segmentedWorkers(wantSegs), runtime.GOMAXPROCS(0))
 			var first *segmentedFingerprint
 			for _, workers := range workerCounts {
 				res, err := Segmented(s, rec, Options{Workers: workers})
@@ -214,12 +222,6 @@ func TestSegmentedEquivalence(t *testing.T) {
 				}
 				if !res.Ok {
 					t.Fatalf("workers=%d: segmented replay not ok (mismatch at %d)", workers, res.Mismatch)
-				}
-				wantSegs := 1
-				for _, cp := range rec.Checkpoints {
-					if cp.Seq > 0 && cp.Seq < uint64(len(rec.Full)) {
-						wantSegs++
-					}
 				}
 				if res.Segments != wantSegs {
 					t.Fatalf("workers=%d: %d segments, want %d", workers, res.Segments, wantSegs)

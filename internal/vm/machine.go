@@ -386,6 +386,9 @@ func (m *Machine) pickNext() *Thread {
 			// server loops) do not keep the machine alive.
 			return nil
 		}
+		if t := m.forcedPick(); t != nil {
+			return t
+		}
 		enabled := m.enabledThreads()
 		if len(enabled) > 0 {
 			t := m.sched.Pick(m, enabled)
@@ -421,6 +424,32 @@ func (m *Machine) pickNext() *Thread {
 			return nil
 		}
 	}
+}
+
+// forcedPick is the scheduling round of a replay that still has schedule
+// left: the recorded decision names the thread, so the round only confirms
+// that it exists, is live and can proceed, instead of evaluating every
+// live thread to build an enabled set the scheduler would search for that
+// same thread. It returns nil, with the scheduler untouched, whenever the
+// generic round could do anything else (schedule exhausted, thread unknown,
+// done or not enabled), so divergence, Fallback and clock advances keep
+// their one implementation in pickNext. Logging rounds turns it off, which
+// is how the dual-path tests compare the two.
+func (m *Machine) forcedPick() *Thread {
+	rs, ok := m.sched.(*ReplayScheduler)
+	if !ok || m.cfg.LogRounds || rs.pos >= len(rs.schedule) {
+		return nil
+	}
+	want := rs.schedule[rs.pos]
+	if want < 0 || int(want) >= len(m.threads) {
+		return nil
+	}
+	t := m.threads[want]
+	if t.done || !m.enabled(t) {
+		return nil
+	}
+	rs.pos++
+	return t
 }
 
 func (m *Machine) terminalFromLast() trace.Event {

@@ -566,6 +566,22 @@ func Restore(cfg Config, setup func(*Machine) func(*Thread), snap *Snapshot, fee
 	return m, nil
 }
 
+// AdoptCounters sets a paused machine's virtual clock and recording-cycle
+// count to the snapshot's. A replay that runs through a boundary holds the
+// boundary's logical state but not its bookkeeping — it charges no
+// recording cost, and relaxed time gates let its clock fall behind across
+// sleep gaps — so adopting the counters makes it emit the event times, and
+// finish with the cycle counts, of a machine restored from that boundary.
+// It fails when the machine is not paused exactly at the snapshot.
+func (m *Machine) AdoptCounters(snap *Snapshot) error {
+	if m.seq != snap.Seq {
+		return fmt.Errorf("vm: machine at event %d cannot adopt the counters of a snapshot at %d", m.seq, snap.Seq)
+	}
+	m.clock = snap.Clock
+	m.recordCycles = snap.RecordCycles
+	return nil
+}
+
 // opNames renders operation codes for thread inspection.
 var opNames = [...]string{
 	opNone: "idle", opLoad: "load", opStore: "store", opLock: "lock",

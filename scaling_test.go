@@ -3,13 +3,14 @@ package debugdet_test
 import (
 	"bytes"
 	"context"
+	"path/filepath"
 	"runtime"
 	"testing"
 
 	"debugdet"
 )
 
-// Linear-scaling guards for the load and seek paths. They measure bytes
+// Linear-scaling guards for the load, seek and segmented-replay paths. They measure bytes
 // allocated (runtime.MemStats.TotalAlloc), which for a deterministic,
 // single-goroutine call is a property of the code, not of the machine —
 // so they can gate tier-1 where a wall-clock bound could not.
@@ -111,5 +112,79 @@ func TestSecondSeekCostIndependentOfRecordingLength(t *testing.T) {
 	if float64(long) > 1.1*float64(short) {
 		t.Fatalf("second seek allocates %d bytes on %d events but %d on %d: it scales with recording length",
 			long, nLong, short, nShort)
+	}
+}
+
+// TestSegmentedReplayPaysForThePrefixOnce: segmented replay restores one
+// snapshot per worker, not one per segment — a restore re-executes its
+// whole prefix, so one per segment is quadratic in the recording. One
+// worker restores nothing and allocates what Replay does; two restore
+// once.
+func TestSegmentedReplayPaysForThePrefixOnce(t *testing.T) {
+	s, rec := recordBank(t, 3100, 1024)
+	eng := debugdet.New()
+	ctx := context.Background()
+	segmented := func(workers int) *debugdet.SegmentedResult {
+		res, err := eng.ReplaySegmented(ctx, s, rec, debugdet.ReplayOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Ok || res.WorkSteps != rec.EventCount {
+			t.Fatalf("workers=%d: ok=%v mismatch=%d worksteps=%d of %d", workers, res.Ok, res.Mismatch, res.WorkSteps, rec.EventCount)
+		}
+		return res
+	}
+	// Derive the recording's plan first, as the seek guard does.
+	if res := segmented(2); res.Segments < 100 || res.Restores != 1 {
+		t.Fatalf("two workers over %d segments restored %d snapshots, want 1 over at least 100", res.Segments, res.Restores)
+	}
+	var one *debugdet.SegmentedResult
+	seg := allocated(func() { one = segmented(1) })
+	if one.Restores != 0 {
+		t.Fatalf("one worker restored %d snapshots of a recording that retains event 0", one.Restores)
+	}
+	plain := allocated(func() {
+		if res, err := eng.Replay(ctx, s, rec, debugdet.ReplayOptions{}); err != nil || !res.Ok {
+			t.Fatalf("replay: ok=%v err=%v", res != nil && res.Ok, err)
+		}
+	})
+	t.Logf("%d events: segmented replay with one worker allocates %d bytes, plain replay %d", rec.EventCount, seg, plain)
+	if float64(seg) > 1.25*float64(plain) {
+		t.Fatalf("one-worker segmented replay allocates %d bytes, plain replay %d: more than 1.25x", seg, plain)
+	}
+}
+
+// TestSegmentedStoreRestoresOncePerWorker: over a spill directory shaped
+// like the benchmark's streaming workload (retention 8, so event 0 is
+// evicted and every worker's run of segments opens with a restore), two
+// workers restore two snapshots and eight restore all eight.
+func TestSegmentedStoreRestoresOncePerWorker(t *testing.T) {
+	eng := debugdet.New()
+	ctx := context.Background()
+	s, err := eng.ByName("dynokv-staleread")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := eng.RecordStreaming(ctx, s, debugdet.Options{
+		Params: debugdet.Params{"rounds": 20},
+		FlightRecorder: &debugdet.FlightRecorderOptions{
+			Interval: 1024, RingSegments: 2, Retention: 8, SpillDir: filepath.Join(t.TempDir(), "spill"),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Evicted == 0 {
+		t.Fatalf("%d events in %d segments: retention evicted nothing", rec.Events, rec.Segments)
+	}
+	for _, workers := range []int{2, 8} {
+		res, err := eng.ReplaySegmentedStore(ctx, s, rec.Store, debugdet.ReplayOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Ok || res.Segments != 8 || res.Restores != workers {
+			t.Fatalf("workers=%d: ok=%v segments=%d restores=%d, want 8 segments and %d restores",
+				workers, res.Ok, res.Segments, res.Restores, workers)
+		}
 	}
 }
