@@ -164,6 +164,7 @@ func BenchmarkVMThroughput(b *testing.B) {
 func BenchmarkVMStepThroughput(b *testing.B) {
 	b.ReportAllocs()
 	const stepsPerRun = 2000
+	var rounds, evals uint64
 	for i := 0; i < b.N; i++ {
 		m := vm.New(vm.Config{Seed: int64(i), CollectTrace: false})
 		c := m.NewCell("c", trace.Int(0))
@@ -183,6 +184,83 @@ func BenchmarkVMStepThroughput(b *testing.B) {
 		if res.Outcome != vm.OutcomeOK {
 			b.Fatalf("outcome %v", res.Outcome)
 		}
+		rounds, evals = rounds+res.SchedRounds, evals+res.SchedEvals
+	}
+	b.ReportMetric(float64(evals)/float64(rounds), "evals/round")
+}
+
+// ParkedProgram builds the program BenchmarkSchedRound and the scaling guard
+// (scaling_test.go) run: main and two threads it spawns last each take a
+// lock-protected counter through iters increments, while threads-3 others,
+// spawned first, sit in Recv on inboxes nobody sends to until main has
+// finished — the shape of a dynokv cluster, where most threads wait for a
+// message the whole time. It runs under the default random scheduler.
+func ParkedProgram(threads, iters int) (*vm.Machine, func(*vm.Thread)) {
+	m := vm.New(vm.Config{Seed: 1})
+	c := m.NewCell("c", trace.Int(0))
+	mu := m.NewMutex("mu")
+	inboxes := make([]trace.ObjID, threads-3)
+	for i := range inboxes {
+		inboxes[i] = m.NewChan("inbox", 1)
+	}
+	s, sp := m.Site("s"), m.Site("spawn")
+	work := func(t *vm.Thread) {
+		for i := 0; i < iters; i++ {
+			t.Lock(s, mu)
+			t.Store(s, c, trace.Int(t.Load(s, c).AsInt()+1))
+			t.Unlock(s, mu)
+		}
+	}
+	return m, func(t *vm.Thread) {
+		for _, inbox := range inboxes {
+			t.Spawn(sp, "parked", func(t *vm.Thread) { t.Recv(s, inbox) })
+		}
+		t.Spawn(sp, "a", work)
+		t.Spawn(sp, "b", work)
+		work(t)
+		for _, inbox := range inboxes {
+			t.Send(s, inbox, trace.Int(0))
+		}
+	}
+}
+
+// BenchmarkSchedRound measures one scheduling round — bring the enabled set
+// up to date, ask the scheduler, apply the op — as the thread count grows,
+// on ParkedProgram. Only the contended middle is timed (ns/op is one run's
+// middle, ns/round one of its rounds): spawning and draining the parked
+// threads is goroutine creation, not scheduling. With the enabled set
+// maintained across rounds the line is flat: a round re-evaluates the thread
+// that ran and the lock's waiters, never the parked ones. evals/round is over
+// the whole run.
+func BenchmarkSchedRound(b *testing.B) {
+	const iters = 2000
+	// The middle stops short of where the first contender runs out.
+	const middle = 3*4*iters - 4000
+	for _, threads := range []int{4, 100, 1000} {
+		b.Run(fmt.Sprintf("threads-%d", threads), func(b *testing.B) {
+			b.ReportAllocs()
+			var rounds, evals uint64
+			// Until the parked threads exist main is the only enabled thread,
+			// so spawning them takes exactly one event each.
+			spawned := uint64(threads - 3)
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				m, main := ParkedProgram(threads, iters)
+				m.Start(main)
+				m.Continue(spawned)
+				b.StartTimer()
+				m.Continue(spawned + middle)
+				b.StopTimer()
+				m.Continue(0)
+				res := m.Finish()
+				if res.Outcome != vm.OutcomeOK {
+					b.Fatalf("outcome %v", res.Outcome)
+				}
+				rounds, evals = rounds+res.SchedRounds, evals+res.SchedEvals
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*middle), "ns/round")
+			b.ReportMetric(float64(evals)/float64(rounds), "evals/round")
+		})
 	}
 }
 

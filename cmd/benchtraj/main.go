@@ -52,10 +52,10 @@ type reference struct {
 	Benchmarks []mark `json:"benchmarks"`
 }
 
-// benchLine matches a go-test benchmark result: name, iteration count,
-// ns/op, and optionally -benchmem's B/op and allocs/op columns.
+// benchLine matches a go-test benchmark result: name, iterations, ns/op and,
+// after any b.ReportMetric columns, -benchmem's B/op and allocs/op if present.
 var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op\s+(\d+) allocs/op)?`)
+	`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:(?:\s+[\d.e+-]+ \S+)*?\s+([\d.]+) B/op\s+(\d+) allocs/op)?`)
 
 func main() {
 	label := flag.String("label", "", "label recorded with the trajectory entry")

@@ -1,6 +1,7 @@
 package flightrec_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -12,6 +13,7 @@ import (
 	"debugdet/internal/flightrec"
 	"debugdet/internal/replay"
 	"debugdet/internal/trace"
+	"debugdet/internal/vm"
 	"debugdet/internal/workload"
 )
 
@@ -85,6 +87,69 @@ func TestHostileFeedLog(t *testing.T) {
 			if _, err := st.Sched(0); !errors.Is(err, flightrec.ErrCorrupt) {
 				t.Fatalf("Sched after the failed seek: err = %v, want ErrCorrupt", err)
 			}
+		})
+	}
+}
+
+// TestTamperedBoundarySnapshot: a spill directory whose boundary snapshot
+// carries liveness counters or a mutex owner that contradict the threads a
+// restore rebuilds is refused by the seek that restores it — a typed error,
+// no session, no goroutine left parked. (Trusted, a LiveNonDaemon of 0 ended
+// the replay at the boundary with outcome ok, 99 ended it in a deadlock
+// event the recorded run never had, and an owner of -5 disabled the mutex.)
+func TestTamperedBoundarySnapshot(t *testing.T) {
+	s := workload.Bank()
+	cases := map[string]func(*vm.Snapshot){
+		"no non-daemon thread live":  func(sn *vm.Snapshot) { sn.LiveNonDaemon = 0 },
+		"99 non-daemon threads live": func(sn *vm.Snapshot) { sn.LiveNonDaemon = 99 },
+		"mutex owned by thread -5":   func(sn *vm.Snapshot) { sn.Mutexes[0] = -5 },
+		"mutex owned by thread 4096": func(sn *vm.Snapshot) { sn.Mutexes[0] = 4096 },
+	}
+	for name, tamper := range cases {
+		t.Run(name, func(t *testing.T) {
+			res := flightRecord(t, s, flightrec.Options{Interval: 64})
+			dir := res.Store.Dir()
+			infos := res.Store.Segments()
+			si := infos[len(infos)/2]
+			path := filepath.Join(dir, si.File)
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seg, err := flightrec.DecodeSegment(f)
+			f.Close()
+			if err != nil || seg.Snap == nil {
+				t.Fatalf("segment %d: snapshot %v, err %v", si.Index, seg.Snap, err)
+			}
+			tamper(seg.Snap)
+			var buf bytes.Buffer
+			if _, err := flightrec.EncodeSegment(&buf, seg); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			before := runtime.NumGoroutine()
+			st, err := flightrec.Open(dir)
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			sess, err := replay.SeekStore(s, st, si.From+20, replay.Options{})
+			if !errors.Is(err, vm.ErrBadSnapshot) || sess != nil {
+				t.Fatalf("seek into the tampered segment: session %v, err %v; want ErrBadSnapshot and no session", sess, err)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Fatalf("%d goroutines before the seek, %d after: the failed restore left threads parked", before, n)
+			}
+			// The segment before it still restores and replays up to the
+			// tampered boundary.
+			prev := infos[len(infos)/2-1]
+			sess, err = replay.SeekStore(s, st, prev.From+20, replay.Options{})
+			if err != nil || sess.Pos() != prev.From+20 {
+				t.Fatalf("seek into the segment before: %v", err)
+			}
+			sess.Close()
 		})
 	}
 }

@@ -14,6 +14,7 @@ func (m *Machine) applyOp(t *Thread) {
 	req := &t.pending
 	t.result = trace.Nil
 	t.resultOK = true
+	m.ran = t // pickNext registers the op it parks on next
 
 	switch req.code {
 	case opLoad:
@@ -38,6 +39,7 @@ func (m *Machine) applyOp(t *Thread) {
 			panic("vm: lock applied while held")
 		}
 		mu.owner = t.id
+		m.wake(&mu.waiters, t)
 		m.emit(t, trace.EvLock, req.site, req.obj, trace.Nil, trace.TaintNone)
 
 	case opUnlock:
@@ -48,6 +50,7 @@ func (m *Machine) applyOp(t *Thread) {
 			return
 		}
 		mu.owner = -1
+		m.wake(&mu.waiters, t)
 		m.emit(t, trace.EvUnlock, req.site, req.obj, trace.Nil, trace.TaintNone)
 
 	case opSend:
@@ -56,6 +59,7 @@ func (m *Machine) applyOp(t *Thread) {
 			panic("vm: send applied while full")
 		}
 		ch.push(slot{val: req.val, taint: t.taint})
+		m.wake(&ch.waiters, t)
 		m.emit(t, trace.EvSend, req.site, req.obj, req.val, t.taint)
 
 	case opTrySend:
@@ -66,6 +70,7 @@ func (m *Machine) applyOp(t *Thread) {
 			return
 		}
 		ch.push(slot{val: req.val, taint: t.taint})
+		m.wake(&ch.waiters, t)
 		m.emit(t, trace.EvSend, req.site, req.obj, req.val, t.taint)
 
 	case opRecv:
@@ -73,35 +78,18 @@ func (m *Machine) applyOp(t *Thread) {
 		if ch.empty() {
 			panic("vm: recv applied while empty")
 		}
-		s := ch.pop()
-		t.result = s.val
-		t.taint |= s.taint
-		m.emit(t, trace.EvRecv, req.site, req.obj, s.val, s.taint)
+		m.recv(t, ch)
 
-	case opTryRecv:
+	case opTryRecv, opRecvTimeout:
 		ch := &m.chans[req.obj]
 		if ch.empty() {
+			// Nothing to take (a RecvTimeout's deadline came): t leaves the list.
 			t.resultOK = false
+			m.wake(&ch.waiters, t)
 			m.emit(t, trace.EvYield, req.site, req.obj, trace.Nil, trace.TaintNone)
 			return
 		}
-		s := ch.pop()
-		t.result = s.val
-		t.taint |= s.taint
-		m.emit(t, trace.EvRecv, req.site, req.obj, s.val, s.taint)
-
-	case opRecvTimeout:
-		ch := &m.chans[req.obj]
-		if ch.empty() {
-			// Enabled via deadline expiry: timeout result.
-			t.resultOK = false
-			m.emit(t, trace.EvYield, req.site, req.obj, trace.Nil, trace.TaintNone)
-			return
-		}
-		s := ch.pop()
-		t.result = s.val
-		t.taint |= s.taint
-		m.emit(t, trace.EvRecv, req.site, req.obj, s.val, s.taint)
+		m.recv(t, ch)
 
 	case opInput:
 		s := &m.streams[req.obj]
@@ -213,4 +201,13 @@ func (m *Machine) applyOp(t *Thread) {
 	default:
 		panic(fmt.Sprintf("vm: unknown op code %d", req.code))
 	}
+}
+
+// recv applies t's receive of the message at the head of ch.
+func (m *Machine) recv(t *Thread, ch *chanState) {
+	s := ch.pop()
+	m.wake(&ch.waiters, t)
+	t.result = s.val
+	t.taint |= s.taint
+	m.emit(t, trace.EvRecv, t.pending.site, t.pending.obj, s.val, s.taint)
 }

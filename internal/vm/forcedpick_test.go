@@ -7,12 +7,15 @@ import (
 	"debugdet/internal/trace"
 )
 
-// The forced-pick round (Machine.forcedPick) has no switch of its own: a
-// machine logging its rounds takes the generic round for every decision, so
-// running one configuration with LogRounds on and off exercises both paths.
-// These tests require the two to agree event for event — Time included —
-// and on every Result field, in the three situations where the forced round
-// must step aside: a schedule the program cannot follow, a scheduler with a
+// A replay takes the scheduling round everybody takes: the enabled set is
+// brought up to date and the ReplayScheduler looks its thread up in it.
+// (Until the set was maintained incrementally a replay had a round of its
+// own, Machine.forcedPick, which checked the named thread alone; these cases
+// were written to hold it to the generic round and stay as that round's
+// tests.) Each runs one configuration with the round log on and off — the
+// log is pure observation — and requires the runs to agree event for event,
+// Time included, and on every Result field, where following a schedule is
+// hardest: a schedule the program cannot follow, a scheduler with a
 // Fallback, and time gates that make the named thread wait for the clock.
 
 // sleepyProgram has a main thread that sleeps across a gap while workers
@@ -52,9 +55,9 @@ func sleepyMain(m *Machine) func(*Thread) {
 	}
 }
 
-// bothRounds runs the program under the configuration twice — forced-pick
-// round, then generic round — with a scheduler from mk each time, and fails
-// unless the runs are indistinguishable. It returns the forced-round run.
+// bothRounds runs the program under the configuration twice — round log off,
+// then on — with a scheduler from mk each time, and fails unless the runs
+// are indistinguishable. It returns the unlogged run.
 func bothRounds(t *testing.T, cfg Config, mk func() *ReplayScheduler) (*ReplayScheduler, *Result) {
 	t.Helper()
 	fastS, slowS := mk(), mk()
@@ -63,18 +66,18 @@ func bothRounds(t *testing.T, cfg Config, mk func() *ReplayScheduler) (*ReplaySc
 	cfg.Scheduler, cfg.LogRounds = slowS, true
 	sm, slow := sleepyProgram(cfg)
 	if len(fm.Rounds()) != 0 || len(sm.Rounds()) == 0 {
-		t.Fatal("LogRounds does not select the round: the test compares a path with itself")
+		t.Fatal("LogRounds did not select which run keeps a round log")
 	}
 	if !trace.EventsEqual(fast.Trace, slow.Trace, false) {
-		t.Fatalf("traces differ: forced round %d events, generic %d", len(fast.Trace.Events), len(slow.Trace.Events))
+		t.Fatalf("traces differ: %d events unlogged, %d logged", len(fast.Trace.Events), len(slow.Trace.Events))
 	}
 	f, s := *fast, *slow
 	f.Trace, s.Trace = nil, nil
 	if !reflect.DeepEqual(f, s) {
-		t.Fatalf("results differ:\nforced  %+v\ngeneric %+v", f, s)
+		t.Fatalf("results differ:\nunlogged %+v\nlogged   %+v", f, s)
 	}
 	if fastS.Pos() != slowS.Pos() || fastS.Diverged != slowS.Diverged {
-		t.Fatalf("scheduler state differs: forced pos %d diverged %v, generic pos %d diverged %v",
+		t.Fatalf("scheduler state differs: unlogged pos %d diverged %v, logged pos %d diverged %v",
 			fastS.Pos(), fastS.Diverged, slowS.Pos(), slowS.Diverged)
 	}
 	return fastS, fast
@@ -95,7 +98,7 @@ func TestForcedPickFollowsASchedule(t *testing.T) {
 }
 
 // Strict time: the schedule names sleepers whose deadlines lie ahead, so
-// rounds must fall through to the clock advance and come back. The replay
+// rounds must advance the clock before the named thread is enabled. The replay
 // reproduces the original's times exactly.
 func TestForcedPickAcrossSleepGap(t *testing.T) {
 	_, orig := sleepyProgram(Config{Seed: 5})
@@ -123,7 +126,7 @@ func TestForcedPickTamperedSchedule(t *testing.T) {
 	for _, bad := range []trace.ThreadID{77, -3, 0} {
 		sched := orig.Trace.Schedule()
 		// 77 never exists and -3 cannot; thread 0 does, so the run follows
-		// the tampered decision wherever both rounds take it.
+		// the tampered decision wherever it leads.
 		at := len(sched) / 2
 		for sched[at] == bad {
 			at++

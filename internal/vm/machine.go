@@ -107,6 +107,10 @@ type Result struct {
 	// DivergedAt holds the event index at which a replay scheduler
 	// diverged, when Outcome == OutcomeDiverged.
 	DivergedAt uint64
+	// SchedRounds counts the scheduling rounds this machine took (times a
+	// scheduler was asked to pick) and SchedEvals the enabledness evaluations
+	// it made for them; a restored machine counts from its restore point.
+	SchedRounds, SchedEvals uint64
 }
 
 // BaseCycles returns the execution's intrinsic virtual time.
@@ -187,8 +191,17 @@ type Machine struct {
 	// rounds is the scheduling-decision log (Config.LogRounds).
 	rounds []SchedRound
 
-	// enabledBuf is reused across scheduling rounds.
-	enabledBuf []*Thread
+	// The maintained enabled set (enabledset.go): ready is the ID-ordered
+	// slice schedulers are handed, ran the thread whose op was applied last
+	// (pickNext registers its next one), timed the list of threads parked on
+	// a deadline, nextWake a lower bound on the earliest of those.
+	ready    []*Thread
+	ran      *Thread
+	timed    *Thread
+	nextWake uint64
+
+	schedRounds, schedEvals uint64
+
 	// evBuf is the event staging buffer emit reuses; without it every
 	// event heap-escapes through the observer interface call.
 	evBuf trace.Event
@@ -210,14 +223,15 @@ func New(cfg Config) *Machine {
 		cfg.MaxSteps = 4 << 20
 	}
 	m := &Machine{
-		cfg:        cfg,
-		cost:       cfg.Cost,
-		sites:      trace.NewSiteTable(),
-		streamIDs:  make(map[string]trace.ObjID),
-		sched:      cfg.Scheduler,
-		inputs:     cfg.Inputs,
-		yieldCh:    make(chan *Thread),
-		enabledBuf: make([]*Thread, 0, 8),
+		cfg:       cfg,
+		cost:      cfg.Cost,
+		sites:     trace.NewSiteTable(),
+		streamIDs: make(map[string]trace.ObjID),
+		sched:     cfg.Scheduler,
+		inputs:    cfg.Inputs,
+		yieldCh:   make(chan *Thread),
+		ready:     make([]*Thread, 0, 8),
+		nextWake:  noWake,
 	}
 	if cfg.CollectTrace {
 		m.tr = trace.NewLog(trace.Header{Seed: cfg.Seed})
@@ -362,6 +376,8 @@ func (m *Machine) Finish() *Result {
 		Outputs:      make(map[string][]trace.Value),
 		InputsUsed:   make(map[string][]trace.Value),
 		DivergedAt:   m.diverged,
+		SchedRounds:  m.schedRounds,
+		SchedEvals:   m.schedEvals,
 	}
 	for i := range m.streams {
 		s := &m.streams[i]
@@ -386,12 +402,19 @@ func (m *Machine) pickNext() *Thread {
 			// server loops) do not keep the machine alive.
 			return nil
 		}
-		if t := m.forcedPick(); t != nil {
-			return t
+		if m.ran != nil { // register the op the last thread to run parked on
+			m.park(m.ran)
+			m.ran = nil
 		}
-		enabled := m.enabledThreads()
-		if len(enabled) > 0 {
-			t := m.sched.Pick(m, enabled)
+		if m.clock >= m.nextWake {
+			m.wakeTimed()
+		}
+		if roundHook != nil {
+			roundHook(m)
+		}
+		if len(m.ready) > 0 {
+			m.schedRounds++
+			t := m.sched.Pick(m, m.ready)
 			if t == nil {
 				// Replay scheduler exhausted or diverged.
 				m.stop(OutcomeDiverged, trace.Event{
@@ -402,86 +425,30 @@ func (m *Machine) pickNext() *Thread {
 				return nil
 			}
 			if m.cfg.LogRounds {
-				m.logRound(enabled, t)
+				m.logRound(m.ready, t)
 			}
 			return t
 		}
-		// No thread enabled: either sleepers exist (advance time) or we
-		// are deadlocked.
-		wake, ok := m.earliestDeadline()
-		if !ok {
+		// No thread enabled: advance time to the earliest deadline a thread
+		// is parked on (the walk makes nextWake exact), or we are deadlocked.
+		if m.wakeTimed(); m.nextWake == noWake {
 			m.emitMachineEvent(trace.EvDeadlock, trace.Str(m.blockedSummary()))
 			m.stop(OutcomeDeadlock, m.terminalFromLast())
 			return nil
 		}
-		if wake > m.clock {
-			m.clock = wake
-		} else {
-			// Deadline already passed yet nothing enabled: defensive;
-			// treat as deadlock to avoid spinning.
-			m.emitMachineEvent(trace.EvDeadlock, trace.Str("timer stall"))
-			m.stop(OutcomeDeadlock, m.terminalFromLast())
-			return nil
-		}
+		m.clock = m.nextWake
 	}
 }
 
-// forcedPick is the scheduling round of a replay that still has schedule
-// left: the recorded decision names the thread, so the round only confirms
-// that it exists, is live and can proceed, instead of evaluating every
-// live thread to build an enabled set the scheduler would search for that
-// same thread. It returns nil, with the scheduler untouched, whenever the
-// generic round could do anything else (schedule exhausted, thread unknown,
-// done or not enabled), so divergence, Fallback and clock advances keep
-// their one implementation in pickNext. Logging rounds turns it off, which
-// is how the dual-path tests compare the two.
-func (m *Machine) forcedPick() *Thread {
-	rs, ok := m.sched.(*ReplayScheduler)
-	if !ok || m.cfg.LogRounds || rs.pos >= len(rs.schedule) {
-		return nil
-	}
-	want := rs.schedule[rs.pos]
-	if want < 0 || int(want) >= len(m.threads) {
-		return nil
-	}
-	t := m.threads[want]
-	if t.done || !m.enabled(t) {
-		return nil
-	}
-	rs.pos++
-	return t
-}
+// roundHook, which only tests set, sees every scheduling round once the
+// ready slice is up to date.
+var roundHook func(*Machine)
 
 func (m *Machine) terminalFromLast() trace.Event {
 	if m.tr != nil && len(m.tr.Events) > 0 {
 		return m.tr.Events[len(m.tr.Events)-1]
 	}
 	return trace.Event{Seq: m.seq, Time: m.clock, Kind: trace.EvDeadlock}
-}
-
-// enabledThreads returns live, parked threads whose pending operation can
-// proceed, sorted by thread ID for determinism.
-func (m *Machine) enabledThreads() []*Thread {
-	m.enabledBuf = m.enabledBuf[:0]
-	for _, t := range m.threads {
-		if t.done {
-			continue
-		}
-		if m.enabled(t) {
-			m.enabledBuf = append(m.enabledBuf, t)
-		}
-	}
-	// threads are appended in ID order already; keep an insertion sort as
-	// a defensive invariant. On sorted input it is a single comparison
-	// pass, and unlike sort.Slice it allocates nothing — this runs on
-	// every scheduling round.
-	buf := m.enabledBuf
-	for i := 1; i < len(buf); i++ {
-		for j := i; j > 0 && buf[j].id < buf[j-1].id; j-- {
-			buf[j], buf[j-1] = buf[j-1], buf[j]
-		}
-	}
-	return m.enabledBuf
 }
 
 // enabled reports whether t's pending operation can be applied now.
@@ -502,25 +469,6 @@ func (m *Machine) enabled(t *Thread) bool {
 	default:
 		return true
 	}
-}
-
-// earliestDeadline returns the soonest wake time among blocked sleepers.
-func (m *Machine) earliestDeadline() (uint64, bool) {
-	var best uint64
-	found := false
-	for _, t := range m.threads {
-		if t.done {
-			continue
-		}
-		c := t.pending.code
-		if c == opSleep || c == opRecvTimeout {
-			if !found || t.pending.deadline < best {
-				best = t.pending.deadline
-				found = true
-			}
-		}
-	}
-	return best, found
 }
 
 // blockedSummary describes what each blocked thread is waiting on, for

@@ -19,10 +19,12 @@ type cellState struct {
 	slot slot
 }
 
-// mutexState is one mutex. owner is -1 when the mutex is free.
+// mutexState is one mutex. owner is -1 when the mutex is free; waiters are
+// the threads parked on a Lock of it (enabledset.go).
 type mutexState struct {
-	name  string
-	owner trace.ThreadID
+	name    string
+	owner   trace.ThreadID
+	waiters *Thread
 }
 
 // chanState is one FIFO channel with a fixed capacity (capacity 0 is not
@@ -32,10 +34,11 @@ type mutexState struct {
 // once it drains (or compacts in place when it would otherwise grow), so
 // steady-state channel traffic allocates nothing.
 type chanState struct {
-	name string
-	cap  int
-	buf  []slot
-	head int
+	name    string
+	cap     int
+	buf     []slot
+	head    int
+	waiters *Thread // parked on a Send, Recv or strict-time RecvTimeout of it
 }
 
 func (c *chanState) size() int   { return len(c.buf) - c.head }

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"fmt"
 
 	"debugdet/internal/trace"
@@ -293,6 +294,10 @@ func valuesEqual(a, b []trace.Value) bool {
 	return true
 }
 
+// ErrBadSnapshot reports a snapshot whose liveness counters or mutex owners
+// contradict the threads Restore rebuilt from it.
+var ErrBadSnapshot = errors.New("vm: snapshot contradicts the restored threads")
+
 // FeedEntry is the recorded outcome of one thread operation, used during
 // restore: the value the operation returned and whether it succeeded (the
 // try/timeout variants' second result). Kind is the event kind the
@@ -377,9 +382,7 @@ func (m *Machine) restoreSpawn(req *opReq, fe FeedEntry) error {
 		return fmt.Errorf("vm: restore: spawn name %q, snapshot has %q", req.childName, child.name)
 	}
 	child.body = req.childBody
-	if req.msg == "daemon" {
-		child.daemon = true
-	}
+	child.daemon = req.msg == "daemon"
 	return nil
 }
 
@@ -401,9 +404,10 @@ func (m *Machine) restoreSpawn(req *opReq, fe FeedEntry) error {
 //
 // Restore validates as it goes — feed/operation kind mismatches, spawn
 // identity mismatches, threads parking when the snapshot says they
-// finished (or vice versa) and structural differences between the built
-// program and the snapshot all return errors, with the machine's
-// goroutines released.
+// finished (or vice versa), structural differences between the built
+// program and the snapshot, and liveness counters or mutex owners that
+// contradict the rebuilt threads (ErrBadSnapshot) all return errors, with
+// the machine's goroutines released.
 func Restore(cfg Config, setup func(*Machine) func(*Thread), snap *Snapshot, feeds [][]FeedEntry) (*Machine, error) {
 	m := New(cfg)
 	main := setup(m)
@@ -454,7 +458,6 @@ func Restore(cfg Config, setup func(*Machine) func(*Thread), snap *Snapshot, fee
 			m:        m,
 			id:       trace.ThreadID(i),
 			name:     ts.Name,
-			daemon:   ts.Daemon,
 			resumeCh: make(chan struct{}),
 			unwound:  make(chan struct{}),
 		})
@@ -507,6 +510,10 @@ func Restore(cfg Config, setup func(*Machine) func(*Thread), snap *Snapshot, fee
 				}
 				t.pending.deadline = ts.PendingDeadline
 			}
+			m.live++
+			if !t.daemon {
+				m.liveNonDaemon++
+			}
 		case <-t.unwound:
 			if !ts.Done {
 				return fail(fmt.Errorf("vm: restore: thread %d (%s) finished but snapshot marks it live", i, ts.Name))
@@ -523,13 +530,24 @@ func Restore(cfg Config, setup func(*Machine) func(*Thread), snap *Snapshot, fee
 		// operation — which the snapshot cannot see.
 	}
 
+	// The rebuilt threads say who is live and who exists; a snapshot that
+	// disagrees would end the replay early, keep it waiting for threads that
+	// do not exist (a deadlock the recording never had) or disable a mutex.
+	if m.live != snap.Live || m.liveNonDaemon != snap.LiveNonDaemon {
+		return fail(fmt.Errorf("%w: %d threads live (%d non-daemon), snapshot counts %d (%d)",
+			ErrBadSnapshot, m.live, m.liveNonDaemon, snap.Live, snap.LiveNonDaemon))
+	}
+
 	// Feed replay left shared state untouched; install it from the
 	// snapshot.
 	for i := range m.cells {
 		m.cells[i].slot = slot{val: snap.Cells[i].Val, taint: snap.Cells[i].Taint}
 	}
-	for i := range m.mutexes {
-		m.mutexes[i].owner = snap.Mutexes[i]
+	for i, owner := range snap.Mutexes {
+		if owner < -1 || int(owner) >= len(m.threads) {
+			return fail(fmt.Errorf("%w: mutex %d owned by thread %d of %d", ErrBadSnapshot, i, owner, len(m.threads)))
+		}
+		m.mutexes[i].owner = owner
 	}
 	for i := range m.chans {
 		c := &m.chans[i]
@@ -561,8 +579,9 @@ func Restore(cfg Config, setup func(*Machine) func(*Thread), snap *Snapshot, fee
 	m.clock = snap.Clock
 	m.seq = snap.Seq
 	m.recordCycles = snap.RecordCycles
-	m.live = snap.Live
-	m.liveNonDaemon = snap.LiveNonDaemon
+	for _, t := range m.threads {
+		m.park(t)
+	}
 	return m, nil
 }
 
@@ -579,6 +598,9 @@ func (m *Machine) AdoptCounters(snap *Snapshot) error {
 	}
 	m.clock = snap.Clock
 	m.recordCycles = snap.RecordCycles
+	for _, t := range m.threads {
+		m.reevaluate(t) // time gates read the clock
+	}
 	return nil
 }
 

@@ -62,16 +62,14 @@ type opReq struct {
 // its own body function.
 type Thread struct {
 	m    *Machine
-	id   trace.ThreadID
 	name string
 	body func(*Thread)
 
 	resumeCh chan struct{}
 	unwound  chan struct{}
 
-	pending  opReq
-	result   trace.Value
-	resultOK bool
+	pending opReq
+	result  trace.Value
 
 	// feed puts the thread in restore mode: operations return the recorded
 	// outcomes in feed order instead of engaging the scheduler, until the
@@ -80,10 +78,20 @@ type Thread struct {
 	feed    []FeedEntry
 	feedPos int
 
-	taint trace.Taint
+	// Enabled-set links (enabledset.go): waitNext on the wait list of the
+	// mutex or channel the pending op is conditional on, timedNext on the
+	// machine's timed list.
+	waitNext, timedNext *Thread
 
-	daemon bool
-	done   bool
+	// The small fields share two words: with the links, the struct stays in
+	// its allocation size class (TestThreadSizeClass).
+	id       trace.ThreadID
+	resultOK bool
+	taint    trace.Taint
+	daemon   bool
+	done     bool
+	timed    bool // on the timed list
+	ready    bool // in the ready slice
 }
 
 // Daemon reports whether the thread is a daemon (see SpawnDaemon).
@@ -381,8 +389,9 @@ func (m *Machine) newThread(name string, body func(*Thread)) *Thread {
 	return t
 }
 
-// startThread launches the goroutine for t and waits until it parks at its
-// first operation (every thread parks at least once: exit is an op).
+// startThread launches the goroutine for t, waits until it parks at its
+// first operation (every thread parks at least once: exit is an op) and
+// registers that op.
 func (m *Machine) startThread(t *Thread) {
 	//lint:nondet-ok VM threads are hosted on goroutines; the park handshake on yieldCh serializes them under the machine's schedule
 	go m.threadMain(t)
@@ -390,6 +399,7 @@ func (m *Machine) startThread(t *Thread) {
 	if parked != t {
 		panic("vm: unexpected thread parked during start")
 	}
+	m.park(t)
 }
 
 // threadMain runs the thread body, converting returns into exit ops and

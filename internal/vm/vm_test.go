@@ -2,6 +2,7 @@ package vm
 
 import (
 	"testing"
+	"unsafe"
 
 	"debugdet/internal/trace"
 )
@@ -386,5 +387,14 @@ func TestSpawnOrderIsDeterministic(t *testing.T) {
 		if id != trace.ThreadID(i+1) {
 			t.Fatalf("child %d got ID %d, want %d", i, id, i+1)
 		}
+	}
+}
+
+// TestThreadSizeClass: a machine allocates one Thread per virtual thread, so
+// the enabled-set links were fitted into the allocation size class the
+// struct already occupied (288 bytes; the next is 320).
+func TestThreadSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Thread{}); n > 288 {
+		t.Fatalf("Thread is %d bytes: past the 288-byte size class", n)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"debugdet"
+	"debugdet/sim"
 )
 
 // Linear-scaling guards for the load, seek and segmented-replay paths. They measure bytes
@@ -186,5 +187,60 @@ func TestSegmentedStoreRestoresOncePerWorker(t *testing.T) {
 			t.Fatalf("workers=%d: ok=%v segments=%d restores=%d, want 8 segments and %d restores",
 				workers, res.Ok, res.Segments, res.Restores, workers)
 		}
+	}
+}
+
+// recordedRounds records a perfect run of a corpus scenario and returns its
+// scheduling counters and how many threads it had.
+func recordedRounds(t *testing.T, name string, p debugdet.Params) (rounds, evals uint64, threads int) {
+	t.Helper()
+	eng := debugdet.New()
+	s, err := eng.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, view, err := eng.Record(context.Background(), s, debugdet.Perfect, debugdet.Options{Params: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return view.Result.SchedRounds, view.Result.SchedEvals, len(view.Machine.Threads())
+}
+
+// parkedProgram runs debugdet.ParkedProgram (bench_test.go) to its end.
+func parkedProgram(t *testing.T, threads, iters int) *sim.Result {
+	m, main := debugdet.ParkedProgram(threads, iters)
+	res := m.Run(main)
+	if res.Outcome != sim.OutcomeOK {
+		t.Fatalf("%d threads: outcome %v", threads, res.Outcome)
+	}
+	return res
+}
+
+// TestSchedulingRoundIndependentOfThreadCount: a scheduling round
+// re-evaluates the threads whose status can have changed, not every live
+// thread — on the streaming benchmark's scenario at most two per round with
+// a hundred threads live (a full scan makes it a hundred), on bank hardly
+// more than the one that ran, and no more with a thousand parked threads
+// than with a hundred. Exact counts: SchedRounds and SchedEvals are
+// deterministic.
+func TestSchedulingRoundIndependentOfThreadCount(t *testing.T) {
+	rounds, evals, threads := recordedRounds(t, "dynokv-staleread", debugdet.Params{"rounds": 400})
+	t.Logf("dynokv-staleread{rounds:400}: %d threads, %d rounds, %d evaluations (%.2f per round)", threads, rounds, evals, float64(evals)/float64(rounds))
+	if threads < 100 || rounds < 200000 {
+		t.Fatalf("%d threads over %d rounds: not the streaming workload's shape", threads, rounds)
+	}
+	if evals > 2*rounds {
+		t.Fatalf("%d evaluations for %d rounds: more than 2 per round", evals, rounds)
+	}
+	rounds, evals, _ = recordedRounds(t, "bank", debugdet.Params{"transfers": 4000})
+	t.Logf("bank{transfers:4000}: %d rounds, %d evaluations (%.3f per round)", rounds, evals, float64(evals)/float64(rounds))
+	if 10*evals > 11*rounds {
+		t.Fatalf("%d evaluations for %d rounds: more than 1.1 per round", evals, rounds)
+	}
+	hundred, thousand := parkedProgram(t, 100, 2000), parkedProgram(t, 1000, 2000)
+	perRound := func(r *sim.Result) float64 { return float64(r.SchedEvals) / float64(r.SchedRounds) }
+	t.Logf("parked program: %.3f evaluations per round with 100 threads, %.3f with 1000", perRound(hundred), perRound(thousand))
+	if perRound(thousand) > perRound(hundred) {
+		t.Fatalf("evaluations per round grew with the thread count: %.3f at 100 threads, %.3f at 1000", perRound(hundred), perRound(thousand))
 	}
 }
