@@ -11,6 +11,7 @@ import (
 	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
+	"debugdet/internal/wire"
 	"debugdet/internal/workload"
 )
 
@@ -204,7 +205,7 @@ func TestFeedLogRoundtrip(t *testing.T) {
 	threads := maxTID(rec.Full) + 1
 	var perThread [][]vm.FeedEntry = make([][]vm.FeedEntry, threads)
 	var sched []trace.ThreadID
-	count, err := readFeedLog(bytes.NewReader(log), func(i uint64, fe *feedEntry) error {
+	count, err := readFeedLog(wire.NewReader(bytes.NewReader(log), ErrCorrupt), func(i uint64, fe *feedEntry) error {
 		perThread[fe.TID] = append(perThread[fe.TID], fe.feed())
 		sched = append(sched, fe.TID)
 		return nil
@@ -236,7 +237,7 @@ func TestFeedLogTruncation(t *testing.T) {
 	full := FeedLogBytes(rec.Full)
 	total := uint64(len(rec.Full))
 	for cut := 0; cut < len(full); cut++ {
-		count, err := readFeedLog(bytes.NewReader(full[:cut]), func(uint64, *feedEntry) error { return nil })
+		count, err := readFeedLog(wire.NewReader(bytes.NewReader(full[:cut]), ErrCorrupt), func(uint64, *feedEntry) error { return nil })
 		if err == nil && count >= total {
 			t.Fatalf("prefix of %d/%d bytes read all %d entries without error", cut, len(full), total)
 		}

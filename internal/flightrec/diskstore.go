@@ -8,6 +8,7 @@ import (
 
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
+	"debugdet/internal/wire"
 )
 
 // DiskStore is a spill directory opened for replay. The manifest is read
@@ -281,29 +282,31 @@ func (ds *DiskStore) feedData() (*feedData, error) {
 
 // scanFeeds is the single feed-log pass. It reserves the entry and
 // schedule arrays once, from the manifest's entry count — after holding
-// that count against the file's size, so a hostile manifest reserves
-// nothing — and sizes nothing else by a number read from the file: thread
-// and stream IDs are bounded by the threads spawned so far and the
-// manifest's stream table before they index anything.
+// that count against the bytes the feed log has, so a hostile manifest
+// reserves nothing — and sizes nothing else by a number read from the
+// file: thread and stream IDs are bounded by the threads spawned so far
+// and the manifest's stream table before they index anything.
 func (ds *DiskStore) scanFeeds() (*feedData, error) {
 	f, err := os.Open(filepath.Join(ds.dir, feedLogName))
 	if err != nil {
 		return nil, fmt.Errorf("flightrec: feed log: %w", err)
 	}
 	defer f.Close()
+	r := wire.NewReader(f, ErrCorrupt)
 	// An entry is at least a thread varint and a kind byte.
-	if size := trace.InputLen(f); size >= 0 && ds.man.FeedCount > uint64(size)/2 {
-		return nil, fmt.Errorf("%w: manifest declares %d feed entries, feed log is %d bytes", ErrCorrupt, ds.man.FeedCount, size)
+	declared := r.Claim("feed entries declared by the manifest", ds.man.FeedCount, 2)
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	names := ds.man.Meta.Streams
 	fd := &feedData{
-		sched:   make([]trace.ThreadID, 0, ds.man.FeedCount),
+		sched:   make([]trace.ThreadID, 0, declared),
 		streams: make([]streamHist, len(names)),
 		inputs:  make(map[string][]trace.Value),
 		bounds:  make(map[uint64]*prefixCounts),
 	}
-	entries := make([]vm.FeedEntry, 0, ds.man.FeedCount) // in event order
-	perTID := []int{}                                    // entries per thread so far
+	entries := make([]vm.FeedEntry, 0, declared) // in event order
+	perTID := []int{}                            // entries per thread so far
 	spawned := 0
 	bounds := ds.SnapshotSeqs()
 	mark := func(seq uint64) {
@@ -319,7 +322,7 @@ func (ds *DiskStore) scanFeeds() (*feedData, error) {
 			fd.bounds[seq] = pc
 		}
 	}
-	count, err := readFeedLog(f, func(i uint64, fe *feedEntry) error {
+	count, err := readFeedLog(r, func(i uint64, fe *feedEntry) error {
 		mark(i)
 		tid := int(fe.TID)
 		if tid < 0 {

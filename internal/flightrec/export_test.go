@@ -1,12 +1,12 @@
 package flightrec
 
 import (
-	"bufio"
 	"bytes"
 	"os"
 	"path/filepath"
 
 	"debugdet/internal/trace"
+	"debugdet/internal/wire"
 )
 
 // Hooks for the external tests that build hostile spill directories.
@@ -17,12 +17,12 @@ const FeedLogName = feedLogName
 // FeedLogBytes encodes events as a feed log.
 func FeedLogBytes(events []trace.Event) []byte {
 	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	writeFeedHeader(bw)
+	w := wire.NewWriter(&buf)
+	writeFeedHeader(w)
 	for i := range events {
-		writeFeedEntry(bw, &events[i])
+		writeFeedEntry(w, &events[i])
 	}
-	bw.Flush()
+	w.Finish()
 	return buf.Bytes()
 }
 

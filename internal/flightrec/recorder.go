@@ -1,7 +1,6 @@
 package flightrec
 
 import (
-	"bufio"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +10,7 @@ import (
 	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
+	"debugdet/internal/wire"
 )
 
 // DefaultRingSegments is how many sealed segments stay in memory when
@@ -87,9 +87,8 @@ type Recorder struct {
 
 	meta Meta
 
-	feedF  *os.File
-	feedCW *countingWriter
-	feedW  *bufio.Writer
+	feedF *os.File
+	feedW *wire.Writer
 
 	// cur is the building segment and ring the sealed ones still in
 	// memory; curB and ringB are their footprints in encoded-size units
@@ -150,8 +149,7 @@ func NewRecorder(m *vm.Machine, name string, seed int64, params scenario.Params,
 		nextIndex: 1,
 	}
 	r.cur = &Segment{Events: r.eventBuf()}
-	r.feedCW = &countingWriter{w: f}
-	r.feedW = bufio.NewWriterSize(r.feedCW, 1<<16)
+	r.feedW = wire.NewWriterSize(f, 1<<16)
 	writeFeedHeader(r.feedW)
 	r.ckpt = checkpoint.NewStreamingWriter(m, o.Interval, r.rotate)
 	return r, nil
@@ -314,7 +312,7 @@ func (r *Recorder) OnFinish(vm.Outcome) {
 	for len(r.ring) > 0 {
 		r.spillOldest()
 	}
-	if err := r.feedW.Flush(); err != nil {
+	if _, err := r.feedW.Finish(); err != nil {
 		r.fail(fmt.Errorf("flightrec: feed log: %w", err))
 		return
 	}
@@ -336,7 +334,7 @@ func (r *Recorder) Finalize(failed bool, sig string) error {
 	}
 	r.finalized = true
 	if r.feedF != nil {
-		if err := r.feedW.Flush(); err != nil && r.err == nil {
+		if _, err := r.feedW.Finish(); err != nil && r.err == nil {
 			r.err = fmt.Errorf("flightrec: feed log: %w", err)
 		}
 		if err := r.feedF.Close(); err != nil && r.err == nil {
@@ -374,7 +372,7 @@ func (r *Recorder) writeManifestFinal(final bool) error {
 		Meta:      meta,
 		Finalized: final,
 		FeedCount: r.events,
-		FeedBytes: r.feedCW.n,
+		FeedBytes: r.feedW.Written(),
 		Segments:  r.spilled,
 	}
 	path := filepath.Join(r.o.SpillDir, manifestName)
@@ -407,7 +405,7 @@ func (r *Recorder) Bytes() int64 { return r.bytes }
 func (r *Recorder) CheckpointBytes() int64 { return r.ckpt.Bytes() }
 
 // FeedBytes returns the feed log's size on disk so far.
-func (r *Recorder) FeedBytes() int64 { return r.feedCW.n }
+func (r *Recorder) FeedBytes() int64 { return r.feedW.Written() }
 
 // MemBytes returns the recorder's current in-memory footprint (building
 // segment + ring, in encoded-size units).

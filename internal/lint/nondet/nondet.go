@@ -36,6 +36,7 @@ var DetPackages = []string{
 	"debugdet/internal/record",
 	"debugdet/internal/checkpoint",
 	"debugdet/internal/flightrec",
+	"debugdet/internal/wire",
 	"debugdet/internal/simdisk",
 	"debugdet/internal/simnet",
 	"debugdet/internal/dynokv",

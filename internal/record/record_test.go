@@ -8,11 +8,13 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"debugdet/internal/checkpoint"
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
+	"debugdet/internal/wire"
 	"debugdet/internal/workload"
 )
 
@@ -226,6 +228,60 @@ func TestLoadRejectsTruncation(t *testing.T) {
 	}
 }
 
+// TestLoadFailuresAreTyped: whatever is wrong with a file — its version, an
+// event, its model name, a numeric label — Load says so with an error that
+// wraps ErrBadRecording. (Event-section errors used to escape as bare
+// trace.ErrCorrupt, model errors unwrapped, and a malformed numeric label
+// loaded as 0; version 1, the format before checkpoints, is no longer read.)
+func TestLoadFailuresAreTyped(t *testing.T) {
+	// file builds a .ddrc by hand around the given log header and events.
+	file := func(h trace.Header, events ...trace.Event) []byte {
+		var buf bytes.Buffer
+		w := wire.NewWriter(&buf)
+		w.Magic(recMagic)
+		w.Byte(recVersion)
+		l := trace.NewLog(h)
+		l.Events = events
+		trace.WriteLog(w, l)
+		w.Uvarint(0)
+		checkpoint.WriteSnapshots(w, nil)
+		if _, err := w.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	labels := func(key, val string) map[string]string {
+		m := map[string]string{"log_bytes": "0", "overhead_mlli": "0", "base_cycles": "0",
+			"total_cycles": "0", "event_count": "0", "ckpt_bytes": "0"}
+		m[key] = val
+		return m
+	}
+	good := file(trace.Header{Model: "perfect", Labels: labels("log_bytes", "7")})
+	if rec, err := Load(bytes.NewReader(good)); err != nil || rec.LogBytes != 7 {
+		t.Fatalf("hand-built recording: %v", err)
+	}
+	v1 := append([]byte(nil), good...)
+	v1[len(recMagic)] = 1
+	cases := []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"version 1", v1, "unsupported version 1"},
+		{"bad event kind", file(trace.Header{Model: "perfect", Labels: labels("log_bytes", "0")}, trace.Event{Kind: 200}), "bad event kind 200"},
+		{"unknown model", file(trace.Header{Model: "psychic", Labels: labels("log_bytes", "0")}), "psychic"},
+		{"malformed event_count", file(trace.Header{Model: "perfect", Labels: labels("event_count", "12x")}), "event_count"},
+		{"missing ckpt_bytes", file(trace.Header{Model: "perfect", Labels: labels("ckpt_bytes", "")}), "ckpt_bytes"},
+		{"inner log magic", bytes.Replace(good, []byte("DDTL"), []byte("DDTX"), 1), "bad magic"},
+	}
+	for _, tc := range cases {
+		_, err := Load(bytes.NewReader(tc.data))
+		if !errors.Is(err, ErrBadRecording) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want ErrBadRecording mentioning %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestRecordingIsDeterministic(t *testing.T) {
 	s := workload.Bank()
 	r1, _, err := Record(s, Perfect, 5, nil)
@@ -285,28 +341,6 @@ func recordCheckpointedBank(t *testing.T) *Recording {
 	rec.Checkpoints = w.Snapshots()
 	rec.CheckpointBytes = w.Bytes()
 	return rec
-}
-
-// TestLoadLegacyV1 pins backward compatibility: a recording written by the
-// previous codec version (v1, before checkpoints existed) loads cleanly
-// with no checkpoints — seek then falls back to replay-from-start.
-func TestLoadLegacyV1(t *testing.T) {
-	rec := recordCheckpointedBank(t)
-	var buf bytes.Buffer
-	if err := rec.saveVersion(&buf, recVersionLegacy); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("v1 recording failed to load: %v", err)
-	}
-	if len(loaded.Checkpoints) != 0 {
-		t.Fatalf("v1 recording loaded %d checkpoints", len(loaded.Checkpoints))
-	}
-	if loaded.Scenario != rec.Scenario || loaded.EventCount != rec.EventCount ||
-		len(loaded.Full) != len(rec.Full) || len(loaded.Sched) != len(rec.Sched) {
-		t.Fatalf("v1 load lost data: %s vs %s", loaded.Summary(), rec.Summary())
-	}
 }
 
 // TestCheckpointSaveLoadRoundTrip pins the v2 persistence of checkpoints:
@@ -381,8 +415,8 @@ func TestLoadBoundsReservationsByInput(t *testing.T) {
 			runtime.ReadMemStats(&before)
 			_, err := Load(rd)
 			runtime.ReadMemStats(&after)
-			if !errors.Is(err, ErrBadRecording) && !errors.Is(err, trace.ErrCorrupt) {
-				t.Errorf("%s (sized=%v): error %v, want a typed corrupt-input error", name, sized, err)
+			if !errors.Is(err, ErrBadRecording) {
+				t.Errorf("%s (sized=%v): error %v, want ErrBadRecording", name, sized, err)
 			}
 			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
 				t.Errorf("%s (sized=%v): a %d-byte file made Load allocate %d bytes", name, sized, len(file), alloc)

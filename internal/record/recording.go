@@ -1,17 +1,17 @@
 package record
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"debugdet/internal/checkpoint"
 	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
+	"debugdet/internal/wire"
 )
 
 // Recording is the persisted artifact of one recorded production run: what
@@ -51,8 +51,7 @@ type Recording struct {
 	// Checkpoints are the periodic VM state snapshots captured during the
 	// recorded run (Options.CheckpointInterval; perfect-model recordings
 	// only), in trace order. They power replay.Seek and replay.Segmented;
-	// recordings without them — including every v1 format file — replay
-	// front-to-back.
+	// recordings without them replay front-to-back.
 	Checkpoints []*vm.Snapshot
 	// CheckpointBytes is the encoded volume of the checkpoints, kept
 	// separate from LogBytes so the overhead tables can attribute it.
@@ -164,159 +163,114 @@ func (r *Recording) Summary() string {
 		r.LogBytes, r.Overhead, r.Failed, r.FailureSig)
 }
 
-// Recording file format: magic, version, then a trace.Log (header carries
-// scenario/model/params/labels; events are the Full stream), then the
-// schedule stream as varint-delta thread IDs, then (v2) the checkpoint
-// snapshot section. v1 files — written before checkpoints existed — load
-// cleanly with no checkpoints; Save always writes the current version.
+// The recording file format (.ddrc) is laid out in DESIGN.md "Wire
+// formats". Version 1 files — written before checkpoints existed — are
+// refused.
 const (
-	recMagic         = "DDRC"
-	recVersion       = 2
-	recVersionLegacy = 1
+	recMagic   = "DDRC"
+	recVersion = 2
 )
 
 // ErrBadRecording reports a malformed recording file.
 var ErrBadRecording = errors.New("record: malformed recording")
 
-// Save writes the recording to w in the current format version.
-func (r *Recording) Save(w io.Writer) error { return r.saveVersion(w, recVersion) }
-
-// saveVersion writes the recording in a specific format version. Only the
-// backward-compatibility tests write the legacy version; Save always
-// writes the current one.
-func (r *Recording) saveVersion(w io.Writer, ver byte) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(recMagic); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(ver); err != nil {
-		return err
-	}
+// Save writes the recording to w.
+func (r *Recording) Save(w io.Writer) error {
+	ww := wire.NewWriter(w)
+	ww.Magic(recMagic)
+	ww.Byte(recVersion)
 	l := trace.NewLog(trace.Header{
 		Scenario: r.Scenario,
 		Model:    r.Model.String(),
 		Seed:     r.Seed,
 		Params:   map[string]int64(r.Params),
 		Labels: map[string]string{
-			"failed":        fmt.Sprintf("%v", r.Failed),
+			"failed":        strconv.FormatBool(r.Failed),
 			"failure_sig":   r.FailureSig,
-			"sched_done":    fmt.Sprintf("%v", r.SchedComplete),
-			"log_bytes":     fmt.Sprintf("%d", r.LogBytes),
-			"overhead_mlli": fmt.Sprintf("%d", int64(r.Overhead*1000)),
-			"base_cycles":   fmt.Sprintf("%d", r.BaseCycles),
-			"total_cycles":  fmt.Sprintf("%d", r.TotalCycles),
-			"event_count":   fmt.Sprintf("%d", r.EventCount),
-			"ckpt_bytes":    fmt.Sprintf("%d", r.CheckpointBytes),
+			"sched_done":    strconv.FormatBool(r.SchedComplete),
+			"log_bytes":     strconv.FormatInt(r.LogBytes, 10),
+			"overhead_mlli": strconv.FormatInt(int64(r.Overhead*1000), 10),
+			"base_cycles":   strconv.FormatUint(r.BaseCycles, 10),
+			"total_cycles":  strconv.FormatUint(r.TotalCycles, 10),
+			"event_count":   strconv.FormatUint(r.EventCount, 10),
+			"ckpt_bytes":    strconv.FormatInt(r.CheckpointBytes, 10),
 			"streams":       strings.Join(r.Streams, "\x1f"),
 		},
 	})
 	l.Events = r.Full
-	if _, err := trace.Encode(bw, l); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(r.Sched)))
-	if _, err := bw.Write(buf[:n]); err != nil {
-		return err
-	}
+	trace.WriteLog(ww, l)
+	ww.Uvarint(uint64(len(r.Sched)))
 	prev := int64(0)
 	for _, tid := range r.Sched {
-		n := binary.PutVarint(buf[:], int64(tid)-prev)
+		ww.Varint(int64(tid) - prev)
 		prev = int64(tid)
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return err
-		}
 	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	if ver < recVersion {
-		return nil
-	}
-	_, err := checkpoint.EncodeSnapshots(w, r.Checkpoints)
+	checkpoint.WriteSnapshots(ww, r.Checkpoints)
+	_, err := ww.Finish()
 	return err
 }
 
-// Load reads a recording written by Save.
+// Load reads a recording written by Save. Every failure wraps
+// ErrBadRecording.
 func Load(rd io.Reader) (*Recording, error) {
-	// The input's size, where rd can tell, bounds what the event and
-	// schedule counts in it may reserve before their elements are read.
-	limit := trace.InputLen(rd)
-	br := bufio.NewReader(rd)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRecording, err)
+	wr := wire.NewReader(rd, ErrBadRecording)
+	wr.Magic(recMagic)
+	wr.Version(recVersion)
+	l := trace.ReadLog(wr)
+	sched := make([]trace.ThreadID, wr.Count("schedule entries", 1))
+	prev := int64(0)
+	for i := range sched {
+		prev += wr.Varint()
+		sched[i] = trace.ThreadID(prev)
 	}
-	if string(magic) != recMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadRecording)
-	}
-	ver, err := br.ReadByte()
-	if err != nil || (ver != recVersion && ver != recVersionLegacy) {
-		return nil, fmt.Errorf("%w: bad version", ErrBadRecording)
-	}
-	l, err := trace.DecodeBounded(br, limit)
-	if err != nil {
+	snaps := checkpoint.ReadSnapshots(wr)
+	if err := wr.Err(); err != nil {
 		return nil, err
 	}
 	model, err := ParseModel(l.Header.Model)
 	if err != nil {
-		return nil, err
-	}
-	r := &Recording{
-		Scenario: l.Header.Scenario,
-		Model:    model,
-		Seed:     l.Header.Seed,
-		Params:   scenario.Params(l.Header.Params),
-		Full:     l.Events,
-		cache:    &storeCache{},
+		return nil, fmt.Errorf("%w: %v", ErrBadRecording, err)
 	}
 	lab := l.Header.Labels
-	r.Failed = lab["failed"] == "true"
-	r.FailureSig = lab["failure_sig"]
-	r.SchedComplete = lab["sched_done"] == "true"
+	// num parses a numeric label as Save wrote it; the first malformed one
+	// fails the load.
+	num := func(key string) uint64 {
+		v, perr := strconv.ParseUint(lab[key], 10, 64)
+		if perr != nil && err == nil {
+			err = fmt.Errorf("%w: label %s: %v", ErrBadRecording, key, perr)
+		}
+		return v
+	}
+	r := &Recording{
+		Scenario:        l.Header.Scenario,
+		Model:           model,
+		Seed:            l.Header.Seed,
+		Params:          scenario.Params(l.Header.Params),
+		Full:            l.Events,
+		Sched:           sched,
+		SchedComplete:   lab["sched_done"] == "true",
+		Failed:          lab["failed"] == "true",
+		FailureSig:      lab["failure_sig"],
+		Checkpoints:     snaps,
+		CheckpointBytes: int64(num("ckpt_bytes")),
+		LogBytes:        int64(num("log_bytes")),
+		Overhead:        float64(num("overhead_mlli")) / 1000,
+		BaseCycles:      num("base_cycles"),
+		TotalCycles:     num("total_cycles"),
+		EventCount:      num("event_count"),
+		cache:           &storeCache{},
+	}
+	if err != nil {
+		return nil, err
+	}
 	if lab["streams"] != "" {
 		r.Streams = strings.Split(lab["streams"], "\x1f")
 	}
-	fmt.Sscanf(lab["log_bytes"], "%d", &r.LogBytes)
-	var mil int64
-	fmt.Sscanf(lab["overhead_mlli"], "%d", &mil)
-	r.Overhead = float64(mil) / 1000
-	fmt.Sscanf(lab["base_cycles"], "%d", &r.BaseCycles)
-	fmt.Sscanf(lab["total_cycles"], "%d", &r.TotalCycles)
-	fmt.Sscanf(lab["event_count"], "%d", &r.EventCount)
-	fmt.Sscanf(lab["ckpt_bytes"], "%d", &r.CheckpointBytes)
-
-	nSched, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("%w: schedule count: %v", ErrBadRecording, err)
-	}
-	if limit >= 0 {
-		if nSched > uint64(limit) { // an entry is at least one byte
-			return nil, fmt.Errorf("%w: schedule length %d exceeds the %d bytes of input", ErrBadRecording, nSched, limit)
-		}
-		r.Sched = make([]trace.ThreadID, 0, nSched)
-	}
-	prev := int64(0)
-	for i := uint64(0); i < nSched; i++ {
-		d, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: schedule entry %d: %v", ErrBadRecording, i, err)
-		}
-		prev += d
-		r.Sched = append(r.Sched, trace.ThreadID(prev))
-	}
-	if ver >= recVersion {
-		snaps, err := checkpoint.DecodeSnapshots(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadRecording, err)
-		}
-		// The codec persists only the live-state portion of each snapshot;
-		// the per-stream histories are projections of the event prefix and
-		// are rebuilt from it here.
-		if err := checkpoint.RehydrateStreams(snaps, r.Full); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadRecording, err)
-		}
-		r.Checkpoints = snaps
+	// The codec persists only the live-state portion of each snapshot;
+	// the per-stream histories are projections of the event prefix and
+	// are rebuilt from it here.
+	if err := checkpoint.RehydrateStreams(snaps, r.Full); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadRecording, err)
 	}
 	return r, nil
 }
