@@ -7,7 +7,7 @@
 //	figures -all
 //	figures -fig 1
 //	figures -fig 2
-//	figures -table df|overhead|plane|du|triggers|dynokv|disk|fuzz|ckpt|stat|fork
+//	figures -table NAME           # any artifact; figures -h lists the names
 //	figures -table fuzz -gen 1234 # rerun a generator seed from go test -fuzz
 //	figures -budget 100           # bound inference attempts per cell
 //	figures -workers 4            # cell-grid parallelism (default GOMAXPROCS, 1 = sequential)
@@ -17,13 +17,16 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"debugdet/figures"
 )
 
 func main() {
+	known := figures.Names()
 	fig := flag.Int("fig", 0, "figure to regenerate (1 or 2)")
-	table := flag.String("table", "", "table to regenerate (df, overhead, plane, du, triggers, dynokv, disk, fuzz, ckpt, stat, fork)")
+	table := flag.String("table", "", "table to regenerate ("+strings.Join(known, ", ")+")")
 	all := flag.Bool("all", false, "regenerate everything")
 	budget := flag.Int("budget", 0, "inference budget per cell (default 200)")
 	workers := flag.Int("workers", 0, "concurrent cells (default GOMAXPROCS; results are identical for any value)")
@@ -38,136 +41,37 @@ func main() {
 		}
 	})
 
-	o := figures.Options{ReplayBudget: *budget, Workers: *workers, CheckpointInterval: *ckpt}
-	if !*all && *fig == 0 && *table == "" {
+	var names []string
+	if *all {
+		names = known
+	} else {
+		if *fig != 0 {
+			names = append(names, fmt.Sprintf("fig%d", *fig))
+		}
+		if *table != "" {
+			names = append(names, *table)
+		}
+	}
+	if len(names) == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
+	// Print in -all order whatever the flag order; an unknown name sorts
+	// first, so it is reported before any experiment runs.
+	slices.SortStableFunc(names, func(a, b string) int {
+		return slices.Index(known, a) - slices.Index(known, b)
+	})
 
-	run := func(name string, f func() error) {
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %s: %v\n", name, err)
+	run := figures.New(figures.Options{ReplayBudget: *budget, Workers: *workers, CheckpointInterval: *ckpt}, gen)
+	for _, name := range names {
+		out, err := run.Render(name)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
+			if !slices.Contains(known, name) {
+				os.Exit(2) // a usage error, like a bad flag
+			}
 			os.Exit(1)
 		}
-	}
-
-	var fig2Cells []figures.Cell
-	needFig2 := *all || *fig == 2 || *table == "df" || *table == "overhead"
-	if needFig2 {
-		run("fig2", func() error {
-			cells, err := figures.Fig2(o)
-			fig2Cells = cells
-			return err
-		})
-	}
-
-	if *all || *fig == 1 || *table == "du" {
-		var rows []figures.Fig1Row
-		run("fig1", func() error {
-			r, err := figures.Fig1(o)
-			rows = r
-			return err
-		})
-		if *all || *fig == 1 {
-			fmt.Println(figures.RenderFig1(rows))
-		}
-		if *all || *table == "du" {
-			var shrink figures.Cell
-			run("shrink", func() error {
-				c, err := figures.ShrinkCell(o)
-				shrink = c
-				return err
-			})
-			fmt.Println(figures.TableDU(rows, shrink))
-		}
-	}
-	if *all || *fig == 2 {
-		fmt.Println(figures.RenderFig2(fig2Cells))
-	}
-	if *all || *table == "df" {
-		fmt.Println(figures.TableDF(fig2Cells))
-	}
-	if *all || *table == "overhead" {
-		fmt.Println(figures.TableOverhead(fig2Cells))
-	}
-	if *all || *table == "plane" {
-		run("plane", func() error {
-			rows, err := figures.TablePlane(o)
-			if err != nil {
-				return err
-			}
-			fmt.Println(figures.RenderTablePlane(rows))
-			return nil
-		})
-	}
-	if *all || *table == "dynokv" {
-		run("dynokv", func() error {
-			cells, err := figures.TableDynoKV(o)
-			if err != nil {
-				return err
-			}
-			fmt.Println(figures.RenderTableDynoKV(cells))
-			return nil
-		})
-	}
-	if *all || *table == "disk" {
-		run("disk", func() error {
-			cells, err := figures.TableDisk(o)
-			if err != nil {
-				return err
-			}
-			fmt.Println(figures.RenderTableDisk(cells))
-			return nil
-		})
-	}
-	if *all || *table == "fuzz" {
-		run("fuzz", func() error {
-			cells, err := figures.TableFuzz(o, gen)
-			if err != nil {
-				return err
-			}
-			fmt.Println(figures.RenderTableFuzz(cells, gen))
-			return nil
-		})
-	}
-	if *all || *table == "ckpt" {
-		run("ckpt", func() error {
-			rows, err := figures.TableCheckpoint(o)
-			if err != nil {
-				return err
-			}
-			fmt.Println(figures.RenderTableCheckpoint(rows))
-			return nil
-		})
-	}
-	if *all || *table == "triggers" {
-		run("triggers", func() error {
-			rows, err := figures.TableTriggers(o)
-			if err != nil {
-				return err
-			}
-			fmt.Println(figures.RenderTableTriggers(rows))
-			return nil
-		})
-	}
-	if *all || *table == "stat" {
-		run("stat", func() error {
-			rows, err := figures.TableStat(o)
-			if err != nil {
-				return err
-			}
-			fmt.Println(figures.RenderTableStat(rows))
-			return nil
-		})
-	}
-	if *all || *table == "fork" {
-		run("fork", func() error {
-			rows, err := figures.TableFork(o)
-			if err != nil {
-				return err
-			}
-			fmt.Println(figures.RenderTableFork(rows))
-			return nil
-		})
+		fmt.Println(out)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"debugdet/internal/invariant"
 	"debugdet/internal/record"
 	"debugdet/internal/replay"
-	"debugdet/internal/workload"
 	"debugdet/scen"
 	"debugdet/sim"
 )
@@ -122,61 +121,3 @@ func SaveRecording(w io.Writer, rec *Recording) error { return rec.Save(w) }
 
 // LoadRecording reads a recording written by SaveRecording.
 func LoadRecording(r io.Reader) (*Recording, error) { return record.Load(r) }
-
-// Deprecated one-shot API
-//
-// The functions below predate the Engine and remain for one release as
-// thin shims. They always operate on the built-in corpus and cannot see
-// user-registered scenarios.
-
-// Scenarios returns the built-in corpus.
-//
-// Deprecated: use New().Scenarios, which also lists user-registered
-// scenarios.
-func Scenarios() []*Scenario { return workload.All() }
-
-// ScenarioNames lists the built-in scenario names.
-//
-// Deprecated: use New().Names.
-func ScenarioNames() []string { return workload.Names() }
-
-// ScenarioByName resolves a built-in scenario (including variants such as
-// "hyperkv-fixed" or "dynokv-losthint-fixed").
-//
-// Deprecated: use New().ByName.
-func ScenarioByName(name string) (*Scenario, error) { return workload.ByName(name) }
-
-// Record runs the scenario once under the model's recorder and returns the
-// recording together with the original run. For DebugRCSE use
-// Engine.Record, which performs the profiling and training RCSE needs,
-// configured by Options.RCSE.
-//
-// Deprecated: use Engine.Record, which is context-aware and supports
-// DebugRCSE.
-func Record(s *Scenario, model Model, seed int64, params Params) (*Recording, *RunView, error) {
-	return record.Record(s, model, seed, params)
-}
-
-// Replay reconstructs an execution from a recording under the recording's
-// model semantics.
-//
-// Deprecated: use Engine.Replay.
-func Replay(s *Scenario, rec *Recording, o ReplayOptions) *ReplayResult {
-	return replay.Replay(s, rec, o)
-}
-
-// Evaluate runs the full pipeline — record, replay, metrics — for one
-// scenario under one model.
-//
-// Deprecated: use Engine.Evaluate.
-func Evaluate(s *Scenario, model Model, o Options) (*Evaluation, error) {
-	return core.Evaluate(s, model, o)
-}
-
-// ExploreCauses synthesizes one execution per declared root cause that can
-// explain the failure signature (§5).
-//
-// Deprecated: use Engine.ExploreCauses.
-func ExploreCauses(s *Scenario, signature string, o Options) *CauseExploration {
-	return core.ExploreCauses(s, signature, o)
-}

@@ -2,6 +2,7 @@ package debugdet
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -9,20 +10,21 @@ import (
 // user would: catalog discovery, record, persist, replay, evaluate.
 
 func TestPublicCatalog(t *testing.T) {
-	if len(Scenarios()) < 9 {
-		t.Fatalf("catalog has %d scenarios", len(Scenarios()))
+	eng := New()
+	if len(eng.Scenarios()) < 9 {
+		t.Fatalf("catalog has %d scenarios", len(eng.Scenarios()))
 	}
 	// Names lists the corpus plus the fixed variants, all resolvable.
-	names := ScenarioNames()
-	if len(names) < len(Scenarios()) {
+	names := eng.Names()
+	if len(names) < len(eng.Scenarios()) {
 		t.Fatal("names and scenarios disagree")
 	}
 	for _, n := range names {
-		if _, err := ScenarioByName(n); err != nil {
-			t.Fatalf("ScenarioByName(%q): %v", n, err)
+		if _, err := eng.ByName(n); err != nil {
+			t.Fatalf("ByName(%q): %v", n, err)
 		}
 	}
-	if _, err := ScenarioByName("bogus"); err == nil {
+	if _, err := eng.ByName("bogus"); err == nil {
 		t.Fatal("accepted bogus name")
 	}
 }
@@ -38,11 +40,12 @@ func TestPublicModels(t *testing.T) {
 }
 
 func TestPublicRecordReplayLoop(t *testing.T) {
-	s, err := ScenarioByName("overflow")
+	eng, ctx := New(), context.Background()
+	s, err := eng.ByName("overflow")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, orig, err := Record(s, Perfect, s.DefaultSeed, nil)
+	rec, orig, err := eng.Record(ctx, s, Perfect, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +62,10 @@ func TestPublicRecordReplayLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res := Replay(s, loaded, ReplayOptions{})
+	res, err := eng.Replay(ctx, s, loaded, ReplayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Ok {
 		t.Fatalf("replay failed: %s", res.Note)
 	}
@@ -69,11 +75,12 @@ func TestPublicRecordReplayLoop(t *testing.T) {
 }
 
 func TestPublicEvaluate(t *testing.T) {
-	s, err := ScenarioByName("sum")
+	eng := New()
+	s, err := eng.ByName("sum")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := Evaluate(s, DebugRCSE, Options{})
+	ev, err := eng.Evaluate(context.Background(), s, DebugRCSE, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,19 +96,20 @@ func TestPublicEvaluate(t *testing.T) {
 // case study, debug determinism achieves value-determinism fidelity at
 // near-failure-determinism cost.
 func TestHeadlineResult(t *testing.T) {
-	s, err := ScenarioByName("hyperkv-dataloss")
+	eng, ctx := New(), context.Background()
+	s, err := eng.ByName("hyperkv-dataloss")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcse, err := Evaluate(s, DebugRCSE, Options{})
+	rcse, err := eng.Evaluate(ctx, s, DebugRCSE, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	value, err := Evaluate(s, Value, Options{})
+	value, err := eng.Evaluate(ctx, s, Value, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	failure, err := Evaluate(s, Failure, Options{})
+	failure, err := eng.Evaluate(ctx, s, Failure, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

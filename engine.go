@@ -107,9 +107,11 @@ func (e *Engine) fill(ctx context.Context, o Options) (Options, func()) {
 }
 
 // mergeCtx reconciles the method's context argument with a context the
-// caller may have set on the options struct (the deprecated one-shot API
-// honors Options.Ctx, so the Engine must not silently drop it): when both
-// are meaningful, the merged context is canceled as soon as either is.
+// caller may have set on the options struct (Options and ReplayOptions
+// alias the internal pipeline's structs, whose Ctx field is how the
+// context travels below the Engine, so a caller can set it and the Engine
+// must not silently drop it): when both are meaningful, the merged context
+// is canceled as soon as either is.
 // The returned cleanup detaches the merged context from its parents; run
 // it when the call completes or the child leaks until a parent ends.
 func mergeCtx(arg, opt context.Context) (context.Context, func()) {

@@ -1,127 +1,25 @@
 package figures
 
-import (
-	"debugdet/internal/eval"
-)
+import "debugdet/internal/eval"
 
 // Options tunes experiment cost: inference budget per cell, corpus
-// restriction, grid worker count, and a cancellation context.
+// restriction, grid worker count, checkpoint interval, and a cancellation
+// context.
 type Options = eval.Options
 
-// Cell is one (scenario, model) measurement.
-type Cell = eval.Cell
+// Run is one pass over the experiment set. Render(name) generates one
+// artifact and returns the text `figures` prints for it; the grids that
+// several artifacts share (Fig. 1 under fig1 and du, Fig. 2 under fig2, df
+// and overhead) are evaluated once per Run. An unknown name is an error
+// listing Names().
+type Run = eval.Run
 
-// Fig1Row aggregates one determinism model over the corpus.
-type Fig1Row = eval.Fig1Row
-
-// PlaneRow is one scenario's classification-accuracy measurement.
-type PlaneRow = eval.PlaneRow
-
-// TrigRow is one RCSE-configuration ablation measurement.
-type TrigRow = eval.TrigRow
-
-// DynoKVScenarios lists the Dynamo-style replication family measured by
-// TableDynoKV.
-func DynoKVScenarios() []string { return append([]string(nil), eval.DynoKVScenarios...) }
-
-// Fig1 reproduces Figure 1: the relaxation trend over the corpus.
-func Fig1(o Options) ([]Fig1Row, error) { return eval.Fig1(o) }
-
-// RenderFig1 prints the Fig. 1 series.
-func RenderFig1(rows []Fig1Row) string { return eval.RenderFig1(rows) }
-
-// Fig2 reproduces Figure 2: the Hypertable data-loss case study.
-func Fig2(o Options) ([]Cell, error) { return eval.Fig2(o) }
-
-// RenderFig2 prints the Fig. 2 points.
-func RenderFig2(cells []Cell) string { return eval.RenderFig2(cells) }
-
-// TableDF reproduces the §4 fidelity numbers (T-DF) from Fig. 2 cells.
-func TableDF(cells []Cell) string { return eval.TableDF(cells) }
-
-// TableOverhead reproduces the §4 recording-overhead comparison (T-OVH).
-func TableOverhead(cells []Cell) string { return eval.TableOverhead(cells) }
-
-// TableDynoKV evaluates every determinism model on the replication family
-// (T-DYNO).
-func TableDynoKV(o Options) ([]Cell, error) { return eval.TableDynoKV(o) }
-
-// RenderTableDynoKV prints T-DYNO.
-func RenderTableDynoKV(cells []Cell) string { return eval.RenderTableDynoKV(cells) }
-
-// DiskScenarios lists the durability family measured by TableDisk.
-func DiskScenarios() []string { return append([]string(nil), eval.DiskScenarios...) }
-
-// TableDisk evaluates every determinism model on the durability family
-// (T-DISK): crash-restart bugs on the simulated disk.
-func TableDisk(o Options) ([]Cell, error) { return eval.TableDisk(o) }
-
-// RenderTableDisk prints T-DISK.
-func RenderTableDisk(cells []Cell) string { return eval.RenderTableDisk(cells) }
-
-// FuzzScenarios lists the generated fuzz family measured by TableFuzz.
-func FuzzScenarios() []string { return append([]string(nil), eval.FuzzScenarios...) }
-
-// TableFuzz evaluates every determinism model on the generated scenario
-// family (T-FUZZ). A nil gen keeps each family's pinned failing default;
+// New prepares a run. A nil gen keeps T-FUZZ's pinned failing defaults;
 // any pointed-to value — including 0 and negative raw fuzzer seeds —
 // regenerates all four programs from that generator seed: the hook for
 // rerunning a seed found by go test -fuzz through the full evaluation
 // pipeline.
-func TableFuzz(o Options, gen *int64) ([]Cell, error) { return eval.TableFuzz(o, gen) }
+func New(o Options, gen *int64) *Run { return eval.NewRun(o, gen) }
 
-// RenderTableFuzz prints T-FUZZ.
-func RenderTableFuzz(cells []Cell, gen *int64) string { return eval.RenderTableFuzz(cells, gen) }
-
-// TablePlane evaluates the control-plane classifier against ground truth
-// (T-PLANE).
-func TablePlane(o Options) ([]PlaneRow, error) { return eval.TablePlane(o) }
-
-// RenderTablePlane prints T-PLANE.
-func RenderTablePlane(rows []PlaneRow) string { return eval.RenderTablePlane(rows) }
-
-// TableDU renders the corpus-wide DU = DF×DE comparison (T-DU).
-func TableDU(rows []Fig1Row, shrink Cell) string { return eval.TableDU(rows, shrink) }
-
-// ShrinkCell evaluates failure determinism with shrink parameters,
-// demonstrating DE > 1 (§3.2's execution-synthesis observation).
-func ShrinkCell(o Options) (Cell, error) { return eval.ShrinkCell(o) }
-
-// TableTriggers runs the §3.1 selector ablation (T-TRIG).
-func TableTriggers(o Options) ([]TrigRow, error) { return eval.TableTriggers(o) }
-
-// RenderTableTriggers prints T-TRIG.
-func RenderTableTriggers(rows []TrigRow) string { return eval.RenderTableTriggers(rows) }
-
-// CkptRow is one point of the checkpoint-interval trade-off (T-CKPT).
-type CkptRow = eval.CkptRow
-
-// TableCheckpoint measures the checkpoint-interval vs recording-size vs
-// seek-latency trade-off (T-CKPT).
-func TableCheckpoint(o Options) ([]CkptRow, error) { return eval.TableCheckpoint(o) }
-
-// RenderTableCheckpoint prints T-CKPT.
-func RenderTableCheckpoint(rows []CkptRow) string { return eval.RenderTableCheckpoint(rows) }
-
-// StatRow is one deadlock-family measurement of static search seeding.
-type StatRow = eval.StatRow
-
-// StatScenarios lists the deadlock family measured by TableStat.
-func StatScenarios() []string { return append([]string(nil), eval.StatScenarios...) }
-
-// TableStat measures how detlint's static lock-order triage seeds the
-// failure-determinism search (T-STAT): same accepted execution, less work.
-func TableStat(o Options) ([]StatRow, error) { return eval.TableStat(o) }
-
-// RenderTableStat prints T-STAT.
-func RenderTableStat(rows []StatRow) string { return eval.RenderTableStat(rows) }
-
-// ForkRow is one measurement of checkpoint-forked candidate execution.
-type ForkRow = eval.ForkRow
-
-// TableFork measures checkpoint-forked candidate execution (T-FORK):
-// same outcome and attempts as from-scratch search, less executed work.
-func TableFork(o Options) ([]ForkRow, error) { return eval.TableFork(o) }
-
-// RenderTableFork prints T-FORK.
-func RenderTableFork(rows []ForkRow) string { return eval.RenderTableFork(rows) }
+// Names lists every artifact in the order `figures -all` prints them.
+func Names() []string { return eval.Names() }

@@ -53,15 +53,14 @@ func TableCheckpoint(o Options) ([]CkptRow, error) {
 		return nil, err
 	}
 	intervals := []int64{0, 512, 256, 128, 64, 32}
-	rows := make([]CkptRow, len(intervals))
-	err = runGrid(o.Ctx, len(intervals), o.Workers, func(i int) error {
+	return grid(o, len(intervals), func(i int) (CkptRow, error) {
 		interval := intervals[i]
 		rec, _, _, err := core.RecordOnly(s, record.Perfect, core.Options{
 			Ctx:                o.Ctx,
 			CheckpointInterval: interval,
 		})
 		if err != nil {
-			return fmt.Errorf("ckpt interval %d: %w", interval, err)
+			return CkptRow{}, fmt.Errorf("ckpt interval %d: %w", interval, err)
 		}
 		row := CkptRow{
 			Interval:    uint64(interval),
@@ -74,16 +73,16 @@ func TableCheckpoint(o Options) ([]CkptRow, error) {
 		}
 		sess, err := replay.Seek(s, rec, row.SeekTarget, replay.Options{})
 		if err != nil {
-			return fmt.Errorf("ckpt interval %d: seek: %w", interval, err)
+			return CkptRow{}, fmt.Errorf("ckpt interval %d: seek: %w", interval, err)
 		}
 		row.SeekReplayed = sess.ReplaySteps
 		sess.Close()
 		seg, err := replay.Segmented(s, rec, replay.Options{Workers: 1})
 		if err != nil {
-			return fmt.Errorf("ckpt interval %d: segmented: %w", interval, err)
+			return CkptRow{}, fmt.Errorf("ckpt interval %d: segmented: %w", interval, err)
 		}
 		if !seg.Ok {
-			return fmt.Errorf("ckpt interval %d: segmented replay diverged at %d", interval, seg.Mismatch)
+			return CkptRow{}, fmt.Errorf("ckpt interval %d: segmented replay diverged at %d", interval, seg.Mismatch)
 		}
 		row.Segments = seg.Segments
 		prev := uint64(0)
@@ -96,13 +95,8 @@ func TableCheckpoint(o Options) ([]CkptRow, error) {
 		if rec.EventCount-prev > row.CriticalPath {
 			row.CriticalPath = rec.EventCount - prev
 		}
-		rows[i] = row
-		return nil
+		return row, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // RenderTableCheckpoint prints T-CKPT.

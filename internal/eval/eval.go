@@ -1,7 +1,8 @@
 // Package eval is the experiment harness: it regenerates every figure and
 // table of the paper's evaluation (see DESIGN.md §3 for the experiment
 // index). Each experiment returns structured rows and has a text renderer
-// that prints the series the paper plots.
+// that prints the series the paper plots; experiments.go is the registry
+// that names each pair as one artifact.
 package eval
 
 import (
@@ -123,6 +124,21 @@ dispatch:
 	return nil
 }
 
+// grid evaluates n independent cells across o's worker pool (o already
+// defaulted) and returns them in index order — runGrid with the result
+// slice owned here, so every generator is a single cell function.
+func grid[T any](o Options, n int, fn func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	err := runGrid(o.Ctx, n, o.Workers, func(i int) (err error) {
+		out[i], err = fn(i)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // corpus resolves the scenario list.
 func (o Options) corpus() []*scenario.Scenario {
 	all := workload.All()
@@ -179,20 +195,16 @@ func cellOf(ev *core.Evaluation) Cell {
 	}
 }
 
-// runCell evaluates one (scenario, model) pair with the harness defaults.
-// RCSE cells use code-based selection alone, matching §4 ("RCSE based on
-// control-plane code selection"); the trigger variants are measured
-// separately in the T-TRIG ablation. The inner replay search is pinned
-// sequential: the grid is the parallel axis (see Options.Workers).
-func runCell(s *scenario.Scenario, model record.Model, o Options) (Cell, error) {
-	return runCellAt(s, model, o, 0, nil)
-}
-
-// runCellAt is runCell with an explicit production seed and parameter
-// overrides (both zero-valued for the standard tables; T-FUZZ pins them
-// to a regenerated program). All tables share this one cell constructor
-// so they can never drift apart.
-func runCellAt(s *scenario.Scenario, model record.Model, o Options, seed int64, params scenario.Params) (Cell, error) {
+// runCell evaluates one (scenario, model) pair with the harness defaults,
+// at an explicit production seed and parameter overrides (both zero-valued
+// for the standard tables; T-FUZZ pins them to a regenerated program).
+// All tables share this one cell constructor — and its error wrap, which
+// names the table — so they can never drift apart. RCSE cells use
+// code-based selection alone, matching §4 ("RCSE based on control-plane
+// code selection"); the trigger variants are measured separately in the
+// T-TRIG ablation. The inner replay search is pinned sequential: the grid
+// is the parallel axis (see Options.Workers).
+func runCell(table string, s *scenario.Scenario, model record.Model, o Options, seed int64, params scenario.Params) (Cell, error) {
 	ev, err := core.Evaluate(s, model, core.Options{
 		Ctx:                o.Ctx,
 		Seed:               seed,
@@ -202,7 +214,7 @@ func runCellAt(s *scenario.Scenario, model record.Model, o Options, seed int64, 
 		CheckpointInterval: o.CheckpointInterval,
 	})
 	if err != nil {
-		return Cell{}, err
+		return Cell{}, fmt.Errorf("%s %s/%s: %w", table, s.Name, model, err)
 	}
 	return cellOf(ev), nil
 }
@@ -226,15 +238,8 @@ func Fig1(o Options) ([]Fig1Row, error) {
 	o = o.withDefaults()
 	models := record.AllModels()
 	corpus := o.corpus()
-	cells := make([]Cell, len(models)*len(corpus))
-	err := runGrid(o.Ctx, len(cells), o.Workers, func(i int) error {
-		model, s := models[i/len(corpus)], corpus[i%len(corpus)]
-		c, err := runCell(s, model, o)
-		if err != nil {
-			return fmt.Errorf("fig1 %s/%s: %w", s.Name, model, err)
-		}
-		cells[i] = c
-		return nil
+	cells, err := grid(o, len(models)*len(corpus), func(i int) (Cell, error) {
+		return runCell("fig1", corpus[i%len(corpus)], models[i/len(corpus)], o, 0, nil)
 	})
 	if err != nil {
 		return nil, err
@@ -290,19 +295,9 @@ func Fig2(o Options) ([]Cell, error) {
 		record.Value, record.Failure, record.DebugRCSE,
 		record.Perfect, record.Output,
 	}
-	cells := make([]Cell, len(models))
-	err = runGrid(o.Ctx, len(models), o.Workers, func(i int) error {
-		c, err := runCell(s, models[i], o)
-		if err != nil {
-			return fmt.Errorf("fig2 %s: %w", models[i], err)
-		}
-		cells[i] = c
-		return nil
+	return grid(o, len(models), func(i int) (Cell, error) {
+		return runCell("fig2", s, models[i], o, 0, nil)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return cells, nil
 }
 
 // RenderFig2 prints the Fig. 2 points.
@@ -348,68 +343,87 @@ func TableOverhead(cells []Cell) string {
 	return b.String()
 }
 
-// DynoKVScenarios lists the Dynamo-style replication family measured by
-// T-DYNO, derived from the family itself so the table can never drift
-// from the catalog.
-var DynoKVScenarios = func() []string {
+// familyTable is one scenario family swept over every determinism model:
+// the shape T-DYNO, T-DISK and T-FUZZ share, so the three tables have one
+// generator and one renderer and differ only in this data.
+type familyTable struct {
+	name      string // artifact name; also the cell error prefix
+	title     string
+	note      string
+	width     int // scenario column width
+	scenarios []string
+}
+
+// scenarioNames derives a table's scenario list from the family itself, so
+// the table can never drift from the catalog.
+func scenarioNames(family []*scenario.Scenario) []string {
 	var names []string
-	for _, s := range dynokv.Family() {
+	for _, s := range family {
 		names = append(names, s.Name)
 	}
 	return names
-}()
+}
+
+var (
+	// DynoKVScenarios lists the Dynamo-style replication family measured
+	// by T-DYNO.
+	DynoKVScenarios = scenarioNames(dynokv.Family())
+	// DiskScenarios lists the durability family measured by T-DISK.
+	DiskScenarios = scenarioNames(dynokv.DurableFamily())
+	// FuzzScenarios lists the generated fuzz family measured by T-FUZZ.
+	FuzzScenarios = scenarioNames(progen.Corpus())
+
+	dynoTable = familyTable{"dynokv",
+		"Table DYNO — determinism models on the Dynamo-style replication family",
+		"(debug determinism must match the best fidelity at near-native overhead)",
+		18, DynoKVScenarios}
+	diskTable = familyTable{"disk",
+		"Table DISK — determinism models on the durability family",
+		"(crash-restart bugs on the simulated disk: torn WAL, fsync reordering, snapshot resurrection)",
+		18, DiskScenarios}
+	fuzzTable = familyTable{"fuzz",
+		"Table FUZZ — determinism models on the generated scenario family",
+		"(pinned failing defaults; rerun any fuzzer seed with -gen)",
+		16, FuzzScenarios}
+)
+
+// cells evaluates every determinism model on every family member, at the
+// given production seed and parameter overrides (zero-valued except for a
+// regenerated T-FUZZ).
+func (f familyTable) cells(o Options, seed int64, params scenario.Params) ([]Cell, error) {
+	o = o.withDefaults()
+	models := record.AllModels()
+	return grid(o, len(f.scenarios)*len(models), func(i int) (Cell, error) {
+		s, err := workload.ByName(f.scenarios[i/len(models)])
+		if err != nil {
+			return Cell{}, err
+		}
+		return runCell(f.name, s, models[i%len(models)], o, seed, params)
+	})
+}
+
+// renderFamily prints a family table.
+func renderFamily(f familyTable, cells []Cell) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s\n%s\n\n", f.title, f.note)
+	fmt.Fprintf(&b, "%-*s %-12s %9s %9s %6s %7s %7s %-16s\n", f.width,
+		"scenario", "model", "overhead", "logbytes", "DF", "DE", "DU", "replay cause")
+	for _, c := range cells {
+		fmt.Fprintf(&b, "%-*s %-12s %8.2fx %9d %6.3f %7.3f %7.3f %-16s\n", f.width,
+			c.Scenario, c.Model, c.Overhead, c.LogBytes, c.DF, c.DE, c.DU, c.ReplayCause)
+	}
+	return b.String()
+}
 
 // TableDynoKV evaluates every determinism model on the replication family
 // (T-DYNO): the distributed-bug counterpart of Fig. 2. It extends the §4
 // case study from one distributed scenario to a family whose root causes
 // are cross-node and timing-dependent — quorum non-overlap, premature
 // tombstone GC, abandoned hinted handoff.
-func TableDynoKV(o Options) ([]Cell, error) {
-	o = o.withDefaults()
-	models := record.AllModels()
-	cells := make([]Cell, len(DynoKVScenarios)*len(models))
-	err := runGrid(o.Ctx, len(cells), o.Workers, func(i int) error {
-		name, model := DynoKVScenarios[i/len(models)], models[i%len(models)]
-		s, err := workload.ByName(name)
-		if err != nil {
-			return err
-		}
-		c, err := runCell(s, model, o)
-		if err != nil {
-			return fmt.Errorf("dynokv %s/%s: %w", name, model, err)
-		}
-		cells[i] = c
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return cells, nil
-}
+func TableDynoKV(o Options) ([]Cell, error) { return dynoTable.cells(o, 0, nil) }
 
 // RenderTableDynoKV prints T-DYNO.
-func RenderTableDynoKV(cells []Cell) string {
-	var b strings.Builder
-	b.WriteString("Table DYNO — determinism models on the Dynamo-style replication family\n")
-	b.WriteString("(debug determinism must match the best fidelity at near-native overhead)\n\n")
-	fmt.Fprintf(&b, "%-18s %-12s %9s %9s %6s %7s %7s %-16s\n",
-		"scenario", "model", "overhead", "logbytes", "DF", "DE", "DU", "replay cause")
-	for _, c := range cells {
-		fmt.Fprintf(&b, "%-18s %-12s %8.2fx %9d %6.3f %7.3f %7.3f %-16s\n",
-			c.Scenario, c.Model, c.Overhead, c.LogBytes, c.DF, c.DE, c.DU, c.ReplayCause)
-	}
-	return b.String()
-}
-
-// DiskScenarios lists the durability family measured by T-DISK, derived
-// from the family itself so the table can never drift from the catalog.
-var DiskScenarios = func() []string {
-	var names []string
-	for _, s := range dynokv.DurableFamily() {
-		names = append(names, s.Name)
-	}
-	return names
-}()
+func RenderTableDynoKV(cells []Cell) string { return renderFamily(dynoTable, cells) }
 
 // TableDisk evaluates every determinism model on the durability family
 // (T-DISK): crash-restart bugs on the simulated disk — torn-WAL
@@ -418,53 +432,10 @@ var DiskScenarios = func() []string {
 // the table's point: output and failure determinism satisfy their
 // contracts with a device-loss explanation while debug determinism
 // reproduces the real reordering.
-func TableDisk(o Options) ([]Cell, error) {
-	o = o.withDefaults()
-	models := record.AllModels()
-	cells := make([]Cell, len(DiskScenarios)*len(models))
-	err := runGrid(o.Ctx, len(cells), o.Workers, func(i int) error {
-		name, model := DiskScenarios[i/len(models)], models[i%len(models)]
-		s, err := workload.ByName(name)
-		if err != nil {
-			return err
-		}
-		c, err := runCell(s, model, o)
-		if err != nil {
-			return fmt.Errorf("disk %s/%s: %w", name, model, err)
-		}
-		cells[i] = c
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return cells, nil
-}
+func TableDisk(o Options) ([]Cell, error) { return diskTable.cells(o, 0, nil) }
 
 // RenderTableDisk prints T-DISK.
-func RenderTableDisk(cells []Cell) string {
-	var b strings.Builder
-	b.WriteString("Table DISK — determinism models on the durability family\n")
-	b.WriteString("(crash-restart bugs on the simulated disk: torn WAL, fsync reordering, snapshot resurrection)\n\n")
-	fmt.Fprintf(&b, "%-18s %-12s %9s %9s %6s %7s %7s %-16s\n",
-		"scenario", "model", "overhead", "logbytes", "DF", "DE", "DU", "replay cause")
-	for _, c := range cells {
-		fmt.Fprintf(&b, "%-18s %-12s %8.2fx %9d %6.3f %7.3f %7.3f %-16s\n",
-			c.Scenario, c.Model, c.Overhead, c.LogBytes, c.DF, c.DE, c.DU, c.ReplayCause)
-	}
-	return b.String()
-}
-
-// FuzzScenarios lists the generated fuzz family measured by T-FUZZ,
-// derived from the progen corpus so the table can never drift from the
-// catalog.
-var FuzzScenarios = func() []string {
-	var names []string
-	for _, s := range progen.Corpus() {
-		names = append(names, s.Name)
-	}
-	return names
-}()
+func RenderTableDisk(cells []Cell) string { return renderFamily(diskTable, cells) }
 
 // TableFuzz evaluates every determinism model on the generated fuzz
 // family (T-FUZZ). gen selects the generator seed: nil keeps each
@@ -474,51 +445,20 @@ var FuzzScenarios = func() []string {
 // targets derive from it (progen.ForSeed), so a fuzzer-found execution
 // reproduces exactly through the full evaluation pipeline.
 func TableFuzz(o Options, gen *int64) ([]Cell, error) {
-	o = o.withDefaults()
-	models := record.AllModels()
-	var params scenario.Params
-	var seed int64
-	if gen != nil {
-		p := progen.ForSeed(*gen)
-		params = p.Params
-		seed = p.Seed
+	if gen == nil {
+		return fuzzTable.cells(o, 0, nil)
 	}
-	cells := make([]Cell, len(FuzzScenarios)*len(models))
-	err := runGrid(o.Ctx, len(cells), o.Workers, func(i int) error {
-		name, model := FuzzScenarios[i/len(models)], models[i%len(models)]
-		s, err := workload.ByName(name)
-		if err != nil {
-			return err
-		}
-		c, err := runCellAt(s, model, o, seed, params)
-		if err != nil {
-			return fmt.Errorf("fuzz %s/%s: %w", name, model, err)
-		}
-		cells[i] = c
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return cells, nil
+	p := progen.ForSeed(*gen)
+	return fuzzTable.cells(o, p.Seed, p.Params)
 }
 
 // RenderTableFuzz prints T-FUZZ.
 func RenderTableFuzz(cells []Cell, gen *int64) string {
-	var b strings.Builder
-	b.WriteString("Table FUZZ — determinism models on the generated scenario family\n")
-	if gen == nil {
-		b.WriteString("(pinned failing defaults; rerun any fuzzer seed with -gen)\n\n")
-	} else {
-		fmt.Fprintf(&b, "(all four templates regenerated from generator seed %d)\n\n", progen.Normalize(*gen))
+	f := fuzzTable
+	if gen != nil {
+		f.note = fmt.Sprintf("(all four templates regenerated from generator seed %d)", progen.Normalize(*gen))
 	}
-	fmt.Fprintf(&b, "%-16s %-12s %9s %9s %6s %7s %7s %-16s\n",
-		"scenario", "model", "overhead", "logbytes", "DF", "DE", "DU", "replay cause")
-	for _, c := range cells {
-		fmt.Fprintf(&b, "%-16s %-12s %8.2fx %9d %6.3f %7.3f %7.3f %-16s\n",
-			c.Scenario, c.Model, c.Overhead, c.LogBytes, c.DF, c.DE, c.DU, c.ReplayCause)
-	}
-	return b.String()
+	return renderFamily(f, cells)
 }
 
 // PlaneRow is one scenario's classification-accuracy measurement (T-PLANE).
@@ -540,14 +480,12 @@ func TablePlane(o Options) ([]PlaneRow, error) {
 		}
 		subjects = append(subjects, s)
 	}
-	rows := make([]PlaneRow, len(subjects))
-	err := runGrid(o.Ctx, len(subjects), o.Workers, func(i int) error {
+	rows, err := grid(o, len(subjects), func(i int) (PlaneRow, error) {
 		s := subjects[i]
 		v := s.Exec(scenario.ExecOptions{Seed: s.DefaultSeed + 101})
 		c := plane.ClassifyTrace(v.Trace, plane.Options{})
 		acc, verdicts := plane.Accuracy(c, v.Machine.Sites(), s.PlaneTruth)
-		rows[i] = PlaneRow{Scenario: s.Name, Accuracy: acc, Verdicts: verdicts}
-		return nil
+		return PlaneRow{Scenario: s.Name, Accuracy: acc, Verdicts: verdicts}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -635,12 +573,11 @@ func TableTriggers(o Options) ([]TrigRow, error) {
 		{"code+race+inv", core.RCSEOptions{RaceTrigger: true, InvariantTrigger: true}},
 	}
 	scenarios := []string{"hyperkv-dataloss", "msgdrop", "bank"}
-	rows := make([]TrigRow, len(scenarios)*len(cfgs))
-	err := runGrid(o.Ctx, len(rows), o.Workers, func(i int) error {
+	return grid(o, len(scenarios)*len(cfgs), func(i int) (TrigRow, error) {
 		name, c := scenarios[i/len(cfgs)], cfgs[i%len(cfgs)]
 		s, err := workload.ByName(name)
 		if err != nil {
-			return err
+			return TrigRow{}, err
 		}
 		ev, err := core.Evaluate(s, record.DebugRCSE, core.Options{
 			Ctx:          o.Ctx,
@@ -649,7 +586,7 @@ func TableTriggers(o Options) ([]TrigRow, error) {
 			Workers:      1,
 		})
 		if err != nil {
-			return fmt.Errorf("triggers %s/%s: %w", name, c.name, err)
+			return TrigRow{}, fmt.Errorf("triggers %s/%s: %w", name, c.name, err)
 		}
 		row := TrigRow{
 			Scenario:   name,
@@ -667,13 +604,8 @@ func TableTriggers(o Options) ([]TrigRow, error) {
 				row.InvFires = ev.RCSESetup.InvariantTrigger.Fired()
 			}
 		}
-		rows[i] = row
-		return nil
+		return row, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // RenderTableTriggers prints T-TRIG.
@@ -749,23 +681,22 @@ type StatRow struct {
 // suspects — comparing total search work and accepted executions.
 func TableStat(o Options) ([]StatRow, error) {
 	o = o.withDefaults()
-	rows := make([]StatRow, len(StatScenarios))
-	err := runGrid(o.Ctx, len(rows), o.Workers, func(i int) error {
+	return grid(o, len(StatScenarios), func(i int) (StatRow, error) {
 		name := StatScenarios[i]
 		s, err := workload.ByName(name)
 		if err != nil {
-			return err
+			return StatRow{}, err
 		}
 		suspects, triageRuns := sites.TriageSeeds(s, s.DefaultSeed+statTriageOffset, 0, nil)
 		if len(suspects) == 0 {
-			return fmt.Errorf("stat %s: triage produced no suspects", name)
+			return StatRow{}, fmt.Errorf("stat %s: triage produced no suspects", name)
 		}
 		// The two family members name their round-count parameter
 		// differently; setting both keys configures either.
 		params := scenario.Params{"iterations": statIterations, "iters": statIterations}
 		failSeed, ok := statFailingSeed(s, params)
 		if !ok {
-			return fmt.Errorf("stat %s: no failing seed in %d tries", name, statRecordScan)
+			return StatRow{}, fmt.Errorf("stat %s: no failing seed in %d tries", name, statRecordScan)
 		}
 		rec, _, _, err := core.RecordOnly(s, record.Failure, core.Options{
 			Ctx:    o.Ctx,
@@ -773,7 +704,7 @@ func TableStat(o Options) ([]StatRow, error) {
 			Params: params,
 		})
 		if err != nil {
-			return fmt.Errorf("stat %s: %w", name, err)
+			return StatRow{}, fmt.Errorf("stat %s: %w", name, err)
 		}
 		row := StatRow{
 			Scenario:   name,
@@ -792,13 +723,13 @@ func TableStat(o Options) ([]StatRow, error) {
 			ro.Suspects = suspects
 			seeded := replay.Replay(s, rec, ro)
 			if base.Err != nil {
-				return base.Err
+				return row, base.Err
 			}
 			if seeded.Err != nil {
-				return seeded.Err
+				return row, seeded.Err
 			}
 			if !base.Ok || !seeded.Ok {
-				return fmt.Errorf("stat %s seed %d: search failed (base %q, seeded %q)",
+				return StatRow{}, fmt.Errorf("stat %s seed %d: search failed (base %q, seeded %q)",
 					name, seed, base.Note, seeded.Note)
 			}
 			row.BaseAttempts += base.Attempts
@@ -807,13 +738,8 @@ func TableStat(o Options) ([]StatRow, error) {
 			row.SeededWorkSteps += seeded.WorkSteps
 			row.Identical = row.Identical && sameAccepted(base, seeded)
 		}
-		rows[i] = row
-		return nil
+		return row, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // statFailingSeed scans for a production seed that exhibits the failure

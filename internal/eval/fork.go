@@ -82,28 +82,24 @@ func (r ForkRow) Saving() float64 {
 // work.
 func TableFork(o Options) ([]ForkRow, error) {
 	o = o.withDefaults()
-	rows := make([]ForkRow, len(forkCases))
-	err := runGrid(o.Ctx, len(rows), o.Workers, func(i int) error {
+	return grid(o, len(forkCases), func(i int) (ForkRow, error) {
 		tc := forkCases[i]
 		s, err := workload.ByName(tc.Scenario)
 		if err != nil {
-			return err
+			return ForkRow{}, err
 		}
+		var row ForkRow
 		switch tc.Shape {
 		case "sweep":
-			rows[i], err = forkSweepRow(s, o)
+			row, err = forkSweepRow(s, o)
 		default:
-			rows[i], err = forkSearchRow(s, tc.Model, o)
+			row, err = forkSearchRow(s, tc.Model, o)
 		}
 		if err != nil {
-			return fmt.Errorf("fork %s/%s: %w", tc.Scenario, tc.Shape, err)
+			return ForkRow{}, fmt.Errorf("fork %s/%s: %w", tc.Scenario, tc.Shape, err)
 		}
-		return nil
+		return row, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // forkSearchRow measures a Fig1-class model reconstruction.

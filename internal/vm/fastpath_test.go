@@ -16,7 +16,7 @@ func fastpathProgram(disableInline bool, sched Scheduler, seed int64) *Result {
 		Scheduler:     sched,
 		Inputs:        SeededInputs(seed, 100),
 		CollectTrace:  true,
-		DisableInline: disableInline,
+		disableInline: disableInline,
 	})
 	mu := m.NewMutex("mu")
 	c := m.NewCell("c", trace.Int(0))
@@ -98,7 +98,7 @@ func TestInlineFastPathEquivalence(t *testing.T) {
 // and for terminal ops excluded from inlining (fail, deadlock, aborted).
 func TestInlineFastPathTerminalOps(t *testing.T) {
 	build := func(disable bool, body func(m *Machine) func(*Thread)) *Result {
-		m := New(Config{Seed: 1, CollectTrace: true, DisableInline: disable, MaxSteps: 64})
+		m := New(Config{Seed: 1, CollectTrace: true, disableInline: disable, MaxSteps: 64})
 		return m.Run(body(m))
 	}
 	cases := map[string]struct {

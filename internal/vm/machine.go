@@ -67,12 +67,12 @@ type Config struct {
 	// depend on channel state, which evolves identically under the
 	// forced schedule.
 	RelaxTime bool
-	// DisableInline turns off the inline run-to-next-schedule-point fast
+	// disableInline turns off the inline run-to-next-schedule-point fast
 	// path, forcing every operation through the yieldCh/resumeCh baton.
-	// The fast path is bit-equivalent to the baton path (the equivalence
-	// test pins this); the switch exists for benchmarking the handoff
-	// cost and for debugging the VM itself.
-	DisableInline bool
+	// The fast path is bit-equivalent to the baton path; the switch is
+	// unexported because its one use is the package's own tests, which
+	// pin that equivalence.
+	disableInline bool
 	// LogRounds makes the machine keep a log of every scheduling decision
 	// — (seq, enabled set, pick) per round; see SchedRound — readable via
 	// Rounds. Pure observation: the log perturbs neither the execution

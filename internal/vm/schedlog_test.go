@@ -34,7 +34,7 @@ func buildRacy(m *Machine) func(*Thread) {
 // fast path and the baton path.
 func TestLogRoundsMatchesTrace(t *testing.T) {
 	for _, disableInline := range []bool{false, true} {
-		m := New(Config{Seed: 3, CollectTrace: true, LogRounds: true, DisableInline: disableInline})
+		m := New(Config{Seed: 3, CollectTrace: true, LogRounds: true, disableInline: disableInline})
 		main := buildRacy(m)
 		res := m.Run(main)
 		if res.Outcome != OutcomeOK {

@@ -433,7 +433,7 @@ func (m *Machine) resume(t *Thread) {
 		<-t.unwound
 		return
 	}
-	if !m.cfg.DisableInline {
+	if !m.cfg.disableInline {
 		m.inlineOwner = t
 	}
 	t.resumeCh <- struct{}{}

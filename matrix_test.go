@@ -1,6 +1,7 @@
 package debugdet
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -14,6 +15,7 @@ func TestFullMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix is a long test")
 	}
+	eng, ctx := New(), context.Background()
 	// Expected DF per scenario and model, from EXPERIMENTS.md.
 	expect := map[string]map[Model]float64{
 		"sum": {
@@ -80,18 +82,18 @@ func TestFullMatrix(t *testing.T) {
 			Perfect: 1, Value: 1, Output: 1, Failure: 1, DebugRCSE: 1,
 		},
 	}
-	if len(expect) != len(Scenarios()) {
-		t.Fatalf("matrix covers %d scenarios, corpus has %d", len(expect), len(Scenarios()))
+	if len(expect) != len(eng.Scenarios()) {
+		t.Fatalf("matrix covers %d scenarios, corpus has %d", len(expect), len(eng.Scenarios()))
 	}
 	for name, models := range expect {
 		name, models := name, models
 		t.Run(name, func(t *testing.T) {
-			s, err := ScenarioByName(name)
+			s, err := eng.ByName(name)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for model, wantDF := range models {
-				ev, err := Evaluate(s, model, Options{ReplayBudget: 200})
+				ev, err := eng.Evaluate(ctx, s, model, Options{ReplayBudget: 200})
 				if err != nil {
 					t.Fatalf("%s: %v", model, err)
 				}
@@ -124,21 +126,22 @@ func TestDynoKVRCSEBeatsFailureDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full evaluations are long tests")
 	}
-	for _, name := range ScenarioNames() {
+	eng, ctx := New(), context.Background()
+	for _, name := range eng.Names() {
 		if !strings.HasPrefix(name, "dynokv-") || strings.HasSuffix(name, "-fixed") {
 			continue
 		}
 		name := name
 		t.Run(name, func(t *testing.T) {
-			s, err := ScenarioByName(name)
+			s, err := eng.ByName(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rcse, err := Evaluate(s, DebugRCSE, Options{ReplayBudget: 200})
+			rcse, err := eng.Evaluate(ctx, s, DebugRCSE, Options{ReplayBudget: 200})
 			if err != nil {
 				t.Fatal(err)
 			}
-			fail, err := Evaluate(s, Failure, Options{ReplayBudget: 200})
+			fail, err := eng.Evaluate(ctx, s, Failure, Options{ReplayBudget: 200})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +153,7 @@ func TestDynoKVRCSEBeatsFailureDeterminism(t *testing.T) {
 			}
 			// The sweet spot also requires near-native recording cost:
 			// RCSE must record strictly less than value determinism.
-			value, err := Evaluate(s, Value, Options{ReplayBudget: 200})
+			value, err := eng.Evaluate(ctx, s, Value, Options{ReplayBudget: 200})
 			if err != nil {
 				t.Fatal(err)
 			}

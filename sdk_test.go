@@ -114,8 +114,9 @@ func TestEngineMethodsCanceled(t *testing.T) {
 			len(ex.Missing), len(s.RootCauses))
 	}
 
-	// A context set on the options struct (the deprecated API's channel)
-	// must be honored too, not silently overwritten by the argument.
+	// A context set on the options struct (internal/core's channel, which
+	// the aliased Options still carries) must be honored too, not silently
+	// overwritten by the argument.
 	if _, err := eng.Evaluate(context.Background(), s, debugdet.Failure,
 		debugdet.Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
 		t.Errorf("Evaluate with canceled Options.Ctx error = %v, want context.Canceled", err)
@@ -191,8 +192,7 @@ func TestRegistryRules(t *testing.T) {
 		t.Error("duplicate user registration succeeded")
 	}
 
-	// Nearest-match suggestions, from both the registry and the
-	// deprecated workload-backed path.
+	// Nearest-match suggestions.
 	_, err := eng.ByName("dynokv-stale")
 	if err == nil || !strings.Contains(err.Error(), `did you mean "dynokv-staleread"?`) {
 		t.Errorf("registry suggestion missing: %v", err)
@@ -200,9 +200,9 @@ func TestRegistryRules(t *testing.T) {
 	if !strings.Contains(err.Error(), "ticket-oversell") {
 		t.Errorf("error does not list available names: %v", err)
 	}
-	_, err = debugdet.ScenarioByName("overfow")
+	_, err = eng.ByName("overfow")
 	if err == nil || !strings.Contains(err.Error(), `did you mean "overflow"?`) {
-		t.Errorf("workload suggestion missing: %v", err)
+		t.Errorf("registry suggestion missing: %v", err)
 	}
 
 	// An engine without builtins starts empty.
