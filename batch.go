@@ -3,9 +3,9 @@ package debugdet
 import (
 	"context"
 	"iter"
-	"sync"
 
 	"debugdet/internal/core"
+	"debugdet/internal/par"
 )
 
 // Job is one cell of an evaluation grid: a scenario (by registry name)
@@ -54,80 +54,35 @@ func GridJobs(scenarios []string, models []Model, seeds ...int64) []Job {
 }
 
 // EvaluateBatch evaluates a (scenario, model, seed) grid across the
-// engine's worker budget and streams results as cells finish, in job
-// order: a result is yielded as soon as the frontier job completes, while
-// later cells keep computing in the background. Each cell is evaluated
-// with its inner replay search pinned sequential — the grid is the
-// parallel axis — so every cell's result is identical to what a lone
-// Evaluate would produce, for every worker count.
+// engine's worker budget and streams results in job order: a result is
+// yielded as soon as the frontier job completes, while a bounded window of
+// later cells (a few per worker) computes ahead of the consumer. Each
+// cell is evaluated with its inner replay search pinned sequential — the
+// grid is the parallel axis — so every cell's result is identical to what a
+// lone Evaluate would produce, for every worker count.
 //
 // A failed cell yields (JobResult{Job: job}, err) and the batch
 // continues; cancelling ctx stops the batch after surfacing the context
-// error. Breaking out of the range loop stops the remaining work.
+// error. Breaking out of the range loop stops the remaining work; either
+// way no goroutine outlives the iterator.
 func (e *Engine) EvaluateBatch(ctx context.Context, jobs []Job) iter.Seq2[JobResult, error] {
 	return func(yield func(JobResult, error) bool) {
-		if len(jobs) == 0 {
-			return
-		}
-		ictx, cancel := context.WithCancel(ctx)
-		defer cancel()
-
-		type slot struct {
+		type cell struct {
 			ev  *Evaluation
 			err error
 		}
-		results := make([]chan slot, len(jobs))
-		for i := range results {
-			results[i] = make(chan slot, 1)
-		}
-		workers := e.effectiveWorkers()
-		if workers > len(jobs) {
-			workers = len(jobs)
-		}
-		idxCh := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idxCh {
-					ev, err := e.runJob(ictx, jobs[i])
-					results[i] <- slot{ev, err}
-				}
-			}()
-		}
-		go func() {
-			defer close(idxCh)
-			for i := range jobs {
-				select {
-				case idxCh <- i:
-				case <-ictx.Done():
-					return
-				}
-			}
-		}()
-		// Cancel and drain the pool whichever way the consumer leaves.
-		defer wg.Wait()
-		defer cancel()
-
-		for i := range jobs {
-			// Check cancellation before draining: completed cells may
-			// already be buffered, and a canceled batch must stop rather
-			// than stream them out.
-			if err := ctx.Err(); err != nil {
-				yield(JobResult{Job: jobs[i]}, err)
+		next := 0
+		for i, c := range par.Ordered(ctx, len(jobs), e.workers, func(ctx context.Context, i int) cell {
+			ev, err := e.runJob(ctx, jobs[i])
+			return cell{ev, err}
+		}) {
+			next = i + 1
+			if !yield(JobResult{Job: jobs[i], Evaluation: c.ev}, c.err) {
 				return
 			}
-			var s slot
-			select {
-			case s = <-results[i]:
-			case <-ctx.Done():
-				yield(JobResult{Job: jobs[i]}, ctx.Err())
-				return
-			}
-			if !yield(JobResult{Job: jobs[i], Evaluation: s.ev}, s.err) {
-				return
-			}
+		}
+		if next < len(jobs) {
+			yield(JobResult{Job: jobs[next]}, ctx.Err())
 		}
 	}
 }

@@ -22,41 +22,22 @@ func runDebug(scenarioName, in string, seed int64, ckpt int64, script string) {
 	if ckpt < 0 {
 		fatal(fmt.Errorf("-ckpt must not be negative (got %d; 0 means the default interval)", ckpt))
 	}
-	var d *debugdet.DebugSession
-	var s *debugdet.Scenario
-	var err error
-	switch {
-	case in != "" && isDir(in):
-		// A flight recorder's spill directory: debug over the segment
-		// store, no monolithic recording in memory.
-		st, oerr := debugdet.OpenSegmentStore(in)
-		if oerr != nil {
-			fatal(oerr)
+	var st debugdet.SegmentStore
+	if in != "" {
+		st = openStore(in)
+		if scenarioName == "" {
+			scenarioName = st.Meta().Scenario
 		}
-		name := scenarioName
-		if name == "" {
-			name = st.Meta().Scenario
-		}
-		s = mustScenario(name)
-		d, err = eng.DebugStore(context.Background(), s, st, debugdet.DebugOptions{Interval: uint64(ckpt)})
-	case in != "":
-		rec := loadRecording(in)
-		name := scenarioName
-		if name == "" {
-			name = rec.Scenario
-		}
-		s = mustScenario(name)
-		d, err = eng.Debug(context.Background(), s, rec, debugdet.DebugOptions{Interval: uint64(ckpt)})
-	default:
+	}
+	s := mustScenario(scenarioName)
+	if st == nil {
 		// No recording on disk: record the scenario's default failing run
 		// under the perfect model on the fly, checkpointed.
-		s = mustScenario(scenarioName)
 		interval := ckpt
 		if interval == 0 {
 			interval = 64
 		}
-		var rec *debugdet.Recording
-		rec, _, err = eng.Record(context.Background(), s, debugdet.Perfect, debugdet.Options{
+		rec, _, err := eng.Record(context.Background(), s, debugdet.Perfect, debugdet.Options{
 			Seed:               seed,
 			CheckpointInterval: interval,
 		})
@@ -64,8 +45,9 @@ func runDebug(scenarioName, in string, seed int64, ckpt int64, script string) {
 			fatal(err)
 		}
 		fmt.Printf("recorded %s: %d events, %d checkpoints\n", s.Name, rec.EventCount, len(rec.Checkpoints))
-		d, err = eng.Debug(context.Background(), s, rec, debugdet.DebugOptions{Interval: uint64(ckpt)})
+		st = rec.Store()
 	}
+	d, err := eng.DebugStore(context.Background(), s, st, debugdet.DebugOptions{Interval: uint64(ckpt)})
 	if err != nil {
 		fatal(err)
 	}

@@ -332,36 +332,7 @@ func runSeek(scenarioName, in string, target uint64) {
 	if in == "" {
 		fatal(fmt.Errorf("missing -in recording path"))
 	}
-	if isDir(in) {
-		runSeekStore(scenarioName, in, target)
-		return
-	}
-	rec := loadRecording(in)
-	name := scenarioName
-	if name == "" {
-		name = rec.Scenario
-	}
-	s := mustScenario(name)
-	sess, err := eng.Seek(context.Background(), s, rec, target, debugdet.ReplayOptions{})
-	if err != nil {
-		fatal(err)
-	}
-	defer sess.Close()
-	from := "start (no checkpoint ≤ target)"
-	if sess.FromCheckpoint {
-		from = fmt.Sprintf("checkpoint @%d", sess.SuffixFrom)
-	}
-	fmt.Printf("position %d/%d, restored from %s, replayed %d events\n",
-		sess.Pos(), rec.EventCount, from, sess.ReplaySteps)
-	printThreads(sess.Machine)
-}
-
-// runSeekStore is runSeek over a flight recorder's spill directory.
-func runSeekStore(scenarioName, dir string, target uint64) {
-	st, err := debugdet.OpenSegmentStore(dir)
-	if err != nil {
-		fatal(err)
-	}
+	st := openStore(in)
 	name := scenarioName
 	if name == "" {
 		name = st.Meta().Scenario
@@ -372,13 +343,27 @@ func runSeekStore(scenarioName, dir string, target uint64) {
 		fatal(err)
 	}
 	defer sess.Close()
-	from := "start (no retained checkpoint ≤ target)"
+	from := "start (no checkpoint ≤ target)"
 	if sess.FromCheckpoint {
 		from = fmt.Sprintf("checkpoint @%d", sess.SuffixFrom)
 	}
 	fmt.Printf("position %d/%d, restored from %s, replayed %d events\n",
 		sess.Pos(), st.Meta().EventCount, from, sess.ReplaySteps)
 	printThreads(sess.Machine)
+}
+
+// openStore opens what seek and debug navigate: a flight recorder's spill
+// directory as it stands on disk, or a .ddrc recording through its store
+// view — one code path for both.
+func openStore(in string) debugdet.SegmentStore {
+	if !isDir(in) {
+		return loadRecording(in).Store()
+	}
+	st, err := debugdet.OpenSegmentStore(in)
+	if err != nil {
+		fatal(err)
+	}
+	return st
 }
 
 // isDir reports whether path exists and is a directory (a flight

@@ -2,7 +2,6 @@ package debugdet
 
 import (
 	"context"
-	"runtime"
 
 	"debugdet/internal/core"
 	"debugdet/internal/flightrec"
@@ -28,9 +27,9 @@ type Option func(*Engine)
 
 // WithWorkers sets the engine's worker budget: the number of batch cells
 // (EvaluateBatch) or inference candidates (Evaluate, Replay,
-// ExploreCauses) run concurrently. 0 means GOMAXPROCS, 1 is sequential.
-// Every result is identical for every worker count.
-func WithWorkers(n int) Option { return func(e *Engine) { e.workers = n } }
+// ExploreCauses) run concurrently. 0 (or less) means GOMAXPROCS, 1 is
+// sequential. Every result is identical for every worker count.
+func WithWorkers(n int) Option { return func(e *Engine) { e.workers = max(n, 0) } }
 
 // WithReplayBudget sets the default inference budget for search-based
 // replay (default 200). Options.ReplayBudget overrides it per call.
@@ -83,14 +82,6 @@ func (e *Engine) Names() []string { return e.reg.Names() }
 // variants) in registration order.
 func (e *Engine) Scenarios() []*Scenario { return e.reg.Scenarios() }
 
-// effectiveWorkers resolves the engine's worker budget.
-func (e *Engine) effectiveWorkers() int {
-	if e.workers > 0 {
-		return e.workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // fill applies the engine defaults and the call's context to per-call
 // options. The returned cleanup must run when the call finishes; it
 // releases the merged-context plumbing.
@@ -101,7 +92,7 @@ func (e *Engine) fill(ctx context.Context, o Options) (Options, func()) {
 		o.ReplayBudget = e.replayBudget
 	}
 	if o.Workers == 0 {
-		o.Workers = e.effectiveWorkers()
+		o.Workers = e.workers
 	}
 	return o, stop
 }
@@ -177,7 +168,7 @@ func (e *Engine) Replay(ctx context.Context, s *Scenario, rec *Recording, o Repl
 		o.Budget = e.replayBudget
 	}
 	if o.Workers == 0 {
-		o.Workers = e.effectiveWorkers()
+		o.Workers = e.workers
 	}
 	res := replay.Replay(s, rec, o)
 	if res.Err != nil {
@@ -235,7 +226,7 @@ func (e *Engine) ReplaySegmented(ctx context.Context, s *Scenario, rec *Recordin
 		return nil, err
 	}
 	if o.Workers == 0 {
-		o.Workers = e.effectiveWorkers()
+		o.Workers = e.workers
 	}
 	return replay.Segmented(s, rec, o)
 }
@@ -250,7 +241,7 @@ func (e *Engine) ReplaySegmentedStore(ctx context.Context, s *Scenario, st Segme
 		return nil, err
 	}
 	if o.Workers == 0 {
-		o.Workers = e.effectiveWorkers()
+		o.Workers = e.workers
 	}
 	return replay.SegmentedStore(s, st, o)
 }

@@ -8,14 +8,13 @@ package eval
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"debugdet/internal/core"
 	"debugdet/internal/dynokv"
 	"debugdet/internal/lint/sites"
+	"debugdet/internal/par"
 	"debugdet/internal/plane"
 	"debugdet/internal/progen"
 	"debugdet/internal/record"
@@ -56,85 +55,32 @@ func (o Options) withDefaults() Options {
 	if o.ReplayBudget == 0 {
 		o.ReplayBudget = 200
 	}
-	if o.Workers == 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 	return o
 }
 
-// runGrid evaluates n independent cells with fn(i) across the configured
-// worker pool, preserving determinism: fn writes its result into slot i of
-// a caller-owned slice, and the returned error is the lowest-index one, as
-// a sequential loop would have surfaced. fn must not touch shared state.
-// Cancelling ctx stops dispatch; the grid then reports the lowest-index
-// cell error if one occurred, otherwise the context error.
-func runGrid(ctx context.Context, n, workers int, fn func(i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	idxCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxCh {
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	cut := false
-dispatch:
-	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
-			cut = true
-			break
-		}
-		select {
-		case idxCh <- i:
-		case <-ctx.Done():
-			cut = true
-			break dispatch
-		}
-	}
-	close(idxCh)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	if cut {
-		// Some cells never ran; mirror the sequential loop, which would
-		// have stopped at its next ctx check.
-		return ctx.Err()
-	}
-	return nil
-}
-
-// grid evaluates n independent cells across o's worker pool (o already
-// defaulted) and returns them in index order — runGrid with the result
-// slice owned here, so every generator is a single cell function.
+// grid evaluates n independent cells across o's workers (o already
+// defaulted) and returns them in index order. fn must not touch shared
+// state. Under the worker contract (DESIGN.md §0) the error returned is the
+// lowest-index cell's, as a sequential loop would have surfaced, and no new
+// cell is dispatched once it has been seen; a cancelled grid that saw no
+// cell error reports the context's.
 func grid[T any](o Options, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := runGrid(o.Ctx, n, o.Workers, func(i int) (err error) {
-		out[i], err = fn(i)
-		return err
-	})
-	if err != nil {
-		return nil, err
+	type cell struct {
+		v   T
+		err error
+	}
+	out := make([]T, 0, n)
+	for _, c := range par.Ordered(o.Ctx, n, o.Workers, func(_ context.Context, i int) cell {
+		v, err := fn(i)
+		return cell{v, err}
+	}) {
+		if c.err != nil {
+			return nil, c.err
+		}
+		out = append(out, c.v)
+	}
+	if len(out) < n {
+		return nil, o.Ctx.Err()
 	}
 	return out, nil
 }

@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"reflect"
+	"sync/atomic"
 	"testing"
 )
 
@@ -42,18 +43,26 @@ func TestParallelGridMatchesSequential(t *testing.T) {
 
 // TestRunGridErrorIsLowestIndex pins deterministic error reporting: a
 // parallel grid surfaces the same (lowest-index) error a sequential loop
-// would have hit first.
+// would have hit first — and stops dispatching once it has: a failing cell
+// no longer costs the rest of the table (at the parent the pool ran all
+// 200 cells).
 func TestRunGridErrorIsLowestIndex(t *testing.T) {
-	boom := func(i int) error {
-		if i == 3 || i == 7 {
-			return errAt(i)
-		}
-		return nil
-	}
+	const n, bad = 200, 3
 	for _, workers := range []int{1, 4} {
-		err := runGrid(context.Background(), 10, workers, boom)
+		var started atomic.Int32
+		_, err := grid(Options{Workers: workers}.withDefaults(), n, func(i int) (int, error) {
+			started.Add(1)
+			if i == bad || i == 7 {
+				return 0, errAt(i)
+			}
+			return i, nil
+		})
 		if err == nil || err.Error() != "cell 3" {
 			t.Fatalf("workers=%d: error = %v, want cell 3", workers, err)
+		}
+		// Failing index + par's 16×workers window + one in flight per worker.
+		if limit := int32(bad + 1 + 16*workers + workers); started.Load() > limit {
+			t.Fatalf("workers=%d: %d cells started after cell %d failed, want <= %d", workers, started.Load(), bad, limit)
 		}
 	}
 }
@@ -65,13 +74,16 @@ func TestRunGridCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		var ran [10]bool // one slot per cell: no shared state across fn calls
-		err := runGrid(ctx, 10, workers, func(i int) error { ran[i] = true; return nil })
+		var ran atomic.Int32
+		_, err := grid(Options{Ctx: ctx, Workers: workers}, 10, func(i int) (int, error) {
+			ran.Add(1)
+			return i, nil
+		})
 		if err != context.Canceled {
 			t.Fatalf("workers=%d: error = %v, want context.Canceled", workers, err)
 		}
-		if workers == 1 && ran != [10]bool{} {
-			t.Fatalf("sequential canceled grid ran cells: %v", ran)
+		if workers == 1 && ran.Load() != 0 {
+			t.Fatalf("sequential canceled grid ran %d cells", ran.Load())
 		}
 	}
 }

@@ -27,10 +27,9 @@ package infer
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"debugdet/internal/lint/sites"
+	"debugdet/internal/par"
 	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
@@ -229,18 +228,13 @@ func runCandidate(s *scenario.Scenario, o Options, pt paramTry) *scenario.RunVie
 }
 
 // Search runs candidate executions of s until accept returns true or the
-// budget is exhausted.
-//
-// With Workers > 1 candidates run concurrently, under a determinism
-// contract that makes the parallel search indistinguishable from the
-// sequential one: candidates keep their sequential indices, accept is
-// invoked on the collector goroutine in strictly increasing index order
-// (so accept needs no internal locking), the accepted candidate is the
-// lowest-index accepted one, and Attempts/WorkCycles/WorkSteps count
-// exactly the candidates at or before the accepted index. Workers may
-// speculatively execute candidates beyond the eventually-accepted index;
-// those executions are discarded unobserved, so their scheduling on the
-// host has no effect on the Outcome.
+// budget is exhausted, under the worker contract (DESIGN.md §0): candidates
+// keep their plan indices, accept is invoked on the caller's goroutine in
+// strictly increasing index order (so it needs no internal locking), the
+// accepted candidate is the lowest-index accepted one, and
+// Attempts/WorkCycles/WorkSteps count exactly the candidates at or before
+// it. Candidates executed speculatively beyond the accepted index are
+// discarded unobserved.
 func Search(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options) *Outcome {
 	if err := o.Validate(); err != nil {
 		return &Outcome{Err: err, Note: "invalid options"}
@@ -251,131 +245,69 @@ func Search(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options
 	if o.Budget == 0 {
 		o.Budget = 200
 	}
-	if o.Workers == 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 	plan := buildPlan(s, o)
-	workers := o.Workers
-	if workers > len(plan) {
-		workers = len(plan)
-	}
-	if o.Fork {
-		return searchForked(s, accept, o, plan, workers)
-	}
-	if workers <= 1 {
-		return searchSeq(s, accept, o, plan)
-	}
-	return searchParallel(s, accept, o, plan, workers)
-}
 
-// searchSeq is the reference implementation: one candidate at a time, in
-// index order. searchParallel is defined to be outcome-equivalent to it.
-func searchSeq(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options, plan []paramTry) *Outcome {
-	out := &Outcome{}
-	for _, pt := range plan {
-		if err := o.Ctx.Err(); err != nil {
-			out.Err = err
-			out.Note = "search canceled"
-			return out
-		}
+	// ran is one executed candidate: the finished view and the steps and
+	// virtual cycles of work actually executed (whole-run totals for a
+	// from-scratch run; the executed suffix for a forked one).
+	type ran struct {
+		view          *scenario.RunView
+		steps, cycles uint64
+	}
+	run := func(pt paramTry) ran {
 		view := runCandidate(s, o, pt)
+		return ran{view, view.Result.Steps, view.Result.Cycles}
+	}
+	var trunk *ran
+	if o.Fork {
+		// See Options.Fork. A sequential search grows the prefix forest as
+		// candidates complete. A parallel one executes the first candidate
+		// (the trunk) here and freezes the forest before fanning out, so
+		// workers fork off a shared read-only trunk — keeping every count
+		// deterministic across worker schedules.
+		f := NewForker(ForkerConfig{
+			Scenario: s,
+			Interval: uint64(o.ForkInterval),
+			MaxPaths: o.ForkPaths,
+			MaxSteps: o.MaxSteps,
+		})
+		run = func(pt paramTry) ran {
+			view, steps, cycles := f.Run(forkCandidate(s, o, pt))
+			return ran{view, steps, cycles}
+		}
+		if par.Workers(o.Workers, len(plan)) > 1 && o.Ctx.Err() == nil {
+			r := run(plan[0])
+			f.Freeze()
+			trunk = &r
+		}
+	}
+
+	out := &Outcome{}
+	for i, r := range par.Ordered(o.Ctx, len(plan), o.Workers, func(_ context.Context, i int) ran {
+		if i == 0 && trunk != nil {
+			return *trunk
+		}
+		return run(plan[i])
+	}) {
+		pt := plan[i]
 		out.Attempts++
-		out.WorkCycles += view.Result.Cycles
-		out.WorkSteps += view.Result.Steps
-		if accept(view) {
-			out.View = view
+		out.WorkCycles += r.cycles
+		out.WorkSteps += r.steps
+		if accept(r.view) {
+			out.View = r.view
 			out.Ok = true
 			out.AcceptedParams = pt.p
 			out.Note = fmt.Sprintf("%s attempt %d", pt.note, pt.idx)
 			return out
 		}
 	}
-	out.Note = "budget exhausted"
-	return out
-}
-
-// runFunc executes one candidate of the plan, returning the finished view
-// and the steps and virtual cycles of work actually executed (whole-run
-// totals for a from-scratch run; the executed suffix for a forked one).
-type runFunc func(pt paramTry) (view *scenario.RunView, steps, cycles uint64)
-
-// searchParallel fans the candidate plan across a worker pool and folds
-// results back in index order.
-func searchParallel(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options, plan []paramTry, workers int) *Outcome {
-	run := func(pt paramTry) (*scenario.RunView, uint64, uint64) {
-		view := runCandidate(s, o, pt)
-		return view, view.Result.Steps, view.Result.Cycles
-	}
-	return collectParallel(accept, o, plan, workers, run, &Outcome{})
-}
-
-// searchForked runs the search through a Forker; see Options.Fork. The
-// sequential form grows the prefix forest as candidates complete. The
-// parallel form executes the first candidate (the trunk) on the collector
-// and freezes the forest before fanning the rest across the pool, so
-// workers fork off a shared read-only trunk — keeping every count
-// deterministic across worker schedules.
-func searchForked(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options, plan []paramTry, workers int) *Outcome {
-	f := NewForker(ForkerConfig{
-		Scenario: s,
-		Interval: uint64(o.ForkInterval),
-		MaxPaths: o.ForkPaths,
-		MaxSteps: o.MaxSteps,
-	})
-	run := func(pt paramTry) (*scenario.RunView, uint64, uint64) {
-		return f.Run(forkCandidate(s, o, pt))
-	}
-	if workers <= 1 {
-		out := &Outcome{}
-		for _, pt := range plan {
-			if err := o.Ctx.Err(); err != nil {
-				out.Err = err
-				out.Note = "search canceled"
-				return out
-			}
-			view, steps, cycles := run(pt)
-			out.Attempts++
-			out.WorkCycles += cycles
-			out.WorkSteps += steps
-			if accept(view) {
-				out.View = view
-				out.Ok = true
-				out.AcceptedParams = pt.p
-				out.Note = fmt.Sprintf("%s attempt %d", pt.note, pt.idx)
-				return out
-			}
-		}
-		out.Note = "budget exhausted"
-		return out
-	}
-	out := &Outcome{}
-	if err := o.Ctx.Err(); err != nil {
-		out.Err = err
+	if out.Attempts < len(plan) {
+		out.Err = o.Ctx.Err()
 		out.Note = "search canceled"
 		return out
 	}
-	pt := plan[0]
-	view, steps, cycles := run(pt)
-	out.Attempts++
-	out.WorkCycles += cycles
-	out.WorkSteps += steps
-	if accept(view) {
-		out.View = view
-		out.Ok = true
-		out.AcceptedParams = pt.p
-		out.Note = fmt.Sprintf("%s attempt %d", pt.note, pt.idx)
-		return out
-	}
-	f.Freeze()
-	rest := plan[1:]
-	if len(rest) == 0 {
-		out.Note = "budget exhausted"
-		return out
-	}
-	if workers > len(rest) {
-		workers = len(rest)
-	}
-	return collectParallel(accept, o, rest, workers, run, out)
+	out.Note = "budget exhausted"
+	return out
 }
 
 // forkCandidate adapts a plan slot to the forker's candidate interface,
@@ -389,116 +321,6 @@ func forkCandidate(s *scenario.Scenario, o Options, pt paramTry) Candidate {
 		Inputs:    func() vm.InputSource { return candidateInputs(s, o, pt.p, i) },
 		Params:    pt.p,
 	}
-}
-
-// collectParallel is the shared parallel fan-out: candidates run on a
-// worker pool, results fold back into out in strictly increasing index
-// order (accept runs on the collector goroutine only), and accounting
-// continues from whatever out already holds.
-func collectParallel(accept func(*scenario.RunView) bool, o Options, plan []paramTry, workers int, run runFunc, out *Outcome) *Outcome {
-	type candResult struct {
-		idx    int
-		view   *scenario.RunView
-		steps  uint64
-		cycles uint64
-	}
-	idxCh := make(chan int)
-	resCh := make(chan candResult, workers)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-
-	// Speculation window: the feeder may run at most this many candidates
-	// ahead of the collector's cursor. Results hold full oracle traces, so
-	// an unbounded window would let fast candidates pile up the whole
-	// budget in memory (and burn the whole budget of CPU) while one slow
-	// early candidate blocks consumption.
-	window := 2 * workers
-	tokens := make(chan struct{}, window)
-	for i := 0; i < window; i++ {
-		tokens <- struct{}{}
-	}
-
-	// Feeder: hands out candidate indices in order until the collector
-	// accepts one (deterministic cancellation: only indices above the
-	// accepted one can be cut off, and those are never accounted).
-	go func() {
-		defer close(idxCh)
-		for i := range plan {
-			select {
-			case <-tokens:
-			case <-stop:
-				return
-			case <-o.Ctx.Done():
-				return
-			}
-			select {
-			case idxCh <- i:
-			case <-stop:
-				return
-			case <-o.Ctx.Done():
-				return
-			}
-		}
-	}()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxCh {
-				view, steps, cycles := run(plan[i])
-				select {
-				case resCh <- candResult{idx: i, view: view, steps: steps, cycles: cycles}:
-				case <-stop:
-					return
-				}
-			}
-		}()
-	}
-
-	// Collector: consume results in index order, calling accept exactly
-	// as the sequential search would — same candidates, same order.
-	pending := make(map[int]candResult, workers)
-	cursor := 0
-	for cursor < len(plan) {
-		if err := o.Ctx.Err(); err != nil {
-			close(stop)
-			wg.Wait()
-			out.Err = err
-			out.Note = "search canceled"
-			return out
-		}
-		cr, ok := pending[cursor]
-		if !ok {
-			select {
-			case r := <-resCh:
-				pending[r.idx] = r
-			case <-o.Ctx.Done():
-				// Loop around to the cancellation path above.
-			}
-			continue
-		}
-		delete(pending, cursor)
-		tokens <- struct{}{} // consumed one: let the feeder dispatch one more
-		pt := plan[cursor]
-		view := cr.view
-		cursor++
-		out.Attempts++
-		out.WorkCycles += cr.cycles
-		out.WorkSteps += cr.steps
-		if accept(view) {
-			out.View = view
-			out.Ok = true
-			out.AcceptedParams = pt.p
-			out.Note = fmt.Sprintf("%s attempt %d", pt.note, pt.idx)
-			close(stop)
-			wg.Wait()
-			return out
-		}
-	}
-	close(stop)
-	wg.Wait()
-	out.Note = "budget exhausted"
-	return out
 }
 
 // candidateScheduler picks the i-th candidate's scheduler: the forced

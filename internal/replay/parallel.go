@@ -1,11 +1,11 @@
 package replay
 
 import (
+	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"debugdet/internal/flightrec"
+	"debugdet/internal/par"
 	"debugdet/internal/record"
 	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
@@ -16,13 +16,13 @@ import (
 // the trace into segments, and the segments into one contiguous chunk per
 // worker. Each worker restores the snapshot that opens its chunk — the
 // only O(prefix) step — and replays through the chunk's interior
-// boundaries on that one machine. The result obeys a sequential
-// equivalence contract like the inference and evaluation pools: the
-// stitched trace, the final state and the validation verdict are
-// deep-equal for every worker count, because chunks share nothing mutable,
-// a machine crossing a boundary adopts the boundary snapshot's counters
-// (so it is indistinguishable from one restored there) and the stitching
-// and the validation against the recorded events are positional.
+// boundaries on that one machine. The result obeys the worker contract
+// (DESIGN.md §0): the stitched trace, the final state and the validation
+// verdict are deep-equal for every worker count, because chunks share
+// nothing mutable, a machine crossing a boundary adopts the boundary
+// snapshot's counters (so it is indistinguishable from one restored there)
+// and the stitching and the validation against the recorded events are
+// positional.
 
 // SegmentedResult is a finished segmented replay.
 type SegmentedResult struct {
@@ -97,16 +97,18 @@ func SegmentedStore(s *scenario.Scenario, st flightrec.Store, o Options) (*Segme
 	if n == 0 {
 		return nil, fmt.Errorf("replay: segmented: store retains no segments")
 	}
-	workers := o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	ctx := o.Ctx
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	if workers > n {
-		workers = n
-	}
+	// One contiguous chunk of segments per worker. Equal segment counts,
+	// not equal event counts: segments are one checkpoint interval each,
+	// except the last.
+	workers := par.Workers(o.Workers, n)
+	bound := func(c int) int { return c * n / workers }
 
-	// runChunk replays segments [lo, hi) into c.
-	runChunk := func(c *chunk, lo, hi int) {
+	// runChunk replays segments [bound(ci), bound(ci+1)).
+	runChunk := func(_ context.Context, ci int) (c chunk) {
 		var sess *SeekSession
 		closeSession := func() {
 			if sess != nil {
@@ -115,7 +117,7 @@ func SegmentedStore(s *scenario.Scenario, st flightrec.Store, o Options) (*Segme
 			}
 		}
 		defer closeSession()
-		for i := lo; i < hi; i++ {
+		for i := bound(ci); i < bound(ci+1); i++ {
 			from := infos[i].From
 			var err error
 			if sess == nil || sess.Done() || sess.Pos() != from {
@@ -132,7 +134,7 @@ func SegmentedStore(s *scenario.Scenario, st flightrec.Store, o Options) (*Segme
 			}
 			if err != nil {
 				c.err = fmt.Errorf("segment %d at %d: %w", i, from, err)
-				return
+				return c
 			}
 			if i+1 < n {
 				sess.Continue(infos[i+1].From)
@@ -140,43 +142,31 @@ func SegmentedStore(s *scenario.Scenario, st flightrec.Store, o Options) (*Segme
 				c.view, c.ok = sess.RunToEnd()
 			}
 		}
+		return c
 	}
 
-	// Equal segment counts, not equal event counts: segments are one
-	// checkpoint interval each, except the last.
-	chunks := make([]chunk, workers)
-	bound := func(c int) int { return c * n / workers }
-	if workers == 1 {
-		runChunk(&chunks[0], 0, n)
-	} else {
-		var wg sync.WaitGroup
-		for c := range chunks {
-			wg.Add(1)
-			//lint:nondet-ok one goroutine per chunk over disjoint segments; results land in per-chunk slots and are joined after wg.Wait, so host scheduling is unobservable
-			go func(c int) {
-				defer wg.Done()
-				runChunk(&chunks[c], bound(c), bound(c+1))
-			}(c)
-		}
-		wg.Wait()
-	}
-
-	// Sequential-equivalence: surface the lowest-index error, stitch in
-	// order, validate positionally against the stored events.
+	// Worker contract (DESIGN.md §0): chunks arrive in index order, so the
+	// error surfaced is the lowest-index one and the stitching is positional.
 	res := &SegmentedResult{Segments: n, Mismatch: -1, Note: fmt.Sprintf("segmented replay over %d checkpoints", n-1)}
 	var pieces [][]trace.Event
 	total := 0
-	for c := range chunks {
-		if chunks[c].err != nil {
-			return nil, chunks[c].err
+	var final chunk
+	done := 0
+	for _, c := range par.Ordered(ctx, workers, workers, runChunk) {
+		if c.err != nil {
+			return nil, c.err
 		}
-		for _, p := range chunks[c].pieces {
+		for _, p := range c.pieces {
 			pieces = append(pieces, p)
 			total += len(p)
 		}
-		res.Restores += chunks[c].restores
+		res.Restores += c.restores
+		final = c
+		done++
 	}
-	final := &chunks[workers-1]
+	if done < workers {
+		return nil, ctx.Err()
+	}
 	stitched := trace.NewLog(final.view.Trace.Header)
 	stitched.Sites = final.view.Trace.Sites
 	if len(pieces) == 1 {
