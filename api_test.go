@@ -61,8 +61,7 @@ func TestPublicAPIGolden(t *testing.T) {
 				continue
 			}
 			typ := types.Unalias(tn.Type())
-			switch {
-			case tn.IsAlias():
+			if tn.IsAlias() {
 				lines = append(lines, fmt.Sprintf("type %s = %s", id, types.TypeString(typ, qual)))
 				// Members of a type another public package declares or
 				// aliases are listed there.
@@ -70,7 +69,7 @@ func TestPublicAPIGolden(t *testing.T) {
 					rhs.Obj().Pkg() == nil || public[rhs.Obj().Pkg().Path()] {
 					continue
 				}
-			default:
+			} else {
 				// A struct's or interface's members follow one per line.
 				under := types.TypeString(typ.Underlying(), qual)
 				switch typ.Underlying().(type) {

@@ -97,18 +97,13 @@ func (e *Engine) runJob(ctx context.Context, j Job) (*Evaluation, error) {
 	if j.Options != nil {
 		o = *j.Options
 	}
-	merged, stop := mergeCtx(ctx, o.Ctx)
-	defer stop()
-	o.Ctx = merged
 	if j.Seed != 0 {
 		o.Seed = j.Seed
 	}
 	if j.Params != nil {
 		o.Params = j.Params
 	}
-	if o.ReplayBudget == 0 {
-		o.ReplayBudget = e.replayBudget
-	}
+	defer e.fill(ctx, &o.Ctx, &o.ReplayBudget, &o.Workers)()
 	// The grid is the parallel axis; each cell's inner search stays
 	// sequential so cells are identical to standalone evaluations.
 	o.Workers = 1

@@ -98,6 +98,31 @@ func TestCancellationLeavesNoGoroutines(t *testing.T) {
 				t.Fatalf("segmented replay over a tampered snapshot: result %v, err %v; want ErrBadSnapshot", res, err)
 			}
 		},
+		// A segmented replay cancelled through the method's context (not
+		// ReplayOptions.Ctx) while its two chunks are running: the first
+		// chunk to build its replay machine cancels.
+		"segmented-cancel": func(t *testing.T) {
+			eng := debugdet.New()
+			base, err := eng.ByName("bank")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, _, err := eng.Record(context.Background(), base, debugdet.Perfect, debugdet.Options{CheckpointInterval: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			s := *base
+			s.Build = func(m *vm.Machine, p scen.Params) func(*vm.Thread) {
+				cancel()
+				return base.Build(m, p)
+			}
+			res, err := eng.ReplaySegmented(ctx, &s, rec, debugdet.ReplayOptions{Workers: 2})
+			if !errors.Is(err, context.Canceled) || res != nil {
+				t.Fatalf("cancelled segmented replay: result %v, err %v; want context.Canceled", res, err)
+			}
+		},
 	}
 	for name, run := range cases {
 		t.Run(name, func(t *testing.T) {

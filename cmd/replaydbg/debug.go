@@ -45,9 +45,9 @@ func runDebug(scenarioName, in string, seed int64, ckpt int64, script string) {
 			fatal(err)
 		}
 		fmt.Printf("recorded %s: %d events, %d checkpoints\n", s.Name, rec.EventCount, len(rec.Checkpoints))
-		st = rec.Store()
+		st = rec
 	}
-	d, err := eng.DebugStore(context.Background(), s, st, debugdet.DebugOptions{Interval: uint64(ckpt)})
+	d, err := eng.Debug(context.Background(), s, st, debugdet.DebugOptions{Interval: uint64(ckpt)})
 	if err != nil {
 		fatal(err)
 	}

@@ -1,7 +1,7 @@
-// Command replaydbg is the replay debugger's CLI: record a scenario under
-// a determinism model, replay a recording (front-to-back, seeked, or as an
-// interactive time-travel session), or run the full evaluation pipeline
-// with metrics.
+// Command replaydbg is the replay debugger's CLI: run a scenario (once, or
+// sweeping seeds to watch its bug manifest), record it under a determinism
+// model, replay a recording (front-to-back, seeked, or as an interactive
+// time-travel session), or run the full evaluation pipeline with metrics.
 //
 // The usage text is generated from the command table below, so the help
 // can never drift from the actual verb set. Run "replaydbg help" (or any
@@ -14,9 +14,11 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 
 	"debugdet"
+	"debugdet/scen"
 )
 
 var eng = debugdet.New()
@@ -36,6 +38,8 @@ type opts struct {
 	spill    string
 	ring     int
 	retain   int
+	sweep    int64
+	params   debugdet.Params
 }
 
 // flag registration helpers, composed per command.
@@ -43,7 +47,7 @@ func scenarioFlag(fs *flag.FlagSet, o *opts) {
 	fs.StringVar(&o.scenario, "scenario", "", "scenario name (see 'replaydbg list')")
 }
 func modelFlag(fs *flag.FlagSet, o *opts) {
-	fs.StringVar(&o.model, "model", "perfect", "determinism model")
+	fs.StringVar(&o.model, "model", "perfect", "determinism model (eval also takes 'all')")
 }
 func seedFlag(fs *flag.FlagSet, o *opts) {
 	fs.Int64Var(&o.seed, "seed", 0, "scheduler seed (0 = scenario default)")
@@ -75,6 +79,21 @@ func ringFlag(fs *flag.FlagSet, o *opts) {
 func retainFlag(fs *flag.FlagSet, o *opts) {
 	fs.IntVar(&o.retain, "retain", 0, "flight recorder: spilled segments kept on disk (0 = keep all)")
 }
+func sweepFlag(fs *flag.FlagSet, o *opts) {
+	fs.Int64Var(&o.sweep, "sweep", 0, "run seeds [0,n) and summarize the failing ones, instead of one run at -seed")
+}
+func paramFlag(fs *flag.FlagSet, o *opts) {
+	o.params = debugdet.Params{}
+	fs.Func("param", "scenario parameter override `name=integer` (repeatable)", func(arg string) error {
+		name, val, _ := strings.Cut(arg, "=")
+		n, err := strconv.ParseInt(val, 10, 64)
+		if name == "" || err != nil {
+			return fmt.Errorf("want name=integer")
+		}
+		o.params[name] = n
+		return nil
+	})
+}
 
 // command is one CLI verb. Usage text and dispatch both derive from the
 // table, so adding a verb here is the single step that makes it exist.
@@ -93,6 +112,9 @@ func init() {
 	commands = []command{
 		{"list", "list the scenario corpus", nil,
 			func(*opts) { runList() }},
+		{"run", "run a scenario once, or sweep seeds, without recording",
+			[]func(*flag.FlagSet, *opts){scenarioFlag, seedFlag, sweepFlag, paramFlag},
+			func(o *opts) { runRun(o) }},
 		{"record", "record a production run under a determinism model",
 			[]func(*flag.FlagSet, *opts){scenarioFlag, modelFlag, seedFlag, outFlag, ckptFlag, spillFlag, ringFlag, retainFlag},
 			func(o *opts) { runRecord(o) }},
@@ -185,6 +207,9 @@ func mustScenario(name string) *debugdet.Scenario {
 }
 
 func loadRecording(path string) *debugdet.Recording {
+	if path == "" {
+		fatal(fmt.Errorf("missing -in recording path"))
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		fatal(err)
@@ -195,6 +220,37 @@ func loadRecording(path string) *debugdet.Recording {
 		fatal(err)
 	}
 	return rec
+}
+
+// runRun executes the scenario as production would — no recorder — and
+// reports whether its bug manifested: one run at -seed, or with -sweep a
+// line per failing seed of [0,n) and the count.
+func runRun(o *opts) {
+	s := mustScenario(o.scenario)
+	if o.sweep > 0 {
+		failures := 0
+		for seed := int64(0); seed < o.sweep; seed++ {
+			v := s.Exec(scen.ExecOptions{Seed: seed, Params: o.params})
+			if failed, _ := s.CheckFailure(v); failed {
+				failures++
+				fmt.Printf("seed=%-4d FAIL %s causes=%v\n", seed, s.RunStats(v), s.PresentCauses(v))
+			}
+		}
+		fmt.Printf("%d/%d seeds failed\n", failures, o.sweep)
+		return
+	}
+	seed := o.seed
+	if seed == 0 {
+		seed = s.DefaultSeed
+	}
+	v := s.Exec(scen.ExecOptions{Seed: seed, Params: o.params})
+	fmt.Printf("run: %s\n", s.RunStats(v))
+	fmt.Printf("events=%d cycles=%d\n", v.Result.Steps, v.Result.Cycles)
+	if failed, sig := s.CheckFailure(v); failed {
+		fmt.Printf("FAILURE %s — root causes present: %v\n", sig, s.PresentCauses(v))
+	} else {
+		fmt.Println("no failure observed")
+	}
 }
 
 func runList() {
@@ -304,9 +360,6 @@ func runRecordStreaming(s *debugdet.Scenario, o *opts) {
 }
 
 func runReplay(scenarioName, in string, budget int) {
-	if in == "" {
-		fatal(fmt.Errorf("missing -in recording path"))
-	}
 	rec := loadRecording(in)
 	name := scenarioName
 	if name == "" {
@@ -329,16 +382,13 @@ func runReplay(scenarioName, in string, budget int) {
 // non-interactive face of time travel, and what the debug REPL's seek
 // does.
 func runSeek(scenarioName, in string, target uint64) {
-	if in == "" {
-		fatal(fmt.Errorf("missing -in recording path"))
-	}
 	st := openStore(in)
 	name := scenarioName
 	if name == "" {
 		name = st.Meta().Scenario
 	}
 	s := mustScenario(name)
-	sess, err := eng.SeekStore(context.Background(), s, st, target, debugdet.ReplayOptions{})
+	sess, err := eng.Seek(context.Background(), s, st, target, debugdet.ReplayOptions{})
 	if err != nil {
 		fatal(err)
 	}
@@ -353,11 +403,11 @@ func runSeek(scenarioName, in string, target uint64) {
 }
 
 // openStore opens what seek and debug navigate: a flight recorder's spill
-// directory as it stands on disk, or a .ddrc recording through its store
-// view — one code path for both.
+// directory as it stands on disk, or a .ddrc recording — one code path for
+// both.
 func openStore(in string) debugdet.SegmentStore {
 	if !isDir(in) {
-		return loadRecording(in).Store()
+		return loadRecording(in)
 	}
 	st, err := debugdet.OpenSegmentStore(in)
 	if err != nil {
@@ -373,39 +423,42 @@ func isDir(path string) bool {
 	return err == nil && fi.IsDir()
 }
 
+// runEval evaluates the scenario under one model, or with -model all under
+// every model, one summary line each.
 func runEval(scenarioName, modelName string, seed int64, budget int) {
 	s := mustScenario(scenarioName)
-	model, err := debugdet.ParseModel(modelName)
-	if err != nil {
-		fatal(err)
+	models := debugdet.Models()
+	if modelName != "all" {
+		model, err := debugdet.ParseModel(modelName)
+		if err != nil {
+			fatal(err)
+		}
+		models = []debugdet.Model{model}
 	}
-	ev, err := eng.Evaluate(context.Background(), s, model, debugdet.Options{
-		Seed:         seed,
-		ReplayBudget: budget,
-		RCSE:         debugdet.RCSEOptions{RaceTrigger: true},
-	})
-	if err != nil {
-		fatal(err)
+	for _, model := range models {
+		ev, err := eng.Evaluate(context.Background(), s, model, debugdet.Options{
+			Seed:         seed,
+			ReplayBudget: budget,
+			RCSE:         debugdet.RCSEOptions{RaceTrigger: true},
+		})
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Println(ev.Summary())
+		if modelName != "all" {
+			fmt.Printf("recording: %s\n", ev.Recording.Summary())
+			fmt.Printf("fidelity:  %s\n", ev.Fidelity)
+			fmt.Printf("replay:    ok=%v note=%s\n", ev.Replay.Ok, ev.Replay.Note)
+		}
 	}
-	fmt.Println(ev.Summary())
-	fmt.Printf("recording: %s\n", ev.Recording.Summary())
-	fmt.Printf("fidelity:  %s\n", ev.Fidelity)
-	fmt.Printf("replay:    ok=%v note=%s\n", ev.Replay.Ok, ev.Replay.Note)
 }
 
 func runShow(in string) {
-	if in == "" {
-		fatal(fmt.Errorf("missing -in recording path"))
-	}
 	rec := loadRecording(in)
 	fmt.Println(rec.Summary())
 	fmt.Printf("streams: %v\n", rec.Streams)
-	if n := len(rec.Checkpoints); n > 0 {
-		seqs := make([]uint64, n)
-		for i, cp := range rec.Checkpoints {
-			seqs[i] = cp.Seq
-		}
-		fmt.Printf("checkpoints: %d at %v (%d bytes)\n", n, seqs, rec.CheckpointBytes)
+	if seqs := rec.SnapshotSeqs(); len(seqs) > 0 {
+		fmt.Printf("checkpoints: %d at %v (%d bytes)\n", len(seqs), seqs, rec.CheckpointBytes)
 	}
 	fmt.Printf("first events (of %d):\n", len(rec.Full))
 	for i, e := range rec.Full {

@@ -95,3 +95,53 @@ func TestRecordRejectsNegativeKnobs(t *testing.T) {
 		}
 	}
 }
+
+// TestRunMatchesTheStandaloneCommands pins `run` against what cmd/hyperkv
+// and cmd/dynokv printed for the same seeds and parameters before they
+// were folded into it (their flag defaults were the scenarios' defaults;
+// only hyperkv's wording of the no-failure line is not kept).
+func TestRunMatchesTheStandaloneCommands(t *testing.T) {
+	const staleread = "acked=18 reads=18 stale=1/0 resurrected=0 rewrites=0 lost=0 abandoned=0 wipedHints=0 handoffs=0 outcome=ok causes=[weak-quorum]\n"
+	for _, tc := range []struct {
+		was  string
+		args []string
+		want string
+	}{
+		{"hyperkv -seed 19",
+			[]string{"run", "-scenario", "hyperkv-dataloss", "-seed", "19"},
+			"run: acked=48 dumped=47 raceLost=1 crashed=0 oom=0 outcome=ok\n" +
+				"events=1233 cycles=69577\n" +
+				"FAILURE hyperkv:dataloss — root causes present: [migration-race]\n"},
+		{"dynokv -scenario staleread -sweep 50",
+			[]string{"run", "-scenario", "dynokv-staleread", "-sweep", "50"},
+			"seed=8    FAIL " + staleread + "seed=9    FAIL " + staleread + "2/50 seeds failed\n"},
+		{"hyperkv -clients 4 -rows 32",
+			[]string{"run", "-scenario", "hyperkv-dataloss", "-param", "clients=4", "-param", "rows=32"},
+			"run: acked=128 dumped=128 raceLost=0 crashed=0 oom=0 outcome=ok\n" +
+				"events=2793 cycles=156054\n" +
+				"no failure observed\n"},
+	} {
+		if out, code := runCLI(t, tc.args...); code != 0 || out != tc.want {
+			t.Errorf("%v (was %s) exited %d:\n%s\nwant:\n%s", tc.args, tc.was, code, out, tc.want)
+		}
+	}
+	if out, code := runCLI(t, "run", "-scenario", "bank", "-param", "threads"); code != 2 {
+		t.Errorf("run -param threads exited %d, want a usage error:\n%s", code, out)
+	}
+}
+
+// TestEvalAllModels: -model all prints one summary line per determinism
+// model, in the order of the paper's Fig. 1.
+func TestEvalAllModels(t *testing.T) {
+	out, code := runCLI(t, "eval", "-scenario", "dynokv-losthint", "-model", "all", "-budget", "60")
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	models := []string{"perfect", "value", "output", "failure", "debug-rcse"}
+	if code != 0 || len(lines) != len(models) {
+		t.Fatalf("eval -model all exited %d with %d lines:\n%s", code, len(lines), out)
+	}
+	for i, m := range models {
+		if f := strings.Fields(lines[i]); len(f) < 2 || f[0] != "dynokv-losthint" || f[1] != m {
+			t.Errorf("line %d is %q, want the %s summary", i, lines[i], m)
+		}
+	}
+}

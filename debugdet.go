@@ -53,9 +53,9 @@ type (
 	DebugSession = replay.Debugger
 	// DebugOptions configures a DebugSession.
 	DebugOptions = replay.DebugOptions
-	// SegmentStore is the segment-store contract the seek, segmented and
-	// debug paths consume in place of a monolithic Recording: a flight
-	// recorder's spill directory (OpenSegmentStore) or any other
+	// SegmentStore is the segment-store contract Seek, ReplaySegmented and
+	// Debug consume: a *Recording (the store that retains everything), a
+	// flight recorder's spill directory (OpenSegmentStore) or any other
 	// implementation.
 	SegmentStore = flightrec.Store
 	// StoreMeta is a segment store's run identity.

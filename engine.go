@@ -82,19 +82,20 @@ func (e *Engine) Names() []string { return e.reg.Names() }
 // variants) in registration order.
 func (e *Engine) Scenarios() []*Scenario { return e.reg.Scenarios() }
 
-// fill applies the engine defaults and the call's context to per-call
-// options. The returned cleanup must run when the call finishes; it
-// releases the merged-context plumbing.
-func (e *Engine) fill(ctx context.Context, o Options) (Options, func()) {
-	merged, stop := mergeCtx(ctx, o.Ctx)
-	o.Ctx = merged
-	if o.ReplayBudget == 0 {
-		o.ReplayBudget = e.replayBudget
+// fill applies the call's context and the engine defaults to the three
+// knobs Options and ReplayOptions share, through pointers into the call's
+// own copy of its options. The returned cleanup releases the
+// merged-context plumbing and must run when the call finishes: call it as
+// defer e.fill(...)() — fill runs at once, its cleanup at return.
+func (e *Engine) fill(ctx context.Context, octx *context.Context, budget, workers *int) (stop func()) {
+	*octx, stop = mergeCtx(ctx, *octx)
+	if *budget == 0 {
+		*budget = e.replayBudget
 	}
-	if o.Workers == 0 {
-		o.Workers = e.workers
+	if *workers == 0 {
+		*workers = e.workers
 	}
-	return o, stop
+	return stop
 }
 
 // mergeCtx reconciles the method's context argument with a context the
@@ -131,8 +132,7 @@ func mergeCtx(arg, opt context.Context) (context.Context, func()) {
 // trigger arming), configured by o.RCSE; the other models ignore o.RCSE.
 // o.Seed selects the run (0 = scenario default).
 func (e *Engine) Record(ctx context.Context, s *Scenario, model Model, o Options) (*Recording, *RunView, error) {
-	o, stop := e.fill(ctx, o)
-	defer stop()
+	defer e.fill(ctx, &o.Ctx, &o.ReplayBudget, &o.Workers)()
 	rec, view, _, err := core.RecordOnly(s, model, o)
 	return rec, view, err
 }
@@ -143,12 +143,10 @@ func (e *Engine) Record(ctx context.Context, s *Scenario, model Model, o Options
 // ring and spill to o.FlightRecorder.SpillDir as checkpoint-delimited
 // .ddseg files plus a feed log and manifest; recorder memory stays O(ring)
 // no matter how long the run is. The returned result carries the reopened
-// SegmentStore, which Seek, segmented replay and Debug consume via
-// SeekStore, ReplaySegmentedStore and DebugStore. Streaming recording is
-// always perfect-model.
+// SegmentStore, which Seek, ReplaySegmented and Debug take exactly as they
+// take a Recording. Streaming recording is always perfect-model.
 func (e *Engine) RecordStreaming(ctx context.Context, s *Scenario, o Options) (*FlightRecording, error) {
-	o, stop := e.fill(ctx, o)
-	defer stop()
+	defer e.fill(ctx, &o.Ctx, &o.ReplayBudget, &o.Workers)()
 	return core.RecordStreaming(s, o)
 }
 
@@ -161,15 +159,7 @@ func OpenSegmentStore(dir string) (*DiskSegmentStore, error) {
 // model semantics. Cancelling ctx aborts the inference search between
 // candidate executions and returns the context error.
 func (e *Engine) Replay(ctx context.Context, s *Scenario, rec *Recording, o ReplayOptions) (*ReplayResult, error) {
-	merged, stop := mergeCtx(ctx, o.Ctx)
-	defer stop()
-	o.Ctx = merged
-	if o.Budget == 0 {
-		o.Budget = e.replayBudget
-	}
-	if o.Workers == 0 {
-		o.Workers = e.workers
-	}
+	defer e.fill(ctx, &o.Ctx, &o.Budget, &o.Workers)()
 	res := replay.Replay(s, rec, o)
 	if res.Err != nil {
 		return nil, res.Err
@@ -177,105 +167,85 @@ func (e *Engine) Replay(ctx context.Context, s *Scenario, rec *Recording, o Repl
 	return res, nil
 }
 
-// Seek opens a replay positioned at the target event of a recording: the
-// nearest checkpoint at or before the target is restored and only the
-// remainder — at most one checkpoint interval — is re-executed under the
-// scheduler. The restore itself rebuilds thread positions by feed replay
-// of the prefix, at about a sixth of scheduled replay's cost per event.
-// The recording's replay plan (feed plan, input map, segment bounds) is
-// derived by the first Seek, ReplaySegmented or Debug call on it and
-// shared by every later one, so a recording must not be mutated once it
-// has been replayed. Recordings without checkpoints (older files, or
-// Options without CheckpointInterval) fall back to replaying from the
-// start. The session must be finished with RunToEnd or released with
-// Close. Seek requires a perfect-model recording; see
-// replay.ErrSeekUnsupported.
-func (e *Engine) Seek(ctx context.Context, s *Scenario, rec *Recording, target uint64, o ReplayOptions) (*SeekSession, error) {
-	if err := ctx.Err(); err != nil {
+// Seek opens a replay positioned at the target event of a recording or any
+// other segment store — a *Recording is the store that retains everything,
+// a flight recorder's spill directory (OpenSegmentStore) one under
+// retention. The nearest checkpoint at or before the target is restored
+// and only the remainder — at most one checkpoint interval — is
+// re-executed under the scheduler. The restore itself rebuilds thread
+// positions by feed replay of the prefix, at about a sixth of scheduled
+// replay's cost per event. A recording's replay plan (feed plan, input
+// map, segment bounds) is derived by the first Seek, ReplaySegmented or
+// Debug call on it and shared by every later one, so a recording must not
+// be mutated once it has been replayed. Stores without a checkpoint at or
+// before the target (older files, Options without CheckpointInterval,
+// targets before a spill directory's retained tail) fall back to replaying
+// from the start, which a spill directory's feed log always supports. The
+// session must be finished with RunToEnd or released with Close. Seek
+// requires a perfect-model store; see replay.ErrSeekUnsupported.
+func (e *Engine) Seek(ctx context.Context, s *Scenario, st SegmentStore, target uint64, o ReplayOptions) (*SeekSession, error) {
+	defer e.fill(ctx, &o.Ctx, &o.Budget, &o.Workers)()
+	if err := o.Ctx.Err(); err != nil {
 		return nil, err
 	}
-	return replay.Seek(s, rec, target, o)
+	return replay.Seek(s, st, target, o)
 }
 
-// SeekStore is Seek over a segment store — typically a flight recorder's
-// spill directory (OpenSegmentStore). Targets inside the retained tail
-// restore the nearest boundary snapshot; earlier targets fall back to a
-// full replay from the start, which the store's feed log always supports.
+// SeekStore is Seek. bench/ compiles against this; ROADMAP item 1 deletes
+// it.
 func (e *Engine) SeekStore(ctx context.Context, s *Scenario, st SegmentStore, target uint64, o ReplayOptions) (*SeekSession, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return replay.SeekStore(s, st, target, o)
+	return e.Seek(ctx, s, st, target, o)
 }
 
-// ReplaySegmented validates a perfect recording by replaying its
-// checkpoint-delimited trace segments across the engine's worker budget
-// (o.Workers overrides). Each worker takes one contiguous run of segments,
-// restores the snapshot that opens it — the only step whose cost grows
-// with the prefix — and replays through the boundaries inside it: a call
-// restores min(workers, segments) snapshots, less one for the run that
-// starts at event 0 (SegmentedResult.Restores), and one worker costs what
-// Replay does. Every event is executed and compared, and everything in
-// the result but Restores is deep-equal for every worker count — the same
+// ReplaySegmented validates a perfect recording, or the retained segments
+// of any other segment store, by replaying its checkpoint-delimited trace
+// segments across the engine's worker budget (o.Workers overrides). Each
+// worker takes one contiguous run of segments, restores the snapshot that
+// opens it — the only step whose cost grows with the prefix — and replays
+// through the boundaries inside it: a call restores min(workers, segments)
+// snapshots, less one for the run that starts at event 0
+// (SegmentedResult.Restores; over a spill directory under retention event
+// 0 is gone and the first run restores too), and one worker costs what
+// Replay does. Every event is executed and compared, and everything in the
+// result but Restores is deep-equal for every worker count — the same
 // sequential-equivalence contract as EvaluateBatch; Mismatch reports the
 // first event, if any, where the replay departs from the recording. That
 // each checkpoint restores is Seek's contract: only workers ≥ segments
-// restores them all here.
-func (e *Engine) ReplaySegmented(ctx context.Context, s *Scenario, rec *Recording, o ReplayOptions) (*SegmentedResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if o.Workers == 0 {
-		o.Workers = e.workers
-	}
-	return replay.Segmented(s, rec, o)
+// restores them all here. Cancelling ctx stops the replay at the next
+// segment boundary and returns the context error.
+func (e *Engine) ReplaySegmented(ctx context.Context, s *Scenario, st SegmentStore, o ReplayOptions) (*SegmentedResult, error) {
+	defer e.fill(ctx, &o.Ctx, &o.Budget, &o.Workers)()
+	return replay.Segmented(s, st, o)
 }
 
-// ReplaySegmentedStore is ReplaySegmented over a segment store: it
-// replays and validates the store's retained segments, one contiguous run
-// of them per worker. Over a spill directory under retention that is the
-// retained tail of the run, and the first run restores too (event 0 is
-// gone), so Restores is min(workers, segments).
+// ReplaySegmentedStore is ReplaySegmented. bench/ compiles against this;
+// ROADMAP item 1 deletes it.
 func (e *Engine) ReplaySegmentedStore(ctx context.Context, s *Scenario, st SegmentStore, o ReplayOptions) (*SegmentedResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if o.Workers == 0 {
-		o.Workers = e.workers
-	}
-	return replay.SegmentedStore(s, st, o)
+	return e.ReplaySegmented(ctx, s, st, o)
 }
 
 // Debug opens an interactive time-travel session over a perfect-model
-// recording: step forward, seek to any event, step backward, and inspect
-// thread, cell, lock, channel and stream state at the cursor — the API the
-// replaydbg debug REPL drives. Recordings without checkpoints get
-// in-memory ones materialized by a single full replay, so navigation is
-// fast either way. Close the session to release its replay machine.
-func (e *Engine) Debug(ctx context.Context, s *Scenario, rec *Recording, o DebugOptions) (*DebugSession, error) {
+// recording or any other segment store: step forward, seek to any event,
+// step backward, and inspect thread, cell, lock, channel and stream state
+// at the cursor — the API the replaydbg debug REPL drives. Stores without
+// checkpoints get in-memory ones materialized by a single full replay, so
+// navigation is fast either way. The cursor spans the whole recorded
+// execution; over a spill directory under retention, positions before the
+// retained tail replay from the start via the feed log, and event
+// inspection is available inside the retained range. Close the session to
+// release its replay machine.
+func (e *Engine) Debug(ctx context.Context, s *Scenario, st SegmentStore, o DebugOptions) (*DebugSession, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return replay.NewDebugger(s, rec, o)
-}
-
-// DebugStore is Debug over a segment store. The cursor spans the whole
-// recorded execution; positions before the store's retained tail replay
-// from the start via the feed log, and event inspection is available
-// inside the retained range.
-func (e *Engine) DebugStore(ctx context.Context, s *Scenario, st SegmentStore, o DebugOptions) (*DebugSession, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return replay.NewStoreDebugger(s, st, o)
+	return replay.NewDebugger(s, st, o)
 }
 
 // Evaluate runs the full pipeline — record, replay, metrics — for one
 // scenario under one model. Cancelling ctx aborts at phase boundaries and
 // between inference candidates.
 func (e *Engine) Evaluate(ctx context.Context, s *Scenario, model Model, o Options) (*Evaluation, error) {
-	o, stop := e.fill(ctx, o)
-	defer stop()
+	defer e.fill(ctx, &o.Ctx, &o.ReplayBudget, &o.Workers)()
 	return core.Evaluate(s, model, o)
 }
 
@@ -286,8 +256,7 @@ func (e *Engine) Evaluate(ctx context.Context, s *Scenario, model Model, o Optio
 // together with the context error; causes not yet searched are reported
 // missing.
 func (e *Engine) ExploreCauses(ctx context.Context, s *Scenario, signature string, o Options) (*CauseExploration, error) {
-	o, stop := e.fill(ctx, o)
-	defer stop()
+	defer e.fill(ctx, &o.Ctx, &o.ReplayBudget, &o.Workers)()
 	ex := core.ExploreCauses(s, signature, o)
 	return ex, ex.Err
 }

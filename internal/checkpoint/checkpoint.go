@@ -166,13 +166,20 @@ type FeedPlan struct {
 	counts map[uint64][]int // checkpoint seq → events per thread before it
 }
 
-// PlanFeeds builds the shared feed plan covering every given checkpoint
-// (they must be in trace order, as captured).
+// PlanFeeds builds the shared feed plan covering every given checkpoint.
+// They must be in trace order, as captured — which also means none has more
+// threads than the last; a table that is not (a tampered recording's) is
+// an error.
 func PlanFeeds(events []trace.Event, cps []*vm.Snapshot) (*FeedPlan, error) {
 	if len(cps) == 0 {
 		return &FeedPlan{counts: map[uint64][]int{}}, nil
 	}
 	last := cps[len(cps)-1]
+	for i, cp := range cps {
+		if (i > 0 && cp.Seq < cps[i-1].Seq) || len(cp.Threads) > len(last.Threads) {
+			return nil, fmt.Errorf("checkpoint: snapshot at %d is out of trace order", cp.Seq)
+		}
+	}
 	full, err := Feeds(events, last.Seq, len(last.Threads))
 	if err != nil {
 		return nil, err

@@ -205,6 +205,19 @@ func TestFeedsValidation(t *testing.T) {
 	if _, err := checkpoint.Feeds(rec.Full, cp.Seq, 1); err == nil {
 		t.Error("out-of-range thread accepted")
 	}
+	// A checkpoint table out of trace order errors (the plan used to spin
+	// on a swapped pair and index past its counters on a thread count
+	// larger than the last snapshot's).
+	swapped := append([]*vm.Snapshot(nil), rec.Checkpoints...)
+	swapped[0], swapped[1] = swapped[1], swapped[0]
+	if _, err := checkpoint.PlanFeeds(rec.Full, swapped); err == nil {
+		t.Error("swapped checkpoints accepted")
+	}
+	crowded := *cp
+	crowded.Threads = make([]vm.ThreadSnap, len(rec.Checkpoints[len(rec.Checkpoints)-1].Threads)+1)
+	if _, err := checkpoint.PlanFeeds(rec.Full, append([]*vm.Snapshot{&crowded}, rec.Checkpoints[1:]...)); err == nil {
+		t.Error("a first checkpoint with more threads than the last accepted")
+	}
 }
 
 // bufioReader wraps bytes in the reader type the decoder takes.

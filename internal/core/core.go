@@ -39,20 +39,17 @@ type RCSEOptions struct {
 	DisableCodeSelection bool
 	// RaceTrigger arms the sampling race detector (§3.1.3).
 	RaceTrigger bool
-	// RaceSampleRate is the detector's access sampling rate (default 4).
-	RaceSampleRate uint64
 	// InvariantTrigger trains invariants on healthy runs and arms the
 	// monitor (§3.1.2).
 	InvariantTrigger bool
-	// TrainingRuns is the number of healthy executions to train
-	// invariants on (default 3).
-	TrainingRuns int
-	// QuietPeriod dials triggers down after this many quiet events
-	// (default 2000; 0 keeps them up forever).
-	QuietPeriod uint64
-	// Thresholds adds custom predicate triggers.
-	Thresholds []*rcse.ThresholdSelector
 }
+
+// The RCSE preparation's fixed parameters.
+const (
+	raceSampleRate = 4    // the race detector samples one access in this many
+	trainingRuns   = 3    // healthy executions the invariants are trained on
+	quietPeriod    = 2000 // quiet events after which a fired trigger dials down
+)
 
 // Options parameterizes one evaluation.
 type Options struct {
@@ -65,8 +62,6 @@ type Options struct {
 	Seed int64
 	// Params override scenario defaults.
 	Params scenario.Params
-	// ProfileSeed drives the RCSE profiling run (default Seed+101).
-	ProfileSeed int64
 	// ReplayBudget bounds inference attempts (default 200).
 	ReplayBudget int
 	// SearchSeed perturbs inference randomness (default 7).
@@ -103,9 +98,6 @@ type Options struct {
 	// ForkInterval is the snapshot interval for forked replay execution
 	// (0 = checkpoint default; negative rejected).
 	ForkInterval int64
-	// ForkPaths bounds the forked prefix forest (0 = 8; negative
-	// rejected).
-	ForkPaths int
 	// FlightRecorder configures RecordStreaming's always-on bounded-memory
 	// recording: the spill directory, the in-memory ring size and the
 	// on-disk retention cap. Only RecordStreaming reads it; Record and
@@ -116,6 +108,11 @@ type Options struct {
 	// replay search (PCT candidates first; see infer.Options.Suspects)
 	// and arm the RCSE suspect selector for debug-determinism recordings.
 	Suspects []sites.Suspect
+
+	// profileSeed drives the RCSE profiling and training runs: Seed + 101,
+	// taken by withDefaults before a zero Seed is resolved to the
+	// scenario's default, so a default-seeded evaluation profiles at 101.
+	profileSeed int64
 }
 
 // validate rejects option values that would otherwise be silently
@@ -149,7 +146,6 @@ func (o Options) replayOptions() replay.Options {
 		Suspects:     o.Suspects,
 		Fork:         o.ForkReplay,
 		ForkInterval: o.ForkInterval,
-		ForkPaths:    o.ForkPaths,
 	}
 }
 
@@ -157,23 +153,14 @@ func (o Options) withDefaults() Options {
 	if o.Ctx == nil {
 		o.Ctx = context.Background()
 	}
-	if o.ProfileSeed == 0 {
-		o.ProfileSeed = o.Seed + 101
+	if o.profileSeed == 0 {
+		o.profileSeed = o.Seed + 101
 	}
 	if o.ReplayBudget == 0 {
 		o.ReplayBudget = 200
 	}
 	if o.SearchSeed == 0 {
 		o.SearchSeed = 7
-	}
-	if o.RCSE.RaceSampleRate == 0 {
-		o.RCSE.RaceSampleRate = 4
-	}
-	if o.RCSE.TrainingRuns == 0 {
-		o.RCSE.TrainingRuns = 3
-	}
-	if o.RCSE.QuietPeriod == 0 {
-		o.RCSE.QuietPeriod = 2000
 	}
 	return o
 }
@@ -357,32 +344,31 @@ func PrepareRCSE(s *scenario.Scenario, o Options) (rcse.Config, error) {
 	o = o.withDefaults()
 	cfg := rcse.Config{
 		ControlStreams: s.ControlStreams,
-		QuietPeriod:    o.RCSE.QuietPeriod,
-		Thresholds:     o.RCSE.Thresholds,
+		QuietPeriod:    quietPeriod,
 		Suspects:       o.Suspects,
 	}
 	if !o.RCSE.DisableCodeSelection {
 		if err := o.Ctx.Err(); err != nil {
 			return cfg, err
 		}
-		prof := s.Exec(scenario.ExecOptions{Seed: o.ProfileSeed, Params: o.Params})
+		prof := s.Exec(scenario.ExecOptions{Seed: o.profileSeed, Params: o.Params})
 		if prof.Trace == nil {
 			return cfg, fmt.Errorf("core: profiling run produced no trace")
 		}
 		cfg.Classification = plane.ClassifyTrace(prof.Trace, plane.Options{})
 	}
 	if o.RCSE.RaceTrigger {
-		cfg.RaceSampleRate = o.RCSE.RaceSampleRate
+		cfg.RaceSampleRate = raceSampleRate
 		cfg.RaceCheckCost = 2
 	}
 	if o.RCSE.InvariantTrigger {
 		inf := invariant.NewInferencer()
 		trainParams := s.DefaultParams.Clone(o.Params).Clone(s.TrainingParams)
-		for i := 0; i < o.RCSE.TrainingRuns; i++ {
+		for i := 0; i < trainingRuns; i++ {
 			if err := o.Ctx.Err(); err != nil {
 				return cfg, err
 			}
-			v := s.Exec(scenario.ExecOptions{Seed: o.ProfileSeed + 1 + int64(i), Params: trainParams})
+			v := s.Exec(scenario.ExecOptions{Seed: o.profileSeed + 1 + int64(i), Params: trainParams})
 			if v.Trace != nil {
 				inf.AddTrace(v.Trace)
 			}

@@ -121,7 +121,7 @@ func TornWAL() *scenario.Scenario {
 		Failure: scenario.FailureSpec{
 			Name: "corruptread",
 			Check: func(v *scenario.RunView) (bool, string) {
-				bad, ok := lastInt(v.Result.Outputs[OutDurCorrupt])
+				bad, ok := v.LastOutput(OutDurCorrupt)
 				if !ok {
 					return false, ""
 				}
@@ -183,7 +183,7 @@ func FsyncLoss() *scenario.Scenario {
 		Failure: scenario.FailureSpec{
 			Name: "lostdurable",
 			Check: func(v *scenario.RunView) (bool, string) {
-				lost, ok := lastInt(v.Result.Outputs[OutDurLost])
+				lost, ok := v.LastOutput(OutDurLost)
 				if !ok {
 					return false, ""
 				}
@@ -243,7 +243,7 @@ func SnapRes() *scenario.Scenario {
 		Failure: scenario.FailureSpec{
 			Name: "diskresurrect",
 			Check: func(v *scenario.RunView) (bool, string) {
-				alive, ok := lastInt(v.Result.Outputs[OutDurAlive])
+				alive, ok := v.LastOutput(OutDurAlive)
 				if !ok {
 					return false, ""
 				}

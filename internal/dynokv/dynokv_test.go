@@ -157,8 +157,8 @@ func TestLostHintAcksAreSloppy(t *testing.T) {
 	// subset of the acked writes.
 	s := LostHint()
 	v := s.Exec(scenario.ExecOptions{Seed: s.DefaultSeed})
-	acked, _ := lastInt(v.Result.Outputs[OutAcked])
-	lost, _ := lastInt(v.Result.Outputs[OutLost])
+	acked, _ := v.LastOutput(OutAcked)
+	lost, _ := v.LastOutput(OutLost)
 	if acked == 0 || lost == 0 || lost > acked {
 		t.Fatalf("acked=%d lost=%d: losses must be of acknowledged writes", acked, lost)
 	}

@@ -117,13 +117,6 @@ func faultDomains(prefix string, max int64) []scenario.InputDomain {
 	return out
 }
 
-func lastInt(vs []trace.Value) (int64, bool) {
-	if len(vs) == 0 {
-		return 0, false
-	}
-	return vs[len(vs)-1].AsInt(), true
-}
-
 // StaleRead returns the dynokv-staleread scenario: with R+W <= N an
 // acknowledged write can be invisible to its own author's next read.
 func StaleRead() *scenario.Scenario {
@@ -148,7 +141,7 @@ func StaleRead() *scenario.Scenario {
 		Failure: scenario.FailureSpec{
 			Name: "staleread",
 			Check: func(v *scenario.RunView) (bool, string) {
-				stale, ok := lastInt(v.Result.Outputs[OutStale])
+				stale, ok := v.LastOutput(OutStale)
 				if !ok {
 					return false, ""
 				}
@@ -223,7 +216,7 @@ func Resurrect() *scenario.Scenario {
 		Failure: scenario.FailureSpec{
 			Name: "resurrect",
 			Check: func(v *scenario.RunView) (bool, string) {
-				live, ok := lastInt(v.Result.Outputs[OutResurrected])
+				live, ok := v.LastOutput(OutResurrected)
 				if !ok {
 					return false, ""
 				}
@@ -300,7 +293,7 @@ func LostHint() *scenario.Scenario {
 		Failure: scenario.FailureSpec{
 			Name: "lostwrite",
 			Check: func(v *scenario.RunView) (bool, string) {
-				lost, ok := lastInt(v.Result.Outputs[OutLost])
+				lost, ok := v.LastOutput(OutLost)
 				if !ok {
 					return false, ""
 				}
@@ -397,7 +390,7 @@ func Stats(v *scenario.RunView) string {
 	m := v.Machine
 	cell := func(name string) int64 { return m.CellByName(name).AsInt() }
 	out := func(name string) int64 {
-		n, _ := lastInt(v.Result.Outputs[name])
+		n, _ := v.LastOutput(name)
 		return n
 	}
 	return fmt.Sprintf(

@@ -251,8 +251,12 @@ func (ds *DiskStore) Feeds(snap *vm.Snapshot) ([][]vm.FeedEntry, error) {
 	return feeds, nil
 }
 
-// Sched implements Store.
-func (ds *DiskStore) Sched(from uint64) ([]trace.ThreadID, error) {
+// Sched is SchedFrom. bench/ compiles against this; ROADMAP item 1 deletes
+// it.
+func (ds *DiskStore) Sched(from uint64) ([]trace.ThreadID, error) { return ds.SchedFrom(from) }
+
+// SchedFrom implements Store.
+func (ds *DiskStore) SchedFrom(from uint64) ([]trace.ThreadID, error) {
 	fd, err := ds.feedData()
 	if err != nil {
 		return nil, err

@@ -33,9 +33,9 @@
 // memory is the bounded resource while recording, disk is cheap, and
 // without the full feed prefix no checkpoint would be restorable.
 //
-// The Store interface is the replay-side contract: replay.SeekStore,
-// replay.SegmentedStore and the store-backed Debugger consume it in place
-// of a monolithic *record.Recording. Recording.Store is an in-memory
-// recording's implementation, Open a spill directory's, so every replay
-// entry point works identically over both.
+// The Store interface is the replay-side contract: replay.Seek,
+// replay.Segmented and replay.NewDebugger consume it. A *record.Recording
+// implements it for an in-memory recording — the store that retains
+// everything — and Open for a spill directory, so every replay entry point
+// works identically over both.
 package flightrec

@@ -164,7 +164,7 @@ func TestFlightSeekEquivalence(t *testing.T) {
 				if target > res.Events {
 					target = res.Events
 				}
-				sess, err := replay.SeekStore(s, st, target, replay.Options{})
+				sess, err := replay.Seek(s, st, target, replay.Options{})
 				if err != nil {
 					t.Fatalf("seek %d: %v", target, err)
 				}
@@ -189,7 +189,7 @@ func TestFlightSeekEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess, err := replay.SeekStore(s, st, q, replay.Options{})
+			sess, err := replay.Seek(s, st, q, replay.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -248,7 +248,7 @@ func segmentedInvariant(t *testing.T, s *scenario.Scenario, st flightrec.Store, 
 	n := len(st.Segments())
 	var base *fingerprint
 	for _, workers := range []int{1, 2, 3, n, n + 5} {
-		sr, err := replay.SegmentedStore(s, st, replay.Options{Workers: workers})
+		sr, err := replay.Segmented(s, st, replay.Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -290,7 +290,7 @@ func TestFlightDegenerateLayouts(t *testing.T) {
 		if seqs := st.SnapshotSeqs(); len(seqs) != 0 {
 			t.Fatalf("snapshots %v, want none", seqs)
 		}
-		sess, err := replay.SeekStore(s, st, n/2, replay.Options{})
+		sess, err := replay.Seek(s, st, n/2, replay.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +306,7 @@ func TestFlightDegenerateLayouts(t *testing.T) {
 		}
 		assertEventsMatch(t, "fallback", view.Trace.Events, plain.Full)
 
-		sr, err := replay.SegmentedStore(s, st, replay.Options{Workers: 4})
+		sr, err := replay.Segmented(s, st, replay.Options{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,7 +327,7 @@ func TestFlightDegenerateLayouts(t *testing.T) {
 			t.Fatalf("snapshots %v, want [%d]", seqs, interval)
 		}
 		// Before the lone boundary: falls back to the start.
-		sess, err := replay.SeekStore(s, st, interval-1, replay.Options{})
+		sess, err := replay.Seek(s, st, interval-1, replay.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,7 +336,7 @@ func TestFlightDegenerateLayouts(t *testing.T) {
 		}
 		sess.Close()
 		// At and past it: restores.
-		sess, err = replay.SeekStore(s, st, interval, replay.Options{})
+		sess, err = replay.Seek(s, st, interval, replay.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,7 +380,7 @@ func TestFlightRetention(t *testing.T) {
 	}
 
 	// The retained tail seeks from its boundary snapshots.
-	sess, err := replay.SeekStore(stale, st, hi-1, replay.Options{})
+	sess, err := replay.Seek(stale, st, hi-1, replay.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestFlightRetention(t *testing.T) {
 	assertEventsMatch(t, "tail suffix", view.Trace.Events, plain.Full[sess.SuffixFrom:])
 
 	// A pre-tail target falls back to the feed log: full replay from 0.
-	sess, err = replay.SeekStore(stale, st, lo/2, replay.Options{})
+	sess, err = replay.Seek(stale, st, lo/2, replay.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func TestFlightRetention(t *testing.T) {
 	// Segmented replay validates the retained tail, worker-invariant.
 	var ref *replay.SegmentedResult
 	for _, workers := range []int{1, 4} {
-		sr, err := replay.SegmentedStore(stale, st, replay.Options{Workers: workers})
+		sr, err := replay.Segmented(stale, st, replay.Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -451,7 +451,7 @@ func TestStoreDebugger(t *testing.T) {
 	res := flightRecord(t, s, flightrec.Options{Interval: interval})
 	st := res.Store
 
-	d, err := replay.NewStoreDebugger(s, st, replay.DebugOptions{})
+	d, err := replay.NewDebugger(s, st, replay.DebugOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -562,7 +562,7 @@ func TestRetentionOne(t *testing.T) {
 
 	// A target at the very first retained event seeks from the segment's
 	// own boundary snapshot.
-	sess, err := replay.SeekStore(s, st, lo, replay.Options{})
+	sess, err := replay.Seek(s, st, lo, replay.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,7 +576,7 @@ func TestRetentionOne(t *testing.T) {
 	assertEventsMatch(t, "retention-1 tail", view.Trace.Events, plain.Full[lo:])
 
 	// One event earlier is evicted: full replay from 0, same events.
-	sess, err = replay.SeekStore(s, st, lo-1, replay.Options{})
+	sess, err = replay.Seek(s, st, lo-1, replay.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,7 +610,7 @@ func TestSeekRacesEviction(t *testing.T) {
 	}
 
 	// The cached store is immune to the eviction.
-	sess, err := replay.SeekStore(s, st, target, replay.Options{})
+	sess, err := replay.Seek(s, st, target, replay.Options{})
 	if err != nil {
 		t.Fatalf("seek after cached eviction: %v", err)
 	}
@@ -626,7 +626,7 @@ func TestSeekRacesEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := replay.SeekStore(s, st2, target, replay.Options{}); err == nil || !strings.Contains(err.Error(), oldest.File) {
+	if _, err := replay.Seek(s, st2, target, replay.Options{}); err == nil || !strings.Contains(err.Error(), oldest.File) {
 		t.Fatalf("seek into evicted segment: err = %v, want mention of %s", err, oldest.File)
 	}
 }

@@ -74,7 +74,7 @@ func TestHostileFeedLog(t *testing.T) {
 			if err != nil {
 				t.Fatalf("open: %v", err)
 			}
-			_, err = replay.SeekStore(s, st, target, replay.Options{})
+			_, err = replay.Seek(s, st, target, replay.Options{})
 			runtime.ReadMemStats(&after)
 			if !errors.Is(err, flightrec.ErrCorrupt) {
 				t.Fatalf("seek: err = %v, want ErrCorrupt", err)
@@ -135,7 +135,7 @@ func TestTamperedBoundarySnapshot(t *testing.T) {
 			if err != nil {
 				t.Fatalf("open: %v", err)
 			}
-			sess, err := replay.SeekStore(s, st, si.From+20, replay.Options{})
+			sess, err := replay.Seek(s, st, si.From+20, replay.Options{})
 			if !errors.Is(err, vm.ErrBadSnapshot) || sess != nil {
 				t.Fatalf("seek into the tampered segment: session %v, err %v; want ErrBadSnapshot and no session", sess, err)
 			}
@@ -145,7 +145,7 @@ func TestTamperedBoundarySnapshot(t *testing.T) {
 			// The segment before it still restores and replays up to the
 			// tampered boundary.
 			prev := infos[len(infos)/2-1]
-			sess, err = replay.SeekStore(s, st, prev.From+20, replay.Options{})
+			sess, err = replay.Seek(s, st, prev.From+20, replay.Options{})
 			if err != nil || sess.Pos() != prev.From+20 {
 				t.Fatalf("seek into the segment before: %v", err)
 			}

@@ -41,19 +41,21 @@ type RecordResult struct {
 // segment ring and feed log instead of an unbounded in-memory log — so
 // the run's memory is O(ring) regardless of length.
 func Record(s *scenario.Scenario, seed int64, params scenario.Params, o Options) (*RecordResult, error) {
-	p := s.DefaultParams.Clone(params)
-	m := vm.New(vm.Config{
-		Seed:   seed,
-		Inputs: s.Inputs(seed, p),
-	})
-	main := s.Build(m, p)
-	rec, err := NewRecorder(m, s.Name, seed, p, o)
+	var rec *Recorder
+	var err error
+	m := s.Start(scenario.ExecOptions{Seed: seed, Params: params, DisableTrace: true,
+		ObserverFactory: func(m *vm.Machine) []vm.Observer {
+			if rec, err = NewRecorder(m, s.Name, seed, s.DefaultParams.Clone(params), o); err != nil {
+				return nil
+			}
+			return []vm.Observer{rec}
+		}})
 	if err != nil {
+		m.Finish() // releases the started main thread
 		return nil, err
 	}
-	m.Attach(rec)
-	res := m.Run(main)
-	view := &scenario.RunView{Machine: m, Result: res}
+	m.Continue(0)
+	view := &scenario.RunView{Machine: m, Result: m.Finish()}
 	failed, sig := s.CheckFailure(view)
 	if err := rec.Finalize(failed, sig); err != nil {
 		return nil, err

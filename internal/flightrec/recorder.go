@@ -407,11 +407,8 @@ func (r *Recorder) CheckpointBytes() int64 { return r.ckpt.Bytes() }
 // FeedBytes returns the feed log's size on disk so far.
 func (r *Recorder) FeedBytes() int64 { return r.feedW.Written() }
 
-// MemBytes returns the recorder's current in-memory footprint (building
-// segment + ring, in encoded-size units).
-func (r *Recorder) MemBytes() int64 { return r.memBytes }
-
-// PeakMemBytes returns the high-water mark of MemBytes over the run —
+// PeakMemBytes returns the high-water mark of the recorder's in-memory
+// footprint (building segment + ring, in encoded-size units) over the run —
 // the measured O(ring) bound the soak test asserts.
 func (r *Recorder) PeakMemBytes() int64 { return r.peakMem }
 

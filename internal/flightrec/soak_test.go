@@ -74,7 +74,7 @@ func TestSoakMillionEventRecording(t *testing.T) {
 	// boundary snapshot and its replayed suffix must be logically
 	// identical to the recorded events of the same range.
 	target := lo + (hi-lo)*3/4
-	sess, err := replay.SeekStore(s, st, target, replay.Options{})
+	sess, err := replay.Seek(s, st, target, replay.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestSoakMillionEventRecording(t *testing.T) {
 	// invariant: same verdict, same segment count, same work.
 	var first *replay.SegmentedResult
 	for _, workers := range []int{1, 4} {
-		sres, err := replay.SegmentedStore(s, st, replay.Options{Workers: workers})
+		sres, err := replay.Segmented(s, st, replay.Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -10,18 +10,18 @@ import (
 )
 
 // Meta is the run identity a segment store carries (see record.Meta; the
-// type lives beside Recording so a recording's own store can return it).
+// type lives beside Recording, whose Meta method returns it).
 type Meta = record.Meta
 
 // SegmentInfo describes one checkpoint-delimited segment (see
 // record.SegmentInfo).
 type SegmentInfo = record.SegmentInfo
 
-// Store is the segment-store contract replay consumes in place of a
-// monolithic *record.Recording (whose own store, Recording.Store, is one
-// implementation): run identity, the retained segments and
-// their events, the boundary snapshots with everything vm.Restore needs
-// (feeds, schedule suffix, inputs). Implementations must be safe for
+// Store is the segment-store contract replay consumes: run identity, the
+// retained segments and their events, the boundary snapshots with
+// everything vm.Restore needs (feeds, schedule suffix, inputs). A
+// *record.Recording is the store that retains everything, a *DiskStore a
+// flight recorder's spill directory. Implementations must be safe for
 // concurrent readers — segmented replay shares one store across workers.
 type Store interface {
 	// Meta returns the run identity.
@@ -45,13 +45,15 @@ type Store interface {
 	// snap.Seq events — the vm.Restore feed input for a snapshot
 	// obtained from this store. The returned slices are read-only.
 	Feeds(snap *vm.Snapshot) ([][]vm.FeedEntry, error)
-	// Sched returns the schedule stream from event `from` on (nil when
-	// from is at or past the end). The slice is read-only.
-	Sched(from uint64) ([]trace.ThreadID, error)
+	// SchedFrom returns the schedule stream from event `from` on (nil
+	// when from is at or past the end). The slice is read-only.
+	SchedFrom(from uint64) ([]trace.ThreadID, error)
 	// Inputs returns the recorded per-stream input source, for replays
 	// to re-obtain every environment value the run consumed.
 	Inputs() (vm.InputSource, error)
 }
+
+var _ Store = (*record.Recording)(nil)
 
 // Retained returns the contiguous event range [lo, hi) covered by the
 // store's segments. An empty store returns (0, 0).
@@ -100,19 +102,33 @@ func EventRange(st Store, lo, hi uint64) ([]trace.Event, error) {
 
 // snapOverlay decorates a store with externally materialized snapshots —
 // how the debugger retrofits checkpoints onto a checkpoint-free store
-// after replaying it once with a checkpoint writer attached. Feeds are
-// derived from the store's own retained events, so the overlay only works
-// when the store retains the full prefix of every overlay snapshot (true
-// for checkpoint-free stores, which hold one segment from 0).
+// after replaying it once with a checkpoint writer attached. Feeds come
+// from one plan derived from the store's own retained events when the
+// overlay is made, so the overlay only works when the store retains the
+// full prefix of every overlay snapshot (true for checkpoint-free stores,
+// which hold one segment from 0).
 type snapOverlay struct {
 	Store
 	snaps []*vm.Snapshot
+	plan  *checkpoint.FeedPlan
 }
 
 // WithSnapshots returns a view of st whose snapshots are snaps (in trace
 // order), replacing whatever snapshots st itself offers.
-func WithSnapshots(st Store, snaps []*vm.Snapshot) Store {
-	return &snapOverlay{Store: st, snaps: snaps}
+func WithSnapshots(st Store, snaps []*vm.Snapshot) (Store, error) {
+	var prefix uint64
+	if len(snaps) > 0 {
+		prefix = snaps[len(snaps)-1].Seq
+	}
+	events, err := EventRange(st, 0, prefix)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := checkpoint.PlanFeeds(events, snaps)
+	if err != nil {
+		return nil, err
+	}
+	return &snapOverlay{Store: st, snaps: snaps, plan: plan}, nil
 }
 
 // BestSnapshot implements Store over the overlay snapshots.
@@ -129,11 +145,7 @@ func (o *snapOverlay) SnapshotSeqs() []uint64 {
 	return seqs
 }
 
-// Feeds implements Store by deriving feeds from the retained events.
+// Feeds implements Store by slicing the overlay's feed plan.
 func (o *snapOverlay) Feeds(snap *vm.Snapshot) ([][]vm.FeedEntry, error) {
-	events, err := EventRange(o.Store, 0, snap.Seq)
-	if err != nil {
-		return nil, err
-	}
-	return checkpoint.Feeds(events, snap.Seq, len(snap.Threads))
+	return o.plan.At(snap)
 }

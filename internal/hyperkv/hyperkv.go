@@ -43,7 +43,6 @@ const (
 	MsgMigrate  = "migrate"  // master → rs.admin: Nums[range, dstServer]
 	MsgTransfer = "transfer" // rs.admin → rs.admin: Nums[range, keys...], Blob[rows]
 	MsgMigrated = "migrated" // rs.admin → master: Nums[range, dstServer]
-	MsgDone     = "done"     // internal completion token
 )
 
 // Input stream names. Fault and memory streams are the environment

@@ -167,9 +167,8 @@ func inputDomains() []scenario.InputDomain {
 // checkDataLoss is the failure specification: the dump returned fewer rows
 // than the load acked, with no error reported anywhere.
 func checkDataLoss(v *scenario.RunView) (bool, string) {
-	outs := v.Result.Outputs
-	dumped, okD := lastInt(outs[OutDumpRows])
-	acked, okA := lastInt(outs[OutAcked])
+	dumped, okD := v.LastOutput(OutDumpRows)
+	acked, okA := v.LastOutput(OutAcked)
 	if !okD || !okA {
 		return false, ""
 	}
@@ -177,13 +176,6 @@ func checkDataLoss(v *scenario.RunView) (bool, string) {
 		return true, "hyperkv:dataloss"
 	}
 	return false, ""
-}
-
-func lastInt(vs []trace.Value) (int64, bool) {
-	if len(vs) == 0 {
-		return 0, false
-	}
-	return vs[len(vs)-1].AsInt(), true
 }
 
 // FixedScenario returns the same system with the lock in place — the
@@ -198,9 +190,8 @@ func FixedScenario() *scenario.Scenario {
 
 // Stats summarizes a finished run for CLI output.
 func Stats(v *scenario.RunView) string {
-	outs := v.Result.Outputs
-	dumped, _ := lastInt(outs[OutDumpRows])
-	acked, _ := lastInt(outs[OutAcked])
+	dumped, _ := v.LastOutput(OutDumpRows)
+	acked, _ := v.LastOutput(OutAcked)
 	return fmt.Sprintf("acked=%d dumped=%d raceLost=%d crashed=%d oom=%d outcome=%s",
 		acked, dumped,
 		RaceLostRows(v),

@@ -59,14 +59,16 @@ type ForkerConfig struct {
 	// Interval is the event interval between snapshots on retained
 	// executions (0 = checkpoint.DefaultInterval).
 	Interval uint64
-	// MaxPaths bounds the prefix forest (0 = 8).
-	MaxPaths int
 	// MaxSteps bounds each candidate execution (0 = VM default).
 	MaxSteps uint64
 	// RelaxTime lifts time gates on sleeps and timeouts, as forced-schedule
 	// replay requires (see vm.Config.RelaxTime).
 	RelaxTime bool
 }
+
+// maxForkPaths bounds the prefix forest: how many finished executions a
+// Forker retains to fork later candidates from.
+const maxForkPaths = 8
 
 // Forker runs candidate executions by forking them off retained prefixes
 // instead of from scratch; see the package comment on forkPath for the
@@ -78,34 +80,13 @@ type ForkerConfig struct {
 // A Forker is not safe for concurrent use while the forest grows; call
 // Freeze first, after which concurrent Runs share the forest read-only.
 type Forker struct {
-	s        *scenario.Scenario
-	interval uint64
-	maxPaths int
-	maxSteps uint64
-	relax    bool
-	grow     bool
-	forest   []*forkPath
+	cfg    ForkerConfig
+	grow   bool
+	forest []*forkPath
 }
 
 // NewForker returns a forker with an empty forest.
-func NewForker(cfg ForkerConfig) *Forker {
-	interval := cfg.Interval
-	if interval == 0 {
-		interval = checkpoint.DefaultInterval
-	}
-	maxPaths := cfg.MaxPaths
-	if maxPaths == 0 {
-		maxPaths = 8
-	}
-	return &Forker{
-		s:        cfg.Scenario,
-		interval: interval,
-		maxPaths: maxPaths,
-		maxSteps: cfg.MaxSteps,
-		relax:    cfg.RelaxTime,
-		grow:     true,
-	}
-}
+func NewForker(cfg ForkerConfig) *Forker { return &Forker{cfg: cfg, grow: true} }
 
 // Candidate is one candidate execution, described by constructors rather
 // than instances: the forker dry-runs a candidate's scheduler and probes
@@ -138,7 +119,7 @@ func (f *Forker) Freeze() { f.grow = false }
 // pruned as equivalent to a retained execution; view.Result always holds
 // whole-run totals).
 func (f *Forker) Run(c Candidate) (view *scenario.RunView, steps, cycles uint64) {
-	pEff := f.s.DefaultParams.Clone(c.Params)
+	pEff := f.cfg.Scenario.DefaultParams.Clone(c.Params)
 	base, snap, complete := f.bestFork(c, pEff)
 	if complete {
 		return reuseView(base, c.Seed), 0, 0
@@ -253,23 +234,11 @@ func (f *Forker) runForked(c Candidate, pEff scenario.Params, base *forkPath, sn
 		}
 		prefix++
 	}
-	insert := f.grow && len(f.forest) < f.maxPaths
-	m, err := vm.Restore(vm.Config{
-		Seed:         c.Seed,
-		Scheduler:    sched,
-		Inputs:       c.Inputs(),
-		MaxSteps:     f.maxSteps,
-		CollectTrace: true,
-		RelaxTime:    f.relax,
-		LogRounds:    insert,
-	}, func(mm *vm.Machine) func(*vm.Thread) { return f.s.Build(mm, pEff) }, snap, feeds)
+	insert := f.grow && len(f.forest) < maxForkPaths
+	eo, snaps := f.launch(c, sched, insert)
+	m, err := f.cfg.Scenario.Restore(eo, snap, feeds)
 	if err != nil {
 		return nil, 0, 0, false
-	}
-	var cw *checkpoint.Writer
-	if insert {
-		cw = checkpoint.NewWriter(m, f.interval)
-		m.Attach(cw)
 	}
 	m.Continue(0)
 	res := m.Finish()
@@ -282,7 +251,7 @@ func (f *Forker) runForked(c Candidate, pEff scenario.Params, base *forkPath, sn
 	events = append(events, base.events[:snap.Seq]...)
 	events = append(events, res.Trace.Events...)
 	tr := &trace.Log{
-		Header: trace.Header{Scenario: f.s.Name, Seed: c.Seed, Params: map[string]int64(pEff)},
+		Header: trace.Header{Scenario: f.cfg.Scenario.Name, Seed: c.Seed, Params: map[string]int64(pEff)},
 		Sites:  m.Sites(),
 		Events: events,
 	}
@@ -292,42 +261,51 @@ func (f *Forker) runForked(c Candidate, pEff scenario.Params, base *forkPath, sn
 		rounds := make([]vm.SchedRound, 0, prefix+len(m.Rounds()))
 		rounds = append(rounds, base.rounds[:prefix]...)
 		rounds = append(rounds, m.Rounds()...)
-		var snaps []*vm.Snapshot
+		var kept []*vm.Snapshot
 		for _, s := range base.snaps {
 			if s.Seq <= snap.Seq {
-				snaps = append(snaps, s)
+				kept = append(kept, s)
 			}
 		}
-		snaps = append(snaps, cw.Snapshots()...)
-		f.insert(pEff, view, rounds, snaps)
+		f.insert(pEff, view, rounds, append(kept, snaps()...))
 	}
 	return view, res.Steps - snap.Seq, res.Cycles - snap.Clock, true
+}
+
+// launch assembles the options a candidate's machine is launched with,
+// from scratch or restored. A run that will be inserted into the forest
+// keeps its round log and carries a checkpoint writer, whose snapshots
+// the returned function hands back once the run has finished.
+func (f *Forker) launch(c Candidate, sched vm.Scheduler, insert bool) (eo scenario.ExecOptions, snaps func() []*vm.Snapshot) {
+	eo = scenario.ExecOptions{
+		Seed:      c.Seed,
+		Params:    c.Params,
+		Scheduler: sched,
+		Inputs:    c.Inputs(),
+		MaxSteps:  f.cfg.MaxSteps,
+		RelaxTime: f.cfg.RelaxTime,
+		LogRounds: insert,
+	}
+	if insert {
+		var cw *checkpoint.Writer
+		eo.ObserverFactory = func(m *vm.Machine) []vm.Observer {
+			cw = checkpoint.NewWriter(m, f.cfg.Interval)
+			return []vm.Observer{cw}
+		}
+		snaps = func() []*vm.Snapshot { return cw.Snapshots() }
+	}
+	return eo, snaps
 }
 
 // runScratch executes the candidate from the beginning — the first
 // candidate of every parameter group, candidates that diverge before the
 // first snapshot, and any candidate the fork machinery refused.
 func (f *Forker) runScratch(c Candidate, pEff scenario.Params) (*scenario.RunView, uint64, uint64) {
-	insert := f.grow && len(f.forest) < f.maxPaths
-	var cw *checkpoint.Writer
-	eo := scenario.ExecOptions{
-		Seed:      c.Seed,
-		Params:    c.Params,
-		Scheduler: c.Scheduler(),
-		Inputs:    c.Inputs(),
-		MaxSteps:  f.maxSteps,
-		RelaxTime: f.relax,
-		LogRounds: insert,
-	}
+	insert := f.grow && len(f.forest) < maxForkPaths
+	eo, snaps := f.launch(c, c.Scheduler(), insert)
+	view := f.cfg.Scenario.Exec(eo)
 	if insert {
-		eo.ObserverFactory = func(m *vm.Machine) []vm.Observer {
-			cw = checkpoint.NewWriter(m, f.interval)
-			return []vm.Observer{cw}
-		}
-	}
-	view := f.s.Exec(eo)
-	if insert {
-		f.insert(pEff, view, view.Machine.Rounds(), cw.Snapshots())
+		f.insert(pEff, view, view.Machine.Rounds(), snaps())
 	}
 	return view, view.Result.Steps, view.Result.Cycles
 }

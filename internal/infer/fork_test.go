@@ -256,7 +256,6 @@ func TestSearchValidatesOptions(t *testing.T) {
 		"workers":       {Workers: -1},
 		"budget":        {Budget: -5},
 		"fork-interval": {Fork: true, ForkInterval: -256},
-		"fork-paths":    {Fork: true, ForkPaths: -2},
 	}
 	for name, o := range cases {
 		out := Search(s, reject, o)

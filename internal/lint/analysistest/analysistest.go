@@ -10,7 +10,6 @@
 package analysistest
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"path/filepath"
@@ -141,12 +140,3 @@ func matchWant(wants []*expectation, pos token.Position, msg string) bool {
 // Testdata returns the conventional fixture root for a test file's
 // package: ./testdata.
 func Testdata() string { return "testdata" }
-
-// Fprint is a debugging helper: renders diagnostics like the driver does.
-func Fprint(fset *token.FileSet, findings []analysis.Diagnostic) string {
-	var b strings.Builder
-	for _, d := range findings {
-		fmt.Fprintf(&b, "%s: %s\n", fset.Position(d.Pos), d.Message)
-	}
-	return b.String()
-}

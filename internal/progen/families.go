@@ -23,15 +23,6 @@ const (
 	crashPointGen, crashPointSeed = 4, 1
 )
 
-// lastOut fetches the final value emitted on an output stream.
-func lastOut(v *scenario.RunView, stream string) (int64, bool) {
-	vals := v.Result.Outputs[stream]
-	if len(vals) == 0 {
-		return 0, false
-	}
-	return vals[len(vals)-1].AsInt(), true
-}
-
 // --- fuzz-atomicity -----------------------------------------------------
 
 func atomicityScenario() *scenario.Scenario {
@@ -52,8 +43,8 @@ func atomicityScenario() *scenario.Scenario {
 		Failure: scenario.FailureSpec{
 			Name: "lost-update",
 			Check: func(v *scenario.RunView) (bool, string) {
-				expected, okE := lastOut(v, "fuzz.expected")
-				actual, okA := lastOut(v, "fuzz.actual")
+				expected, okE := v.LastOutput("fuzz.expected")
+				actual, okA := v.LastOutput("fuzz.actual")
 				if !okE || !okA {
 					return false, ""
 				}
@@ -67,8 +58,8 @@ func atomicityScenario() *scenario.Scenario {
 			ID:          "unlocked-rmw",
 			Description: "the counter's load/store pair runs outside any lock; interleaved workers overwrite each other's increments",
 			Present: func(v *scenario.RunView) bool {
-				expected, _ := lastOut(v, "fuzz.expected")
-				actual, _ := lastOut(v, "fuzz.actual")
+				expected, _ := v.LastOutput("fuzz.expected")
+				actual, _ := v.LastOutput("fuzz.actual")
 				return actual != expected
 			},
 		}},
@@ -285,8 +276,8 @@ func lostMessageScenario() *scenario.Scenario {
 		Failure: scenario.FailureSpec{
 			Name: "lost-message",
 			Check: func(v *scenario.RunView) (bool, string) {
-				sent, okS := lastOut(v, "fuzz.sent")
-				delivered, okD := lastOut(v, "fuzz.delivered")
+				sent, okS := v.LastOutput("fuzz.sent")
+				delivered, okD := v.LastOutput("fuzz.delivered")
 				if !okS || !okD {
 					return false, ""
 				}
@@ -300,8 +291,8 @@ func lostMessageScenario() *scenario.Scenario {
 			ID:          "lossy-link",
 			Description: "the client->server link drops messages; the exchange has no acknowledgement or retry",
 			Present: func(v *scenario.RunView) bool {
-				sent, _ := lastOut(v, "fuzz.sent")
-				delivered, _ := lastOut(v, "fuzz.delivered")
+				sent, _ := v.LastOutput("fuzz.sent")
+				delivered, _ := v.LastOutput("fuzz.delivered")
 				return delivered < sent
 			},
 		}},
@@ -398,8 +389,8 @@ func oversellScenario() *scenario.Scenario {
 		Failure: scenario.FailureSpec{
 			Name: "oversell",
 			Check: func(v *scenario.RunView) (bool, string) {
-				capacity, okC := lastOut(v, "fuzz.capacity")
-				sold, okS := lastOut(v, "fuzz.sold")
+				capacity, okC := v.LastOutput("fuzz.capacity")
+				sold, okS := v.LastOutput("fuzz.sold")
 				if !okC || !okS {
 					return false, ""
 				}
@@ -413,8 +404,8 @@ func oversellScenario() *scenario.Scenario {
 			ID:          "toctou-window",
 			Description: "the capacity check and the decrement are separate operations; buyers interleaving in the window each see enough remaining and all sell",
 			Present: func(v *scenario.RunView) bool {
-				capacity, _ := lastOut(v, "fuzz.capacity")
-				sold, _ := lastOut(v, "fuzz.sold")
+				capacity, _ := v.LastOutput("fuzz.capacity")
+				sold, _ := v.LastOutput("fuzz.sold")
 				return sold > capacity
 			},
 		}},
@@ -443,8 +434,8 @@ func crashPointScenario() *scenario.Scenario {
 		Failure: scenario.FailureSpec{
 			Name: "lost-record",
 			Check: func(v *scenario.RunView) (bool, string) {
-				acked, okA := lastOut(v, "fuzz.acked")
-				recovered, okR := lastOut(v, "fuzz.recovered")
+				acked, okA := v.LastOutput("fuzz.acked")
+				recovered, okR := v.LastOutput("fuzz.recovered")
 				if !okA || !okR {
 					return false, ""
 				}
@@ -458,8 +449,8 @@ func crashPointScenario() *scenario.Scenario {
 			ID:          "early-ack",
 			Description: "appends are acknowledged as soon as they are written, before the group fsync makes them durable; a crash inside the group window discards acknowledged records",
 			Present: func(v *scenario.RunView) bool {
-				acked, _ := lastOut(v, "fuzz.acked")
-				recovered, _ := lastOut(v, "fuzz.recovered")
+				acked, _ := v.LastOutput("fuzz.acked")
+				recovered, _ := v.LastOutput("fuzz.recovered")
 				return recovered < acked
 			},
 		}},

@@ -68,9 +68,6 @@ func (f Family) String() string {
 	return "family(?)"
 }
 
-// ScenarioName returns the family's catalog name ("fuzz-" + name).
-func (f Family) ScenarioName() string { return "fuzz-" + f.String() }
-
 // Families lists every bug-template family.
 func Families() []Family {
 	return []Family{Atomicity, LockCycle, LostMessage, Oversell, CrashPoint}

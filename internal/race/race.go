@@ -236,14 +236,3 @@ func Analyze(l *trace.Log) []Race {
 	sort.Slice(rs, func(i, j int) bool { return rs[i].Second.Seq < rs[j].Second.Seq })
 	return rs
 }
-
-// RacesOnObject filters races to those on a specific cell.
-func RacesOnObject(rs []Race, obj trace.ObjID) []Race {
-	var out []Race
-	for _, r := range rs {
-		if r.Obj == obj {
-			out = append(out, r)
-		}
-	}
-	return out
-}

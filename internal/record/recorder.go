@@ -38,15 +38,12 @@ func (p PolicyFunc) Name() string { return p.N }
 // Level implements Policy.
 func (p PolicyFunc) Level(e *trace.Event) Level { return p.F(e) }
 
-// fullEventBytes estimates the serialized size of a fully recorded event:
-// kind, thread, site, object, sequence delta and payload.
-func fullEventBytes(e *trace.Event) int { return 10 + e.Val.Size() }
-
 // FullEventBytes is the serialized-size estimate of one fully recorded
-// event — the unit both the stock full-level recorder and the flight
-// recorder charge against the cost model, so the two record paths price
-// identically and share one virtual schedule.
-func FullEventBytes(e *trace.Event) int { return fullEventBytes(e) }
+// event (kind, thread, site, object, sequence delta and payload) — the unit
+// both the stock full-level recorder and the flight recorder charge against
+// the cost model, so the two record paths price identically and share one
+// virtual schedule.
+func FullEventBytes(e *trace.Event) int { return 10 + e.Val.Size() }
 
 // Recorder persists an execution's events according to a policy. It
 // implements vm.Observer; attach it to the machine before Run.
@@ -90,7 +87,7 @@ func (r *Recorder) OnEvent(e *trace.Event) uint64 {
 		r.full = trace.AppendEvent(r.full, *e)
 		r.sched = append(r.sched, e.TID)
 		r.fullCount++
-		b := fullEventBytes(e)
+		b := FullEventBytes(e)
 		r.bytes += int64(b) + 1
 		return r.cost.RecordCost(b)
 	}

@@ -20,8 +20,8 @@ import (
 // signature (failure determinism).
 //
 // A Recording is plain data and may be copied, but it must not be mutated
-// after its first replay call: replays share one read-only view derived
-// from it (see Store), and its Checkpoints share the recorded machine's
+// after its first replay call: replays share one read-only plan derived
+// from it (see replayPlan), and its Checkpoints share the recorded machine's
 // stream histories (see vm.StreamSnap).
 type Recording struct {
 	Scenario string
@@ -66,10 +66,10 @@ type Recording struct {
 	TotalCycles uint64
 	EventCount  uint64
 
-	// cache holds the replay-side view derived from the fields above (see
-	// Store), built on first use. It is not part of the recording's value:
-	// comparisons of Recordings must ignore it.
-	cache *storeCache
+	// cache holds the replay plan derived from the fields above (see
+	// replayPlan), built on first use. It is not part of the recording's
+	// value: comparisons of Recordings must ignore it.
+	cache *planCache
 }
 
 // Capture finalizes a recording after the recorded run finished: it stores
@@ -93,7 +93,7 @@ func Capture(s *scenario.Scenario, view *scenario.RunView, r *Recorder, model Mo
 		BaseCycles:    view.Result.BaseCycles(),
 		TotalCycles:   view.Result.TotalCycles(),
 		EventCount:    r.events,
-		cache:         &storeCache{},
+		cache:         &planCache{},
 	}
 }
 
@@ -258,7 +258,7 @@ func Load(rd io.Reader) (*Recording, error) {
 		BaseCycles:      num("base_cycles"),
 		TotalCycles:     num("total_cycles"),
 		EventCount:      num("event_count"),
-		cache:           &storeCache{},
+		cache:           &planCache{},
 	}
 	if err != nil {
 		return nil, err
@@ -303,31 +303,15 @@ func Record(s *scenario.Scenario, model Model, seed int64, params scenario.Param
 // (used by RCSE) and captures the recording. Extra observers (triggers,
 // monitors) are attached after the recorder.
 func RecordWithPolicy(s *scenario.Scenario, model Model, factory PolicyFactory, seed int64, params scenario.Params, extra ...vm.Observer) (*Recording, *scenario.RunView, error) {
-	p := s.DefaultParams.Clone(params)
-	inputs := s.Inputs(seed, p)
-	m := vm.New(vm.Config{
-		Seed:         seed,
-		Inputs:       inputs,
-		CollectTrace: true,
-	})
-	main := s.Build(m, p)
-	policy, companions := factory(m)
-	rec := NewRecorder(m, policy)
-	m.Attach(rec)
-	for _, o := range companions {
-		m.Attach(o)
-	}
-	for _, o := range extra {
-		m.Attach(o)
-	}
-	res := m.Run(main)
-	if res.Trace != nil {
-		res.Trace.Header.Scenario = s.Name
-		res.Trace.Header.Model = policy.Name()
-		res.Trace.Header.Seed = seed
-		res.Trace.Header.Params = map[string]int64(p)
-	}
-	view := &scenario.RunView{Machine: m, Result: res, Trace: res.Trace}
-	rcd := Capture(s, view, rec, model, seed, p)
-	return rcd, view, nil
+	var policy Policy
+	var rec *Recorder
+	view := s.Exec(scenario.ExecOptions{Seed: seed, Params: params,
+		ObserverFactory: func(m *vm.Machine) []vm.Observer {
+			var companions []vm.Observer
+			policy, companions = factory(m)
+			rec = NewRecorder(m, policy)
+			return append(append([]vm.Observer{rec}, companions...), extra...)
+		}})
+	view.Trace.Header.Model = policy.Name()
+	return Capture(s, view, rec, model, seed, s.DefaultParams.Clone(params)), view, nil
 }

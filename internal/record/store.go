@@ -54,40 +54,42 @@ type SegmentInfo struct {
 // Events returns the number of events in the segment.
 func (si SegmentInfo) Events() uint64 { return si.To - si.From }
 
-// Store is the replay-side view of an in-memory recording: it implements
-// the flightrec.Store contract, so the store-backed replay entry points
-// subsume the monolithic ones — a recording is simply a store that retains
-// everything. Its projections of the event log (segment bounds, recorded
-// input source, shared feed plan) are derived at most once per recording —
-// Recording.Store hands every Seek, Segmented and Debug call the same
-// Store — and then shared read-only, so a Store is safe for concurrent use.
-type Store struct {
-	rec    *Recording
-	key    storeKey
-	bounds []uint64
+// A Recording is a segment store that retains everything: *Recording
+// implements the flightrec.Store contract (the SDK's SegmentStore) with the
+// methods below, so Seek, segmented replay and the debugger take a recording
+// and a flight recorder's spill directory through one entry point each.
+
+// replayPlan holds the projections of a recording's event log that replay
+// consumes — segment table, recorded input source, shared feed plan. They
+// are derived at most once per recording state and then shared read-only by
+// every Seek, Segmented and Debugger call, so the store methods are safe for
+// concurrent use.
+type replayPlan struct {
+	key  planKey
+	segs []SegmentInfo
 
 	inputsOnce sync.Once
 	inputs     vm.InputSource
 
-	planOnce sync.Once
-	plan     *checkpoint.FeedPlan
-	planErr  error
+	feedsOnce sync.Once
+	feeds     *checkpoint.FeedPlan
+	feedsErr  error
 }
 
-// storeKey identifies the recording state a Store was derived from: the
+// planKey identifies the recording state a replayPlan was derived from: the
 // recording and the identity and length of its event and checkpoint
 // slices. core and tests attach Checkpoints after construction (tests also
 // clear and replace them), which the key notices; edits inside the slices
 // it does not — a recording must not be mutated after its first replay.
-type storeKey struct {
+type planKey struct {
 	rec        *Recording
 	full       *trace.Event
 	cps        **vm.Snapshot
 	nFull, nCp int
 }
 
-func keyOf(r *Recording) storeKey {
-	k := storeKey{rec: r, nFull: len(r.Full), nCp: len(r.Checkpoints)}
+func keyOf(r *Recording) planKey {
+	k := planKey{rec: r, nFull: len(r.Full), nCp: len(r.Checkpoints)}
 	if k.nFull > 0 {
 		k.full = &r.Full[0]
 	}
@@ -97,125 +99,125 @@ func keyOf(r *Recording) storeKey {
 	return k
 }
 
-// storeCache is a Recording's slot for its Store. Capture and Load allocate
-// it and nothing reassigns it, so copying a Recording by value shares the
-// slot without racing with a replay that fills it.
-type storeCache struct {
-	mu sync.Mutex
-	st *Store
+// planCache is a Recording's slot for its replayPlan. Capture and Load
+// allocate it and nothing reassigns it, so copying a Recording by value
+// shares the slot without racing with a replay that fills it.
+type planCache struct {
+	mu   sync.Mutex
+	plan *replayPlan
 }
 
-// Store returns the recording's replay-side view, the same one for every
-// caller until the recording's events or checkpoints are replaced. The
-// recording is shared, not copied.
-func (r *Recording) Store() *Store {
+// plan returns the recording's replay plan, the same one for every caller
+// until the recording's events or checkpoints are replaced.
+func (r *Recording) plan() *replayPlan {
 	c := r.cache
 	if c == nil { // not from Capture or Load: nowhere to keep it
-		c = &storeCache{}
+		c = &planCache{}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if k := keyOf(r); c.st == nil || c.st.key != k {
-		c.st = &Store{rec: r, key: k, bounds: r.SegmentBounds()}
+	if k := keyOf(r); c.plan == nil || c.plan.key != k {
+		c.plan = &replayPlan{key: k, segs: r.segments()}
 	}
-	return c.st
+	return c.plan
 }
 
-// Meta implements flightrec.Store.
-func (st *Store) Meta() Meta {
-	rec := st.rec
-	var interval uint64
-	if len(rec.Checkpoints) > 0 {
-		interval = rec.Checkpoints[0].Seq
-	}
-	return Meta{
-		Scenario:      rec.Scenario,
-		Model:         rec.Model,
-		Seed:          rec.Seed,
-		Params:        rec.Params,
-		Streams:       rec.Streams,
-		SchedComplete: rec.SchedComplete,
-		Failed:        rec.Failed,
-		FailureSig:    rec.FailureSig,
-		// The retained horizon, not rec.EventCount: replay bounds index
-		// into Full, and relaxed models record fewer events than they
-		// observe.
-		EventCount: uint64(len(rec.Full)),
-		Interval:   interval,
-	}
-}
-
-// segmentEnd returns the end of segment i: the next bound, or the end of
-// the event stream.
-func (st *Store) segmentEnd(i int) uint64 {
-	if i+1 < len(st.bounds) {
-		return st.bounds[i+1]
-	}
-	return uint64(len(st.rec.Full))
-}
-
-// Segments implements flightrec.Store: one segment per
-// checkpoint-delimited bound.
-func (st *Store) Segments() []SegmentInfo {
-	segs := make([]SegmentInfo, len(st.bounds))
-	for i, from := range st.bounds {
-		segs[i] = SegmentInfo{Index: i, From: from, To: st.segmentEnd(i)}
+// segments lays out one segment per checkpoint-delimited bound (see
+// SegmentBounds), the last one ending with the event stream.
+func (r *Recording) segments() []SegmentInfo {
+	bounds := r.SegmentBounds()
+	segs := make([]SegmentInfo, len(bounds))
+	for i, from := range bounds {
+		segs[i] = SegmentInfo{Index: i, From: from, To: uint64(len(r.Full))}
+		if i > 0 {
+			segs[i-1].To = from
+		}
 	}
 	return segs
 }
 
-// Events implements flightrec.Store; the returned slice aliases the
-// recording.
-func (st *Store) Events(i int) ([]trace.Event, error) {
-	return st.rec.Full[st.bounds[i]:st.segmentEnd(i)], nil
+// Meta implements SegmentStore: the run identity.
+func (r *Recording) Meta() Meta {
+	var interval uint64
+	if len(r.Checkpoints) > 0 {
+		interval = r.Checkpoints[0].Seq
+	}
+	return Meta{
+		Scenario:      r.Scenario,
+		Model:         r.Model,
+		Seed:          r.Seed,
+		Params:        r.Params,
+		Streams:       r.Streams,
+		SchedComplete: r.SchedComplete,
+		Failed:        r.Failed,
+		FailureSig:    r.FailureSig,
+		// The retained horizon, not r.EventCount: replay bounds index
+		// into Full, and relaxed models record fewer events than they
+		// observe.
+		EventCount: uint64(len(r.Full)),
+		Interval:   interval,
+	}
 }
 
-// BestSnapshot implements flightrec.Store over the recording's
-// checkpoints. Note that a checkpoint landing exactly at the end of the
-// event stream is a valid snapshot even though it delimits no segment.
-func (st *Store) BestSnapshot(target uint64) (*vm.Snapshot, error) {
-	return checkpoint.Best(st.rec.Checkpoints, target), nil
+// Segments implements SegmentStore: one segment per checkpoint-delimited
+// bound.
+func (r *Recording) Segments() []SegmentInfo {
+	return append([]SegmentInfo(nil), r.plan().segs...)
 }
 
-// SnapshotSeqs implements flightrec.Store.
-func (st *Store) SnapshotSeqs() []uint64 {
-	seqs := make([]uint64, len(st.rec.Checkpoints))
-	for i, cp := range st.rec.Checkpoints {
+// Events implements SegmentStore; the returned slice aliases Full.
+func (r *Recording) Events(i int) ([]trace.Event, error) {
+	si := r.plan().segs[i]
+	return r.Full[si.From:si.To], nil
+}
+
+// BestSnapshot implements SegmentStore over Checkpoints. Note that a
+// checkpoint landing exactly at the end of the event stream is a valid
+// snapshot even though it delimits no segment.
+func (r *Recording) BestSnapshot(target uint64) (*vm.Snapshot, error) {
+	return checkpoint.Best(r.Checkpoints, target), nil
+}
+
+// SnapshotSeqs implements SegmentStore.
+func (r *Recording) SnapshotSeqs() []uint64 {
+	seqs := make([]uint64, len(r.Checkpoints))
+	for i, cp := range r.Checkpoints {
 		seqs[i] = cp.Seq
 	}
 	return seqs
 }
 
-// Feeds implements flightrec.Store by slicing the lazily built shared feed
+// Feeds implements SegmentStore by slicing the lazily built shared feed
 // plan, falling back to a direct derivation for snapshots the plan does
 // not cover (e.g. materialized mid-debug).
-func (st *Store) Feeds(snap *vm.Snapshot) ([][]vm.FeedEntry, error) {
-	st.planOnce.Do(func() {
-		st.plan, st.planErr = checkpoint.PlanFeeds(st.rec.Full, st.rec.Checkpoints)
+func (r *Recording) Feeds(snap *vm.Snapshot) ([][]vm.FeedEntry, error) {
+	p := r.plan()
+	p.feedsOnce.Do(func() {
+		p.feeds, p.feedsErr = checkpoint.PlanFeeds(r.Full, r.Checkpoints)
 	})
-	if st.planErr == nil {
-		if feeds, err := st.plan.At(snap); err == nil {
+	if p.feedsErr == nil {
+		if feeds, err := p.feeds.At(snap); err == nil {
 			return feeds, nil
 		}
 	}
-	return checkpoint.Feeds(st.rec.Full, snap.Seq, len(snap.Threads))
+	return checkpoint.Feeds(r.Full, snap.Seq, len(snap.Threads))
 }
 
-// Sched implements flightrec.Store; the returned slice aliases the
-// recording.
-func (st *Store) Sched(from uint64) ([]trace.ThreadID, error) {
-	if from >= uint64(len(st.rec.Sched)) {
+// SchedFrom implements SegmentStore (the Sched field has the short name);
+// the returned slice aliases Sched.
+func (r *Recording) SchedFrom(from uint64) ([]trace.ThreadID, error) {
+	if from >= uint64(len(r.Sched)) {
 		return nil, nil
 	}
-	return st.rec.Sched[from:], nil
+	return r.Sched[from:], nil
 }
 
-// Inputs implements flightrec.Store: the recorded per-stream input
-// sequences, over a zero base (replay beyond the recorded horizon reads
-// zeros).
-func (st *Store) Inputs() (vm.InputSource, error) {
-	st.inputsOnce.Do(func() {
-		st.inputs = &vm.MapInputs{Values: st.rec.InputsByStream(), Base: vm.ZeroInputs}
+// Inputs implements SegmentStore: the recorded per-stream input sequences,
+// over a zero base (replay beyond the recorded horizon reads zeros).
+func (r *Recording) Inputs() (vm.InputSource, error) {
+	p := r.plan()
+	p.inputsOnce.Do(func() {
+		p.inputs = &vm.MapInputs{Values: r.InputsByStream(), Base: vm.ZeroInputs}
 	})
-	return st.inputs, nil
+	return p.inputs, nil
 }

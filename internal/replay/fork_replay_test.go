@@ -92,7 +92,6 @@ func TestReplayValidatesOptions(t *testing.T) {
 		"workers":       {Workers: -1},
 		"budget":        {Budget: -3},
 		"fork-interval": {Fork: true, ForkInterval: -1},
-		"fork-paths":    {Fork: true, ForkPaths: -9},
 	} {
 		res := Replay(s, rec, o)
 		if res.Err == nil || res.Ok || res.View != nil || res.Attempts != 0 {

@@ -50,17 +50,6 @@ type SegmentedResult struct {
 	Note string
 }
 
-// Segmented validates a perfect recording by replaying its checkpoint
-// segments across o.Workers workers (0 = GOMAXPROCS, 1 = sequential), each
-// taking one contiguous run of segments. A recording without checkpoints
-// degenerates to one segment — a sequential validated replay. Only perfect
-// recordings are supported (ErrSeekUnsupported otherwise): segmentation
-// needs the complete event stream both to restore from and to validate
-// against.
-func Segmented(s *scenario.Scenario, rec *record.Recording, o Options) (*SegmentedResult, error) {
-	return SegmentedStore(s, rec.Store(), o)
-}
-
 // chunk is one worker's share of a segmented replay: a contiguous run of
 // segments replayed on one machine.
 type chunk struct {
@@ -76,18 +65,24 @@ type chunk struct {
 	err  error
 }
 
-// SegmentedStore is Segmented over a segment store. For a flight
-// recorder's spill directory it replays and validates the retained tail:
-// the first retained segment restores from its boundary snapshot (or
-// starts a fresh machine, when segment 0 is still retained) and the last
-// one runs to the end of the execution.
+// Segmented validates a perfect recording or any other segment store by
+// replaying its checkpoint segments across o.Workers workers (0 =
+// GOMAXPROCS, 1 = sequential), each taking one contiguous run of segments.
+// A store without checkpoints degenerates to one segment — a sequential
+// validated replay. Only perfect stores are supported (ErrSeekUnsupported
+// otherwise): segmentation needs the complete event stream both to restore
+// from and to validate against. For a flight recorder's spill directory it
+// replays and validates the retained tail: the first retained segment
+// restores from its boundary snapshot (or starts a fresh machine, when
+// segment 0 is still retained) and the last one runs to the end of the
+// execution.
 //
 // What it verifies is the event stream: every retained event is executed
 // and compared, whatever the worker count. Which snapshots it restores
 // depends on the worker count (SegmentedResult.Restores); that each
 // snapshot restores is the seek equivalence tests' contract, not this
 // call's.
-func SegmentedStore(s *scenario.Scenario, st flightrec.Store, o Options) (*SegmentedResult, error) {
+func Segmented(s *scenario.Scenario, st flightrec.Store, o Options) (*SegmentedResult, error) {
 	meta := st.Meta()
 	if meta.Model != record.Perfect || !meta.SchedComplete {
 		return nil, ErrSeekUnsupported
@@ -108,7 +103,7 @@ func SegmentedStore(s *scenario.Scenario, st flightrec.Store, o Options) (*Segme
 	bound := func(c int) int { return c * n / workers }
 
 	// runChunk replays segments [bound(ci), bound(ci+1)).
-	runChunk := func(_ context.Context, ci int) (c chunk) {
+	runChunk := func(ctx context.Context, ci int) (c chunk) {
 		var sess *SeekSession
 		closeSession := func() {
 			if sess != nil {
@@ -118,6 +113,9 @@ func SegmentedStore(s *scenario.Scenario, st flightrec.Store, o Options) (*Segme
 		}
 		defer closeSession()
 		for i := bound(ci); i < bound(ci+1); i++ {
+			if c.err = ctx.Err(); c.err != nil {
+				return c // cancelled: stop at this boundary
+			}
 			from := infos[i].From
 			var err error
 			if sess == nil || sess.Done() || sess.Pos() != from {
@@ -126,7 +124,7 @@ func SegmentedStore(s *scenario.Scenario, st flightrec.Store, o Options) (*Segme
 				// starts from its own snapshot, as every segment does when
 				// each is a chunk of its own.
 				closeSession()
-				if sess, err = SeekStore(s, st, from, o); err == nil && sess.FromCheckpoint {
+				if sess, err = Seek(s, st, from, o); err == nil && sess.FromCheckpoint {
 					c.restores++
 				}
 			} else {

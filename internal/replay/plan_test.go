@@ -14,7 +14,7 @@ import (
 
 // The replay-side projections of a recording (feed plan, input map,
 // segment bounds) are derived once per recording and shared by every Seek,
-// Segmented and Debugger call on it (record.Recording.Store). These tests
+// Segmented and Debugger call on it (record.Recording.Feeds). These tests
 // pin that the sharing is invisible: repeated and concurrent calls see the
 // same positions and suffixes, a recording whose checkpoints change is not
 // served a stale plan, and nothing a replay shares is written to.
@@ -58,11 +58,19 @@ func TestSeekReusesTheRecordingsPlan(t *testing.T) {
 	target := rec.EventCount/2 + 7
 	want := checkpoint.Best(rec.Checkpoints, target).Seq
 
+	// Feeds are slices of the plan, so their backing array identifies it.
+	planOf := func() *vm.FeedEntry {
+		feeds, err := rec.Feeds(checkpoint.Best(rec.Checkpoints, target))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &feeds[0][0]
+	}
 	from1, first := suffixOf(t, rec, target)
-	st := rec.Store()
+	plan := planOf()
 	from2, second := suffixOf(t, rec, target)
-	if rec.Store() != st {
-		t.Error("the second Seek derived a new store for an unchanged recording")
+	if planOf() != plan {
+		t.Error("the second Seek derived a new plan for an unchanged recording")
 	}
 	if from1 != want || from2 != want {
 		t.Errorf("seeks resumed from %d and %d, want checkpoint %d", from1, from2, want)
@@ -142,7 +150,7 @@ func TestChangedCheckpointsAreNotServedAStalePlan(t *testing.T) {
 	if from, _ := suffixOf(t, rec, target); from != 0 {
 		t.Fatalf("cleared checkpoints: seek still resumed from %d", from)
 	}
-	if segs := rec.Store().Segments(); len(segs) != 1 {
+	if segs := rec.Segments(); len(segs) != 1 {
 		t.Fatalf("cleared checkpoints: store still has %d segments", len(segs))
 	}
 	rec.Checkpoints = coarse

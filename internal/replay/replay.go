@@ -66,9 +66,6 @@ type Options struct {
 	// ForkInterval is the snapshot interval for forked execution
 	// (0 = checkpoint default; negative rejected).
 	ForkInterval int64
-	// ForkPaths bounds the forked prefix forest (0 = 8; negative
-	// rejected).
-	ForkPaths int
 }
 
 // Validate rejects out-of-domain option values, delegating the knobs
@@ -80,7 +77,6 @@ func (o Options) Validate() error {
 		Workers:      o.Workers,
 		Fork:         o.Fork,
 		ForkInterval: o.ForkInterval,
-		ForkPaths:    o.ForkPaths,
 	}.Validate()
 }
 
@@ -142,18 +138,11 @@ func replayPerfect(s *scenario.Scenario, rec *record.Recording, o Options) *Resu
 	if !rec.SchedComplete {
 		return &Result{Note: "perfect recording lacks a complete schedule"}
 	}
-	// The error is the Store interface's: a recording's own store derives
-	// its inputs in memory and cannot fail.
-	inputs, _ := rec.Store().Inputs()
-	view := s.Exec(scenario.ExecOptions{
-		Seed:      rec.Seed,
-		Params:    rec.Params,
-		Scheduler: vm.NewReplayScheduler(rec.Sched),
-		Inputs:    inputs,
-		MaxSteps:  o.MaxSteps,
-		RelaxTime: true,
-	})
-	ok := view.Result.Outcome != vm.OutcomeDiverged && replayMatchesTerminal(s, rec, view)
+	// The error is the store contract's: a recording serves its schedule
+	// and inputs from memory and cannot fail.
+	eo, _ := replayExec(rec, rec.Meta(), o, 0)
+	view := s.Exec(eo)
+	ok := view.Result.Outcome != vm.OutcomeDiverged && matchesTerminal(s, rec.Failed, rec.FailureSig, view)
 	return &Result{
 		View:       view,
 		Ok:         ok,
@@ -204,7 +193,6 @@ func replayRCSE(s *scenario.Scenario, rec *record.Recording, o Options) *Result 
 		forker = infer.NewForker(infer.ForkerConfig{
 			Scenario:  s,
 			Interval:  uint64(o.ForkInterval),
-			MaxPaths:  o.ForkPaths,
 			MaxSteps:  o.MaxSteps,
 			RelaxTime: true,
 		})
@@ -246,7 +234,7 @@ func replayRCSE(s *scenario.Scenario, rec *record.Recording, o Options) *Result 
 		res.WorkCycles += cycles
 		res.WorkSteps += steps
 		res.View = view
-		if view.Result.Outcome != vm.OutcomeDiverged && replayMatchesTerminal(s, rec, view) {
+		if view.Result.Outcome != vm.OutcomeDiverged && matchesTerminal(s, rec.Failed, rec.FailureSig, view) {
 			res.Ok = true
 			return res
 		}
@@ -268,7 +256,6 @@ func replayOutput(s *scenario.Scenario, rec *record.Recording, o Options) *Resul
 		Workers:      o.Workers,
 		Fork:         o.Fork,
 		ForkInterval: o.ForkInterval,
-		ForkPaths:    o.ForkPaths,
 	})
 	return &Result{
 		View:       out.View,
@@ -301,7 +288,6 @@ func replayFailure(s *scenario.Scenario, rec *record.Recording, o Options) *Resu
 		Suspects:     o.Suspects,
 		Fork:         o.Fork,
 		ForkInterval: o.ForkInterval,
-		ForkPaths:    o.ForkPaths,
 	})
 	return &Result{
 		View:       out.View,
@@ -314,16 +300,9 @@ func replayFailure(s *scenario.Scenario, rec *record.Recording, o Options) *Resu
 	}
 }
 
-// replayMatchesTerminal checks that the replay's failure identity matches
-// the recording's: both failed with the same signature, or both finished
-// clean.
-func replayMatchesTerminal(s *scenario.Scenario, rec *record.Recording, v *scenario.RunView) bool {
-	return matchesTerminal(s, rec.Failed, rec.FailureSig, v)
-}
-
-// matchesTerminal is replayMatchesTerminal against a bare terminal
-// identity (shared with the store-backed seek, whose source may be a
-// spill directory rather than a Recording).
+// matchesTerminal checks that the replay's failure identity matches the
+// recorded one (a Recording's fields or a store's Meta): both failed with
+// the same signature, or both finished clean.
 func matchesTerminal(s *scenario.Scenario, failed bool, sig string, v *scenario.RunView) bool {
 	gotFailed, gotSig := s.CheckFailure(v)
 	return gotFailed == failed && gotSig == sig

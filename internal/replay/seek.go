@@ -20,9 +20,8 @@ import (
 // equivalence tests pin that for every corpus scenario.
 //
 // Seek operates over the flightrec.Store interface, so it works the same
-// on an in-memory recording (via Recording.Store) and on a
-// flight recorder's spill directory (flightrec.Open) — SeekStore is the
-// store-backed entry point, Seek the recording-shaped convenience.
+// on an in-memory recording (a *record.Recording is a store) and on a
+// flight recorder's spill directory (flightrec.Open).
 
 // ErrSeekUnsupported reports a recording that checkpointed seek cannot
 // operate on: seek needs the complete schedule and every event value,
@@ -54,53 +53,41 @@ type SeekSession struct {
 	ok   bool
 }
 
-// replayConfig assembles the machine configuration every replay machine
-// of a perfect store shares: the forced schedule suffix, the recorded
-// inputs, and the scenario build parameterized as recorded. The schedule
-// and the input map come from the store and are immutable, so every
-// machine of one store shares them; a Recording's store derives the map
-// once per recording, for whichever Seek, Segmented or Debugger call asks
-// first (record.Recording.Store).
-func replayConfig(s *scenario.Scenario, st flightrec.Store, meta flightrec.Meta, o Options, schedFrom uint64) (vm.Config, func(*vm.Machine) func(*vm.Thread), error) {
-	p := s.DefaultParams.Clone(meta.Params)
-	sched, err := st.Sched(schedFrom)
+// replayExec assembles the launch options every replay machine of a
+// perfect store shares: the forced schedule suffix, the recorded inputs,
+// and the scenario build parameterized as recorded. The schedule and the
+// input map come from the store and are immutable, so every machine of one
+// store shares them; a Recording derives the map once, for whichever Seek,
+// Segmented or Debugger call asks first.
+func replayExec(st flightrec.Store, meta flightrec.Meta, o Options, schedFrom uint64) (scenario.ExecOptions, error) {
+	sched, err := st.SchedFrom(schedFrom)
 	if err != nil {
-		return vm.Config{}, nil, err
+		return scenario.ExecOptions{}, err
 	}
 	inputs, err := st.Inputs()
 	if err != nil {
-		return vm.Config{}, nil, err
+		return scenario.ExecOptions{}, err
 	}
-	cfg := vm.Config{
-		Seed:         meta.Seed,
-		Scheduler:    vm.NewReplayScheduler(sched),
-		Inputs:       inputs,
-		MaxSteps:     o.MaxSteps,
-		CollectTrace: true,
-		RelaxTime:    true,
-	}
-	setup := func(m *vm.Machine) func(*vm.Thread) {
-		return s.Build(m, p)
-	}
-	return cfg, setup, nil
+	return scenario.ExecOptions{
+		Seed:      meta.Seed,
+		Params:    meta.Params,
+		Scheduler: vm.NewReplayScheduler(sched),
+		Inputs:    inputs,
+		MaxSteps:  o.MaxSteps,
+		RelaxTime: true,
+	}, nil
 }
 
 // Seek opens a session positioned at target: the execution state is that
 // of the recorded run after target events, reached from the nearest
-// checkpoint at or before target. A recording without a usable checkpoint
+// checkpoint at or before target. A store without a usable checkpoint
 // (none captured, or none early enough) falls back to replaying from the
 // start — same session, full-prefix cost. Targets beyond the end of the
-// recording position at the end.
-func Seek(s *scenario.Scenario, rec *record.Recording, target uint64, o Options) (*SeekSession, error) {
-	return SeekStore(s, rec.Store(), target, o)
-}
-
-// SeekStore opens a seek session over a segment store — an in-memory
-// recording adapter or a flight recorder's spill directory. For a spill
-// directory under retention, any target at or past the first retained
-// boundary snapshot restores as usual; earlier targets fall back to a
-// full replay from the start, which the store's feed log always supports.
-func SeekStore(s *scenario.Scenario, st flightrec.Store, target uint64, o Options) (*SeekSession, error) {
+// recording position at the end. For a spill directory under retention,
+// any target at or past the first retained boundary snapshot restores as
+// usual; earlier targets take the fallback, which the store's feed log
+// always supports.
+func Seek(s *scenario.Scenario, st flightrec.Store, target uint64, o Options) (*SeekSession, error) {
 	meta := st.Meta()
 	if meta.Model != record.Perfect || !meta.SchedComplete {
 		return nil, ErrSeekUnsupported
@@ -110,31 +97,25 @@ func SeekStore(s *scenario.Scenario, st flightrec.Store, target uint64, o Option
 	if err != nil {
 		return nil, err
 	}
+	var schedPos uint64
 	if cp != nil {
+		schedPos = cp.SchedPos
+	}
+	eo, err := replayExec(st, meta, o, schedPos)
+	if err != nil {
+		return nil, err
+	}
+	if cp == nil {
+		sess.Machine = s.Start(eo)
+	} else {
 		feeds, err := st.Feeds(cp)
 		if err != nil {
 			return nil, err
 		}
-		cfg, setup, err := replayConfig(s, st, meta, o, cp.SchedPos)
-		if err != nil {
-			return nil, err
-		}
-		m, err := vm.Restore(cfg, setup, cp, feeds)
-		if err != nil {
+		if sess.Machine, err = s.Restore(eo, cp, feeds); err != nil {
 			return nil, fmt.Errorf("replay: seek restore at %d: %w", cp.Seq, err)
 		}
-		sess.Machine = m
-		sess.SuffixFrom = cp.Seq
-		sess.FromCheckpoint = true
-	} else {
-		cfg, setup, err := replayConfig(s, st, meta, o, 0)
-		if err != nil {
-			return nil, err
-		}
-		m := vm.New(cfg)
-		main := setup(m)
-		m.Start(main)
-		sess.Machine = m
+		sess.SuffixFrom, sess.FromCheckpoint = cp.Seq, true
 	}
 	sess.Continue(target)
 	return sess, nil

@@ -17,7 +17,7 @@ import (
 // workers took contiguous chunks: every segment restores its own boundary
 // snapshot and replays one interval, and the stitched trace is validated
 // in one sequential pass. It is kept, for tests only, as the reference the
-// chunked SegmentedStore must agree with on every input — Restores aside,
+// chunked Segmented must agree with on every input — Restores aside,
 // which it always reports as one per snapshot-opened segment.
 func segmentedPerSegment(s *scenario.Scenario, st flightrec.Store, o Options) (*SegmentedResult, error) {
 	infos := st.Segments()
@@ -26,7 +26,7 @@ func segmentedPerSegment(s *scenario.Scenario, st flightrec.Store, o Options) (*
 	var stitched []trace.Event
 	var final *scenario.RunView
 	for i := range infos {
-		sess, err := SeekStore(s, st, infos[i].From, o)
+		sess, err := Seek(s, st, infos[i].From, o)
 		if err != nil {
 			return nil, fmt.Errorf("segment %d at %d: %w", i, infos[i].From, err)
 		}
@@ -116,7 +116,7 @@ func TestSegmentedMatchesPerSegmentReference(t *testing.T) {
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
 			rec := checkpointedCorpusRecording(t, s)
-			st := rec.Store()
+			st := rec
 			ref, err := segmentedPerSegment(s, st, Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -125,7 +125,7 @@ func TestSegmentedMatchesPerSegmentReference(t *testing.T) {
 				t.Fatalf("reference replay not ok (mismatch at %d)", ref.Mismatch)
 			}
 			for _, workers := range segmentedWorkers(ref.Segments) {
-				res, err := SegmentedStore(s, st, Options{Workers: workers})
+				res, err := Segmented(s, st, Options{Workers: workers})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -193,7 +193,7 @@ func TestSegmentedVerdictOnBrokenRecordings(t *testing.T) {
 		rec := checkpointedCorpusRecording(t, s)
 		for _, broken := range brokenRecordings(t, rec) {
 			ctx := name + "/" + broken.name
-			st := broken.rec.Store()
+			st := broken.rec
 			ref, err := segmentedPerSegment(s, st, Options{})
 			if err != nil {
 				t.Fatalf("%s: %v", ctx, err)
@@ -202,7 +202,7 @@ func TestSegmentedVerdictOnBrokenRecordings(t *testing.T) {
 				t.Fatalf("%s: reference ok=%v mismatch=%d, want a mismatch at %d", ctx, ref.Ok, ref.Mismatch, broken.mismatch)
 			}
 			for _, workers := range segmentedWorkers(ref.Segments) {
-				res, err := SegmentedStore(s, st, Options{Workers: workers})
+				res, err := Segmented(s, st, Options{Workers: workers})
 				if err != nil {
 					t.Fatalf("%s workers=%d: %v", ctx, workers, err)
 				}
@@ -221,7 +221,7 @@ func TestSegmentedRecoversFromAShortSegment(t *testing.T) {
 	s := workload.Bank()
 	rec := checkpointedCorpusRecording(t, s)
 	o := Options{MaxSteps: 1}
-	ref, err := segmentedPerSegment(s, rec.Store(), o)
+	ref, err := segmentedPerSegment(s, rec, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestSegmentedRecoversFromAShortSegment(t *testing.T) {
 	}
 	for _, workers := range segmentedWorkers(ref.Segments) {
 		o.Workers = workers
-		res, err := SegmentedStore(s, rec.Store(), o)
+		res, err := Segmented(s, rec, o)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -256,7 +256,7 @@ func TestForcedPickCorpusEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inputs, _ := rec.Store().Inputs()
+			inputs, _ := rec.Inputs()
 			run := func(logRounds bool) *scenario.RunView {
 				return s.Exec(scenario.ExecOptions{
 					Seed:      rec.Seed,

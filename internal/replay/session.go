@@ -2,6 +2,7 @@ package replay
 
 import (
 	"fmt"
+	"slices"
 
 	"debugdet/internal/checkpoint"
 	"debugdet/internal/flightrec"
@@ -43,23 +44,14 @@ type DebugOptions struct {
 	Interval uint64
 	// MaxSteps bounds each replayed execution (0 = VM default).
 	MaxSteps uint64
-	// Workers bounds nothing today; reserved so the session surface can
-	// parallelize materialization without an API change.
-	Workers int
 }
 
-// NewDebugger opens a time-travel session over a recording, positioned at
-// event 0.
-func NewDebugger(s *scenario.Scenario, rec *record.Recording, o DebugOptions) (*Debugger, error) {
-	return NewStoreDebugger(s, rec.Store(), o)
-}
-
-// NewStoreDebugger opens a time-travel session over a segment store,
-// positioned at event 0. Over a spill directory under retention the
-// cursor still spans the whole execution — positions before the retained
-// tail replay from the start via the feed log; Event/Events return data
-// only inside the retained range.
-func NewStoreDebugger(s *scenario.Scenario, st flightrec.Store, o DebugOptions) (*Debugger, error) {
+// NewDebugger opens a time-travel session over a recording or any other
+// segment store, positioned at event 0. Over a spill directory under
+// retention the cursor still spans the whole execution — positions before
+// the retained tail replay from the start via the feed log; Event/Events
+// return data only inside the retained range.
+func NewDebugger(s *scenario.Scenario, st flightrec.Store, o DebugOptions) (*Debugger, error) {
 	meta := st.Meta()
 	if meta.Model != record.Perfect || !meta.SchedComplete {
 		return nil, ErrSeekUnsupported
@@ -74,21 +66,21 @@ func NewStoreDebugger(s *scenario.Scenario, st flightrec.Store, o DebugOptions) 
 		// Materialize checkpoints with one full replay: attach a writer
 		// to a replay machine and drive it to completion, then overlay
 		// the snapshots on the store.
-		cfg, setup, err := replayConfig(s, st, meta, d.o, 0)
+		eo, err := replayExec(st, meta, d.o, 0)
 		if err != nil {
 			return nil, err
 		}
-		m := vm.New(cfg)
-		main := setup(m)
-		w := checkpoint.NewWriter(m, o.Interval)
-		m.Attach(w)
-		m.Start(main)
-		m.Continue(0)
-		res := m.Finish()
-		if res.Outcome == vm.OutcomeDiverged {
+		var w *checkpoint.Writer
+		eo.ObserverFactory = func(m *vm.Machine) []vm.Observer {
+			w = checkpoint.NewWriter(m, o.Interval)
+			return []vm.Observer{w}
+		}
+		if res := s.Exec(eo).Result; res.Outcome == vm.OutcomeDiverged {
 			return nil, fmt.Errorf("replay: debug: recording diverges at %d", res.DivergedAt)
 		}
-		d.st = flightrec.WithSnapshots(st, w.Snapshots())
+		if d.st, err = flightrec.WithSnapshots(st, w.Snapshots()); err != nil {
+			return nil, err
+		}
 	}
 	d.cpSeqs = d.st.SnapshotSeqs()
 	if err := d.SeekTo(0); err != nil {
@@ -139,7 +131,9 @@ func (d *Debugger) SeekTo(target uint64) error {
 		target = d.end
 	}
 	if d.sess != nil && target >= d.sess.Pos() {
-		if cp, ok := bestSeq(d.cpSeqs, target); !ok || cp <= d.sess.Pos() {
+		pos := d.sess.Pos()
+		between := func(cp uint64) bool { return pos < cp && cp <= target }
+		if !slices.ContainsFunc(d.cpSeqs, between) {
 			d.sess.Continue(target)
 			return nil
 		}
@@ -148,27 +142,12 @@ func (d *Debugger) SeekTo(target uint64) error {
 		d.sess.Close()
 		d.sess = nil
 	}
-	sess, err := SeekStore(d.s, d.st, target, d.o)
+	sess, err := Seek(d.s, d.st, target, d.o)
 	if err != nil {
 		return err
 	}
 	d.sess = sess
 	return nil
-}
-
-// bestSeq returns the largest seq ≤ target, mirroring checkpoint.Best
-// over bare positions. Like Best, it makes no ordering assumption: store
-// implementations that merge snapshot sources may report checkpoint seqs
-// out of trace order.
-func bestSeq(seqs []uint64, target uint64) (uint64, bool) {
-	var best uint64
-	found := false
-	for _, q := range seqs {
-		if q <= target && (!found || q > best) {
-			best, found = q, true
-		}
-	}
-	return best, found
 }
 
 // Event returns the recorded event at the cursor (the next event to

@@ -227,7 +227,7 @@ func replayValue(s *scenario.Scenario, rec *record.Recording, o Options) *Result
 	res.WorkSteps = view.Result.Steps
 	res.View = view
 	if sched.Done() && view.Result.Outcome != vm.OutcomeDiverged &&
-		replayMatchesTerminal(s, rec, view) {
+		matchesTerminal(s, rec.Failed, rec.FailureSig, view) {
 		res.Ok = true
 	}
 	return res

@@ -71,6 +71,17 @@ type RunView struct {
 	Trace   *trace.Log
 }
 
+// LastOutput returns the final value emitted on an output stream as an
+// integer — how failure predicates read the totals a program reports at
+// its end — or false when the run wrote nothing to the stream.
+func (v *RunView) LastOutput(stream string) (int64, bool) {
+	vals := v.Result.Outputs[stream]
+	if len(vals) == 0 {
+		return 0, false
+	}
+	return vals[len(vals)-1].AsInt(), true
+}
+
 // Failed reports whether the scenario's failure specification holds,
 // delegating to the owning scenario.
 type FailureSpec struct {
@@ -190,14 +201,20 @@ type ExecOptions struct {
 	LogRounds bool
 }
 
-// Exec builds and runs the scenario once, returning the finished view.
-func (s *Scenario) Exec(o ExecOptions) *RunView {
+// Exec, Start and Restore are the launcher: the one place outside the vm
+// package that assembles a vm.Config, builds the scenario's program on a
+// machine, attaches observers and starts it. Every recorder, replayer and
+// search in the repository launches its machines through one of the three.
+
+// config resolves the options into the machine configuration and the
+// effective build parameters.
+func (s *Scenario) config(o ExecOptions) (vm.Config, Params) {
 	p := s.DefaultParams.Clone(o.Params)
 	inputs := o.Inputs
 	if inputs == nil {
 		inputs = s.Inputs(o.Seed, p)
 	}
-	m := vm.New(vm.Config{
+	return vm.Config{
 		Seed:         o.Seed,
 		Scheduler:    o.Scheduler,
 		Inputs:       inputs,
@@ -205,8 +222,12 @@ func (s *Scenario) Exec(o ExecOptions) *RunView {
 		CollectTrace: !o.DisableTrace,
 		RelaxTime:    o.RelaxTime,
 		LogRounds:    o.LogRounds,
-	})
-	main := s.Build(m, p)
+	}, p
+}
+
+// attach registers the options' observers on a built machine: Observers in
+// order, then ObserverFactory's.
+func (o ExecOptions) attach(m *vm.Machine) {
 	for _, obs := range o.Observers {
 		m.Attach(obs)
 	}
@@ -215,7 +236,46 @@ func (s *Scenario) Exec(o ExecOptions) *RunView {
 			m.Attach(obs)
 		}
 	}
-	res := m.Run(main)
+}
+
+// start is Start, handing Exec the effective parameters for its trace header.
+func (s *Scenario) start(o ExecOptions) (*vm.Machine, Params) {
+	cfg, p := s.config(o)
+	m := vm.New(cfg)
+	main := s.Build(m, p)
+	o.attach(m)
+	m.Start(main)
+	return m, p
+}
+
+// Start builds the scenario on a fresh machine and starts it paused before
+// its first event: drive it with Machine.Continue and end it with
+// Machine.Finish (which an abandoned machine needs too, to release its
+// threads). Seek sessions and the debugger replay on such machines.
+func (s *Scenario) Start(o ExecOptions) *vm.Machine {
+	m, _ := s.start(o)
+	return m
+}
+
+// Restore builds the scenario on a machine resumed at snap — paused at
+// snap.Seq, its threads repositioned by replaying feeds (see vm.Restore) —
+// and attaches the observers to it afterwards, so they see only the
+// events from the snapshot on. o.Scheduler must stand at snap.SchedPos.
+func (s *Scenario) Restore(o ExecOptions, snap *vm.Snapshot, feeds [][]vm.FeedEntry) (*vm.Machine, error) {
+	cfg, p := s.config(o)
+	m, err := vm.Restore(cfg, func(m *vm.Machine) func(*vm.Thread) { return s.Build(m, p) }, snap, feeds)
+	if err != nil {
+		return nil, err
+	}
+	o.attach(m)
+	return m, nil
+}
+
+// Exec builds and runs the scenario once, returning the finished view.
+func (s *Scenario) Exec(o ExecOptions) *RunView {
+	m, p := s.start(o)
+	m.Continue(0)
+	res := m.Finish()
 	if res.Trace != nil {
 		res.Trace.Header.Scenario = s.Name
 		res.Trace.Header.Seed = o.Seed

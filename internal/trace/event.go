@@ -103,20 +103,6 @@ func (k EventKind) String() string {
 // events no replayer could interpret.
 func (k EventKind) Valid() bool { return k < kindCount }
 
-// IsSync reports whether the kind establishes happens-before edges between
-// threads (lock/unlock, send/recv, spawn/exit).
-func (k EventKind) IsSync() bool {
-	//lint:exhaustive-default the six sync kinds are the complete happens-before set; every other kind is thread-local
-	switch k {
-	case EvLock, EvUnlock, EvSend, EvRecv, EvSpawn, EvExit:
-		return true
-	}
-	return false
-}
-
-// IsAccess reports whether the kind is a shared-memory access.
-func (k EventKind) IsAccess() bool { return k == EvLoad || k == EvStore }
-
 // IsTerminal reports whether the kind ends an execution abnormally.
 func (k EventKind) IsTerminal() bool {
 	return k == EvFail || k == EvCrash || k == EvDeadlock

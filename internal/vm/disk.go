@@ -78,9 +78,6 @@ func (m *Machine) DiskName(id trace.ObjID) string {
 	return ""
 }
 
-// NumDisks returns how many disks the program registered.
-func (m *Machine) NumDisks() int { return len(m.disks) }
-
 // DiskLen returns the number of records on a disk, durable or not.
 // Intended for inspection and post-run assertions; thread bodies must read
 // disk state through Thread.DiskRead so restore-by-feed-replay stays sound.

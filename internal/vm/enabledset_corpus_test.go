@@ -113,7 +113,7 @@ func TestEnabledSetCorpusSchedulers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inputs, _ := rec.Store().Inputs()
+		inputs, _ := rec.Inputs()
 		forced := s.Exec(scenario.ExecOptions{
 			Seed: rec.Seed, Params: rec.Params, Inputs: inputs, RelaxTime: true, LogRounds: true,
 			Scheduler: vm.NewReplayScheduler(rec.Sched),

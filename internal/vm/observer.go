@@ -61,14 +61,16 @@ var ZeroInputs InputSource = InputSourceFunc(func(string, int) trace.Value { ret
 // consumption order.
 func SeededInputs(seed int64, limit int64) InputSource {
 	return InputSourceFunc(func(stream string, index int) trace.Value {
-		return trace.Int(hashInput(seed, stream, index) % limit)
+		return trace.Int(HashValue(seed, stream, index) % limit)
 	})
 }
 
-// hashInput mixes (seed, stream, index) into a non-negative int64 using an
+// HashValue mixes (seed, stream, index) into a non-negative int64 using an
 // FNV-1a/splitmix-style construction. It is the deterministic randomness
-// primitive for input sources.
-func hashInput(seed int64, stream string, index int) int64 {
+// primitive for input sources, and for workloads that need reproducible
+// pseudo-random decisions outside the input mechanism (for example, sizing
+// a payload from a request index).
+func HashValue(seed int64, stream string, index int) int64 {
 	h := uint64(1469598103934665603) ^ uint64(seed)*1099511628211
 	for i := 0; i < len(stream); i++ {
 		h = (h ^ uint64(stream[i])) * 1099511628211
@@ -83,11 +85,6 @@ func hashInput(seed int64, stream string, index int) int64 {
 	v := int64(h &^ (1 << 63))
 	return v
 }
-
-// HashValue exposes the deterministic hash for workloads that need
-// reproducible pseudo-random decisions outside the input mechanism (for
-// example, sizing a payload from a request index).
-func HashValue(seed int64, stream string, index int) int64 { return hashInput(seed, stream, index) }
 
 // MapInputs is an input source backed by explicit per-stream value
 // sequences, falling back to a base source when a stream runs out. It is

@@ -295,7 +295,8 @@ func valuesEqual(a, b []trace.Value) bool {
 }
 
 // ErrBadSnapshot reports a snapshot whose liveness counters or mutex owners
-// contradict the threads Restore rebuilt from it.
+// contradict the threads Restore rebuilt from it, or whose stream cursor
+// contradicts the stream's own history.
 var ErrBadSnapshot = errors.New("vm: snapshot contradicts the restored threads")
 
 // FeedEntry is the recorded outcome of one thread operation, used during
@@ -405,9 +406,10 @@ func (m *Machine) restoreSpawn(req *opReq, fe FeedEntry) error {
 // Restore validates as it goes — feed/operation kind mismatches, spawn
 // identity mismatches, threads parking when the snapshot says they
 // finished (or vice versa), structural differences between the built
-// program and the snapshot, and liveness counters or mutex owners that
-// contradict the rebuilt threads (ErrBadSnapshot) all return errors, with
-// the machine's goroutines released.
+// program and the snapshot, and liveness counters, mutex owners or stream
+// cursors that contradict the rebuilt threads and histories
+// (ErrBadSnapshot) all return errors, with the machine's goroutines
+// released.
 func Restore(cfg Config, setup func(*Machine) func(*Thread), snap *Snapshot, feeds [][]FeedEntry) (*Machine, error) {
 	m := New(cfg)
 	main := setup(m)
@@ -562,6 +564,10 @@ func Restore(cfg Config, setup func(*Machine) func(*Thread), snap *Snapshot, fee
 		// mid-event thread) stay pristine, as they were in the original.
 		st := &m.streams[i]
 		ss := &snap.Streams[i]
+		if ss.InIndex != len(ss.Inputs) {
+			return fail(fmt.Errorf("%w: stream %d (%s) has consumed %d inputs, its cursor says %d",
+				ErrBadSnapshot, i, ss.Name, len(ss.Inputs), ss.InIndex))
+		}
 		st.inIndex = ss.InIndex
 		st.inputs = append(st.inputs[:0], ss.Inputs...)
 		st.outputs = append(st.outputs[:0], ss.Outputs...)
@@ -685,9 +691,6 @@ func (m *Machine) NumMutexes() int { return len(m.mutexes) }
 
 // NumChans returns how many channels the program registered.
 func (m *Machine) NumChans() int { return len(m.chans) }
-
-// NumStreams returns how many streams are registered so far.
-func (m *Machine) NumStreams() int { return len(m.streams) }
 
 // MutexOwner returns the owning thread of a mutex (-1 when free or
 // unknown).

@@ -37,8 +37,8 @@ func Bank() *scenario.Scenario {
 		Failure: scenario.FailureSpec{
 			Name: "imbalance",
 			Check: func(v *scenario.RunView) (bool, string) {
-				total, ok := lastOutput(v, "bank.total")
-				initial, ok2 := lastOutput(v, "bank.initial")
+				total, ok := v.LastOutput("bank.total")
+				initial, ok2 := v.LastOutput("bank.initial")
 				if !ok || !ok2 {
 					return false, ""
 				}
@@ -55,8 +55,8 @@ func Bank() *scenario.Scenario {
 				// Lost updates are visible as a drift between the sum of
 				// applied deltas (zero by construction) and the final
 				// total.
-				total, _ := lastOutput(v, "bank.total")
-				initial, _ := lastOutput(v, "bank.initial")
+				total, _ := v.LastOutput("bank.total")
+				initial, _ := v.LastOutput("bank.initial")
 				return total != initial
 			},
 		}},

@@ -42,8 +42,8 @@ func MsgDrop() *scenario.Scenario {
 		Failure: scenario.FailureSpec{
 			Name: "high-loss",
 			Check: func(v *scenario.RunView) (bool, string) {
-				sent, okS := lastOutput(v, "report.sent")
-				delivered, okD := lastOutput(v, "report.delivered")
+				sent, okS := v.LastOutput("report.sent")
+				delivered, okD := v.LastOutput("report.delivered")
 				if !okS || !okD {
 					return false, ""
 				}
@@ -68,7 +68,7 @@ func MsgDrop() *scenario.Scenario {
 				ID:          "net-congestion",
 				Description: "the network legitimately dropped packets under load (outside the developer's control)",
 				Present: func(v *scenario.RunView) bool {
-					sent, _ := lastOutput(v, "report.sent")
+					sent, _ := v.LastOutput("report.sent")
 					processed := v.Machine.CellByName("oracle.processed0").AsInt() +
 						v.Machine.CellByName("oracle.processed1").AsInt()
 					return processed < sent

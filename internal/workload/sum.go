@@ -45,7 +45,7 @@ func Sum() *scenario.Scenario {
 			Check: func(v *scenario.RunView) (bool, string) {
 				a, okA := lastInput(v, "in.a")
 				b, okB := lastInput(v, "in.b")
-				out, okO := lastOutput(v, "sum.out")
+				out, okO := v.LastOutput("sum.out")
 				if !okA || !okB || !okO {
 					return false, ""
 				}
@@ -104,15 +104,6 @@ func buildSum(m *vm.Machine, p scenario.Params) func(*vm.Thread) {
 // lastInput fetches the final consumed value on an input stream.
 func lastInput(v *scenario.RunView, stream string) (int64, bool) {
 	vals := v.Result.InputsUsed[stream]
-	if len(vals) == 0 {
-		return 0, false
-	}
-	return vals[len(vals)-1].AsInt(), true
-}
-
-// lastOutput fetches the final emitted value on an output stream.
-func lastOutput(v *scenario.RunView, stream string) (int64, bool) {
-	vals := v.Result.Outputs[stream]
 	if len(vals) == 0 {
 		return 0, false
 	}

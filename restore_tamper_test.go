@@ -31,7 +31,8 @@ func settledGoroutines(baseline int) int {
 // error, not a session. Trusted, a LiveNonDaemon of 0 made the seek stop at
 // the checkpoint and RunToEnd report outcome ok after 192 of 415 events with
 // four threads live; 99 made RunToEnd accept a deadlock event the recorded
-// run never had; a mutex owned by thread -5 disabled every Lock of it.
+// run never had; a mutex owned by thread -5 disabled every Lock of it; a
+// stream cursor of -14 panicked the first Input after the restore.
 func TestSeekRejectsTamperedSnapshot(t *testing.T) {
 	ctx := context.Background()
 	eng := debugdet.New()
@@ -46,6 +47,7 @@ func TestSeekRejectsTamperedSnapshot(t *testing.T) {
 		"one thread too few live":      func(cp *sim.Snapshot) { cp.Live--; cp.LiveNonDaemon-- },
 		"mutex owned by thread -5":     func(cp *sim.Snapshot) { cp.Mutexes[0] = -5 },
 		"mutex owned by a thread past": func(cp *sim.Snapshot) { cp.Mutexes[0] = trace.ThreadID(len(cp.Threads)) },
+		"stream cursor before 0":       func(cp *sim.Snapshot) { cp.Streams[0].InIndex = -14 },
 	}
 	for name, tamper := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -82,4 +84,78 @@ func TestSeekRejectsTamperedSnapshot(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzRestoreTampered: a structurally valid snapshot with one field
+// changed — what a bit flip in a recording file that still decodes looks
+// like — makes Seek return an error or a session that runs to its end;
+// it never panics, hangs or leaves a thread's goroutine behind. Seeded
+// with TestSeekRejectsTamperedSnapshot's cases.
+func FuzzRestoreTampered(f *testing.F) {
+	ctx := context.Background()
+	eng := debugdet.New()
+	s, err := eng.ByName("bank")
+	if err != nil {
+		f.Fatal(err)
+	}
+	rec, _, err := eng.Record(ctx, s, debugdet.Perfect, debugdet.Options{CheckpointInterval: 64})
+	if err != nil {
+		f.Fatal(err)
+	}
+	const at = 2 // the checkpoint at event 192
+	// fields are the single-field edits, each of element i (modulo the
+	// slice's length) to v.
+	fields := []func(cp *sim.Snapshot, i int, v int64){
+		func(cp *sim.Snapshot, _ int, v int64) { cp.Seq = uint64(v) },
+		func(cp *sim.Snapshot, _ int, v int64) { cp.Clock = uint64(v) },
+		func(cp *sim.Snapshot, _ int, v int64) { cp.RecordCycles = uint64(v) },
+		func(cp *sim.Snapshot, _ int, v int64) { cp.SchedPos = uint64(v) },
+		func(cp *sim.Snapshot, _ int, v int64) { cp.Live = int(v) },
+		func(cp *sim.Snapshot, _ int, v int64) { cp.LiveNonDaemon = int(v) },
+		func(cp *sim.Snapshot, i int, v int64) { cp.Mutexes[i%len(cp.Mutexes)] = trace.ThreadID(v) },
+		func(cp *sim.Snapshot, i int, v int64) { cp.Cells[i%len(cp.Cells)].Val = trace.Int(v) },
+		func(cp *sim.Snapshot, i int, v int64) { cp.Threads[i%len(cp.Threads)].Done = v&1 == 0 },
+		func(cp *sim.Snapshot, i int, v int64) { cp.Threads[i%len(cp.Threads)].Daemon = v&1 == 0 },
+		func(cp *sim.Snapshot, i int, v int64) { cp.Threads[i%len(cp.Threads)].PendingValid = v&1 == 0 },
+		func(cp *sim.Snapshot, i int, v int64) { cp.Threads[i%len(cp.Threads)].PendingCode = uint8(v) },
+		func(cp *sim.Snapshot, i int, v int64) { cp.Threads[i%len(cp.Threads)].PendingObj = trace.ObjID(v) },
+		func(cp *sim.Snapshot, i int, v int64) { cp.Threads[i%len(cp.Threads)].PendingDeadline = uint64(v) },
+		func(cp *sim.Snapshot, i int, v int64) { cp.Streams[i%len(cp.Streams)].InIndex = int(v) },
+		func(cp *sim.Snapshot, i int, _ int64) { cp.Threads = cp.Threads[:i%len(cp.Threads)] },
+		func(cp *sim.Snapshot, i int, _ int64) { cp.Cells = cp.Cells[:i%len(cp.Cells)] },
+		func(cp *sim.Snapshot, i int, _ int64) { cp.Streams = cp.Streams[:i%len(cp.Streams)] },
+	}
+	f.Add(uint8(5), uint16(0), int64(0))  // no non-daemon thread live
+	f.Add(uint8(5), uint16(0), int64(99)) // 99 non-daemon threads live
+	f.Add(uint8(4), uint16(0), int64(rec.Checkpoints[at].Live-1))
+	f.Add(uint8(6), uint16(0), int64(-5))
+	f.Add(uint8(6), uint16(0), int64(len(rec.Checkpoints[at].Threads)))
+	// What this target found: a checkpoint table out of trace order spun
+	// the feed plan forever, and a negative stream cursor indexed the
+	// recorded inputs out of range at the first Input after the restore.
+	f.Add(uint8(0), uint16(0), int64(99))
+	f.Add(uint8(14), uint16(0), int64(-14))
+	f.Fuzz(func(t *testing.T, field uint8, index uint16, value int64) {
+		// A private copy of the recording's checkpoint table and of the one
+		// snapshot the edit lands in.
+		tampered := *rec
+		tampered.Checkpoints = append([]*sim.Snapshot(nil), rec.Checkpoints...)
+		cp := *rec.Checkpoints[at]
+		cp.Threads = append([]sim.ThreadSnap(nil), cp.Threads...)
+		cp.Cells = append([]sim.SlotSnap(nil), cp.Cells...)
+		cp.Mutexes = append([]trace.ThreadID(nil), cp.Mutexes...)
+		cp.Streams = append([]sim.StreamSnap(nil), cp.Streams...)
+		tampered.Checkpoints[at] = &cp
+		target := cp.Seq + 20
+		fields[int(field)%len(fields)](&cp, int(index), value)
+
+		before := runtime.NumGoroutine()
+		sess, err := eng.Seek(ctx, s, &tampered, target, debugdet.ReplayOptions{MaxSteps: 4 * rec.EventCount})
+		if err == nil {
+			sess.RunToEnd()
+		}
+		if n := settledGoroutines(before); n > before {
+			t.Fatalf("%d goroutines before the seek, %d after (seek error: %v)", before, n, err)
+		}
+	})
 }

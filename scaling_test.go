@@ -244,3 +244,40 @@ func TestSchedulingRoundIndependentOfThreadCount(t *testing.T) {
 		t.Fatalf("evaluations per round grew with the thread count: %.3f at 100 threads, %.3f at 1000", perRound(hundred), perRound(thousand))
 	}
 }
+
+// TestDebuggerBackCostIndependentOfCheckpointSource: stepping back in a
+// debugger over a recording without checkpoints — which materializes its
+// own — allocates what it does over one recorded with them at the same
+// interval: the materialized snapshots' feeds are slices of one plan made
+// with them, not a copy and re-derivation of the whole prefix per step
+// (which made each step cost over 20x).
+func TestDebuggerBackCostIndependentOfCheckpointSource(t *testing.T) {
+	const interval = 256
+	backCost := func(recorded int64) (uint64, uint64) {
+		s, rec := recordBank(t, 1500, recorded)
+		d, err := debugdet.New().Debug(context.Background(), s, rec, debugdet.DebugOptions{Interval: interval})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		if got := len(d.Checkpoints()); got < 100 {
+			t.Fatalf("session has %d checkpoints, want at least 100", got)
+		}
+		back := func() {
+			if err := d.Back(10); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.SeekTo(rec.EventCount * 9 / 10); err != nil {
+			t.Fatal(err)
+		}
+		back() // derives a recorded recording's plan
+		return allocated(back), rec.EventCount
+	}
+	recorded, n := backCost(interval)
+	materialized, _ := backCost(0)
+	t.Logf("second Back(10) at 90%% of %d events: %d bytes over recorded checkpoints, %d over materialized ones", n, recorded, materialized)
+	if materialized > 2*recorded {
+		t.Fatalf("Back allocates %d bytes over materialized checkpoints, %d over recorded ones: more than 2x", materialized, recorded)
+	}
+}

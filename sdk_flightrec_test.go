@@ -65,7 +65,7 @@ func TestPublicFlightRecorder(t *testing.T) {
 		t.Fatalf("segmented store replay diverged at %d", sres.Mismatch)
 	}
 
-	d, err := eng.DebugStore(context.Background(), s, st, debugdet.DebugOptions{})
+	d, err := eng.Debug(context.Background(), s, st, debugdet.DebugOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

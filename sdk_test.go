@@ -257,7 +257,6 @@ func TestSDKOptionValidation(t *testing.T) {
 		"workers":       {Workers: -2},
 		"budget":        {ReplayBudget: -1},
 		"fork-interval": {ForkReplay: true, ForkInterval: -8},
-		"fork-paths":    {ForkReplay: true, ForkPaths: -1},
 	} {
 		if _, err := eng.Evaluate(ctx, s, model, o); err == nil {
 			t.Errorf("%s: negative knob accepted", name)
