@@ -72,6 +72,10 @@ func (m *Machine) ScanEnabledIDs() []int {
 	return ids
 }
 
+// DisableInline turns the inline fast path off on a machine that has not
+// started, for tests outside the package that run the corpus both ways.
+func (m *Machine) DisableInline() { m.cfg.disableInline = true }
+
 func TestMain(m *testing.M) {
 	code := m.Run()
 	if s := EnabledSetMismatch(); s != "" {
