@@ -20,10 +20,10 @@ import (
 	"debugdet/internal/workload"
 )
 
-// The benchmarks below measure the framework's own building blocks; six
-// of them (VMStepThroughput, SchedRound, CheckpointSeek, SegmentedReplay,
-// FlightRecorder, ForkedSearch) also assert a dual-path or scaling
-// contract and run once in CI. Regenerating the paper's artifacts is timed
+// The benchmarks below measure the framework's own building blocks; seven
+// of them (VMStepThroughput, SchedRound, ThreadSwitch, CheckpointSeek,
+// SegmentedReplay, FlightRecorder, ForkedSearch) also assert a dual-path or
+// scaling contract and run once in CI. Regenerating the paper's artifacts is timed
 // by bench/'s corpus workload and eval.fig1_ms, not here. Run with:
 //
 //	go test -bench=. -benchmem
@@ -56,8 +56,9 @@ func BenchmarkVMThroughput(b *testing.B) {
 // BenchmarkVMStepThroughput measures the VM scheduling hot path itself:
 // one long-running thread stepping through loads and stores while a second
 // thread sits blocked on an empty channel. The scheduler re-picks the same
-// thread at every decision, so this is the pure per-step cost — baton
-// handoff, scheduling, event emission — with no recording attached.
+// thread at every decision, so this is the pure per-step cost of the inline
+// path — scheduling, event emission, no thread switch — with no recording
+// attached.
 func BenchmarkVMStepThroughput(b *testing.B) {
 	b.ReportAllocs()
 	const stepsPerRun = 2000
@@ -125,7 +126,7 @@ func ParkedProgram(threads, iters int) (*vm.Machine, func(*vm.Thread)) {
 // up to date, ask the scheduler, apply the op — as the thread count grows,
 // on ParkedProgram. Only the contended middle is timed (ns/op is one run's
 // middle, ns/round one of its rounds): spawning and draining the parked
-// threads is goroutine creation, not scheduling. With the enabled set
+// threads is coroutine creation, not scheduling. With the enabled set
 // maintained across rounds the line is flat: a round re-evaluates the thread
 // that ran and the lock's waiters, never the parked ones. evals/round is over
 // the whole run.
@@ -159,6 +160,38 @@ func BenchmarkSchedRound(b *testing.B) {
 			b.ReportMetric(float64(evals)/float64(rounds), "evals/round")
 		})
 	}
+}
+
+// BenchmarkThreadSwitch measures one thread switch: two threads whose bodies
+// only Yield, under the round-robin scheduler, so every round picks the
+// thread that did not just run and nothing applies inline (the assertion).
+// ns/op is one run, ns/switch one of its hand-offs: driver to thread and
+// back, with the round's scheduling and event emission in between.
+func BenchmarkThreadSwitch(b *testing.B) {
+	b.ReportAllocs()
+	const yields = 2000
+	var rounds, handoffs uint64
+	for i := 0; i < b.N; i++ {
+		m := vm.New(vm.Config{Scheduler: vm.NewRoundRobinScheduler()})
+		s := m.Site("s")
+		body := func(t *vm.Thread) {
+			for j := 0; j < yields; j++ {
+				t.Yield(s)
+			}
+		}
+		res := m.Run(func(t *vm.Thread) {
+			t.Spawn(s, "b", body)
+			body(t)
+		})
+		if res.Outcome != vm.OutcomeOK {
+			b.Fatalf("outcome %v", res.Outcome)
+		}
+		rounds, handoffs = rounds+res.SchedRounds, handoffs+res.SchedHandoffs
+	}
+	if float64(handoffs) < 0.99*float64(rounds) {
+		b.Fatalf("%d hand-offs over %d rounds: the rounds are not switching threads", handoffs, rounds)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(handoffs), "ns/switch")
 }
 
 // BenchmarkRecorderPerEvent measures the recorder fast path for each

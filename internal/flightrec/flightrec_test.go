@@ -262,7 +262,7 @@ func segmentedInvariant(t *testing.T, s *scenario.Scenario, st flightrec.Store, 
 		fp.Result.Trace = nil
 		// One machine's scheduling counters, from its restore on: they
 		// depend on the chunking by design.
-		fp.Result.SchedRounds, fp.Result.SchedEvals = 0, 0
+		fp.Result.SchedRounds, fp.Result.SchedEvals, fp.Result.SchedHandoffs = 0, 0, 0
 		if base == nil {
 			base = fp
 		} else if !reflect.DeepEqual(fp, base) {

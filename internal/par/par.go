@@ -1,8 +1,8 @@
 // Package par is the repo's one worker pool: an ordered fan-out whose
 // results are independent of the worker count (DESIGN.md §0 "Worker
 // contract"). The inference search, the evaluation grids, EvaluateBatch and
-// segmented replay all range over Ordered; nothing else outside the VM's
-// thread hosts starts a goroutine (TestGoStatementsStayInPar).
+// segmented replay all range over Ordered; nothing else starts a goroutine
+// (TestGoStatementsStayInPar).
 package par
 
 import (

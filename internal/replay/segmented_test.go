@@ -89,7 +89,8 @@ func sameSegmented(t *testing.T, ctx string, got, want *SegmentedResult) {
 	g.Trace, w.Trace = nil, nil
 	// The scheduling counters are those of the machine that finished the
 	// run, from its restore on: they depend on the chunking by design.
-	g.SchedRounds, g.SchedEvals, w.SchedRounds, w.SchedEvals = 0, 0, 0, 0
+	g.SchedRounds, g.SchedEvals, g.SchedHandoffs = 0, 0, 0
+	w.SchedRounds, w.SchedEvals, w.SchedHandoffs = 0, 0, 0
 	if !reflect.DeepEqual(g, w) {
 		t.Fatalf("%s: final result differs:\ngot  %+v\nwant %+v", ctx, g, w)
 	}

@@ -8,8 +8,8 @@ import (
 
 // applyOp executes t's pending operation against machine state, emits the
 // corresponding event, and deposits the result in t. The caller guarantees
-// the op is enabled. All shared state is mutated here, on the machine's
-// goroutine, so the VM needs no internal locking.
+// the op is enabled. All shared state is mutated here, by the driver or the
+// one thread it has switched to, so the VM needs no internal locking.
 func (m *Machine) applyOp(t *Thread) {
 	req := &t.pending
 	t.result = trace.Nil

@@ -1,0 +1,84 @@
+package vm
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"debugdet/internal/trace"
+)
+
+// TestGoexitInBodyEndsTheDriver: a body that calls runtime.Goexit — what
+// testing's FailNow does inside a scenario body — ends the goroutine driving
+// the machine instead of hanging it, and the driver releases the other
+// threads' coroutines on its way out.
+func TestGoexitInBodyEndsTheDriver(t *testing.T) {
+	for _, disableInline := range []bool{false, true} {
+		before := runtime.NumGoroutine()
+		ended, returned := make(chan struct{}), false
+		go func() {
+			defer close(ended)
+			m := New(Config{Seed: 1, disableInline: disableInline})
+			c := m.NewCell("c", trace.Int(0))
+			s := m.Site("s")
+			m.Run(func(t *Thread) {
+				t.Spawn(s, "looper", func(t *Thread) {
+					for {
+						t.Yield(s)
+					}
+				})
+				t.Load(s, c)
+				runtime.Goexit()
+			})
+			returned = true
+		}()
+		select {
+		case <-ended:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("disableInline=%v: Run still blocked 2s after a body called runtime.Goexit", disableInline)
+		}
+		if returned {
+			t.Fatalf("disableInline=%v: Run returned; the Goexit should have ended its goroutine", disableInline)
+		}
+		n := runtime.NumGoroutine()
+		for i := 0; n > before && i < 200; i++ {
+			time.Sleep(5 * time.Millisecond)
+			n = runtime.NumGoroutine()
+		}
+		if n > before {
+			t.Fatalf("disableInline=%v: %d goroutines before, %d after: a thread's coroutine was left behind", disableInline, before, n)
+		}
+	}
+}
+
+// TestForeignThreadUseCrashesTheCaller: an operation on another thread's
+// *Thread is the calling thread's crash event — raised on its own stack, not
+// a host panic on the driver — and the thread named is left as it was.
+func TestForeignThreadUseCrashesTheCaller(t *testing.T) {
+	for _, disableInline := range []bool{false, true} {
+		m := New(Config{Seed: 1, CollectTrace: true, disableInline: disableInline})
+		c := m.NewCell("c", trace.Int(0))
+		ch := m.NewChan("ch", 1)
+		s := m.Site("s")
+		var b *Thread
+		res := m.Run(func(t *Thread) {
+			t.Spawn(s, "b", func(t *Thread) {
+				b = t
+				t.Recv(s, ch)
+			})
+			t.Spawn(s, "a", func(t *Thread) {
+				for b == nil {
+					t.Yield(s)
+				}
+				b.Load(s, c)
+			})
+		})
+		const want = `panic: vm: thread "b" used from thread "a"'s body`
+		if res.Outcome != OutcomeCrashed || res.Terminal.Val.AsString() != want || res.Terminal.TID != 2 {
+			t.Fatalf("disableInline=%v: outcome %v, terminal %v; want thread 2 crashed with %q", disableInline, res.Outcome, res.Terminal, want)
+		}
+		if b.pending.code != opRecv || b.pending.obj != ch {
+			t.Fatalf("disableInline=%v: b's pending op is now %s", disableInline, m.describePending(b))
+		}
+	}
+}

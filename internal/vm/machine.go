@@ -5,11 +5,12 @@
 // Programs are Go functions written against the Thread API. Every
 // shared-state operation (memory access, lock, channel op, input, output)
 // is a VM operation and a scheduling point. Exactly one virtual thread runs
-// between scheduling points — threads are goroutines, but a baton protocol
-// guarantees only one is ever unparked — so given a scheduler seed and an
-// input source the execution, and hence its event trace, is bit-identical
-// across runs. That property is what record/replay needs and what the Go
-// runtime scheduler cannot provide (see DESIGN.md §1).
+// between scheduling points — threads are coroutines (iter.Pull) of the
+// goroutine that drives the machine, which switches to one at a time — so
+// given a scheduler seed and an input source the execution, and hence its
+// event trace, is bit-identical across runs. That property is what
+// record/replay needs and what the Go runtime scheduler cannot provide (see
+// DESIGN.md §1).
 package vm
 
 import (
@@ -68,9 +69,9 @@ type Config struct {
 	// forced schedule.
 	RelaxTime bool
 	// disableInline turns off the inline run-to-next-schedule-point fast
-	// path, forcing every operation through the yieldCh/resumeCh baton.
-	// The fast path is bit-equivalent to the baton path; the switch is
-	// unexported because its one use is the package's own tests, which
+	// path: every operation is a coroutine switch to the driver and back.
+	// The fast path is bit-equivalent to switching at every op; the switch
+	// is unexported because its one use is the package's own tests, which
 	// pin that equivalence.
 	disableInline bool
 	// LogRounds makes the machine keep a log of every scheduling decision
@@ -108,9 +109,11 @@ type Result struct {
 	// diverged, when Outcome == OutcomeDiverged.
 	DivergedAt uint64
 	// SchedRounds counts the scheduling rounds this machine took (times a
-	// scheduler was asked to pick) and SchedEvals the enabledness evaluations
-	// it made for them; a restored machine counts from its restore point.
-	SchedRounds, SchedEvals uint64
+	// scheduler was asked to pick), SchedEvals the enabledness evaluations
+	// it made for them and SchedHandoffs the rounds that switched to the
+	// picked thread's coroutine instead of applying its op inline; a restored
+	// machine counts from its restore point.
+	SchedRounds, SchedEvals, SchedHandoffs uint64
 }
 
 // BaseCycles returns the execution's intrinsic virtual time.
@@ -158,14 +161,13 @@ type Machine struct {
 	inputs    InputSource
 	observers []Observer
 
-	yieldCh chan *Thread // threads park by sending themselves here
-
+	// current is the thread the driver last switched to: the only one whose
+	// body can be running, so the only one whose ops are legitimate.
+	current *Thread
 	// inlineOwner is the thread currently holding the scheduling baton
-	// inline (see syscall's fast path). While it is set the machine
-	// goroutine is parked in resume's yieldCh receive, so exactly one
-	// goroutine — the owner — touches machine state: the single-unparked
-	// invariant holds with no channel traffic. All accesses are ordered
-	// by the resumeCh/yieldCh handoffs themselves.
+	// inline (see syscall's fast path). While it is set the driver is
+	// suspended in resume's switch, so only the owner's stack touches
+	// machine state. Coroutine switches order all accesses.
 	inlineOwner *Thread
 	// picked carries a scheduling decision taken inline by a thread that
 	// then had to hand the baton back (the scheduler chose someone else).
@@ -200,7 +202,7 @@ type Machine struct {
 	timed    *Thread
 	nextWake uint64
 
-	schedRounds, schedEvals uint64
+	schedRounds, schedEvals, schedHandoffs uint64
 
 	// evBuf is the event staging buffer emit reuses; without it every
 	// event heap-escapes through the observer interface call.
@@ -229,7 +231,6 @@ func New(cfg Config) *Machine {
 		streamIDs: make(map[string]trace.ObjID),
 		sched:     cfg.Scheduler,
 		inputs:    cfg.Inputs,
-		yieldCh:   make(chan *Thread),
 		ready:     make([]*Thread, 0, 8),
 		nextWake:  noWake,
 	}
@@ -324,8 +325,17 @@ func (m *Machine) Completed() bool { return m.completed }
 // loop drives scheduling rounds until the execution completes or pauseAt
 // is reached.
 func (m *Machine) loop() {
+	// A body's runtime.Goexit (or a panic outside any body) unwinds the
+	// driver through here: end the other threads' coroutines on the way.
+	unwinding := true
+	defer func() {
+		if unwinding {
+			m.releaseAll()
+		}
+	}()
 	for !m.stopped {
 		if m.pauseAt > 0 && m.seq >= m.pauseAt {
+			unwinding = false
 			return
 		}
 		// A thread running inline may already have taken this round's
@@ -347,7 +357,7 @@ func (m *Machine) loop() {
 		}
 		m.resume(t)
 	}
-	m.completed = true
+	m.completed, unwinding = true, false
 }
 
 // Finish ends the execution — releasing every parked thread, including
@@ -367,17 +377,18 @@ func (m *Machine) Finish() *Result {
 	}
 
 	res := &Result{
-		Outcome:      m.outcome,
-		Terminal:     m.terminal,
-		Trace:        m.tr,
-		Steps:        m.seq,
-		Cycles:       m.clock,
-		RecordCycles: m.recordCycles,
-		Outputs:      make(map[string][]trace.Value),
-		InputsUsed:   make(map[string][]trace.Value),
-		DivergedAt:   m.diverged,
-		SchedRounds:  m.schedRounds,
-		SchedEvals:   m.schedEvals,
+		Outcome:       m.outcome,
+		Terminal:      m.terminal,
+		Trace:         m.tr,
+		Steps:         m.seq,
+		Cycles:        m.clock,
+		RecordCycles:  m.recordCycles,
+		Outputs:       make(map[string][]trace.Value),
+		InputsUsed:    make(map[string][]trace.Value),
+		DivergedAt:    m.diverged,
+		SchedRounds:   m.schedRounds,
+		SchedEvals:    m.schedEvals,
+		SchedHandoffs: m.schedHandoffs,
 	}
 	for i := range m.streams {
 		s := &m.streams[i]
@@ -582,7 +593,7 @@ func (m *Machine) stop(oc Outcome, term trace.Event) {
 	m.terminal = term
 }
 
-// releaseAll unparks every live thread so its goroutine can unwind; the
+// releaseAll resumes every live thread so its coroutine can unwind; the
 // syscall path panics with errMachineStopped which threadMain swallows.
 func (m *Machine) releaseAll() {
 	m.stopped = true
@@ -596,8 +607,7 @@ func (m *Machine) releaseAll() {
 		if !t.done {
 			t.done = true
 			m.live--
-			t.resumeCh <- struct{}{}
-			<-t.unwound
+			m.switchTo(t)
 		}
 	}
 }

@@ -23,7 +23,7 @@ import (
 // state is then installed from the snapshot, and the machine resumes
 // normal scheduling from the checkpoint as if it had executed the prefix.
 // Feed replay is much cheaper per operation than scheduled replay (no
-// scheduling round, no event emission, no baton traffic), which is where
+// scheduling round, no event emission, no coroutine switch), which is where
 // checkpointed seek gets its speedup.
 
 // SlotSnap is a snapshotted value with its provenance.
@@ -408,7 +408,7 @@ func (m *Machine) restoreSpawn(req *opReq, fe FeedEntry) error {
 // finished (or vice versa), structural differences between the built
 // program and the snapshot, and liveness counters, mutex owners or stream
 // cursors that contradict the rebuilt threads and histories
-// (ErrBadSnapshot) all return errors, with the machine's goroutines
+// (ErrBadSnapshot) all return errors, with the machine's coroutines
 // released.
 func Restore(cfg Config, setup func(*Machine) func(*Thread), snap *Snapshot, feeds [][]FeedEntry) (*Machine, error) {
 	m := New(cfg)
@@ -455,28 +455,20 @@ func Restore(cfg Config, setup func(*Machine) func(*Thread), snap *Snapshot, fee
 	// replaying feeds in ID order guarantees each body has been bound (by
 	// its parent's spawn) before its turn.
 	for i := range snap.Threads {
-		ts := &snap.Threads[i]
-		m.threads = append(m.threads, &Thread{
-			m:        m,
-			id:       trace.ThreadID(i),
-			name:     ts.Name,
-			resumeCh: make(chan struct{}),
-			unwound:  make(chan struct{}),
-		})
+		m.threads = append(m.threads, &Thread{m: m, id: trace.ThreadID(i), name: snap.Threads[i].Name})
 	}
 	m.threads[0].body = main
 	m.running = true
 
 	// parked collects live threads as they reach their first
 	// post-checkpoint operation, so a failed restore can release exactly
-	// the goroutines that exist.
+	// the coroutines that exist.
 	parked := make([]*Thread, 0, len(m.threads))
 	fail := func(err error) (*Machine, error) {
 		m.stopped = true
 		for _, t := range parked {
 			t.done = true
-			t.resumeCh <- struct{}{}
-			<-t.unwound
+			m.switchTo(t)
 		}
 		return nil, err
 	}
@@ -488,14 +480,8 @@ func Restore(cfg Config, setup func(*Machine) func(*Thread), snap *Snapshot, fee
 			return fail(fmt.Errorf("vm: restore: thread %d (%s) was never spawned during feed replay", i, ts.Name))
 		}
 		t.feed = feeds[i]
-		//lint:nondet-ok VM threads are hosted on goroutines; the yieldCh handshake below serializes them under the machine's schedule
-		go m.threadMain(t)
-		select {
-		case p := <-m.yieldCh:
-			parked = append(parked, p)
-			if p != t {
-				return fail(fmt.Errorf("vm: restore: foreign thread %d parked while replaying %d", p.id, i))
-			}
+		if m.launch(t) {
+			parked = append(parked, t)
 			if t.pending.code == opPanic {
 				return fail(fmt.Errorf("vm: restore: thread %d (%s): %s", i, ts.Name, t.pending.msg))
 			}
@@ -516,7 +502,7 @@ func Restore(cfg Config, setup func(*Machine) func(*Thread), snap *Snapshot, fee
 			if !t.daemon {
 				m.liveNonDaemon++
 			}
-		case <-t.unwound:
+		} else {
 			if !ts.Done {
 				return fail(fmt.Errorf("vm: restore: thread %d (%s) finished but snapshot marks it live", i, ts.Name))
 			}

@@ -3,12 +3,13 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"iter"
 
 	"debugdet/internal/trace"
 )
 
 // errMachineStopped is panicked through a parked thread's stack when the
-// machine halts, so the goroutine unwinds promptly. It never escapes
+// machine halts, so the coroutine unwinds promptly. It never escapes
 // threadMain.
 var errMachineStopped = errors.New("vm: machine stopped")
 
@@ -59,14 +60,21 @@ type opReq struct {
 
 // Thread is a virtual thread. Program bodies receive a *Thread and perform
 // all shared-state operations through it. A Thread must only be used from
-// its own body function.
+// its own body function: an operation on another thread's *Thread crashes
+// the calling thread. A body runs on a coroutine of whichever goroutine
+// drives the machine, so it must not block on a host channel or lock (the
+// driver, and every other thread, would block with it) and must not call
+// runtime.Goexit — testing's FailNow included: the Goexit ends the driving
+// goroutine, which releases the other threads on its way out.
 type Thread struct {
 	m    *Machine
 	name string
 	body func(*Thread)
 
-	resumeCh chan struct{}
-	unwound  chan struct{}
+	// next switches to the thread's coroutine until it parks (true) or its
+	// body has returned (false); yield, called on the coroutine, parks it.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 
 	pending opReq
 	result  trace.Value
@@ -125,21 +133,25 @@ func (t *Thread) AddTaint(x trace.Taint) { t.taint |= x }
 // syscall submits the thread's pending op and waits until it is applied.
 //
 // Fast path: when this thread holds the inline scheduling baton (the
-// machine goroutine is parked inside resume), the thread runs the
-// scheduling step itself — pick, then apply if the scheduler chose it
-// again — with zero channel operations. The decision sequence, clock,
-// event trace and scheduler state evolve exactly as on the slow path;
-// only the goroutine executing the bookkeeping differs, and never more
-// than one goroutine is unparked at a time.
+// driver is suspended inside resume), the thread runs the scheduling step
+// itself — pick, then apply if the scheduler chose it again — with no
+// coroutine switch. The decision sequence, clock, event trace and
+// scheduler state evolve exactly as on the slow path; only the stack
+// executing the bookkeeping differs.
 //
-// Slow path: park on yieldCh and wait for the machine to apply the op.
-// Taken when the scheduler picks another thread (the decision is stashed
-// in m.picked so it is not taken twice), when the op could end this
-// thread or start another goroutine (exit, fail, crash, spawn — those
-// need the machine goroutine to supervise the handoff), or when the
-// machine stopped during an inline apply (releaseAll unwinds us).
+// Slow path: yield to the driver and wait for it to apply the op. Taken
+// when the scheduler picks another thread (the decision is stashed in
+// m.picked so it is not taken twice), when the op could end this thread
+// or start another coroutine (exit, fail, crash, spawn — the driver's
+// stack does those), or when the machine stopped during an inline apply
+// (releaseAll unwinds us).
 func (t *Thread) syscall(req opReq) trace.Value {
 	m := t.m
+	if m.current != t {
+		// Panics on the calling body's stack: threadMain makes it that
+		// thread's crash event and t, parked elsewhere, is untouched.
+		panic(fmt.Sprintf("vm: thread %q used from thread %q's body", t.name, m.current.name))
+	}
 	if t.feed != nil {
 		// Restore mode: the operation's outcome comes from the recorded
 		// prefix; no scheduling, no event, no shared-state effect. The
@@ -178,29 +190,27 @@ func (t *Thread) syscall(req opReq) trace.Value {
 			m.picked, m.pickedValid = next, true
 		}
 	}
-	m.yieldCh <- t
-	<-t.resumeCh
+	t.yield(struct{}{})
 	if m.stopped {
 		panic(errMachineStopped)
 	}
 	return t.result
 }
 
-// parkRestoreError aborts a feed replay from the thread's own goroutine:
-// it parks with an opPanic pending op carrying the message, which the
-// restore driver reports as the restore error, and unwinds once resumed.
+// parkRestoreError aborts a feed replay from the thread's own stack: it
+// parks with an opPanic pending op carrying the message, which the restore
+// driver reports as the restore error, and unwinds once resumed.
 func (t *Thread) parkRestoreError(msg string) {
 	t.pending = opReq{code: opPanic, msg: msg}
-	t.m.yieldCh <- t
-	<-t.resumeCh
+	t.yield(struct{}{})
 	panic(errMachineStopped)
 }
 
 // inlineEligible reports whether an op may be applied on the issuing
-// thread's own goroutine. Excluded are ops that terminate the thread
-// (exit, fail, crash — their apply must be followed by the machine-side
-// unwind protocol) and spawn (startThread receives the child's first park
-// on yieldCh, which must not race with the machine's own receive).
+// thread's own stack. Excluded are ops that terminate the thread (exit,
+// fail, crash — their apply must be followed by the driver-side unwind
+// protocol) and spawn (startThread switches to the child, which only the
+// driver does: a thread always yields to the driver, never to its parent).
 func inlineEligible(code opCode) bool {
 	//lint:exhaustive-default the four excluded ops are listed exhaustively; every other op is inline-eligible
 	switch code {
@@ -373,39 +383,45 @@ func (t *Thread) exit() {
 	t.syscall(opReq{code: opExit})
 }
 
-// newThread allocates a thread record; the goroutine starts in startThread.
+// newThread allocates a thread record; the coroutine starts in startThread.
 func (m *Machine) newThread(name string, body func(*Thread)) *Thread {
-	t := &Thread{
-		m:        m,
-		id:       trace.ThreadID(len(m.threads)),
-		name:     name,
-		body:     body,
-		resumeCh: make(chan struct{}),
-		unwound:  make(chan struct{}),
-	}
+	t := &Thread{m: m, id: trace.ThreadID(len(m.threads)), name: name, body: body}
 	m.threads = append(m.threads, t)
 	m.live++
 	m.liveNonDaemon++
 	return t
 }
 
-// startThread launches the goroutine for t, waits until it parks at its
-// first operation (every thread parks at least once: exit is an op) and
-// registers that op.
+// startThread launches t, which runs until it parks at its first operation
+// (every thread parks at least once: exit is an op), and registers that op.
 func (m *Machine) startThread(t *Thread) {
-	//lint:nondet-ok VM threads are hosted on goroutines; the park handshake on yieldCh serializes them under the machine's schedule
-	go m.threadMain(t)
-	parked := <-m.yieldCh
-	if parked != t {
-		panic("vm: unexpected thread parked during start")
-	}
+	m.launch(t)
 	m.park(t)
+}
+
+// launch is the one thread host: it puts t's body on a coroutine and runs it
+// until it parks at an operation (true) or returns (false, which only a
+// feed-replayed thread can). No stop function is kept: a parked thread is
+// ended by resuming it on a stopped machine (releaseAll).
+func (m *Machine) launch(t *Thread) bool {
+	t.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		t.yield = yield
+		m.threadMain(t)
+	})
+	return m.switchTo(t)
+}
+
+// switchTo runs t on the calling goroutine until it parks (true) or its body
+// has returned (false). A runtime.Goexit in the body surfaces here.
+func (m *Machine) switchTo(t *Thread) bool {
+	m.current = t
+	_, parked := t.next()
+	return parked
 }
 
 // threadMain runs the thread body, converting returns into exit ops and
 // panics into crash events. errMachineStopped unwinds silently.
 func (m *Machine) threadMain(t *Thread) {
-	defer close(t.unwound)
 	defer func() {
 		r := recover()
 		if r == nil || r == errMachineStopped { //nolint:errorlint // sentinel identity
@@ -415,8 +431,7 @@ func (m *Machine) threadMain(t *Thread) {
 		// so the failure is part of the execution model rather than
 		// tearing down the host process.
 		t.pending = opReq{code: opPanic, msg: fmt.Sprint(r)}
-		t.m.yieldCh <- t
-		<-t.resumeCh
+		t.yield(struct{}{})
 		// The machine stops on the crash; nothing more to do.
 	}()
 	t.body(t)
@@ -424,22 +439,14 @@ func (m *Machine) threadMain(t *Thread) {
 }
 
 // resume lets a thread continue after its op was applied. If the thread
-// finished (exit, panic) the machine waits for its goroutine to unwind;
-// otherwise it grants the thread the inline scheduling baton and waits for
-// it to park at a future operation — possibly many inline steps later.
+// finished (exit, panic) its body returns; otherwise it holds the inline
+// scheduling baton until it parks at a future operation — possibly many
+// inline steps later.
 func (m *Machine) resume(t *Thread) {
-	if t.done {
-		t.resumeCh <- struct{}{}
-		<-t.unwound
-		return
-	}
-	if !m.cfg.disableInline {
+	m.schedHandoffs++
+	if !t.done && !m.cfg.disableInline {
 		m.inlineOwner = t
 	}
-	t.resumeCh <- struct{}{}
-	parked := <-m.yieldCh
+	m.switchTo(t)
 	m.inlineOwner = nil
-	if parked != t {
-		panic("vm: foreign thread parked during resume")
-	}
 }

@@ -14,6 +14,6 @@
 // record/replay engines without conversion.
 //
 // Architecture: DESIGN.md §1 (the deterministic VM) covers the execution
-// model and the baton protocol; DESIGN.md §5 (time-travel replay) covers
-// the snapshot/restore machinery this package also exposes.
+// model and how threads are hosted on coroutines; DESIGN.md §5 (time-travel
+// replay) covers the snapshot/restore machinery this package also exposes.
 package sim
