@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"debugdet/internal/checkpoint"
 	"debugdet/internal/core"
 	"debugdet/internal/eval"
 	"debugdet/internal/flightrec"
@@ -20,11 +21,12 @@ import (
 	"debugdet/internal/workload"
 )
 
-// The benchmarks below measure the framework's own building blocks; seven
+// The benchmarks below measure the framework's own building blocks; eight
 // of them (VMStepThroughput, SchedRound, ThreadSwitch, CheckpointSeek,
-// SegmentedReplay, FlightRecorder, ForkedSearch) also assert a dual-path or
-// scaling contract and run once in CI. Regenerating the paper's artifacts is timed
-// by bench/'s corpus workload and eval.fig1_ms, not here. Run with:
+// FeedReplay, SegmentedReplay, FlightRecorder, ForkedSearch) also assert a
+// dual-path, scaling or restored-state contract and run once in CI.
+// Regenerating the paper's artifacts is timed by bench/'s corpus workload
+// and eval.fig1_ms, not here. Run with:
 //
 //	go test -bench=. -benchmem
 
@@ -368,6 +370,56 @@ func BenchmarkCheckpointSeek(b *testing.B) {
 				}
 				sess.Close()
 			}
+		})
+	}
+}
+
+// BenchmarkFeedReplay measures a restore alone — feed replay of every thread
+// body plus the state install, no suffix — at 90% of a long bank and a long
+// dynokv run: term (2) of DESIGN.md §5's seek cost model. The restored state
+// is checked against a snapshot of the live machine paused at the same
+// event; ns/fed-op is per feed entry replayed.
+func BenchmarkFeedReplay(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		params scenario.Params
+	}{{"bank", scenario.Params{"transfers": 4000}}, {"dynokv-staleread", scenario.Params{"rounds": 200}}} {
+		b.Run(c.name, func(b *testing.B) {
+			s, err := workload.ByName(c.name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			o := scenario.ExecOptions{Seed: s.DefaultSeed, Params: c.params}
+			live := s.Start(o)
+			live.Continue(s.Exec(o).Result.Steps * 9 / 10)
+			want := live.Snapshot(vm.NoRunningThread)
+			feeds, err := checkpoint.Feeds(live.Trace().Events, want.Seq, len(want.Threads))
+			live.Finish()
+			if err != nil {
+				b.Fatal(err)
+			}
+			fed := 0
+			for _, f := range feeds {
+				fed += len(f)
+			}
+			restore := func() *vm.Machine {
+				m, err := s.Restore(o, want, feeds)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return m
+			}
+			m := restore()
+			if err := want.EqualState(m.Snapshot(vm.NoRunningThread)); err != nil {
+				b.Fatalf("restored state differs from the live machine's: %v", err)
+			}
+			m.Finish()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				restore().Finish()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*fed), "ns/fed-op")
 		})
 	}
 }

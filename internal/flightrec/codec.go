@@ -244,17 +244,19 @@ func writeFeedEntry(w *wire.Writer, e *trace.Event) {
 
 // readFeedLog decodes a feed log, invoking fn for every entry in event
 // order. It validates the magic and stops at clean EOF; a partial entry
-// is corruption.
+// is corruption. The entry fn receives is reused for the next one: fn must
+// copy what it keeps, never retain the pointer.
 func readFeedLog(r *wire.Reader, fn func(i uint64, fe *feedEntry) error) (uint64, error) {
 	r.Magic(feedMagic)
 	r.Version(feedVersion)
 	var count uint64
+	var fe feedEntry
 	for r.More() {
 		tid := r.Varint()
 		if tid < math.MinInt32 || tid > math.MaxInt32 {
 			r.Failf("feed entry %d: thread %d out of range", count, tid)
 		}
-		fe := feedEntry{TID: trace.ThreadID(tid), Kind: trace.EventKind(r.Byte())}
+		fe = feedEntry{TID: trace.ThreadID(tid), Kind: trace.EventKind(r.Byte())}
 		if !fe.Kind.Valid() {
 			r.Failf("feed entry %d: bad kind %d", count, fe.Kind)
 		}

@@ -228,6 +228,21 @@ func TestFeedLogRoundtrip(t *testing.T) {
 	}
 }
 
+// TestFeedLogScanAllocs: scanning a feed log allocates for the values it
+// decodes, not once per entry — the entry handed to fn is reused.
+func TestFeedLogScanAllocs(t *testing.T) {
+	rec := recordCheckpointed(t, workload.Bank(), 64)
+	log := FeedLogBytes(rec.Full)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := readFeedLog(wire.NewReader(bytes.NewReader(log), ErrCorrupt), func(uint64, *feedEntry) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if per := allocs / float64(len(rec.Full)); per >= 0.3 {
+		t.Fatalf("scanning %d feed entries allocated %.0f objects (%.2f per entry), want under 0.3 per entry", len(rec.Full), allocs, per)
+	}
+}
+
 // TestFeedLogTruncation: any strict prefix either errors (cut mid-entry)
 // or yields fewer entries than written (cut at an entry boundary) — the
 // manifest's declared count catches the latter at open time.

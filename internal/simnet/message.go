@@ -73,6 +73,11 @@ func DecodeMessage(v trace.Value) (Message, error) {
 	if err != nil {
 		return Message{}, fmt.Errorf("simnet: argc: %w", err)
 	}
+	// Every arg and num takes at least one byte, so a count is capped by the
+	// bytes left: a synthesized hostile count reserves nothing.
+	if n := min(nArgs, uint64(len(b))); n > 0 {
+		m.Args = make([]string, 0, n)
+	}
 	for i := uint64(0); i < nArgs; i++ {
 		var a string
 		if a, b, err = takeString(b); err != nil {
@@ -83,6 +88,9 @@ func DecodeMessage(v trace.Value) (Message, error) {
 	nNums, b, err := takeUvarint(b)
 	if err != nil {
 		return Message{}, fmt.Errorf("simnet: numc: %w", err)
+	}
+	if n := min(nNums, uint64(len(b))); n > 0 {
+		m.Nums = make([]int64, 0, n)
 	}
 	for i := uint64(0); i < nNums; i++ {
 		var n int64

@@ -1,7 +1,9 @@
 package simnet
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"debugdet/internal/trace"
@@ -35,6 +37,9 @@ type Node struct {
 	Inbox trace.ObjID // channel carrying encoded messages
 }
 
+// linkKey names the directed link from → to.
+type linkKey struct{ from, to string }
+
 type link struct {
 	from, to string
 	cfg      LinkConfig
@@ -50,7 +55,7 @@ type Network struct {
 	m     *vm.Machine
 	opts  Options
 	nodes map[string]*Node
-	links map[string]*link
+	links map[linkKey]*link
 
 	sPumpRecv trace.SiteID
 	sPumpSend trace.SiteID
@@ -71,7 +76,7 @@ func New(m *vm.Machine, opts Options) *Network {
 		m:         m,
 		opts:      opts,
 		nodes:     make(map[string]*Node),
-		links:     make(map[string]*link),
+		links:     make(map[linkKey]*link),
 		sPumpRecv: m.Site("simnet.pump.recv"),
 		sPumpSend: m.Site("simnet.pump.deliver"),
 		sPumpLat:  m.Site("simnet.pump.latency"),
@@ -111,7 +116,7 @@ func (n *Network) SetLink(from, to string, cfg LinkConfig) {
 }
 
 func (n *Network) getLink(from, to string) *link {
-	key := from + "\x00" + to
+	key := linkKey{from, to}
 	if l, ok := n.links[key]; ok {
 		return l
 	}
@@ -146,16 +151,18 @@ func (n *Network) Build() {
 	}
 }
 
-// Start launches one pump daemon per link. Call from the main thread after
-// Build. Pumps are daemons: they do not keep the machine alive.
+// Start launches one pump daemon per link, in (from, to) order, which fixes
+// the pumps' thread IDs. Call from the main thread after Build. Pumps are
+// daemons: they do not keep the machine alive.
 func (n *Network) Start(t *vm.Thread) {
-	keys := make([]string, 0, len(n.links))
-	for k := range n.links {
-		keys = append(keys, k)
+	links := make([]*link, 0, len(n.links))
+	for _, l := range n.links {
+		links = append(links, l)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		l := n.links[k]
+	slices.SortFunc(links, func(a, b *link) int {
+		return cmp.Or(cmp.Compare(a.from, b.from), cmp.Compare(a.to, b.to))
+	})
+	for _, l := range links {
 		t.SpawnDaemon(n.sPumpSend, "pump:"+l.from+">"+l.to, func(t *vm.Thread) {
 			n.pump(t, l)
 		})

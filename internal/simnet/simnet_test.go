@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -32,6 +33,22 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 	if string(got.Blob) != "payload bytes" {
 		t.Fatalf("blob mismatch: %q", got.Blob)
+	}
+}
+
+// TestDecodeMessageAllocs: decoding allocates each string it returns and
+// each of Args and Nums once, at its final size; a hostile count reserves
+// nothing.
+func TestDecodeMessageAllocs(t *testing.T) {
+	v := Message{Kind: "put", From: "node-1", Args: []string{"users", "row-42", "v7"}, Nums: []int64{7, -3}}.Encode()
+	// kind, from, three args, Args, Nums.
+	if allocs := testing.AllocsPerRun(100, func() { MustDecode(v) }); allocs != 7 {
+		t.Fatalf("decoding a 3-arg 2-num message allocated %.0f objects, want 7", allocs)
+	}
+	hostile := appendString(appendString(nil, "put"), "node-1")
+	hostile = binary.AppendUvarint(hostile, 1<<62)
+	if _, err := DecodeMessage(trace.Bytes_(hostile)); err == nil || err.Error() != "simnet: arg 0: bad uvarint" {
+		t.Fatalf("argc 2^62 with no bytes left: err %v", err)
 	}
 }
 

@@ -51,6 +51,67 @@ func TestGoexitInBodyEndsTheDriver(t *testing.T) {
 	}
 }
 
+// TestGoexitDuringRestoreReleasesParkedThreads: a body that calls
+// runtime.Goexit during Restore's feed replay ends the goroutine calling
+// Restore, and the threads already parked at their first live operation are
+// released on its way out.
+func TestGoexitDuringRestoreReleasesParkedThreads(t *testing.T) {
+	setup := func(goexit bool) func(*Machine) func(*Thread) {
+		return func(m *Machine) func(*Thread) {
+			c := m.NewCell("c", trace.Int(0))
+			ch := m.NewChan("ch", 1)
+			s := m.Site("s")
+			return func(t *Thread) {
+				t.Spawn(s, "a", func(t *Thread) { t.Recv(s, ch) })
+				t.Spawn(s, "b", func(t *Thread) {
+					t.Load(s, c)
+					if goexit {
+						runtime.Goexit()
+					}
+					t.Recv(s, ch)
+				})
+			}
+		}
+	}
+	// The live run: main spawns a and b and exits, a parks in Recv, b loads
+	// and parks in Recv. Nothing else is enabled, so the fourth event ends
+	// the prefix whatever the schedule.
+	cfg := Config{Seed: 1, CollectTrace: true}
+	live := New(cfg)
+	live.Start(setup(false)(live))
+	live.Continue(4)
+	snap := live.Snapshot(NoRunningThread)
+	feeds := feedsFor(live.Trace().Events, snap.Seq, len(snap.Threads))
+	live.Finish()
+	if len(snap.Threads) != 3 || len(feeds[2]) != 1 {
+		t.Fatalf("prefix: %d threads, b fed %d ops; want 3 threads, b fed its load", len(snap.Threads), len(feeds[2]))
+	}
+
+	before := runtime.NumGoroutine()
+	ended, returned := make(chan struct{}), false
+	go func() {
+		defer close(ended)
+		Restore(cfg, setup(true), snap, feeds)
+		returned = true
+	}()
+	select {
+	case <-ended:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Restore still blocked 2s after a body called runtime.Goexit during feed replay")
+	}
+	if returned {
+		t.Fatal("Restore returned; the Goexit should have ended its goroutine")
+	}
+	n := runtime.NumGoroutine()
+	for i := 0; n > before && i < 200; i++ {
+		time.Sleep(5 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > before {
+		t.Fatalf("%d goroutines before, %d after: a parked thread's coroutine was left behind", before, n)
+	}
+}
+
 // TestForeignThreadUseCrashesTheCaller: an operation on another thread's
 // *Thread is the calling thread's crash event — raised on its own stack, not
 // a host panic on the driver — and the thread named is left as it was.

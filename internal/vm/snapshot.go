@@ -16,15 +16,14 @@ import (
 // (clock, seq, recording cycles), thread metadata and the schedule
 // position. What it cannot capture is the Go stack of each thread body —
 // bodies are ordinary closures — so Restore rebuilds thread positions by
-// feed replay: every thread re-executes its body privately, with each VM
-// operation returning the result recorded for it in the trace prefix
-// instead of engaging the scheduler or touching shared state. Determinism
-// guarantees the body's locals end up exactly as they were; the shared
-// state is then installed from the snapshot, and the machine resumes
-// normal scheduling from the checkpoint as if it had executed the prefix.
-// Feed replay is much cheaper per operation than scheduled replay (no
-// scheduling round, no event emission, no coroutine switch), which is where
-// checkpointed seek gets its speedup.
+// feed replay: every thread re-executes its body privately, and each VM
+// operation method returns the outcome recorded for it in the trace prefix
+// (Thread.fed) before it builds a request — no scheduling, no event, no
+// shared-state effect, no stored result. Determinism guarantees the body's
+// locals end up exactly as they were; the shared state is then installed
+// from the snapshot, and the machine resumes normal scheduling from the
+// checkpoint as if it had executed the prefix. That no-request path is
+// where checkpointed seek gets its speedup over scheduled replay.
 
 // SlotSnap is a snapshotted value with its provenance.
 type SlotSnap struct {
@@ -370,21 +369,20 @@ func feedCompatible(code opCode, kind trace.EventKind) bool {
 }
 
 // restoreSpawn binds a feed-replayed spawn to its pre-created thread
-// record: the child's identity comes from the feed (the recorded child
-// ID), its body from the spawning site. It reports whether the binding is
-// consistent with the snapshot.
-func (m *Machine) restoreSpawn(req *opReq, fe FeedEntry) error {
-	id := fe.Val.AsInt()
+// record: the child's identity comes from the feed (id, the recorded child
+// ID), its name, body and daemon flag from the spawning site. A binding the
+// snapshot contradicts aborts the restore.
+func (t *Thread) restoreSpawn(id int64, name string, body func(*Thread), daemon bool) trace.ThreadID {
+	m := t.m
 	if id < 0 || int(id) >= len(m.threads) {
-		return fmt.Errorf("vm: restore: spawn of unknown thread %d", id)
+		t.parkRestoreError(fmt.Sprintf("vm: restore: spawn of unknown thread %d", id))
 	}
 	child := m.threads[id]
-	if child.name != req.childName {
-		return fmt.Errorf("vm: restore: spawn name %q, snapshot has %q", req.childName, child.name)
+	if child.name != name {
+		t.parkRestoreError(fmt.Sprintf("vm: restore: spawn name %q, snapshot has %q", name, child.name))
 	}
-	child.body = req.childBody
-	child.daemon = req.msg == "daemon"
-	return nil
+	child.body, child.daemon = body, daemon
+	return trace.ThreadID(id)
 }
 
 // Restore reconstructs a machine mid-execution: setup builds the program
@@ -409,7 +407,8 @@ func (m *Machine) restoreSpawn(req *opReq, fe FeedEntry) error {
 // program and the snapshot, and liveness counters, mutex owners or stream
 // cursors that contradict the rebuilt threads and histories
 // (ErrBadSnapshot) all return errors, with the machine's coroutines
-// released.
+// released. A body's runtime.Goexit during feed replay ends the calling
+// goroutine, which releases them on its way out.
 func Restore(cfg Config, setup func(*Machine) func(*Thread), snap *Snapshot, feeds [][]FeedEntry) (*Machine, error) {
 	m := New(cfg)
 	main := setup(m)
@@ -461,40 +460,41 @@ func Restore(cfg Config, setup func(*Machine) func(*Thread), snap *Snapshot, fee
 	m.running = true
 
 	// parked collects live threads as they reach their first
-	// post-checkpoint operation, so a failed restore can release exactly
+	// post-checkpoint operation, so a failed restore — or a body's
+	// runtime.Goexit unwinding the caller through here — releases exactly
 	// the coroutines that exist.
 	parked := make([]*Thread, 0, len(m.threads))
-	fail := func(err error) (*Machine, error) {
-		m.stopped = true
+	defer func() {
 		for _, t := range parked {
-			t.done = true
+			m.stopped, t.done = true, true
 			m.switchTo(t)
 		}
-		return nil, err
-	}
+	}()
 
 	for i := range snap.Threads {
 		ts := &snap.Threads[i]
 		t := m.threads[i]
 		if t.body == nil {
-			return fail(fmt.Errorf("vm: restore: thread %d (%s) was never spawned during feed replay", i, ts.Name))
+			return nil, fmt.Errorf("vm: restore: thread %d (%s) was never spawned during feed replay", i, ts.Name)
 		}
 		t.feed = feeds[i]
-		if m.launch(t) {
+		live := m.launch(t)
+		t.feed = nil // the restored machine keeps no feed: from here on t is live
+		if live {
 			parked = append(parked, t)
 			if t.pending.code == opPanic {
-				return fail(fmt.Errorf("vm: restore: thread %d (%s): %s", i, ts.Name, t.pending.msg))
+				return nil, fmt.Errorf("vm: restore: thread %d (%s): %s", i, ts.Name, t.pending.msg)
 			}
 			if ts.Done {
-				return fail(fmt.Errorf("vm: restore: thread %d (%s) parked but snapshot marks it done", i, ts.Name))
+				return nil, fmt.Errorf("vm: restore: thread %d (%s) parked but snapshot marks it done", i, ts.Name)
 			}
 			if t.feedPos != len(feeds[i]) {
-				return fail(fmt.Errorf("vm: restore: thread %d (%s) parked after %d of %d feed entries", i, ts.Name, t.feedPos, len(feeds[i])))
+				return nil, fmt.Errorf("vm: restore: thread %d (%s) parked after %d of %d feed entries", i, ts.Name, t.feedPos, len(feeds[i]))
 			}
 			if ts.PendingValid {
 				if opCode(ts.PendingCode) != t.pending.code || ts.PendingObj != t.pending.obj {
-					return fail(fmt.Errorf("vm: restore: thread %d (%s) parked at op %d obj %d, snapshot has op %d obj %d",
-						i, ts.Name, t.pending.code, t.pending.obj, ts.PendingCode, ts.PendingObj))
+					return nil, fmt.Errorf("vm: restore: thread %d (%s) parked at op %d obj %d, snapshot has op %d obj %d",
+						i, ts.Name, t.pending.code, t.pending.obj, ts.PendingCode, ts.PendingObj)
 				}
 				t.pending.deadline = ts.PendingDeadline
 			}
@@ -504,10 +504,10 @@ func Restore(cfg Config, setup func(*Machine) func(*Thread), snap *Snapshot, fee
 			}
 		} else {
 			if !ts.Done {
-				return fail(fmt.Errorf("vm: restore: thread %d (%s) finished but snapshot marks it live", i, ts.Name))
+				return nil, fmt.Errorf("vm: restore: thread %d (%s) finished but snapshot marks it live", i, ts.Name)
 			}
 			if t.feedPos != len(feeds[i]) {
-				return fail(fmt.Errorf("vm: restore: thread %d (%s) finished after %d of %d feed entries", i, ts.Name, t.feedPos, len(feeds[i])))
+				return nil, fmt.Errorf("vm: restore: thread %d (%s) finished after %d of %d feed entries", i, ts.Name, t.feedPos, len(feeds[i]))
 			}
 			t.done = true
 		}
@@ -522,8 +522,8 @@ func Restore(cfg Config, setup func(*Machine) func(*Thread), snap *Snapshot, fee
 	// disagrees would end the replay early, keep it waiting for threads that
 	// do not exist (a deadlock the recording never had) or disable a mutex.
 	if m.live != snap.Live || m.liveNonDaemon != snap.LiveNonDaemon {
-		return fail(fmt.Errorf("%w: %d threads live (%d non-daemon), snapshot counts %d (%d)",
-			ErrBadSnapshot, m.live, m.liveNonDaemon, snap.Live, snap.LiveNonDaemon))
+		return nil, fmt.Errorf("%w: %d threads live (%d non-daemon), snapshot counts %d (%d)",
+			ErrBadSnapshot, m.live, m.liveNonDaemon, snap.Live, snap.LiveNonDaemon)
 	}
 
 	// Feed replay left shared state untouched; install it from the
@@ -533,7 +533,7 @@ func Restore(cfg Config, setup func(*Machine) func(*Thread), snap *Snapshot, fee
 	}
 	for i, owner := range snap.Mutexes {
 		if owner < -1 || int(owner) >= len(m.threads) {
-			return fail(fmt.Errorf("%w: mutex %d owned by thread %d of %d", ErrBadSnapshot, i, owner, len(m.threads)))
+			return nil, fmt.Errorf("%w: mutex %d owned by thread %d of %d", ErrBadSnapshot, i, owner, len(m.threads))
 		}
 		m.mutexes[i].owner = owner
 	}
@@ -551,8 +551,8 @@ func Restore(cfg Config, setup func(*Machine) func(*Thread), snap *Snapshot, fee
 		st := &m.streams[i]
 		ss := &snap.Streams[i]
 		if ss.InIndex != len(ss.Inputs) {
-			return fail(fmt.Errorf("%w: stream %d (%s) has consumed %d inputs, its cursor says %d",
-				ErrBadSnapshot, i, ss.Name, len(ss.Inputs), ss.InIndex))
+			return nil, fmt.Errorf("%w: stream %d (%s) has consumed %d inputs, its cursor says %d",
+				ErrBadSnapshot, i, ss.Name, len(ss.Inputs), ss.InIndex)
 		}
 		st.inIndex = ss.InIndex
 		st.inputs = append(st.inputs[:0], ss.Inputs...)
@@ -574,6 +574,7 @@ func Restore(cfg Config, setup func(*Machine) func(*Thread), snap *Snapshot, fee
 	for _, t := range m.threads {
 		m.park(t)
 	}
+	parked = nil // restored: nothing for the deferred release to end
 	return m, nil
 }
 

@@ -79,10 +79,10 @@ type Thread struct {
 	pending opReq
 	result  trace.Value
 
-	// feed puts the thread in restore mode: operations return the recorded
-	// outcomes in feed order instead of engaging the scheduler, until the
-	// feed is exhausted and the thread parks at its first live operation.
-	// See vm.Restore.
+	// feed puts the thread in restore mode: every op method answers with the
+	// next recorded outcome (fed) before building a request, until the feed
+	// is exhausted and the thread parks at its first live operation (or
+	// finishes); Restore then drops it. See vm.Restore.
 	feed    []FeedEntry
 	feedPos int
 
@@ -130,7 +130,10 @@ func (t *Thread) ClearTaint() { t.taint = trace.TaintNone }
 // out-of-band provenance).
 func (t *Thread) AddTaint(x trace.Taint) { t.taint |= x }
 
-// syscall submits the thread's pending op and waits until it is applied.
+// syscall submits the request an op has just written into t.pending and
+// waits until it is applied. It is the live path only: every op asks fed
+// first, so a restoring thread answers from its feed and never gets here until
+// the feed is exhausted, and a foreign caller has already panicked.
 //
 // Fast path: when this thread holds the inline scheduling baton (the
 // driver is suspended inside resume), the thread runs the scheduling step
@@ -145,39 +148,9 @@ func (t *Thread) AddTaint(x trace.Taint) { t.taint |= x }
 // or start another coroutine (exit, fail, crash, spawn — the driver's
 // stack does those), or when the machine stopped during an inline apply
 // (releaseAll unwinds us).
-func (t *Thread) syscall(req opReq) trace.Value {
+func (t *Thread) syscall() trace.Value {
 	m := t.m
-	if m.current != t {
-		// Panics on the calling body's stack: threadMain makes it that
-		// thread's crash event and t, parked elsewhere, is untouched.
-		panic(fmt.Sprintf("vm: thread %q used from thread %q's body", t.name, m.current.name))
-	}
-	if t.feed != nil {
-		// Restore mode: the operation's outcome comes from the recorded
-		// prefix; no scheduling, no event, no shared-state effect. The
-		// kind check turns a mismatched feed (corrupted recording, or a
-		// body whose locals depend on something outside the operation
-		// results) into a restore error instead of silent divergence.
-		if t.feedPos < len(t.feed) {
-			fe := t.feed[t.feedPos]
-			if !feedCompatible(req.code, fe.Kind) {
-				t.parkRestoreError(fmt.Sprintf("restore divergence: op %s, feed has %s event",
-					OpName(uint8(req.code)), fe.Kind))
-			}
-			t.feedPos++
-			if req.code == opSpawn {
-				if err := m.restoreSpawn(&req, fe); err != nil {
-					t.parkRestoreError(err.Error())
-				}
-			}
-			t.taint |= fe.Taint
-			t.result, t.resultOK = fe.Val, fe.OK
-			return t.result
-		}
-		t.feed = nil // exhausted: park below at the first live operation
-	}
-	t.pending = req
-	if m.inlineOwner == t && inlineEligible(req.code) && !(m.pauseAt > 0 && m.seq >= m.pauseAt) {
+	if m.inlineOwner == t && inlineEligible(t.pending.code) && !(m.pauseAt > 0 && m.seq >= m.pauseAt) {
 		if next := m.pickNext(); next == t {
 			m.applyOp(t)
 			m.checkStepLimit()
@@ -195,6 +168,39 @@ func (t *Thread) syscall(req opReq) trace.Value {
 		panic(errMachineStopped)
 	}
 	return t.result
+}
+
+// fed is asked by every op before it builds a request. On a restoring
+// thread it returns the next recorded outcome (feed replay, see Restore),
+// which the op returns with no request, scheduling, event, shared-state
+// effect or stored result. On a live thread used by its own body it is two
+// inlined compares returning nil: the op then writes its request and calls
+// syscall.
+func (t *Thread) fed(code opCode) *FeedEntry {
+	if t.feedPos < len(t.feed) || t.m.current != t {
+		return t.consumeFeed(code)
+	}
+	return nil
+}
+
+// consumeFeed is the one reader of a feed. An operation on another thread's
+// *Thread panics here, on the calling body's stack: threadMain makes it that
+// thread's crash event (or restore error) and t, parked elsewhere, is
+// untouched. The kind check turns a mismatched feed (corrupted recording, or
+// a body whose locals depend on something outside the operation results)
+// into a restore error instead of silent divergence.
+func (t *Thread) consumeFeed(code opCode) *FeedEntry {
+	if t.m.current != t {
+		panic(fmt.Sprintf("vm: thread %q used from thread %q's body", t.name, t.m.current.name))
+	}
+	fe := &t.feed[t.feedPos]
+	if !feedCompatible(code, fe.Kind) {
+		t.parkRestoreError(fmt.Sprintf("restore divergence: op %s, feed has %s event", OpName(uint8(code)), fe.Kind))
+	}
+	t.feedPos++
+	t.taint |= fe.Taint
+	t.resultOK = fe.OK
+	return fe
 }
 
 // parkRestoreError aborts a feed replay from the thread's own stack: it
@@ -220,61 +226,81 @@ func inlineEligible(code opCode) bool {
 	return true
 }
 
+// op is the entry of every operation whose request is a code, site, object,
+// value and deadline. A restoring thread's outcome comes from fed before any
+// request exists; a live thread writes its request into t.pending field by
+// field, with no request built elsewhere and copied in, and submits it. The outcome is read in place — the feed entry's
+// value or t.result.
+func (t *Thread) op(code opCode, site trace.SiteID, obj trace.ObjID, val trace.Value, deadline uint64) *trace.Value {
+	if fe := t.fed(code); fe != nil {
+		return &fe.Val
+	}
+	p := &t.pending
+	p.code, p.site, p.obj, p.val, p.deadline = code, site, obj, val, deadline
+	p.msg, p.childName, p.childBody = "", "", nil
+	t.syscall()
+	return &t.result
+}
+
 // Load reads a memory cell.
 func (t *Thread) Load(site trace.SiteID, cell trace.ObjID) trace.Value {
-	return t.syscall(opReq{code: opLoad, site: site, obj: cell})
+	return *t.op(opLoad, site, cell, trace.Nil, 0)
 }
 
 // Store writes a memory cell.
 func (t *Thread) Store(site trace.SiteID, cell trace.ObjID, v trace.Value) {
-	t.syscall(opReq{code: opStore, site: site, obj: cell, val: v})
+	t.op(opStore, site, cell, v, 0)
 }
 
 // Add atomically adds delta to an integer cell and returns the new value.
 // It is a single operation (no race window), modelling an atomic RMW
 // instruction.
 func (t *Thread) Add(site trace.SiteID, cell trace.ObjID, delta int64) trace.Value {
-	return t.syscall(opReq{code: opStore, site: site, obj: cell, val: trace.Int(delta), msg: "add"})
+	if fe := t.fed(opStore); fe != nil {
+		return fe.Val
+	}
+	t.pending = opReq{code: opStore, site: site, obj: cell, val: trace.Int(delta), msg: "add"}
+	return t.syscall()
 }
 
 // Lock acquires a mutex, blocking until it is free.
 func (t *Thread) Lock(site trace.SiteID, mu trace.ObjID) {
-	t.syscall(opReq{code: opLock, site: site, obj: mu})
+	t.op(opLock, site, mu, trace.Nil, 0)
 }
 
 // Unlock releases a mutex. Unlocking a mutex the thread does not own
 // crashes the execution.
 func (t *Thread) Unlock(site trace.SiteID, mu trace.ObjID) {
-	t.syscall(opReq{code: opUnlock, site: site, obj: mu})
+	t.op(opUnlock, site, mu, trace.Nil, 0)
 }
 
 // Send enqueues v on a channel, blocking while it is full.
 func (t *Thread) Send(site trace.SiteID, ch trace.ObjID, v trace.Value) {
-	t.syscall(opReq{code: opSend, site: site, obj: ch, val: v})
+	t.op(opSend, site, ch, v, 0)
 }
 
 // Recv dequeues from a channel, blocking while it is empty.
 func (t *Thread) Recv(site trace.SiteID, ch trace.ObjID) trace.Value {
-	return t.syscall(opReq{code: opRecv, site: site, obj: ch})
+	return *t.op(opRecv, site, ch, trace.Nil, 0)
 }
 
 // TrySend enqueues v if the channel has room and reports whether it did.
 // It never blocks; a full channel drops nothing and returns false.
 func (t *Thread) TrySend(site trace.SiteID, ch trace.ObjID, v trace.Value) bool {
-	t.syscall(opReq{code: opTrySend, site: site, obj: ch, val: v})
+	t.op(opTrySend, site, ch, v, 0)
 	return t.resultOK
 }
 
 // TryRecv dequeues if the channel is nonempty. It never blocks.
 func (t *Thread) TryRecv(site trace.SiteID, ch trace.ObjID) (trace.Value, bool) {
-	v := t.syscall(opReq{code: opTryRecv, site: site, obj: ch})
+	v := *t.op(opTryRecv, site, ch, trace.Nil, 0)
 	return v, t.resultOK
 }
 
 // RecvTimeout dequeues from a channel, giving up after d virtual cycles.
 // The second result is false on timeout.
 func (t *Thread) RecvTimeout(site trace.SiteID, ch trace.ObjID, d uint64) (trace.Value, bool) {
-	v := t.syscall(opReq{code: opRecvTimeout, site: site, obj: ch, deadline: t.m.clock + d})
+	v := *t.op(opRecvTimeout, site, ch, trace.Nil, t.m.clock+d)
 	return v, t.resultOK
 }
 
@@ -282,38 +308,37 @@ func (t *Thread) RecvTimeout(site trace.SiteID, ch trace.ObjID, d uint64) (trace
 // from the machine's InputSource (or, under replay, from the forcing
 // layer); its taint class is the stream's declared class.
 func (t *Thread) Input(site trace.SiteID, stream trace.ObjID) trace.Value {
-	return t.syscall(opReq{code: opInput, site: site, obj: stream})
+	return *t.op(opInput, site, stream, trace.Nil, 0)
 }
 
 // Output emits a value on an environment stream. Outputs are the program's
 // observable behaviour; failure specifications are predicates over them.
 func (t *Thread) Output(site trace.SiteID, stream trace.ObjID, v trace.Value) {
-	t.syscall(opReq{code: opOutput, site: site, obj: stream, val: v})
+	t.op(opOutput, site, stream, v, 0)
 }
 
 // Yield is a pure scheduling point.
 func (t *Thread) Yield(site trace.SiteID) {
-	t.syscall(opReq{code: opYield, site: site})
+	t.op(opYield, site, 0, trace.Nil, 0)
 }
 
 // Sleep blocks the thread for at least d virtual cycles.
 func (t *Thread) Sleep(site trace.SiteID, d uint64) {
-	t.syscall(opReq{code: opSleep, site: site, deadline: t.m.clock + d})
+	t.op(opSleep, site, 0, trace.Nil, t.m.clock+d)
 }
 
 // Observe emits an invariant probe: a named value sample that the
 // invariant-inference and monitoring passes consume. probe identifies the
 // observation point within the site.
 func (t *Thread) Observe(site trace.SiteID, probe trace.ObjID, v trace.Value) {
-	t.syscall(opReq{code: opObserve, site: site, obj: probe, val: v})
+	t.op(opObserve, site, probe, v, 0)
 }
 
 // Spawn starts a new thread running body and returns its ID. The child is
 // runnable immediately; whether it runs before the parent's next operation
 // is a scheduling decision.
 func (t *Thread) Spawn(site trace.SiteID, name string, body func(*Thread)) trace.ThreadID {
-	v := t.syscall(opReq{code: opSpawn, site: site, childName: name, childBody: body})
-	return trace.ThreadID(v.AsInt())
+	return t.spawn(site, name, body, "")
 }
 
 // SpawnDaemon starts a daemon thread: a service thread (network pump,
@@ -321,14 +346,22 @@ func (t *Thread) Spawn(site trace.SiteID, name string, body func(*Thread)) trace
 // thread has exited, the run completes cleanly regardless of daemon state,
 // and daemons blocked forever do not count as a deadlock.
 func (t *Thread) SpawnDaemon(site trace.SiteID, name string, body func(*Thread)) trace.ThreadID {
-	v := t.syscall(opReq{code: opSpawn, site: site, childName: name, childBody: body, msg: "daemon"})
-	return trace.ThreadID(v.AsInt())
+	return t.spawn(site, name, body, "daemon")
+}
+
+// spawn is Spawn, or SpawnDaemon when msg is "daemon".
+func (t *Thread) spawn(site trace.SiteID, name string, body func(*Thread), msg string) trace.ThreadID {
+	if fe := t.fed(opSpawn); fe != nil {
+		return t.restoreSpawn(fe.Val.AsInt(), name, body, msg == "daemon")
+	}
+	t.pending = opReq{code: opSpawn, site: site, childName: name, childBody: body, msg: msg}
+	return trace.ThreadID(t.syscall().AsInt())
 }
 
 // DiskWrite appends a record to a simulated disk. The record is volatile
 // (lost on DiskCrash) until an fsync or barrier makes it durable.
 func (t *Thread) DiskWrite(site trace.SiteID, disk trace.ObjID, v trace.Value) {
-	t.syscall(opReq{code: opDiskWrite, site: site, obj: disk, val: v})
+	t.op(opDiskWrite, site, disk, v, 0)
 }
 
 // DiskRead returns the disk record at index idx (0 = oldest), or Nil when
@@ -336,7 +369,7 @@ func (t *Thread) DiskWrite(site trace.SiteID, disk trace.ObjID, v trace.Value) {
 // device after a crash: records never hold Nil, so a Nil result is
 // end-of-log. The record's provenance joins the thread's taint register.
 func (t *Thread) DiskRead(site trace.SiteID, disk trace.ObjID, idx int) trace.Value {
-	return t.syscall(opReq{code: opDiskRead, site: site, obj: disk, deadline: uint64(idx)})
+	return *t.op(opDiskRead, site, disk, trace.Nil, uint64(idx))
 }
 
 // DiskFsync flushes the disk's volatile records and returns the durability
@@ -345,13 +378,13 @@ func (t *Thread) DiskRead(site trace.SiteID, disk trace.ObjID, idx int) trace.Va
 // record still volatile — a correct program compares the returned watermark
 // against what it wrote, or uses DiskBarrier where durability is load-bearing.
 func (t *Thread) DiskFsync(site trace.SiteID, disk trace.ObjID) int64 {
-	return t.syscall(opReq{code: opDiskFsync, site: site, obj: disk}).AsInt()
+	return t.op(opDiskFsync, site, disk, trace.Nil, 0).AsInt()
 }
 
 // DiskBarrier is a full write-through flush: every record becomes durable,
 // fault plane or not. It returns the durability watermark.
 func (t *Thread) DiskBarrier(site trace.SiteID, disk trace.ObjID) int64 {
-	return t.syscall(opReq{code: opDiskBarrier, site: site, obj: disk}).AsInt()
+	return t.op(opDiskBarrier, site, disk, trace.Nil, 0).AsInt()
 }
 
 // DiskCrash models a whole-node power loss from the device's point of view:
@@ -361,26 +394,32 @@ func (t *Thread) DiskBarrier(site trace.SiteID, disk trace.ObjID) int64 {
 // keeps running — it plays the rebooted node, wiping its own volatile cells
 // and re-reading the disk, so crash-restart stays inside one execution.
 func (t *Thread) DiskCrash(site trace.SiteID, disk trace.ObjID) int64 {
-	return t.syscall(opReq{code: opDiskCrash, site: site, obj: disk}).AsInt()
+	return t.op(opDiskCrash, site, disk, trace.Nil, 0).AsInt()
 }
 
 // Fail reports a program-detected failure (an assertion on the program's
 // own I/O specification) and halts the machine.
 func (t *Thread) Fail(site trace.SiteID, format string, args ...any) {
-	t.syscall(opReq{code: opFail, site: site, msg: fmt.Sprintf(format, args...)})
+	if t.fed(opFail) == nil {
+		t.pending = opReq{code: opFail, site: site, msg: fmt.Sprintf(format, args...)}
+		t.syscall()
+	}
 	panic("unreachable: machine must stop on Fail")
 }
 
 // Crash models a fault (segfault, fatal error) at the given site and halts
 // the machine.
 func (t *Thread) Crash(site trace.SiteID, format string, args ...any) {
-	t.syscall(opReq{code: opCrash, site: site, msg: fmt.Sprintf(format, args...)})
+	if t.fed(opCrash) == nil {
+		t.pending = opReq{code: opCrash, site: site, msg: fmt.Sprintf(format, args...)}
+		t.syscall()
+	}
 	panic("unreachable: machine must stop on Crash")
 }
 
 // exit is the implicit final op of every thread body.
 func (t *Thread) exit() {
-	t.syscall(opReq{code: opExit})
+	t.op(opExit, 0, 0, trace.Nil, 0)
 }
 
 // newThread allocates a thread record; the coroutine starts in startThread.
