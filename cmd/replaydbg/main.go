@@ -489,14 +489,10 @@ func runInfo(in string) {
 	rec := loadRecording(in)
 	fmt.Println(rec.Summary())
 	fmt.Printf("checkpoints: %d (%d bytes)\n", len(rec.Checkpoints), rec.CheckpointBytes)
-	bounds := rec.SegmentBounds()
-	fmt.Printf("segments: %d\n", len(bounds))
-	for i, from := range bounds {
-		to := rec.EventCount
-		if i+1 < len(bounds) {
-			to = bounds[i+1]
-		}
-		fmt.Printf("  %3d  [%8d, %8d)  %8d events\n", i, from, to, to-from)
+	segs := rec.Segments()
+	fmt.Printf("segments: %d\n", len(segs))
+	for _, si := range segs {
+		fmt.Printf("  %3d  [%8d, %8d)  %8d events\n", si.Index, si.From, si.To, si.Events())
 	}
 }
 

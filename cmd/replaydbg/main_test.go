@@ -53,6 +53,29 @@ func TestRecordSpillCreatesDir(t *testing.T) {
 	}
 }
 
+// TestInfoOnARecordingFile pins what info prints for a checkpointed
+// perfect recording file: its summary, checkpoints and segment table.
+func TestInfoOnARecordingFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bank.ddrc")
+	if out, code := runCLI(t, "record", "-scenario", "bank", "-ckpt", "64", "-out", path); code != 0 {
+		t.Fatalf("record exited %d:\n%s", code, out)
+	}
+	const want = `bank/perfect seed=0 events=415 full=415 sched=415 bytes=7556 overhead=3.09x failed=true sig="bank:imbalance"
+checkpoints: 6 (685 bytes)
+segments: 7
+    0  [       0,       64)        64 events
+    1  [      64,      128)        64 events
+    2  [     128,      192)        64 events
+    3  [     192,      256)        64 events
+    4  [     256,      320)        64 events
+    5  [     320,      384)        64 events
+    6  [     384,      415)        31 events
+`
+	if out, code := runCLI(t, "info", "-in", path); code != 0 || out != want {
+		t.Fatalf("info exited %d:\n%s\nwant:\n%s", code, out, want)
+	}
+}
+
 // TestInfoBadSpillDirIsUsageError: a directory that is not a readable
 // spill directory — empty, or holding a truncated manifest — exits with
 // status 2 and a diagnostic, like a nonexistent path; never a panic.

@@ -280,23 +280,3 @@ func readFeedLog(r *wire.Reader, fn func(i uint64, fe *feedEntry) error) (uint64
 	}
 	return count, r.Err()
 }
-
-// feed derives the vm.FeedEntry of one feed-log record, mirroring
-// checkpoint.Feeds' per-kind rules exactly.
-func (fe *feedEntry) feed() vm.FeedEntry {
-	out := vm.FeedEntry{Kind: fe.Kind, OK: true}
-	//lint:exhaustive-default mirrors checkpoint.Feeds: kinds without replay payloads keep the zero FeedEntry fields
-	switch fe.Kind {
-	case trace.EvLoad, trace.EvRecv, trace.EvInput, trace.EvDiskRead:
-		out.Val = fe.Val
-		out.Taint = fe.Taint
-	case trace.EvStore, trace.EvDiskWrite, trace.EvDiskFsync,
-		trace.EvDiskBarrier, trace.EvDiskCrash:
-		out.Val = fe.Val
-	case trace.EvSpawn:
-		out.Val = trace.Int(int64(fe.Obj))
-	case trace.EvYield:
-		out.OK = false
-	}
-	return out
-}

@@ -195,18 +195,19 @@ func TestManifestRejectsTruncation(t *testing.T) {
 }
 
 // TestFeedLogRoundtrip checks that a feed log written from a recording's
-// event stream reproduces exactly the feeds checkpoint.Feeds derives from
-// the same events, plus the schedule stream.
+// event stream decodes to records whose feeds, under checkpoint.FeedEntryOf,
+// are exactly those checkpoint.Feeds derives from the same events, plus the
+// schedule stream.
 func TestFeedLogRoundtrip(t *testing.T) {
 	s := workload.Bank()
 	rec := recordCheckpointed(t, s, 64)
 	log := FeedLogBytes(rec.Full)
 
 	threads := maxTID(rec.Full) + 1
-	var perThread [][]vm.FeedEntry = make([][]vm.FeedEntry, threads)
+	perThread := make([][]vm.FeedEntry, threads)
 	var sched []trace.ThreadID
 	count, err := readFeedLog(wire.NewReader(bytes.NewReader(log), ErrCorrupt), func(i uint64, fe *feedEntry) error {
-		perThread[fe.TID] = append(perThread[fe.TID], fe.feed())
+		perThread[fe.TID] = append(perThread[fe.TID], checkpoint.FeedEntryOf(fe.Kind, fe.Obj, fe.Val, fe.Taint))
 		sched = append(sched, fe.TID)
 		return nil
 	})
@@ -226,6 +227,16 @@ func TestFeedLogRoundtrip(t *testing.T) {
 	if !reflect.DeepEqual(sched, rec.Sched) {
 		t.Fatal("feed-log schedule differs from recorded schedule")
 	}
+}
+
+func maxTID(events []trace.Event) int {
+	max := 0
+	for i := range events {
+		if int(events[i].TID) > max {
+			max = int(events[i].TID)
+		}
+	}
+	return max
 }
 
 // TestFeedLogScanAllocs: scanning a feed log allocates for the values it
@@ -257,14 +268,4 @@ func TestFeedLogTruncation(t *testing.T) {
 			t.Fatalf("prefix of %d/%d bytes read all %d entries without error", cut, len(full), total)
 		}
 	}
-}
-
-func maxTID(events []trace.Event) int {
-	max := 0
-	for i := range events {
-		if int(events[i].TID) > max {
-			max = int(events[i].TID)
-		}
-	}
-	return max
 }

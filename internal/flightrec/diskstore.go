@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"debugdet/internal/checkpoint"
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
 	"debugdet/internal/wire"
@@ -13,14 +14,13 @@ import (
 
 // DiskStore is a spill directory opened for replay. The manifest is read
 // eagerly; segment files lazily (and cached); the feed log on first
-// demand, in one pass that derives everything vm.Restore and the replay
-// configuration need: the full per-thread feeds, the schedule stream, each
-// stream's input and output history, and — per retained boundary — how
-// much of each of those precedes it. Every boundary snapshot's stream
-// histories and every restore's feeds are prefixes of those shared arrays,
-// never copies. Opening a store therefore costs O(run) memory at debug
-// time — the bounded resource is the recorder's memory at record time, not
-// the debugger's.
+// demand, in one pass that drives checkpoint's feed and stream folds — the
+// derivation a recording's restore inputs come from too — and keeps the
+// schedule stream. Every boundary snapshot's stream histories and every
+// restore's feeds are prefixes of the folds' shared arrays, never copies.
+// Opening a store therefore costs O(run) memory at debug time — the
+// bounded resource is the recorder's memory at record time, not the
+// debugger's.
 //
 // A DiskStore is safe for concurrent readers.
 type DiskStore struct {
@@ -38,24 +38,10 @@ type DiskStore struct {
 // feedData is everything one scan of the feed log yields. All of it is
 // read-only once built.
 type feedData struct {
-	perThread [][]vm.FeedEntry // per thread, carved out of one array
-	sched     []trace.ThreadID
-	streams   []streamHist             // by stream ID
-	inputs    map[string][]trace.Value // the streams' input histories, by name
-	bounds    map[uint64]*prefixCounts // by boundary seq
-}
-
-// streamHist is one stream's whole input and output history, in event
-// order.
-type streamHist struct {
-	in, out []trace.Value
-}
-
-// prefixCounts says how much of the run precedes one boundary: entries of
-// each thread's feed, and values of each stream's histories.
-type prefixCounts struct {
-	feeds   []int // by thread
-	in, out []int // by stream
+	plan    *checkpoint.FeedPlan
+	streams *checkpoint.StreamFold
+	sched   []trace.ThreadID
+	inputs  map[string][]trace.Value // the streams' input histories, by name
 }
 
 // Open reads the manifest of a spill directory and returns the store.
@@ -114,7 +100,7 @@ func (ds *DiskStore) Events(i int) ([]trace.Event, error) {
 }
 
 // segment loads (or returns the cached) segment at position i, with its
-// boundary snapshot rehydrated and restore-ready.
+// boundary snapshot's stream histories filled in and restore-ready.
 func (ds *DiskStore) segment(i int) (*Segment, error) {
 	if i < 0 || i >= len(ds.man.Segments) {
 		return nil, fmt.Errorf("flightrec: segment %d of %d", i, len(ds.man.Segments))
@@ -141,8 +127,15 @@ func (ds *DiskStore) segment(i int) (*Segment, error) {
 	}
 	seg.Bytes, seg.File = si.Bytes, si.File
 	if seg.Snap != nil {
-		if err := ds.rehydrate(seg.Snap); err != nil {
+		// The codec persists only the stream cursors; the histories are
+		// prefixes of the store's, which every snapshot may alias (see
+		// vm.StreamSnap).
+		fd, err := ds.feedData()
+		if err != nil {
 			return nil, err
+		}
+		if err := fd.streams.Fill(seg.Snap); err != nil {
+			return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, si.File, err)
 		}
 	}
 	ds.mu.Lock()
@@ -153,40 +146,6 @@ func (ds *DiskStore) segment(i int) (*Segment, error) {
 	}
 	ds.mu.Unlock()
 	return seg, nil
-}
-
-// rehydrate gives a boundary snapshot its per-stream histories (the codec
-// persists only the cursor): capacity-limited prefixes of the store's
-// shared histories, which the snapshot's read-only contract (see
-// vm.StreamSnap) lets every snapshot of the store alias.
-func (ds *DiskStore) rehydrate(snap *vm.Snapshot) error {
-	fd, err := ds.feedData()
-	if err != nil {
-		return err
-	}
-	pc := fd.bounds[snap.Seq]
-	if pc == nil {
-		pc = &prefixCounts{} // nothing precedes a snapshot at 0
-	}
-	for id := len(snap.Streams); id < len(pc.in); id++ {
-		if pc.in[id] > 0 || pc.out[id] > 0 {
-			return fmt.Errorf("%w: stream %d in feed log, snapshot at %d has %d streams",
-				ErrCorrupt, id, snap.Seq, len(snap.Streams))
-		}
-	}
-	for i := range snap.Streams {
-		st := &snap.Streams[i]
-		if i < len(pc.in) {
-			h := &fd.streams[i]
-			st.Inputs = h.in[:pc.in[i]:pc.in[i]]
-			st.Outputs = h.out[:pc.out[i]:pc.out[i]]
-		}
-		if len(st.Inputs) != st.InIndex {
-			return fmt.Errorf("%w: snapshot at %d stream %q rebuilt %d inputs, cursor is %d",
-				ErrCorrupt, snap.Seq, st.Name, len(st.Inputs), st.InIndex)
-		}
-	}
-	return nil
 }
 
 // BestSnapshot implements Store: the latest retained boundary snapshot
@@ -222,33 +181,13 @@ func (ds *DiskStore) SnapshotSeqs() []uint64 {
 	return seqs
 }
 
-// Feeds implements Store: slices of the shared full-feed arrays, using
-// the per-boundary counts precomputed during the feed-log scan (with an
-// O(seq) recount as fallback for seqs that are not segment boundaries).
+// Feeds implements Store: slices of the feed fold's shared arrays.
 func (ds *DiskStore) Feeds(snap *vm.Snapshot) ([][]vm.FeedEntry, error) {
 	fd, err := ds.feedData()
 	if err != nil {
 		return nil, err
 	}
-	var counts []int
-	if pc := fd.bounds[snap.Seq]; pc != nil {
-		counts = pc.feeds
-	} else {
-		if snap.Seq > uint64(len(fd.sched)) {
-			return nil, fmt.Errorf("flightrec: feeds need %d events, log has %d", snap.Seq, len(fd.sched))
-		}
-		counts = make([]int, len(fd.perThread))
-		for _, tid := range fd.sched[:snap.Seq] {
-			counts[tid]++
-		}
-	}
-	feeds := make([][]vm.FeedEntry, len(snap.Threads))
-	for tid := range feeds {
-		if tid < len(counts) && tid < len(fd.perThread) {
-			feeds[tid] = fd.perThread[tid][:counts[tid]]
-		}
-	}
-	return feeds, nil
+	return fd.plan.At(snap)
 }
 
 // Sched is SchedFrom. bench/ compiles against this; ROADMAP item 1 deletes
@@ -284,12 +223,13 @@ func (ds *DiskStore) feedData() (*feedData, error) {
 	return ds.feeds, ds.feedErr
 }
 
-// scanFeeds is the single feed-log pass. It reserves the entry and
-// schedule arrays once, from the manifest's entry count — after holding
-// that count against the bytes the feed log has, so a hostile manifest
-// reserves nothing — and sizes nothing else by a number read from the
-// file: thread and stream IDs are bounded by the threads spawned so far
-// and the manifest's stream table before they index anything.
+// scanFeeds is the single feed-log pass: it drives checkpoint's feed and
+// stream folds record by record and keeps the schedule. It reserves the
+// entry and schedule arrays once, from the manifest's entry count — after
+// holding that count against the bytes the feed log has, so a hostile
+// manifest reserves nothing — and sizes nothing else by a number read from
+// the file: thread and stream IDs are bounded by the threads spawned so
+// far and the manifest's stream table before a record reaches a fold.
 func (ds *DiskStore) scanFeeds() (*feedData, error) {
 	f, err := os.Open(filepath.Join(ds.dir, feedLogName))
 	if err != nil {
@@ -302,87 +242,42 @@ func (ds *DiskStore) scanFeeds() (*feedData, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	names := ds.man.Meta.Streams
+	names, bounds := ds.man.Meta.Streams, ds.SnapshotSeqs()
 	fd := &feedData{
+		plan:    checkpoint.NewFeedPlan(bounds),
+		streams: checkpoint.NewStreamFold(len(names), bounds),
 		sched:   make([]trace.ThreadID, 0, declared),
-		streams: make([]streamHist, len(names)),
-		inputs:  make(map[string][]trace.Value),
-		bounds:  make(map[uint64]*prefixCounts),
 	}
 	entries := make([]vm.FeedEntry, 0, declared) // in event order
-	perTID := []int{}                            // entries per thread so far
 	spawned := 0
-	bounds := ds.SnapshotSeqs()
-	mark := func(seq uint64) {
-		for ; len(bounds) > 0 && bounds[0] == seq; bounds = bounds[1:] {
-			pc := &prefixCounts{
-				feeds: append([]int(nil), perTID...),
-				in:    make([]int, len(names)),
-				out:   make([]int, len(names)),
-			}
-			for id := range fd.streams {
-				pc.in[id], pc.out[id] = len(fd.streams[id].in), len(fd.streams[id].out)
-			}
-			fd.bounds[seq] = pc
-		}
-	}
 	count, err := readFeedLog(r, func(i uint64, fe *feedEntry) error {
-		mark(i)
-		tid := int(fe.TID)
-		if tid < 0 {
-			return fmt.Errorf("%w: feed entry %d has thread %d", ErrCorrupt, i, tid)
-		}
 		// Thread IDs are dense in spawn order: thread t runs only after
 		// t spawns.
-		if tid > spawned {
+		if tid := int(fe.TID); tid < 0 || tid > spawned {
 			return fmt.Errorf("%w: feed entry %d has thread %d, %d spawned so far", ErrCorrupt, i, tid, spawned)
 		}
-		for tid >= len(perTID) {
-			perTID = append(perTID, 0)
+		if (fe.Kind == trace.EvInput || fe.Kind == trace.EvOutput) && uint64(fe.Obj) >= uint64(len(names)) {
+			return fmt.Errorf("%w: feed entry %d names stream %d, manifest has %d streams", ErrCorrupt, i, fe.Obj, len(names))
 		}
-		perTID[tid]++
-		entries = append(entries, fe.feed())
-		fd.sched = append(fd.sched, fe.TID)
-		//lint:exhaustive-default only spawns and stream events are tallied here; other kinds are feed-and-schedule-only
-		switch fe.Kind {
-		case trace.EvSpawn:
+		if fe.Kind == trace.EvSpawn {
 			spawned++
-		case trace.EvInput:
-			if uint64(fe.Obj) >= uint64(len(names)) {
-				return fmt.Errorf("%w: feed entry %d reads stream %d, manifest has %d streams", ErrCorrupt, i, fe.Obj, len(names))
-			}
-			fd.streams[fe.Obj].in = append(fd.streams[fe.Obj].in, fe.Val)
-		case trace.EvOutput:
-			if uint64(fe.Obj) >= uint64(len(names)) {
-				return fmt.Errorf("%w: feed entry %d writes stream %d, manifest has %d streams", ErrCorrupt, i, fe.Obj, len(names))
-			}
-			fd.streams[fe.Obj].out = append(fd.streams[fe.Obj].out, fe.Val)
 		}
+		fd.plan.Count(fe.TID)
+		fd.streams.Add(fe.Kind, fe.Obj, &fe.Val)
+		entries = append(entries, checkpoint.FeedEntryOf(fe.Kind, fe.Obj, fe.Val, fe.Taint))
+		fd.sched = append(fd.sched, fe.TID)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	mark(count)
 	if count != ds.man.FeedCount {
 		return nil, fmt.Errorf("%w: feed log has %d entries, manifest declares %d", ErrCorrupt, count, ds.man.FeedCount)
 	}
-	for id, name := range names {
-		if in := fd.streams[id].in; len(in) > 0 {
-			fd.inputs[name] = in
-		}
-	}
-	// Deal the entries out to their threads: one array, each thread's feed
-	// a capacity-limited run of it.
-	carved := make([]vm.FeedEntry, len(entries))
-	fd.perThread = make([][]vm.FeedEntry, len(perTID))
-	off := 0
-	for tid, n := range perTID {
-		fd.perThread[tid] = carved[off : off : off+n]
-		off += n
-	}
+	fd.plan.Carve()
 	for i, tid := range fd.sched {
-		fd.perThread[tid] = append(fd.perThread[tid], entries[i])
+		fd.plan.Feed(tid, &entries[i])
 	}
+	fd.inputs = fd.streams.Inputs(names)
 	return fd, nil
 }

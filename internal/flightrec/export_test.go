@@ -14,6 +14,10 @@ import (
 // FeedLogName is the feed log's file name inside a spill directory.
 const FeedLogName = feedLogName
 
+// RecordCheckpointed records a scenario under the perfect model with a
+// checkpoint every interval events.
+var RecordCheckpointed = recordCheckpointed
+
 // FeedLogBytes encodes events as a feed log.
 func FeedLogBytes(events []trace.Event) []byte {
 	var buf bytes.Buffer

@@ -70,7 +70,9 @@ func assertEventsMatch(t *testing.T, ctx string, got, want []trace.Event) {
 
 // TestFlightRecordMatchesRecording: a flight-recorded run reproduces the
 // monolithic recording's event stream, schedule and terminal identity
-// exactly — streaming changes where bytes go, not what happens.
+// exactly — streaming changes where bytes go, not what happens — and its
+// restore inputs (feeds, boundary stream histories, recorded inputs) are
+// those of a checkpointed recording of the same run, at every boundary.
 func TestFlightRecordMatchesRecording(t *testing.T) {
 	for _, s := range flightScenarios(t) {
 		t.Run(s.Name, func(t *testing.T) {
@@ -116,6 +118,40 @@ func TestFlightRecordMatchesRecording(t *testing.T) {
 			}
 			if !reflect.DeepEqual(sched, plain.Sched) {
 				t.Fatal("schedule differs from plain recording")
+			}
+
+			rec := flightrec.RecordCheckpointed(t, s, interval)
+			stIn, err := st.Inputs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			recIn, _ := rec.Inputs()
+			if !reflect.DeepEqual(stIn.(*vm.MapInputs).Values, recIn.(*vm.MapInputs).Values) {
+				t.Fatal("recorded inputs differ from the checkpointed recording's")
+			}
+			for _, q := range st.SnapshotSeqs() {
+				snap, err := st.BestSnapshot(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cp, _ := rec.BestSnapshot(q)
+				if cp == nil || cp.Seq != q {
+					t.Fatalf("the checkpointed recording has no checkpoint at %d", q)
+				}
+				if !reflect.DeepEqual(snap.Streams, cp.Streams) {
+					t.Fatalf("boundary %d: stream histories differ from the recording's", q)
+				}
+				got, err := st.Feeds(snap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := rec.Feeds(cp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("boundary %d: feeds differ from the recording's", q)
+				}
 			}
 
 			// Segment table sanity: contiguous, boundaries on the interval.

@@ -91,12 +91,45 @@ func TestHostileFeedLog(t *testing.T) {
 	}
 }
 
+// tamperSegment rewrites the boundary snapshot of the spill directory's
+// segment si through tamper.
+func tamperSegment(t *testing.T, dir string, si flightrec.SegmentInfo, tamper func(*vm.Snapshot)) {
+	t.Helper()
+	path := filepath.Join(dir, si.File)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := flightrec.DecodeSegment(f)
+	f.Close()
+	if err != nil {
+		t.Fatalf("segment %d: %v", si.Index, err)
+	}
+	if seg.Snap == nil {
+		t.Fatalf("segment %d has no boundary snapshot", si.Index)
+	}
+	tamper(seg.Snap)
+	var buf bytes.Buffer
+	if _, err := flightrec.EncodeSegment(&buf, seg); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// cutThreadTable leaves a snapshot only its first thread, when threads
+// spawned by it have run before the snapshot.
+func cutThreadTable(sn *vm.Snapshot) { sn.Threads = sn.Threads[:1] }
+
 // TestTamperedBoundarySnapshot: a spill directory whose boundary snapshot
-// carries liveness counters or a mutex owner that contradict the threads a
-// restore rebuilds is refused by the seek that restores it — a typed error,
-// no session, no goroutine left parked. (Trusted, a LiveNonDaemon of 0 ended
-// the replay at the boundary with outcome ok, 99 ended it in a deadlock
-// event the recorded run never had, and an owner of -5 disabled the mutex.)
+// carries liveness counters, a mutex owner or a thread table that
+// contradict the threads a restore rebuilds is refused by the seek that
+// restores it — a typed error, no session, no goroutine left parked.
+// (Trusted, a LiveNonDaemon of 0 ended the replay at the boundary with
+// outcome ok, 99 ended it in a deadlock event the recorded run never had,
+// an owner of -5 disabled the mutex, and a cut thread table lost the
+// feeds of the threads past it.)
 func TestTamperedBoundarySnapshot(t *testing.T) {
 	s := workload.Bank()
 	cases := map[string]func(*vm.Snapshot){
@@ -104,6 +137,7 @@ func TestTamperedBoundarySnapshot(t *testing.T) {
 		"99 non-daemon threads live": func(sn *vm.Snapshot) { sn.LiveNonDaemon = 99 },
 		"mutex owned by thread -5":   func(sn *vm.Snapshot) { sn.Mutexes[0] = -5 },
 		"mutex owned by thread 4096": func(sn *vm.Snapshot) { sn.Mutexes[0] = 4096 },
+		"thread table cut to one":    cutThreadTable,
 	}
 	for name, tamper := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -111,24 +145,7 @@ func TestTamperedBoundarySnapshot(t *testing.T) {
 			dir := res.Store.Dir()
 			infos := res.Store.Segments()
 			si := infos[len(infos)/2]
-			path := filepath.Join(dir, si.File)
-			f, err := os.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seg, err := flightrec.DecodeSegment(f)
-			f.Close()
-			if err != nil || seg.Snap == nil {
-				t.Fatalf("segment %d: snapshot %v, err %v", si.Index, seg.Snap, err)
-			}
-			tamper(seg.Snap)
-			var buf bytes.Buffer
-			if _, err := flightrec.EncodeSegment(&buf, seg); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			tamperSegment(t, dir, si, tamper)
 
 			before := runtime.NumGoroutine()
 			st, err := flightrec.Open(dir)
@@ -151,5 +168,41 @@ func TestTamperedBoundarySnapshot(t *testing.T) {
 			}
 			sess.Close()
 		})
+	}
+}
+
+// TestTruncatedThreadTableFailsFeeds: Feeds refuses a boundary snapshot
+// whose thread table misses threads that ran before it, with the same
+// error from a spill directory and from a checkpointed recording of the
+// same run. (The spill directory used to drop those threads' feeds
+// silently; the restore then failed later, at a spawn of an unknown
+// thread.)
+func TestTruncatedThreadTableFailsFeeds(t *testing.T) {
+	s := workload.Bank()
+	const interval = 64
+	res := flightRecord(t, s, flightrec.Options{Interval: interval})
+	infos := res.Store.Segments()
+	si := infos[len(infos)/2]
+	tamperSegment(t, res.Store.Dir(), si, cutThreadTable)
+	st, err := flightrec.Open(res.Store.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := st.BestSnapshot(si.From)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stErr := st.Feeds(snap)
+
+	rec := flightrec.RecordCheckpointed(t, s, interval)
+	cp, _ := rec.BestSnapshot(si.From)
+	if cp == nil || cp.Seq != si.From {
+		t.Fatalf("the checkpointed recording has no checkpoint at %d", si.From)
+	}
+	cut := *cp
+	cutThreadTable(&cut)
+	_, recErr := rec.Feeds(&cut)
+	if !errors.Is(stErr, vm.ErrBadSnapshot) || !errors.Is(recErr, vm.ErrBadSnapshot) || stErr.Error() != recErr.Error() {
+		t.Fatalf("Feeds of a thread table cut to one: spill directory %v, recording %v; want the same vm.ErrBadSnapshot", stErr, recErr)
 	}
 }

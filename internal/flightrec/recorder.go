@@ -179,15 +179,17 @@ func (r *Recorder) OnEvent(e *trace.Event) uint64 {
 }
 
 // rotate is the checkpoint writer's sink: seal the building segment at
-// the boundary snapshot and open the next one.
-func (r *Recorder) rotate(snap *vm.Snapshot) {
+// the boundary snapshot, whose encoded size the writer measured, and open
+// the next one.
+func (r *Recorder) rotate(snap *vm.Snapshot, size int64) {
 	if r.err != nil || r.finished {
 		return
 	}
 	// Drop the captured stream histories before taking ownership: they
 	// are projections of the event prefix and are rehydrated from the
 	// feed log at open. Holding them would make ring memory proportional
-	// to the whole run, not the ring.
+	// to the whole run, not the ring. The codec never encodes them, so size
+	// stands.
 	for i := range snap.Streams {
 		snap.Streams[i].Inputs = nil
 		snap.Streams[i].Outputs = nil
@@ -199,7 +201,7 @@ func (r *Recorder) rotate(snap *vm.Snapshot) {
 		Events:      r.eventBuf(),
 	}
 	r.nextIndex++
-	r.curB = checkpoint.SnapshotSize(snap)
+	r.curB = size
 	r.memBytes += r.curB
 	if r.memBytes > r.peakMem {
 		r.peakMem = r.memBytes

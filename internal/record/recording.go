@@ -141,21 +141,6 @@ func (r *Recording) EventsByThread() map[trace.ThreadID][]trace.Event {
 	return out
 }
 
-// SegmentBounds returns the checkpoint-delimited segment starts of the
-// recording: 0 plus every interior checkpoint sequence (a checkpoint
-// landing exactly at the end of the event stream delimits nothing and is
-// excluded). These are the [from, to) starts segmented replay and the
-// flight-recorder store adapter partition the event stream on.
-func (r *Recording) SegmentBounds() []uint64 {
-	bounds := []uint64{0}
-	for _, cp := range r.Checkpoints {
-		if cp.Seq > 0 && cp.Seq < uint64(len(r.Full)) {
-			bounds = append(bounds, cp.Seq)
-		}
-	}
-	return bounds
-}
-
 // Summary renders the recording for logs and CLI output.
 func (r *Recording) Summary() string {
 	return fmt.Sprintf("%s/%s seed=%d events=%d full=%d sched=%d bytes=%d overhead=%.2fx failed=%v sig=%q",

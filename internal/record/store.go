@@ -122,15 +122,16 @@ func (r *Recording) plan() *replayPlan {
 	return c.plan
 }
 
-// segments lays out one segment per checkpoint-delimited bound (see
-// SegmentBounds), the last one ending with the event stream.
+// segments lays out one segment from event 0 and one from every interior
+// checkpoint (one at the very end of the event stream delimits nothing),
+// the last one ending with the event stream.
 func (r *Recording) segments() []SegmentInfo {
-	bounds := r.SegmentBounds()
-	segs := make([]SegmentInfo, len(bounds))
-	for i, from := range bounds {
-		segs[i] = SegmentInfo{Index: i, From: from, To: uint64(len(r.Full))}
-		if i > 0 {
-			segs[i-1].To = from
+	end := uint64(len(r.Full))
+	segs := append(make([]SegmentInfo, 0, len(r.Checkpoints)+1), SegmentInfo{To: end})
+	for _, cp := range r.Checkpoints {
+		if cp.Seq > 0 && cp.Seq < end {
+			segs[len(segs)-1].To = cp.Seq
+			segs = append(segs, SegmentInfo{Index: len(segs), From: cp.Seq, To: end})
 		}
 	}
 	return segs
@@ -188,19 +189,16 @@ func (r *Recording) SnapshotSeqs() []uint64 {
 }
 
 // Feeds implements SegmentStore by slicing the lazily built shared feed
-// plan, falling back to a direct derivation for snapshots the plan does
-// not cover (e.g. materialized mid-debug).
+// plan, which covers every checkpoint the events reach.
 func (r *Recording) Feeds(snap *vm.Snapshot) ([][]vm.FeedEntry, error) {
 	p := r.plan()
 	p.feedsOnce.Do(func() {
 		p.feeds, p.feedsErr = checkpoint.PlanFeeds(r.Full, r.Checkpoints)
 	})
-	if p.feedsErr == nil {
-		if feeds, err := p.feeds.At(snap); err == nil {
-			return feeds, nil
-		}
+	if p.feedsErr != nil {
+		return nil, p.feedsErr
 	}
-	return checkpoint.Feeds(r.Full, snap.Seq, len(snap.Threads))
+	return p.feeds.At(snap)
 }
 
 // SchedFrom implements SegmentStore (the Sched field has the short name);

@@ -155,9 +155,9 @@ type brokenRecording struct {
 // stored events do).
 func brokenRecordings(t *testing.T, rec *record.Recording) []brokenRecording {
 	t.Helper()
-	bounds := rec.SegmentBounds()
-	if len(bounds) < 5 {
-		t.Fatalf("%d segments: no chunk has an interior segment", len(bounds))
+	segs := rec.Segments()
+	if len(segs) < 5 {
+		t.Fatalf("%d segments: no chunk has an interior segment", len(segs))
 	}
 	clone := func() *record.Recording {
 		c := *rec
@@ -166,7 +166,7 @@ func brokenRecordings(t *testing.T, rec *record.Recording) []brokenRecording {
 	}
 	n := len(rec.Full)
 	tampered := clone()
-	at := bounds[1] + (bounds[2]-bounds[1])/2 // segment 1: interior to the first of two chunks
+	at := segs[1].From + segs[1].Events()/2 // segment 1: interior to the first of two chunks
 	tampered.Full[at].Site += 1000
 	short := clone()
 	short.Full = short.Full[:n-3]

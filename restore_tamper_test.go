@@ -32,7 +32,8 @@ func settledGoroutines(baseline int) int {
 // the checkpoint and RunToEnd report outcome ok after 192 of 415 events with
 // four threads live; 99 made RunToEnd accept a deadlock event the recorded
 // run never had; a mutex owned by thread -5 disabled every Lock of it; a
-// stream cursor of -14 panicked the first Input after the restore.
+// stream cursor of -14 panicked the first Input after the restore; a thread
+// table cut to one thread is refused by Feeds, as a spill directory's is.
 func TestSeekRejectsTamperedSnapshot(t *testing.T) {
 	ctx := context.Background()
 	eng := debugdet.New()
@@ -48,6 +49,7 @@ func TestSeekRejectsTamperedSnapshot(t *testing.T) {
 		"mutex owned by thread -5":     func(cp *sim.Snapshot) { cp.Mutexes[0] = -5 },
 		"mutex owned by a thread past": func(cp *sim.Snapshot) { cp.Mutexes[0] = trace.ThreadID(len(cp.Threads)) },
 		"stream cursor before 0":       func(cp *sim.Snapshot) { cp.Streams[0].InIndex = -14 },
+		"thread table cut to one":      func(cp *sim.Snapshot) { cp.Threads = cp.Threads[:1] },
 	}
 	for name, tamper := range cases {
 		t.Run(name, func(t *testing.T) {
