@@ -486,7 +486,7 @@ func BenchmarkSegmentedReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkForkedSearch measures checkpoint-forked candidate execution
+// BenchmarkForkedSearch measures equivalence-pruned candidate execution
 // (infer.Forker) on the T-FORK sensitivity sweep: the recorded schedule
 // and control-plane inputs forced, the budget spent re-executing across
 // data seeds. On a control-only scenario every candidate is equivalent to

@@ -87,17 +87,13 @@ type Options struct {
 	// GOMAXPROCS, 1 = sequential; negative rejected). The evaluation
 	// result is identical for every worker count.
 	Workers int
-	// ForkReplay enables checkpoint-forked candidate execution in the
-	// replay-inference search: candidates sharing a prefix with an
-	// earlier candidate re-execute only their suffix from a VM snapshot,
-	// and equivalent candidates are pruned. The replayed execution,
-	// acceptance and attempt counts are bit-identical to the from-scratch
-	// search; only the executed work (and with it DE's denominator)
-	// shrinks. See infer.Options.Fork and the T-FORK table.
+	// ForkReplay enables equivalence-pruned candidate execution in the
+	// replay-inference search: a candidate equivalent to an earlier one
+	// is pruned to zero executed work. The replayed execution, acceptance
+	// and attempt counts are bit-identical to the unpruned search; only
+	// the executed work (and with it DE's denominator) shrinks. See
+	// infer.Options.Fork and the T-FORK table.
 	ForkReplay bool
-	// ForkInterval is the snapshot interval for forked replay execution
-	// (0 = checkpoint default; negative rejected).
-	ForkInterval int64
 	// FlightRecorder configures RecordStreaming's always-on bounded-memory
 	// recording: the spill directory, the in-memory ring size and the
 	// on-disk retention cap. Only RecordStreaming reads it; Record and
@@ -116,7 +112,7 @@ type Options struct {
 }
 
 // validate rejects option values that would otherwise be silently
-// reinterpreted. The replay-facing knobs (Workers, the fork knobs)
+// reinterpreted. The replay-facing knobs (Workers, ReplayBudget)
 // delegate to replay.Options.Validate, so the SDK surface rejects the
 // same domains the engine does.
 func (o Options) validate() error {
@@ -145,7 +141,6 @@ func (o Options) replayOptions() replay.Options {
 		Workers:      o.Workers,
 		Suspects:     o.Suspects,
 		Fork:         o.ForkReplay,
-		ForkInterval: o.ForkInterval,
 	}
 }
 

@@ -13,19 +13,20 @@ import (
 	"debugdet/internal/workload"
 )
 
-// T-FORK measures checkpoint-forked candidate execution (infer.Forker)
+// T-FORK measures equivalence-pruned candidate execution (infer.Forker)
 // on two search shapes:
 //
 //   - search: the Fig1-class model reconstructions (output- and
 //     failure-determinism replay), whose candidates explore free
-//     schedules. These diverge at their first scheduling pick, so forking
-//     cannot share work — the rows pin that it never *adds* work.
+//     schedules. These diverge at their first scheduling pick, so no
+//     candidate is equivalent to another — the rows pin that pruning
+//     never *adds* work.
 //   - sweep: the T-TRIG/RCSE-class data-plane sensitivity sweep (§3.1):
 //     the recorded schedule and control-plane inputs are forced, and the
 //     budget re-executes the run across data seeds to confirm unrecorded
 //     data does not steer the outcome. Candidates share the whole forced
 //     prefix up to their first differing data draw; on control-only
-//     scenarios (bank) every candidate is equivalent and forking prunes
+//     scenarios (bank) every candidate is equivalent and pruning cuts
 //     the sweep to a single execution.
 var forkCases = []struct {
 	Scenario string
@@ -49,7 +50,7 @@ var forkSearchSeeds = []int64{7, 8, 9, 10}
 const forkSweepBudget = 40
 
 // ForkRow is one T-FORK measurement: the same search with and without
-// checkpoint-forked candidate execution.
+// equivalence-pruned candidate execution.
 type ForkRow struct {
 	Scenario string
 	Shape    string
@@ -181,7 +182,7 @@ func forkSweepRow(s *scenario.Scenario, o Options) (ForkRow, error) {
 // RenderTableFork prints T-FORK.
 func RenderTableFork(rows []ForkRow) string {
 	var b strings.Builder
-	b.WriteString("Table FORK — checkpoint-forked candidate execution vs from-scratch search\n")
+	b.WriteString("Table FORK — equivalence-pruned candidate execution vs from-scratch search\n")
 	b.WriteString("(identical = forked search produced the bit-identical outcome;\n")
 	b.WriteString(" sweep = forced schedule + control inputs across data seeds, §3.1)\n\n")
 	fmt.Fprintf(&b, "%-12s %-8s %14s %20s %8s %10s\n",

@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -43,8 +44,8 @@ func acceptedEqual(t *testing.T, label string, a, b *Outcome) {
 // TestForkedSearchBitEquivalent is the tentpole contract: the forked
 // search accepts the identical candidate, with identical Attempts, as the
 // sequential from-scratch search — across scenario styles (ESD signature
-// search with shrinking, ODR output search, deadlock search, exhaustion),
-// snapshot intervals and worker counts.
+// search with shrinking, ODR output search, deadlock search, exhaustion)
+// and worker counts.
 func TestForkedSearchBitEquivalent(t *testing.T) {
 	odr := workload.MsgDrop()
 	orig := odr.Exec(scenario.ExecOptions{Seed: odr.DefaultSeed})
@@ -86,19 +87,15 @@ func TestForkedSearchBitEquivalent(t *testing.T) {
 		seqOpts.Workers = 1
 		seq := Search(tc.s, tc.accept, seqOpts)
 		for _, cfg := range []struct {
-			label    string
-			workers  int
-			interval int64
+			label   string
+			workers int
 		}{
-			{"fork-w1", 1, 0},
-			{"fork-w1-i64", 1, 64},
-			{"fork-w4", 4, 0},
-			{"fork-w4-i64", 4, 64},
+			{"fork-w1", 1},
+			{"fork-w4", 4},
 		} {
 			forkOpts := tc.opts
 			forkOpts.Workers = cfg.workers
 			forkOpts.Fork = true
-			forkOpts.ForkInterval = cfg.interval
 			fork := Search(tc.s, tc.accept, forkOpts)
 			acceptedEqual(t, name+"/"+cfg.label, seq, fork)
 			if fork.WorkSteps > seq.WorkSteps {
@@ -139,12 +136,11 @@ func TestForkedForcedScheduleSavesWork(t *testing.T) {
 	}
 }
 
-// TestForkerBoundaries drives the Forker directly through the fork
+// TestForkerBoundaries drives the Forker directly through the pruning
 // boundary cases: a candidate identical to a retained path (full reuse,
-// zero executed work), a candidate diverging past every snapshot (suffix
-// execution from a mid-trace snapshot), and a candidate with no usable
-// snapshot at all (scratch fallback). Every case must stay bit-identical
-// to a from-scratch execution of the same candidate.
+// zero executed work), a candidate diverging at the last input draw and
+// one diverging at the first (both whole runs). Every case must stay
+// bit-identical to a from-scratch execution of the same candidate.
 func TestForkerBoundaries(t *testing.T) {
 	s := workload.Bank()
 	rec := s.Exec(scenario.ExecOptions{Seed: s.DefaultSeed})
@@ -168,25 +164,12 @@ func TestForkerBoundaries(t *testing.T) {
 	}
 	same := func(label string, got, want *scenario.RunView) {
 		t.Helper()
-		if got.Result.Outcome != want.Result.Outcome {
-			t.Fatalf("%s: outcome %v, want %v", label, got.Result.Outcome, want.Result.Outcome)
-		}
-		if got.Result.Steps != want.Result.Steps || got.Result.Cycles != want.Result.Cycles {
-			t.Fatalf("%s: steps/cycles %d/%d, want %d/%d", label,
-				got.Result.Steps, got.Result.Cycles, want.Result.Steps, want.Result.Cycles)
-		}
-		if !trace.EventsEqual(got.Trace, want.Trace, false) {
-			t.Fatalf("%s: traces differ", label)
-		}
-		if !reflect.DeepEqual(got.Result.Outputs, want.Result.Outputs) {
-			t.Fatalf("%s: outputs differ", label)
-		}
-		if !reflect.DeepEqual(got.Result.InputsUsed, want.Result.InputsUsed) {
-			t.Fatalf("%s: inputs differ", label)
+		if err := runDiff(got, want); err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
 	}
 
-	f := NewForker(ForkerConfig{Scenario: s, Interval: 16})
+	f := NewForker(ForkerConfig{Scenario: s})
 	trunk := mk(100, picks)
 	tv, tSteps, _ := f.Run(trunk)
 	same("trunk", tv, scratchOf(trunk))
@@ -206,21 +189,19 @@ func TestForkerBoundaries(t *testing.T) {
 		t.Fatalf("reused view carries seed %d, want the candidate's 101", cv.Trace.Header.Seed)
 	}
 
-	// Late divergence: alter only the final input draw; the candidate must
-	// restore from a mid-trace snapshot and execute just the suffix.
+	// Late divergence: alter only the final input draw; the candidate
+	// agrees with the trunk up to its last draw and still runs whole.
 	altered := append(append([]trace.Value(nil), picks[:len(picks)-1]...),
 		trace.Int(picks[len(picks)-1].AsInt()+1))
 	late := mk(102, altered)
 	lv, lSteps, _ := f.Run(late)
 	same("late-divergence", lv, scratchOf(late))
-	if lSteps == 0 || lSteps >= lv.Result.Steps {
-		t.Fatalf("late divergence executed %d of %d steps, want a proper suffix",
+	if lSteps != lv.Result.Steps {
+		t.Fatalf("late divergence executed %d of %d steps, want a whole run",
 			lSteps, lv.Result.Steps)
 	}
 
-	// Early divergence: alter the first draw. The first snapshot (seq 16)
-	// lies past the divergence point, so the candidate must fall back to a
-	// full from-scratch run — never a wrong snapshot, never a panic.
+	// Early divergence: alter the first draw; the candidate runs whole.
 	first := append([]trace.Value(nil), picks...)
 	first[0] = trace.Int(picks[0].AsInt() + 1)
 	early := mk(103, first)
@@ -229,20 +210,6 @@ func TestForkerBoundaries(t *testing.T) {
 	if eSteps != ev.Result.Steps {
 		t.Fatalf("early divergence executed %d of %d steps, want a full scratch run",
 			eSteps, ev.Result.Steps)
-	}
-
-	// No snapshots at all (interval beyond the trace): non-equivalent
-	// candidates run from scratch, equivalent ones still prune.
-	g := NewForker(ForkerConfig{Scenario: s, Interval: 1 << 30})
-	g.Run(trunk)
-	gv, gSteps, _ := g.Run(late)
-	same("no-snapshot", gv, scratchOf(late))
-	if gSteps != gv.Result.Steps {
-		t.Fatalf("snapshot-free fork executed %d of %d steps, want full scratch",
-			gSteps, gv.Result.Steps)
-	}
-	if _, rSteps, _ := g.Run(clone); rSteps != 0 {
-		t.Fatalf("snapshot-free reuse executed %d steps, want 0", rSteps)
 	}
 }
 
@@ -253,9 +220,8 @@ func TestSearchValidatesOptions(t *testing.T) {
 	s := workload.Sum()
 	reject := func(*scenario.RunView) bool { return false }
 	cases := map[string]Options{
-		"workers":       {Workers: -1},
-		"budget":        {Budget: -5},
-		"fork-interval": {Fork: true, ForkInterval: -256},
+		"workers": {Workers: -1},
+		"budget":  {Budget: -5},
 	}
 	for name, o := range cases {
 		out := Search(s, reject, o)
@@ -278,76 +244,110 @@ func TestSearchValidatesOptions(t *testing.T) {
 	}
 }
 
-// TestFrozenForestSnapshotsSurviveConcurrentForks: the forest's snapshots
-// alias the stream histories of the machines that captured them (see
-// vm.StreamSnap) — a forked path even keeps its base path's snapshots — and
-// after Freeze every worker restores from them at once. Each must still
-// equal the private copy taken when the forest froze, and every forked run
-// must stay bit-identical to scratch. Run it under -race.
-func TestFrozenForestSnapshotsSurviveConcurrentForks(t *testing.T) {
+// runDiff reports how a forker's view differs from a from-scratch
+// execution of the same candidate: outcome, steps, cycles, events,
+// outputs or inputs.
+func runDiff(got, want *scenario.RunView) error {
+	switch {
+	case got.Result.Outcome != want.Result.Outcome:
+		return fmt.Errorf("outcome %v, want %v", got.Result.Outcome, want.Result.Outcome)
+	case got.Result.Steps != want.Result.Steps || got.Result.Cycles != want.Result.Cycles:
+		return fmt.Errorf("steps/cycles %d/%d, want %d/%d",
+			got.Result.Steps, got.Result.Cycles, want.Result.Steps, want.Result.Cycles)
+	case !trace.EventsEqual(got.Trace, want.Trace, false):
+		return fmt.Errorf("traces differ")
+	case !reflect.DeepEqual(got.Result.Outputs, want.Result.Outputs):
+		return fmt.Errorf("outputs differ")
+	case !reflect.DeepEqual(got.Result.InputsUsed, want.Result.InputsUsed):
+		return fmt.Errorf("inputs differ")
+	}
+	return nil
+}
+
+// TestForkedRunIsAllOrNothing pins the Forker's two outcomes: a candidate
+// is either pruned (zero steps) or executed whole (all of its steps), and
+// its view is bit-identical to a from-scratch execution either way — for
+// a forest grown candidate by candidate, and for one frozen after the
+// trunk and shared by concurrent Runs (run it under -race). The candidates
+// mix forced-schedule runs differing late, early or not at all in their
+// input draws with free-schedule runs that diverge at their first choice.
+func TestForkedRunIsAllOrNothing(t *testing.T) {
 	s := workload.Bank()
 	rec := s.Exec(scenario.ExecOptions{Seed: s.DefaultSeed})
 	sched := rec.Trace.Schedule()
 	picks := rec.Result.InputsUsed["xfer.pick"]
-	// Candidate k replays the recorded schedule with the k-th draw from the
-	// end altered: it diverges late, past most snapshots.
-	mk := func(k int) Candidate {
-		forced := append([]trace.Value(nil), picks...)
-		if k > 0 {
-			forced[len(forced)-k] = trace.Int(forced[len(forced)-k].AsInt() + 1)
+	forced := func(int) vm.Scheduler { return vm.NewReplayScheduler(sched) }
+	random := func(k int) vm.Scheduler { return vm.NewRandomScheduler(int64(k / 2)) }
+	// Candidate k alters the (k/2)-th draw from the end (none for k < 2,
+	// the first draw for k/2 = len(picks)): an odd k repeats its
+	// predecessor's candidate under another seed.
+	mk := func(k int, scheduler func(int) vm.Scheduler) Candidate {
+		vals := append([]trace.Value(nil), picks...)
+		if a := k / 2; a > 0 {
+			vals[len(vals)-a] = trace.Int(vals[len(vals)-a].AsInt() + 1)
 		}
-		vals := map[string][]trace.Value{"xfer.pick": forced}
+		in := map[string][]trace.Value{"xfer.pick": vals}
 		return Candidate{
 			Seed:      int64(100 + k),
-			Scheduler: func() vm.Scheduler { return vm.NewReplayScheduler(sched) },
+			Scheduler: func() vm.Scheduler { return scheduler(k) },
 			Inputs: func() vm.InputSource {
-				return &vm.MapInputs{Values: vals, Base: s.SearchSource(9, s.DefaultParams)}
+				return &vm.MapInputs{Values: in, Base: s.SearchSource(9, s.DefaultParams)}
 			},
 		}
 	}
-	f := NewForker(ForkerConfig{Scenario: s, Interval: 16})
-	f.Run(mk(0)) // the trunk
-	f.Run(mk(1)) // a forked path: base snapshots plus its own
-	if len(f.forest) != 2 {
-		t.Fatalf("forest holds %d paths, want the trunk and one fork", len(f.forest))
+	var cands []Candidate
+	for k := 0; k < 8; k++ {
+		cands = append(cands, mk(k, forced))
 	}
-	f.Freeze()
-	type histories struct{ in, out [][]trace.Value }
-	copies := map[*vm.Snapshot]histories{}
-	for _, p := range f.forest {
-		for _, snap := range p.snaps {
-			var h histories
-			for _, st := range snap.Streams {
-				h.in = append(h.in, append([]trace.Value(nil), st.Inputs...))
-				h.out = append(h.out, append([]trace.Value(nil), st.Outputs...))
-			}
-			copies[snap] = h
+	cands = append(cands, mk(2*len(picks), forced), mk(2*len(picks)+1, forced))
+	for k := 0; k < 4; k++ {
+		cands = append(cands, mk(k, random))
+	}
+	check := func(label string, f *Forker, c Candidate) (pruned bool, err error) {
+		got, steps, cycles := f.Run(c)
+		want := s.Exec(scenario.ExecOptions{Seed: c.Seed, Scheduler: c.Scheduler(), Inputs: c.Inputs()})
+		if err := runDiff(got, want); err != nil {
+			return false, fmt.Errorf("%s candidate %d: %v", label, c.Seed, err)
 		}
+		if got.Trace.Header.Seed != c.Seed {
+			return false, fmt.Errorf("%s candidate %d: view carries seed %d", label, c.Seed, got.Trace.Header.Seed)
+		}
+		if (steps != 0 || cycles != 0) && (steps != got.Result.Steps || cycles != got.Result.Cycles) {
+			return false, fmt.Errorf("%s candidate %d: executed %d/%d steps and %d/%d cycles, want none or all",
+				label, c.Seed, steps, got.Result.Steps, cycles, got.Result.Cycles)
+		}
+		return steps == 0, nil
 	}
 
+	seq := NewForker(ForkerConfig{Scenario: s})
+	pruned := 0
+	for _, c := range cands {
+		p, err := check("sequential", seq, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p {
+			pruned++
+		}
+	}
+	if pruned == 0 || pruned == len(cands) {
+		t.Fatalf("sequential: %d of %d candidates pruned, want some of each outcome", pruned, len(cands))
+	}
+
+	par := NewForker(ForkerConfig{Scenario: s})
+	if _, err := check("trunk", par, cands[0]); err != nil {
+		t.Fatal(err)
+	}
+	par.Freeze()
 	var wg sync.WaitGroup
-	for k := 2; k < 6; k++ {
-		c := mk(k)
+	for _, c := range cands {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, steps, _ := f.Run(c)
-			want := s.Exec(scenario.ExecOptions{Seed: c.Seed, Scheduler: c.Scheduler(), Inputs: c.Inputs()})
-			if steps == 0 || steps >= got.Result.Steps {
-				t.Errorf("candidate %d executed %d of %d steps, want a proper suffix", c.Seed, steps, got.Result.Steps)
-			}
-			if !trace.EventsEqual(got.Trace, want.Trace, false) || !reflect.DeepEqual(got.Result.Outputs, want.Result.Outputs) {
-				t.Errorf("candidate %d: forked run differs from scratch", c.Seed)
+			if _, err := check("concurrent", par, c); err != nil {
+				t.Error(err)
 			}
 		}()
 	}
 	wg.Wait()
-	for snap, h := range copies {
-		for i, st := range snap.Streams {
-			if !reflect.DeepEqual(append([]trace.Value(nil), st.Inputs...), h.in[i]) ||
-				!reflect.DeepEqual(append([]trace.Value(nil), st.Outputs...), h.out[i]) {
-				t.Fatalf("snapshot at %d: stream %q history changed under concurrent forks", snap.Seq, st.Name)
-			}
-		}
-	}
 }

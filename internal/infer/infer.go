@@ -82,26 +82,19 @@ type Options struct {
 	// WorkSteps, Note — is identical for every worker count; see Search
 	// for the contract.
 	Workers int
-	// Fork enables checkpoint-forked candidate execution: completed
-	// candidates are retained — with their scheduling rounds and periodic
-	// state snapshots — in a bounded prefix forest, each later candidate
-	// is dry-run against the forest to find where it first diverges, and
-	// only its suffix is executed from the best snapshot at or before that
-	// point; a candidate equivalent to a retained execution is pruned to
-	// zero executed work (see Forker). The accepted execution, Ok,
-	// Attempts, AcceptedParams and Note are bit-identical to the
-	// non-forked search at every worker count; WorkCycles and WorkSteps
-	// count only the work actually executed — the measured win — and so
-	// depend on the forest policy (sequential searches grow the forest as
-	// they go; parallel searches freeze it after the first candidate so
-	// workers share it read-only, keeping the counts deterministic per
-	// worker-count mode).
+	// Fork enables equivalence-pruned candidate execution: completed
+	// candidates are retained — with their scheduling rounds — in a
+	// bounded forest, each later candidate is dry-run against the forest,
+	// and a candidate equivalent to a retained execution is pruned to zero
+	// executed work; every other candidate runs from scratch (see Forker).
+	// The accepted execution, Ok, Attempts, AcceptedParams and Note are
+	// bit-identical to the unpruned search at every worker count;
+	// WorkCycles and WorkSteps count only the work actually executed — the
+	// measured win — and so depend on the forest policy (sequential
+	// searches grow the forest as they go; parallel searches freeze it
+	// after the first candidate so workers share it read-only, keeping the
+	// counts deterministic per worker-count mode).
 	Fork bool
-	// ForkInterval is the event interval between snapshots on retained
-	// executions (0 = checkpoint.DefaultInterval; negative is rejected by
-	// Validate). Smaller intervals fork closer to the divergence point at
-	// the price of more snapshot memory per retained path.
-	ForkInterval int64
 }
 
 // Validate rejects option values outside their domain instead of silently
@@ -115,9 +108,6 @@ func (o Options) Validate() error {
 	}
 	if o.Budget < 0 {
 		return fmt.Errorf("infer: Budget must be >= 0 (0 = default 200), got %d", o.Budget)
-	}
-	if o.ForkInterval < 0 {
-		return fmt.Errorf("infer: ForkInterval must be >= 0 (0 = checkpoint default), got %d", o.ForkInterval)
 	}
 	return nil
 }
@@ -207,20 +197,6 @@ func prioritize(plan []paramTry, o Options) []paramTry {
 	return out
 }
 
-// runCandidate executes one candidate of the plan. Candidates are
-// bit-deterministic functions of (scenario, options, pt.idx) and share no
-// mutable state, which is what makes the search embarrassingly parallel.
-func runCandidate(s *scenario.Scenario, o Options, pt paramTry) *scenario.RunView {
-	i := int64(pt.idx)
-	return s.Exec(scenario.ExecOptions{
-		Seed:      o.BaseSeed + i,
-		Params:    pt.p,
-		Scheduler: candidateScheduler(o, i),
-		Inputs:    candidateInputs(s, o, pt.p, i),
-		MaxSteps:  o.MaxSteps,
-	})
-}
-
 // Search runs candidate executions of s until accept returns true or the
 // budget is exhausted, under the worker contract (DESIGN.md §0): candidates
 // keep their plan indices, accept is invoked on the caller's goroutine in
@@ -242,37 +218,32 @@ func Search(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options
 	plan := buildPlan(s, o)
 
 	// ran is one executed candidate: the finished view and the steps and
-	// virtual cycles of work actually executed (whole-run totals for a
-	// from-scratch run; the executed suffix for a forked one).
+	// virtual cycles of work actually executed (whole-run totals, or zero
+	// for a candidate pruned as equivalent to a retained one).
 	type ran struct {
 		view          *scenario.RunView
 		steps, cycles uint64
 	}
+	// Every candidate runs through one Forker; without Fork its forest
+	// stays empty and frozen, so each candidate runs from scratch.
+	f := NewForker(ForkerConfig{Scenario: s, MaxSteps: o.MaxSteps})
 	run := func(pt paramTry) ran {
-		view := runCandidate(s, o, pt)
-		return ran{view, view.Result.Steps, view.Result.Cycles}
+		view, steps, cycles := f.Run(planCandidate(s, o, pt))
+		return ran{view, steps, cycles}
 	}
 	var trunk *ran
-	if o.Fork {
-		// See Options.Fork. A sequential search grows the prefix forest as
+	switch {
+	case !o.Fork:
+		f.Freeze()
+	case par.Workers(o.Workers, len(plan)) > 1 && o.Ctx.Err() == nil:
+		// See Options.Fork. A sequential search grows the forest as
 		// candidates complete. A parallel one executes the first candidate
 		// (the trunk) here and freezes the forest before fanning out, so
-		// workers fork off a shared read-only trunk — keeping every count
-		// deterministic across worker schedules.
-		f := NewForker(ForkerConfig{
-			Scenario: s,
-			Interval: uint64(o.ForkInterval),
-			MaxSteps: o.MaxSteps,
-		})
-		run = func(pt paramTry) ran {
-			view, steps, cycles := f.Run(forkCandidate(s, o, pt))
-			return ran{view, steps, cycles}
-		}
-		if par.Workers(o.Workers, len(plan)) > 1 && o.Ctx.Err() == nil {
-			r := run(plan[0])
-			f.Freeze()
-			trunk = &r
-		}
+		// workers prune against a shared read-only trunk — keeping every
+		// count deterministic across worker schedules.
+		r := run(plan[0])
+		f.Freeze()
+		trunk = &r
 	}
 
 	out := &Outcome{}
@@ -303,10 +274,10 @@ func Search(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options
 	return out
 }
 
-// forkCandidate adapts a plan slot to the forker's candidate interface,
-// preserving candidate identity: the same seed, scheduler and inputs
-// runCandidate would construct for the slot.
-func forkCandidate(s *scenario.Scenario, o Options, pt paramTry) Candidate {
+// planCandidate describes one candidate of the plan. Candidates are
+// bit-deterministic functions of (scenario, options, pt.idx), which is
+// what makes the search embarrassingly parallel.
+func planCandidate(s *scenario.Scenario, o Options, pt paramTry) Candidate {
 	i := int64(pt.idx)
 	return Candidate{
 		Seed:      o.BaseSeed + i,

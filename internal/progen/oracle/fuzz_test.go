@@ -29,9 +29,9 @@ func FuzzDifferentialOracles(f *testing.F) {
 }
 
 // FuzzForkEquivalence focuses the fuzz budget on the fork-equivalence
-// oracle alone: checkpoint-forked candidate execution must accept the
-// bit-identical result as from-scratch search across snapshot intervals
-// and worker counts, on every generated program. The focused target
+// oracle alone: equivalence-pruned candidate execution must accept the
+// bit-identical result as from-scratch search at every worker count, on
+// every generated program. The focused target
 // explores many more seeds per second than the full harness.
 func FuzzForkEquivalence(f *testing.F) {
 	for s := int64(0); s < int64(len(progen.Families())); s++ {

@@ -2,7 +2,7 @@
 // invariants of the record/replay system that must hold on *every* valid
 // program, checked over generated ones — (a) replay reproduction, (b) DF
 // monotonicity up the model hierarchy, (c) worker-count invariance of
-// inference, (d) fork equivalence of checkpoint-forked search, (e)
+// inference, (d) fork equivalence of equivalence-pruned search, (e)
 // shrink soundness. Each oracle returns nil when the invariant holds and
 // a descriptive error when it is violated; Check runs all five. The oracles are deterministic functions of the program,
 // so a seed that passes once passes forever — which is what lets the
@@ -204,13 +204,13 @@ func CheckWorkerInvariance(p progen.Program, budget int) error {
 	return nil
 }
 
-// CheckForkEquivalence is oracle (d): checkpoint-forked candidate
+// CheckForkEquivalence is oracle (d): equivalence-pruned candidate
 // execution (replay.Options.Fork / infer.Forker) must accept the
-// identical candidate as the from-scratch search — same acceptance, same
-// attempt count, same note, same event stream and failure identity —
-// across snapshot intervals and worker counts. Only the work counters
-// may legitimately differ (shrinking them is the point of forking), and
-// forking must never execute more events than scratch.
+// identical candidate as the unpruned search — same acceptance, same
+// attempt count, same note, same event stream and failure identity — at
+// every worker count. Only the work counters may legitimately differ
+// (shrinking them is the point of pruning), and pruning must never
+// execute more events than scratch.
 func CheckForkEquivalence(p progen.Program, budget int) error {
 	rec, _, _, err := core.RecordOnly(p.Scenario, record.Failure, evalOpts(p, budget, 1))
 	if err != nil {
@@ -220,25 +220,18 @@ func CheckForkEquivalence(p progen.Program, budget int) error {
 	if base.Err != nil {
 		return fmt.Errorf("progen: scratch replay: %w", base.Err)
 	}
-	for _, cfg := range []struct {
-		workers  int
-		interval int64
-	}{
-		{1, 0}, {1, 64}, {3, 0},
-	} {
+	for _, workers := range []int{1, 3} {
 		fork := replay.Replay(p.Scenario, rec, replay.Options{
-			Budget:       budget,
-			Workers:      cfg.workers,
-			Fork:         true,
-			ForkInterval: cfg.interval,
+			Budget:  budget,
+			Workers: workers,
+			Fork:    true,
 		})
 		if fork.Err != nil {
-			return fmt.Errorf("progen: forked replay (workers=%d interval=%d): %w",
-				cfg.workers, cfg.interval, fork.Err)
+			return fmt.Errorf("progen: forked replay (workers=%d): %w", workers, fork.Err)
 		}
 		if fork.Ok != base.Ok || fork.Attempts != base.Attempts || fork.Note != base.Note {
-			return fmt.Errorf("progen: fork variance on %s (gen=%d seed=%d, workers=%d interval=%d): ok=%v attempts=%d note=%q vs scratch ok=%v attempts=%d note=%q",
-				p.Scenario.Name, p.GenSeed, p.Seed, cfg.workers, cfg.interval,
+			return fmt.Errorf("progen: fork variance on %s (gen=%d seed=%d, workers=%d): ok=%v attempts=%d note=%q vs scratch ok=%v attempts=%d note=%q",
+				p.Scenario.Name, p.GenSeed, p.Seed, workers,
 				fork.Ok, fork.Attempts, fork.Note, base.Ok, base.Attempts, base.Note)
 		}
 		if (base.View == nil) != (fork.View == nil) {
@@ -247,8 +240,8 @@ func CheckForkEquivalence(p progen.Program, budget int) error {
 		}
 		if base.View != nil {
 			if !trace.EventsEqual(base.View.Trace, fork.View.Trace, false) {
-				return fmt.Errorf("progen: forked replay of %s (gen=%d seed=%d, workers=%d interval=%d) accepted a different event stream",
-					p.Scenario.Name, p.GenSeed, p.Seed, cfg.workers, cfg.interval)
+				return fmt.Errorf("progen: forked replay of %s (gen=%d seed=%d, workers=%d) accepted a different event stream",
+					p.Scenario.Name, p.GenSeed, p.Seed, workers)
 			}
 			bf, bs := p.Scenario.CheckFailure(base.View)
 			ff, fs := p.Scenario.CheckFailure(fork.View)
@@ -258,8 +251,8 @@ func CheckForkEquivalence(p progen.Program, budget int) error {
 			}
 		}
 		if fork.WorkSteps > base.WorkSteps {
-			return fmt.Errorf("progen: forked replay of %s (gen=%d seed=%d, workers=%d interval=%d) executed more steps (%d) than scratch (%d)",
-				p.Scenario.Name, p.GenSeed, p.Seed, cfg.workers, cfg.interval,
+			return fmt.Errorf("progen: forked replay of %s (gen=%d seed=%d, workers=%d) executed more steps (%d) than scratch (%d)",
+				p.Scenario.Name, p.GenSeed, p.Seed, workers,
 				fork.WorkSteps, base.WorkSteps)
 		}
 	}

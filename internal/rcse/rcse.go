@@ -25,10 +25,9 @@
 // Replaying an RCSE recording re-synthesizes the unrecorded data plane by
 // search (replay.Replay, model debug-rcse). Because every candidate in
 // that search shares the recording's forced schedule and control inputs,
-// it benefits most from checkpoint-forked candidate execution
-// (infer.Forker, replay.Options.Fork): candidates re-execute only from
-// their first differing data-plane draw, and equivalent candidates are
-// pruned to zero work.
+// it benefits most from equivalence-pruned candidate execution
+// (infer.Forker, replay.Options.Fork): a candidate that draws the same
+// data-plane values as an earlier one is pruned to zero work.
 package rcse
 
 import (

@@ -60,7 +60,6 @@ func TestForkedReplayMatchesScratch(t *testing.T) {
 			base := Replay(s, rec, Options{Budget: 120, Workers: 1})
 			for _, fo := range []Options{
 				{Budget: 120, Workers: 1, Fork: true},
-				{Budget: 120, Workers: 1, Fork: true, ForkInterval: 64},
 				{Budget: 120, Workers: 4, Fork: true},
 			} {
 				fork := Replay(s, rec, fo)
@@ -89,9 +88,8 @@ func TestForkedReplayMatchesScratch(t *testing.T) {
 func TestReplayValidatesOptions(t *testing.T) {
 	s, rec := recordRCSE(t, "bank")
 	for name, o := range map[string]Options{
-		"workers":       {Workers: -1},
-		"budget":        {Budget: -3},
-		"fork-interval": {Fork: true, ForkInterval: -1},
+		"workers": {Workers: -1},
+		"budget":  {Budget: -3},
 	} {
 		res := Replay(s, rec, o)
 		if res.Err == nil || res.Ok || res.View != nil || res.Attempts != 0 {

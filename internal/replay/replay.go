@@ -55,29 +55,20 @@ type Options struct {
 	// search uses them to visit its PCT candidates first. See
 	// infer.Options.Suspects for the bit-identity contract.
 	Suspects []sites.Suspect
-	// Fork enables checkpoint-forked candidate execution for every
-	// search-shaped model (output, failure, debug-rcse): candidates that
-	// share a prefix with an earlier candidate re-execute only their
-	// suffix from a snapshot, and equivalent candidates are pruned
-	// outright. Acceptance, Attempts and the replayed view are
-	// bit-identical to the from-scratch replay; only
-	// WorkCycles/WorkSteps shrink. See infer.Options.Fork.
+	// Fork enables equivalence-pruned candidate execution for every
+	// search-shaped model (output, failure, debug-rcse): a candidate
+	// equivalent to an earlier one is pruned to zero executed work.
+	// Acceptance, Attempts and the replayed view are bit-identical to the
+	// unpruned replay; only WorkCycles/WorkSteps shrink. See
+	// infer.Options.Fork.
 	Fork bool
-	// ForkInterval is the snapshot interval for forked execution
-	// (0 = checkpoint default; negative rejected).
-	ForkInterval int64
 }
 
 // Validate rejects out-of-domain option values, delegating the knobs
 // shared with the inference engine to infer.Options.Validate. Replay
 // calls it and surfaces the error through Result.Err.
 func (o Options) Validate() error {
-	return infer.Options{
-		Budget:       o.Budget,
-		Workers:      o.Workers,
-		Fork:         o.Fork,
-		ForkInterval: o.ForkInterval,
-	}.Validate()
+	return infer.Options{Budget: o.Budget, Workers: o.Workers}.Validate()
 }
 
 // Result is a finished replay.
@@ -185,17 +176,11 @@ func replayRCSE(s *scenario.Scenario, rec *record.Recording, o Options) *Result 
 	}
 	// The tries share the complete forced schedule and all control-plane
 	// inputs, so they diverge only at data-plane draws — often not at all.
-	// Forked execution collapses that shared prefix: each try re-executes
-	// only from its first differing data-input value, and tries without
-	// data-plane draws are pruned to zero work.
-	var forker *infer.Forker
-	if o.Fork {
-		forker = infer.NewForker(infer.ForkerConfig{
-			Scenario:  s,
-			Interval:  uint64(o.ForkInterval),
-			MaxSteps:  o.MaxSteps,
-			RelaxTime: true,
-		})
+	// With Fork, a try that draws the same values as an earlier one is
+	// pruned to zero work; without it the forker's forest stays empty.
+	forker := infer.NewForker(infer.ForkerConfig{Scenario: s, MaxSteps: o.MaxSteps, RelaxTime: true})
+	if !o.Fork {
+		forker.Freeze()
 	}
 	for i := 0; i < tries; i++ {
 		if err := o.Ctx.Err(); err != nil {
@@ -204,32 +189,17 @@ func replayRCSE(s *scenario.Scenario, rec *record.Recording, o Options) *Result 
 			return res
 		}
 		searchSeed := o.SearchSeed + int64(i)
-		inputs := func() vm.InputSource {
-			return &vm.MapInputs{
-				Values: forced,
-				Base:   s.SearchSource(searchSeed, s.DefaultParams.Clone(rec.Params)),
-			}
-		}
-		var view *scenario.RunView
-		var steps, cycles uint64
-		if forker != nil {
-			view, steps, cycles = forker.Run(infer.Candidate{
-				Seed:      rec.Seed,
-				Scheduler: func() vm.Scheduler { return vm.NewReplayScheduler(rec.Sched) },
-				Inputs:    inputs,
-				Params:    rec.Params,
-			})
-		} else {
-			view = s.Exec(scenario.ExecOptions{
-				Seed:      rec.Seed,
-				Params:    rec.Params,
-				Scheduler: vm.NewReplayScheduler(rec.Sched),
-				Inputs:    inputs(),
-				MaxSteps:  o.MaxSteps,
-				RelaxTime: true,
-			})
-			steps, cycles = view.Result.Steps, view.Result.Cycles
-		}
+		view, steps, cycles := forker.Run(infer.Candidate{
+			Seed:      rec.Seed,
+			Scheduler: func() vm.Scheduler { return vm.NewReplayScheduler(rec.Sched) },
+			Inputs: func() vm.InputSource {
+				return &vm.MapInputs{
+					Values: forced,
+					Base:   s.SearchSource(searchSeed, s.DefaultParams.Clone(rec.Params)),
+				}
+			},
+			Params: rec.Params,
+		})
 		res.Attempts++
 		res.WorkCycles += cycles
 		res.WorkSteps += steps
@@ -248,14 +218,13 @@ func replayOutput(s *scenario.Scenario, rec *record.Recording, o Options) *Resul
 	out := infer.Search(s, func(v *scenario.RunView) bool {
 		return outputsMatch(want, v)
 	}, infer.Options{
-		Ctx:          o.Ctx,
-		Budget:       o.Budget,
-		BaseSeed:     o.SearchSeed,
-		Params:       rec.Params,
-		MaxSteps:     o.MaxSteps,
-		Workers:      o.Workers,
-		Fork:         o.Fork,
-		ForkInterval: o.ForkInterval,
+		Ctx:      o.Ctx,
+		Budget:   o.Budget,
+		BaseSeed: o.SearchSeed,
+		Params:   rec.Params,
+		MaxSteps: o.MaxSteps,
+		Workers:  o.Workers,
+		Fork:     o.Fork,
 	})
 	return &Result{
 		View:       out.View,
@@ -287,7 +256,6 @@ func replayFailure(s *scenario.Scenario, rec *record.Recording, o Options) *Resu
 		Workers:      o.Workers,
 		Suspects:     o.Suspects,
 		Fork:         o.Fork,
-		ForkInterval: o.ForkInterval,
 	})
 	return &Result{
 		View:       out.View,

@@ -196,8 +196,8 @@ type ExecOptions struct {
 	RelaxTime bool
 	// LogRounds keeps the machine's scheduling-round log (see
 	// vm.Config.LogRounds) — pure observation, read back through
-	// RunView.Machine.Rounds(). Forked search sets it on the executions
-	// it forks candidates from.
+	// RunView.Machine.Rounds(). Equivalence-pruned search sets it on the
+	// executions it retains to prune candidates against.
 	LogRounds bool
 }
 

@@ -77,8 +77,8 @@ type Config struct {
 	// LogRounds makes the machine keep a log of every scheduling decision
 	// — (seq, enabled set, pick) per round; see SchedRound — readable via
 	// Rounds. Pure observation: the log perturbs neither the execution
-	// nor its virtual clock. Checkpoint-forked search enables it on the
-	// executions it forks candidates from.
+	// nor its virtual clock. Equivalence-pruned search enables it on the
+	// executions it retains to prune candidates against.
 	LogRounds bool
 }
 

@@ -6,8 +6,8 @@ import "debugdet/internal/trace"
 // event sequence number the decision was taken at, the enabled set the
 // scheduler saw (thread IDs, ascending), and the thread it picked. A
 // machine configured with Config.LogRounds appends one SchedRound per
-// pick; the resulting log is what lets checkpoint-forked search dry-run a
-// different scheduler over a finished execution without re-executing it
+// pick; the resulting log is what lets equivalence-pruned search dry-run
+// a different scheduler over a finished execution without re-executing it
 // (see SchedSim).
 type SchedRound struct {
 	// Seq is m.Seq() at pick time: the sequence number of the event this
@@ -40,10 +40,9 @@ func (m *Machine) logRound(enabled []*Thread, pick *Thread) {
 // SchedSim replays scheduling decisions against a Scheduler without a
 // live machine: it fabricates threads that carry only their IDs and a
 // machine that carries only its event sequence number — exactly the
-// state the Scheduler contract allows a Pick to read. Forked search uses
-// it twice per candidate: to find where a candidate's scheduler first
-// departs from a recorded execution's rounds, and to fast-forward a
-// fresh scheduler to a checkpoint before restoring from it.
+// state the Scheduler contract allows a Pick to read. Equivalence-pruned
+// search uses it to check whether a candidate's scheduler takes every
+// decision a retained execution's rounds recorded (infer.Forker).
 //
 // A SchedSim is not safe for concurrent use; create one per goroutine
 // (it exists to be cheap: fake threads are cached across calls).

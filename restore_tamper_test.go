@@ -1,13 +1,17 @@
 package debugdet_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
 
 	"debugdet"
+	"debugdet/internal/flightrec"
 	"debugdet/internal/vm"
 	"debugdet/sim"
 	"debugdet/trace"
@@ -158,6 +162,90 @@ func FuzzRestoreTampered(f *testing.F) {
 		}
 		if n := settledGoroutines(before); n > before {
 			t.Fatalf("%d goroutines before the seek, %d after (seek error: %v)", before, n, err)
+		}
+	})
+}
+
+// FuzzSeekTamperedSegment is FuzzRestoreTampered for a file on disk: one
+// retained .ddseg of a bank spill directory has a byte range replaced —
+// overwritten in place, or spliced to another length — and the directory
+// is then opened, sought into that segment, replayed to its end and
+// closed. Whatever the bytes, the result is an error or a finished
+// session: no panic, no hang, no goroutine left behind. Seeded with
+// TestTamperedBoundarySnapshot's boundary-snapshot edits, re-encoded, as
+// the byte ranges they change.
+func FuzzSeekTamperedSegment(f *testing.F) {
+	ctx := context.Background()
+	eng := debugdet.New()
+	s, err := eng.ByName("bank")
+	if err != nil {
+		f.Fatal(err)
+	}
+	dir := filepath.Join(f.TempDir(), "spill")
+	res, err := eng.RecordStreaming(ctx, s, debugdet.Options{
+		FlightRecorder: &debugdet.FlightRecorderOptions{Interval: 64, SpillDir: dir},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	infos := res.Store.Segments()
+	si := infos[len(infos)/2]
+	orig, err := os.ReadFile(filepath.Join(dir, si.File))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, tamper := range []func(*vm.Snapshot){
+		func(sn *vm.Snapshot) { sn.LiveNonDaemon = 0 },
+		func(sn *vm.Snapshot) { sn.LiveNonDaemon = 99 },
+		func(sn *vm.Snapshot) { sn.Mutexes[0] = -5 },
+		func(sn *vm.Snapshot) { sn.Mutexes[0] = 4096 },
+		func(sn *vm.Snapshot) { sn.Threads = sn.Threads[:1] },
+	} {
+		seg, err := flightrec.DecodeSegment(bytes.NewReader(orig))
+		if err != nil || seg.Snap == nil {
+			f.Fatalf("segment %d: no boundary snapshot (%v)", si.Index, err)
+		}
+		tamper(seg.Snap)
+		var buf bytes.Buffer
+		if _, err := flightrec.EncodeSegment(&buf, seg); err != nil {
+			f.Fatal(err)
+		}
+		// The seed is the changed range: orig[at:len(orig)-tail] becomes
+		// edited[at:len(edited)-tail].
+		edited := buf.Bytes()
+		at, tail := 0, 0
+		for at < len(orig) && at < len(edited) && orig[at] == edited[at] {
+			at++
+		}
+		for tail < len(orig)-at && tail < len(edited)-at && orig[len(orig)-1-tail] == edited[len(edited)-1-tail] {
+			tail++
+		}
+		f.Add(uint32(at), uint32(len(orig)-tail-at), edited[at:len(edited)-tail])
+	}
+	f.Fuzz(func(t *testing.T, off, n uint32, data []byte) {
+		at := int(off % uint32(len(orig)+1))
+		end := at + int(n%uint32(len(orig)-at+1))
+		seg := append(append(append([]byte(nil), orig[:at]...), data...), orig[end:]...)
+		cp := filepath.Join(t.TempDir(), "spill")
+		if err := os.CopyFS(cp, os.DirFS(dir)); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(cp, si.File), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		before := runtime.NumGoroutine()
+		st, err := flightrec.Open(cp)
+		if err == nil {
+			var sess *debugdet.SeekSession
+			sess, err = eng.Seek(ctx, s, st, si.From+20, debugdet.ReplayOptions{MaxSteps: 4 * res.Events})
+			if err == nil {
+				sess.RunToEnd()
+				sess.Close()
+			}
+		}
+		if n := settledGoroutines(before); n > before {
+			t.Fatalf("%d goroutines before the seek, %d after (error: %v)", before, n, err)
 		}
 	})
 }

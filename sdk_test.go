@@ -239,8 +239,8 @@ func TestBatchUnknownScenario(t *testing.T) {
 }
 
 // TestSDKOptionValidation pins option validation at the public surface:
-// negative worker counts and fork knobs are rejected with a clear error
-// before any run executes, and the checkpoint-forked replay mode yields
+// negative worker counts and budgets are rejected with a clear error
+// before any run executes, and the equivalence-pruned replay mode yields
 // an evaluation identical to the from-scratch one.
 func TestSDKOptionValidation(t *testing.T) {
 	eng := debugdet.New(debugdet.WithReplayBudget(80))
@@ -254,9 +254,8 @@ func TestSDKOptionValidation(t *testing.T) {
 	}
 	ctx := context.Background()
 	for name, o := range map[string]debugdet.Options{
-		"workers":       {Workers: -2},
-		"budget":        {ReplayBudget: -1},
-		"fork-interval": {ForkReplay: true, ForkInterval: -8},
+		"workers": {Workers: -2},
+		"budget":  {ReplayBudget: -1},
 	} {
 		if _, err := eng.Evaluate(ctx, s, model, o); err == nil {
 			t.Errorf("%s: negative knob accepted", name)
