@@ -13,7 +13,7 @@ import (
 	"debugdet/internal/lint/load"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/api.golden from the current public surface")
+var update = flag.Bool("update", false, "rewrite testdata/api.golden and testdata/models from the current code")
 
 // apiPackages are the packages a user of the module may import: the
 // public surface testdata/api.golden pins.

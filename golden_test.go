@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -159,4 +160,69 @@ func TestGoldenBytes(t *testing.T) {
 			}
 		}
 	})
+}
+
+// modelsDir holds one .ddrc per (scenario, seed, model) cell below, written
+// by the recorders of the commit that added it. Only the perfect path has a
+// golden of its own (bank.ddrc above); these pin the partial recordings,
+// whose Full log is a projection of the run's trace rather than all of it.
+const modelsDir = "testdata/models"
+
+// TestModelRecordingsGolden: recording each cell today writes the golden
+// file byte for byte. Regenerate with
+// `go test -run TestModelRecordingsGolden -update .` only when a
+// recording's format or content is meant to change.
+func TestModelRecordingsGolden(t *testing.T) {
+	ctx := context.Background()
+	eng := debugdet.New()
+	cells := []struct {
+		scenario string
+		seed     int64 // 0: the scenario's default seed
+		model    debugdet.Model
+	}{
+		{"bank", 5, debugdet.Value},
+		{"bank", 5, debugdet.Output},
+		{"bank", 5, debugdet.Failure},
+		{"bank", 5, debugdet.DebugRCSE},
+		{"dynokv-staleread", 0, debugdet.Value},
+		{"dynokv-staleread", 0, debugdet.DebugRCSE},
+	}
+	for _, c := range cells {
+		s, err := eng.ByName(c.scenario)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := c.seed
+		if seed == 0 {
+			seed = s.DefaultSeed
+		}
+		name := fmt.Sprintf("%s-%d-%s.ddrc", c.scenario, seed, c.model)
+		t.Run(name, func(t *testing.T) {
+			rec, _, err := eng.Record(ctx, s, c.model, debugdet.Options{Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := debugdet.SaveRecording(&buf, rec); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(modelsDir, name)
+			if *update {
+				if err := os.MkdirAll(modelsDir, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			golden, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), golden) {
+				t.Fatalf("Save wrote %d bytes that differ from the %d golden ones", buf.Len(), len(golden))
+			}
+		})
+	}
 }
