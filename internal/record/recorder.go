@@ -47,12 +47,22 @@ func FullEventBytes(e *trace.Event) int { return 10 + e.Val.Size() }
 
 // Recorder persists an execution's events according to a policy. It
 // implements vm.Observer; attach it to the machine before Run.
+//
+// The full-level events are not copied as they pass: the run's trace
+// already holds each one, so the recorder keeps only which of them are
+// full, and capture projects them out of the trace (see fullOf). While
+// every event so far was full — always, under perfect determinism — that
+// is a count; from the first event that is not, the recorder keeps the
+// trace index of each full one.
 type Recorder struct {
 	policy Policy
 	cost   *vm.CostModel
 
-	full  []trace.Event
-	sched []trace.ThreadID
+	// allFull stays true while every event so far was full-level; once it
+	// is false, fullIdx holds the trace index of every full-level event.
+	allFull bool
+	fullIdx []int
+	sched   []trace.ThreadID
 
 	// schedComplete stays true while every event so far has contributed
 	// at least a schedule entry — the condition under which the schedule
@@ -68,13 +78,24 @@ type Recorder struct {
 // NewRecorder builds a recorder pricing its work against the machine's
 // cost model.
 func NewRecorder(m *vm.Machine, policy Policy) *Recorder {
-	return &Recorder{policy: policy, cost: m.Cost(), schedComplete: true}
+	return &Recorder{policy: policy, cost: m.Cost(), allFull: true, schedComplete: true}
 }
 
-// OnEvent implements vm.Observer.
+// OnEvent implements vm.Observer. The machine appends every event to its
+// trace before observers see it, so the event's trace index is the number
+// of events observed before it.
 func (r *Recorder) OnEvent(e *trace.Event) uint64 {
+	idx := int(r.events)
 	r.events++
-	switch r.policy.Level(e) {
+	level := r.policy.Level(e)
+	if level != LevelFull && r.allFull {
+		r.allFull = false
+		r.fullIdx = make([]int, r.fullCount)
+		for i := range r.fullIdx {
+			r.fullIdx[i] = i
+		}
+	}
+	switch level {
 	case LevelSkip:
 		r.schedComplete = false
 		return 0
@@ -84,13 +105,33 @@ func (r *Recorder) OnEvent(e *trace.Event) uint64 {
 		r.bytes++
 		return r.cost.RecordByteCycles
 	default: // LevelFull
-		r.full = trace.AppendEvent(r.full, *e)
+		if !r.allFull {
+			r.fullIdx = append(r.fullIdx, idx)
+		}
 		r.sched = append(r.sched, e.TID)
 		r.fullCount++
 		b := FullEventBytes(e)
 		r.bytes += int64(b) + 1
 		return r.cost.RecordCost(b)
 	}
+}
+
+// fullOf projects the full-level events out of the run's trace: the trace
+// itself when every event was full, clipped so that an append to either
+// cannot write into the other; otherwise one exact-size copy. tr must be
+// the trace of the run the recorder observed, from its first event.
+func (r *Recorder) fullOf(tr *trace.Log) []trace.Event {
+	if r.fullCount == 0 {
+		return nil
+	}
+	if r.allFull {
+		return tr.Events[:r.fullCount:r.fullCount]
+	}
+	full := make([]trace.Event, len(r.fullIdx))
+	for i, j := range r.fullIdx {
+		full[i] = tr.Events[j]
+	}
+	return full
 }
 
 // Bytes returns the recorded log volume.
@@ -141,7 +182,7 @@ func outputPolicy() Policy {
 }
 
 // Failure determinism: nothing at runtime. The failure signature is
-// extracted from the run result post-mortem (see Capture).
+// extracted from the run result post-mortem (see capture).
 func failurePolicy() Policy {
 	return PolicyFunc{N: "failure", F: func(*trace.Event) Level { return LevelSkip }}
 }

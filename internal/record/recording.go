@@ -22,7 +22,8 @@ import (
 // A Recording is plain data and may be copied, but it must not be mutated
 // after its first replay call: replays share one read-only plan derived
 // from it (see replayPlan), and its Checkpoints share the recorded machine's
-// stream histories (see vm.StreamSnap).
+// stream histories (see vm.StreamSnap). A perfect recording's Full is the
+// recorded run's trace itself (see capture).
 type Recording struct {
 	Scenario string
 	Model    Model
@@ -72,17 +73,19 @@ type Recording struct {
 	cache *planCache
 }
 
-// Capture finalizes a recording after the recorded run finished: it stores
+// capture finalizes a recording after the recorded run finished: it stores
 // the recorder's streams and the run's failure identity and overhead
-// numbers.
-func Capture(s *scenario.Scenario, view *scenario.RunView, r *Recorder, model Model, seed int64, params scenario.Params) *Recording {
+// numbers. view.Trace must be the run's trace, collected from its first
+// event: the recording's Full is projected out of it, and under perfect
+// determinism shares its array.
+func capture(s *scenario.Scenario, view *scenario.RunView, r *Recorder, model Model, seed int64, params scenario.Params) *Recording {
 	failed, sig := s.CheckFailure(view)
 	return &Recording{
 		Scenario:      s.Name,
 		Model:         model,
 		Seed:          seed,
 		Params:        params,
-		Full:          r.full,
+		Full:          r.fullOf(view.Trace),
 		Sched:         r.sched,
 		SchedComplete: r.schedComplete,
 		Streams:       view.Machine.StreamNames(),
@@ -298,5 +301,5 @@ func RecordWithPolicy(s *scenario.Scenario, model Model, factory PolicyFactory, 
 			return append(append([]vm.Observer{rec}, companions...), extra...)
 		}})
 	view.Trace.Header.Model = policy.Name()
-	return Capture(s, view, rec, model, seed, s.DefaultParams.Clone(params)), view, nil
+	return capture(s, view, rec, model, seed, s.DefaultParams.Clone(params)), view, nil
 }

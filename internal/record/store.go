@@ -99,7 +99,7 @@ func keyOf(r *Recording) planKey {
 	return k
 }
 
-// planCache is a Recording's slot for its replayPlan. Capture and Load
+// planCache is a Recording's slot for its replayPlan. capture and Load
 // allocate it and nothing reassigns it, so copying a Recording by value
 // shares the slot without racing with a replay that fills it.
 type planCache struct {
@@ -111,7 +111,7 @@ type planCache struct {
 // until the recording's events or checkpoints are replaced.
 func (r *Recording) plan() *replayPlan {
 	c := r.cache
-	if c == nil { // not from Capture or Load: nowhere to keep it
+	if c == nil { // not from capture or Load: nowhere to keep it
 		c = &planCache{}
 	}
 	c.mu.Lock()

@@ -124,8 +124,15 @@ func Segmented(s *scenario.Scenario, st flightrec.Store, o Options) (*SegmentedR
 				// starts from its own snapshot, as every segment does when
 				// each is a chunk of its own.
 				closeSession()
-				if sess, err = Seek(s, st, from, o); err == nil && sess.FromCheckpoint {
-					c.restores++
+				if sess, err = Seek(s, st, from, o); err == nil {
+					if sess.FromCheckpoint {
+						c.restores++
+					}
+					// Reserve the rest of the chunk once: each Continue
+					// below would otherwise grow the trace one interval
+					// at a time.
+					tr := sess.Machine.Trace()
+					tr.Events = trace.Reserve(tr.Events, int(infos[bound(ci+1)-1].To-from))
 				}
 			} else {
 				err = adoptBoundary(st, sess.Machine, from)

@@ -141,14 +141,19 @@ func (t Taint) String() string {
 
 // Event is one observable VM operation. Events are value types; logs are
 // slices of events.
+//
+// The fields are ordered by alignment, widest first, so that an event
+// carries no padding: a long run keeps millions of them, and every byte of
+// an event is a byte per event of every trace and full recording.
+// TestEventLayout pins the size; a new field goes where it packs.
 type Event struct {
 	Seq   uint64    // position in the global total order, starting at 0
 	Time  uint64    // virtual time (cycles) at which the op completed
-	TID   ThreadID  // thread that performed the op
-	Kind  EventKind // operation class
-	Site  SiteID    // static program location, NoSite for machine events
 	Obj   ObjID     // object acted on (see kind docs)
 	Val   Value     // payload (see kind docs)
+	TID   ThreadID  // thread that performed the op
+	Site  SiteID    // static program location, NoSite for machine events
+	Kind  EventKind // operation class
 	Taint Taint     // provenance of Val at the time of the op
 }
 

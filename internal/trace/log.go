@@ -120,24 +120,42 @@ func NewLog(h Header) *Log {
 }
 
 // Append adds an event to the log.
-func (l *Log) Append(e Event) { l.Events = AppendEvent(l.Events, e) }
+func (l *Log) Append(e Event) { l.Events = appendEvent(l.Events, e) }
 
 // growDoubleFrom is the event count from which a full log doubles instead
 // of following append's growth. Go grows large slices by about 1.25x, so a
 // log that reaches n events that way allocates, clears and copies about 5n
 // along the way; doubling costs about 2n. Logs that stay small — nearly
-// every search candidate — keep append's tighter fit.
+// every search candidate — keep append's tighter fit. Its callers are
+// Log.Append, for logs that grow one event at a time, and Reserve, for
+// runs that know their length ahead (a forced replay, a segmented chunk).
 const growDoubleFrom = 4096
 
-// AppendEvent is append for event logs that may grow long (see
+// appendEvent is append for event logs that may grow long (see
 // growDoubleFrom).
-func AppendEvent(events []Event, e Event) []Event {
+func appendEvent(events []Event, e Event) []Event {
 	if len(events) == cap(events) && len(events) >= growDoubleFrom {
-		grown := make([]Event, len(events), 2*len(events))
-		copy(grown, events)
-		events = grown
+		events = Reserve(events, 1)
 	}
 	return append(events, e)
+}
+
+// Reserve returns events with room for at least n more, reallocating only
+// when the spare capacity is short. A reallocation is exact-size — a run
+// that reserves its whole length up front ends with len == cap — except
+// that a long log never grows by less than doubling (see growDoubleFrom),
+// so repeated short reservations stay linear.
+func Reserve(events []Event, n int) []Event {
+	if cap(events)-len(events) >= n {
+		return events
+	}
+	c := len(events) + n
+	if len(events) >= growDoubleFrom {
+		c = max(c, 2*len(events))
+	}
+	grown := make([]Event, len(events), c)
+	copy(grown, events)
+	return grown
 }
 
 // Len returns the number of events.

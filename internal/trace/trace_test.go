@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func sampleLog() *Log {
@@ -339,5 +340,14 @@ func TestDecodeReservesHonestCountExactly(t *testing.T) {
 	}
 	if !EventsEqual(sized, unsized, false) || !EventsEqual(l, sized, false) {
 		t.Fatal("sized and unsized decodes differ")
+	}
+}
+
+// TestEventLayout pins an event's size: its fields are ordered so that it
+// carries no padding (see Event), and every trace and full recording holds
+// one per event.
+func TestEventLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 96 {
+		t.Fatalf("sizeof(Event) = %d, want 96: reorder the fields so a new one packs", got)
 	}
 }

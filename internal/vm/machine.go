@@ -237,8 +237,10 @@ func New(cfg Config) *Machine {
 	if cfg.CollectTrace {
 		m.tr = trace.NewLog(trace.Header{Seed: cfg.Seed})
 		m.tr.Sites = m.sites
-		// Pre-size for a typical execution so the hot loop appends
-		// without growth reallocations.
+		// Pre-size for a typical unforced execution so the hot loop
+		// appends without growth reallocations. A run under a forced
+		// schedule knows its length and reserves it in Continue instead
+		// (see reserveForced).
 		m.tr.Events = make([]trace.Event, 0, 1024)
 	}
 	return m
@@ -282,7 +284,7 @@ func (m *Machine) checkSetup(op string) {
 // once (and not combined with Start).
 func (m *Machine) Run(main func(*Thread)) *Result {
 	m.Start(main)
-	m.loop()
+	m.Continue(0)
 	return m.Finish()
 }
 
@@ -312,10 +314,28 @@ func (m *Machine) Continue(stopAt uint64) bool {
 	if m.completed || m.finished {
 		return true
 	}
+	m.reserveForced(stopAt)
 	m.pauseAt = stopAt
 	m.loop()
 	m.pauseAt = 0
 	return m.completed
+}
+
+// reserveForced sizes the trace of a run under a strict replay schedule
+// (no Fallback) before it steps: each remaining decision is one event to
+// append, up to stopAt, so the trace is allocated at that length once
+// rather than grown toward it. A run that outlives its schedule (the
+// unique-continuation rule) grows as usual past the reservation.
+func (m *Machine) reserveForced(stopAt uint64) {
+	rs, ok := m.sched.(*ReplayScheduler)
+	if !ok || rs.Fallback != nil || m.tr == nil {
+		return
+	}
+	n := uint64(len(rs.schedule) - rs.pos)
+	if stopAt > 0 {
+		n = min(n, stopAt-min(stopAt, m.seq))
+	}
+	m.tr.Events = trace.Reserve(m.tr.Events, int(n))
 }
 
 // Completed reports whether the execution is over (all threads exited or a

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"debugdet"
+	"debugdet/internal/record"
+	"debugdet/internal/trace"
 	"debugdet/sim"
 )
 
@@ -280,4 +284,121 @@ func TestDebuggerBackCostIndependentOfCheckpointSource(t *testing.T) {
 	if materialized > 2*recorded {
 		t.Fatalf("Back allocates %d bytes over materialized checkpoints, %d over recorded ones: more than 2x", materialized, recorded)
 	}
+}
+
+// sharesArray reports whether two event slices use the same backing array
+// anywhere in their capacities.
+func sharesArray(a, b []trace.Event) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	size := unsafe.Sizeof(trace.Event{})
+	a0 := uintptr(unsafe.Pointer(unsafe.SliceData(a)))
+	b0 := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return a0 < b0+uintptr(cap(b))*size && b0 < a0+uintptr(cap(a))*size
+}
+
+// TestRunEventsStoredOnce: a long run keeps one copy of its events, sized
+// to fit. A perfect recording's Full is the run's trace itself; a partial
+// one is a single exact-size projection of it; a forced replay allocates
+// its trace at the recorded length, and a seek only for its suffix.
+func TestRunEventsStoredOnce(t *testing.T) {
+	ctx := context.Background()
+	eng := debugdet.New()
+	s, rec := recordBank(t, 3100, 1024)
+
+	t.Run("perfect shares the trace", func(t *testing.T) {
+		rec, view, err := eng.Record(ctx, s, debugdet.Perfect, debugdet.Options{Params: debugdet.Params{"transfers": 100}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &rec.Full[0] != &view.Trace.Events[0] || len(rec.Full) != len(view.Trace.Events) {
+			t.Fatal("perfect recording's Full is a copy of the run's trace")
+		}
+		if cap(rec.Full) != len(rec.Full) {
+			t.Fatalf("perfect Full has cap %d for %d events", cap(rec.Full), len(rec.Full))
+		}
+	})
+
+	for _, model := range []debugdet.Model{debugdet.Value, debugdet.DebugRCSE} {
+		t.Run(model.String()+" is one exact copy", func(t *testing.T) {
+			rec, view, err := eng.Record(ctx, s, model, debugdet.Options{Params: debugdet.Params{"transfers": 100}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rec.Full) == 0 || len(rec.Full) == len(view.Trace.Events) {
+				t.Fatalf("%d of %d events full: not a partial recording", len(rec.Full), len(view.Trace.Events))
+			}
+			if cap(rec.Full) != len(rec.Full) {
+				t.Fatalf("Full has cap %d for %d events", cap(rec.Full), len(rec.Full))
+			}
+			if sharesArray(rec.Full, view.Trace.Events) {
+				t.Fatal("partial Full shares an array with the run's trace")
+			}
+		})
+	}
+
+	t.Run("full after k full events", func(t *testing.T) {
+		const k = 50
+		level := func(e *trace.Event) record.Level {
+			if e.Seq < k || e.Seq%3 == 0 {
+				return record.LevelFull
+			}
+			return record.LevelSched
+		}
+		factory := record.FactoryFor(record.PolicyFunc{N: "k-full", F: level})
+		rec, view, err := record.RecordWithPolicy(s, record.Value, factory, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []trace.Event
+		for i := range view.Trace.Events {
+			if level(&view.Trace.Events[i]) == record.LevelFull {
+				want = append(want, view.Trace.Events[i])
+			}
+		}
+		if len(want) <= k || len(want) == len(view.Trace.Events) {
+			t.Fatalf("%d of %d events full: the policy never turned partial", len(want), len(view.Trace.Events))
+		}
+		if !reflect.DeepEqual(rec.Full, want) {
+			t.Fatalf("Full holds %d events, not the trace's %d full-level ones in order", len(rec.Full), len(want))
+		}
+	})
+
+	t.Run("replay allocates the recorded length", func(t *testing.T) {
+		var buf bytes.Buffer
+		if err := debugdet.SaveRecording(&buf, rec); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := debugdet.LoadRecording(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Replay(ctx, s, loaded, debugdet.ReplayOptions{})
+		if err != nil || !res.Ok {
+			t.Fatalf("replay: ok=%v err=%v", res != nil && res.Ok, err)
+		}
+		ev := res.View.Trace.Events
+		if uint64(len(ev)) != loaded.EventCount || cap(ev) != len(ev) {
+			t.Fatalf("replayed trace has len %d, cap %d for %d recorded events", len(ev), cap(ev), loaded.EventCount)
+		}
+	})
+
+	t.Run("a seek reserves only its suffix", func(t *testing.T) {
+		target := rec.EventCount/2 + 100
+		seek := func() {
+			sess, err := eng.Seek(ctx, s, rec, target, debugdet.ReplayOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sess.FromCheckpoint || sess.Pos() != target {
+				t.Fatalf("seek landed at %d (checkpoint=%v), want %d", sess.Pos(), sess.FromCheckpoint, target)
+			}
+			sess.Close()
+		}
+		seek() // derives the recording's plan
+		if n := allocated(seek); n >= 4<<20 {
+			t.Fatalf("seek to %d of %d events allocates %d bytes, want < 4 MB", target, rec.EventCount, n)
+		}
+	})
 }
