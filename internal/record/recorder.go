@@ -50,16 +50,14 @@ func FullEventBytes(e *trace.Event) int { return 10 + e.Val.Size() }
 //
 // The full-level events are not copied as they pass: the run's trace
 // already holds each one, so the recorder keeps only which of them are
-// full, and capture projects them out of the trace (see fullOf). While
-// every event so far was full — always, under perfect determinism — that
-// is a count; from the first event that is not, the recorder keeps the
-// trace index of each full one.
+// full, and capture projects them out of the trace (see fullOf).
 type Recorder struct {
 	policy Policy
 	cost   *vm.CostModel
 
-	// allFull stays true while every event so far was full-level; once it
-	// is false, fullIdx holds the trace index of every full-level event.
+	// allFull stays true while every event so far was full-level (always,
+	// under perfect determinism); once it is false, fullIdx holds the
+	// trace index of every full-level event.
 	allFull bool
 	fullIdx []int
 	sched   []trace.ThreadID
