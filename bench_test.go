@@ -528,3 +528,22 @@ func BenchmarkForkedSearch(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSearchCandidates measures what a search allocates per candidate
+// it rejects: a 200-candidate output search over bank (no schedule or
+// input forced) for output on a stream bank never writes, on one worker. The first
+// candidate allocates the trace array and every rejected one hands it on
+// (infer.Forker.Discard), so B/op is per-candidate machine state, not 200
+// traces.
+func BenchmarkSearchCandidates(b *testing.B) {
+	s := workload.Bank()
+	reject := func(v *scenario.RunView) bool { return len(v.Result.Outputs["never"]) > 0 }
+	opts := infer.Options{Budget: 200, BaseSeed: 7, Workers: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		out := infer.Search(s, reject, opts)
+		if out.Ok || out.Err != nil || out.Attempts != opts.Budget {
+			b.Fatalf("ok=%v err=%v attempts=%d, want %d rejections", out.Ok, out.Err, out.Attempts, opts.Budget)
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package infer
 
 import (
+	"sync"
+
 	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
@@ -67,10 +69,17 @@ const maxForkPaths = 8
 // Freeze first, after which concurrent Runs share the forest read-only. A
 // Forker frozen before its first Run never prunes: it is the from-scratch
 // runner.
+//
+// A candidate's trace array is allocated once per concurrent run, not once
+// per candidate: Discard hands a rejected view's array back to the spare
+// list, and the next Run appends its trace into it.
 type Forker struct {
 	cfg    ForkerConfig
 	grow   bool
 	forest []*forkPath
+
+	mu    sync.Mutex
+	spare [][]trace.Event
 }
 
 // NewForker returns a forker with an empty forest.
@@ -111,7 +120,7 @@ func (f *Forker) Run(c Candidate) (view *scenario.RunView, steps, cycles uint64)
 		return reuseView(p, c.Seed), 0, 0
 	}
 	insert := f.grow && len(f.forest) < maxForkPaths
-	view = f.cfg.Scenario.Exec(scenario.ExecOptions{
+	view = scenario.ExecInto(f.cfg.Scenario, scenario.ExecOptions{
 		Seed:      c.Seed,
 		Params:    c.Params,
 		Scheduler: c.Scheduler(),
@@ -119,7 +128,7 @@ func (f *Forker) Run(c Candidate) (view *scenario.RunView, steps, cycles uint64)
 		MaxSteps:  f.cfg.MaxSteps,
 		RelaxTime: f.cfg.RelaxTime,
 		LogRounds: insert,
-	})
+	}, f.takeSpare())
 	if insert {
 		f.forest = append(f.forest, &forkPath{
 			params:  pEff,
@@ -129,6 +138,50 @@ func (f *Forker) Run(c Candidate) (view *scenario.RunView, steps, cycles uint64)
 		})
 	}
 	return view, view.Result.Steps, view.Result.Cycles
+}
+
+// Discard declares a view Run returned dead: the caller (a search that
+// rejected the candidate) keeps no reference to it or its trace. The
+// view's trace array goes back to the spare list for the next Run, cleared
+// so it pins nothing the events pointed to, unless the forest shares it —
+// a retained path's own view and every view pruned against it read the
+// path's events. The view's Trace.Events is nil afterwards, so a caller
+// that breaks the contract reads nothing rather than a later candidate's
+// events.
+func (f *Forker) Discard(v *scenario.RunView) {
+	events := v.Trace.Events
+	if cap(events) == 0 {
+		return
+	}
+	for _, p := range f.forest {
+		if sameArray(p.view.Trace.Events, events) {
+			if v.Trace != p.view.Trace {
+				v.Trace.Events = nil
+			}
+			return
+		}
+	}
+	clear(events)
+	v.Trace.Events = nil
+	f.mu.Lock()
+	f.spare = append(f.spare, events[:0])
+	f.mu.Unlock()
+}
+
+// takeSpare returns a discarded trace array, or nil when none is spare.
+func (f *Forker) takeSpare() (events []trace.Event) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if n := len(f.spare); n > 0 {
+		events, f.spare = f.spare[n-1], f.spare[:n-1]
+	}
+	return events
+}
+
+// sameArray reports whether two event slices start at the same element of
+// one backing array.
+func sameArray(a, b []trace.Event) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
 }
 
 // agrees returns the oldest retained path with the candidate's effective

@@ -351,3 +351,66 @@ func TestForkedRunIsAllOrNothing(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestSearchReusesRejectedTraces pins the trace reuse behind Discard: a
+// search that rejects every candidate allocates one trace array per
+// candidate in flight, not one per candidate. Sequentially that is one
+// array; with Fork, one more per retained path, whose arrays the forest
+// keeps; with two workers, at most par.Ordered's window (16 per worker)
+// plus the two running. Every view but the forest's has Trace.Events nil
+// once rejected, and every forest view still equals a from-scratch
+// execution of its candidate: reuse never hands a retained array on.
+func TestSearchReusesRejectedTraces(t *testing.T) {
+	s := workload.Bank()
+	cases := map[string]struct {
+		opts      Options
+		maxArrays int // -1: exactly one more than the forest
+	}{
+		"sequential": {Options{Budget: 60, BaseSeed: 3, Workers: 1}, 1},
+		"forked":     {Options{Budget: 60, BaseSeed: 3, Workers: 1, Fork: true}, -1},
+		"workers=2":  {Options{Budget: 60, BaseSeed: 3, Workers: 2}, 34},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			arrays := make(map[*trace.Event]bool)
+			var views []*scenario.RunView
+			out := Search(s, func(v *scenario.RunView) bool {
+				arrays[&v.Trace.Events[0]] = true
+				views = append(views, v)
+				return false
+			}, tc.opts)
+			if out.Ok || out.Attempts != tc.opts.Budget {
+				t.Fatalf("ok=%v attempts=%d, want every one of %d candidates rejected", out.Ok, out.Attempts, tc.opts.Budget)
+			}
+			bound := tc.maxArrays
+			if bound < 0 {
+				bound = 1 + maxForkPaths
+			}
+			if len(arrays) > bound {
+				t.Fatalf("%d rejected candidates used %d distinct trace arrays, want at most %d",
+					out.Attempts, len(arrays), bound)
+			}
+			var forest []*scenario.RunView
+			for _, v := range views {
+				if v.Trace.Events != nil {
+					forest = append(forest, v)
+				}
+			}
+			if tc.maxArrays >= 0 && len(forest) != 0 {
+				t.Fatalf("%d rejected views kept their events without a forest", len(forest))
+			}
+			if tc.maxArrays < 0 && (len(forest) == 0 || len(arrays) != 1+len(forest)) {
+				t.Fatalf("%d distinct trace arrays with %d forest paths, want one more than the forest",
+					len(arrays), len(forest))
+			}
+			full := s.DefaultParams.Clone(tc.opts.Params)
+			for _, v := range forest {
+				c := planCandidate(s, tc.opts, paramTry{p: full, idx: int(v.Trace.Header.Seed - tc.opts.BaseSeed)})
+				scratch := s.Exec(scenario.ExecOptions{Seed: c.Seed, Params: c.Params, Scheduler: c.Scheduler(), Inputs: c.Inputs()})
+				if err := runDiff(v, scratch); err != nil {
+					t.Fatalf("forest view of candidate %d: %v", c.Seed, err)
+				}
+			}
+		})
+	}
+}

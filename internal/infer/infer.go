@@ -205,6 +205,10 @@ func prioritize(plan []paramTry, o Options) []paramTry {
 // Attempts/WorkCycles/WorkSteps count exactly the candidates at or before
 // it. Candidates executed speculatively beyond the accepted index are
 // discarded unobserved.
+//
+// A rejected candidate's trace array backs a later candidate's trace (see
+// Forker.Discard), so accept must not retain a view it rejects, nor its
+// trace; the accepted view is the caller's to keep.
 func Search(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options) *Outcome {
 	if err := o.Validate(); err != nil {
 		return &Outcome{Err: err, Note: "invalid options"}
@@ -264,6 +268,7 @@ func Search(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options
 			out.Note = fmt.Sprintf("%s attempt %d", pt.note, pt.idx)
 			return out
 		}
+		f.Discard(r.view)
 	}
 	if out.Attempts < len(plan) {
 		out.Err = o.Ctx.Err()

@@ -58,6 +58,24 @@ func TestOrderedPreservesOrder(t *testing.T) {
 	}
 }
 
+// TestWorkersIgnoresGOMAXPROCS pins that an explicit worker count survives
+// a host with fewer Ps: only 0 reads GOMAXPROCS, and only n clamps. A
+// forked search picks its forest policy from the resolved count, so a
+// clamp would make its WorkSteps depend on the host.
+func TestWorkersIgnoresGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, tc := range []struct{ workers, n, want int }{
+		{0, 100, 1},
+		{2, 100, 2},
+		{8, 100, 8},
+		{8, 3, 3},
+	} {
+		if got := Workers(tc.workers, tc.n); got != tc.want {
+			t.Errorf("GOMAXPROCS=1: Workers(%d, %d) = %d, want %d", tc.workers, tc.n, got, tc.want)
+		}
+	}
+}
+
 // TestOrderedInlineIsLazy pins the sequential reference: with one worker
 // fn(i+1) is not entered before the consumer's body for i has returned, and
 // it runs on the consumer's goroutine (the unsynchronized counter is the

@@ -188,6 +188,11 @@ func replayRCSE(s *scenario.Scenario, rec *record.Recording, o Options) *Result 
 			res.Note = "replay canceled"
 			return res
 		}
+		if res.View != nil {
+			// The failed try's trace array backs this one; a canceled
+			// replay returns before, keeping the last try as its view.
+			forker.Discard(res.View)
+		}
 		searchSeed := o.SearchSeed + int64(i)
 		view, steps, cycles := forker.Run(infer.Candidate{
 			Seed:      rec.Seed,

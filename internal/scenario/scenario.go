@@ -90,7 +90,9 @@ type FailureSpec struct {
 	// Check inspects a finished run. failed reports whether the failure
 	// occurred; signature is the failure class identity (what a bug
 	// report would contain: same signature = same failure). The
-	// signature must be "" when failed is false.
+	// signature must be "" when failed is false. A search calls it on
+	// candidates it may reject, whose trace array the next candidate
+	// reuses: Check must not retain v or its trace.
 	Check func(v *RunView) (failed bool, signature string)
 }
 
@@ -102,7 +104,9 @@ type RootCause struct {
 	ID string
 	// Description explains the cause in the terms a developer would use.
 	Description string
-	// Present reports whether this root cause occurred in the run.
+	// Present reports whether this root cause occurred in the run. Like
+	// FailureSpec.Check it sees search candidates: it must not retain v
+	// or its trace.
 	Present func(v *RunView) bool
 }
 
@@ -201,10 +205,11 @@ type ExecOptions struct {
 	LogRounds bool
 }
 
-// Exec, Start and Restore are the launcher: the one place outside the vm
-// package that assembles a vm.Config, builds the scenario's program on a
-// machine, attaches observers and starts it. Every recorder, replayer and
-// search in the repository launches its machines through one of the three.
+// Exec (with ExecInto), Start and Restore are the launcher: the one place
+// outside the vm package that assembles a vm.Config, builds the scenario's
+// program on a machine, attaches observers and starts it. Every recorder,
+// replayer and search in the repository launches its machines through one
+// of the three.
 
 // config resolves the options into the machine configuration and the
 // effective build parameters.
@@ -272,8 +277,17 @@ func (s *Scenario) Restore(o ExecOptions, snap *vm.Snapshot, feeds [][]vm.FeedEn
 }
 
 // Exec builds and runs the scenario once, returning the finished view.
-func (s *Scenario) Exec(o ExecOptions) *RunView {
+func (s *Scenario) Exec(o ExecOptions) *RunView { return ExecInto(s, o, nil) }
+
+// ExecInto is Exec with the run's trace appended into events[:0], so a
+// caller that is done with an earlier run's trace (a search rejecting a
+// candidate) can lend its array to the next run. The view's trace may
+// outgrow events; nil events is Exec.
+func ExecInto(s *Scenario, o ExecOptions, events []trace.Event) *RunView {
 	m, p := s.start(o)
+	if tr := m.Trace(); tr != nil {
+		tr.Events = events[:0]
+	}
 	m.Continue(0)
 	res := m.Finish()
 	if res.Trace != nil {

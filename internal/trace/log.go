@@ -125,10 +125,11 @@ func (l *Log) Append(e Event) { l.Events = appendEvent(l.Events, e) }
 // growDoubleFrom is the event count from which a full log doubles instead
 // of following append's growth. Go grows large slices by about 1.25x, so a
 // log that reaches n events that way allocates, clears and copies about 5n
-// along the way; doubling costs about 2n. Logs that stay small — nearly
-// every search candidate — keep append's tighter fit. Its callers are
-// Log.Append, for logs that grow one event at a time, and Reserve, for
-// runs that know their length ahead (a forced replay, a segmented chunk).
+// along the way; doubling costs about 2n. Below it, a log that outgrows
+// the capacity its machine started it with (1024 events for an unforced
+// run, or a rejected search candidate's array handed on) keeps append's
+// tighter fit. Runs that know their length ahead (a forced replay, a
+// segmented chunk) size their logs through Reserve instead.
 const growDoubleFrom = 4096
 
 // appendEvent is append for event logs that may grow long (see
@@ -143,17 +144,13 @@ func appendEvent(events []Event, e Event) []Event {
 // Reserve returns events with room for at least n more, reallocating only
 // when the spare capacity is short. A reallocation is exact-size — a run
 // that reserves its whole length up front ends with len == cap — except
-// that a long log never grows by less than doubling (see growDoubleFrom),
-// so repeated short reservations stay linear.
+// that a log never grows by less than doubling, so repeated short
+// reservations (a debugger stepping one event per Continue) stay linear.
 func Reserve(events []Event, n int) []Event {
 	if cap(events)-len(events) >= n {
 		return events
 	}
-	c := len(events) + n
-	if len(events) >= growDoubleFrom {
-		c = max(c, 2*len(events))
-	}
-	grown := make([]Event, len(events), c)
+	grown := make([]Event, len(events), max(len(events)+n, 2*len(events)))
 	copy(grown, events)
 	return grown
 }

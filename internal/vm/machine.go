@@ -237,11 +237,8 @@ func New(cfg Config) *Machine {
 	if cfg.CollectTrace {
 		m.tr = trace.NewLog(trace.Header{Seed: cfg.Seed})
 		m.tr.Sites = m.sites
-		// Pre-size for a typical unforced execution so the hot loop
-		// appends without growth reallocations. A run under a forced
-		// schedule knows its length and reserves it in Continue instead
-		// (see reserveForced).
-		m.tr.Events = make([]trace.Event, 0, 1024)
+		// The trace is sized in Continue (see reserve), so an array the
+		// launcher installs before the first Continue is used as it is.
 	}
 	return m
 }
@@ -266,7 +263,8 @@ func (m *Machine) Seed() int64 { return m.cfg.Seed }
 
 // Trace returns the oracle trace collected so far (nil when
 // Config.CollectTrace is false). Read it only while the machine is paused
-// or finished.
+// or finished. Before the first Continue a launcher may install the array
+// the run appends into: Trace().Events = spare[:0] (see reserve).
 func (m *Machine) Trace() *trace.Log { return m.tr }
 
 // Attach registers an observer. Observers run in attach order on every
@@ -314,21 +312,31 @@ func (m *Machine) Continue(stopAt uint64) bool {
 	if m.completed || m.finished {
 		return true
 	}
-	m.reserveForced(stopAt)
+	m.reserve(stopAt)
 	m.pauseAt = stopAt
 	m.loop()
 	m.pauseAt = 0
 	return m.completed
 }
 
-// reserveForced sizes the trace of a run under a strict replay schedule
-// (no Fallback) before it steps: each remaining decision is one event to
-// append, up to stopAt, so the trace is allocated at that length once
-// rather than grown toward it. A run that outlives its schedule (the
-// unique-continuation rule) grows as usual past the reservation.
-func (m *Machine) reserveForced(stopAt uint64) {
+// reserve sizes the trace before the machine steps, the one place a trace
+// is sized ahead of its events. Under a strict replay schedule (no
+// Fallback) each remaining decision is one event to append, up to stopAt,
+// so the trace is allocated at that length once rather than grown toward
+// it; a run that outlives its schedule (the unique-continuation rule)
+// grows as usual past the reservation. Any other run that has no trace
+// capacity yet gets 1024 events, enough for a typical execution to append
+// without growth reallocations; an installed array (a search reusing a
+// rejected candidate's, see Trace) is used as it is.
+func (m *Machine) reserve(stopAt uint64) {
+	if m.tr == nil {
+		return
+	}
 	rs, ok := m.sched.(*ReplayScheduler)
-	if !ok || rs.Fallback != nil || m.tr == nil {
+	if !ok || rs.Fallback != nil {
+		if cap(m.tr.Events) == 0 {
+			m.tr.Events = trace.Reserve(m.tr.Events, 1024)
+		}
 		return
 	}
 	n := uint64(len(rs.schedule) - rs.pos)

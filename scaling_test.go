@@ -286,6 +286,35 @@ func TestDebuggerBackCostIndependentOfCheckpointSource(t *testing.T) {
 	}
 }
 
+// TestDebuggerStepsGrowTheTraceByDoubling: single steps forward from a
+// checkpoint grow the session's trace by doubling, not by one event per
+// step. Each Step is a Continue under the forced schedule, which reserves
+// one more event; an exact-size reallocation per step made 3000 steps
+// copy about 400 MB.
+func TestDebuggerStepsGrowTheTraceByDoubling(t *testing.T) {
+	s, rec := recordBank(t, 3100, 4096)
+	d, err := debugdet.New().Debug(context.Background(), s, rec, debugdet.DebugOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.SeekTo(4096); err != nil {
+		t.Fatal(err)
+	}
+	const steps = 3000
+	n := allocated(func() {
+		for range steps {
+			if err := d.Step(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	t.Logf("%d single steps from the checkpoint at 4096 allocate %d bytes", steps, n)
+	if n >= 4<<20 {
+		t.Fatalf("%d single steps allocate %d bytes, want < 4 MB", steps, n)
+	}
+}
+
 // sharesArray reports whether two event slices use the same backing array
 // anywhere in their capacities.
 func sharesArray(a, b []trace.Event) bool {
