@@ -1,6 +1,7 @@
 package debugdet
 
 import (
+	"context"
 	"io"
 
 	"debugdet/internal/core"
@@ -105,15 +106,8 @@ func ParseModel(name string) (Model, error) { return record.ParseModel(name) }
 // (the healthy build) over the given parameter overrides, exactly like
 // Options.RCSE.InvariantTrigger does inside Evaluate.
 func TrainInvariants(s *Scenario, seeds []int64, params Params) *InvariantSet {
-	inf := invariant.NewInferencer()
-	train := params.Clone(s.TrainingParams)
-	for _, seed := range seeds {
-		v := s.Exec(scen.ExecOptions{Seed: seed, Params: train})
-		if v.Trace != nil {
-			inf.AddTrace(v.Trace)
-		}
-	}
-	return inf.Infer()
+	set, _ := core.TrainInvariants(context.Background(), s, seeds, params)
+	return set // a background context never cancels
 }
 
 // SaveRecording writes a recording in the binary format.

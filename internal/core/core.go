@@ -20,7 +20,6 @@ import (
 	"debugdet/internal/checkpoint"
 	"debugdet/internal/flightrec"
 	"debugdet/internal/invariant"
-	"debugdet/internal/lint/sites"
 	"debugdet/internal/metrics"
 	"debugdet/internal/plane"
 	"debugdet/internal/rcse"
@@ -43,13 +42,6 @@ type RCSEOptions struct {
 	// monitor (§3.1.2).
 	InvariantTrigger bool
 }
-
-// The RCSE preparation's fixed parameters.
-const (
-	raceSampleRate = 4    // the race detector samples one access in this many
-	trainingRuns   = 3    // healthy executions the invariants are trained on
-	quietPeriod    = 2000 // quiet events after which a fired trigger dials down
-)
 
 // Options parameterizes one evaluation.
 type Options struct {
@@ -99,11 +91,6 @@ type Options struct {
 	// on-disk retention cap. Only RecordStreaming reads it; Record and
 	// Evaluate build monolithic recordings and ignore it.
 	FlightRecorder *flightrec.Options
-	// Suspects are statically implicated lock-order inversions (detlint's
-	// lockorder analysis via sites.Triage). They seed failure-determinism
-	// replay search (PCT candidates first; see infer.Options.Suspects)
-	// and arm the RCSE suspect selector for debug-determinism recordings.
-	Suspects []sites.Suspect
 
 	// profileSeed drives the RCSE profiling and training runs: Seed + 101,
 	// taken by withDefaults before a zero Seed is resolved to the
@@ -139,7 +126,6 @@ func (o Options) replayOptions() replay.Options {
 		ShrinkParams: o.ShrinkParams,
 		MaxSteps:     o.MaxSteps,
 		Workers:      o.Workers,
-		Suspects:     o.Suspects,
 		Fork:         o.ForkReplay,
 	}
 }
@@ -337,11 +323,7 @@ func Evaluate(s *scenario.Scenario, model record.Model, o Options) (*Evaluation,
 // machine.
 func PrepareRCSE(s *scenario.Scenario, o Options) (rcse.Config, error) {
 	o = o.withDefaults()
-	cfg := rcse.Config{
-		ControlStreams: s.ControlStreams,
-		QuietPeriod:    quietPeriod,
-		Suspects:       o.Suspects,
-	}
+	cfg := rcse.Config{ControlStreams: s.ControlStreams, Race: o.RCSE.RaceTrigger}
 	if !o.RCSE.DisableCodeSelection {
 		if err := o.Ctx.Err(); err != nil {
 			return cfg, err
@@ -352,24 +334,32 @@ func PrepareRCSE(s *scenario.Scenario, o Options) (rcse.Config, error) {
 		}
 		cfg.Classification = plane.ClassifyTrace(prof.Trace, plane.Options{})
 	}
-	if o.RCSE.RaceTrigger {
-		cfg.RaceSampleRate = raceSampleRate
-		cfg.RaceCheckCost = 2
-	}
 	if o.RCSE.InvariantTrigger {
-		inf := invariant.NewInferencer()
-		trainParams := s.DefaultParams.Clone(o.Params).Clone(s.TrainingParams)
-		for i := 0; i < trainingRuns; i++ {
-			if err := o.Ctx.Err(); err != nil {
-				return cfg, err
-			}
-			v := s.Exec(scenario.ExecOptions{Seed: o.profileSeed + 1 + int64(i), Params: trainParams})
-			if v.Trace != nil {
-				inf.AddTrace(v.Trace)
-			}
+		seeds := []int64{o.profileSeed + 1, o.profileSeed + 2, o.profileSeed + 3}
+		set, err := TrainInvariants(o.Ctx, s, seeds, o.Params)
+		if err != nil {
+			return cfg, err
 		}
-		cfg.Invariants = inf.Infer()
-		cfg.InvariantCost = 2
+		cfg.Invariants = set
 	}
 	return cfg, nil
+}
+
+// TrainInvariants learns likely invariants from healthy executions of the
+// scenario, one per seed: the training step of the data-based RCSE
+// selector (§3.1.2). The runs use the scenario's TrainingParams (the
+// healthy build) over the given parameter overrides. ctx is checked
+// before each run.
+func TrainInvariants(ctx context.Context, s *scenario.Scenario, seeds []int64, params scenario.Params) (*invariant.Set, error) {
+	inf := invariant.NewInferencer()
+	train := params.Clone(s.TrainingParams)
+	for _, seed := range seeds {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if v := s.Exec(scenario.ExecOptions{Seed: seed, Params: train}); v.Trace != nil {
+			inf.AddTrace(v.Trace)
+		}
+	}
+	return inf.Infer(), nil
 }

@@ -503,24 +503,28 @@ type TrigRow struct {
 	InvFires   int
 }
 
+// trigConfigs are T-TRIG's RCSE configurations. Every one records the
+// declared control streams (rcse.StreamSelector); streams-only records
+// nothing else beyond the schedule.
+var trigConfigs = []struct {
+	name string
+	opts core.RCSEOptions
+}{
+	{"streams-only", core.RCSEOptions{DisableCodeSelection: true}},
+	{"code-only", core.RCSEOptions{}},
+	{"code+race", core.RCSEOptions{RaceTrigger: true}},
+	{"code+invariant", core.RCSEOptions{InvariantTrigger: true}},
+	{"race-only", core.RCSEOptions{DisableCodeSelection: true, RaceTrigger: true}},
+	{"code+race+inv", core.RCSEOptions{RaceTrigger: true, InvariantTrigger: true}},
+}
+
 // TableTriggers runs the §3.1.3 ablation: each RCSE heuristic alone and
 // combined, on the scenarios that exercise it.
 func TableTriggers(o Options) ([]TrigRow, error) {
 	o = o.withDefaults()
-	type cfg struct {
-		name string
-		opts core.RCSEOptions
-	}
-	cfgs := []cfg{
-		{"code-only", core.RCSEOptions{}},
-		{"code+race", core.RCSEOptions{RaceTrigger: true}},
-		{"code+invariant", core.RCSEOptions{InvariantTrigger: true}},
-		{"race-only", core.RCSEOptions{DisableCodeSelection: true, RaceTrigger: true}},
-		{"code+race+inv", core.RCSEOptions{RaceTrigger: true, InvariantTrigger: true}},
-	}
 	scenarios := []string{"hyperkv-dataloss", "msgdrop", "bank"}
-	return grid(o, len(scenarios)*len(cfgs), func(i int) (TrigRow, error) {
-		name, c := scenarios[i/len(cfgs)], cfgs[i%len(cfgs)]
+	return grid(o, len(scenarios)*len(trigConfigs), func(i int) (TrigRow, error) {
+		name, c := scenarios[i/len(trigConfigs)], trigConfigs[i%len(trigConfigs)]
 		s, err := workload.ByName(name)
 		if err != nil {
 			return TrigRow{}, err

@@ -1,10 +1,13 @@
 package eval
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"debugdet/internal/core"
 	"debugdet/internal/record"
+	"debugdet/internal/workload"
 )
 
 // small keeps evaluation tests quick; qualitative outcomes are unaffected
@@ -249,11 +252,27 @@ func TestTableTriggersAblation(t *testing.T) {
 	for _, r := range rows {
 		byKey[r.Scenario+"/"+r.Config] = r
 	}
-	// Code-based selection alone keeps the Hypertable bug's fidelity at 1
-	// with the smallest log.
+	// The declared control streams alone keep every scenario's fidelity
+	// at 1 with the smallest log: they are what the replayer forces.
+	for _, name := range []string{"hyperkv-dataloss", "msgdrop", "bank"} {
+		streams := byKey[name+"/streams-only"]
+		if streams.DF != 1 {
+			t.Fatalf("%s streams-only DF = %v", name, streams.DF)
+		}
+		for _, r := range rows {
+			if r.Scenario == name && r.Config != "streams-only" && r.LogBytes <= streams.LogBytes {
+				t.Fatalf("%s %s log %d B <= streams-only log %d B", name, r.Config, r.LogBytes, streams.LogBytes)
+			}
+		}
+	}
 	codeOnly := byKey["hyperkv-dataloss/code-only"]
 	if codeOnly.DF != 1 {
 		t.Fatalf("code-only DF = %v", codeOnly.DF)
+	}
+	// Without code selection the race trigger still records the streams
+	// the replayer forces, so the Hypertable bug reproduces.
+	if raceOnly := byKey["hyperkv-dataloss/race-only"]; raceOnly.DF != 1 {
+		t.Fatalf("hyperkv race-only DF = %v", raceOnly.DF)
 	}
 	// Adding the race trigger grows the log (it fires on the injected
 	// race) but never hurts fidelity.
@@ -274,5 +293,28 @@ func TestTableTriggersAblation(t *testing.T) {
 	}
 	if txt := RenderTableTriggers(rows); !strings.Contains(txt, "code-only") {
 		t.Fatal("trigger table rendering broken")
+	}
+}
+
+// TestRCSERecordsEveryDeclaredStream pins the stream rule RCSE replay
+// relies on: under every T-TRIG configuration, code selection on or off,
+// a debug-rcse recording holds each declared control stream the
+// production run drew from, complete and in order.
+func TestRCSERecordsEveryDeclaredStream(t *testing.T) {
+	for _, s := range workload.All() {
+		for _, c := range trigConfigs {
+			rec, orig, _, err := core.RecordOnly(s, record.DebugRCSE, core.Options{RCSE: c.opts})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", s.Name, c.name, err)
+			}
+			recorded := rec.InputsByStream()
+			for _, cs := range s.ControlStreams {
+				used := orig.Result.InputsUsed[cs]
+				if len(used) > 0 && !reflect.DeepEqual(recorded[cs], used) {
+					t.Errorf("%s/%s: stream %s recorded %d of %d inputs (or out of order)",
+						s.Name, c.name, cs, len(recorded[cs]), len(used))
+				}
+			}
+		}
 	}
 }

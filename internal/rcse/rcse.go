@@ -12,15 +12,15 @@
 //   - data-based selection (§3.1.2): an invariant monitor watches probe
 //     points; a violation signals a likely error path and dials fidelity
 //     up from that point on;
-//   - combined code/data triggers (§3.1.3): runtime predicates — a
-//     low-overhead race detector, request-size thresholds, or custom
-//     potential-bug detectors — fire a dial-up; after a quiet period with
-//     no trigger activity, fidelity dials back down.
+//   - combined code/data triggers (§3.1.3): a low-overhead race detector
+//     fires a dial-up; after a quiet period with no trigger activity,
+//     fidelity dials back down.
 //
 // A Policy combines any set of selectors by taking the maximum demanded
-// level per event, plus the baseline thread-schedule stream that RCSE
-// always keeps (§4: "recording just the data on control-plane channels and
-// the thread schedule").
+// level per event, over the baseline thread-schedule stream that RCSE
+// always keeps. Config.Build always adds the StreamSelector as well, so
+// every recording holds what the RCSE replayer forces (§4: "recording
+// just the data on control-plane channels and the thread schedule").
 //
 // Replaying an RCSE recording re-synthesizes the unrecorded data plane by
 // search (replay.Replay, model debug-rcse). Because every candidate in
@@ -32,7 +32,6 @@ package rcse
 
 import (
 	"debugdet/internal/invariant"
-	"debugdet/internal/lint/sites"
 	"debugdet/internal/plane"
 	"debugdet/internal/race"
 	"debugdet/internal/record"
@@ -40,10 +39,17 @@ import (
 	"debugdet/internal/vm"
 )
 
+// The armed detectors' fixed parameters.
+const (
+	raceSampleRate = 4    // the race detector samples one access in this many
+	raceCheckCost  = 2    // cycles charged per sampled race check
+	invariantCost  = 2    // cycles charged per monitored probe
+	quietPeriod    = 2000 // quiet events after which a fired trigger dials down
+)
+
 // Selector demands a fidelity level per event. Selectors may keep state
 // (triggers dial up and down as the execution proceeds).
 type Selector interface {
-	Name() string
 	Demand(e *trace.Event) record.Level
 }
 
@@ -73,71 +79,34 @@ func (p *Policy) Level(e *trace.Event) record.Level {
 	return level
 }
 
-// SuspectSelector records at full fidelity around statically implicated
-// lock-order suspects (detlint's lockorder analysis via sites.Triage):
-// every event at a suspect acquisition site, and every lock/unlock of a
-// suspect mutex. Site and mutex IDs are stable across runs of a scenario
-// at fixed parameters — workloads register both deterministically — which
-// is what lets a triage run's suspects select in a later recording run.
-type SuspectSelector struct {
-	siteSet map[trace.SiteID]bool
-	objSet  map[trace.ObjID]bool
-}
-
-// NewSuspectSelector builds the selector from triaged suspects.
-func NewSuspectSelector(suspects []sites.Suspect) *SuspectSelector {
-	s := &SuspectSelector{
-		siteSet: make(map[trace.SiteID]bool),
-		objSet:  make(map[trace.ObjID]bool),
-	}
-	for _, sp := range suspects {
-		for _, id := range sp.Sites {
-			s.siteSet[id] = true
-		}
-		for _, id := range sp.Objs {
-			s.objSet[id] = true
-		}
-	}
-	return s
-}
-
-// Name implements Selector.
-func (s *SuspectSelector) Name() string { return "suspects" }
+// StreamSelector records every input drawn from the declared control
+// streams (routing metadata and other control inputs) in full. The RCSE
+// replayer forces exactly these streams and the schedule, so Config.Build
+// arms it whatever else is selected.
+type StreamSelector map[trace.ObjID]bool
 
 // Demand implements Selector.
-func (s *SuspectSelector) Demand(e *trace.Event) record.Level {
-	if s.siteSet[e.Site] {
-		return record.LevelFull
-	}
-	if (e.Kind == trace.EvLock || e.Kind == trace.EvUnlock) && s.objSet[e.Obj] {
+func (s StreamSelector) Demand(e *trace.Event) record.Level {
+	if e.Kind == trace.EvInput && s[e.Obj] {
 		return record.LevelFull
 	}
 	return record.LevelSkip
 }
 
 // CodeSelector implements code-based selection over a plane
-// classification: full fidelity for control-plane sites and for the
-// declared control input streams, schedule-only elsewhere.
+// classification: full fidelity for control-plane sites and terminal
+// events, schedule-only elsewhere.
 type CodeSelector struct {
 	classification *plane.Classification
-	controlStreams map[trace.ObjID]bool
 }
 
-// NewCodeSelector builds the selector. controlStreams are the stream
-// object IDs whose inputs must always be recorded (routing metadata and
-// other control inputs), independent of site classification.
-func NewCodeSelector(c *plane.Classification, controlStreams map[trace.ObjID]bool) *CodeSelector {
-	return &CodeSelector{classification: c, controlStreams: controlStreams}
+// NewCodeSelector builds the selector.
+func NewCodeSelector(c *plane.Classification) *CodeSelector {
+	return &CodeSelector{classification: c}
 }
-
-// Name implements Selector.
-func (s *CodeSelector) Name() string { return "code" }
 
 // Demand implements Selector.
 func (s *CodeSelector) Demand(e *trace.Event) record.Level {
-	if e.Kind == trace.EvInput && s.controlStreams[e.Obj] {
-		return record.LevelFull
-	}
 	if e.Kind.IsTerminal() {
 		return record.LevelFull
 	}
@@ -148,29 +117,23 @@ func (s *CodeSelector) Demand(e *trace.Event) record.Level {
 }
 
 // Trigger is a stateful dial-up/dial-down selector. External detectors
-// (race detector, invariant monitor, threshold watchers) call Fire; from
-// that point every event is recorded fully until QuietPeriod events pass
-// without another firing, at which point fidelity dials back down
-// (§3.1.3's "dialing down recording fidelity is also important").
+// (race detector, invariant monitor) call Fire; from that point every
+// event is recorded fully until the quiet period passes without another
+// firing, at which point fidelity dials back down (§3.1.3's "dialing down
+// recording fidelity is also important").
 type Trigger struct {
-	// QuietPeriod is the number of events after the last firing at which
-	// the trigger disarms. 0 means it stays up forever once fired.
-	QuietPeriod uint64
-
-	name     string
+	quiet    uint64 // 0 keeps a fired trigger up forever
 	dialed   bool
 	lastFire uint64
 	lastSeq  uint64
 	firings  int
 }
 
-// NewTrigger returns a named trigger.
-func NewTrigger(name string, quietPeriod uint64) *Trigger {
-	return &Trigger{name: name, QuietPeriod: quietPeriod}
+// NewTrigger returns a trigger that disarms quietPeriod events after its
+// last firing; 0 means it stays up forever once fired.
+func NewTrigger(quietPeriod uint64) *Trigger {
+	return &Trigger{quiet: quietPeriod}
 }
-
-// Name implements Selector.
-func (t *Trigger) Name() string { return t.name }
 
 // Fire dials recording fidelity up. Safe to call from detector callbacks
 // mid-event; the elevated level applies from the next event onward.
@@ -183,44 +146,17 @@ func (t *Trigger) Fire() {
 // Fired reports how many times the trigger fired.
 func (t *Trigger) Fired() int { return t.firings }
 
-// DialedUp reports whether the trigger is currently demanding full
-// fidelity.
-func (t *Trigger) DialedUp() bool { return t.dialed }
-
 // Demand implements Selector.
 func (t *Trigger) Demand(e *trace.Event) record.Level {
 	t.lastSeq = e.Seq
 	if !t.dialed {
 		return record.LevelSched
 	}
-	if t.QuietPeriod > 0 && e.Seq-t.lastFire > t.QuietPeriod {
+	if t.quiet > 0 && e.Seq-t.lastFire > t.quiet {
 		t.dialed = false
 		return record.LevelSched
 	}
 	return record.LevelFull
-}
-
-// ThresholdSelector fires its trigger when an event matches a predicate —
-// the paper's data-based selection example of recording at high fidelity
-// when request sizes exceed a threshold. The selector inspects events
-// inline, so it needs no separate observer.
-type ThresholdSelector struct {
-	*Trigger
-	pred func(e *trace.Event) bool
-}
-
-// NewThresholdSelector builds a predicate-fired trigger selector.
-func NewThresholdSelector(name string, quietPeriod uint64, pred func(e *trace.Event) bool) *ThresholdSelector {
-	return &ThresholdSelector{Trigger: NewTrigger(name, quietPeriod), pred: pred}
-}
-
-// Demand implements Selector.
-func (s *ThresholdSelector) Demand(e *trace.Event) record.Level {
-	if s.pred(e) {
-		s.Fire()
-		return record.LevelFull
-	}
-	return s.Trigger.Demand(e)
 }
 
 // Config assembles a complete RCSE setup: the policy for the recorder plus
@@ -230,20 +166,10 @@ type Config struct {
 	Classification *plane.Classification
 	// ControlStreams (by name) are always-recorded input streams.
 	ControlStreams []string
-	// RaceTrigger enables the race-detector trigger with the given
-	// sampling rate and per-check cost; zero disables it.
-	RaceSampleRate uint64
-	RaceCheckCost  uint64
+	// Race arms the sampling race-detector trigger.
+	Race bool
 	// Invariants enables the invariant-monitor trigger when non-nil.
-	Invariants    *invariant.Set
-	InvariantCost uint64
-	// Thresholds are additional predicate-fired selectors.
-	Thresholds []*ThresholdSelector
-	// QuietPeriod configures trigger dial-down (events).
-	QuietPeriod uint64
-	// Suspects enables full-fidelity recording around statically
-	// implicated lock-order inversions when non-empty.
-	Suspects []sites.Suspect
+	Invariants *invariant.Set
 }
 
 // Setup is the assembled RCSE machinery for one machine.
@@ -254,51 +180,40 @@ type Setup struct {
 	// the corresponding detector is disabled).
 	RaceTrigger      *Trigger
 	InvariantTrigger *Trigger
-	Detector         *race.Detector
-	Monitor          *invariant.Monitor
 }
 
 // Build constructs the policy and observers for a machine on which the
 // scenario's program has already been built (streams registered). It is
 // used as a record.PolicyFactory body.
 func (c Config) Build(m *vm.Machine) *Setup {
-	var selectors []Selector
+	streams := make(StreamSelector, len(c.ControlStreams))
+	for _, name := range c.ControlStreams {
+		if id, ok := m.StreamID(name); ok {
+			streams[id] = true
+		}
+	}
+	selectors := []Selector{streams}
 	setup := &Setup{}
 
 	if c.Classification != nil {
-		streams := make(map[trace.ObjID]bool, len(c.ControlStreams))
-		for _, name := range c.ControlStreams {
-			if id, ok := m.StreamID(name); ok {
-				streams[id] = true
-			}
-		}
-		selectors = append(selectors, NewCodeSelector(c.Classification, streams))
+		selectors = append(selectors, NewCodeSelector(c.Classification))
 	}
-	quiet := c.QuietPeriod
-	if c.RaceSampleRate > 0 {
-		tr := NewTrigger("race-trigger", quiet)
+	if c.Race {
+		tr := NewTrigger(quietPeriod)
 		setup.RaceTrigger = tr
-		setup.Detector = race.NewDetector(race.Options{
-			SampleRate: c.RaceSampleRate,
-			CheckCost:  c.RaceCheckCost,
+		setup.Observers = append(setup.Observers, race.NewDetector(race.Options{
+			SampleRate: raceSampleRate,
+			CheckCost:  raceCheckCost,
 			OnRace:     func(race.Race) { tr.Fire() },
-		})
-		setup.Observers = append(setup.Observers, setup.Detector)
+		}))
 		selectors = append(selectors, tr)
 	}
 	if c.Invariants != nil {
-		tr := NewTrigger("invariant-trigger", quiet)
+		tr := NewTrigger(quietPeriod)
 		setup.InvariantTrigger = tr
-		setup.Monitor = invariant.NewMonitor(c.Invariants, c.InvariantCost,
-			func(invariant.Violation) { tr.Fire() })
-		setup.Observers = append(setup.Observers, setup.Monitor)
+		setup.Observers = append(setup.Observers, invariant.NewMonitor(c.Invariants, invariantCost,
+			func(invariant.Violation) { tr.Fire() }))
 		selectors = append(selectors, tr)
-	}
-	for _, th := range c.Thresholds {
-		selectors = append(selectors, th)
-	}
-	if len(c.Suspects) > 0 {
-		selectors = append(selectors, NewSuspectSelector(c.Suspects))
 	}
 	setup.Policy = NewPolicy(selectors...)
 	return setup

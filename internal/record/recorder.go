@@ -153,17 +153,26 @@ func perfectPolicy() Policy {
 // extra work value-deterministic systems push to debug time.
 func valuePolicy() Policy {
 	return PolicyFunc{N: "value", F: func(e *trace.Event) Level {
-		//lint:exhaustive-default the value policy persists exactly the payload-bearing kinds; skipping the rest is the scheme's definition (valueLogged mirrors this set)
-		switch e.Kind {
-		case trace.EvLoad, trace.EvStore, trace.EvSend, trace.EvRecv,
-			trace.EvInput, trace.EvOutput, trace.EvObserve,
-			trace.EvFail, trace.EvCrash,
-			trace.EvDiskWrite, trace.EvDiskRead, trace.EvDiskFsync,
-			trace.EvDiskBarrier, trace.EvDiskCrash:
+		if ValueLogged(e.Kind) {
 			return LevelFull
 		}
 		return LevelSkip
 	}}
+}
+
+// ValueLogged reports whether value determinism logs events of kind k: the
+// payload-bearing kinds, which the value replayer reproduces in order.
+func ValueLogged(k trace.EventKind) bool {
+	//lint:exhaustive-default the value policy persists exactly the payload-bearing kinds; skipping the rest is the scheme's definition
+	switch k {
+	case trace.EvLoad, trace.EvStore, trace.EvSend, trace.EvRecv,
+		trace.EvInput, trace.EvOutput, trace.EvObserve,
+		trace.EvFail, trace.EvCrash,
+		trace.EvDiskWrite, trace.EvDiskRead, trace.EvDiskFsync,
+		trace.EvDiskBarrier, trace.EvDiskCrash:
+		return true
+	}
+	return false
 }
 
 // Output determinism, lightest ODR scheme: outputs only. Inputs, paths,

@@ -279,18 +279,18 @@ func FactoryFor(p Policy) PolicyFactory {
 // captures the recording. It is the one-call entry point for the
 // non-RCSE models; RCSE recording is orchestrated by the core package
 // because it needs a plane classification and triggers.
-func Record(s *scenario.Scenario, model Model, seed int64, params scenario.Params, extra ...vm.Observer) (*Recording, *scenario.RunView, error) {
+func Record(s *scenario.Scenario, model Model, seed int64, params scenario.Params) (*Recording, *scenario.RunView, error) {
 	policy := PolicyFor(model)
 	if policy == nil {
 		return nil, nil, fmt.Errorf("record: model %s needs an explicit policy", model)
 	}
-	return RecordWithPolicy(s, model, FactoryFor(policy), seed, params, extra...)
+	return RecordWithPolicy(s, model, FactoryFor(policy), seed, params)
 }
 
 // RecordWithPolicy runs the scenario once with an explicit policy factory
-// (used by RCSE) and captures the recording. Extra observers (triggers,
-// monitors) are attached after the recorder.
-func RecordWithPolicy(s *scenario.Scenario, model Model, factory PolicyFactory, seed int64, params scenario.Params, extra ...vm.Observer) (*Recording, *scenario.RunView, error) {
+// (used by RCSE) and captures the recording. The factory's companion
+// observers (triggers, monitors) are attached after the recorder.
+func RecordWithPolicy(s *scenario.Scenario, model Model, factory PolicyFactory, seed int64, params scenario.Params) (*Recording, *scenario.RunView, error) {
 	var policy Policy
 	var rec *Recorder
 	view := s.Exec(scenario.ExecOptions{Seed: seed, Params: params,
@@ -298,7 +298,7 @@ func RecordWithPolicy(s *scenario.Scenario, model Model, factory PolicyFactory, 
 			var companions []vm.Observer
 			policy, companions = factory(m)
 			rec = NewRecorder(m, policy)
-			return append(append([]vm.Observer{rec}, companions...), extra...)
+			return append([]vm.Observer{rec}, companions...)
 		}})
 	view.Trace.Header.Model = policy.Name()
 	return capture(s, view, rec, model, seed, s.DefaultParams.Clone(params)), view, nil

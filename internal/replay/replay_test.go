@@ -77,7 +77,7 @@ func TestValueReplayMatchesPerThreadValues(t *testing.T) {
 	// per thread.
 	replayByThread := make(map[trace.ThreadID][]trace.Event)
 	for _, e := range res.View.Trace.Events {
-		if valueLogged(e.Kind) {
+		if record.ValueLogged(e.Kind) {
 			replayByThread[e.TID] = append(replayByThread[e.TID], e)
 		}
 	}

@@ -29,21 +29,6 @@ func (s *stagedInputs) Next(stream string, index int) trace.Value {
 	return s.base.Next(stream, index)
 }
 
-// valueLogged mirrors the value recorder's policy: the event kinds present
-// in per-thread logs.
-func valueLogged(k trace.EventKind) bool {
-	//lint:exhaustive-default mirrors the value recorder's policy set exactly; unlisted kinds are unlogged by design
-	switch k {
-	case trace.EvLoad, trace.EvStore, trace.EvSend, trace.EvRecv,
-		trace.EvInput, trace.EvOutput, trace.EvObserve,
-		trace.EvFail, trace.EvCrash,
-		trace.EvDiskWrite, trace.EvDiskRead, trace.EvDiskFsync,
-		trace.EvDiskBarrier, trace.EvDiskCrash:
-		return true
-	}
-	return false
-}
-
 // valueGuidedScheduler rebuilds an interleaving consistent with the
 // recorded per-thread value logs. The strategy is gated: the recording's
 // value events are reproduced in their recorded order (the logs are kept
@@ -147,7 +132,7 @@ func (s *valueGuidedScheduler) Pick(m *vm.Machine, enabled []*vm.Thread) *vm.Thr
 		if !ok {
 			break
 		}
-		if !valueLogged(p.Kind) {
+		if !record.ValueLogged(p.Kind) {
 			// The wanted thread first needs a free move of its own.
 			return t
 		}
@@ -179,7 +164,7 @@ func (s *valueGuidedScheduler) Pick(m *vm.Machine, enabled []*vm.Thread) *vm.Thr
 	var frees, acquires []*vm.Thread
 	for _, t := range enabled {
 		p, ok := m.PeekEvent(t)
-		if !ok || valueLogged(p.Kind) {
+		if !ok || record.ValueLogged(p.Kind) {
 			continue
 		}
 		if p.Kind == trace.EvLock {

@@ -182,18 +182,14 @@ type ExecOptions struct {
 	// Inputs overrides the scenario's production input source. Replay
 	// and inference always set this.
 	Inputs vm.InputSource
-	// Observers are attached before the run (recorders, monitors,
-	// detectors).
-	Observers []vm.Observer
-	// ObserverFactory constructs observers against the run's machine just
-	// before execution, for observers that need the machine at
-	// construction time (checkpoint writers). Its results are attached
-	// after Observers.
+	// ObserverFactory constructs the run's observers (recorders,
+	// monitors, detectors, checkpoint writers) against its machine just
+	// before execution.
 	ObserverFactory func(*vm.Machine) []vm.Observer
 	// MaxSteps bounds the execution (0 = VM default).
 	MaxSteps uint64
-	// CollectTrace controls oracle-trace collection (default true; only
-	// micro-benchmarks disable it).
+	// DisableTrace turns off oracle-trace collection (only
+	// micro-benchmarks set it).
 	DisableTrace bool
 	// RelaxTime lifts time gates on sleeps and timeouts, required when a
 	// complete recorded schedule is being forced (see vm.Config.RelaxTime).
@@ -230,12 +226,8 @@ func (s *Scenario) config(o ExecOptions) (vm.Config, Params) {
 	}, p
 }
 
-// attach registers the options' observers on a built machine: Observers in
-// order, then ObserverFactory's.
+// attach registers the options' observers on a built machine.
 func (o ExecOptions) attach(m *vm.Machine) {
-	for _, obs := range o.Observers {
-		m.Attach(obs)
-	}
 	if o.ObserverFactory != nil {
 		for _, obs := range o.ObserverFactory(m) {
 			m.Attach(obs)

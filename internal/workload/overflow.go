@@ -14,9 +14,8 @@ const overflowBufLen = 64
 // fixed buffer without checking its length; a request longer than the
 // buffer crashes the program. The root cause — the missing length check —
 // is the negation of the fix's predicate ("reject the input when it
-// exceeds the buffer"). It doubles as the data-based selection example:
-// an RCSE threshold trigger on large request sizes dials fidelity up
-// exactly when the dangerous inputs arrive.
+// exceeds the buffer"). The request sizes are a declared control stream,
+// so an RCSE recording holds every one, the dangerous ones included.
 func Overflow() *scenario.Scenario {
 	return &scenario.Scenario{
 		Name: "overflow",
