@@ -530,20 +530,29 @@ func BenchmarkForkedSearch(b *testing.B) {
 }
 
 // BenchmarkSearchCandidates measures what a search allocates per candidate
-// it rejects: a 200-candidate output search over bank (no schedule or
-// input forced) for output on a stream bank never writes, on one worker. The first
-// candidate allocates the trace array and every rejected one hands it on
-// (infer.Forker.Discard), so B/op is per-candidate machine state, not 200
-// traces.
+// it rejects: a 200-candidate output search (no schedule or input forced)
+// for output on a stream the program never writes, on one worker, over
+// bank and over hyperkv-dataloss, whose simnet mesh gives each machine
+// many more channels and threads. The first candidate allocates the
+// machine and the trace array and every rejected one hands both on
+// (infer.Forker.Discard), so B/op is what a candidate allocates beyond
+// them, not 200 machines and traces.
 func BenchmarkSearchCandidates(b *testing.B) {
-	s := workload.Bank()
-	reject := func(v *scenario.RunView) bool { return len(v.Result.Outputs["never"]) > 0 }
-	opts := infer.Options{Budget: 200, BaseSeed: 7, Workers: 1}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		out := infer.Search(s, reject, opts)
-		if out.Ok || out.Err != nil || out.Attempts != opts.Budget {
-			b.Fatalf("ok=%v err=%v attempts=%d, want %d rejections", out.Ok, out.Err, out.Attempts, opts.Budget)
+	for _, name := range []string{"bank", "hyperkv-dataloss"} {
+		s, err := workload.ByName(name)
+		if err != nil {
+			b.Fatal(err)
 		}
+		b.Run(name, func(b *testing.B) {
+			reject := func(v *scenario.RunView) bool { return len(v.Result.Outputs["never"]) > 0 }
+			opts := infer.Options{Budget: 200, BaseSeed: 7, Workers: 1}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out := infer.Search(s, reject, opts)
+				if out.Ok || out.Err != nil || out.Attempts != opts.Budget {
+					b.Fatalf("ok=%v err=%v attempts=%d, want %d rejections", out.Ok, out.Err, out.Attempts, opts.Budget)
+				}
+			}
+		})
 	}
 }

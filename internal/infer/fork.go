@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"slices"
 	"sync"
 
 	"debugdet/internal/scenario"
@@ -18,15 +19,16 @@ import (
 // The forker removes that cost without changing a single answer. It
 // retains a bounded forest of fully-executed candidates, each with its
 // scheduling-round log (vm.SchedRound) and finished view. A new candidate
-// is first *dry-run* against each retained execution: its scheduler is
-// simulated over the recorded rounds (vm.SchedSim) and its input source
-// probed at each recorded input draw. The VM funnels every scheduling
-// decision through one round and every environment read through one input
-// draw, so a candidate that agrees on all of them is bit-identical to the
-// retained execution and is pruned outright — sleep-set-style reduction:
-// an interleaving equivalent to one already explored costs zero executed
-// work, and its finished view is shared. Any other candidate executes from
-// scratch, so a candidate executes either nothing or everything.
+// is first *dry-run* against the retained executions, all of them in one
+// pass: its scheduler is simulated over the recorded rounds (vm.SchedSim)
+// and its input source probed at each recorded input draw. The VM funnels
+// every scheduling decision through one round and every environment read
+// through one input draw, so a candidate that agrees on all of them is
+// bit-identical to the retained execution and is pruned outright —
+// sleep-set-style reduction: an interleaving equivalent to one already
+// explored costs zero executed work, and its finished view is shared. Any
+// other candidate executes from scratch, so a candidate executes either
+// nothing or everything.
 type forkPath struct {
 	// params are the effective build parameters (scenario defaults with
 	// the candidate's overrides applied); only candidates with equal
@@ -70,16 +72,26 @@ const maxForkPaths = 8
 // Forker frozen before its first Run never prunes: it is the from-scratch
 // runner.
 //
-// A candidate's trace array is allocated once per concurrent run, not once
-// per candidate: Discard hands a rejected view's array back to the spare
-// list, and the next Run appends its trace into it.
+// A candidate's machine and trace array are allocated once per concurrent
+// run, not once per candidate: Discard hands a rejected view's machine and
+// array back to the spare list, and the next Run builds into them (see
+// scenario.ExecInto). Dry runs likewise share one pooled simulator per
+// concurrent run.
 type Forker struct {
 	cfg    ForkerConfig
 	grow   bool
 	forest []*forkPath
 
 	mu    sync.Mutex
-	spare [][]trace.Event
+	spare []*scenario.RunView
+	dry   []*dryRun
+}
+
+// dryRun is the scratch state of one dry run: the scheduler simulator and
+// the per-stream input draw counts.
+type dryRun struct {
+	sim    *vm.SchedSim
+	counts []int
 }
 
 // NewForker returns a forker with an empty forest.
@@ -87,8 +99,8 @@ func NewForker(cfg ForkerConfig) *Forker { return &Forker{cfg: cfg, grow: true} 
 
 // Candidate is one candidate execution, described by constructors rather
 // than instances: the forker dry-runs a candidate's scheduler and probes
-// its input source several times (once per retained path, once more for
-// the real run), and each use needs a fresh copy in its initial state.
+// its input source once against the whole forest, then once more for the
+// real run, and each use needs a fresh copy in its initial state.
 // Both constructors must build the same deterministic scheduler and input
 // source every call — exactly the property that makes candidates
 // reproducible from their index in the first place.
@@ -141,96 +153,187 @@ func (f *Forker) Run(c Candidate) (view *scenario.RunView, steps, cycles uint64)
 }
 
 // Discard declares a view Run returned dead: the caller (a search that
-// rejected the candidate) keeps no reference to it or its trace. The
-// view's trace array goes back to the spare list for the next Run, cleared
-// so it pins nothing the events pointed to, unless the forest shares it —
-// a retained path's own view and every view pruned against it read the
-// path's events. The view's Trace.Events is nil afterwards, so a caller
-// that breaks the contract reads nothing rather than a later candidate's
-// events.
+// rejected the candidate) keeps no reference to it, its machine or its
+// trace. The view's machine and trace array go back to the spare list for
+// the next Run, the array cleared so it pins nothing the events pointed
+// to, unless the forest shares them — a retained path's own view and
+// every view pruned against it read the path's machine and events. The
+// view's Machine and Trace.Events are nil afterwards (a retained path's
+// own view excepted), so a caller that breaks the contract reads nothing
+// rather than a later candidate's run.
 func (f *Forker) Discard(v *scenario.RunView) {
-	events := v.Trace.Events
-	if cap(events) == 0 {
+	if v.Machine == nil {
 		return
 	}
 	for _, p := range f.forest {
-		if sameArray(p.view.Trace.Events, events) {
-			if v.Trace != p.view.Trace {
-				v.Trace.Events = nil
+		if v.Machine == p.view.Machine {
+			if v != p.view {
+				v.Machine, v.Trace.Events = nil, nil
 			}
 			return
 		}
 	}
+	events := v.Trace.Events
 	clear(events)
-	v.Trace.Events = nil
+	dead := &scenario.RunView{Machine: v.Machine, Trace: &trace.Log{Events: events[:0]}}
+	v.Machine, v.Trace.Events = nil, nil
 	f.mu.Lock()
-	f.spare = append(f.spare, events[:0])
+	f.spare = append(f.spare, dead)
 	f.mu.Unlock()
 }
 
-// takeSpare returns a discarded trace array, or nil when none is spare.
-func (f *Forker) takeSpare() (events []trace.Event) {
+// takeSpare returns a discarded view to build the next run into, or nil
+// when none is spare.
+func (f *Forker) takeSpare() (v *scenario.RunView) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if n := len(f.spare); n > 0 {
-		events, f.spare = f.spare[n-1], f.spare[:n-1]
+		v, f.spare = f.spare[n-1], f.spare[:n-1]
 	}
-	return events
-}
-
-// sameArray reports whether two event slices start at the same element of
-// one backing array.
-func sameArray(a, b []trace.Event) bool {
-	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
+	return v
 }
 
 // agrees returns the oldest retained path with the candidate's effective
 // parameters that the candidate agrees with over the whole run, or nil.
+//
+// One dry run serves the whole forest: paths that agree with the candidate
+// up to round j are the same execution up to j, so they present the same
+// rounds and draws, and one scheduler and one input source walk them in
+// lockstep. Paths drop out of the live set as they disagree; a path that
+// is out of step with the lead (another sequence number, enabled set or
+// draw at the same round) drops out too, so an answer never rests on the
+// lockstep assumption — at worst the candidate executes from scratch.
 func (f *Forker) agrees(c Candidate, pEff scenario.Params) *forkPath {
-	var sim *vm.SchedSim
+	var buf [maxForkPaths]*forkPath
+	live, streams := buf[:0], 0
 	for _, p := range f.forest {
-		if !paramsEqual(p.params, pEff) {
-			continue
-		}
-		if sim == nil {
-			sim = vm.NewSchedSim()
-		}
-		if p.agrees(sim, c) {
-			return p
+		// A path that ended in replay divergence never agrees: its final,
+		// failed scheduler consultation is not in the round log and must
+		// be re-taken live.
+		if paramsEqual(p.params, pEff) && p.view.Result.Outcome != vm.OutcomeDiverged {
+			live = append(live, p)
+			streams = max(streams, len(p.streams))
 		}
 	}
-	return nil
+	if len(live) == 0 {
+		return nil
+	}
+	d := f.takeDry(streams)
+	defer f.putDry(d)
+	sched, inputs := c.Scheduler(), c.Inputs()
+	for j := 0; ; j++ {
+		if len(live) == 1 {
+			if live[0].agreesFrom(j, d, sched, inputs) {
+				return live[0]
+			}
+			return nil
+		}
+		if j == len(live[0].rounds) {
+			return live[0]
+		}
+		r := &live[0].rounds[j]
+		pick, ok := d.sim.Pick(sched, r.Seq, r.Enabled)
+		if !ok {
+			return nil
+		}
+		n := 0
+		for _, p := range live {
+			if p.takes(j, r, pick) {
+				live[n], n = p, n+1
+			}
+		}
+		if live = live[:n]; n == 0 {
+			return nil
+		}
+		e := &live[0].view.Trace.Events[r.Seq]
+		var v trace.Value
+		if e.Kind == trace.EvInput {
+			v = inputs.Next(live[0].streams[e.Obj], d.counts[e.Obj])
+			d.counts[e.Obj]++
+		}
+		n = 0
+		for _, p := range live {
+			if p.draws(r.Seq, e, live[0].streams, v) {
+				live[n], n = p, n+1
+			}
+		}
+		if live = live[:n]; n == 0 {
+			return nil
+		}
+	}
 }
 
-// agrees walks the path's recorded rounds, dry-running a fresh copy of the
-// candidate's scheduler and probing a fresh copy of its input source, and
-// reports whether the candidate takes every decision and draws every
-// input value the path did. A path that ended in replay divergence never
-// agrees: its final, failed scheduler consultation is not in the round
-// log and must be re-taken live.
-func (p *forkPath) agrees(sim *vm.SchedSim, c Candidate) bool {
-	sched := c.Scheduler()
-	inputs := c.Inputs()
+// takes reports whether the path's round j is the lead's round r and
+// picks the candidate's pick.
+func (p *forkPath) takes(j int, r *vm.SchedRound, pick trace.ThreadID) bool {
+	if j >= len(p.rounds) {
+		return false
+	}
+	q := &p.rounds[j]
+	return q.Pick == pick && q.Seq == r.Seq && q.Seq < uint64(len(p.view.Trace.Events)) &&
+		slices.Equal(q.Enabled, r.Enabled)
+}
+
+// draws reports whether the path's event at seq draws what the lead's
+// event e does, v being the candidate's value for an input draw.
+func (p *forkPath) draws(seq uint64, e *trace.Event, streams []string, v trace.Value) bool {
+	q := &p.view.Trace.Events[seq]
+	if e.Kind != trace.EvInput {
+		return q.Kind != trace.EvInput
+	}
+	return q.Kind == trace.EvInput && q.Obj == e.Obj && p.streams[q.Obj] == streams[e.Obj] && q.Val.Equal(v)
+}
+
+// agreesFrom continues a dry run on the path alone from its round j: it
+// reports whether the candidate's scheduler and input source, which have
+// taken the path's rounds before j, take every remaining decision and
+// draw every remaining input value the path did.
+func (p *forkPath) agreesFrom(j int, d *dryRun, sched vm.Scheduler, inputs vm.InputSource) bool {
 	events := p.view.Trace.Events
-	counts := make([]int, len(p.streams))
-	for _, r := range p.rounds {
+	for _, r := range p.rounds[j:] {
 		if r.Seq >= uint64(len(events)) {
 			return false
 		}
-		pick, ok := sim.Pick(sched, r.Seq, r.Enabled)
+		pick, ok := d.sim.Pick(sched, r.Seq, r.Enabled)
 		if !ok || pick != r.Pick {
 			return false
 		}
 		e := &events[r.Seq]
 		if e.Kind == trace.EvInput {
-			idx := counts[e.Obj]
-			counts[e.Obj]++
+			idx := d.counts[e.Obj]
+			d.counts[e.Obj]++
 			if !inputs.Next(p.streams[e.Obj], idx).Equal(e.Val) {
 				return false
 			}
 		}
 	}
-	return p.view.Result.Outcome != vm.OutcomeDiverged
+	return true
+}
+
+// takeDry returns a pooled dry run with its counts zeroed for n streams.
+func (f *Forker) takeDry(n int) *dryRun {
+	f.mu.Lock()
+	var d *dryRun
+	if k := len(f.dry); k > 0 {
+		d, f.dry = f.dry[k-1], f.dry[:k-1]
+	}
+	f.mu.Unlock()
+	if d == nil {
+		d = &dryRun{sim: vm.NewSchedSim()}
+	}
+	if cap(d.counts) < n {
+		d.counts = make([]int, n)
+	}
+	d.counts = d.counts[:n]
+	clear(d.counts)
+	return d
+}
+
+// putDry returns a dry run to the pool.
+func (f *Forker) putDry(d *dryRun) {
+	f.mu.Lock()
+	f.dry = append(f.dry, d)
+	f.mu.Unlock()
 }
 
 // reuseView shares a retained execution with a pruned candidate: the

@@ -414,3 +414,181 @@ func TestSearchReusesRejectedTraces(t *testing.T) {
 		})
 	}
 }
+
+// TestSearchReusesRejectedMachines pins the machine reuse behind Discard,
+// as TestSearchReusesRejectedTraces pins the trace reuse: a search that
+// rejects all but its last candidate builds its candidates into as many
+// machines as it allocates trace arrays — one sequentially, one more than
+// the forest with Fork, at most 34 with two workers. Every rejected view
+// but the forest's has Machine nil once discarded, and every forest view
+// and the accepted view, built into a recycled machine, equal a
+// from-scratch execution of their candidate.
+func TestSearchReusesRejectedMachines(t *testing.T) {
+	s := workload.Bank()
+	cases := map[string]struct {
+		opts        Options
+		maxMachines int // -1: exactly one more than the forest
+	}{
+		"sequential": {Options{Budget: 60, BaseSeed: 3, Workers: 1}, 1},
+		"forked":     {Options{Budget: 60, BaseSeed: 3, Workers: 1, Fork: true}, -1},
+		"workers=2":  {Options{Budget: 60, BaseSeed: 3, Workers: 2}, 34},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			machines := make(map[*vm.Machine]bool)
+			var views []*scenario.RunView
+			out := Search(s, func(v *scenario.RunView) bool {
+				machines[v.Machine] = true
+				views = append(views, v)
+				return len(views) == tc.opts.Budget
+			}, tc.opts)
+			if !out.Ok || out.Attempts != tc.opts.Budget {
+				t.Fatalf("ok=%v attempts=%d, want the last of %d candidates accepted", out.Ok, out.Attempts, tc.opts.Budget)
+			}
+			var forest []*scenario.RunView
+			for _, v := range views[:len(views)-1] {
+				if (v.Machine == nil) != (v.Trace.Events == nil) {
+					t.Fatalf("candidate %d: discarded machine %v but events %v", v.Trace.Header.Seed, v.Machine == nil, v.Trace.Events == nil)
+				}
+				if v.Machine != nil {
+					forest = append(forest, v)
+				}
+			}
+			bound := tc.maxMachines
+			if bound < 0 {
+				bound = 1 + len(forest)
+				if len(forest) == 0 || len(machines) != bound {
+					t.Fatalf("%d distinct machines with %d forest paths, want one more than the forest", len(machines), len(forest))
+				}
+			} else if len(forest) != 0 {
+				t.Fatalf("%d rejected views kept their machines without a forest", len(forest))
+			}
+			if len(machines) > bound {
+				t.Fatalf("%d candidates used %d distinct machines, want at most %d", out.Attempts, len(machines), bound)
+			}
+			full := s.DefaultParams.Clone(tc.opts.Params)
+			for _, v := range append(forest, out.View) {
+				c := planCandidate(s, tc.opts, paramTry{p: full, idx: int(v.Trace.Header.Seed - tc.opts.BaseSeed)})
+				scratch := s.Exec(scenario.ExecOptions{Seed: c.Seed, Params: c.Params, Scheduler: c.Scheduler(), Inputs: c.Inputs()})
+				if err := runDiff(v, scratch); err != nil {
+					t.Fatalf("view of candidate %d: %v", c.Seed, err)
+				}
+			}
+		})
+	}
+}
+
+// agreesReference is agrees as one walk per retained path: every path
+// with the candidate's parameters is walked on its own, with a fresh
+// scheduler, input source and simulator, and the oldest path the
+// candidate agrees with is returned.
+func (f *Forker) agreesReference(c Candidate, pEff scenario.Params) *forkPath {
+	for _, p := range f.forest {
+		if !paramsEqual(p.params, pEff) {
+			continue
+		}
+		sim, sched, inputs := vm.NewSchedSim(), c.Scheduler(), c.Inputs()
+		events := p.view.Trace.Events
+		counts := make([]int, len(p.streams))
+		agrees := true
+		for _, r := range p.rounds {
+			if r.Seq >= uint64(len(events)) {
+				agrees = false
+				break
+			}
+			pick, ok := sim.Pick(sched, r.Seq, r.Enabled)
+			if !ok || pick != r.Pick {
+				agrees = false
+				break
+			}
+			if e := &events[r.Seq]; e.Kind == trace.EvInput {
+				idx := counts[e.Obj]
+				counts[e.Obj]++
+				if !inputs.Next(p.streams[e.Obj], idx).Equal(e.Val) {
+					agrees = false
+					break
+				}
+			}
+		}
+		if agrees && p.view.Result.Outcome != vm.OutcomeDiverged {
+			return p
+		}
+	}
+	return nil
+}
+
+// TestForestDryRunMatchesPerPath pins "one dry run per candidate": the
+// one-pass agrees, which walks every retained path in lockstep with one
+// scheduler and one input source, returns the same path as the per-path
+// walk (agreesReference) for every later candidate, and calls each of the
+// candidate's constructors exactly once. The forests mix what an output
+// search over each scenario retains with paths that share long prefixes:
+// one under the first candidate's schedule but other inputs, one that
+// replays half its schedule and diverges, one under smaller parameters
+// and one under larger ones that the step bound aborts.
+func TestForestDryRunMatchesPerPath(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		small, large scenario.Params
+	}{
+		{"bank", scenario.Params{"transfers": 4}, scenario.Params{"transfers": 48}},
+		{"hyperkv-dataloss", scenario.Params{"rows": 4}, scenario.Params{"rows": 64}},
+		{"dynokv-staleread", scenario.Params{"rounds": 1}, scenario.Params{"rounds": 12}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := workload.ByName(tc.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := Options{Budget: 40, BaseSeed: 7, ShrinkParams: []scenario.Params{tc.small}}
+			plan := buildPlan(s, o)
+			var cands []Candidate
+			for _, pt := range plan {
+				cands = append(cands, planCandidate(s, o, pt))
+			}
+			first := cands[len(cands)-1]
+			scratch := s.Exec(scenario.ExecOptions{Seed: first.Seed, Scheduler: first.Scheduler(), Inputs: first.Inputs()})
+			half := scratch.Trace.Schedule()[:scratch.Result.Steps/2]
+			mixed := Candidate{Seed: 1, Scheduler: first.Scheduler, Inputs: cands[len(cands)-2].Inputs}
+			diverging := Candidate{Seed: 2, Scheduler: func() vm.Scheduler { return vm.NewReplayScheduler(half) }, Inputs: first.Inputs}
+			large := Candidate{Seed: 3, Scheduler: first.Scheduler, Inputs: first.Inputs, Params: tc.large}
+
+			f := NewForker(ForkerConfig{Scenario: s, MaxSteps: 2 * scratch.Result.Steps})
+			for _, c := range []Candidate{first, mixed, diverging, cands[0], large, cands[len(cands)-3], cands[len(cands)-4], cands[len(cands)-5]} {
+				f.Run(c)
+			}
+			outcomes := make(map[vm.Outcome]bool)
+			for _, p := range f.forest {
+				outcomes[p.view.Result.Outcome] = true
+			}
+			if len(f.forest) != maxForkPaths || !outcomes[vm.OutcomeDiverged] || !outcomes[vm.OutcomeAborted] {
+				t.Fatalf("forest of %d paths with outcomes %v, want %d with a diverged and an aborted one", len(f.forest), outcomes, maxForkPaths)
+			}
+
+			hits := 0
+			for _, c := range append(cands, first, mixed, diverging, large) {
+				pEff := s.DefaultParams.Clone(c.Params)
+				want := f.agreesReference(c, pEff)
+				var scheds, inputs int
+				counted := c
+				counted.Scheduler = func() vm.Scheduler { scheds++; return c.Scheduler() }
+				counted.Inputs = func() vm.InputSource { inputs++; return c.Inputs() }
+				if got := f.agrees(counted, pEff); got != want {
+					t.Fatalf("candidate %d: one-pass dry run agrees with %p, per-path walk with %p", c.Seed, got, want)
+				}
+				if scheds > 1 || inputs > 1 {
+					t.Fatalf("candidate %d: one dry run built %d schedulers and %d input sources", c.Seed, scheds, inputs)
+				}
+				if want != nil {
+					hits++
+					if scheds != 1 || inputs != 1 {
+						t.Fatalf("candidate %d agreed without a dry run", c.Seed)
+					}
+				}
+			}
+			if hits < 4 {
+				t.Fatalf("%d candidates agreed with a retained path, want at least the four forest members rerun", hits)
+			}
+		})
+	}
+}

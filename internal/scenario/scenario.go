@@ -235,10 +235,11 @@ func (o ExecOptions) attach(m *vm.Machine) {
 	}
 }
 
-// start is Start, handing Exec the effective parameters for its trace header.
-func (s *Scenario) start(o ExecOptions) (*vm.Machine, Params) {
+// start is Start on dead's tables (see vm.Recycle; nil is a fresh
+// machine), handing Exec the effective parameters for its trace header.
+func (s *Scenario) start(o ExecOptions, dead *vm.Machine) (*vm.Machine, Params) {
 	cfg, p := s.config(o)
-	m := vm.New(cfg)
+	m := vm.Recycle(dead, cfg)
 	main := s.Build(m, p)
 	o.attach(m)
 	m.Start(main)
@@ -250,7 +251,7 @@ func (s *Scenario) start(o ExecOptions) (*vm.Machine, Params) {
 // Machine.Finish (which an abandoned machine needs too, to release its
 // threads). Seek sessions and the debugger replay on such machines.
 func (s *Scenario) Start(o ExecOptions) *vm.Machine {
-	m, _ := s.start(o)
+	m, _ := s.start(o, nil)
 	return m
 }
 
@@ -271,12 +272,17 @@ func (s *Scenario) Restore(o ExecOptions, snap *vm.Snapshot, feeds [][]vm.FeedEn
 // Exec builds and runs the scenario once, returning the finished view.
 func (s *Scenario) Exec(o ExecOptions) *RunView { return ExecInto(s, o, nil) }
 
-// ExecInto is Exec with the run's trace appended into events[:0], so a
-// caller that is done with an earlier run's trace (a search rejecting a
-// candidate) can lend its array to the next run. The view's trace may
-// outgrow events; nil events is Exec.
-func ExecInto(s *Scenario, o ExecOptions, events []trace.Event) *RunView {
-	m, p := s.start(o)
+// ExecInto is Exec built into spare, a finished traced view nothing reads
+// any more (a search's rejected candidate): the run reuses spare's machine
+// tables (vm.Recycle) and appends its trace into spare's event array,
+// which the view's trace may outgrow. A nil spare is Exec.
+func ExecInto(s *Scenario, o ExecOptions, spare *RunView) *RunView {
+	var dead *vm.Machine
+	var events []trace.Event
+	if spare != nil {
+		dead, events = spare.Machine, spare.Trace.Events
+	}
+	m, p := s.start(o, dead)
 	if tr := m.Trace(); tr != nil {
 		tr.Events = events[:0]
 	}

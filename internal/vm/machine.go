@@ -133,7 +133,8 @@ func (r *Result) Overhead() float64 {
 
 // Machine is one deterministic virtual machine instance. A machine is
 // single-use: configure it, build the program's objects and threads, call
-// Run once.
+// Run once. A finished machine's tables may be handed on to the next one
+// (Recycle) once nothing reads the machine any more.
 type Machine struct {
 	cfg   Config
 	cost  CostModel
@@ -210,7 +211,16 @@ type Machine struct {
 }
 
 // New returns a machine with the given configuration.
-func New(cfg Config) *Machine {
+func New(cfg Config) *Machine { return Recycle(nil, cfg) }
+
+// Recycle is New built into the tables of dead, a finished machine that
+// nothing reads any more: its name maps are cleared and its object
+// tables, channel buffers and thread records cut to length zero, each
+// slot overwritten before the next program reads it, so a search that
+// discards candidates allocates them once per concurrent run. The machine
+// returned is dead itself, reset; a nil or unfinished dead gives a fresh
+// machine. Only the scenario launcher calls it.
+func Recycle(dead *Machine, cfg Config) *Machine {
 	if cfg.Scheduler == nil {
 		cfg.Scheduler = NewRandomScheduler(cfg.Seed)
 	}
@@ -224,14 +234,26 @@ func New(cfg Config) *Machine {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = 4 << 20
 	}
-	m := &Machine{
+	m := dead
+	if m == nil || !m.finished {
+		m = &Machine{streamIDs: make(map[string]trace.ObjID), ready: make([]*Thread, 0, 8)}
+	}
+	clear(m.cellIDs)
+	clear(m.streamIDs)
+	*m = Machine{
 		cfg:       cfg,
 		cost:      cfg.Cost,
 		sites:     trace.NewSiteTable(),
-		streamIDs: make(map[string]trace.ObjID),
+		cells:     m.cells[:0],
+		cellIDs:   m.cellIDs,
+		mutexes:   m.mutexes[:0],
+		chans:     m.chans[:0],
+		streams:   m.streams[:0],
+		streamIDs: m.streamIDs,
+		threads:   m.threads[:0],
 		sched:     cfg.Scheduler,
 		inputs:    cfg.Inputs,
-		ready:     make([]*Thread, 0, 8),
+		ready:     m.ready[:0],
 		nextWake:  noWake,
 	}
 	if cfg.CollectTrace {

@@ -136,7 +136,15 @@ func (m *Machine) NewChan(name string, capacity int) trace.ObjID {
 	if pre > 8 {
 		pre = 8 // push compacts in place, so deep channels grow at most once per high-water mark
 	}
-	m.chans = append(m.chans, chanState{name: name, cap: capacity, buf: make([]slot, 0, pre)})
+	// A recycled machine's earlier run left a buffer in this slot: reuse it.
+	var buf []slot
+	if int(id) < cap(m.chans) {
+		buf = m.chans[:id+1][id].buf
+	}
+	if cap(buf) < pre {
+		buf = make([]slot, 0, pre)
+	}
+	m.chans = append(m.chans, chanState{name: name, cap: capacity, buf: buf[:0]})
 	return id
 }
 

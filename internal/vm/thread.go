@@ -422,9 +422,18 @@ func (t *Thread) exit() {
 	t.op(opExit, 0, 0, trace.Nil, 0)
 }
 
-// newThread allocates a thread record; the coroutine starts in startThread.
+// newThread allocates a thread record, or re-zeroes the one a recycled
+// machine's run left in its slot; the coroutine starts in startThread.
 func (m *Machine) newThread(name string, body func(*Thread)) *Thread {
-	t := &Thread{m: m, id: trace.ThreadID(len(m.threads)), name: name, body: body}
+	n := len(m.threads)
+	var t *Thread
+	if n < cap(m.threads) {
+		t = m.threads[:n+1][n]
+	}
+	if t == nil {
+		t = new(Thread)
+	}
+	*t = Thread{m: m, id: trace.ThreadID(n), name: name, body: body}
 	m.threads = append(m.threads, t)
 	m.live++
 	m.liveNonDaemon++
