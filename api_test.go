@@ -13,7 +13,7 @@ import (
 	"debugdet/internal/lint/load"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/api.golden and testdata/models from the current code")
+var update = flag.Bool("update", false, "rewrite testdata/api.golden, testdata/models and testdata/work.golden from the current code")
 
 // apiPackages are the packages a user of the module may import: the
 // public surface testdata/api.golden pins.

@@ -1,0 +1,69 @@
+package debugdet_test
+
+import (
+	"context"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"debugdet"
+	"debugdet/internal/record"
+	"debugdet/internal/workload"
+)
+
+// workLedger is the exact work ledger: one line per corpus scenario and
+// determinism model, evaluated at the scenario's default seed and the
+// default budget. Every count on a line depends only on the code, never
+// on the host, so the file gates at zero tolerance.
+const workLedger = "testdata/work.golden"
+
+// TestWorkLedger pins what each corpus cell's evaluation executes: whether
+// the replay was accepted, its candidate attempts, the events and virtual
+// cycles of work the replay executed, the original run's events and the
+// recording's log bytes. A change that moves a count on purpose shows it
+// as this file's diff; regenerate with
+// `go test -run TestWorkLedger -update .`.
+func TestWorkLedger(t *testing.T) {
+	ctx := context.Background()
+	eng := debugdet.New()
+	var b strings.Builder
+	b.WriteString("# scenario model ok attempts worksteps workcycles events logbytes\n")
+	for _, s := range workload.All() {
+		for _, model := range record.AllModels() {
+			ev, err := eng.Evaluate(ctx, s, model, debugdet.Options{})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", s.Name, model, err)
+			}
+			r := ev.Replay
+			fmt.Fprintf(&b, "%s %s %v %d %d %d %d %d\n", s.Name, model,
+				r.Ok, r.Attempts, r.WorkSteps, r.WorkCycles, ev.Orig.Result.Steps, ev.LogBytes)
+		}
+	}
+	got := b.String()
+	if *update {
+		if err := os.WriteFile(workLedger, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(workLedger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < max(len(gl), len(wl)); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Errorf("line %d:\ngot  %s\nwant %s", i+1, g, w)
+			}
+		}
+	}
+}
