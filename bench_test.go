@@ -490,7 +490,7 @@ func BenchmarkSegmentedReplay(b *testing.B) {
 }
 
 // BenchmarkForkedSearch measures equivalence-pruned candidate execution
-// (infer.Forker) on the T-FORK sensitivity sweep: the recorded schedule
+// (infer.Options.Fork) on the T-FORK sensitivity sweep: the recorded schedule
 // and control-plane inputs forced, the budget spent re-executing across
 // data seeds. On a control-only scenario every candidate is equivalent to
 // the trunk, so the forked mode executes one run and prunes the rest —
@@ -535,7 +535,7 @@ func BenchmarkForkedSearch(b *testing.B) {
 // bank and over hyperkv-dataloss, whose simnet mesh gives each machine
 // many more channels and threads. The first candidate allocates the
 // machine and the trace array and every rejected one hands both on
-// (infer.Forker.Discard), so B/op is what a candidate allocates beyond
+// (see infer.Search), so B/op is what a candidate allocates beyond
 // them, not 200 machines and traces.
 func BenchmarkSearchCandidates(b *testing.B) {
 	for _, name := range []string{"bank", "hyperkv-dataloss"} {

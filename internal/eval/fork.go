@@ -13,7 +13,7 @@ import (
 	"debugdet/internal/workload"
 )
 
-// T-FORK measures equivalence-pruned candidate execution (infer.Forker)
+// T-FORK measures equivalence-pruned candidate execution (infer.Options.Fork)
 // on two search shapes:
 //
 //   - search: the Fig1-class model reconstructions (output- and

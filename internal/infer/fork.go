@@ -43,10 +43,10 @@ type forkPath struct {
 	view *scenario.RunView
 }
 
-// ForkerConfig configures a Forker. Every candidate run through one
-// Forker shares these bounds: two candidates can only be equivalent if
+// forkerConfig configures a forker. Every candidate run through one
+// forker shares these bounds: two candidates can only be equivalent if
 // the run around them is configured the same way.
-type ForkerConfig struct {
+type forkerConfig struct {
 	// Scenario is the program under search.
 	Scenario *scenario.Scenario
 	// MaxSteps bounds each candidate execution (0 = VM default).
@@ -56,20 +56,22 @@ type ForkerConfig struct {
 	RelaxTime bool
 }
 
-// maxForkPaths bounds the forest: how many finished executions a Forker
+// maxForkPaths bounds the forest: how many finished executions a forker
 // retains to prune later candidates against.
 const maxForkPaths = 8
 
-// Forker runs candidate executions, pruning each one that is equivalent
+// forker runs candidate executions, pruning each one that is equivalent
 // to a retained execution; see the comment on forkPath for the mechanism.
+// Search owns one per call and is its only user, so every candidate loop
+// in the module is Search's.
 // Its contract is bit-equivalence: Run's view is identical — same events,
 // same outcome, same outputs — to what a from-scratch execution of the
 // candidate would produce, while the returned work counts only what was
 // actually executed.
 //
-// A Forker is not safe for concurrent use while the forest grows; call
+// A forker is not safe for concurrent use while the forest grows; call
 // Freeze first, after which concurrent Runs share the forest read-only. A
-// Forker frozen before its first Run never prunes: it is the from-scratch
+// forker frozen before its first Run never prunes: it is the from-scratch
 // runner.
 //
 // A candidate's machine and trace array are allocated once per concurrent
@@ -77,8 +79,8 @@ const maxForkPaths = 8
 // array back to the spare list, and the next Run builds into them (see
 // scenario.ExecInto). Dry runs likewise share one pooled simulator per
 // concurrent run.
-type Forker struct {
-	cfg    ForkerConfig
+type forker struct {
+	cfg    forkerConfig
 	grow   bool
 	forest []*forkPath
 
@@ -94,17 +96,17 @@ type dryRun struct {
 	counts []int
 }
 
-// NewForker returns a forker with an empty forest.
-func NewForker(cfg ForkerConfig) *Forker { return &Forker{cfg: cfg, grow: true} }
+// newForker returns a forker with an empty forest.
+func newForker(cfg forkerConfig) *forker { return &forker{cfg: cfg, grow: true} }
 
-// Candidate is one candidate execution, described by constructors rather
+// candidate is one candidate execution, described by constructors rather
 // than instances: the forker dry-runs a candidate's scheduler and probes
 // its input source once against the whole forest, then once more for the
 // real run, and each use needs a fresh copy in its initial state.
 // Both constructors must build the same deterministic scheduler and input
 // source every call — exactly the property that makes candidates
 // reproducible from their index in the first place.
-type Candidate struct {
+type candidate struct {
 	// Seed is the VM seed (trace-header identity; candidates always carry
 	// explicit schedulers and inputs, so it steers nothing else).
 	Seed int64
@@ -119,14 +121,14 @@ type Candidate struct {
 
 // Freeze stops forest growth. After Freeze, concurrent Run calls are safe:
 // the forest is shared read-only and all remaining state is per-call.
-func (f *Forker) Freeze() { f.grow = false }
+func (f *forker) Freeze() { f.grow = false }
 
 // Run executes one candidate. A candidate equivalent to a retained
 // execution is pruned: its view is the retained one relabeled with the
 // candidate's seed, at zero steps and cycles. Any other candidate runs
 // from scratch and reports whole-run totals. Either way the view is
 // bit-identical to a from-scratch execution of the candidate.
-func (f *Forker) Run(c Candidate) (view *scenario.RunView, steps, cycles uint64) {
+func (f *forker) Run(c candidate) (view *scenario.RunView, steps, cycles uint64) {
 	pEff := f.cfg.Scenario.DefaultParams.Clone(c.Params)
 	if p := f.agrees(c, pEff); p != nil {
 		return reuseView(p, c.Seed), 0, 0
@@ -161,7 +163,7 @@ func (f *Forker) Run(c Candidate) (view *scenario.RunView, steps, cycles uint64)
 // view's Machine and Trace.Events are nil afterwards (a retained path's
 // own view excepted), so a caller that breaks the contract reads nothing
 // rather than a later candidate's run.
-func (f *Forker) Discard(v *scenario.RunView) {
+func (f *forker) Discard(v *scenario.RunView) {
 	if v.Machine == nil {
 		return
 	}
@@ -184,7 +186,7 @@ func (f *Forker) Discard(v *scenario.RunView) {
 
 // takeSpare returns a discarded view to build the next run into, or nil
 // when none is spare.
-func (f *Forker) takeSpare() (v *scenario.RunView) {
+func (f *forker) takeSpare() (v *scenario.RunView) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if n := len(f.spare); n > 0 {
@@ -203,7 +205,7 @@ func (f *Forker) takeSpare() (v *scenario.RunView) {
 // is out of step with the lead (another sequence number, enabled set or
 // draw at the same round) drops out too, so an answer never rests on the
 // lockstep assumption — at worst the candidate executes from scratch.
-func (f *Forker) agrees(c Candidate, pEff scenario.Params) *forkPath {
+func (f *forker) agrees(c candidate, pEff scenario.Params) *forkPath {
 	var buf [maxForkPaths]*forkPath
 	live, streams := buf[:0], 0
 	for _, p := range f.forest {
@@ -311,7 +313,7 @@ func (p *forkPath) agreesFrom(j int, d *dryRun, sched vm.Scheduler, inputs vm.In
 }
 
 // takeDry returns a pooled dry run with its counts zeroed for n streams.
-func (f *Forker) takeDry(n int) *dryRun {
+func (f *forker) takeDry(n int) *dryRun {
 	f.mu.Lock()
 	var d *dryRun
 	if k := len(f.dry); k > 0 {
@@ -330,7 +332,7 @@ func (f *Forker) takeDry(n int) *dryRun {
 }
 
 // putDry returns a dry run to the pool.
-func (f *Forker) putDry(d *dryRun) {
+func (f *forker) putDry(d *dryRun) {
 	f.mu.Lock()
 	f.dry = append(f.dry, d)
 	f.mu.Unlock()

@@ -136,7 +136,7 @@ func TestForkedForcedScheduleSavesWork(t *testing.T) {
 	}
 }
 
-// TestForkerBoundaries drives the Forker directly through the pruning
+// TestForkerBoundaries drives the forker directly through the pruning
 // boundary cases: a candidate identical to a retained path (full reuse,
 // zero executed work), a candidate diverging at the last input draw and
 // one diverging at the first (both whole runs). Every case must stay
@@ -149,9 +149,9 @@ func TestForkerBoundaries(t *testing.T) {
 	if len(picks) < 2 {
 		t.Fatalf("recording consumed only %d picks", len(picks))
 	}
-	mk := func(seed int64, forced []trace.Value) Candidate {
+	mk := func(seed int64, forced []trace.Value) candidate {
 		vals := map[string][]trace.Value{"xfer.pick": forced}
-		return Candidate{
+		return candidate{
 			Seed:      seed,
 			Scheduler: func() vm.Scheduler { return vm.NewReplayScheduler(sched) },
 			Inputs: func() vm.InputSource {
@@ -159,7 +159,7 @@ func TestForkerBoundaries(t *testing.T) {
 			},
 		}
 	}
-	scratchOf := func(c Candidate) *scenario.RunView {
+	scratchOf := func(c candidate) *scenario.RunView {
 		return s.Exec(scenario.ExecOptions{Seed: c.Seed, Scheduler: c.Scheduler(), Inputs: c.Inputs()})
 	}
 	same := func(label string, got, want *scenario.RunView) {
@@ -169,7 +169,7 @@ func TestForkerBoundaries(t *testing.T) {
 		}
 	}
 
-	f := NewForker(ForkerConfig{Scenario: s})
+	f := newForker(forkerConfig{Scenario: s})
 	trunk := mk(100, picks)
 	tv, tSteps, _ := f.Run(trunk)
 	same("trunk", tv, scratchOf(trunk))
@@ -264,7 +264,7 @@ func runDiff(got, want *scenario.RunView) error {
 	return nil
 }
 
-// TestForkedRunIsAllOrNothing pins the Forker's two outcomes: a candidate
+// TestForkedRunIsAllOrNothing pins the forker's two outcomes: a candidate
 // is either pruned (zero steps) or executed whole (all of its steps), and
 // its view is bit-identical to a from-scratch execution either way — for
 // a forest grown candidate by candidate, and for one frozen after the
@@ -281,13 +281,13 @@ func TestForkedRunIsAllOrNothing(t *testing.T) {
 	// Candidate k alters the (k/2)-th draw from the end (none for k < 2,
 	// the first draw for k/2 = len(picks)): an odd k repeats its
 	// predecessor's candidate under another seed.
-	mk := func(k int, scheduler func(int) vm.Scheduler) Candidate {
+	mk := func(k int, scheduler func(int) vm.Scheduler) candidate {
 		vals := append([]trace.Value(nil), picks...)
 		if a := k / 2; a > 0 {
 			vals[len(vals)-a] = trace.Int(vals[len(vals)-a].AsInt() + 1)
 		}
 		in := map[string][]trace.Value{"xfer.pick": vals}
-		return Candidate{
+		return candidate{
 			Seed:      int64(100 + k),
 			Scheduler: func() vm.Scheduler { return scheduler(k) },
 			Inputs: func() vm.InputSource {
@@ -295,7 +295,7 @@ func TestForkedRunIsAllOrNothing(t *testing.T) {
 			},
 		}
 	}
-	var cands []Candidate
+	var cands []candidate
 	for k := 0; k < 8; k++ {
 		cands = append(cands, mk(k, forced))
 	}
@@ -303,7 +303,7 @@ func TestForkedRunIsAllOrNothing(t *testing.T) {
 	for k := 0; k < 4; k++ {
 		cands = append(cands, mk(k, random))
 	}
-	check := func(label string, f *Forker, c Candidate) (pruned bool, err error) {
+	check := func(label string, f *forker, c candidate) (pruned bool, err error) {
 		got, steps, cycles := f.Run(c)
 		want := s.Exec(scenario.ExecOptions{Seed: c.Seed, Scheduler: c.Scheduler(), Inputs: c.Inputs()})
 		if err := runDiff(got, want); err != nil {
@@ -319,7 +319,7 @@ func TestForkedRunIsAllOrNothing(t *testing.T) {
 		return steps == 0, nil
 	}
 
-	seq := NewForker(ForkerConfig{Scenario: s})
+	seq := newForker(forkerConfig{Scenario: s})
 	pruned := 0
 	for _, c := range cands {
 		p, err := check("sequential", seq, c)
@@ -334,7 +334,7 @@ func TestForkedRunIsAllOrNothing(t *testing.T) {
 		t.Fatalf("sequential: %d of %d candidates pruned, want some of each outcome", pruned, len(cands))
 	}
 
-	par := NewForker(ForkerConfig{Scenario: s})
+	par := newForker(forkerConfig{Scenario: s})
 	if _, err := check("trunk", par, cands[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -357,9 +357,10 @@ func TestForkedRunIsAllOrNothing(t *testing.T) {
 // candidate in flight, not one per candidate. Sequentially that is one
 // array; with Fork, one more per retained path, whose arrays the forest
 // keeps; with two workers, at most par.Ordered's window (16 per worker)
-// plus the two running. Every view but the forest's has Trace.Events nil
-// once rejected, and every forest view still equals a from-scratch
-// execution of its candidate: reuse never hands a retained array on.
+// plus the two running. Every view but the forest's and the last one,
+// which the exhausted search returns, has Trace.Events nil once rejected,
+// and every forest view still equals a from-scratch execution of its
+// candidate: reuse never hands a retained array on.
 func TestSearchReusesRejectedTraces(t *testing.T) {
 	s := workload.Bank()
 	cases := map[string]struct {
@@ -390,8 +391,11 @@ func TestSearchReusesRejectedTraces(t *testing.T) {
 				t.Fatalf("%d rejected candidates used %d distinct trace arrays, want at most %d",
 					out.Attempts, len(arrays), bound)
 			}
+			if last := views[len(views)-1]; out.View != last || last.Trace.Events == nil {
+				t.Fatal("the exhausted search did not return its last candidate's view intact")
+			}
 			var forest []*scenario.RunView
-			for _, v := range views {
+			for _, v := range views[:len(views)-1] {
 				if v.Trace.Events != nil {
 					forest = append(forest, v)
 				}
@@ -482,7 +486,7 @@ func TestSearchReusesRejectedMachines(t *testing.T) {
 // with the candidate's parameters is walked on its own, with a fresh
 // scheduler, input source and simulator, and the oldest path the
 // candidate agrees with is returned.
-func (f *Forker) agreesReference(c Candidate, pEff scenario.Params) *forkPath {
+func (f *forker) agreesReference(c candidate, pEff scenario.Params) *forkPath {
 	for _, p := range f.forest {
 		if !paramsEqual(p.params, pEff) {
 			continue
@@ -542,19 +546,19 @@ func TestForestDryRunMatchesPerPath(t *testing.T) {
 			}
 			o := Options{Budget: 40, BaseSeed: 7, ShrinkParams: []scenario.Params{tc.small}}
 			plan := buildPlan(s, o)
-			var cands []Candidate
+			var cands []candidate
 			for _, pt := range plan {
 				cands = append(cands, planCandidate(s, o, pt))
 			}
 			first := cands[len(cands)-1]
 			scratch := s.Exec(scenario.ExecOptions{Seed: first.Seed, Scheduler: first.Scheduler(), Inputs: first.Inputs()})
 			half := scratch.Trace.Schedule()[:scratch.Result.Steps/2]
-			mixed := Candidate{Seed: 1, Scheduler: first.Scheduler, Inputs: cands[len(cands)-2].Inputs}
-			diverging := Candidate{Seed: 2, Scheduler: func() vm.Scheduler { return vm.NewReplayScheduler(half) }, Inputs: first.Inputs}
-			large := Candidate{Seed: 3, Scheduler: first.Scheduler, Inputs: first.Inputs, Params: tc.large}
+			mixed := candidate{Seed: 1, Scheduler: first.Scheduler, Inputs: cands[len(cands)-2].Inputs}
+			diverging := candidate{Seed: 2, Scheduler: func() vm.Scheduler { return vm.NewReplayScheduler(half) }, Inputs: first.Inputs}
+			large := candidate{Seed: 3, Scheduler: first.Scheduler, Inputs: first.Inputs, Params: tc.large}
 
-			f := NewForker(ForkerConfig{Scenario: s, MaxSteps: 2 * scratch.Result.Steps})
-			for _, c := range []Candidate{first, mixed, diverging, cands[0], large, cands[len(cands)-3], cands[len(cands)-4], cands[len(cands)-5]} {
+			f := newForker(forkerConfig{Scenario: s, MaxSteps: 2 * scratch.Result.Steps})
+			for _, c := range []candidate{first, mixed, diverging, cands[0], large, cands[len(cands)-3], cands[len(cands)-4], cands[len(cands)-5]} {
 				f.Run(c)
 			}
 			outcomes := make(map[vm.Outcome]bool)

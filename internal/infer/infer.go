@@ -14,7 +14,8 @@
 //   - input non-determinism is searched by drawing candidate input
 //     sequences from the scenario's declared input domains;
 //   - recorded fragments (forced inputs, forced schedules) constrain each
-//     candidate execution rather than being searched;
+//     candidate execution rather than being searched — which is how
+//     perfect and RCSE replay run through this same loop;
 //   - ESD-style shrinking tries the scenario's reduced parameter sets
 //     first, synthesizing executions shorter than the original — which is
 //     how debugging efficiency can exceed 1 (§3.2).
@@ -57,7 +58,11 @@ type Options struct {
 	// by (stream, index) and only searches the rest.
 	ForcedInputs map[string][]trace.Value
 	// Schedule, when non-nil, is a complete recorded schedule to force;
-	// only input non-determinism is searched.
+	// only input non-determinism is searched. A forced schedule implies
+	// forced-schedule replay's relaxed time gates (vm.Config.RelaxTime),
+	// and candidate i draws its unforced inputs from
+	// Scenario.SearchSource(BaseSeed+i): no scheduler seed is drawn, so
+	// there is nothing to decorrelate the input seed from.
 	Schedule []trace.ThreadID
 	// MaxSteps bounds each candidate execution (0 = VM default).
 	MaxSteps uint64
@@ -86,7 +91,7 @@ type Options struct {
 	// candidates are retained — with their scheduling rounds — in a
 	// bounded forest, each later candidate is dry-run against the forest,
 	// and a candidate equivalent to a retained execution is pruned to zero
-	// executed work; every other candidate runs from scratch (see Forker).
+	// executed work; every other candidate runs from scratch (see forker).
 	// The accepted execution, Ok, Attempts, AcceptedParams and Note are
 	// bit-identical to the unpruned search at every worker count;
 	// WorkCycles and WorkSteps count only the work actually executed — the
@@ -114,7 +119,10 @@ func (o Options) Validate() error {
 
 // Outcome is a finished search.
 type Outcome struct {
-	// View is the accepted execution (nil when the search failed).
+	// View is the accepted execution. When the budget runs out it is the
+	// last candidate's execution, with Ok false, so a caller can show how
+	// the search failed; it is nil for rejected options and a canceled
+	// search.
 	View *scenario.RunView
 	// Ok reports whether a consistent execution was found.
 	Ok bool
@@ -207,8 +215,9 @@ func prioritize(plan []paramTry, o Options) []paramTry {
 // discarded unobserved.
 //
 // A rejected candidate's trace array backs a later candidate's trace (see
-// Forker.Discard), so accept must not retain a view it rejects, nor its
-// trace; the accepted view is the caller's to keep.
+// forker.Discard), so accept must not retain a view it rejects, nor its
+// trace; the accepted view, or the last one when the budget runs out, is
+// the caller's to keep.
 func Search(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options) *Outcome {
 	if err := o.Validate(); err != nil {
 		return &Outcome{Err: err, Note: "invalid options"}
@@ -228,16 +237,17 @@ func Search(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options
 		view          *scenario.RunView
 		steps, cycles uint64
 	}
-	// Every candidate runs through one Forker; without Fork its forest
-	// stays empty and frozen, so each candidate runs from scratch.
-	f := NewForker(ForkerConfig{Scenario: s, MaxSteps: o.MaxSteps})
+	// Every candidate runs through one forker; without Fork, or with no
+	// second candidate to prune (perfect replay), its forest stays empty
+	// and frozen, so each candidate runs from scratch.
+	f := newForker(forkerConfig{Scenario: s, MaxSteps: o.MaxSteps, RelaxTime: o.Schedule != nil})
 	run := func(pt paramTry) ran {
 		view, steps, cycles := f.Run(planCandidate(s, o, pt))
 		return ran{view, steps, cycles}
 	}
 	var trunk *ran
 	switch {
-	case !o.Fork:
+	case !o.Fork || len(plan) == 1:
 		f.Freeze()
 	case par.Workers(o.Workers, len(plan)) > 1 && o.Ctx.Err() == nil:
 		// See Options.Fork. A sequential search grows the forest as
@@ -268,7 +278,11 @@ func Search(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options
 			out.Note = fmt.Sprintf("%s attempt %d", pt.note, pt.idx)
 			return out
 		}
-		f.Discard(r.view)
+		if i == len(plan)-1 {
+			out.View = r.view
+		} else {
+			f.Discard(r.view)
+		}
 	}
 	if out.Attempts < len(plan) {
 		out.Err = o.Ctx.Err()
@@ -282,9 +296,9 @@ func Search(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options
 // planCandidate describes one candidate of the plan. Candidates are
 // bit-deterministic functions of (scenario, options, pt.idx), which is
 // what makes the search embarrassingly parallel.
-func planCandidate(s *scenario.Scenario, o Options, pt paramTry) Candidate {
+func planCandidate(s *scenario.Scenario, o Options, pt paramTry) candidate {
 	i := int64(pt.idx)
-	return Candidate{
+	return candidate{
 		Seed:      o.BaseSeed + i,
 		Scheduler: func() vm.Scheduler { return candidateScheduler(o, i) },
 		Inputs:    func() vm.InputSource { return candidateInputs(s, o, pt.p, i) },
@@ -312,9 +326,14 @@ func candidateScheduler(o Options, i int64) vm.Scheduler {
 func usesPCT(i int64) bool { return i%3 == 2 }
 
 // candidateInputs builds the i-th candidate's input source: forced
-// recorded streams over a searched base.
+// recorded streams over a searched base (see Options.Schedule for the
+// base's seed under a forced schedule).
 func candidateInputs(s *scenario.Scenario, o Options, p scenario.Params, i int64) vm.InputSource {
-	base := s.SearchSource(mix(o.BaseSeed, i*7919+13), p)
+	seed := mix(o.BaseSeed, i*7919+13)
+	if o.Schedule != nil {
+		seed = o.BaseSeed + i
+	}
+	base := s.SearchSource(seed, p)
 	if len(o.ForcedInputs) == 0 {
 		return base
 	}

@@ -27,8 +27,12 @@ func TestSearchFindsFailureSignature(t *testing.T) {
 func TestSearchBudgetExhaustion(t *testing.T) {
 	s := workload.Sum()
 	out := Search(s, func(*scenario.RunView) bool { return false }, Options{Budget: 17})
-	if out.Ok || out.View != nil {
+	if out.Ok {
 		t.Fatal("unsatisfiable search claimed success")
+	}
+	// The budget ran out: the view is the last candidate's run.
+	if out.View == nil || out.View.Machine == nil || out.View.Trace.Header.Seed != 16 {
+		t.Fatalf("exhausted search did not keep its last candidate's view: %+v", out.View)
 	}
 	if out.Attempts != 17 {
 		t.Fatalf("attempts = %d, want 17", out.Attempts)

@@ -205,7 +205,7 @@ func CheckWorkerInvariance(p progen.Program, budget int) error {
 }
 
 // CheckForkEquivalence is oracle (d): equivalence-pruned candidate
-// execution (replay.Options.Fork / infer.Forker) must accept the
+// execution (replay.Options.Fork / infer.Options.Fork) must accept the
 // identical candidate as the unpruned search — same acceptance, same
 // attempt count, same note, same event stream and failure identity — at
 // every worker count. Only the work counters may legitimately differ

@@ -26,7 +26,7 @@
 // search (replay.Replay, model debug-rcse). Because every candidate in
 // that search shares the recording's forced schedule and control inputs,
 // it benefits most from equivalence-pruned candidate execution
-// (infer.Forker, replay.Options.Fork): a candidate that draws the same
+// (infer.Options.Fork, replay.Options.Fork): a candidate that draws the same
 // data-plane values as an earlier one is pruned to zero work.
 package rcse
 

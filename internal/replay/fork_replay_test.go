@@ -14,12 +14,18 @@ import (
 
 // recordRCSE captures a debug-rcse recording of the scenario's default
 // run: control streams forced, schedule complete, data plane re-drawn at
-// replay time (what core.RecordOnly assembles, minus code selection).
-func recordRCSE(t *testing.T, name string) (*scenario.Scenario, *record.Recording) {
+// replay time (what core.RecordOnly assembles, minus code selection). With
+// undeclared, the scenario's ControlStreams are dropped first, as for an
+// SDK author who declares none: the recording then forces the schedule
+// alone.
+func recordRCSE(t *testing.T, name string, undeclared bool) (*scenario.Scenario, *record.Recording) {
 	t.Helper()
 	s, err := workload.ByName(name)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if undeclared {
+		s.ControlStreams = nil
 	}
 	cfg := rcse.Config{ControlStreams: s.ControlStreams}
 	factory := func(m *vm.Machine) (record.Policy, []vm.Observer) {
@@ -33,49 +39,73 @@ func recordRCSE(t *testing.T, name string) (*scenario.Scenario, *record.Recordin
 	return s, rec
 }
 
-// TestForkedReplayMatchesScratch pins the fork-equivalence contract at
-// the replay layer: for every search-shaped model (debug-rcse, output,
-// failure), Replay with Fork on accepts the identical result — same Ok,
-// Attempts and Note, bit-identical view — as the from-scratch replay,
-// while never executing more events.
+// TestForkedReplayMatchesScratch pins two contracts of the one candidate
+// loop every search-shaped model (debug-rcse, output, failure) replays
+// through, infer.Search. Worker invariance: the from-scratch replay at 4
+// workers has the same Ok, Attempts, Note, view and WorkSteps as at 1.
+// Fork equivalence: Replay with Fork on accepts the identical result at 1
+// and 4 workers, while never executing more events. The RCSE cases that
+// take more than one try pin the candidate loop's input derivation:
+// disk-snapres needs 3 tries, disk-tornwal with no declared streams 7, and
+// msgdrop with none is still not accepted after the 8 RCSE allows; a
+// replay that fails keeps its last try as its view.
 func TestForkedReplayMatchesScratch(t *testing.T) {
 	cases := []struct {
-		scenario string
-		model    record.Model
+		scenario   string
+		model      record.Model
+		undeclared bool
+		ok         bool
+		attempts   int // 0: not pinned
 	}{
-		{"bank", record.DebugRCSE},
-		{"sum", record.Output},
-		{"overflow", record.Failure},
+		{"bank", record.DebugRCSE, false, true, 1},
+		{"disk-snapres", record.DebugRCSE, false, true, 3},
+		{"disk-tornwal", record.DebugRCSE, true, true, 7},
+		{"msgdrop", record.DebugRCSE, true, false, 8},
+		{"sum", record.Output, false, true, 0},
+		{"overflow", record.Failure, false, true, 0},
 	}
 	for _, tc := range cases {
 		tc := tc
-		t.Run(tc.scenario+"/"+tc.model.String(), func(t *testing.T) {
+		name := tc.scenario + "/" + tc.model.String()
+		if tc.undeclared {
+			name += "/undeclared"
+		}
+		t.Run(name, func(t *testing.T) {
 			var s *scenario.Scenario
 			var rec *record.Recording
 			if tc.model == record.DebugRCSE {
-				s, rec = recordRCSE(t, tc.scenario)
+				s, rec = recordRCSE(t, tc.scenario, tc.undeclared)
 			} else {
 				s, rec, _ = recordScenario(t, tc.scenario, tc.model)
 			}
 			base := Replay(s, rec, Options{Budget: 120, Workers: 1})
-			for _, fo := range []Options{
+			if base.Ok != tc.ok || (tc.attempts != 0 && base.Attempts != tc.attempts) {
+				t.Fatalf("scratch replay: ok=%v attempts=%d, want ok=%v attempts=%d (%s)",
+					base.Ok, base.Attempts, tc.ok, tc.attempts, base.Note)
+			}
+			if base.View == nil {
+				t.Fatal("scratch replay returned no view")
+			}
+			for _, o := range []Options{
+				{Budget: 120, Workers: 4},
 				{Budget: 120, Workers: 1, Fork: true},
 				{Budget: 120, Workers: 4, Fork: true},
 			} {
-				fork := Replay(s, rec, fo)
-				if base.Ok != fork.Ok || base.Attempts != fork.Attempts || base.Note != fork.Note {
-					t.Fatalf("forked replay diverges: ok=%v attempts=%d note=%q vs ok=%v attempts=%d note=%q",
-						fork.Ok, fork.Attempts, fork.Note, base.Ok, base.Attempts, base.Note)
+				got := Replay(s, rec, o)
+				if base.Ok != got.Ok || base.Attempts != got.Attempts || base.Note != got.Note {
+					t.Fatalf("workers=%d fork=%v replay diverges: ok=%v attempts=%d note=%q vs ok=%v attempts=%d note=%q",
+						o.Workers, o.Fork, got.Ok, got.Attempts, got.Note, base.Ok, base.Attempts, base.Note)
 				}
-				if (base.View == nil) != (fork.View == nil) {
-					t.Fatal("one replay has a view, the other does not")
+				if got.View == nil || !trace.EventsEqual(base.View.Trace, got.View.Trace, false) {
+					t.Fatalf("workers=%d fork=%v replay produced a different event sequence", o.Workers, o.Fork)
 				}
-				if base.View != nil && !trace.EventsEqual(base.View.Trace, fork.View.Trace, false) {
-					t.Fatal("forked replay produced a different event sequence")
+				if !o.Fork && got.WorkSteps != base.WorkSteps {
+					t.Fatalf("scratch replay at %d workers executed %d steps, at 1 worker %d",
+						o.Workers, got.WorkSteps, base.WorkSteps)
 				}
-				if fork.WorkSteps > base.WorkSteps {
+				if got.WorkSteps > base.WorkSteps {
 					t.Fatalf("forked replay executed more steps (%d) than scratch (%d)",
-						fork.WorkSteps, base.WorkSteps)
+						got.WorkSteps, base.WorkSteps)
 				}
 			}
 		})
@@ -86,7 +116,7 @@ func TestForkedReplayMatchesScratch(t *testing.T) {
 // knobs surface as a clean error result from every model dispatch,
 // before any candidate executes.
 func TestReplayValidatesOptions(t *testing.T) {
-	s, rec := recordRCSE(t, "bank")
+	s, rec := recordRCSE(t, "bank", false)
 	for name, o := range map[string]Options{
 		"workers": {Workers: -1},
 		"budget":  {Budget: -3},

@@ -54,7 +54,7 @@ func bankRecording(t *testing.T, interval uint64) *record.Recording {
 
 func TestSeekReusesTheRecordingsPlan(t *testing.T) {
 	rec := bankRecording(t, 64)
-	ref := replayPerfect(workload.Bank(), rec, Options{}).View.Trace.Events
+	ref := Replay(workload.Bank(), rec, Options{}).View.Trace.Events
 	target := rec.EventCount/2 + 7
 	want := checkpoint.Best(rec.Checkpoints, target).Seq
 
@@ -91,7 +91,7 @@ func TestSeekReusesTheRecordingsPlan(t *testing.T) {
 // run it under -race.
 func TestConcurrentSeeksShareOnePlan(t *testing.T) {
 	rec := bankRecording(t, 64)
-	ref := replayPerfect(workload.Bank(), rec, Options{}).View.Trace.Events
+	ref := Replay(workload.Bank(), rec, Options{}).View.Trace.Events
 	var wg sync.WaitGroup
 	for g := uint64(0); g < 8; g++ {
 		target := rec.EventCount * (g + 1) / 9

@@ -1,21 +1,21 @@
-// Package replay reconstructs executions from recordings, one replayer per
-// determinism model:
+// Package replay reconstructs executions from recordings. Each determinism
+// model records less than the one before and searches more at debug time
+// (the paper's Fig. 1), so four of the five replayers are one loop,
+// infer.Search, under different constraints (DESIGN.md §2):
 //
-//   - perfect: force the recorded schedule and recorded inputs; the replay
-//     is bit-identical to the original in one attempt;
-//   - value: greedy value-guided scheduling against the per-thread value
-//     logs (the replay reads and writes the same values at the same
-//     per-thread execution points, but may discover a different global
-//     interleaving — exactly iDNA's guarantee);
-//   - output: search (see the infer package) until some execution produces
-//     the recorded outputs — it may reach them through different inputs
-//     and interleavings, which is the paper's 2+2=5 hazard;
-//   - failure: search until some execution exhibits the recorded failure
-//     signature, trying shrunken configurations first (ESD);
-//   - debug-rcse: force the recorded thread schedule and control-plane
-//     inputs; re-draw unrecorded data-plane inputs from the search domain.
-//     Control-plane behaviour — and with it the failure and its root cause,
-//     when they live in the control plane — reproduces exactly.
+//   - perfect forces the recorded schedule and every input: one candidate,
+//     bit-identical to the original;
+//   - debug-rcse forces the schedule and the control-plane inputs and
+//     re-draws the data plane, up to 8 candidates: control-plane behaviour,
+//     and with it a control-plane failure and its root cause, reproduces;
+//   - output searches for the recorded outputs, possibly through other
+//     inputs and interleavings (the paper's 2+2=5 hazard);
+//   - failure searches for the recorded failure signature, shrunken
+//     configurations first (ESD).
+//
+// Value replay alone has its own scheduler (valuesched.go), guided by the
+// per-thread value logs to iDNA's guarantee: the same values at the same
+// per-thread points, possibly in another global interleaving.
 package replay
 
 import (
@@ -38,7 +38,7 @@ type Options struct {
 	// Err set.
 	Ctx context.Context
 	// Budget bounds inference attempts for search-based models
-	// (default 200).
+	// (default 200; debug-rcse tries at most 8).
 	Budget int
 	// SearchSeed perturbs inference randomness.
 	SearchSeed int64
@@ -73,7 +73,10 @@ func (o Options) Validate() error {
 
 // Result is a finished replay.
 type Result struct {
-	// View is the replayed execution (nil if replay failed entirely).
+	// View is the replayed execution. A replay that is not accepted keeps
+	// its last candidate (the diverged or mismatched run) with Ok false.
+	// View is nil for rejected options, a canceled replay and a recording
+	// the model cannot replay.
 	View *scenario.RunView
 	// Ok reports whether the model's own acceptance condition was met
 	// (schedule consumed, outputs matched, signature matched, ...).
@@ -95,7 +98,10 @@ type Result struct {
 	Err error
 }
 
-// Replay dispatches on the recording's model.
+// Replay dispatches on the recording's model: value replay, or one
+// infer.Search call with the model's row of constraints (see the package
+// comment). Perfect replay runs at the recording's seed, so the replay's
+// trace header equals the original's.
 func Replay(s *scenario.Scenario, rec *record.Recording, o Options) *Result {
 	if err := o.Validate(); err != nil {
 		return &Result{Note: "invalid options", Err: err}
@@ -109,120 +115,7 @@ func Replay(s *scenario.Scenario, rec *record.Recording, o Options) *Result {
 	if err := o.Ctx.Err(); err != nil {
 		return &Result{Note: "replay canceled", Err: err}
 	}
-	switch rec.Model {
-	case record.Perfect:
-		return replayPerfect(s, rec, o)
-	case record.Value:
-		return replayValue(s, rec, o)
-	case record.Output:
-		return replayOutput(s, rec, o)
-	case record.Failure:
-		return replayFailure(s, rec, o)
-	case record.DebugRCSE:
-		return replayRCSE(s, rec, o)
-	}
-	return &Result{Note: fmt.Sprintf("unknown model %v", rec.Model)}
-}
-
-// replayPerfect forces the complete schedule and the recorded inputs.
-func replayPerfect(s *scenario.Scenario, rec *record.Recording, o Options) *Result {
-	if !rec.SchedComplete {
-		return &Result{Note: "perfect recording lacks a complete schedule"}
-	}
-	// The error is the store contract's: a recording serves its schedule
-	// and inputs from memory and cannot fail.
-	eo, _ := replayExec(rec, rec.Meta(), o, 0)
-	view := s.Exec(eo)
-	ok := view.Result.Outcome != vm.OutcomeDiverged && matchesTerminal(s, rec.Failed, rec.FailureSig, view)
-	return &Result{
-		View:       view,
-		Ok:         ok,
-		Attempts:   1,
-		WorkCycles: view.Result.Cycles,
-		WorkSteps:  view.Result.Steps,
-		Note:       "deterministic re-execution",
-	}
-}
-
-// replayRCSE forces the schedule stream and the recorded control-plane
-// inputs, re-drawing data-plane inputs from the search domain. A handful
-// of data-input seeds are tried in case unrecorded values steer control
-// flow (they do not in well-separated programs; the attempts guard
-// pathological scenarios).
-func replayRCSE(s *scenario.Scenario, rec *record.Recording, o Options) *Result {
-	if !rec.SchedComplete {
-		return &Result{Note: "rcse recording lacks a complete schedule"}
-	}
-	// Only the declared control streams are forced: the policy records
-	// them completely, so their (stream, index) alignment is exact.
-	// Trigger dial-ups may additionally capture fragments of data
-	// streams, but those fragments have unknown stream offsets and are
-	// used for inspection, not forcing.
-	control := make(map[string]bool, len(s.ControlStreams))
-	for _, name := range s.ControlStreams {
-		control[name] = true
-	}
-	forced := rec.InputsByStream()
-	//lint:nondet-ok per-key filter: each delete depends only on its own key, never on visit order
-	for name := range forced {
-		if !control[name] {
-			delete(forced, name)
-		}
-	}
-	res := &Result{Note: "forced schedule + control inputs"}
-	tries := 8
-	if o.Budget < tries {
-		tries = o.Budget
-	}
-	// The tries share the complete forced schedule and all control-plane
-	// inputs, so they diverge only at data-plane draws — often not at all.
-	// With Fork, a try that draws the same values as an earlier one is
-	// pruned to zero work; without it the forker's forest stays empty.
-	forker := infer.NewForker(infer.ForkerConfig{Scenario: s, MaxSteps: o.MaxSteps, RelaxTime: true})
-	if !o.Fork {
-		forker.Freeze()
-	}
-	for i := 0; i < tries; i++ {
-		if err := o.Ctx.Err(); err != nil {
-			res.Err = err
-			res.Note = "replay canceled"
-			return res
-		}
-		if res.View != nil {
-			// The failed try's trace array backs this one; a canceled
-			// replay returns before, keeping the last try as its view.
-			forker.Discard(res.View)
-		}
-		searchSeed := o.SearchSeed + int64(i)
-		view, steps, cycles := forker.Run(infer.Candidate{
-			Seed:      rec.Seed,
-			Scheduler: func() vm.Scheduler { return vm.NewReplayScheduler(rec.Sched) },
-			Inputs: func() vm.InputSource {
-				return &vm.MapInputs{
-					Values: forced,
-					Base:   s.SearchSource(searchSeed, s.DefaultParams.Clone(rec.Params)),
-				}
-			},
-			Params: rec.Params,
-		})
-		res.Attempts++
-		res.WorkCycles += cycles
-		res.WorkSteps += steps
-		res.View = view
-		if view.Result.Outcome != vm.OutcomeDiverged && matchesTerminal(s, rec.Failed, rec.FailureSig, view) {
-			res.Ok = true
-			return res
-		}
-	}
-	return res
-}
-
-// replayOutput searches for an execution producing the recorded outputs.
-func replayOutput(s *scenario.Scenario, rec *record.Recording, o Options) *Result {
-	want := rec.OutputsByStream()
-	out := infer.Search(s, func(v *scenario.RunView) bool {
-		return outputsMatch(want, v)
-	}, infer.Options{
+	io := infer.Options{
 		Ctx:      o.Ctx,
 		Budget:   o.Budget,
 		BaseSeed: o.SearchSeed,
@@ -230,55 +123,79 @@ func replayOutput(s *scenario.Scenario, rec *record.Recording, o Options) *Resul
 		MaxSteps: o.MaxSteps,
 		Workers:  o.Workers,
 		Fork:     o.Fork,
-	})
+	}
+	terminal := func(v *scenario.RunView) bool {
+		return matchesTerminal(s, rec.Failed, rec.FailureSig, v)
+	}
+	switch rec.Model {
+	case record.Perfect:
+		if !rec.SchedComplete {
+			return &Result{Note: "perfect recording lacks a complete schedule"}
+		}
+		io.Schedule, io.ForcedInputs = rec.Sched, rec.InputsByStream()
+		io.Budget, io.BaseSeed = 1, rec.Seed
+		return search(s, terminal, io, "deterministic re-execution")
+	case record.DebugRCSE:
+		if !rec.SchedComplete {
+			return &Result{Note: "rcse recording lacks a complete schedule"}
+		}
+		io.Schedule, io.ForcedInputs = rec.Sched, controlInputs(s, rec)
+		io.Budget = min(8, o.Budget)
+		return search(s, terminal, io, "forced schedule + control inputs")
+	case record.Output:
+		want := rec.OutputsByStream()
+		return search(s, func(v *scenario.RunView) bool {
+			return outputsMatch(want, v)
+		}, io, "output-constrained search")
+	case record.Failure:
+		if !rec.Failed {
+			return &Result{Note: "original run did not fail; nothing to synthesize"}
+		}
+		io.ShrinkParams, io.Suspects = o.ShrinkParams, o.Suspects
+		return search(s, func(v *scenario.RunView) bool {
+			failed, sig := s.CheckFailure(v)
+			return failed && sig == rec.FailureSig
+		}, io, "failure-signature search")
+	case record.Value:
+		return replayValue(s, rec, o)
+	}
+	return &Result{Note: fmt.Sprintf("unknown model %v", rec.Model)}
+}
+
+// search runs one search-shaped replay and reports it under note.
+func search(s *scenario.Scenario, accept func(*scenario.RunView) bool, io infer.Options, note string) *Result {
+	out := infer.Search(s, accept, io)
 	return &Result{
 		View:       out.View,
 		Ok:         out.Ok,
 		Attempts:   out.Attempts,
 		WorkCycles: out.WorkCycles,
 		WorkSteps:  out.WorkSteps,
-		Note:       "output-constrained search: " + out.Note,
+		Note:       note + ": " + out.Note,
 		Err:        out.Err,
 	}
 }
 
-// replayFailure searches for an execution with the recorded failure
-// signature, shrunken configurations first.
-func replayFailure(s *scenario.Scenario, rec *record.Recording, o Options) *Result {
-	if !rec.Failed {
-		return &Result{Note: "original run did not fail; nothing to synthesize"}
+// controlInputs is what an RCSE replay forces besides the schedule: the
+// recorded inputs of the declared control streams, which the policy
+// records completely, so their (stream, index) alignment is exact.
+// Trigger dial-ups' data-stream fragments have unknown stream offsets and
+// serve inspection, not forcing.
+func controlInputs(s *scenario.Scenario, rec *record.Recording) map[string][]trace.Value {
+	all, forced := rec.InputsByStream(), make(map[string][]trace.Value, len(s.ControlStreams))
+	for _, name := range s.ControlStreams {
+		forced[name] = all[name]
 	}
-	out := infer.Search(s, func(v *scenario.RunView) bool {
-		failed, sig := s.CheckFailure(v)
-		return failed && sig == rec.FailureSig
-	}, infer.Options{
-		Ctx:          o.Ctx,
-		Budget:       o.Budget,
-		BaseSeed:     o.SearchSeed,
-		Params:       rec.Params,
-		ShrinkParams: o.ShrinkParams,
-		MaxSteps:     o.MaxSteps,
-		Workers:      o.Workers,
-		Suspects:     o.Suspects,
-		Fork:         o.Fork,
-	})
-	return &Result{
-		View:       out.View,
-		Ok:         out.Ok,
-		Attempts:   out.Attempts,
-		WorkCycles: out.WorkCycles,
-		WorkSteps:  out.WorkSteps,
-		Note:       "failure-signature search: " + out.Note,
-		Err:        out.Err,
-	}
+	return forced
 }
 
-// matchesTerminal checks that the replay's failure identity matches the
-// recorded one (a Recording's fields or a store's Meta): both failed with
-// the same signature, or both finished clean.
+// matchesTerminal checks that the replay did not diverge from its forced
+// schedule and that its failure identity matches the recorded one (a
+// Recording's fields or a store's Meta): both failed with the same
+// signature, or both finished clean.
 func matchesTerminal(s *scenario.Scenario, failed bool, sig string, v *scenario.RunView) bool {
 	gotFailed, gotSig := s.CheckFailure(v)
-	return gotFailed == failed && gotSig == sig
+	return v.Result.Outcome != vm.OutcomeDiverged && gotFailed == failed && gotSig == sig
 }
 
 // outputsMatch compares per-stream output sequences, resolving the

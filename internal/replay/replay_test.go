@@ -6,6 +6,7 @@ import (
 	"debugdet/internal/record"
 	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
+	"debugdet/internal/vm"
 	"debugdet/internal/workload"
 )
 
@@ -192,6 +193,10 @@ func TestPerfectReplayDetectsTamperedSchedule(t *testing.T) {
 	res := Replay(s, rec, Options{})
 	if res.Ok {
 		t.Fatal("replay accepted a tampered schedule")
+	}
+	// The failed replay still shows the run that diverged.
+	if res.View == nil || res.View.Result.Outcome != vm.OutcomeDiverged {
+		t.Fatalf("failed replay returned view %+v, want the diverged run", res.View)
 	}
 }
 

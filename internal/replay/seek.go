@@ -157,7 +157,7 @@ func (k *SeekSession) RunToEnd() (view *scenario.RunView, ok bool) {
 	k.ReplaySteps += k.Machine.Seq() - before
 	res := k.Machine.Finish()
 	k.view = &scenario.RunView{Machine: k.Machine, Result: res, Trace: res.Trace}
-	k.ok = res.Outcome != vm.OutcomeDiverged && matchesTerminal(k.s, k.meta.Failed, k.meta.FailureSig, k.view)
+	k.ok = matchesTerminal(k.s, k.meta.Failed, k.meta.FailureSig, k.view)
 	return k.view, k.ok
 }
 

@@ -61,7 +61,7 @@ func TestSeekEquivalence(t *testing.T) {
 				t.Fatalf("no checkpoints captured over %d events", rec.EventCount)
 			}
 
-			full := replayPerfect(s, rec, Options{})
+			full := Replay(s, rec, Options{})
 			if !full.Ok {
 				t.Fatalf("sequential replay not ok: %s", full.Note)
 			}
@@ -202,7 +202,7 @@ func TestSegmentedEquivalence(t *testing.T) {
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
 			rec := checkpointedCorpusRecording(t, s)
-			full := replayPerfect(s, rec, Options{})
+			full := Replay(s, rec, Options{})
 			if !full.Ok {
 				t.Fatalf("sequential replay not ok: %s", full.Note)
 			}

@@ -211,8 +211,7 @@ func replayValue(s *scenario.Scenario, rec *record.Recording, o Options) *Result
 	res.WorkCycles = view.Result.Cycles
 	res.WorkSteps = view.Result.Steps
 	res.View = view
-	if sched.Done() && view.Result.Outcome != vm.OutcomeDiverged &&
-		matchesTerminal(s, rec.Failed, rec.FailureSig, view) {
+	if sched.Done() && matchesTerminal(s, rec.Failed, rec.FailureSig, view) {
 		res.Ok = true
 	}
 	return res

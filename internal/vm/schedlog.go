@@ -42,7 +42,7 @@ func (m *Machine) logRound(enabled []*Thread, pick *Thread) {
 // machine that carries only its event sequence number — exactly the
 // state the Scheduler contract allows a Pick to read. Equivalence-pruned
 // search uses it to check whether a candidate's scheduler takes every
-// decision a retained execution's rounds recorded (infer.Forker).
+// decision a retained execution's rounds recorded (infer.Options.Fork).
 //
 // A SchedSim is not safe for concurrent use; create one per goroutine
 // (it exists to be cheap: fake threads are cached across calls).
