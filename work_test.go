@@ -1,6 +1,7 @@
 package debugdet_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -20,24 +21,31 @@ const workLedger = "testdata/work.golden"
 
 // TestWorkLedger pins what each corpus cell's evaluation executes: whether
 // the replay was accepted, its candidate attempts, the events and virtual
-// cycles of work the replay executed, the original run's events and the
-// recording's log bytes. A change that moves a count on purpose shows it
+// cycles of work the replay executed, the original run's events, the
+// recording's log bytes, its full events and schedule entries, the bytes
+// its .ddrc file holds, and the original run's scheduling rounds and
+// hand-offs. A change that moves a count on purpose shows it
 // as this file's diff; regenerate with
 // `go test -run TestWorkLedger -update .`.
 func TestWorkLedger(t *testing.T) {
 	ctx := context.Background()
 	eng := debugdet.New()
 	var b strings.Builder
-	b.WriteString("# scenario model ok attempts worksteps workcycles events logbytes\n")
+	b.WriteString("# scenario model ok attempts worksteps workcycles events logbytes full sched ddrc rounds handoffs\n")
 	for _, s := range workload.All() {
 		for _, model := range record.AllModels() {
 			ev, err := eng.Evaluate(ctx, s, model, debugdet.Options{})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", s.Name, model, err)
 			}
-			r := ev.Replay
-			fmt.Fprintf(&b, "%s %s %v %d %d %d %d %d\n", s.Name, model,
-				r.Ok, r.Attempts, r.WorkSteps, r.WorkCycles, ev.Orig.Result.Steps, ev.LogBytes)
+			var file bytes.Buffer
+			if err := debugdet.SaveRecording(&file, ev.Recording); err != nil {
+				t.Fatalf("%s/%s: save: %v", s.Name, model, err)
+			}
+			r, rec, orig := ev.Replay, ev.Recording, ev.Orig.Result
+			fmt.Fprintf(&b, "%s %s %v %d %d %d %d %d %d %d %d %d %d\n", s.Name, model,
+				r.Ok, r.Attempts, r.WorkSteps, r.WorkCycles, orig.Steps, ev.LogBytes,
+				len(rec.Full), len(rec.Sched), file.Len(), orig.SchedRounds, orig.SchedHandoffs)
 		}
 	}
 	got := b.String()
