@@ -30,10 +30,7 @@ func main() {
 	// an RCSE trigger. Evaluate wires this up via the InvariantTrigger
 	// option: the first conservation violation dials fidelity up.
 	ev, err := eng.Evaluate(context.Background(), s, debugdet.DebugRCSE, debugdet.Options{
-		RCSE: debugdet.RCSEOptions{
-			InvariantTrigger:     true,
-			DisableCodeSelection: false,
-		},
+		RCSE: debugdet.RCSEOptions{InvariantTrigger: true},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -5,12 +5,12 @@
 // efficiency, debugging utility) together with the recording overhead and
 // log volume.
 //
-// For the debug-determinism model the pipeline also performs the RCSE
-// preparation the paper describes: a profiling run classifies sites into
-// control and data plane (code-based selection), training runs infer
-// invariants (data-based selection), and the race-detector trigger is
-// armed (combined selection). All of that happens before the "production"
-// run that gets recorded.
+// For the debug-determinism model the recording policy records the
+// scenario's declared control streams and the thread schedule
+// (rcse.Config). When asked, the pipeline also performs the rest of the
+// RCSE preparation the paper describes before the "production" run that
+// gets recorded: training runs infer invariants (data-based selection),
+// and the race-detector trigger is armed (combined selection).
 package core
 
 import (
@@ -21,7 +21,6 @@ import (
 	"debugdet/internal/flightrec"
 	"debugdet/internal/invariant"
 	"debugdet/internal/metrics"
-	"debugdet/internal/plane"
 	"debugdet/internal/rcse"
 	"debugdet/internal/record"
 	"debugdet/internal/replay"
@@ -29,13 +28,10 @@ import (
 	"debugdet/internal/vm"
 )
 
-// RCSEOptions selects which RCSE heuristics are armed for a
-// debug-determinism recording.
+// RCSEOptions selects which RCSE triggers are armed for a
+// debug-determinism recording, beyond the declared control streams and the
+// thread schedule it always records.
 type RCSEOptions struct {
-	// CodeSelection classifies sites from a profiling run and records
-	// control-plane sites fully (§3.1.1). On by default (disable only
-	// for ablations).
-	DisableCodeSelection bool
 	// RaceTrigger arms the sampling race detector (§3.1.3).
 	RaceTrigger bool
 	// InvariantTrigger trains invariants on healthy runs and arms the
@@ -92,10 +88,10 @@ type Options struct {
 	// Evaluate build monolithic recordings and ignore it.
 	FlightRecorder *flightrec.Options
 
-	// profileSeed drives the RCSE profiling and training runs: Seed + 101,
-	// taken by withDefaults before a zero Seed is resolved to the
-	// scenario's default, so a default-seeded evaluation profiles at 101.
-	profileSeed int64
+	// trainSeed drives the RCSE training runs: Seed + 101 + i for the
+	// i-th, taken by withDefaults before a zero Seed is resolved to the
+	// scenario's default, so a default-seeded evaluation trains at 102.
+	trainSeed int64
 }
 
 // validate rejects option values that would otherwise be silently
@@ -134,8 +130,8 @@ func (o Options) withDefaults() Options {
 	if o.Ctx == nil {
 		o.Ctx = context.Background()
 	}
-	if o.profileSeed == 0 {
-		o.profileSeed = o.Seed + 101
+	if o.trainSeed == 0 {
+		o.trainSeed = o.Seed + 101
 	}
 	if o.ReplayBudget == 0 {
 		o.ReplayBudget = 200
@@ -175,8 +171,8 @@ func (e *Evaluation) Summary() string {
 // RecordOnly runs the scenario once under the model's recorder — the
 // "production run" of the pipeline — and returns the recording with the
 // original run. For DebugRCSE it first performs the RCSE preparation the
-// paper describes (profiling, training, trigger arming) according to
-// o.RCSE, and additionally returns the armed setup for trigger
+// paper describes (training, trigger arming) according to o.RCSE, and
+// additionally returns the armed setup for trigger
 // statistics (nil for the other models).
 func RecordOnly(s *scenario.Scenario, model record.Model, o Options) (*record.Recording, *scenario.RunView, *rcse.Setup, error) {
 	o = o.withDefaults()
@@ -318,24 +314,13 @@ func Evaluate(s *scenario.Scenario, model record.Model, o Options) (*Evaluation,
 }
 
 // PrepareRCSE performs the before-production steps of root cause-driven
-// selectivity: profiling for plane classification and training for
-// invariants. The returned config builds the policy for the recording
-// machine.
+// selectivity: it trains invariants when o.RCSE arms their trigger. The
+// returned config builds the policy for the recording machine.
 func PrepareRCSE(s *scenario.Scenario, o Options) (rcse.Config, error) {
 	o = o.withDefaults()
 	cfg := rcse.Config{ControlStreams: s.ControlStreams, Race: o.RCSE.RaceTrigger}
-	if !o.RCSE.DisableCodeSelection {
-		if err := o.Ctx.Err(); err != nil {
-			return cfg, err
-		}
-		prof := s.Exec(scenario.ExecOptions{Seed: o.profileSeed, Params: o.Params})
-		if prof.Trace == nil {
-			return cfg, fmt.Errorf("core: profiling run produced no trace")
-		}
-		cfg.Classification = plane.ClassifyTrace(prof.Trace, plane.Options{})
-	}
 	if o.RCSE.InvariantTrigger {
-		seeds := []int64{o.profileSeed + 1, o.profileSeed + 2, o.profileSeed + 3}
+		seeds := []int64{o.trainSeed + 1, o.trainSeed + 2, o.trainSeed + 3}
 		set, err := TrainInvariants(o.Ctx, s, seeds, o.Params)
 		if err != nil {
 			return cfg, err

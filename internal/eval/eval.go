@@ -145,10 +145,10 @@ func cellOf(ev *core.Evaluation) Cell {
 // at an explicit production seed and parameter overrides (both zero-valued
 // for the standard tables; T-FUZZ pins them to a regenerated program).
 // All tables share this one cell constructor — and its error wrap, which
-// names the table — so they can never drift apart. RCSE cells use
-// code-based selection alone, matching §4 ("RCSE based on control-plane
-// code selection"); the trigger variants are measured separately in the
-// T-TRIG ablation. The inner replay search is pinned sequential: the grid
+// names the table — so they can never drift apart. RCSE cells record the
+// declared control streams and the schedule, matching §4 ("recording just
+// the data on control-plane channels and the thread schedule"); the
+// trigger variants are measured separately in the T-TRIG ablation. The inner replay search is pinned sequential: the grid
 // is the parallel axis (see Options.Workers).
 func runCell(table string, s *scenario.Scenario, model record.Model, o Options, seed int64, params scenario.Params) (Cell, error) {
 	ev, err := core.Evaluate(s, model, core.Options{
@@ -504,18 +504,16 @@ type TrigRow struct {
 }
 
 // trigConfigs are T-TRIG's RCSE configurations. Every one records the
-// declared control streams (rcse.StreamSelector); streams-only records
-// nothing else beyond the schedule.
+// declared control streams and the schedule (rcse.StreamSelector); streams
+// records nothing else.
 var trigConfigs = []struct {
 	name string
 	opts core.RCSEOptions
 }{
-	{"streams-only", core.RCSEOptions{DisableCodeSelection: true}},
-	{"code-only", core.RCSEOptions{}},
-	{"code+race", core.RCSEOptions{RaceTrigger: true}},
-	{"code+invariant", core.RCSEOptions{InvariantTrigger: true}},
-	{"race-only", core.RCSEOptions{DisableCodeSelection: true, RaceTrigger: true}},
-	{"code+race+inv", core.RCSEOptions{RaceTrigger: true, InvariantTrigger: true}},
+	{"streams", core.RCSEOptions{}},
+	{"race", core.RCSEOptions{RaceTrigger: true}},
+	{"invariant", core.RCSEOptions{InvariantTrigger: true}},
+	{"race+inv", core.RCSEOptions{RaceTrigger: true, InvariantTrigger: true}},
 }
 
 // TableTriggers runs the §3.1.3 ablation: each RCSE heuristic alone and

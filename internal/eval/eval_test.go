@@ -255,51 +255,42 @@ func TestTableTriggersAblation(t *testing.T) {
 	// The declared control streams alone keep every scenario's fidelity
 	// at 1 with the smallest log: they are what the replayer forces.
 	for _, name := range []string{"hyperkv-dataloss", "msgdrop", "bank"} {
-		streams := byKey[name+"/streams-only"]
+		streams := byKey[name+"/streams"]
 		if streams.DF != 1 {
-			t.Fatalf("%s streams-only DF = %v", name, streams.DF)
+			t.Fatalf("%s streams DF = %v", name, streams.DF)
 		}
 		for _, r := range rows {
-			if r.Scenario == name && r.Config != "streams-only" && r.LogBytes <= streams.LogBytes {
-				t.Fatalf("%s %s log %d B <= streams-only log %d B", name, r.Config, r.LogBytes, streams.LogBytes)
+			if r.Scenario == name && r.LogBytes < streams.LogBytes {
+				t.Fatalf("%s %s log %d B < streams log %d B", name, r.Config, r.LogBytes, streams.LogBytes)
 			}
 		}
 	}
-	codeOnly := byKey["hyperkv-dataloss/code-only"]
-	if codeOnly.DF != 1 {
-		t.Fatalf("code-only DF = %v", codeOnly.DF)
-	}
-	// Without code selection the race trigger still records the streams
-	// the replayer forces, so the Hypertable bug reproduces.
-	if raceOnly := byKey["hyperkv-dataloss/race-only"]; raceOnly.DF != 1 {
-		t.Fatalf("hyperkv race-only DF = %v", raceOnly.DF)
-	}
 	// Adding the race trigger grows the log (it fires on the injected
 	// race) but never hurts fidelity.
-	codeRace := byKey["hyperkv-dataloss/code+race"]
-	if codeRace.RaceFires == 0 {
+	race := byKey["hyperkv-dataloss/race"]
+	if race.RaceFires == 0 {
 		t.Fatal("race trigger never fired on the racy cluster")
 	}
-	if codeRace.LogBytes <= codeOnly.LogBytes {
+	if race.LogBytes <= byKey["hyperkv-dataloss/streams"].LogBytes {
 		t.Fatal("race-trigger dial-up did not grow the log")
 	}
-	if codeRace.DF != 1 {
-		t.Fatalf("code+race DF = %v", codeRace.DF)
+	if race.DF != 1 {
+		t.Fatalf("hyperkv race DF = %v", race.DF)
 	}
 	// The invariant trigger fires on the drifting bank.
-	bankInv := byKey["bank/code+invariant"]
+	bankInv := byKey["bank/invariant"]
 	if bankInv.InvFires == 0 {
 		t.Fatal("invariant trigger never fired on the drifting bank")
 	}
-	if txt := RenderTableTriggers(rows); !strings.Contains(txt, "code-only") {
+	if txt := RenderTableTriggers(rows); !strings.Contains(txt, "race+inv") {
 		t.Fatal("trigger table rendering broken")
 	}
 }
 
 // TestRCSERecordsEveryDeclaredStream pins the stream rule RCSE replay
-// relies on: under every T-TRIG configuration, code selection on or off,
-// a debug-rcse recording holds each declared control stream the
-// production run drew from, complete and in order.
+// relies on: under every T-TRIG configuration, a debug-rcse recording
+// holds each declared control stream the production run drew from,
+// complete and in order.
 func TestRCSERecordsEveryDeclaredStream(t *testing.T) {
 	for _, s := range workload.All() {
 		for _, c := range trigConfigs {

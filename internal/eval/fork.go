@@ -9,7 +9,6 @@ import (
 	"debugdet/internal/record"
 	"debugdet/internal/replay"
 	"debugdet/internal/scenario"
-	"debugdet/internal/trace"
 	"debugdet/internal/workload"
 )
 
@@ -139,15 +138,14 @@ func forkSearchRow(s *scenario.Scenario, model record.Model, o Options) (ForkRow
 }
 
 // forkSweepRow measures the RCSE-class data-plane sensitivity sweep: the
-// recorded schedule and control-plane inputs are forced, and the sweep
-// budget re-executes the run across data seeds. The accept callback
-// rejects everything so that every candidate runs — a real sweep inspects
-// each view for outcome drift; the work cost is the same.
+// schedule and inputs of the default run's RCSE recording are forced, and
+// the sweep budget re-executes the run across data seeds. The accept
+// callback rejects everything so that every candidate runs — a real sweep
+// inspects each view for outcome drift; the work cost is the same.
 func forkSweepRow(s *scenario.Scenario, o Options) (ForkRow, error) {
-	v := s.Exec(scenario.ExecOptions{Seed: s.DefaultSeed})
-	forced := make(map[string][]trace.Value, len(s.ControlStreams))
-	for _, cs := range s.ControlStreams {
-		forced[cs] = v.Result.InputsUsed[cs]
+	rec, _, _, err := core.RecordOnly(s, record.DebugRCSE, core.Options{Ctx: o.Ctx})
+	if err != nil {
+		return ForkRow{}, err
 	}
 	reject := func(*scenario.RunView) bool { return false }
 	row := ForkRow{Scenario: s.Name, Shape: "sweep", Identical: true}
@@ -157,8 +155,8 @@ func forkSweepRow(s *scenario.Scenario, o Options) (ForkRow, error) {
 			Budget:       forkSweepBudget,
 			BaseSeed:     seed,
 			Workers:      1,
-			Schedule:     v.Trace.Schedule(),
-			ForcedInputs: forced,
+			Schedule:     rec.Sched,
+			ForcedInputs: rec.InputsByStream(),
 		}
 		base := infer.Search(s, reject, io)
 		io.Fork = true

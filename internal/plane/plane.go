@@ -1,6 +1,6 @@
 // Package plane classifies instrumentation sites into control-plane and
-// data-plane code, implementing the code-based selection heuristic of
-// §3.1.1 and the approach of the HotDep'10 study the paper cites as [3]:
+// data-plane code, the heuristic behind the code-based selection of §3.1.1
+// and the approach of the HotDep'10 study the paper cites as [3]:
 // control-plane code executes at substantially lower data rates than
 // data-plane code, so low-rate sites are deemed control plane. The
 // classifier combines two signals obtained from a profiling run:
@@ -11,10 +11,11 @@
 //     propagated by the VM (bulk-input-derived values mark data-plane
 //     flow).
 //
-// RCSE's code-based selector then records control-plane sites at full
-// fidelity while relaxing data-plane sites (§3.1.1), which is what lets it
-// escape the overhead/fidelity trade-off on control-plane bugs like the
-// Hypertable data-loss race.
+// No recorder uses the classification: a site-level record of the control
+// plane held nothing the RCSE replayer forces, so RCSE records the declared
+// control streams instead (package rcse). The classifier is kept as a
+// measurement: T-PLANE scores it against each scenario's ground truth
+// (scenario.Scenario.PlaneTruth).
 package plane
 
 import (

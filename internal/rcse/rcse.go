@@ -1,14 +1,14 @@
 // Package rcse implements root cause-driven selectivity (§3.1): the
-// recording policy that makes debug determinism practical. RCSE predicts
-// where the root cause of a future failure is likely to lie and records
-// those portions of the execution at full fidelity while relaxing the
-// rest.
+// recording policy of debug determinism. It keeps the thread schedule and
+// the inputs of the control plane, and relaxes the data plane (§4:
+// "recording just the data on control-plane channels and the thread
+// schedule").
 //
-// Three selector families are provided, mirroring the paper:
+// A Policy takes the maximum level its selectors demand per event, over
+// the thread-schedule floor RCSE always keeps:
 //
-//   - code-based selection (§3.1.1): control-plane sites, as classified by
-//     the plane package, are recorded fully; data-plane sites contribute
-//     only their scheduling decision;
+//   - the StreamSelector records every input drawn from the declared
+//     control streams; Config.Build always arms it;
 //   - data-based selection (§3.1.2): an invariant monitor watches probe
 //     points; a violation signals a likely error path and dials fidelity
 //     up from that point on;
@@ -16,23 +16,26 @@
 //     fires a dial-up; after a quiet period with no trigger activity,
 //     fidelity dials back down.
 //
-// A Policy combines any set of selectors by taking the maximum demanded
-// level per event, over the baseline thread-schedule stream that RCSE
-// always keeps. Config.Build always adds the StreamSelector as well, so
-// every recording holds what the RCSE replayer forces (§4: "recording
-// just the data on control-plane channels and the thread schedule").
+// Code-based selection (§3.1.1), which classified sites from a profiling
+// run, is not implemented: it recorded nothing a replay could force
+// (DESIGN.md §3).
 //
-// Replaying an RCSE recording re-synthesizes the unrecorded data plane by
-// search (replay.Replay, model debug-rcse). Because every candidate in
-// that search shares the recording's forced schedule and control inputs,
-// it benefits most from equivalence-pruned candidate execution
-// (infer.Options.Fork, replay.Options.Fork): a candidate that draws the same
-// data-plane values as an earlier one is pruned to zero work.
+// The policy records each input stream as a prefix of its draws: once a
+// draw of a stream is recorded below full, no later draw of that stream is
+// recorded in full. So record.Recording.InputsByStream is index-exact, and
+// the replayer (replay.Replay, model debug-rcse) forces the schedule and
+// every recorded input, and re-synthesizes the rest by search. It reads
+// the recording alone, never the declared streams. Because every candidate
+// in that search shares the forced schedule and inputs, it benefits most
+// from equivalence-pruned candidate execution (infer.Options.Fork,
+// replay.Options.Fork): a candidate that draws the same data-plane values
+// as an earlier one is pruned to zero work.
 package rcse
 
 import (
+	"slices"
+
 	"debugdet/internal/invariant"
-	"debugdet/internal/plane"
 	"debugdet/internal/race"
 	"debugdet/internal/record"
 	"debugdet/internal/trace"
@@ -55,14 +58,17 @@ type Selector interface {
 
 // Policy is an RCSE recording policy: the maximum level any selector
 // demands, with LevelSched as the floor (the thread schedule is always
-// kept).
+// kept), and each input stream recorded as a prefix of its draws.
 type Policy struct {
 	selectors []Selector
+	// cut holds the input streams with a draw recorded below full: none of
+	// their later draws is recorded in full.
+	cut map[trace.ObjID]bool
 }
 
 // NewPolicy combines selectors into a policy.
 func NewPolicy(selectors ...Selector) *Policy {
-	return &Policy{selectors: selectors}
+	return &Policy{selectors: selectors, cut: make(map[trace.ObjID]bool)}
 }
 
 // Name implements record.Policy.
@@ -72,48 +78,49 @@ func (p *Policy) Name() string { return "rcse" }
 func (p *Policy) Level(e *trace.Event) record.Level {
 	level := record.LevelSched
 	for _, s := range p.selectors {
-		if d := s.Demand(e); d > level {
-			level = d
+		level = max(level, s.Demand(e))
+	}
+	if e.Kind == trace.EvInput {
+		if p.cut[e.Obj] {
+			return record.LevelSched
+		}
+		if level < record.LevelFull {
+			p.cut[e.Obj] = true
 		}
 	}
 	return level
 }
 
 // StreamSelector records every input drawn from the declared control
-// streams (routing metadata and other control inputs) in full. The RCSE
-// replayer forces exactly these streams and the schedule, so Config.Build
-// arms it whatever else is selected.
-type StreamSelector map[trace.ObjID]bool
+// streams (routing metadata and other control inputs) in full. A program
+// may register a stream when a thread first draws from it, after the
+// policy is built, so the selector resolves a stream's name the first time
+// one of its inputs appears and caches the answer.
+type StreamSelector struct {
+	m       *vm.Machine
+	names   []string
+	control map[trace.ObjID]bool
+}
+
+// NewStreamSelector selects the named streams of machine m.
+func NewStreamSelector(m *vm.Machine, names []string) *StreamSelector {
+	return &StreamSelector{m: m, names: names, control: make(map[trace.ObjID]bool)}
+}
 
 // Demand implements Selector.
-func (s StreamSelector) Demand(e *trace.Event) record.Level {
-	if e.Kind == trace.EvInput && s[e.Obj] {
+func (s *StreamSelector) Demand(e *trace.Event) record.Level {
+	if e.Kind != trace.EvInput {
+		return record.LevelSkip
+	}
+	control, ok := s.control[e.Obj]
+	if !ok {
+		control = slices.Contains(s.names, s.m.StreamName(e.Obj))
+		s.control[e.Obj] = control
+	}
+	if control {
 		return record.LevelFull
 	}
 	return record.LevelSkip
-}
-
-// CodeSelector implements code-based selection over a plane
-// classification: full fidelity for control-plane sites and terminal
-// events, schedule-only elsewhere.
-type CodeSelector struct {
-	classification *plane.Classification
-}
-
-// NewCodeSelector builds the selector.
-func NewCodeSelector(c *plane.Classification) *CodeSelector {
-	return &CodeSelector{classification: c}
-}
-
-// Demand implements Selector.
-func (s *CodeSelector) Demand(e *trace.Event) record.Level {
-	if e.Kind.IsTerminal() {
-		return record.LevelFull
-	}
-	if e.Site != trace.NoSite && s.classification.IsControl(e.Site) {
-		return record.LevelFull
-	}
-	return record.LevelSched
 }
 
 // Trigger is a stateful dial-up/dial-down selector. External detectors
@@ -162,8 +169,6 @@ func (t *Trigger) Demand(e *trace.Event) record.Level {
 // Config assembles a complete RCSE setup: the policy for the recorder plus
 // the detector observers that must be attached to the same machine.
 type Config struct {
-	// Classification enables code-based selection when non-nil.
-	Classification *plane.Classification
 	// ControlStreams (by name) are always-recorded input streams.
 	ControlStreams []string
 	// Race arms the sampling race-detector trigger.
@@ -182,22 +187,11 @@ type Setup struct {
 	InvariantTrigger *Trigger
 }
 
-// Build constructs the policy and observers for a machine on which the
-// scenario's program has already been built (streams registered). It is
-// used as a record.PolicyFactory body.
+// Build constructs the policy and observers for a machine. It is used as
+// a record.PolicyFactory body.
 func (c Config) Build(m *vm.Machine) *Setup {
-	streams := make(StreamSelector, len(c.ControlStreams))
-	for _, name := range c.ControlStreams {
-		if id, ok := m.StreamID(name); ok {
-			streams[id] = true
-		}
-	}
-	selectors := []Selector{streams}
+	selectors := []Selector{NewStreamSelector(m, c.ControlStreams)}
 	setup := &Setup{}
-
-	if c.Classification != nil {
-		selectors = append(selectors, NewCodeSelector(c.Classification))
-	}
 	if c.Race {
 		tr := NewTrigger(quietPeriod)
 		setup.RaceTrigger = tr

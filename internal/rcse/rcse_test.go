@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"debugdet/internal/invariant"
-	"debugdet/internal/plane"
 	"debugdet/internal/record"
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
@@ -34,35 +33,6 @@ func TestPolicyFloorIsSchedule(t *testing.T) {
 type fixedSelector struct{ level record.Level }
 
 func (f fixedSelector) Demand(*trace.Event) record.Level { return f.level }
-
-func TestCodeSelector(t *testing.T) {
-	c := &plane.Classification{Planes: map[trace.SiteID]plane.Plane{
-		1: plane.Control,
-		2: plane.Data,
-	}}
-	sel := NewCodeSelector(c)
-
-	ctrl := trace.Event{Kind: trace.EvStore, Site: 1}
-	if sel.Demand(&ctrl) != record.LevelFull {
-		t.Fatal("control-plane site not recorded fully")
-	}
-	data := trace.Event{Kind: trace.EvStore, Site: 2}
-	if sel.Demand(&data) != record.LevelSched {
-		t.Fatal("data-plane site not relaxed")
-	}
-	unknown := trace.Event{Kind: trace.EvStore, Site: 99}
-	if sel.Demand(&unknown) != record.LevelFull {
-		t.Fatal("unknown site must default to control (recorded)")
-	}
-	dataInput := trace.Event{Kind: trace.EvInput, Obj: 7, Site: 2}
-	if sel.Demand(&dataInput) != record.LevelSched {
-		t.Fatal("input at a data-plane site not relaxed")
-	}
-	terminal := trace.Event{Kind: trace.EvFail, Site: 2}
-	if sel.Demand(&terminal) != record.LevelFull {
-		t.Fatal("terminal events must always be recorded")
-	}
-}
 
 func TestTriggerDialUpAndDown(t *testing.T) {
 	tr := NewTrigger(10)
@@ -102,19 +72,54 @@ func TestTriggerZeroQuietPeriodStaysUp(t *testing.T) {
 	}
 }
 
+// TestStreamSelector pins that the selector records the inputs of the
+// named streams in full, including a stream the program registers only
+// after the selector was built, and demands nothing else.
 func TestStreamSelector(t *testing.T) {
-	sel := StreamSelector{7: true}
-	ctl := trace.Event{Kind: trace.EvInput, Obj: 7}
-	if sel.Demand(&ctl) != record.LevelFull {
-		t.Fatal("control stream input not recorded")
+	m := vm.New(vm.Config{Seed: 1})
+	data := m.Stream("data")
+	sel := NewStreamSelector(m, []string{"ctl", "late"})
+	ctl := m.Stream("ctl")
+	late := m.Stream("late") // registered after the build, as a thread body would
+	for _, id := range []trace.ObjID{ctl, late, ctl} {
+		e := trace.Event{Kind: trace.EvInput, Obj: id}
+		if sel.Demand(&e) != record.LevelFull {
+			t.Fatalf("input of control stream %q not recorded", m.StreamName(id))
+		}
 	}
-	data := trace.Event{Kind: trace.EvInput, Obj: 8}
-	if sel.Demand(&data) != record.LevelSkip {
+	in := trace.Event{Kind: trace.EvInput, Obj: data}
+	if sel.Demand(&in) != record.LevelSkip {
 		t.Fatal("data stream input demanded")
 	}
-	store := trace.Event{Kind: trace.EvStore, Obj: 7}
+	store := trace.Event{Kind: trace.EvStore, Obj: ctl}
 	if sel.Demand(&store) != record.LevelSkip {
 		t.Fatal("non-input event on the stream's object demanded")
+	}
+}
+
+// TestPolicyRecordsStreamPrefixes pins the prefix rule: once a draw of a
+// stream is recorded below full, a trigger that dials up later cannot
+// record a later draw of that stream in full, while a stream first drawn
+// under the dial-up is recorded from its first draw.
+func TestPolicyRecordsStreamPrefixes(t *testing.T) {
+	tr := NewTrigger(0)
+	p := NewPolicy(tr)
+	input := func(seq uint64, obj trace.ObjID) record.Level {
+		return p.Level(&trace.Event{Seq: seq, Kind: trace.EvInput, Obj: obj})
+	}
+	if input(1, 1) != record.LevelSched {
+		t.Fatal("undemanded input recorded in full")
+	}
+	tr.Fire()
+	if got := input(2, 1); got != record.LevelSched {
+		t.Fatalf("a cut stream's later draw recorded at %v, want sched", got)
+	}
+	if got := input(3, 2); got != record.LevelFull {
+		t.Fatalf("a stream first drawn under the dial-up recorded at %v, want full", got)
+	}
+	store := trace.Event{Seq: 4, Kind: trace.EvStore, Obj: 1}
+	if p.Level(&store) != record.LevelFull {
+		t.Fatal("the prefix rule capped a non-input event")
 	}
 }
 
@@ -143,10 +148,10 @@ func TestConfigBuildWiresDetectors(t *testing.T) {
 	if len(setup.Observers) != 2 {
 		t.Fatalf("observers = %d, want 2", len(setup.Observers))
 	}
-	// Without code selection the declared stream is still recorded fully.
+	// The declared stream is recorded fully.
 	input := trace.Event{Seq: 1, Kind: trace.EvInput, Obj: ctl}
 	if setup.Policy.Level(&input) != record.LevelFull {
-		t.Fatal("control stream not recorded without code selection")
+		t.Fatal("control stream not recorded")
 	}
 	// The race trigger must elevate the policy once fired.
 	e := trace.Event{Seq: 5, Kind: trace.EvStore, Site: 3}

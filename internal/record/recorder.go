@@ -195,8 +195,9 @@ func failurePolicy() Policy {
 }
 
 // PolicyFor returns the stock policy for a model. DebugRCSE has no stock
-// policy — it is built by the rcse package from a plane classification and
-// triggers — so requesting it returns nil and the caller must supply one.
+// policy — it is built by the rcse package from the scenario's control
+// streams and triggers — so requesting it returns nil and the caller must
+// supply one.
 func PolicyFor(m Model) Policy {
 	switch m {
 	case Perfect:

@@ -109,8 +109,10 @@ func (r *Recording) StreamName(id trace.ObjID) string {
 }
 
 // InputsByStream extracts the recorded input values per stream name, in
-// recorded order. Only meaningful for streams the model recorded
-// completely.
+// recorded order. Every model records each stream as a prefix of the
+// run's draws from it (all of them, none, or under RCSE the first ones),
+// so the i-th value is the stream's i-th draw: a replayer forces them by
+// index.
 func (r *Recording) InputsByStream() map[string][]trace.Value {
 	out := make(map[string][]trace.Value)
 	for _, e := range r.Full {
@@ -278,7 +280,7 @@ func FactoryFor(p Policy) PolicyFactory {
 // Record runs the scenario once under the given model's stock policy and
 // captures the recording. It is the one-call entry point for the
 // non-RCSE models; RCSE recording is orchestrated by the core package
-// because it needs a plane classification and triggers.
+// because it needs the scenario's control streams and triggers.
 func Record(s *scenario.Scenario, model Model, seed int64, params scenario.Params) (*Recording, *scenario.RunView, error) {
 	policy := PolicyFor(model)
 	if policy == nil {

@@ -13,10 +13,10 @@ import (
 )
 
 // recordRCSE captures a debug-rcse recording of the scenario's default
-// run: control streams forced, schedule complete, data plane re-drawn at
-// replay time (what core.RecordOnly assembles, minus code selection). With
-// undeclared, the scenario's ControlStreams are dropped first, as for an
-// SDK author who declares none: the recording then forces the schedule
+// run: control streams recorded, schedule complete, data plane re-drawn
+// at replay time (what core.RecordOnly assembles with no trigger armed).
+// With undeclared, the scenario's ControlStreams are dropped first, as for
+// an SDK author who declares none: the recording then forces the schedule
 // alone.
 func recordRCSE(t *testing.T, name string, undeclared bool) (*scenario.Scenario, *record.Recording) {
 	t.Helper()
@@ -131,6 +131,28 @@ func TestReplayValidatesOptions(t *testing.T) {
 		}
 		if !strings.Contains(res.Err.Error(), "infer:") {
 			t.Fatalf("%s: error %q does not identify the source", name, res.Err)
+		}
+	}
+}
+
+// TestRCSEReplayReadsOnlyTheRecording pins that an RCSE replay takes what
+// it forces from the recording alone: replaying each corpus scenario's
+// recording against a copy of the scenario that declares no control
+// stream gives the same Ok, Attempts, WorkSteps, Note and trace.
+func TestRCSEReplayReadsOnlyTheRecording(t *testing.T) {
+	for _, s := range workload.All() {
+		s, rec := recordRCSE(t, s.Name, false)
+		bare := *s
+		bare.ControlStreams = nil
+		o := Options{Budget: 120, Workers: 1}
+		want, got := Replay(s, rec, o), Replay(&bare, rec, o)
+		if want.Ok != got.Ok || want.Attempts != got.Attempts || want.WorkSteps != got.WorkSteps || want.Note != got.Note {
+			t.Errorf("%s: declared ok=%v attempts=%d steps=%d note=%q; undeclared ok=%v attempts=%d steps=%d note=%q",
+				s.Name, want.Ok, want.Attempts, want.WorkSteps, want.Note, got.Ok, got.Attempts, got.WorkSteps, got.Note)
+			continue
+		}
+		if want.View == nil || got.View == nil || !trace.EventsEqual(want.View.Trace, got.View.Trace, false) {
+			t.Errorf("%s: the undeclared replay produced a different event sequence", s.Name)
 		}
 	}
 }

@@ -1,13 +1,16 @@
 // Package replay reconstructs executions from recordings. Each determinism
 // model records less than the one before and searches more at debug time
 // (the paper's Fig. 1), so four of the five replayers are one loop,
-// infer.Search, under different constraints (DESIGN.md §2):
+// infer.Search, under different constraints (DESIGN.md §2). A replayer
+// reads what it forces from the recording alone, never from the scenario:
 //
-//   - perfect forces the recorded schedule and every input: one candidate,
-//     bit-identical to the original;
-//   - debug-rcse forces the schedule and the control-plane inputs and
-//     re-draws the data plane, up to 8 candidates: control-plane behaviour,
-//     and with it a control-plane failure and its root cause, reproduces;
+//   - perfect and debug-rcse force the recorded schedule and every
+//     recorded input, each stream's recorded inputs being a prefix of its
+//     draws, and re-draw the rest. Perfect recorded every input: one
+//     candidate, bit-identical to the original. RCSE recorded the control
+//     plane's inputs: up to 8 candidates, on which control-plane
+//     behaviour, and with it a control-plane failure and its root cause,
+//     reproduces;
 //   - output searches for the recorded outputs, possibly through other
 //     inputs and interleavings (the paper's 2+2=5 hazard);
 //   - failure searches for the recorded failure signature, shrunken
@@ -128,20 +131,17 @@ func Replay(s *scenario.Scenario, rec *record.Recording, o Options) *Result {
 		return matchesTerminal(s, rec.Failed, rec.FailureSig, v)
 	}
 	switch rec.Model {
-	case record.Perfect:
+	case record.Perfect, record.DebugRCSE:
 		if !rec.SchedComplete {
-			return &Result{Note: "perfect recording lacks a complete schedule"}
+			return &Result{Note: fmt.Sprintf("%s recording lacks a complete schedule", rec.Model)}
 		}
 		io.Schedule, io.ForcedInputs = rec.Sched, rec.InputsByStream()
-		io.Budget, io.BaseSeed = 1, rec.Seed
-		return search(s, terminal, io, "deterministic re-execution")
-	case record.DebugRCSE:
-		if !rec.SchedComplete {
-			return &Result{Note: "rcse recording lacks a complete schedule"}
+		if rec.Model == record.Perfect {
+			io.Budget, io.BaseSeed = 1, rec.Seed
+			return search(s, terminal, io, "deterministic re-execution")
 		}
-		io.Schedule, io.ForcedInputs = rec.Sched, controlInputs(s, rec)
 		io.Budget = min(8, o.Budget)
-		return search(s, terminal, io, "forced schedule + control inputs")
+		return search(s, terminal, io, "forced schedule + recorded inputs")
 	case record.Output:
 		want := rec.OutputsByStream()
 		return search(s, func(v *scenario.RunView) bool {
@@ -174,19 +174,6 @@ func search(s *scenario.Scenario, accept func(*scenario.RunView) bool, io infer.
 		Note:       note + ": " + out.Note,
 		Err:        out.Err,
 	}
-}
-
-// controlInputs is what an RCSE replay forces besides the schedule: the
-// recorded inputs of the declared control streams, which the policy
-// records completely, so their (stream, index) alignment is exact.
-// Trigger dial-ups' data-stream fragments have unknown stream offsets and
-// serve inspection, not forcing.
-func controlInputs(s *scenario.Scenario, rec *record.Recording) map[string][]trace.Value {
-	all, forced := rec.InputsByStream(), make(map[string][]trace.Value, len(s.ControlStreams))
-	for _, name := range s.ControlStreams {
-		forced[name] = all[name]
-	}
-	return forced
 }
 
 // matchesTerminal checks that the replay did not diverge from its forced

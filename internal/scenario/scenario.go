@@ -158,7 +158,8 @@ type Scenario struct {
 	PlaneTruth map[string]plane.Plane
 	// ControlStreams names the input streams whose values RCSE records
 	// (control-plane inputs); all other streams are data-plane and are
-	// re-drawn from the search domain at replay time.
+	// re-drawn from the search domain at replay time. Only the recorder
+	// reads it: a replay forces what the recording holds.
 	ControlStreams []string
 	// TrainingParams override the defaults for invariant-training runs:
 	// the healthy build the invariants are learned from (for example the
