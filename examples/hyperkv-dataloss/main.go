@@ -44,7 +44,7 @@ func main() {
 	fmt.Println(" - failure determinism is free at runtime but synthesizes any of the")
 	fmt.Println("   three possible root causes (here: a slave crash) — DF = 1/3;")
 	fmt.Println(" - debug determinism (RCSE) records the thread schedule plus the")
-	fmt.Println("   control plane and reproduces the true root cause at ~1.25x.")
+	fmt.Println("   control plane and reproduces the true root cause at ~1.05x.")
 }
 
 func join(xs []string) string {

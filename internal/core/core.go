@@ -88,9 +88,10 @@ type Options struct {
 	// Evaluate build monolithic recordings and ignore it.
 	FlightRecorder *flightrec.Options
 
-	// trainSeed drives the RCSE training runs: Seed + 101 + i for the
-	// i-th, taken by withDefaults before a zero Seed is resolved to the
-	// scenario's default, so a default-seeded evaluation trains at 102.
+	// trainSeed drives the RCSE training runs, the i-th of three at
+	// trainSeed + i: Seed + 101, taken by withDefaults before a zero Seed
+	// is resolved to the scenario's default, so a default-seeded
+	// evaluation trains at 102–104.
 	trainSeed int64
 }
 

@@ -98,18 +98,6 @@ type Classification struct {
 	MaxRate  float64
 }
 
-// IsControl reports whether the site was classified control-plane.
-// Unprofiled sites default to control: unknown code is recorded at high
-// fidelity rather than silently relaxed, matching the paper's bias toward
-// debugging utility.
-func (c *Classification) IsControl(site trace.SiteID) bool {
-	p, ok := c.Planes[site]
-	if !ok {
-		return true
-	}
-	return p == Control
-}
-
 // Profile aggregates per-site statistics from a trace. Only events that
 // move payloads (stores, sends, recvs, inputs, outputs, observes) are
 // profiled; pure synchronization sites still appear with zero bytes.
@@ -198,7 +186,9 @@ func ClassifyTrace(l *trace.Log, opts Options) *Classification {
 // Accuracy compares a classification against ground truth (site name →
 // plane) and returns the fraction of ground-truth sites classified
 // correctly, along with the per-site verdicts for reporting. Sites absent
-// from the classification count as control (the default).
+// from the classification count as control: unknown code would be
+// recorded at high fidelity rather than silently relaxed, matching the
+// paper's bias toward debugging utility.
 func Accuracy(c *Classification, sites *trace.SiteTable, truth map[string]Plane) (float64, []string) {
 	if len(truth) == 0 {
 		return 1, nil

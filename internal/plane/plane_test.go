@@ -100,8 +100,10 @@ func TestClassifierSeparatesPlanes(t *testing.T) {
 
 func TestUnprofiledSiteDefaultsToControl(t *testing.T) {
 	c := &Classification{Planes: map[trace.SiteID]Plane{}}
-	if !c.IsControl(trace.SiteID(99)) {
-		t.Fatal("unprofiled site must default to control plane")
+	for want, acc := range map[Plane]float64{Control: 1, Data: 0} {
+		if got, _ := Accuracy(c, trace.NewSiteTable(), map[string]Plane{"never.ran": want}); got != acc {
+			t.Fatalf("unprofiled site scored %.0f against truth %v: it must count as control plane", got, want)
+		}
 	}
 }
 

@@ -16,9 +16,9 @@
 //     fires a dial-up; after a quiet period with no trigger activity,
 //     fidelity dials back down.
 //
-// Code-based selection (§3.1.1), which classified sites from a profiling
-// run, is not implemented: it recorded nothing a replay could force
-// (DESIGN.md §3).
+// Code-based selection (§3.1.1), which classifies sites from a profiling
+// run, is not implemented: the sites it records hold nothing a replay
+// forces (DESIGN.md §2).
 //
 // The policy records each input stream as a prefix of its draws: once a
 // draw of a stream is recorded below full, no later draw of that stream is
@@ -125,9 +125,10 @@ func (s *StreamSelector) Demand(e *trace.Event) record.Level {
 
 // Trigger is a stateful dial-up/dial-down selector. External detectors
 // (race detector, invariant monitor) call Fire; from that point every
-// event is recorded fully until the quiet period passes without another
-// firing, at which point fidelity dials back down (§3.1.3's "dialing down
-// recording fidelity is also important").
+// event is recorded fully (an input only while its stream's recorded
+// prefix is unbroken, see Policy) until the quiet period passes without
+// another firing, at which point fidelity dials back down (§3.1.3's
+// "dialing down recording fidelity is also important").
 type Trigger struct {
 	quiet    uint64 // 0 keeps a fired trigger up forever
 	dialed   bool
