@@ -20,7 +20,7 @@ type Job struct {
 	// Params override scenario defaults (nil keeps them).
 	Params Params
 	// Options optionally carries the full evaluation options for this
-	// cell — RCSE heuristics, shrink parameters, budgets. Seed and
+	// cell — shrink parameters, budgets, checkpoints. Seed and
 	// Params above take precedence over the embedded fields when set,
 	// and the batch always pins the cell's inner search sequential and
 	// supplies its own context, so a cell with Options equals the same

@@ -338,7 +338,7 @@ func benchLongRecording(b *testing.B, interval int64) (*Scenario, *Recording) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rec, _, _, err := core.RecordOnly(s, record.Perfect, core.Options{
+	rec, _, err := core.Record(s, record.Perfect, core.Options{
 		Params:             scenario.Params{"transfers": 400},
 		CheckpointInterval: interval,
 	})

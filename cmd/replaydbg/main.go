@@ -439,7 +439,6 @@ func runEval(scenarioName, modelName string, seed int64, budget int) {
 		ev, err := eng.Evaluate(context.Background(), s, model, debugdet.Options{
 			Seed:         seed,
 			ReplayBudget: budget,
-			RCSE:         debugdet.RCSEOptions{RaceTrigger: true},
 		})
 		if err != nil {
 			fatal(err)

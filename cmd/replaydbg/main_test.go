@@ -1,11 +1,14 @@
 package main
 
 import (
+	"context"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"debugdet"
 )
 
 // The test binary doubles as the CLI: when re-exec'd with the marker
@@ -154,17 +157,27 @@ func TestRunMatchesTheStandaloneCommands(t *testing.T) {
 }
 
 // TestEvalAllModels: -model all prints one summary line per determinism
-// model, in the order of the paper's Fig. 1.
+// model, in the order of the paper's Fig. 1, each equal to what
+// Engine.Evaluate reports with default options at the same budget.
 func TestEvalAllModels(t *testing.T) {
 	out, code := runCLI(t, "eval", "-scenario", "dynokv-losthint", "-model", "all", "-budget", "60")
 	lines := strings.Split(strings.TrimSpace(out), "\n")
-	models := []string{"perfect", "value", "output", "failure", "debug-rcse"}
+	models := debugdet.Models()
 	if code != 0 || len(lines) != len(models) {
 		t.Fatalf("eval -model all exited %d with %d lines:\n%s", code, len(lines), out)
 	}
+	eng := debugdet.New()
+	s, err := eng.ByName("dynokv-losthint")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, m := range models {
-		if f := strings.Fields(lines[i]); len(f) < 2 || f[0] != "dynokv-losthint" || f[1] != m {
-			t.Errorf("line %d is %q, want the %s summary", i, lines[i], m)
+		ev, err := eng.Evaluate(context.Background(), s, m, debugdet.Options{ReplayBudget: 60})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := ev.Summary(); lines[i] != want {
+			t.Errorf("line %d is\n%q, want\n%q", i, lines[i], want)
 		}
 	}
 }

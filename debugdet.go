@@ -1,12 +1,10 @@
 package debugdet
 
 import (
-	"context"
 	"io"
 
 	"debugdet/internal/core"
 	"debugdet/internal/flightrec"
-	"debugdet/internal/invariant"
 	"debugdet/internal/record"
 	"debugdet/internal/replay"
 	"debugdet/scen"
@@ -83,13 +81,8 @@ type (
 	Evaluation = core.Evaluation
 	// Options parameterizes an evaluation.
 	Options = core.Options
-	// RCSEOptions selects RCSE heuristics.
-	RCSEOptions = core.RCSEOptions
 	// CauseExploration is the result of the §5 root-cause enumeration.
 	CauseExploration = core.CauseExploration
-	// InvariantSet is a set of likely invariants learned from healthy
-	// runs (the data-based RCSE selector's training artifact).
-	InvariantSet = invariant.Set
 )
 
 // Models lists every determinism model.
@@ -98,17 +91,6 @@ func Models() []Model { return record.AllModels() }
 // ParseModel resolves a model name ("perfect", "value", "output",
 // "failure", "debug-rcse").
 func ParseModel(name string) (Model, error) { return record.ParseModel(name) }
-
-// TrainInvariants learns likely invariants from healthy executions of the
-// scenario, one per seed — the training step of the data-based RCSE
-// selector (§3.1.2), exposed for programs that want to inspect or monitor
-// the invariants themselves. The runs use the scenario's TrainingParams
-// (the healthy build) over the given parameter overrides, exactly like
-// Options.RCSE.InvariantTrigger does inside Evaluate.
-func TrainInvariants(s *Scenario, seeds []int64, params Params) *InvariantSet {
-	set, _ := core.TrainInvariants(context.Background(), s, seeds, params)
-	return set // a background context never cancels
-}
 
 // SaveRecording writes a recording in the binary format.
 func SaveRecording(w io.Writer, rec *Recording) error { return rec.Save(w) }

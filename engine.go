@@ -127,13 +127,11 @@ func mergeCtx(arg, opt context.Context) (context.Context, func()) {
 
 // Record runs the scenario once under the model's recorder — the
 // production run — and returns the recording together with the original
-// run view. For DebugRCSE it first performs the RCSE preparation the
-// paper describes (invariant training, trigger arming), configured by
-// o.RCSE; the other models ignore o.RCSE.
-// o.Seed selects the run (0 = scenario default).
+// run view. DebugRCSE records the scenario's declared control streams and
+// the thread schedule (§4). o.Seed selects the run (0 = scenario default).
 func (e *Engine) Record(ctx context.Context, s *Scenario, model Model, o Options) (*Recording, *RunView, error) {
 	defer e.fill(ctx, &o.Ctx, &o.ReplayBudget, &o.Workers)()
-	rec, view, _, err := core.RecordOnly(s, model, o)
+	rec, view, err := core.Record(s, model, o)
 	return rec, view, err
 }
 

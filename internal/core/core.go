@@ -7,10 +7,7 @@
 //
 // For the debug-determinism model the recording policy records the
 // scenario's declared control streams and the thread schedule
-// (rcse.Config). When asked, the pipeline also performs the rest of the
-// RCSE preparation the paper describes before the "production" run that
-// gets recorded: training runs infer invariants (data-based selection),
-// and the race-detector trigger is armed (combined selection).
+// (rcse.Policy); there is nothing to prepare before the production run.
 package core
 
 import (
@@ -19,7 +16,6 @@ import (
 
 	"debugdet/internal/checkpoint"
 	"debugdet/internal/flightrec"
-	"debugdet/internal/invariant"
 	"debugdet/internal/metrics"
 	"debugdet/internal/rcse"
 	"debugdet/internal/record"
@@ -27,17 +23,6 @@ import (
 	"debugdet/internal/scenario"
 	"debugdet/internal/vm"
 )
-
-// RCSEOptions selects which RCSE triggers are armed for a
-// debug-determinism recording, beyond the declared control streams and the
-// thread schedule it always records.
-type RCSEOptions struct {
-	// RaceTrigger arms the sampling race detector (§3.1.3).
-	RaceTrigger bool
-	// InvariantTrigger trains invariants on healthy runs and arms the
-	// monitor (§3.1.2).
-	InvariantTrigger bool
-}
 
 // Options parameterizes one evaluation.
 type Options struct {
@@ -57,8 +42,6 @@ type Options struct {
 	// ShrinkParams lets failure-determinism replay synthesize shorter
 	// executions (ESD).
 	ShrinkParams []scenario.Params
-	// RCSE configures the debug-determinism heuristics.
-	RCSE RCSEOptions
 	// MaxSteps bounds every execution (0 = VM default).
 	MaxSteps uint64
 	// CheckpointInterval captures a VM state snapshot into the recording
@@ -87,12 +70,6 @@ type Options struct {
 	// on-disk retention cap. Only RecordStreaming reads it; Record and
 	// Evaluate build monolithic recordings and ignore it.
 	FlightRecorder *flightrec.Options
-
-	// trainSeed drives the RCSE training runs, the i-th of three at
-	// trainSeed + i: Seed + 101, taken by withDefaults before a zero Seed
-	// is resolved to the scenario's default, so a default-seeded
-	// evaluation trains at 102–104.
-	trainSeed int64
 }
 
 // validate rejects option values that would otherwise be silently
@@ -131,9 +108,6 @@ func (o Options) withDefaults() Options {
 	if o.Ctx == nil {
 		o.Ctx = context.Background()
 	}
-	if o.trainSeed == 0 {
-		o.trainSeed = o.Seed + 101
-	}
 	if o.ReplayBudget == 0 {
 		o.ReplayBudget = 200
 	}
@@ -157,9 +131,6 @@ type Evaluation struct {
 	// Overhead and LogBytes restate the recording's production cost.
 	Overhead float64
 	LogBytes int64
-
-	// RCSESetup exposes trigger statistics for RCSE runs (nil otherwise).
-	RCSESetup *rcse.Setup
 }
 
 // Summary renders the evaluation as one report line.
@@ -169,40 +140,28 @@ func (e *Evaluation) Summary() string {
 		e.Utility.DF, e.Utility.DE, e.Utility.DU, e.Replay.Attempts)
 }
 
-// RecordOnly runs the scenario once under the model's recorder — the
+// Record runs the scenario once under the model's recorder — the
 // "production run" of the pipeline — and returns the recording with the
-// original run. For DebugRCSE it first performs the RCSE preparation the
-// paper describes (training, trigger arming) according to o.RCSE, and
-// additionally returns the armed setup for trigger
-// statistics (nil for the other models).
-func RecordOnly(s *scenario.Scenario, model record.Model, o Options) (*record.Recording, *scenario.RunView, *rcse.Setup, error) {
+// original run.
+func Record(s *scenario.Scenario, model record.Model, o Options) (*record.Recording, *scenario.RunView, error) {
 	o = o.withDefaults()
 	if err := o.validate(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if o.Seed == 0 {
 		o.Seed = s.DefaultSeed
 	}
 	if err := o.Ctx.Err(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 
 	var factory record.PolicyFactory
-	var setup *rcse.Setup
-	switch model {
-	case record.DebugRCSE:
-		cfg, err := PrepareRCSE(s, o)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		factory = func(m *vm.Machine) (record.Policy, []vm.Observer) {
-			setup = cfg.Build(m)
-			return setup.Policy, setup.Observers
-		}
-	default:
+	if model == record.DebugRCSE {
+		factory = rcseFactory(s)
+	} else {
 		policy := record.PolicyFor(model)
 		if policy == nil {
-			return nil, nil, nil, fmt.Errorf("core: no stock policy for %s", model)
+			return nil, nil, fmt.Errorf("core: no stock policy for %s", model)
 		}
 		factory = record.FactoryFor(policy)
 	}
@@ -219,7 +178,7 @@ func RecordOnly(s *scenario.Scenario, model record.Model, o Options) (*record.Re
 
 	rec, orig, err := record.RecordWithPolicy(s, model, factory, o.Seed, o.Params)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if ckpt != nil {
 		// The capture work already entered the machine's recording cycles
@@ -227,7 +186,22 @@ func RecordOnly(s *scenario.Scenario, model record.Model, o Options) (*record.Re
 		rec.Checkpoints = ckpt.Snapshots()
 		rec.CheckpointBytes = ckpt.Bytes()
 	}
-	return rec, orig, setup, nil
+	return rec, orig, nil
+}
+
+// RecordOnly is Record with an always-empty third result. bench/ compiles
+// against this; ROADMAP item 1 deletes it.
+func RecordOnly(s *scenario.Scenario, model record.Model, o Options) (*record.Recording, *scenario.RunView, struct{}, error) {
+	rec, orig, err := Record(s, model, o)
+	return rec, orig, struct{}{}, err
+}
+
+// rcseFactory builds the RCSE policy over the scenario's declared control
+// streams for each recording machine.
+func rcseFactory(s *scenario.Scenario) record.PolicyFactory {
+	return func(m *vm.Machine) (record.Policy, []vm.Observer) {
+		return rcse.NewPolicy(m, s.ControlStreams), nil
+	}
 }
 
 // RecordStreaming runs the scenario once with the flight recorder
@@ -268,7 +242,7 @@ func Evaluate(s *scenario.Scenario, model record.Model, o Options) (*Evaluation,
 		o.Seed = s.DefaultSeed
 	}
 
-	rec, orig, setup, err := RecordOnly(s, model, o)
+	rec, orig, err := Record(s, model, o)
 	if err != nil {
 		return nil, err
 	}
@@ -310,42 +284,12 @@ func Evaluate(s *scenario.Scenario, model record.Model, o Options) (*Evaluation,
 		Utility:   metrics.ComputeUtility(fid, de),
 		Overhead:  rec.Overhead,
 		LogBytes:  rec.LogBytes,
-		RCSESetup: setup,
 	}, nil
 }
 
-// PrepareRCSE performs the before-production steps of root cause-driven
-// selectivity: it trains invariants when o.RCSE arms their trigger. The
-// returned config builds the policy for the recording machine.
-func PrepareRCSE(s *scenario.Scenario, o Options) (rcse.Config, error) {
-	o = o.withDefaults()
-	cfg := rcse.Config{ControlStreams: s.ControlStreams, Race: o.RCSE.RaceTrigger}
-	if o.RCSE.InvariantTrigger {
-		seeds := []int64{o.trainSeed + 1, o.trainSeed + 2, o.trainSeed + 3}
-		set, err := TrainInvariants(o.Ctx, s, seeds, o.Params)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Invariants = set
-	}
-	return cfg, nil
-}
-
-// TrainInvariants learns likely invariants from healthy executions of the
-// scenario, one per seed: the training step of the data-based RCSE
-// selector (§3.1.2). The runs use the scenario's TrainingParams (the
-// healthy build) over the given parameter overrides. ctx is checked
-// before each run.
-func TrainInvariants(ctx context.Context, s *scenario.Scenario, seeds []int64, params scenario.Params) (*invariant.Set, error) {
-	inf := invariant.NewInferencer()
-	train := params.Clone(s.TrainingParams)
-	for _, seed := range seeds {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if v := s.Exec(scenario.ExecOptions{Seed: seed, Params: train}); v.Trace != nil {
-			inf.AddTrace(v.Trace)
-		}
-	}
-	return inf.Infer(), nil
+// PrepareRCSE returns the factory of the scenario's RCSE policy; the
+// error is always nil. bench/ compiles against this; ROADMAP item 1
+// deletes it.
+func PrepareRCSE(s *scenario.Scenario, _ Options) (record.PolicyFactory, error) {
+	return rcseFactory(s), nil
 }

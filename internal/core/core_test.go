@@ -154,33 +154,6 @@ func TestShrinkGivesEfficiencyAboveOne(t *testing.T) {
 	}
 }
 
-// TestRCSEWithAllTriggers exercises the full RCSE configuration end to
-// end.
-func TestRCSEWithAllTriggers(t *testing.T) {
-	s, err := workload.ByName("bank")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := Evaluate(s, record.DebugRCSE, Options{
-		RCSE: RCSEOptions{RaceTrigger: true, InvariantTrigger: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.RCSESetup == nil {
-		t.Fatal("no RCSE setup exposed")
-	}
-	if ev.RCSESetup.InvariantTrigger.Fired() == 0 {
-		t.Fatal("invariant trigger never fired on the drifting bank")
-	}
-	if ev.RCSESetup.RaceTrigger.Fired() == 0 {
-		t.Fatal("race trigger never fired on the racy bank")
-	}
-	if ev.Utility.DF != 1 {
-		t.Fatalf("bank RCSE DF = %v", ev.Utility.DF)
-	}
-}
-
 // TestEvaluateUnknownModel checks error paths.
 func TestEvaluateUnknownModel(t *testing.T) {
 	s, err := workload.ByName("sum")

@@ -55,7 +55,7 @@ func TableCheckpoint(o Options) ([]CkptRow, error) {
 	intervals := []int64{0, 512, 256, 128, 64, 32}
 	return grid(o, len(intervals), func(i int) (CkptRow, error) {
 		interval := intervals[i]
-		rec, _, _, err := core.RecordOnly(s, record.Perfect, core.Options{
+		rec, _, err := core.Record(s, record.Perfect, core.Options{
 			Ctx:                o.Ctx,
 			CheckpointInterval: interval,
 		})

@@ -147,9 +147,9 @@ func cellOf(ev *core.Evaluation) Cell {
 // All tables share this one cell constructor — and its error wrap, which
 // names the table — so they can never drift apart. RCSE cells record the
 // declared control streams and the schedule, matching §4 ("recording just
-// the data on control-plane channels and the thread schedule"); the
-// trigger variants are measured separately in the T-TRIG ablation. The inner replay search is pinned sequential: the grid
-// is the parallel axis (see Options.Workers).
+// the data on control-plane channels and the thread schedule"). The inner
+// replay search is pinned sequential: the grid is the parallel axis (see
+// Options.Workers).
 func runCell(table string, s *scenario.Scenario, model record.Model, o Options, seed int64, params scenario.Params) (Cell, error) {
 	ev, err := core.Evaluate(s, model, core.Options{
 		Ctx:                o.Ctx,
@@ -491,85 +491,6 @@ func ShrinkCell(o Options) (Cell, error) {
 	return cellOf(ev), nil
 }
 
-// TrigRow is one RCSE-configuration ablation measurement (T-TRIG).
-type TrigRow struct {
-	Scenario   string
-	Config     string
-	Overhead   float64
-	LogBytes   int64
-	FullEvents uint64
-	DF         float64
-	RaceFires  int
-	InvFires   int
-}
-
-// trigConfigs are T-TRIG's RCSE configurations. Every one records the
-// declared control streams and the schedule (rcse.StreamSelector); streams
-// records nothing else.
-var trigConfigs = []struct {
-	name string
-	opts core.RCSEOptions
-}{
-	{"streams", core.RCSEOptions{}},
-	{"race", core.RCSEOptions{RaceTrigger: true}},
-	{"invariant", core.RCSEOptions{InvariantTrigger: true}},
-	{"race+inv", core.RCSEOptions{RaceTrigger: true, InvariantTrigger: true}},
-}
-
-// TableTriggers runs the §3.1.3 ablation: each RCSE heuristic alone and
-// combined, on the scenarios that exercise it.
-func TableTriggers(o Options) ([]TrigRow, error) {
-	o = o.withDefaults()
-	scenarios := []string{"hyperkv-dataloss", "msgdrop", "bank"}
-	return grid(o, len(scenarios)*len(trigConfigs), func(i int) (TrigRow, error) {
-		name, c := scenarios[i/len(trigConfigs)], trigConfigs[i%len(trigConfigs)]
-		s, err := workload.ByName(name)
-		if err != nil {
-			return TrigRow{}, err
-		}
-		ev, err := core.Evaluate(s, record.DebugRCSE, core.Options{
-			Ctx:          o.Ctx,
-			ReplayBudget: o.ReplayBudget,
-			RCSE:         c.opts,
-			Workers:      1,
-		})
-		if err != nil {
-			return TrigRow{}, fmt.Errorf("triggers %s/%s: %w", name, c.name, err)
-		}
-		row := TrigRow{
-			Scenario:   name,
-			Config:     c.name,
-			Overhead:   ev.Overhead,
-			LogBytes:   ev.LogBytes,
-			FullEvents: uint64(len(ev.Recording.Full)),
-			DF:         ev.Utility.DF,
-		}
-		if ev.RCSESetup != nil {
-			if ev.RCSESetup.RaceTrigger != nil {
-				row.RaceFires = ev.RCSESetup.RaceTrigger.Fired()
-			}
-			if ev.RCSESetup.InvariantTrigger != nil {
-				row.InvFires = ev.RCSESetup.InvariantTrigger.Fired()
-			}
-		}
-		return row, nil
-	})
-}
-
-// RenderTableTriggers prints T-TRIG.
-func RenderTableTriggers(rows []TrigRow) string {
-	var b strings.Builder
-	b.WriteString("Table TRIG — §3.1 selector ablation (RCSE configurations)\n\n")
-	fmt.Fprintf(&b, "%-18s %-15s %9s %9s %7s %6s %6s %6s\n",
-		"scenario", "config", "overhead", "logbytes", "full", "DF", "race", "inv")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-18s %-15s %8.2fx %9d %7d %6.2f %6d %6d\n",
-			r.Scenario, r.Config, r.Overhead, r.LogBytes, r.FullEvents, r.DF,
-			r.RaceFires, r.InvFires)
-	}
-	return b.String()
-}
-
 // StatScenarios lists the deadlock family measured by T-STAT: the corpus
 // scenarios whose root cause is a lock-order inversion, which is the bug
 // class detlint's static lockorder analysis can implicate ahead of time.
@@ -646,7 +567,7 @@ func TableStat(o Options) ([]StatRow, error) {
 		if !ok {
 			return StatRow{}, fmt.Errorf("stat %s: no failing seed in %d tries", name, statRecordScan)
 		}
-		rec, _, _, err := core.RecordOnly(s, record.Failure, core.Options{
+		rec, _, err := core.Record(s, record.Failure, core.Options{
 			Ctx:    o.Ctx,
 			Seed:   failSeed,
 			Params: params,

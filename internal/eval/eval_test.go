@@ -243,68 +243,21 @@ func TestShrinkCellExceedsUnitEfficiency(t *testing.T) {
 	}
 }
 
-func TestTableTriggersAblation(t *testing.T) {
-	rows, err := TableTriggers(Options{ReplayBudget: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byKey := make(map[string]TrigRow)
-	for _, r := range rows {
-		byKey[r.Scenario+"/"+r.Config] = r
-	}
-	// The declared control streams alone keep every scenario's fidelity
-	// at 1 with the smallest log: they are what the replayer forces.
-	for _, name := range []string{"hyperkv-dataloss", "msgdrop", "bank"} {
-		streams := byKey[name+"/streams"]
-		if streams.DF != 1 {
-			t.Fatalf("%s streams DF = %v", name, streams.DF)
-		}
-		for _, r := range rows {
-			if r.Scenario == name && r.LogBytes < streams.LogBytes {
-				t.Fatalf("%s %s log %d B < streams log %d B", name, r.Config, r.LogBytes, streams.LogBytes)
-			}
-		}
-	}
-	// Adding the race trigger grows the log (it fires on the injected
-	// race) but never hurts fidelity.
-	race := byKey["hyperkv-dataloss/race"]
-	if race.RaceFires == 0 {
-		t.Fatal("race trigger never fired on the racy cluster")
-	}
-	if race.LogBytes <= byKey["hyperkv-dataloss/streams"].LogBytes {
-		t.Fatal("race-trigger dial-up did not grow the log")
-	}
-	if race.DF != 1 {
-		t.Fatalf("hyperkv race DF = %v", race.DF)
-	}
-	// The invariant trigger fires on the drifting bank.
-	bankInv := byKey["bank/invariant"]
-	if bankInv.InvFires == 0 {
-		t.Fatal("invariant trigger never fired on the drifting bank")
-	}
-	if txt := RenderTableTriggers(rows); !strings.Contains(txt, "race+inv") {
-		t.Fatal("trigger table rendering broken")
-	}
-}
-
 // TestRCSERecordsEveryDeclaredStream pins the stream rule RCSE replay
-// relies on: under every T-TRIG configuration, a debug-rcse recording
-// holds each declared control stream the production run drew from,
-// complete and in order.
+// relies on: a debug-rcse recording holds each declared control stream the
+// production run drew from, complete and in order.
 func TestRCSERecordsEveryDeclaredStream(t *testing.T) {
 	for _, s := range workload.All() {
-		for _, c := range trigConfigs {
-			rec, orig, _, err := core.RecordOnly(s, record.DebugRCSE, core.Options{RCSE: c.opts})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", s.Name, c.name, err)
-			}
-			recorded := rec.InputsByStream()
-			for _, cs := range s.ControlStreams {
-				used := orig.Result.InputsUsed[cs]
-				if len(used) > 0 && !reflect.DeepEqual(recorded[cs], used) {
-					t.Errorf("%s/%s: stream %s recorded %d of %d inputs (or out of order)",
-						s.Name, c.name, cs, len(recorded[cs]), len(used))
-				}
+		rec, orig, err := core.Record(s, record.DebugRCSE, core.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		recorded := rec.InputsByStream()
+		for _, cs := range s.ControlStreams {
+			used := orig.Result.InputsUsed[cs]
+			if len(used) > 0 && !reflect.DeepEqual(recorded[cs], used) {
+				t.Errorf("%s: stream %s recorded %d of %d inputs (or out of order)",
+					s.Name, cs, len(recorded[cs]), len(used))
 			}
 		}
 	}

@@ -65,7 +65,6 @@ var experiments = []struct {
 		return RenderTableFuzz(cells, r.gen), nil
 	}},
 	{"ckpt", func(r *Run) (string, error) { return table(r, TableCheckpoint, RenderTableCheckpoint) }},
-	{"triggers", func(r *Run) (string, error) { return table(r, TableTriggers, RenderTableTriggers) }},
 	{"stat", func(r *Run) (string, error) { return table(r, TableStat, RenderTableStat) }},
 	{"fork", func(r *Run) (string, error) { return table(r, TableFork, RenderTableFork) }},
 }

@@ -20,7 +20,7 @@ import (
 //     schedules. These diverge at their first scheduling pick, so no
 //     candidate is equivalent to another — the rows pin that pruning
 //     never *adds* work.
-//   - sweep: the T-TRIG/RCSE-class data-plane sensitivity sweep (§3.1):
+//   - sweep: the RCSE-class data-plane sensitivity sweep (§3.1):
 //     the recorded schedule and control-plane inputs are forced, and the
 //     budget re-executes the run across data seeds to confirm unrecorded
 //     data does not steer the outcome. Candidates share the whole forced
@@ -104,7 +104,7 @@ func TableFork(o Options) ([]ForkRow, error) {
 
 // forkSearchRow measures a Fig1-class model reconstruction.
 func forkSearchRow(s *scenario.Scenario, model record.Model, o Options) (ForkRow, error) {
-	rec, _, _, err := core.RecordOnly(s, model, core.Options{Ctx: o.Ctx})
+	rec, _, err := core.Record(s, model, core.Options{Ctx: o.Ctx})
 	if err != nil {
 		return ForkRow{}, err
 	}
@@ -143,7 +143,7 @@ func forkSearchRow(s *scenario.Scenario, model record.Model, o Options) (ForkRow
 // callback rejects everything so that every candidate runs — a real sweep
 // inspects each view for outcome drift; the work cost is the same.
 func forkSweepRow(s *scenario.Scenario, o Options) (ForkRow, error) {
-	rec, _, _, err := core.RecordOnly(s, record.DebugRCSE, core.Options{Ctx: o.Ctx})
+	rec, _, err := core.Record(s, record.DebugRCSE, core.Options{Ctx: o.Ctx})
 	if err != nil {
 		return ForkRow{}, err
 	}

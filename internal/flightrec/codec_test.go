@@ -16,7 +16,7 @@ import (
 )
 
 // recordCheckpointed builds a checkpointed perfect recording for codec
-// fixtures (same shape core.RecordOnly produces).
+// fixtures (same shape core.Record produces).
 func recordCheckpointed(t *testing.T, s *scenario.Scenario, interval uint64) *record.Recording {
 	t.Helper()
 	var w *checkpoint.Writer

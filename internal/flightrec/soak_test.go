@@ -137,7 +137,7 @@ func TestSoakMemoryGrowthContrast(t *testing.T) {
 	var pts []point
 	for _, rounds := range []int64{100, 200} {
 		p := scenario.Params{"rounds": rounds}
-		rec, _, _, err := core.RecordOnly(s, record.Perfect, core.Options{Params: p})
+		rec, _, err := core.Record(s, record.Perfect, core.Options{Params: p})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,14 +1,12 @@
-// Package invariant implements dynamic invariant inference and runtime
-// monitoring: the data-based selection heuristic of §3.1.2.
+// Package invariant implements dynamic invariant inference: the training
+// step of the paper's data-based selection heuristic (§3.1.2).
 //
-// Before release, training executions are observed and likely invariants
-// are inferred over the program's probe points (the Daikon approach the
-// paper cites as [7]): constancy, small value sets, integer ranges,
-// non-emptiness. In production, a Monitor attached to the machine checks
-// every probe against the inferred invariants; the moment a value violates
-// them, the execution is likely on an error path, and the monitor's
-// callback tells the RCSE recorder to dial determinism up so the root
-// cause is captured at high fidelity.
+// Training executions are observed and likely invariants are inferred over
+// the program's probe points (the Daikon approach the paper cites as [7]):
+// constancy, small value sets, integer ranges, non-emptiness. Set.Check
+// tells whether a probed value violates them. The RCSE recorder does not
+// arm an invariant trigger: a violation comes after the root-cause draw it
+// would have to record (DESIGN.md §2), so no trigger changed a replay.
 package invariant
 
 import (
@@ -245,55 +243,4 @@ func (s *Set) Describe(sites *trace.SiteTable) string {
 		}
 	}
 	return b.String()
-}
-
-// Violation describes one runtime invariant violation.
-type Violation struct {
-	Key   Key
-	Value trace.Value
-	Inv   Invariant
-	Seq   uint64
-}
-
-// String renders the violation.
-func (v Violation) String() string {
-	return fmt.Sprintf("probe %d@site %d: value %s violates %q at seq %d",
-		v.Key.Probe, v.Key.Site, v.Value, v.Inv, v.Seq)
-}
-
-// Monitor checks probe events against an invariant set at runtime. It
-// implements vm.Observer; CheckCost cycles are charged per checked probe,
-// modelling the production monitoring overhead.
-type Monitor struct {
-	Set       *Set
-	CheckCost uint64
-	// OnViolation fires on every violation (the RCSE dial-up hook).
-	OnViolation func(Violation)
-
-	violations []Violation
-}
-
-// NewMonitor returns a monitor over an inferred set.
-func NewMonitor(set *Set, checkCost uint64, onViolation func(Violation)) *Monitor {
-	return &Monitor{Set: set, CheckCost: checkCost, OnViolation: onViolation}
-}
-
-// Violations returns the violations observed so far.
-func (m *Monitor) Violations() []Violation { return m.violations }
-
-// OnEvent implements vm.Observer.
-func (m *Monitor) OnEvent(e *trace.Event) uint64 {
-	if e.Kind != trace.EvObserve {
-		return 0
-	}
-	k := Key{Site: e.Site, Probe: e.Obj}
-	bad := m.Set.Check(k, e.Val)
-	for _, in := range bad {
-		v := Violation{Key: k, Value: e.Val, Inv: in, Seq: e.Seq}
-		m.violations = append(m.violations, v)
-		if m.OnViolation != nil {
-			m.OnViolation(v)
-		}
-	}
-	return m.CheckCost
 }

@@ -1,8 +1,8 @@
 // Package sites turns lock-order evidence into search hints: it runs the
 // same Goodlock graph the detlint lockorder analyzer uses over a recorded
 // execution and emits Suspects — lock pairs acquired in opposite orders
-// without a common gate — that the inference engine (internal/infer) and
-// the RCSE recorder (internal/rcse) use to prioritize their work.
+// without a common gate — that the inference engine (internal/infer) uses
+// to prioritize its work.
 //
 // The static analyzer sees source; the VM sees traces. Both feed the one
 // lockorder.Graph, so a pair flagged here is exactly a pair the analyzer

@@ -96,7 +96,7 @@ func evalOpts(p progen.Program, budget, workers int) core.Options {
 // failure identity.
 func CheckReplayReproduction(p progen.Program, budget int) error {
 	for _, model := range []record.Model{record.Perfect, record.Value, record.DebugRCSE} {
-		rec, orig, _, err := core.RecordOnly(p.Scenario, model, evalOpts(p, budget, 1))
+		rec, orig, err := core.Record(p.Scenario, model, evalOpts(p, budget, 1))
 		if err != nil {
 			return fmt.Errorf("progen: %s record: %w", model, err)
 		}
@@ -212,7 +212,7 @@ func CheckWorkerInvariance(p progen.Program, budget int) error {
 // (shrinking them is the point of pruning), and pruning must never
 // execute more events than scratch.
 func CheckForkEquivalence(p progen.Program, budget int) error {
-	rec, _, _, err := core.RecordOnly(p.Scenario, record.Failure, evalOpts(p, budget, 1))
+	rec, _, err := core.Record(p.Scenario, record.Failure, evalOpts(p, budget, 1))
 	if err != nil {
 		return fmt.Errorf("progen: failure record: %w", err)
 	}
@@ -292,7 +292,7 @@ func shrinkSets(p progen.Program) []scenario.Params {
 // shrunken execution was accepted and the production run's failure
 // identity.
 func CheckShrinkSoundness(p progen.Program, budget int) (shrunk, failed bool, sig string, err error) {
-	rec, _, _, err := core.RecordOnly(p.Scenario, record.Failure, evalOpts(p, budget, 1))
+	rec, _, err := core.Record(p.Scenario, record.Failure, evalOpts(p, budget, 1))
 	if err != nil {
 		return false, false, "", fmt.Errorf("progen: failure record: %w", err)
 	}

@@ -9,8 +9,9 @@
 //     execution actually contained (used when enumerating potential root
 //     causes and when measuring debugging fidelity), and
 //   - online, attached to a machine as an Observer with optional access
-//     sampling, where it is the paper's §3.1.3 "potential-bug detector"
-//     trigger: detecting a race dials recording fidelity up.
+//     sampling: the paper's §3.1.3 "potential-bug detector". The RCSE
+//     recorder does not arm it as a trigger, because no firing changed a
+//     replay (DESIGN.md §2).
 //
 // The online mode models DataCollider-style low-overhead detection [10]:
 // synchronization is always tracked (cheap), while memory-access checking
@@ -69,7 +70,7 @@ type Options struct {
 	// the detector runs online. Offline analysis passes 0.
 	CheckCost uint64
 	// OnRace, when set, is invoked once per deduplicated race as it is
-	// discovered (the RCSE trigger hook).
+	// discovered.
 	OnRace func(Race)
 }
 
@@ -119,7 +120,7 @@ func NewDetector(opts Options) *Detector {
 func (d *Detector) Races() []Race { return d.races }
 
 // Checked returns how many memory accesses were actually checked (after
-// sampling), for overhead accounting in the trigger-ablation experiments.
+// sampling), for overhead accounting.
 func (d *Detector) Checked() uint64 { return d.checked }
 
 // clock returns the thread's current clock, initializing from a pending

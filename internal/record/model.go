@@ -10,9 +10,9 @@
 //     outputs;
 //   - failure determinism (ESD [12]): nothing at runtime — only the
 //     failure signature extracted post-mortem from the bug report;
-//   - debug determinism via RCSE (§3.1): the thread schedule plus full
-//     fidelity for control-plane sites and trigger-selected regions (the
-//     policy itself lives in the rcse package).
+//   - debug determinism via RCSE (§3.1): the thread schedule plus every
+//     input of the declared control streams (the policy itself lives in
+//     the rcse package).
 //
 // A recorder is a vm.Observer: it sees every event, decides a fidelity
 // level for it via its Policy, persists accordingly, and returns the

@@ -322,7 +322,7 @@ func TestEventsByThreadPreservesOrder(t *testing.T) {
 
 // recordCheckpointedBank is the shared fixture for the format-compat
 // tests: a perfect-model bank recording with checkpoints attached, the
-// way core.RecordOnly builds one for Options.CheckpointInterval.
+// way core.Record builds one for Options.CheckpointInterval.
 func recordCheckpointedBank(t *testing.T) *Recording {
 	t.Helper()
 	s, err := workload.ByName("bank")

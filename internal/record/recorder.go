@@ -20,7 +20,7 @@ const (
 )
 
 // Policy decides the fidelity level for each event. Policies may be
-// stateful (the RCSE policy dials levels up and down at runtime).
+// stateful (the RCSE policy caches which streams it records).
 type Policy interface {
 	Name() string
 	Level(e *trace.Event) Level
@@ -196,8 +196,7 @@ func failurePolicy() Policy {
 
 // PolicyFor returns the stock policy for a model. DebugRCSE has no stock
 // policy — it is built by the rcse package from the scenario's control
-// streams and triggers — so requesting it returns nil and the caller must
-// supply one.
+// streams — so requesting it returns nil and the caller must supply one.
 func PolicyFor(m Model) Policy {
 	switch m {
 	case Perfect:

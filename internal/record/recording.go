@@ -110,9 +110,8 @@ func (r *Recording) StreamName(id trace.ObjID) string {
 
 // InputsByStream extracts the recorded input values per stream name, in
 // recorded order. Every model records each stream as a prefix of the
-// run's draws from it (all of them, none, or under RCSE the first ones),
-// so the i-th value is the stream's i-th draw: a replayer forces them by
-// index.
+// run's draws from it (all of them or none), so the i-th value is the
+// stream's i-th draw: a replayer forces them by index.
 func (r *Recording) InputsByStream() map[string][]trace.Value {
 	out := make(map[string][]trace.Value)
 	for _, e := range r.Full {
@@ -268,7 +267,7 @@ func Load(rd io.Reader) (*Recording, error) {
 // PolicyFactory builds a policy bound to a machine after the scenario's
 // program has been constructed on it (so the policy can resolve stream and
 // site identities), together with any companion observers the policy needs
-// attached (online detectors feeding triggers). Stateless policies ignore
+// attached (a checkpoint writer, for one). Stateless policies ignore
 // the machine and return no observers.
 type PolicyFactory func(m *vm.Machine) (Policy, []vm.Observer)
 
@@ -280,7 +279,7 @@ func FactoryFor(p Policy) PolicyFactory {
 // Record runs the scenario once under the given model's stock policy and
 // captures the recording. It is the one-call entry point for the
 // non-RCSE models; RCSE recording is orchestrated by the core package
-// because it needs the scenario's control streams and triggers.
+// because it needs the scenario's control streams.
 func Record(s *scenario.Scenario, model Model, seed int64, params scenario.Params) (*Recording, *scenario.RunView, error) {
 	policy := PolicyFor(model)
 	if policy == nil {
@@ -291,7 +290,7 @@ func Record(s *scenario.Scenario, model Model, seed int64, params scenario.Param
 
 // RecordWithPolicy runs the scenario once with an explicit policy factory
 // (used by RCSE) and captures the recording. The factory's companion
-// observers (triggers, monitors) are attached after the recorder.
+// observers (a checkpoint writer) are attached after the recorder.
 func RecordWithPolicy(s *scenario.Scenario, model Model, factory PolicyFactory, seed int64, params scenario.Params) (*Recording, *scenario.RunView, error) {
 	var policy Policy
 	var rec *Recorder

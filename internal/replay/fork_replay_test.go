@@ -14,7 +14,7 @@ import (
 
 // recordRCSE captures a debug-rcse recording of the scenario's default
 // run: control streams recorded, schedule complete, data plane re-drawn
-// at replay time (what core.RecordOnly assembles with no trigger armed).
+// at replay time (what core.Record assembles).
 // With undeclared, the scenario's ControlStreams are dropped first, as for
 // an SDK author who declares none: the recording then forces the schedule
 // alone.
@@ -27,10 +27,8 @@ func recordRCSE(t *testing.T, name string, undeclared bool) (*scenario.Scenario,
 	if undeclared {
 		s.ControlStreams = nil
 	}
-	cfg := rcse.Config{ControlStreams: s.ControlStreams}
 	factory := func(m *vm.Machine) (record.Policy, []vm.Observer) {
-		setup := cfg.Build(m)
-		return setup.Policy, setup.Observers
+		return rcse.NewPolicy(m, s.ControlStreams), nil
 	}
 	rec, _, err := record.RecordWithPolicy(s, record.DebugRCSE, factory, s.DefaultSeed, nil)
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 )
 
 // recordCheckpointed records one perfect-model run with checkpoints every
-// interval events (what core.RecordOnly does for CheckpointInterval).
+// interval events (what core.Record does for CheckpointInterval).
 func recordCheckpointed(t testing.TB, s *scenario.Scenario, interval uint64) *record.Recording {
 	t.Helper()
 	var w *checkpoint.Writer

@@ -161,10 +161,10 @@ type Scenario struct {
 	// re-drawn from the search domain at replay time. Only the recorder
 	// reads it: a replay forces what the recording holds.
 	ControlStreams []string
-	// TrainingParams override the defaults for invariant-training runs:
-	// the healthy build the invariants are learned from (for example the
-	// fixed variant of a racy program — training happens before the bug
-	// ships, on code that passes its tests).
+	// TrainingParams override the defaults for the healthy build (for
+	// example the fixed variant of a racy program) that invariant
+	// training would learn from. No pipeline step reads it since the RCSE
+	// recorder dropped its invariant trigger.
 	TrainingParams Params
 	// Stats optionally renders a one-line run summary for CLI output;
 	// RunStats falls back to a generic summary when nil.

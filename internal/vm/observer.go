@@ -7,11 +7,11 @@ import (
 )
 
 // Observer receives every event the machine applies, in order. Observers
-// implement recorders, online detectors and triggers. The returned value is
-// the number of virtual cycles the observer's work costs at runtime
-// (recording cost); the machine adds it to the clock and accounts it
-// separately so overhead ratios can be computed. Pure analysis observers
-// (oracles that a production system would not run) return 0.
+// implement recorders, online detectors and checkpoint writers. The
+// returned value is the number of virtual cycles the observer's work costs
+// at runtime (recording cost); the machine adds it to the clock and
+// accounts it separately so overhead ratios can be computed. Pure analysis
+// observers (oracles that a production system would not run) return 0.
 //
 // The *trace.Event points into a buffer the machine reuses for the next
 // event: observers must read or copy it during OnEvent, never retain the

@@ -12,9 +12,8 @@ import (
 // Bank is an atomicity-violation scenario for corpus breadth: transfer
 // threads move money between accounts with a read-compute-write sequence
 // that is not atomic, so concurrent transfers lose updates and the bank's
-// total drifts. It doubles as the invariant-trigger showcase: the total
-// is probed after every transfer, healthy training runs teach the monitor
-// "total == initial", and the first drift dials RCSE fidelity up.
+// total drifts. The total is probed after every transfer, so invariant
+// training on healthy runs learns "total == initial".
 func Bank() *scenario.Scenario {
 	return &scenario.Scenario{
 		Name: "bank",

@@ -26,42 +26,23 @@ func isPrefix(got, all []trace.Value) bool {
 // TestRecordedInputsArePrefixes pins the rule that lets every replayer
 // force a recording's inputs by index: under every model, each stream's
 // recorded inputs are a prefix of the draws the original run made from
-// that stream. It covers the corpus at every model and T-TRIG's scenarios
-// under each RCSE trigger, whose dial-ups record a stream's draws only
-// while they are up.
+// that stream. It covers the corpus at every model.
 func TestRecordedInputsArePrefixes(t *testing.T) {
 	ctx := context.Background()
 	eng := debugdet.New()
-	check := func(t *testing.T, s *debugdet.Scenario, model debugdet.Model, o debugdet.Options) {
-		t.Helper()
-		rec, orig, err := eng.Record(ctx, s, model, o)
-		if err != nil {
-			t.Fatalf("%s/%s: %v", s.Name, model, err)
-		}
-		//lint:nondet-ok each stream is checked on its own; the verdict does not depend on the order
-		for name, got := range rec.InputsByStream() {
-			if all := orig.Result.InputsUsed[name]; !isPrefix(got, all) {
-				t.Errorf("%s/%s %+v: stream %q records %d inputs that are not a prefix of its %d draws",
-					s.Name, model, o.RCSE, name, len(got), len(all))
-			}
-		}
-	}
 	for _, s := range workload.All() {
 		for _, model := range record.AllModels() {
-			check(t, s, model, debugdet.Options{})
-		}
-	}
-	for _, name := range []string{"hyperkv-dataloss", "msgdrop", "bank"} {
-		s, err := workload.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, o := range []debugdet.RCSEOptions{
-			{RaceTrigger: true},
-			{InvariantTrigger: true},
-			{RaceTrigger: true, InvariantTrigger: true},
-		} {
-			check(t, s, debugdet.DebugRCSE, debugdet.Options{RCSE: o})
+			rec, orig, err := eng.Record(ctx, s, model, debugdet.Options{})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", s.Name, model, err)
+			}
+			//lint:nondet-ok each stream is checked on its own; the verdict does not depend on the order
+			for name, got := range rec.InputsByStream() {
+				if all := orig.Result.InputsUsed[name]; !isPrefix(got, all) {
+					t.Errorf("%s/%s: stream %q records %d inputs that are not a prefix of its %d draws",
+						s.Name, model, name, len(got), len(all))
+				}
+			}
 		}
 	}
 }

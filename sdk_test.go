@@ -128,25 +128,18 @@ func TestEngineMethodsCanceled(t *testing.T) {
 }
 
 // TestBatchJobOptions pins that a batch cell carrying full evaluation
-// options (here: the invariant-trigger RCSE heuristic) produces exactly
-// the result of the equivalent standalone Evaluate call.
+// options (here: a non-default production seed) produces exactly the
+// result of the equivalent standalone Evaluate call.
 func TestBatchJobOptions(t *testing.T) {
 	eng := debugdet.New(debugdet.WithReplayBudget(80))
 	s, err := eng.ByName("bank")
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := debugdet.Options{
-		ReplayBudget: 80,
-		RCSE:         debugdet.RCSEOptions{InvariantTrigger: true},
-	}
+	opts := debugdet.Options{ReplayBudget: 80, Seed: 3}
 	want, err := eng.Evaluate(context.Background(), s, debugdet.DebugRCSE, opts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if want.RCSESetup == nil || want.RCSESetup.InvariantTrigger == nil ||
-		want.RCSESetup.InvariantTrigger.Fired() == 0 {
-		t.Fatal("standalone evaluation did not arm/fire the invariant trigger")
 	}
 
 	jobs := []debugdet.Job{{Scenario: "bank", Model: debugdet.DebugRCSE, Options: &opts}}
@@ -159,9 +152,8 @@ func TestBatchJobOptions(t *testing.T) {
 			t.Errorf("batch cell differs from standalone evaluation:\nbatch:      %s\nstandalone: %s",
 				got.Summary(), want.Summary())
 		}
-		if got.RCSESetup == nil || got.RCSESetup.InvariantTrigger == nil ||
-			got.RCSESetup.InvariantTrigger.Fired() != want.RCSESetup.InvariantTrigger.Fired() {
-			t.Error("batch cell dropped the RCSE options")
+		if got.Seed != opts.Seed {
+			t.Errorf("batch cell evaluated seed %d, want the options' seed %d", got.Seed, opts.Seed)
 		}
 	}
 }
