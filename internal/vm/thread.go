@@ -327,9 +327,9 @@ func (t *Thread) Sleep(site trace.SiteID, d uint64) {
 	t.op(opSleep, site, 0, trace.Nil, t.m.clock+d)
 }
 
-// Observe emits an invariant probe: a named value sample that the
-// invariant-inference and monitoring passes consume. probe identifies the
-// observation point within the site.
+// Observe emits an invariant probe: a named value sample that invariant
+// inference consumes. probe identifies the observation point within the
+// site.
 func (t *Thread) Observe(site trace.SiteID, probe trace.ObjID, v trace.Value) {
 	t.op(opObserve, site, probe, v, 0)
 }

@@ -60,10 +60,7 @@ func Bank() *scenario.Scenario {
 			},
 		}},
 		// The bank moves no bulk data: every site is metadata-driven and
-		// low-rate, so the whole application is control plane. RCSE on a
-		// control-plane-only program records (correctly) almost
-		// everything — see the trigger-ablation discussion in
-		// EXPERIMENTS.md.
+		// low-rate, so the whole application is control plane.
 		PlaneTruth: map[string]plane.Plane{
 			"xfer.read":  plane.Control,
 			"xfer.write": plane.Control,
@@ -122,7 +119,7 @@ func buildBank(m *vm.Machine, p scenario.Params) func(*vm.Thread) {
 				// training runs audit inside the critical section and
 				// always see the pristine total; the racy build audits
 				// whatever state the interleaving left behind, and the
-				// drift fires the data-based trigger.
+				// drift violates the trained invariant.
 				var total int64
 				for _, acc := range accounts {
 					total += t.Load(sAudit, acc).AsInt()
