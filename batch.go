@@ -59,7 +59,9 @@ func GridJobs(scenarios []string, models []Model, seeds ...int64) []Job {
 // later cells (a few per worker) computes ahead of the consumer. Each
 // cell is evaluated with its inner replay search pinned sequential — the
 // grid is the parallel axis — so every cell's result is identical to what a
-// lone Evaluate would produce, for every worker count.
+// lone Evaluate would produce, for every worker count. Cells of the same
+// production run (scenario, seed, parameters) share one execution of it:
+// every model's recording is a projection of that run.
 //
 // A failed cell yields (JobResult{Job: job}, err) and the batch
 // continues; cancelling ctx stops the batch after surfacing the context
@@ -71,9 +73,15 @@ func (e *Engine) EvaluateBatch(ctx context.Context, jobs []Job) iter.Seq2[JobRes
 			ev  *Evaluation
 			err error
 		}
+		runs := core.NewRuns()
+		for _, j := range jobs {
+			if s, o, err := e.resolve(j); err == nil {
+				runs.Want(s, j.Model, o)
+			}
+		}
 		next := 0
 		for i, c := range par.Ordered(ctx, len(jobs), e.workers, func(ctx context.Context, i int) cell {
-			ev, err := e.runJob(ctx, jobs[i])
+			ev, err := e.runJob(ctx, runs, jobs[i])
 			return cell{ev, err}
 		}) {
 			next = i + 1
@@ -87,12 +95,8 @@ func (e *Engine) EvaluateBatch(ctx context.Context, jobs []Job) iter.Seq2[JobRes
 	}
 }
 
-// runJob resolves and evaluates one batch cell.
-func (e *Engine) runJob(ctx context.Context, j Job) (*Evaluation, error) {
-	s, err := e.reg.ByName(j.Scenario)
-	if err != nil {
-		return nil, err
-	}
+// resolve looks up the job's scenario and merges its options.
+func (e *Engine) resolve(j Job) (*Scenario, Options, error) {
 	var o Options
 	if j.Options != nil {
 		o = *j.Options
@@ -103,9 +107,20 @@ func (e *Engine) runJob(ctx context.Context, j Job) (*Evaluation, error) {
 	if j.Params != nil {
 		o.Params = j.Params
 	}
+	s, err := e.reg.ByName(j.Scenario)
+	return s, o, err
+}
+
+// runJob resolves and evaluates one batch cell from the batch's shared
+// runs.
+func (e *Engine) runJob(ctx context.Context, runs *core.Runs, j Job) (*Evaluation, error) {
+	s, o, err := e.resolve(j)
+	if err != nil {
+		return nil, err
+	}
 	defer e.fill(ctx, &o.Ctx, &o.ReplayBudget, &o.Workers)()
 	// The grid is the parallel axis; each cell's inner search stays
 	// sequential so cells are identical to standalone evaluations.
 	o.Workers = 1
-	return core.Evaluate(s, j.Model, o)
+	return runs.Evaluate(s, j.Model, o)
 }

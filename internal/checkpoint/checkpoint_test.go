@@ -22,17 +22,8 @@ func capture(t *testing.T, interval uint64) (*record.Recording, *checkpoint.Writ
 	if err != nil {
 		t.Fatal(err)
 	}
-	var w *checkpoint.Writer
-	factory := func(m *vm.Machine) (record.Policy, []vm.Observer) {
-		w = checkpoint.NewWriter(m, interval)
-		return record.PolicyFor(record.Perfect), []vm.Observer{w}
-	}
-	rec, _, err := record.RecordWithPolicy(s, record.Perfect, factory, s.DefaultSeed, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.Checkpoints = w.Snapshots()
-	rec.CheckpointBytes = w.Bytes()
+	run, w := record.Run(s, s.DefaultSeed, nil, 0, interval)
+	rec, _ := record.Project(s, run, w, record.Perfect, record.PolicyFor(record.Perfect))
 	return rec, w
 }
 

@@ -62,16 +62,8 @@ func captureScenario(t *testing.T, s *scenario.Scenario) *record.Recording {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var w *checkpoint.Writer
-	factory := func(m *vm.Machine) (record.Policy, []vm.Observer) {
-		w = checkpoint.NewWriter(m, max(plain.EventCount/6, 4))
-		return record.PolicyFor(record.Perfect), []vm.Observer{w}
-	}
-	rec, _, err := record.RecordWithPolicy(s, record.Perfect, factory, s.DefaultSeed, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.Checkpoints = w.Snapshots()
+	run, w := record.Run(s, s.DefaultSeed, nil, 0, max(plain.EventCount/6, 4))
+	rec, _ := record.Project(s, run, w, record.Perfect, record.PolicyFor(record.Perfect))
 	return rec
 }
 

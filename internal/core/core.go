@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 
-	"debugdet/internal/checkpoint"
 	"debugdet/internal/flightrec"
 	"debugdet/internal/metrics"
 	"debugdet/internal/rcse"
@@ -140,10 +139,15 @@ func (e *Evaluation) Summary() string {
 		e.Utility.DF, e.Utility.DE, e.Utility.DU, e.Replay.Attempts)
 }
 
-// Record runs the scenario once under the model's recorder — the
-// "production run" of the pipeline — and returns the recording with the
-// original run.
+// Record executes the scenario once — the "production run" of the
+// pipeline — and projects it to the model's recording (record.Project),
+// returning the recording with the run as the model sees it.
 func Record(s *scenario.Scenario, model record.Model, o Options) (*record.Recording, *scenario.RunView, error) {
+	return (*Runs)(nil).record(s, model, o)
+}
+
+// record is Record over r's shared runs (nil executes a run of its own).
+func (r *Runs) record(s *scenario.Scenario, model record.Model, o Options) (*record.Recording, *scenario.RunView, error) {
 	o = o.withDefaults()
 	if err := o.validate(); err != nil {
 		return nil, nil, err
@@ -154,39 +158,21 @@ func Record(s *scenario.Scenario, model record.Model, o Options) (*record.Record
 	if err := o.Ctx.Err(); err != nil {
 		return nil, nil, err
 	}
+	if model != record.DebugRCSE && record.PolicyFor(model) == nil {
+		return nil, nil, fmt.Errorf("core: no stock policy for %s", model)
+	}
+	run := r.take(s, model, o)
+	rec, view := record.Project(s, run.view, run.ckpt, model, policyFor(s, model, run.view.Machine))
+	return rec, view, nil
+}
 
-	var factory record.PolicyFactory
+// policyFor builds the model's recording policy on the run's machine: the
+// stock one, or RCSE's over the scenario's declared control streams.
+func policyFor(s *scenario.Scenario, model record.Model, m *vm.Machine) record.Policy {
 	if model == record.DebugRCSE {
-		factory = rcseFactory(s)
-	} else {
-		policy := record.PolicyFor(model)
-		if policy == nil {
-			return nil, nil, fmt.Errorf("core: no stock policy for %s", model)
-		}
-		factory = record.FactoryFor(policy)
+		return rcse.NewPolicy(m, s.ControlStreams)
 	}
-
-	var ckpt *checkpoint.Writer
-	if o.CheckpointInterval > 0 && model == record.Perfect {
-		inner := factory
-		factory = func(m *vm.Machine) (record.Policy, []vm.Observer) {
-			policy, obs := inner(m)
-			ckpt = checkpoint.NewWriter(m, uint64(o.CheckpointInterval))
-			return policy, append(obs, ckpt)
-		}
-	}
-
-	rec, orig, err := record.RecordWithPolicy(s, model, factory, o.Seed, o.Params)
-	if err != nil {
-		return nil, nil, err
-	}
-	if ckpt != nil {
-		// The capture work already entered the machine's recording cycles
-		// (and hence rec.Overhead); attach the artifacts and their volume.
-		rec.Checkpoints = ckpt.Snapshots()
-		rec.CheckpointBytes = ckpt.Bytes()
-	}
-	return rec, orig, nil
+	return record.PolicyFor(model)
 }
 
 // RecordOnly is Record with an always-empty third result. bench/ compiles
@@ -194,14 +180,6 @@ func Record(s *scenario.Scenario, model record.Model, o Options) (*record.Record
 func RecordOnly(s *scenario.Scenario, model record.Model, o Options) (*record.Recording, *scenario.RunView, struct{}, error) {
 	rec, orig, err := Record(s, model, o)
 	return rec, orig, struct{}{}, err
-}
-
-// rcseFactory builds the RCSE policy over the scenario's declared control
-// streams for each recording machine.
-func rcseFactory(s *scenario.Scenario) record.PolicyFactory {
-	return func(m *vm.Machine) (record.Policy, []vm.Observer) {
-		return rcse.NewPolicy(m, s.ControlStreams), nil
-	}
 }
 
 // RecordStreaming runs the scenario once with the flight recorder
@@ -237,12 +215,18 @@ func RecordStreaming(s *scenario.Scenario, o Options) (*flightrec.RecordResult, 
 
 // Evaluate runs the full pipeline for one scenario under one model.
 func Evaluate(s *scenario.Scenario, model record.Model, o Options) (*Evaluation, error) {
+	return (*Runs)(nil).Evaluate(s, model, o)
+}
+
+// Evaluate is core.Evaluate recording from r's shared run of the cell; the
+// evaluation is identical to a standalone one.
+func (r *Runs) Evaluate(s *scenario.Scenario, model record.Model, o Options) (*Evaluation, error) {
 	o = o.withDefaults()
 	if o.Seed == 0 {
 		o.Seed = s.DefaultSeed
 	}
 
-	rec, orig, err := Record(s, model, o)
+	rec, orig, err := r.record(s, model, o)
 	if err != nil {
 		return nil, err
 	}
@@ -290,6 +274,6 @@ func Evaluate(s *scenario.Scenario, model record.Model, o Options) (*Evaluation,
 // PrepareRCSE returns the factory of the scenario's RCSE policy; the
 // error is always nil. bench/ compiles against this; ROADMAP item 1
 // deletes it.
-func PrepareRCSE(s *scenario.Scenario, _ Options) (record.PolicyFactory, error) {
-	return rcseFactory(s), nil
+func PrepareRCSE(s *scenario.Scenario, _ Options) (func(*vm.Machine) record.Policy, error) {
+	return func(m *vm.Machine) record.Policy { return policyFor(s, record.DebugRCSE, m) }, nil
 }

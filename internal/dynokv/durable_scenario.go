@@ -153,7 +153,6 @@ func TornWAL() *scenario.Scenario {
 		},
 		PlaneTruth:     durablePlaneTruth(),
 		ControlStreams: []string{StreamCrashPlan},
-		TrainingParams: scenario.Params{"fixed": 1},
 	}
 }
 
@@ -214,7 +213,6 @@ func FsyncLoss() *scenario.Scenario {
 		},
 		PlaneTruth:     durablePlaneTruth(),
 		ControlStreams: []string{StreamCrashPlan},
-		TrainingParams: scenario.Params{"fixed": 1},
 	}
 }
 
@@ -274,7 +272,6 @@ func SnapRes() *scenario.Scenario {
 		},
 		PlaneTruth:     durablePlaneTruth(),
 		ControlStreams: []string{StreamCrashPlan},
-		TrainingParams: scenario.Params{"fixed": 1},
 	}
 }
 

@@ -185,7 +185,6 @@ func StaleRead() *scenario.Scenario {
 			"client.repair":     plane.Control,
 		},
 		ControlStreams: controlStreams(ModeStaleRead, 3),
-		TrainingParams: scenario.Params{"fixed": 1},
 	}
 }
 
@@ -262,7 +261,6 @@ func Resurrect() *scenario.Scenario {
 			// their plane is genuinely ambiguous under [3]'s definition.
 		},
 		ControlStreams: controlStreams(ModeResurrect, 3),
-		TrainingParams: scenario.Params{"fixed": 1},
 	}
 }
 
@@ -340,7 +338,6 @@ func LostHint() *scenario.Scenario {
 			// and are deliberately undeclared.
 		},
 		ControlStreams: controlStreams(ModeLostHint, 4),
-		TrainingParams: scenario.Params{"fixed": 1},
 	}
 }
 

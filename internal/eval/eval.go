@@ -141,28 +141,48 @@ func cellOf(ev *core.Evaluation) Cell {
 	}
 }
 
-// runCell evaluates one (scenario, model) pair with the harness defaults,
-// at an explicit production seed and parameter overrides (both zero-valued
-// for the standard tables; T-FUZZ pins them to a regenerated program).
-// All tables share this one cell constructor — and its error wrap, which
-// names the table — so they can never drift apart. RCSE cells record the
+// cellSpec is one (scenario, model) cell of a table, at an explicit
+// production seed and parameter overrides (both zero-valued for the
+// standard tables; T-FUZZ pins them to a regenerated program).
+type cellSpec struct {
+	s      *scenario.Scenario
+	model  record.Model
+	seed   int64
+	params scenario.Params
+}
+
+// evalCells evaluates a table's cells across o's workers with the harness
+// defaults. All tables share this one cell constructor — and its error
+// wrap, which names the table — so they can never drift apart. Cells of
+// the same production run share one execution of it (core.Runs): every
+// model's recording is a projection of that run. RCSE cells record the
 // declared control streams and the schedule, matching §4 ("recording just
-// the data on control-plane channels and the thread schedule"). The inner
-// replay search is pinned sequential: the grid is the parallel axis (see
-// Options.Workers).
-func runCell(table string, s *scenario.Scenario, model record.Model, o Options, seed int64, params scenario.Params) (Cell, error) {
-	ev, err := core.Evaluate(s, model, core.Options{
-		Ctx:                o.Ctx,
-		Seed:               seed,
-		Params:             params,
-		ReplayBudget:       o.ReplayBudget,
-		Workers:            1,
-		CheckpointInterval: o.CheckpointInterval,
-	})
-	if err != nil {
-		return Cell{}, fmt.Errorf("%s %s/%s: %w", table, s.Name, model, err)
+// the data on control-plane channels and the thread schedule"). Each
+// cell's inner replay search is pinned sequential: the grid is the
+// parallel axis (see Options.Workers).
+func evalCells(table string, o Options, cells []cellSpec) ([]Cell, error) {
+	o = o.withDefaults()
+	opts := make([]core.Options, len(cells))
+	runs := core.NewRuns()
+	for i, c := range cells {
+		opts[i] = core.Options{
+			Ctx:                o.Ctx,
+			Seed:               c.seed,
+			Params:             c.params,
+			ReplayBudget:       o.ReplayBudget,
+			Workers:            1,
+			CheckpointInterval: o.CheckpointInterval,
+		}
+		runs.Want(c.s, c.model, opts[i])
 	}
-	return cellOf(ev), nil
+	return grid(o, len(cells), func(i int) (Cell, error) {
+		c := cells[i]
+		ev, err := runs.Evaluate(c.s, c.model, opts[i])
+		if err != nil {
+			return Cell{}, fmt.Errorf("%s %s/%s: %w", table, c.s.Name, c.model, err)
+		}
+		return cellOf(ev), nil
+	})
 }
 
 // Fig1Row aggregates one determinism model over the corpus: the point the
@@ -181,12 +201,15 @@ type Fig1Row struct {
 // on every corpus scenario — the cells run across the worker pool — and
 // the row means are the plotted coordinates.
 func Fig1(o Options) ([]Fig1Row, error) {
-	o = o.withDefaults()
 	models := record.AllModels()
 	corpus := o.corpus()
-	cells, err := grid(o, len(models)*len(corpus), func(i int) (Cell, error) {
-		return runCell("fig1", corpus[i%len(corpus)], models[i/len(corpus)], o, 0, nil)
-	})
+	specs := make([]cellSpec, 0, len(models)*len(corpus))
+	for _, m := range models {
+		for _, s := range corpus {
+			specs = append(specs, cellSpec{s: s, model: m})
+		}
+	}
+	cells, err := evalCells("fig1", o, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +255,6 @@ func RenderFig1(rows []Fig1Row) string {
 // plots value determinism, failure determinism and RCSE; perfect and
 // output determinism are included as reference rows.
 func Fig2(o Options) ([]Cell, error) {
-	o = o.withDefaults()
 	s, err := workload.ByName("hyperkv-dataloss")
 	if err != nil {
 		return nil, err
@@ -241,9 +263,11 @@ func Fig2(o Options) ([]Cell, error) {
 		record.Value, record.Failure, record.DebugRCSE,
 		record.Perfect, record.Output,
 	}
-	return grid(o, len(models), func(i int) (Cell, error) {
-		return runCell("fig2", s, models[i], o, 0, nil)
-	})
+	specs := make([]cellSpec, len(models))
+	for i, m := range models {
+		specs[i] = cellSpec{s: s, model: m}
+	}
+	return evalCells("fig2", o, specs)
 }
 
 // RenderFig2 prints the Fig. 2 points.
@@ -337,15 +361,17 @@ var (
 // given production seed and parameter overrides (zero-valued except for a
 // regenerated T-FUZZ).
 func (f familyTable) cells(o Options, seed int64, params scenario.Params) ([]Cell, error) {
-	o = o.withDefaults()
-	models := record.AllModels()
-	return grid(o, len(f.scenarios)*len(models), func(i int) (Cell, error) {
-		s, err := workload.ByName(f.scenarios[i/len(models)])
+	var specs []cellSpec
+	for _, name := range f.scenarios {
+		s, err := workload.ByName(name)
 		if err != nil {
-			return Cell{}, err
+			return nil, err
 		}
-		return runCell(f.name, s, models[i%len(models)], o, seed, params)
-	})
+		for _, m := range record.AllModels() {
+			specs = append(specs, cellSpec{s, m, seed, params})
+		}
+	}
+	return evalCells(f.name, o, specs)
 }
 
 // renderFamily prints a family table.

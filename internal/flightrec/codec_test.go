@@ -19,17 +19,8 @@ import (
 // fixtures (same shape core.Record produces).
 func recordCheckpointed(t *testing.T, s *scenario.Scenario, interval uint64) *record.Recording {
 	t.Helper()
-	var w *checkpoint.Writer
-	factory := func(m *vm.Machine) (record.Policy, []vm.Observer) {
-		w = checkpoint.NewWriter(m, interval)
-		return record.PolicyFor(record.Perfect), []vm.Observer{w}
-	}
-	rec, _, err := record.RecordWithPolicy(s, record.Perfect, factory, s.DefaultSeed, nil)
-	if err != nil {
-		t.Fatalf("record: %v", err)
-	}
-	rec.Checkpoints = w.Snapshots()
-	rec.CheckpointBytes = w.Bytes()
+	run, w := record.Run(s, s.DefaultSeed, nil, 0, interval)
+	rec, _ := record.Project(s, run, w, record.Perfect, record.PolicyFor(record.Perfect))
 	return rec
 }
 

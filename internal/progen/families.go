@@ -31,11 +31,10 @@ func atomicityScenario() *scenario.Scenario {
 		Description: "generated atomicity violation: seed-shaped worker pool " +
 			"increments a shared counter with an unlocked load/store pair; " +
 			"interleavings in the window lose updates",
-		DefaultParams:  scenario.Params{"gen": atomicityGen, "fixed": 0},
-		DefaultSeed:    atomicitySeed,
-		TrainingParams: scenario.Params{"fixed": 1},
-		Build:          buildAtomicity,
-		Inputs:         hashInputs,
+		DefaultParams: scenario.Params{"gen": atomicityGen, "fixed": 0},
+		DefaultSeed:   atomicitySeed,
+		Build:         buildAtomicity,
+		Inputs:        hashInputs,
 		InputDomains: []scenario.InputDomain{
 			{Stream: "fuzz.delta", Min: 0, Max: 4},
 		},
@@ -154,10 +153,9 @@ func lockCycleScenario() *scenario.Scenario {
 		Description: "generated lock-order inversion: two seed-shaped locker " +
 			"threads acquire the same mutex pair in opposite orders; some " +
 			"interleavings deadlock",
-		DefaultParams:  scenario.Params{"gen": lockCycleGen, "fixed": 0},
-		DefaultSeed:    lockCycleSeed,
-		TrainingParams: scenario.Params{"fixed": 1},
-		Build:          buildLockCycle,
+		DefaultParams: scenario.Params{"gen": lockCycleGen, "fixed": 0},
+		DefaultSeed:   lockCycleSeed,
+		Build:         buildLockCycle,
 		Inputs: func(seed int64, p scenario.Params) vm.InputSource {
 			return vm.ZeroInputs
 		},
@@ -260,11 +258,10 @@ func lostMessageScenario() *scenario.Scenario {
 		Description: "generated lossy-link exchange: a client streams " +
 			"seed-shaped payload messages to a server over a simnet link " +
 			"that drops with seed-chosen probability; delivered < sent",
-		DefaultParams:  scenario.Params{"gen": lostMessageGen, "fixed": 0},
-		DefaultSeed:    lostMsgSeed,
-		TrainingParams: scenario.Params{"fixed": 1},
-		Build:          buildLostMessage,
-		Inputs:         hashInputs,
+		DefaultParams: scenario.Params{"gen": lostMessageGen, "fixed": 0},
+		DefaultSeed:   lostMsgSeed,
+		Build:         buildLostMessage,
+		Inputs:        hashInputs,
 		InputDomains: []scenario.InputDomain{
 			{Stream: "fuzz.payload", Min: 0, Max: 999},
 			{Stream: "net.drop:client->server", Min: 0, Max: 99},
@@ -377,11 +374,10 @@ func oversellScenario() *scenario.Scenario {
 		Description: "generated TOCTOU oversell: seed-shaped buyer threads " +
 			"check a shared remaining-capacity cell, yield in the window, " +
 			"then decrement it; concurrent buyers sell more than capacity",
-		DefaultParams:  scenario.Params{"gen": oversellGen, "fixed": 0},
-		DefaultSeed:    oversellSeedPins,
-		TrainingParams: scenario.Params{"fixed": 1},
-		Build:          buildOversell,
-		Inputs:         hashInputs,
+		DefaultParams: scenario.Params{"gen": oversellGen, "fixed": 0},
+		DefaultSeed:   oversellSeedPins,
+		Build:         buildOversell,
+		Inputs:        hashInputs,
 		InputDomains: []scenario.InputDomain{
 			{Stream: "fuzz.want", Min: 0, Max: 1},
 		},
@@ -421,11 +417,10 @@ func crashPointScenario() *scenario.Scenario {
 			"writer appends framed records to a simulated-disk WAL and " +
 			"acknowledges each append before the group fsync; a crash at an " +
 			"input-chosen point loses acknowledged records",
-		DefaultParams:  scenario.Params{"gen": crashPointGen, "fixed": 0},
-		DefaultSeed:    crashPointSeed,
-		TrainingParams: scenario.Params{"fixed": 1},
-		Build:          buildCrashPoint,
-		Inputs:         hashInputs,
+		DefaultParams: scenario.Params{"gen": crashPointGen, "fixed": 0},
+		DefaultSeed:   crashPointSeed,
+		Build:         buildCrashPoint,
+		Inputs:        hashInputs,
 		InputDomains: []scenario.InputDomain{
 			{Stream: "fuzz.payload", Min: 0, Max: 999},
 			{Stream: "fuzz.crashplan", Min: 0, Max: 127},

@@ -155,7 +155,6 @@ func FixedVariants() []*scenario.Scenario {
 		fixed.Name = s.Name + "-fixed"
 		fixed.Description = "healthy build of " + s.Name + " (fix applied)"
 		fixed.DefaultParams = s.DefaultParams.Clone(scenario.Params{"fixed": 1})
-		fixed.TrainingParams = nil
 		out = append(out, &fixed)
 	}
 	return out

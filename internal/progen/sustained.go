@@ -37,7 +37,6 @@ func Sustained() *scenario.Scenario {
 		"scenario's event count); exercises flight-recorder segment rotation and spill"
 	s.DefaultParams = scenario.Params{"gen": sustainedGen, "fixed": 0}
 	s.DefaultSeed = sustainedSeed
-	s.TrainingParams = scenario.Params{"fixed": 1}
 	baseBuild := base.Build
 	s.Build = func(m *vm.Machine, p scenario.Params) func(*vm.Thread) {
 		return baseBuild(m, sustainedParams(p))

@@ -329,17 +329,8 @@ func recordCheckpointedBank(t *testing.T) *Recording {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var w *checkpoint.Writer
-	factory := func(m *vm.Machine) (Policy, []vm.Observer) {
-		w = checkpoint.NewWriter(m, 64)
-		return PolicyFor(Perfect), []vm.Observer{w}
-	}
-	rec, _, err := RecordWithPolicy(s, Perfect, factory, s.DefaultSeed, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.Checkpoints = w.Snapshots()
-	rec.CheckpointBytes = w.Bytes()
+	run, w := Run(s, s.DefaultSeed, nil, 0, 64)
+	rec, _ := Project(s, run, w, Perfect, PolicyFor(Perfect))
 	return rec
 }
 

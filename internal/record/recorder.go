@@ -46,11 +46,13 @@ func (p PolicyFunc) Level(e *trace.Event) Level { return p.F(e) }
 func FullEventBytes(e *trace.Event) int { return 10 + e.Val.Size() }
 
 // Recorder persists an execution's events according to a policy. It
-// implements vm.Observer; attach it to the machine before Run.
+// implements vm.Observer, but is driven offline over a finished run's trace
+// (Project): since recording cost is kept off the virtual clock, that is
+// the run a live recorder would have seen.
 //
 // The full-level events are not copied as they pass: the run's trace
 // already holds each one, so the recorder keeps only which of them are
-// full, and capture projects them out of the trace (see fullOf).
+// full, and Capture projects them out of the trace (see fullOf).
 type Recorder struct {
 	policy Policy
 	cost   *vm.CostModel
@@ -189,7 +191,7 @@ func outputPolicy() Policy {
 }
 
 // Failure determinism: nothing at runtime. The failure signature is
-// extracted from the run result post-mortem (see capture).
+// extracted from the run result post-mortem (see Capture).
 func failurePolicy() Policy {
 	return PolicyFunc{N: "failure", F: func(*trace.Event) Level { return LevelSkip }}
 }

@@ -23,7 +23,7 @@ import (
 // after its first replay call: replays share one read-only plan derived
 // from it (see replayPlan), and its Checkpoints share the recorded machine's
 // stream histories (see vm.StreamSnap). A perfect recording's Full is the
-// recorded run's trace itself (see capture).
+// recorded run's trace itself (see Capture).
 type Recording struct {
 	Scenario string
 	Model    Model
@@ -73,18 +73,21 @@ type Recording struct {
 	cache *planCache
 }
 
-// capture finalizes a recording after the recorded run finished: it stores
-// the recorder's streams and the run's failure identity and overhead
-// numbers. view.Trace must be the run's trace, collected from its first
-// event: the recording's Full is projected out of it, and under perfect
-// determinism shares its array.
-func capture(s *scenario.Scenario, view *scenario.RunView, r *Recorder, model Model, seed int64, params scenario.Params) *Recording {
+// Capture finalizes a recording of the run the recorder observed: it
+// stores the recorder's streams and the run's failure identity and
+// overhead numbers. view must be the run as the model sees it — its
+// Result charged with the recorder's cycles — and view.Trace the run's
+// trace from its first event: the recording's Full is projected out of it,
+// and under perfect determinism shares its array. Project is the one
+// caller outside tests.
+func (r *Recorder) Capture(s *scenario.Scenario, view *scenario.RunView, model Model) *Recording {
 	failed, sig := s.CheckFailure(view)
+	h := view.Trace.Header
 	return &Recording{
 		Scenario:      s.Name,
 		Model:         model,
-		Seed:          seed,
-		Params:        params,
+		Seed:          h.Seed,
+		Params:        scenario.Params(h.Params).Clone(nil),
 		Full:          r.fullOf(view.Trace),
 		Sched:         r.sched,
 		SchedComplete: r.schedComplete,
@@ -262,45 +265,4 @@ func Load(rd io.Reader) (*Recording, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadRecording, err)
 	}
 	return r, nil
-}
-
-// PolicyFactory builds a policy bound to a machine after the scenario's
-// program has been constructed on it (so the policy can resolve stream and
-// site identities), together with any companion observers the policy needs
-// attached (a checkpoint writer, for one). Stateless policies ignore
-// the machine and return no observers.
-type PolicyFactory func(m *vm.Machine) (Policy, []vm.Observer)
-
-// FactoryFor wraps a stock policy in a constant factory.
-func FactoryFor(p Policy) PolicyFactory {
-	return func(*vm.Machine) (Policy, []vm.Observer) { return p, nil }
-}
-
-// Record runs the scenario once under the given model's stock policy and
-// captures the recording. It is the one-call entry point for the
-// non-RCSE models; RCSE recording is orchestrated by the core package
-// because it needs the scenario's control streams.
-func Record(s *scenario.Scenario, model Model, seed int64, params scenario.Params) (*Recording, *scenario.RunView, error) {
-	policy := PolicyFor(model)
-	if policy == nil {
-		return nil, nil, fmt.Errorf("record: model %s needs an explicit policy", model)
-	}
-	return RecordWithPolicy(s, model, FactoryFor(policy), seed, params)
-}
-
-// RecordWithPolicy runs the scenario once with an explicit policy factory
-// (used by RCSE) and captures the recording. The factory's companion
-// observers (a checkpoint writer) are attached after the recorder.
-func RecordWithPolicy(s *scenario.Scenario, model Model, factory PolicyFactory, seed int64, params scenario.Params) (*Recording, *scenario.RunView, error) {
-	var policy Policy
-	var rec *Recorder
-	view := s.Exec(scenario.ExecOptions{Seed: seed, Params: params,
-		ObserverFactory: func(m *vm.Machine) []vm.Observer {
-			var companions []vm.Observer
-			policy, companions = factory(m)
-			rec = NewRecorder(m, policy)
-			return append([]vm.Observer{rec}, companions...)
-		}})
-	view.Trace.Header.Model = policy.Name()
-	return capture(s, view, rec, model, seed, s.DefaultParams.Clone(params)), view, nil
 }

@@ -8,7 +8,6 @@ import (
 	"debugdet/internal/record"
 	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
-	"debugdet/internal/vm"
 	"debugdet/internal/workload"
 )
 
@@ -27,13 +26,8 @@ func recordRCSE(t *testing.T, name string, undeclared bool) (*scenario.Scenario,
 	if undeclared {
 		s.ControlStreams = nil
 	}
-	factory := func(m *vm.Machine) (record.Policy, []vm.Observer) {
-		return rcse.NewPolicy(m, s.ControlStreams), nil
-	}
-	rec, _, err := record.RecordWithPolicy(s, record.DebugRCSE, factory, s.DefaultSeed, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	run, _ := record.Run(s, s.DefaultSeed, nil, 0, 0)
+	rec, _ := record.Project(s, run, nil, record.DebugRCSE, rcse.NewPolicy(run.Machine, s.ControlStreams))
 	return s, rec
 }
 

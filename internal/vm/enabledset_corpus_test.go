@@ -4,7 +4,6 @@ import (
 	"hash/fnv"
 	"testing"
 
-	"debugdet/internal/checkpoint"
 	"debugdet/internal/progen"
 	"debugdet/internal/record"
 	"debugdet/internal/replay"
@@ -150,15 +149,8 @@ func TestEnabledSetRestoreAtEveryCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	since := vm.RoundsCompared()
-	var w *checkpoint.Writer
-	rec, _, err := record.RecordWithPolicy(s, record.Perfect, func(m *vm.Machine) (record.Policy, []vm.Observer) {
-		w = checkpoint.NewWriter(m, 1024)
-		return record.PolicyFor(record.Perfect), []vm.Observer{w}
-	}, s.DefaultSeed, scenario.Params{"rounds": 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.Checkpoints = w.Snapshots()
+	run, w := record.Run(s, s.DefaultSeed, scenario.Params{"rounds": 30}, 0, 1024)
+	rec, _ := record.Project(s, run, w, record.Perfect, record.PolicyFor(record.Perfect))
 	if len(rec.Checkpoints) < 10 {
 		t.Fatalf("%d checkpoints over %d events", len(rec.Checkpoints), rec.EventCount)
 	}

@@ -97,9 +97,10 @@ type Result struct {
 	Cycles uint64
 	// RecordCycles is the virtual time observers charged for recording
 	// work. It is accounted separately rather than added to the clock,
-	// so attaching a recorder never perturbs the execution: every model
-	// records the *same* production run, and timeout behaviour is
-	// probe-effect free. Total production time is Cycles + RecordCycles.
+	// so attaching a recorder never perturbs the execution: every
+	// model's recording is a projection of one production run (see
+	// record.Project), and timeout behaviour is probe-effect free. Total
+	// production time is Cycles + RecordCycles.
 	RecordCycles uint64
 	// Outputs are the per-stream output sequences.
 	Outputs map[string][]trace.Value

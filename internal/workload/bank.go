@@ -22,9 +22,8 @@ func Bank() *scenario.Scenario {
 		DefaultParams: scenario.Params{
 			"accounts": 4, "threads": 3, "transfers": 12, "fixed": 0,
 		},
-		DefaultSeed:    0, // verified by TestBankDefaultSeed
-		TrainingParams: scenario.Params{"fixed": 1},
-		Build:          buildBank,
+		DefaultSeed: 0, // verified by TestBankDefaultSeed
+		Build:       buildBank,
 		Inputs: func(seed int64, p scenario.Params) vm.InputSource {
 			return vm.InputSourceFunc(func(stream string, index int) trace.Value {
 				return trace.Int(vm.HashValue(seed, stream, index))

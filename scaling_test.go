@@ -375,11 +375,8 @@ func TestRunEventsStoredOnce(t *testing.T) {
 			}
 			return record.LevelSched
 		}
-		factory := record.FactoryFor(record.PolicyFunc{N: "k-full", F: level})
-		rec, view, err := record.RecordWithPolicy(s, record.Value, factory, 1, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		run, _ := record.Run(s, 1, nil, 0, 0)
+		rec, view := record.Project(s, run, nil, record.Value, record.PolicyFunc{N: "k-full", F: level})
 		var want []trace.Event
 		for i := range view.Trace.Events {
 			if level(&view.Trace.Events[i]) == record.LevelFull {
