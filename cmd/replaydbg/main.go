@@ -455,7 +455,14 @@ func runEval(scenarioName, modelName string, seed int64, budget int) {
 func runShow(in string) {
 	rec := loadRecording(in)
 	fmt.Println(rec.Summary())
-	fmt.Printf("streams: %v\n", rec.Streams)
+	// The table names only the streams the recorded events reference.
+	fmt.Print("streams:")
+	for id, name := range rec.Streams {
+		if name != "" {
+			fmt.Printf(" %d=%s", id, name)
+		}
+	}
+	fmt.Println()
 	if seqs := rec.SnapshotSeqs(); len(seqs) > 0 {
 		fmt.Printf("checkpoints: %d at %v (%d bytes)\n", len(seqs), seqs, rec.CheckpointBytes)
 	}

@@ -79,6 +79,22 @@ segments: 7
 	}
 }
 
+// TestShowNamesReferencedStreams: show lists the recording's stream table
+// as id=name, and an output recording names only the streams of its
+// outputs (bank's xfer.pick, stream 0, is an input).
+func TestShowNamesReferencedStreams(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bank.ddrc")
+	if out, code := runCLI(t, "record", "-scenario", "bank", "-model", "output", "-out", path); code != 0 {
+		t.Fatalf("record exited %d:\n%s", code, out)
+	}
+	const want = `bank/output seed=0 events=415 full=2 sched=0 bytes=38 overhead=1.01x failed=true sig="bank:imbalance"
+streams: 1=bank.total 2=bank.initial
+`
+	if out, code := runCLI(t, "show", "-in", path); code != 0 || !strings.HasPrefix(out, want) {
+		t.Fatalf("show exited %d:\n%s\nwant it to start:\n%s", code, out, want)
+	}
+}
+
 // TestInfoBadSpillDirIsUsageError: a directory that is not a readable
 // spill directory — empty, or holding a truncated manifest — exits with
 // status 2 and a diagnostic, like a nonexistent path; never a panic.

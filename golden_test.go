@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,11 +16,12 @@ import (
 )
 
 // goldenDir holds one fixed run — bank, seed 5, checkpoint interval 64 —
-// as the encoders of the commit before internal/wire existed wrote it: the
-// recording, its bare snapshot section, and the spill directory of the
-// same run flight-recorded with a ring of one segment. The formats have
-// not changed since, so the files are never regenerated; a deliberate
-// format change bumps that container's version byte and adds new files.
+// as the encoders wrote it: the recording (.ddrc version 3), its bare
+// snapshot section, and the spill directory of the same run
+// flight-recorded with a ring of one segment. The snapshot section and the
+// spill directory are as the commit before internal/wire existed wrote
+// them. A file is rewritten only by a deliberate format change, which bumps
+// that container's version byte.
 const goldenDir = "testdata/golden"
 
 func goldenFile(t *testing.T, name string) []byte {
@@ -70,7 +72,7 @@ func TestGoldenBytes(t *testing.T) {
 		// ratio to the thousandth the format stores.
 		want := *rec
 		want.Checkpoints, loaded.Checkpoints = nil, nil
-		want.Overhead = float64(int64(rec.Overhead*1000)) / 1000
+		want.Overhead = math.Round(rec.Overhead*1000) / 1000
 		if !reflect.DeepEqual(loaded, &want) {
 			t.Fatalf("loaded recording differs from the re-recorded run:\ngot  %s\nwant %s", loaded.Summary(), want.Summary())
 		}

@@ -32,8 +32,9 @@ func FuzzLoadRecording(f *testing.F) {
 	}
 	f.Add(golden)
 	f.Add(golden[:len(golden)/2])
-	// An empty recording ends: event count 0, schedule count 0, then the
-	// five-byte empty snapshot section. Make each count claim 2^30.
+	// An empty recording ends: stream count 0, event count 0, schedule
+	// count 0, then the five-byte empty snapshot section. Make each count
+	// claim 2^30.
 	var empty bytes.Buffer
 	if err := (&Recording{Scenario: "x", Model: Perfect}).Save(&empty); err != nil {
 		f.Fatal(err)
@@ -42,6 +43,7 @@ func FuzzLoadRecording(f *testing.F) {
 	tail := len(data) - 7
 	f.Add(append(data[:tail:tail], huge...))
 	f.Add(append(data[:tail+1:tail+1], huge...))
+	f.Add(append(data[:tail-1:tail-1], huge...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rec *Recording

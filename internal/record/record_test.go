@@ -11,10 +11,8 @@ import (
 	"strings"
 	"testing"
 
-	"debugdet/internal/checkpoint"
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
-	"debugdet/internal/wire"
 	"debugdet/internal/workload"
 )
 
@@ -228,51 +226,43 @@ func TestLoadRejectsTruncation(t *testing.T) {
 	}
 }
 
-// TestLoadFailuresAreTyped: whatever is wrong with a file — its version, an
-// event, its model name, a numeric label — Load says so with an error that
-// wraps ErrBadRecording. (Event-section errors used to escape as bare
-// trace.ErrCorrupt, model errors unwrapped, and a malformed numeric label
-// loaded as 0; version 1, the format before checkpoints, is no longer read.)
+// TestLoadFailuresAreTyped: whatever is wrong with a file — its version,
+// its model byte, an event, a count, its stream table — Load says so with
+// an error that wraps ErrBadRecording. Versions 1 (before checkpoints) and
+// 2 (a nested log with decimal labels) are no longer read.
 func TestLoadFailuresAreTyped(t *testing.T) {
-	// file builds a .ddrc by hand around the given log header and events.
-	file := func(h trace.Header, events ...trace.Event) []byte {
+	file := func(r *Recording) []byte {
 		var buf bytes.Buffer
-		w := wire.NewWriter(&buf)
-		w.Magic(recMagic)
-		w.Byte(recVersion)
-		l := trace.NewLog(h)
-		l.Events = events
-		trace.WriteLog(w, l)
-		w.Uvarint(0)
-		checkpoint.WriteSnapshots(w, nil)
-		if _, err := w.Finish(); err != nil {
+		if err := r.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
-	labels := func(key, val string) map[string]string {
-		m := map[string]string{"log_bytes": "0", "overhead_mlli": "0", "base_cycles": "0",
-			"total_cycles": "0", "event_count": "0", "ckpt_bytes": "0"}
-		m[key] = val
-		return m
-	}
-	good := file(trace.Header{Model: "perfect", Labels: labels("log_bytes", "7")})
-	if rec, err := Load(bytes.NewReader(good)); err != nil || rec.LogBytes != 7 {
+	input := trace.Event{Kind: trace.EvInput, Obj: 1, Val: trace.Int(3)}
+	good := file(&Recording{Model: Value, LogBytes: 7, Streams: []string{"", "in"}, Full: []trace.Event{input}})
+	if rec, err := Load(bytes.NewReader(good)); err != nil || rec.LogBytes != 7 || rec.StreamName(1) != "in" {
 		t.Fatalf("hand-built recording: %v", err)
 	}
-	v1 := append([]byte(nil), good...)
-	v1[len(recMagic)] = 1
+	patch := func(data []byte, at int, b byte) []byte {
+		data = append([]byte(nil), data...)
+		data[at] = b
+		return data
+	}
+	// An empty recording ends: stream count 0, event count 0, schedule
+	// count 0, then the five-byte empty snapshot section.
+	empty := file(&Recording{})
 	cases := []struct {
 		name string
 		data []byte
 		want string
 	}{
-		{"version 1", v1, "unsupported version 1"},
-		{"bad event kind", file(trace.Header{Model: "perfect", Labels: labels("log_bytes", "0")}, trace.Event{Kind: 200}), "bad event kind 200"},
-		{"unknown model", file(trace.Header{Model: "psychic", Labels: labels("log_bytes", "0")}), "psychic"},
-		{"malformed event_count", file(trace.Header{Model: "perfect", Labels: labels("event_count", "12x")}), "event_count"},
-		{"missing ckpt_bytes", file(trace.Header{Model: "perfect", Labels: labels("ckpt_bytes", "")}), "ckpt_bytes"},
-		{"inner log magic", bytes.Replace(good, []byte("DDTL"), []byte("DDTX"), 1), "bad magic"},
+		{"version 1", patch(good, len(recMagic), 1), "unsupported version 1"},
+		{"version 2", patch(good, len(recMagic), 2), "unsupported version 2"},
+		{"unknown model", file(&Recording{Model: 9}), "unknown model 9"},
+		{"bad event kind", file(&Recording{Full: []trace.Event{{Kind: 200}}}), "bad event kind 200"},
+		{"stream count", patch(empty, len(empty)-8, 100), "100 streams"},
+		{"unnamed referenced stream", file(&Recording{Streams: []string{"in"}, Full: []trace.Event{input}}),
+			"event 0 (input) references stream 1"},
 	}
 	for _, tc := range cases {
 		_, err := Load(bytes.NewReader(tc.data))
@@ -334,7 +324,7 @@ func recordCheckpointedBank(t *testing.T) *Recording {
 	return rec
 }
 
-// TestCheckpointSaveLoadRoundTrip pins the v2 persistence of checkpoints:
+// TestCheckpointSaveLoadRoundTrip pins the persistence of checkpoints:
 // snapshots survive save/load exactly, including the rehydrated stream
 // histories.
 func TestCheckpointSaveLoadRoundTrip(t *testing.T) {
@@ -361,7 +351,7 @@ func TestCheckpointSaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestLoadRejectsCheckpointTruncation extends the truncation contract to
-// the v2 checkpoint section: every strict prefix errors, never panics.
+// the checkpoint section: every strict prefix errors, never panics.
 func TestLoadRejectsCheckpointTruncation(t *testing.T) {
 	rec := recordCheckpointedBank(t)
 	var buf bytes.Buffer
@@ -376,23 +366,25 @@ func TestLoadRejectsCheckpointTruncation(t *testing.T) {
 	}
 }
 
-// TestLoadBoundsReservationsByInput: a tiny .ddrc whose event or schedule
-// count claims 2^30 elements used to reserve tens of GiB before reading
-// one. It must fail with the typed error having allocated next to nothing.
+// TestLoadBoundsReservationsByInput: a tiny .ddrc whose stream, event or
+// schedule count claims 2^30 elements must fail with the typed error
+// having allocated next to nothing. (Event and schedule counts used to
+// reserve tens of GiB before reading one element.)
 func TestLoadBoundsReservationsByInput(t *testing.T) {
 	var buf bytes.Buffer
 	if err := (&Recording{Scenario: "x", Model: Perfect}).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// An empty recording ends: event count 0, schedule count 0, then the
-	// five-byte empty snapshot section.
+	// An empty recording ends: stream count 0, event count 0, schedule
+	// count 0, then the five-byte empty snapshot section.
 	data := buf.Bytes()
 	tail := len(data) - 7
-	if data[tail] != 0 || data[tail+1] != 0 || string(data[tail+2:tail+6]) != "DDCP" {
-		t.Fatalf("unexpected empty-recording layout: % x", data[tail:])
+	if data[tail-1] != 0 || data[tail] != 0 || data[tail+1] != 0 || string(data[tail+2:tail+6]) != "DDCP" {
+		t.Fatalf("unexpected empty-recording layout: % x", data[tail-1:])
 	}
 	huge := binary.AppendUvarint(nil, 1<<30)
 	hostile := map[string][]byte{
+		"streams":  append(append([]byte(nil), data[:tail-1]...), huge...),
 		"events":   append(append([]byte(nil), data[:tail]...), huge...),
 		"schedule": append(append([]byte(nil), data[:tail+1]...), huge...),
 	}

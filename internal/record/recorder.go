@@ -62,12 +62,13 @@ type Recorder struct {
 	// trace index of every full-level event.
 	allFull bool
 	fullIdx []int
-	sched   []trace.ThreadID
 
 	// schedComplete stays true while every event so far has contributed
 	// at least a schedule entry — the condition under which the schedule
-	// stream can drive a ReplayScheduler.
+	// stream can drive a ReplayScheduler. sched holds the entries while it
+	// does and is nil after.
 	schedComplete bool
+	sched         []trace.ThreadID
 
 	events     uint64
 	fullCount  uint64
@@ -97,10 +98,13 @@ func (r *Recorder) OnEvent(e *trace.Event) uint64 {
 	}
 	switch level {
 	case LevelSkip:
-		r.schedComplete = false
+		// An incomplete schedule drives no replay, so it is not kept.
+		r.schedComplete, r.sched = false, nil
 		return 0
 	case LevelSched:
-		r.sched = append(r.sched, e.TID)
+		if r.schedComplete {
+			r.sched = append(r.sched, e.TID)
+		}
 		r.schedCount++
 		r.bytes++
 		return r.cost.RecordByteCycles
@@ -108,7 +112,9 @@ func (r *Recorder) OnEvent(e *trace.Event) uint64 {
 		if !r.allFull {
 			r.fullIdx = append(r.fullIdx, idx)
 		}
-		r.sched = append(r.sched, e.TID)
+		if r.schedComplete {
+			r.sched = append(r.sched, e.TID)
+		}
 		r.fullCount++
 		b := FullEventBytes(e)
 		r.bytes += int64(b) + 1

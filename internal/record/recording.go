@@ -4,8 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
+	"math"
 
 	"debugdet/internal/checkpoint"
 	"debugdet/internal/scenario"
@@ -32,7 +31,8 @@ type Recording struct {
 
 	// Full are the fully recorded events, in global order.
 	Full []trace.Event
-	// Sched is the schedule stream (thread per recorded decision).
+	// Sched is the schedule stream (thread per recorded decision). It is
+	// kept only when SchedComplete, the one case a replayer reads it.
 	Sched []trace.ThreadID
 	// SchedComplete reports whether Sched covers every event of the run,
 	// i.e. whether it can drive a strict ReplayScheduler.
@@ -46,7 +46,9 @@ type Recording struct {
 
 	// Streams maps stream object IDs to names, so replayers can resolve
 	// recorded input/output events to streams before rebuilding the
-	// machine.
+	// machine. It names exactly the streams an input or output event in
+	// Full references, holds "" for every other ID, and ends at the
+	// highest referenced one. Checkpoints carry their own stream names.
 	Streams []string
 
 	// Checkpoints are the periodic VM state snapshots captured during the
@@ -75,23 +77,25 @@ type Recording struct {
 
 // Capture finalizes a recording of the run the recorder observed: it
 // stores the recorder's streams and the run's failure identity and
-// overhead numbers. view must be the run as the model sees it — its
-// Result charged with the recorder's cycles — and view.Trace the run's
-// trace from its first event: the recording's Full is projected out of it,
-// and under perfect determinism shares its array. Project is the one
-// caller outside tests.
+// overhead numbers, and nothing a replayer does not read: the schedule
+// only when it is complete, stream names only where Full references them.
+// view must be the run as the model sees it — its Result charged with the
+// recorder's cycles — and view.Trace the run's trace from its first event:
+// the recording's Full is projected out of it, and under perfect
+// determinism shares its array. Project is the one caller outside tests.
 func (r *Recorder) Capture(s *scenario.Scenario, view *scenario.RunView, model Model) *Recording {
 	failed, sig := s.CheckFailure(view)
 	h := view.Trace.Header
+	full := r.fullOf(view.Trace)
 	return &Recording{
 		Scenario:      s.Name,
 		Model:         model,
 		Seed:          h.Seed,
 		Params:        scenario.Params(h.Params).Clone(nil),
-		Full:          r.fullOf(view.Trace),
+		Full:          full,
 		Sched:         r.sched,
 		SchedComplete: r.schedComplete,
-		Streams:       view.Machine.StreamNames(),
+		Streams:       streamsOf(full, view.Machine),
 		Failed:        failed,
 		FailureSig:    sig,
 		LogBytes:      r.bytes,
@@ -102,6 +106,25 @@ func (r *Recorder) Capture(s *scenario.Scenario, view *scenario.RunView, model M
 		cache:         &planCache{},
 	}
 }
+
+// streamsOf names the streams the events' inputs and outputs reference,
+// indexed by stream ID: the table a replayer resolves them against.
+func streamsOf(events []trace.Event, m *vm.Machine) []string {
+	var names []string
+	for _, e := range events {
+		if !refersToStream(e.Kind) {
+			continue
+		}
+		if int(e.Obj) >= len(names) {
+			names = append(names, make([]string, int(e.Obj)+1-len(names))...)
+		}
+		names[e.Obj] = m.StreamName(e.Obj)
+	}
+	return names
+}
+
+// refersToStream reports whether an event of kind k names a stream.
+func refersToStream(k trace.EventKind) bool { return k == trace.EvInput || k == trace.EvOutput }
 
 // StreamName resolves a stream object ID against the recorded table.
 func (r *Recording) StreamName(id trace.ObjID) string {
@@ -156,11 +179,14 @@ func (r *Recording) Summary() string {
 }
 
 // The recording file format (.ddrc) is laid out in DESIGN.md "Wire
-// formats". Version 1 files — written before checkpoints existed — are
-// refused.
+// formats". Version 1 (before checkpoints) and version 2 (a nested log
+// whose labels held the scalars) files are refused.
 const (
 	recMagic   = "DDRC"
-	recVersion = 2
+	recVersion = 3
+
+	flagFailed        = 1 << 0
+	flagSchedComplete = 1 << 1
 )
 
 // ErrBadRecording reports a malformed recording file.
@@ -171,26 +197,28 @@ func (r *Recording) Save(w io.Writer) error {
 	ww := wire.NewWriter(w)
 	ww.Magic(recMagic)
 	ww.Byte(recVersion)
-	l := trace.NewLog(trace.Header{
-		Scenario: r.Scenario,
-		Model:    r.Model.String(),
-		Seed:     r.Seed,
-		Params:   map[string]int64(r.Params),
-		Labels: map[string]string{
-			"failed":        strconv.FormatBool(r.Failed),
-			"failure_sig":   r.FailureSig,
-			"sched_done":    strconv.FormatBool(r.SchedComplete),
-			"log_bytes":     strconv.FormatInt(r.LogBytes, 10),
-			"overhead_mlli": strconv.FormatInt(int64(r.Overhead*1000), 10),
-			"base_cycles":   strconv.FormatUint(r.BaseCycles, 10),
-			"total_cycles":  strconv.FormatUint(r.TotalCycles, 10),
-			"event_count":   strconv.FormatUint(r.EventCount, 10),
-			"ckpt_bytes":    strconv.FormatInt(r.CheckpointBytes, 10),
-			"streams":       strings.Join(r.Streams, "\x1f"),
-		},
-	})
-	l.Events = r.Full
-	trace.WriteLog(ww, l)
+	ww.String(r.Scenario)
+	ww.Byte(byte(r.Model))
+	ww.Varint(r.Seed)
+	trace.WriteParams(ww, r.Params)
+	var flags byte
+	if r.Failed {
+		flags |= flagFailed
+	}
+	if r.SchedComplete {
+		flags |= flagSchedComplete
+	}
+	ww.Byte(flags)
+	ww.String(r.FailureSig)
+	for _, v := range []uint64{uint64(r.LogBytes), uint64(math.Round(r.Overhead * 1000)),
+		r.BaseCycles, r.TotalCycles, r.EventCount, uint64(r.CheckpointBytes)} {
+		ww.Uvarint(v)
+	}
+	ww.Uvarint(uint64(len(r.Streams)))
+	for _, name := range r.Streams {
+		ww.String(name)
+	}
+	trace.WriteEvents(ww, r.Full)
 	ww.Uvarint(uint64(len(r.Sched)))
 	prev := int64(0)
 	for _, tid := range r.Sched {
@@ -208,60 +236,52 @@ func Load(rd io.Reader) (*Recording, error) {
 	wr := wire.NewReader(rd, ErrBadRecording)
 	wr.Magic(recMagic)
 	wr.Version(recVersion)
-	l := trace.ReadLog(wr)
-	sched := make([]trace.ThreadID, wr.Count("schedule entries", 1))
-	prev := int64(0)
-	for i := range sched {
-		prev += wr.Varint()
-		sched[i] = trace.ThreadID(prev)
+	r := &Recording{cache: &planCache{}}
+	r.Scenario = wr.String()
+	if r.Model = Model(wr.Byte()); int(r.Model) >= len(modelNames) {
+		wr.Failf("unknown model %d", r.Model)
 	}
-	snaps := checkpoint.ReadSnapshots(wr)
+	r.Seed = wr.Varint()
+	r.Params = scenario.Params(trace.ReadParams(wr))
+	flags := wr.Byte()
+	if flags&^(flagFailed|flagSchedComplete) != 0 {
+		wr.Failf("unknown flags %#x", flags)
+	}
+	r.Failed, r.SchedComplete = flags&flagFailed != 0, flags&flagSchedComplete != 0
+	r.FailureSig = wr.String()
+	r.LogBytes = int64(wr.Uvarint())
+	r.Overhead = float64(wr.Uvarint()) / 1000
+	r.BaseCycles, r.TotalCycles, r.EventCount = wr.Uvarint(), wr.Uvarint(), wr.Uvarint()
+	r.CheckpointBytes = int64(wr.Uvarint())
+	if n := wr.Count("streams", 1); n > 0 {
+		r.Streams = make([]string, n)
+		for i := range r.Streams {
+			r.Streams[i] = wr.String()
+		}
+	}
+	r.Full = trace.ReadEvents(wr)
+	if n := wr.Count("schedule entries", 1); n > 0 {
+		r.Sched = make([]trace.ThreadID, n)
+		prev := int64(0)
+		for i := range r.Sched {
+			prev += wr.Varint()
+			r.Sched[i] = trace.ThreadID(prev)
+		}
+	}
+	r.Checkpoints = checkpoint.ReadSnapshots(wr)
 	if err := wr.Err(); err != nil {
 		return nil, err
 	}
-	model, err := ParseModel(l.Header.Model)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRecording, err)
-	}
-	lab := l.Header.Labels
-	// num parses a numeric label as Save wrote it; the first malformed one
-	// fails the load.
-	num := func(key string) uint64 {
-		v, perr := strconv.ParseUint(lab[key], 10, 64)
-		if perr != nil && err == nil {
-			err = fmt.Errorf("%w: label %s: %v", ErrBadRecording, key, perr)
+	for i, e := range r.Full {
+		if refersToStream(e.Kind) && r.StreamName(e.Obj) == "" {
+			return nil, fmt.Errorf("%w: event %d (%s) references stream %d, which the table does not name",
+				ErrBadRecording, i, e.Kind, e.Obj)
 		}
-		return v
-	}
-	r := &Recording{
-		Scenario:        l.Header.Scenario,
-		Model:           model,
-		Seed:            l.Header.Seed,
-		Params:          scenario.Params(l.Header.Params),
-		Full:            l.Events,
-		Sched:           sched,
-		SchedComplete:   lab["sched_done"] == "true",
-		Failed:          lab["failed"] == "true",
-		FailureSig:      lab["failure_sig"],
-		Checkpoints:     snaps,
-		CheckpointBytes: int64(num("ckpt_bytes")),
-		LogBytes:        int64(num("log_bytes")),
-		Overhead:        float64(num("overhead_mlli")) / 1000,
-		BaseCycles:      num("base_cycles"),
-		TotalCycles:     num("total_cycles"),
-		EventCount:      num("event_count"),
-		cache:           &planCache{},
-	}
-	if err != nil {
-		return nil, err
-	}
-	if lab["streams"] != "" {
-		r.Streams = strings.Split(lab["streams"], "\x1f")
 	}
 	// The codec persists only the live-state portion of each snapshot;
 	// the per-stream histories are projections of the event prefix and
 	// are rebuilt from it here.
-	if err := checkpoint.RehydrateStreams(snaps, r.Full); err != nil {
+	if err := checkpoint.RehydrateStreams(r.Checkpoints, r.Full); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRecording, err)
 	}
 	return r, nil

@@ -17,8 +17,9 @@ type Meta struct {
 	Model    Model
 	Seed     int64
 	Params   scenario.Params
-	// Streams maps stream object IDs to names (index = ObjID), as in
-	// Recording.Streams.
+	// Streams maps stream object IDs to names (index = ObjID). It names
+	// at least every stream the store's input and output events
+	// reference; a Recording's names only those (see Recording.Streams).
 	Streams []string
 	// SchedComplete reports whether the store's schedule covers every
 	// event of the run (required for seek and segmented replay).

@@ -3,11 +3,15 @@ package debugdet_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
 	"debugdet"
+	"debugdet/internal/metrics"
+	"debugdet/internal/workload"
+	"debugdet/trace"
 )
 
 // normalizeRecording maps nil and empty slices/maps to a canonical form so
@@ -166,5 +170,106 @@ func TestCheckpointedRecordingRoundTripSeek(t *testing.T) {
 	defer early.Close()
 	if early.FromCheckpoint {
 		t.Error("seek before the first checkpoint claimed to use one")
+	}
+}
+
+// TestRecordingHoldsWhatReplayReads pins the .ddrc contract: a recording
+// holds what its replayer reads and nothing else, and what it holds is
+// enough. Over the corpus at every model, a checkpointed perfect bank run
+// and the SDK's ticket-oversell at every model:
+//   - the stream table names exactly the streams its input and output
+//     events reference, under the run's names;
+//   - the schedule is kept only when it is complete;
+//   - Save → Load → Save writes the same bytes;
+//   - the loaded recording replays as the in-memory one does: the same
+//     verdict, attempts, work steps and DF.
+func TestRecordingHoldsWhatReplayReads(t *testing.T) {
+	ctx := context.Background()
+	eng := debugdet.New()
+	ticket := newTicketScenario()
+	if err := eng.Register(ticket); err != nil {
+		t.Fatal(err)
+	}
+	type cell struct {
+		s     *debugdet.Scenario
+		model debugdet.Model
+		o     debugdet.Options
+	}
+	var cells []cell
+	for _, s := range append(workload.All(), ticket) {
+		for _, model := range debugdet.Models() {
+			cells = append(cells, cell{s, model, debugdet.Options{}})
+		}
+	}
+	bank, err := eng.ByName("bank")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells = append(cells, cell{bank, debugdet.Perfect, debugdet.Options{Seed: 5, CheckpointInterval: 64}})
+
+	for _, c := range cells {
+		name := fmt.Sprintf("%s/%s/seed=%d/ckpt=%d", c.s.Name, c.model, c.o.Seed, c.o.CheckpointInterval)
+		rec, orig, err := eng.Record(ctx, c.s, c.model, c.o)
+		if err != nil {
+			t.Fatalf("%s: record: %v", name, err)
+		}
+		referenced, top := map[trace.ObjID]bool{}, -1
+		for _, e := range rec.Full {
+			if e.Kind == trace.EvInput || e.Kind == trace.EvOutput {
+				referenced[e.Obj], top = true, max(top, int(e.Obj))
+			}
+		}
+		if len(rec.Streams) != top+1 {
+			t.Errorf("%s: a table of %d entries, the highest referenced stream %d", name, len(rec.Streams), top)
+		}
+		for id, sname := range rec.Streams {
+			want := ""
+			if referenced[trace.ObjID(id)] {
+				want = orig.Machine.StreamName(trace.ObjID(id))
+			}
+			if sname != want {
+				t.Errorf("%s: stream %d named %q, want %q", name, id, sname, want)
+			}
+		}
+		if rec.Sched != nil && !rec.SchedComplete {
+			t.Errorf("%s: an incomplete schedule of %d entries is kept", name, len(rec.Sched))
+		}
+
+		var first, second bytes.Buffer
+		if err := debugdet.SaveRecording(&first, rec); err != nil {
+			t.Fatalf("%s: save: %v", name, err)
+		}
+		loaded, err := debugdet.LoadRecording(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: load: %v", name, err)
+		}
+		if err := debugdet.SaveRecording(&second, loaded); err != nil {
+			t.Fatalf("%s: save again: %v", name, err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Errorf("%s: Save → Load → Save wrote %d bytes, then %d different ones", name, first.Len(), second.Len())
+		}
+
+		type verdict struct {
+			Ok        bool
+			Attempts  int
+			WorkSteps uint64
+			DF        float64
+		}
+		replayOf := func(r *debugdet.Recording) verdict {
+			res, err := eng.Replay(ctx, c.s, r, debugdet.ReplayOptions{})
+			if err != nil {
+				t.Fatalf("%s: replay: %v", name, err)
+			}
+			var view *debugdet.RunView
+			if res.Ok {
+				view = res.View
+			}
+			df := metrics.ComputeFidelity(c.s, orig, view).DF
+			return verdict{res.Ok, res.Attempts, res.WorkSteps, df}
+		}
+		if mem, disk := replayOf(rec), replayOf(loaded); mem != disk {
+			t.Errorf("%s: the loaded recording replays as %+v, the in-memory one as %+v", name, disk, mem)
+		}
 	}
 }
