@@ -63,8 +63,8 @@ func TestInfoOnARecordingFile(t *testing.T) {
 	if out, code := runCLI(t, "record", "-scenario", "bank", "-ckpt", "64", "-out", path); code != 0 {
 		t.Fatalf("record exited %d:\n%s", code, out)
 	}
-	const want = `bank/perfect seed=0 events=415 full=415 sched=415 bytes=7556 overhead=3.09x failed=true sig="bank:imbalance"
-checkpoints: 6 (685 bytes)
+	const want = `bank/perfect seed=0 events=415 full=415 sched=415 bytes=7556 overhead=3.05x failed=true sig="bank:imbalance"
+checkpoints: 6 (400 bytes)
 segments: 7
     0  [       0,       64)        64 events
     1  [      64,      128)        64 events

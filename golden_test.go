@@ -16,7 +16,7 @@ import (
 )
 
 // goldenDir holds one fixed run — bank, seed 5, checkpoint interval 64 —
-// as the encoders wrote it: the recording (.ddrc version 3), its bare
+// as the encoders wrote it: the recording (.ddrc version 4), its bare
 // snapshot section, and the spill directory of the same run
 // flight-recorded with a ring of one segment. The snapshot section and the
 // spill directory are as the commit before internal/wire existed wrote

@@ -14,8 +14,8 @@ const DefaultInterval = 256
 // events. Attach it to the recording (or replaying) machine alongside the
 // recorder; the snapshots become Recording.Checkpoints. The capture work
 // is priced like any recording work — each snapshot charges its encoded
-// size against the machine's cost model, so checkpointed recordings
-// report honestly higher overhead.
+// size in the section that stores it against the machine's cost model, so
+// checkpointed recordings report honestly higher overhead.
 type Writer struct {
 	m        *vm.Machine
 	interval uint64
@@ -36,12 +36,14 @@ func NewWriter(m *vm.Machine, interval uint64) *Writer {
 
 // NewStreamingWriter returns a writer that hands each captured snapshot,
 // with the encoded size it charged for it, to sink instead of retaining
-// it. Capture timing and cost accounting are identical to NewWriter — a
-// streamed run charges the same RecordCycles as a retained run — but
-// ownership of every snapshot moves to the sink, so a bounded-memory
-// consumer (the flight recorder's segment ring) does not pay for a second,
-// unbounded copy in the writer. Snapshots returns nil for a streaming
-// writer; Bytes still accumulates.
+// it. Capture timing is identical to NewWriter's, but each snapshot is
+// priced standalone, as the segment that carries it alone stores it: a
+// retained writer prices a snapshot after its predecessor, whose thread
+// and stream names it does not repeat, so a streamed run charges at least
+// the RecordCycles of a retained one. Ownership of every snapshot moves to
+// the sink, so a bounded-memory consumer (the flight recorder's segment
+// ring) does not pay for a second, unbounded copy in the writer.
+// Snapshots returns nil for a streaming writer; Bytes still accumulates.
 func NewStreamingWriter(m *vm.Machine, interval uint64, sink func(snap *vm.Snapshot, size int64)) *Writer {
 	w := NewWriter(m, interval)
 	w.sink = sink
@@ -58,7 +60,13 @@ func (w *Writer) OnEvent(e *trace.Event) uint64 {
 		return 0
 	}
 	s := w.m.Snapshot(e.TID)
-	n := SnapshotSize(s)
+	// A retained snapshot follows its predecessor in one section; a
+	// streamed one is its segment's only snapshot (w.snaps stays empty).
+	var prev *vm.Snapshot
+	if len(w.snaps) > 0 {
+		prev = w.snaps[len(w.snaps)-1]
+	}
+	n := SnapshotSize(prev, s)
 	w.bytes += n
 	if w.sink != nil {
 		w.sink(s, n)

@@ -69,7 +69,7 @@ func DecodeSegment(r io.Reader) (*Segment, error) {
 	seg.Index = int(rd.Uvarint())
 	seg.From = rd.Uvarint()
 	seg.To = rd.Uvarint()
-	snaps := checkpoint.ReadSnapshots(rd)
+	snaps, _ := checkpoint.ReadSnapshots(rd)
 	seg.Events = trace.ReadEvents(rd)
 	if err := rd.Err(); err != nil {
 		return nil, err

@@ -49,7 +49,7 @@ func fuzzDecoder(f *testing.F, glob, hostile string, decode func([]byte) (reenco
 		} else if err := reencode(); err != nil {
 			t.Fatalf("decoded value does not encode: %v", err)
 		}
-		if limit := uint64(1<<20 + 64*len(data)); alloc >= limit {
+		if limit := uint64(1<<20 + 72*len(data)); alloc >= limit {
 			t.Fatalf("%d input bytes made the decoder allocate %d (limit %d)", len(data), alloc, limit)
 		}
 	})

@@ -56,10 +56,29 @@ func logHeader(w *wire.Writer) {
 }
 
 // snapHeader writes a DDCP section of one snapshot up to its thread count.
-func snapHeader(w *wire.Writer) {
+func snapHeader(w *wire.Writer) { snapsHeader(w, 1) }
+
+// snapsHeader writes a DDCP section of n snapshots up to the first one's
+// thread count.
+func snapsHeader(w *wire.Writer, n uint64) {
 	w.Magic("DDCP")
-	w.Uvarint(1)
+	w.Uvarint(n)
 	uvarints(w, 6) // seq, clock, recordCycles, schedPos, live, liveNonDaemon
+}
+
+// inheritingSnapHeader writes a DDCP section of two snapshots up to the
+// second one's thread count. The first has one thread and one stream,
+// which the second inherits with their names.
+func inheritingSnapHeader(w *wire.Writer) {
+	snapsHeader(w, 2)
+	w.Uvarint(1)   // one thread:
+	w.String("t")  // its name
+	uvarints(w, 5) // flags, taint, pendingCode, pendingObj, pendingDeadline
+	uvarints(w, 3) // no cells, mutexes or chans
+	w.Uvarint(1)   // one stream:
+	w.String("s")  // its name
+	uvarints(w, 2) // inIndex; no disks
+	uvarints(w, 6) // the second snapshot's counters
 }
 
 // manHeader writes a manifest up to its param count.
@@ -95,6 +114,13 @@ func hostileCases() []hostileCase {
 		{"DDCP streams", checkpoint.ErrBadSnapshot, decodeSnaps, func(w *wire.Writer) { snapHeader(w); uvarints(w, 4) }},
 		{"DDCP disks", checkpoint.ErrBadSnapshot, decodeSnaps, func(w *wire.Writer) { snapHeader(w); uvarints(w, 5) }},
 		{"DDCP disk records", checkpoint.ErrBadSnapshot, decodeSnaps, func(w *wire.Writer) { snapHeader(w); uvarints(w, 5); w.Uvarint(1) }},
+		{"DDCP inherited threads", checkpoint.ErrBadSnapshot, decodeSnaps, inheritingSnapHeader},
+		{"DDCP inherited streams", checkpoint.ErrBadSnapshot, decodeSnaps, func(w *wire.Writer) {
+			inheritingSnapHeader(w)
+			w.Uvarint(1)   // the inherited thread, nameless:
+			uvarints(w, 5) // flags, taint, pendingCode, pendingObj, pendingDeadline
+			uvarints(w, 3) // no cells, mutexes or chans
+		}},
 		{".ddseg snapshots", ErrCorrupt, decodeSeg, func(w *wire.Writer) { ddseg(w); w.Magic("DDCP") }},
 		{".ddseg events", ErrCorrupt, decodeSeg, func(w *wire.Writer) { ddseg(w); w.Magic("DDCP"); w.Uvarint(0) }},
 		{"manifest params", ErrCorrupt, decodeMan, manHeader},

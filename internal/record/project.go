@@ -43,10 +43,11 @@ func Run(s *scenario.Scenario, seed int64, params scenario.Params, maxSteps, int
 // ckpt is the checkpoint writer of run (see Run), or nil. Live, the
 // recorder is attached before the writer, so each snapshot counted the
 // recorder's cycles up to its Seq, and the writer priced each snapshot at
-// its encoded size, which grows with that count. The recording's
-// checkpoints are copies of the writer's with the running cost added and
-// re-priced in order; run's own RecordCycles, the writer's charge for the
-// unprojected snapshots, is replaced by the re-priced one.
+// its encoded size after its predecessor, which grows with that count.
+// The recording's checkpoints are copies of the writer's with the running
+// cost added and re-priced in order, each after the previous copy; run's
+// own RecordCycles, the writer's charge for the unprojected snapshots, is
+// replaced by the re-priced one.
 func Project(s *scenario.Scenario, run *scenario.RunView, ckpt *checkpoint.Writer, model Model, policy Policy) (*Recording, *scenario.RunView) {
 	r := NewRecorder(run.Machine, policy)
 	var snaps, projected []*vm.Snapshot
@@ -61,7 +62,11 @@ func Project(s *scenario.Scenario, run *scenario.RunView, ckpt *checkpoint.Write
 		for len(snaps) > 0 && snaps[0].Seq <= uint64(i+1) {
 			snap := *snaps[0]
 			snap.RecordCycles = cycles + ckptCycles
-			n := checkpoint.SnapshotSize(&snap)
+			var prev *vm.Snapshot
+			if len(projected) > 0 {
+				prev = projected[len(projected)-1]
+			}
+			n := checkpoint.SnapshotSize(prev, &snap)
 			ckptBytes += n
 			ckptCycles += r.cost.RecordCost(int(n))
 			projected = append(projected, &snap)

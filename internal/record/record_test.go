@@ -8,9 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"debugdet/internal/checkpoint"
+	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
 	"debugdet/internal/workload"
@@ -228,8 +231,9 @@ func TestLoadRejectsTruncation(t *testing.T) {
 
 // TestLoadFailuresAreTyped: whatever is wrong with a file — its version,
 // its model byte, an event, a count, its stream table — Load says so with
-// an error that wraps ErrBadRecording. Versions 1 (before checkpoints) and
-// 2 (a nested log with decimal labels) are no longer read.
+// an error that wraps ErrBadRecording. Versions 1 (before checkpoints), 2
+// (a nested log with decimal labels) and 3 (every snapshot naming every
+// thread and stream) are no longer read.
 func TestLoadFailuresAreTyped(t *testing.T) {
 	file := func(r *Recording) []byte {
 		var buf bytes.Buffer
@@ -258,6 +262,7 @@ func TestLoadFailuresAreTyped(t *testing.T) {
 	}{
 		{"version 1", patch(good, len(recMagic), 1), "unsupported version 1"},
 		{"version 2", patch(good, len(recMagic), 2), "unsupported version 2"},
+		{"version 3", patch(good, len(recMagic), 3), "unsupported version 3"},
 		{"unknown model", file(&Recording{Model: 9}), "unknown model 9"},
 		{"bad event kind", file(&Recording{Full: []trace.Event{{Kind: 200}}}), "bad event kind 200"},
 		{"stream count", patch(empty, len(empty)-8, 100), "100 streams"},
@@ -269,6 +274,82 @@ func TestLoadFailuresAreTyped(t *testing.T) {
 		if !errors.Is(err, ErrBadRecording) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want ErrBadRecording mentioning %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// namedSnap is a hand-built snapshot whose thread and stream tables hold
+// only names.
+func namedSnap(threads, streams []string) *vm.Snapshot {
+	s := &vm.Snapshot{}
+	for _, n := range threads {
+		s.Threads = append(s.Threads, vm.ThreadSnap{Name: n})
+	}
+	for _, n := range streams {
+		s.Streams = append(s.Streams, vm.StreamSnap{Name: n})
+	}
+	return s
+}
+
+// TestSaveRefusesRenamedCheckpoints: a snapshot section writes a name only
+// where the predecessor has no entry, so a checkpoint table that renames a
+// thread or stream its predecessor has cannot be saved without loss. Save
+// refuses it with a typed error and writes nothing.
+func TestSaveRefusesRenamedCheckpoints(t *testing.T) {
+	cases := map[string][]*vm.Snapshot{
+		"thread": {namedSnap([]string{"main", "a"}, nil), namedSnap([]string{"main", "b", "c"}, nil)},
+		"stream": {namedSnap(nil, []string{"in"}), namedSnap(nil, []string{"in"}), namedSnap(nil, []string{"out", "x"})},
+	}
+	for name, snaps := range cases {
+		var buf bytes.Buffer
+		err := (&Recording{Model: Perfect, Checkpoints: snaps}).Save(&buf)
+		if !errors.Is(err, checkpoint.ErrRenamed) || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s renamed: error %v, want checkpoint.ErrRenamed naming a %s", name, err, name)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s renamed: Save wrote %d bytes", name, buf.Len())
+		}
+	}
+}
+
+// TestCheckpointTablesShrinkAndGrow: a snapshot inherits names only up to
+// its predecessor's count, so a table that shrinks and grows again writes
+// the regrown entries' names afresh, and they load as written.
+func TestCheckpointTablesShrinkAndGrow(t *testing.T) {
+	rec := &Recording{Model: Perfect, Checkpoints: []*vm.Snapshot{
+		namedSnap([]string{"main", "a", "b"}, []string{"in", "out"}),
+		namedSnap([]string{"main"}, nil),
+		namedSnap([]string{"main", "c", "d", "e"}, []string{"log", "out"}),
+		namedSnap([]string{"main", "c", "d", "e"}, []string{"log", "out", "net"}),
+	}}
+	var first bytes.Buffer
+	if err := rec.Save(&first); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := func(s *vm.Snapshot) (out []string) {
+		for _, th := range s.Threads {
+			out = append(out, th.Name)
+		}
+		out = append(out, "|")
+		for _, st := range s.Streams {
+			out = append(out, st.Name)
+		}
+		return out
+	}
+	for i, want := range rec.Checkpoints {
+		if err := loaded.Checkpoints[i].EqualState(want); err != nil {
+			t.Errorf("checkpoint %d: %v", i, err)
+		}
+		if got, want := names(loaded.Checkpoints[i]), names(want); !slices.Equal(got, want) {
+			t.Errorf("checkpoint %d names %v, saved %v", i, got, want)
+		}
+	}
+	var second bytes.Buffer
+	if err := loaded.Save(&second); err != nil || !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Errorf("Save -> Load -> Save wrote %d bytes, first %d (error %v)", second.Len(), first.Len(), err)
 	}
 }
 
@@ -346,6 +427,100 @@ func TestCheckpointSaveLoadRoundTrip(t *testing.T) {
 	for i := range rec.Checkpoints {
 		if err := loaded.Checkpoints[i].EqualState(rec.Checkpoints[i]); err != nil {
 			t.Fatalf("checkpoint %d differs after round-trip: %v", i, err)
+		}
+	}
+}
+
+// TestSnapshotNamesWrittenOnce: a recording's snapshot section writes each
+// thread and stream name once, in the first snapshot that has the entry,
+// and what the capture charged is what the section holds: a live writer's
+// Bytes, the projection's CheckpointBytes and the section body agree to
+// the byte. A section of one snapshot is the snapshot standalone, as a
+// flight-recorder segment stores it.
+func TestSnapshotNamesWrittenOnce(t *testing.T) {
+	s, err := workload.ByName("dynokv-staleread")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const interval = 32
+	var live *checkpoint.Writer
+	s.Exec(scenario.ExecOptions{Seed: s.DefaultSeed, ObserverFactory: func(m *vm.Machine) []vm.Observer {
+		live = checkpoint.NewWriter(m, interval)
+		return []vm.Observer{NewRecorder(m, PolicyFor(Perfect)), live}
+	}})
+	run, w := Run(s, s.DefaultSeed, nil, 0, interval)
+	rec, _ := Project(s, run, w, Perfect, PolicyFor(Perfect))
+	snaps := rec.Checkpoints
+	if len(snaps) < 10 {
+		t.Fatalf("%d checkpoints, want a long section", len(snaps))
+	}
+
+	var file, section bytes.Buffer
+	if err := rec.Save(&file); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := checkpoint.EncodeSnapshots(&section, snaps); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasSuffix(file.Bytes(), section.Bytes()) {
+		t.Fatal("the saved file does not end with the snapshot section")
+	}
+	header := len("DDCP") + len(binary.AppendUvarint(nil, uint64(len(snaps))))
+	body := section.Bytes()[header:]
+	loaded, err := Load(bytes.NewReader(file.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.Bytes() != rec.CheckpointBytes || rec.CheckpointBytes != int64(len(body)) || loaded.CheckpointBytes != rec.CheckpointBytes {
+		t.Errorf("live writer %d B, projection %d B, section body %d B, loaded %d B: want all equal",
+			live.Bytes(), rec.CheckpointBytes, len(body), loaded.CheckpointBytes)
+	}
+
+	// Blank every name: the section shrinks by each entry's name once, the
+	// length bytes staying (every name is under 128 bytes).
+	names := 0
+	blank := make([]*vm.Snapshot, len(snaps))
+	for i, sn := range snaps {
+		b := *sn
+		b.Threads, b.Streams = slices.Clone(sn.Threads), slices.Clone(sn.Streams)
+		for j := range b.Threads {
+			b.Threads[j].Name = ""
+		}
+		for j := range b.Streams {
+			b.Streams[j].Name = ""
+		}
+		blank[i] = &b
+	}
+	// Thread and stream IDs are dense and append-only: the last snapshot
+	// has every entry.
+	last := snaps[len(snaps)-1]
+	for _, th := range last.Threads {
+		names += len(th.Name)
+	}
+	for _, st := range last.Streams {
+		names += len(st.Name)
+	}
+	if len(last.Threads) < 5 || len(last.Streams) < 5 {
+		t.Fatalf("%d threads and %d streams: want a run with many of each", len(last.Threads), len(last.Streams))
+	}
+	var blanked bytes.Buffer
+	if _, err := checkpoint.EncodeSnapshots(&blanked, blank); err != nil {
+		t.Fatal(err)
+	}
+	if got := section.Len() - blanked.Len(); got != names {
+		t.Errorf("names take %d B of the section, want %d: each name once", got, names)
+	}
+
+	for i, sn := range snaps {
+		var one bytes.Buffer
+		if _, err := checkpoint.EncodeSnapshots(&one, []*vm.Snapshot{sn}); err != nil {
+			t.Fatal(err)
+		}
+		if n := int64(one.Len() - len("DDCP\x01")); n != checkpoint.SnapshotSize(nil, sn) {
+			t.Errorf("snapshot %d alone: section body %d B, standalone size %d B", i, n, checkpoint.SnapshotSize(nil, sn))
+		}
+		if i == 0 && !bytes.HasPrefix(body, one.Bytes()[len("DDCP\x01"):]) {
+			t.Error("the first snapshot of the section is not its standalone encoding")
 		}
 	}
 }

@@ -48,7 +48,8 @@ type Recording struct {
 	// recorded input/output events to streams before rebuilding the
 	// machine. It names exactly the streams an input or output event in
 	// Full references, holds "" for every other ID, and ends at the
-	// highest referenced one. Checkpoints carry their own stream names.
+	// highest referenced one. A restore takes its stream names from the
+	// checkpoint, not from this table.
 	Streams []string
 
 	// Checkpoints are the periodic VM state snapshots captured during the
@@ -57,7 +58,9 @@ type Recording struct {
 	// recordings without them replay front-to-back.
 	Checkpoints []*vm.Snapshot
 	// CheckpointBytes is the encoded volume of the checkpoints, kept
-	// separate from LogBytes so the overhead tables can attribute it.
+	// separate from LogBytes so the overhead tables can attribute it. It
+	// is what the file's snapshot section holds for them; Load measures
+	// it there.
 	CheckpointBytes int64
 
 	// LogBytes is the recorded volume; Overhead the measured runtime
@@ -179,11 +182,13 @@ func (r *Recording) Summary() string {
 }
 
 // The recording file format (.ddrc) is laid out in DESIGN.md "Wire
-// formats". Version 1 (before checkpoints) and version 2 (a nested log
-// whose labels held the scalars) files are refused.
+// formats". Version 1 (before checkpoints), version 2 (a nested log whose
+// labels held the scalars) and version 3 (every snapshot naming every
+// thread and stream, and a stored checkpoint byte count) files are
+// refused.
 const (
 	recMagic   = "DDRC"
-	recVersion = 3
+	recVersion = 4
 
 	flagFailed        = 1 << 0
 	flagSchedComplete = 1 << 1
@@ -192,8 +197,13 @@ const (
 // ErrBadRecording reports a malformed recording file.
 var ErrBadRecording = errors.New("record: malformed recording")
 
-// Save writes the recording to w.
+// Save writes the recording to w. Checkpoints that rename a thread or
+// stream of their predecessor fail it with an error wrapping
+// checkpoint.ErrRenamed before anything is written.
 func (r *Recording) Save(w io.Writer) error {
+	if err := checkpoint.CheckNames(r.Checkpoints); err != nil {
+		return err
+	}
 	ww := wire.NewWriter(w)
 	ww.Magic(recMagic)
 	ww.Byte(recVersion)
@@ -211,7 +221,7 @@ func (r *Recording) Save(w io.Writer) error {
 	ww.Byte(flags)
 	ww.String(r.FailureSig)
 	for _, v := range []uint64{uint64(r.LogBytes), uint64(math.Round(r.Overhead * 1000)),
-		r.BaseCycles, r.TotalCycles, r.EventCount, uint64(r.CheckpointBytes)} {
+		r.BaseCycles, r.TotalCycles, r.EventCount} {
 		ww.Uvarint(v)
 	}
 	ww.Uvarint(uint64(len(r.Streams)))
@@ -252,7 +262,6 @@ func Load(rd io.Reader) (*Recording, error) {
 	r.LogBytes = int64(wr.Uvarint())
 	r.Overhead = float64(wr.Uvarint()) / 1000
 	r.BaseCycles, r.TotalCycles, r.EventCount = wr.Uvarint(), wr.Uvarint(), wr.Uvarint()
-	r.CheckpointBytes = int64(wr.Uvarint())
 	if n := wr.Count("streams", 1); n > 0 {
 		r.Streams = make([]string, n)
 		for i := range r.Streams {
@@ -268,7 +277,7 @@ func Load(rd io.Reader) (*Recording, error) {
 			r.Sched[i] = trace.ThreadID(prev)
 		}
 	}
-	r.Checkpoints = checkpoint.ReadSnapshots(wr)
+	r.Checkpoints, r.CheckpointBytes = checkpoint.ReadSnapshots(wr)
 	if err := wr.Err(); err != nil {
 		return nil, err
 	}

@@ -155,15 +155,17 @@ func (r *Reader) Err() error { return r.err }
 // byte, a section out of order). The first failure wins.
 func (r *Reader) Failf(format string, args ...any) {
 	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s at byte %d", r.sentinel, fmt.Sprintf(format, args...), r.offset())
+		r.err = fmt.Errorf("%w: %s at byte %d", r.sentinel, fmt.Sprintf(format, args...), r.Offset())
 	}
 }
 
-// offset is the bytes consumed so far: fetched by the buffer and handed on.
-func (r *Reader) offset() int64 { return r.fetched - int64(r.br.Buffered()) }
+// Offset returns the bytes consumed so far: fetched by the buffer and
+// handed on. The difference of two offsets is what a section between them
+// occupies in the input.
+func (r *Reader) Offset() int64 { return r.fetched - int64(r.br.Buffered()) }
 
 // left is the bytes the input can still deliver.
-func (r *Reader) left() uint64 { return uint64(max(r.size-r.offset(), 0)) }
+func (r *Reader) left() uint64 { return uint64(max(r.size-r.Offset(), 0)) }
 
 // Byte reads one byte.
 func (r *Reader) Byte() byte {
