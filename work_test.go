@@ -23,16 +23,16 @@ const workLedger = "testdata/work.golden"
 // the replay was accepted, its candidate attempts, the events and virtual
 // cycles of work the replay executed, the original run's events, the
 // recording's log bytes, its full events and schedule entries, the bytes
-// its .ddrc file holds, the original run's scheduling rounds and
-// hand-offs, and its virtual cycles and the recording cycles charged to
-// it. A change that moves a count on purpose shows it
-// as this file's diff; regenerate with
+// its .ddrc file holds and how many of them are header (neither log nor
+// checkpoints), the original run's scheduling rounds and hand-offs, and its
+// virtual cycles and the recording cycles charged to it. A change that
+// moves a count on purpose shows it as this file's diff; regenerate with
 // `go test -run TestWorkLedger -update .`.
 func TestWorkLedger(t *testing.T) {
 	ctx := context.Background()
 	eng := debugdet.New()
 	var b strings.Builder
-	b.WriteString("# scenario model ok attempts worksteps workcycles events logbytes full sched ddrc rounds handoffs cycles recordcycles\n")
+	b.WriteString("# scenario model ok attempts worksteps workcycles events logbytes full sched ddrc header rounds handoffs cycles recordcycles\n")
 	for _, s := range workload.All() {
 		for _, model := range record.AllModels() {
 			ev, err := eng.Evaluate(ctx, s, model, debugdet.Options{})
@@ -44,9 +44,10 @@ func TestWorkLedger(t *testing.T) {
 				t.Fatalf("%s/%s: save: %v", s.Name, model, err)
 			}
 			r, rec, orig := ev.Replay, ev.Recording, ev.Orig.Result
-			fmt.Fprintf(&b, "%s %s %v %d %d %d %d %d %d %d %d %d %d %d %d\n", s.Name, model,
+			header := int64(file.Len()) - rec.LogBytes - rec.CheckpointBytes
+			fmt.Fprintf(&b, "%s %s %v %d %d %d %d %d %d %d %d %d %d %d %d %d\n", s.Name, model,
 				r.Ok, r.Attempts, r.WorkSteps, r.WorkCycles, orig.Steps, ev.LogBytes,
-				len(rec.Full), len(rec.Sched), file.Len(), orig.SchedRounds, orig.SchedHandoffs,
+				len(rec.Full), len(rec.Sched), file.Len(), header, orig.SchedRounds, orig.SchedHandoffs,
 				orig.Cycles, orig.RecordCycles)
 		}
 	}
