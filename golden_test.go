@@ -16,12 +16,12 @@ import (
 )
 
 // goldenDir holds one fixed run — bank, seed 5, checkpoint interval 64 —
-// as the encoders wrote it: the recording (.ddrc version 4), its bare
+// as the encoders wrote it: the recording (.ddrc version 5), its bare
 // snapshot section, and the spill directory of the same run
-// flight-recorded with a ring of one segment. The snapshot section and the
-// spill directory are as the commit before internal/wire existed wrote
-// them. A file is rewritten only by a deliberate format change, which bumps
-// that container's version byte.
+// flight-recorded with a ring of one segment. A file is rewritten only by
+// a deliberate change to a format, which bumps that container's version
+// byte, or to what a recorder charges, which every snapshot stores as its
+// recording cycles.
 const goldenDir = "testdata/golden"
 
 func goldenFile(t *testing.T, name string) []byte {

@@ -70,7 +70,7 @@ func DecodeSegment(r io.Reader) (*Segment, error) {
 	seg.From = rd.Uvarint()
 	seg.To = rd.Uvarint()
 	snaps, _ := checkpoint.ReadSnapshots(rd)
-	seg.Events = trace.ReadEvents(rd)
+	seg.Events, _ = trace.ReadEvents(rd)
 	if err := rd.Err(); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package flightrec_test
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +15,7 @@ import (
 	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
+	"debugdet/internal/wire"
 	"debugdet/internal/workload"
 )
 
@@ -169,6 +172,40 @@ func TestFlightRecordMatchesRecording(t *testing.T) {
 			}
 			if res.Spilled != len(infos) || res.Evicted != 0 {
 				t.Fatalf("spilled %d evicted %d, store retains %d", res.Spilled, res.Evicted, len(infos))
+			}
+		})
+	}
+}
+
+// TestLogBytesAreTheSegmentEventSections: with retention off, the log
+// bytes the flight recorder charged are the bytes of the spilled segments'
+// event sections, less their counts: each segment file less what it holds
+// besides its events.
+func TestLogBytesAreTheSegmentEventSections(t *testing.T) {
+	for _, s := range flightScenarios(t) {
+		t.Run(s.Name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "spill")
+			res := flightRecord(t, s, flightrec.Options{Interval: 64, RingSegments: 1, SpillDir: dir})
+			var sections int64
+			for _, si := range res.Store.Segments() {
+				data, err := os.ReadFile(filepath.Join(dir, si.File))
+				if err != nil {
+					t.Fatal(err)
+				}
+				seg, err := flightrec.DecodeSegment(bytes.NewReader(data))
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The segment without its events still writes a count of 0.
+				rest, err := flightrec.EncodeSegment(io.Discard, &flightrec.Segment{SegmentInfo: seg.SegmentInfo, Snap: seg.Snap})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sections += int64(len(data)) - rest + 1 - int64(wire.UvarintLen(uint64(len(seg.Events))))
+			}
+			if res.Evicted != 0 || res.Segments < 3 || sections != res.LogBytes {
+				t.Fatalf("%d segments (%d evicted) hold %d bytes of events; the recorder charged %d",
+					res.Segments, res.Evicted, sections, res.LogBytes)
 			}
 		})
 	}

@@ -17,8 +17,8 @@ type RecordResult struct {
 	View *scenario.RunView
 	// Events is the total number of events recorded.
 	Events uint64
-	// LogBytes is the recorded event volume, priced exactly as the
-	// stock full-level recorder prices it.
+	// LogBytes is the recorded event volume: the bytes of the segments'
+	// event sections, less their counts, which the recorder charged.
 	LogBytes int64
 	// CheckpointBytes is the encoded volume of the boundary snapshots.
 	CheckpointBytes int64
@@ -67,14 +67,14 @@ func Record(s *scenario.Scenario, seed int64, params scenario.Params, o Options)
 	return &RecordResult{
 		Store:           store,
 		View:            view,
-		Events:          rec.Events(),
-		LogBytes:        rec.Bytes(),
-		CheckpointBytes: rec.CheckpointBytes(),
-		FeedBytes:       rec.FeedBytes(),
-		PeakMemBytes:    rec.PeakMemBytes(),
-		Segments:        rec.Segments(),
-		Spilled:         rec.Spilled(),
-		Evicted:         rec.Evicted(),
+		Events:          rec.events,
+		LogBytes:        rec.bytes,
+		CheckpointBytes: rec.ckpt.Bytes(),
+		FeedBytes:       rec.feedW.Written(),
+		PeakMemBytes:    rec.peakMem,
+		Segments:        rec.sealed,
+		Spilled:         len(rec.spilled) + rec.evicted,
+		Evicted:         rec.evicted,
 		Failed:          failed,
 		FailureSig:      sig,
 	}, nil

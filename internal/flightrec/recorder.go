@@ -67,14 +67,15 @@ func (o Options) withDefaults() Options {
 
 // Recorder is the streaming perfect-model recorder: a vm.Observer that
 // rotates checkpoint-delimited segments through a bounded in-memory ring
-// and spills sealed segments to the spill directory. Costs are charged
-// exactly as the stock full-level recorder plus checkpoint writer charge
-// them — per-event RecordCost of the event's encoded size, plus the
-// snapshot's encoded size at each boundary — so a flight-recorded run and
-// a checkpointed monolithic recording of the same (scenario, seed) share
-// one virtual schedule. The feed log and manifest are bookkeeping
-// projections of already-priced data and are tracked in the stats but not
-// charged again.
+// and spills sealed segments to the spill directory. It charges what the
+// segment files hold, priced as the codecs write it: each event's
+// RecordCost of its share of the building segment's event section (after
+// the segment's previous event; a segment has no schedule section), and
+// each boundary snapshot's standalone encoded size. Recording cost is
+// kept off the virtual clock, so a flight-recorded run and a monolithic
+// recording of the same (scenario, seed) share one virtual schedule. The
+// feed log and manifest are bookkeeping projections of already-priced data
+// and are tracked in the stats but not charged again.
 //
 // I/O errors inside OnEvent cannot propagate through the observer
 // interface; the first one is retained and recording degrades to a no-op
@@ -91,10 +92,11 @@ type Recorder struct {
 	feedW *wire.Writer
 
 	// cur is the building segment and ring the sealed ones still in
-	// memory; curB and ringB are their footprints in encoded-size units
-	// (boundary snapshot plus events), summed as the events arrive. free is
-	// the event array of the segment spilled last, for the next one to
-	// build in: a recorder in steady state allocates no event storage.
+	// memory; curB and ringB are their footprints, the bytes of their
+	// boundary snapshot and event section, summed as the events arrive.
+	// free is the event array of the segment spilled last, for the next
+	// one to build in: a recorder in steady state allocates no event
+	// storage.
 	cur       *Segment
 	curB      int64
 	ring      []*Segment
@@ -166,10 +168,14 @@ func (r *Recorder) OnEvent(e *trace.Event) uint64 {
 	writeFeedEntry(r.feedW, e)
 	r.events++
 	r.cur.Events = append(r.cur.Events, *e)
-	b := record.FullEventBytes(e)
-	r.bytes += int64(b) + 1
-	r.curB += int64(b) + 1
-	r.memBytes += int64(b) + 1
+	var prev *trace.Event
+	if n := len(r.cur.Events); n > 1 {
+		prev = &r.cur.Events[n-2]
+	}
+	b := trace.EventSize(prev, e)
+	r.bytes += int64(b)
+	r.curB += int64(b)
+	r.memBytes += int64(b)
 	cost := r.cost.RecordCost(b)
 	cost += r.ckpt.OnEvent(e)
 	if r.memBytes > r.peakMem {
@@ -395,36 +401,6 @@ func (r *Recorder) writeManifestFinal(final bool) error {
 	}
 	return nil
 }
-
-// Events returns how many events the recorder observed.
-func (r *Recorder) Events() uint64 { return r.events }
-
-// Bytes returns the recorded event-log volume (the same accounting as the
-// stock full-level recorder: event bytes plus one schedule byte each).
-func (r *Recorder) Bytes() int64 { return r.bytes }
-
-// CheckpointBytes returns the encoded volume of the boundary snapshots.
-func (r *Recorder) CheckpointBytes() int64 { return r.ckpt.Bytes() }
-
-// FeedBytes returns the feed log's size on disk so far.
-func (r *Recorder) FeedBytes() int64 { return r.feedW.Written() }
-
-// PeakMemBytes returns the high-water mark of the recorder's in-memory
-// footprint (building segment + ring, in encoded-size units) over the run —
-// the measured O(ring) bound the soak test asserts.
-func (r *Recorder) PeakMemBytes() int64 { return r.peakMem }
-
-// Spilled returns how many segments were written to disk.
-func (r *Recorder) Spilled() int { return len(r.spilled) + r.evicted }
-
-// Evicted returns how many spilled segments retention deleted.
-func (r *Recorder) Evicted() int { return r.evicted }
-
-// Segments returns how many segments the run sealed in total.
-func (r *Recorder) Segments() int { return r.sealed }
-
-// Err returns the first I/O error the recorder swallowed, if any.
-func (r *Recorder) Err() error { return r.err }
 
 // Spill-directory file names.
 const (

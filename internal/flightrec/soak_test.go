@@ -18,17 +18,6 @@ func soakOptions(dir string) flightrec.Options {
 	return flightrec.Options{Interval: 4096, RingSegments: 2, Retention: 8, SpillDir: dir}
 }
 
-// fullEventBytes prices a monolithic recording's event log the same way
-// the recorders do — the serialized-size estimate of every event held in
-// memory.
-func fullEventBytes(rec *record.Recording) int64 {
-	var n int64
-	for i := range rec.Full {
-		n += int64(record.FullEventBytes(&rec.Full[i]))
-	}
-	return n
-}
-
 // TestSoakMillionEventRecording is the tentpole acceptance soak: a dynokv
 // run scaled past a million events records through the flight recorder at
 // O(ring) peak memory, and seeking into the retained tail reproduces the
@@ -148,7 +137,7 @@ func TestSoakMemoryGrowthContrast(t *testing.T) {
 		if res.Events != rec.EventCount {
 			t.Fatalf("rounds=%d: flight run saw %d events, monolithic %d", rounds, res.Events, rec.EventCount)
 		}
-		pts = append(pts, point{rec.EventCount, fullEventBytes(rec), res.PeakMemBytes})
+		pts = append(pts, point{rec.EventCount, rec.LogBytes, res.PeakMemBytes})
 	}
 	evRatio := float64(pts[1].events) / float64(pts[0].events)
 	monoRatio := float64(pts[1].monoBytes) / float64(pts[0].monoBytes)

@@ -79,8 +79,9 @@ func TestRecorderAccounting(t *testing.T) {
 	if cost == 0 {
 		t.Fatal("full recording charged no cost")
 	}
-	if rec.Bytes() == 0 || rec.Events() != 1 || rec.FullCount() != 1 {
-		t.Fatalf("accounting: bytes=%d events=%d full=%d", rec.Bytes(), rec.Events(), rec.FullCount())
+	full := rec.fullOf(&trace.Log{Events: []trace.Event{e}})
+	if rec.Bytes() == 0 || rec.events != 1 || len(full) != 1 {
+		t.Fatalf("accounting: bytes=%d events=%d full=%d", rec.Bytes(), rec.events, len(full))
 	}
 	if !rec.schedComplete {
 		t.Fatal("perfect recorder lost schedule completeness")
@@ -232,8 +233,8 @@ func TestLoadRejectsTruncation(t *testing.T) {
 // TestLoadFailuresAreTyped: whatever is wrong with a file — its version,
 // its model byte, an event, a count, its stream table — Load says so with
 // an error that wraps ErrBadRecording. Versions 1 (before checkpoints), 2
-// (a nested log with decimal labels) and 3 (every snapshot naming every
-// thread and stream) are no longer read.
+// (a nested log with decimal labels), 3 (every snapshot naming every
+// thread and stream) and 4 (a stored log byte count) are no longer read.
 func TestLoadFailuresAreTyped(t *testing.T) {
 	file := func(r *Recording) []byte {
 		var buf bytes.Buffer
@@ -243,8 +244,9 @@ func TestLoadFailuresAreTyped(t *testing.T) {
 		return buf.Bytes()
 	}
 	input := trace.Event{Kind: trace.EvInput, Obj: 1, Val: trace.Int(3)}
-	good := file(&Recording{Model: Value, LogBytes: 7, Streams: []string{"", "in"}, Full: []trace.Event{input}})
-	if rec, err := Load(bytes.NewReader(good)); err != nil || rec.LogBytes != 7 || rec.StreamName(1) != "in" {
+	good := file(&Recording{Model: Value, Streams: []string{"", "in"}, Full: []trace.Event{input}})
+	if rec, err := Load(bytes.NewReader(good)); err != nil || rec.LogBytes != int64(trace.EventSize(nil, &input)) ||
+		rec.StreamName(1) != "in" {
 		t.Fatalf("hand-built recording: %v", err)
 	}
 	patch := func(data []byte, at int, b byte) []byte {
@@ -263,6 +265,7 @@ func TestLoadFailuresAreTyped(t *testing.T) {
 		{"version 1", patch(good, len(recMagic), 1), "unsupported version 1"},
 		{"version 2", patch(good, len(recMagic), 2), "unsupported version 2"},
 		{"version 3", patch(good, len(recMagic), 3), "unsupported version 3"},
+		{"version 4", patch(good, len(recMagic), 4), "unsupported version 4"},
 		{"unknown model", file(&Recording{Model: 9}), "unknown model 9"},
 		{"bad event kind", file(&Recording{Full: []trace.Event{{Kind: 200}}}), "bad event kind 200"},
 		{"stream count", patch(empty, len(empty)-8, 100), "100 streams"},

@@ -13,7 +13,7 @@ const (
 	// LevelSkip persists nothing.
 	LevelSkip Level = iota
 	// LevelSched persists only the scheduling decision (the thread ID):
-	// one byte in the schedule stream.
+	// an entry in the schedule stream, while that is kept.
 	LevelSched
 	// LevelFull persists the complete event including its value payload.
 	LevelFull
@@ -38,17 +38,16 @@ func (p PolicyFunc) Name() string { return p.N }
 // Level implements Policy.
 func (p PolicyFunc) Level(e *trace.Event) Level { return p.F(e) }
 
-// FullEventBytes is the serialized-size estimate of one fully recorded
-// event (kind, thread, site, object, sequence delta and payload) — the unit
-// both the stock full-level recorder and the flight recorder charge against
-// the cost model, so the two record paths price identically and share one
-// virtual schedule.
-func FullEventBytes(e *trace.Event) int { return 10 + e.Val.Size() }
-
 // Recorder persists an execution's events according to a policy. It
 // implements vm.Observer, but is driven offline over a finished run's trace
 // (Project): since recording cost is kept off the virtual clock, that is
 // the run a live recorder would have seen.
+//
+// It charges each persisted event the bytes it adds to the recording file,
+// as the trace codec prices them: a full event's share of the event
+// section, and its schedule entry while the schedule is kept. Bytes is
+// what the two sections hold: a dropped schedule's bytes leave it. Each
+// full event costs RecordEventCycles and each byte RecordByteCycles.
 //
 // The full-level events are not copied as they pass: the run's trace
 // already holds each one, so the recorder keeps only which of them are
@@ -62,6 +61,9 @@ type Recorder struct {
 	// trace index of every full-level event.
 	allFull bool
 	fullIdx []int
+	// last is the last full-level event, which the next one is priced
+	// after (the zero Event before the first).
+	last trace.Event
 
 	// schedComplete stays true while every event so far has contributed
 	// at least a schedule entry — the condition under which the schedule
@@ -70,10 +72,9 @@ type Recorder struct {
 	schedComplete bool
 	sched         []trace.ThreadID
 
-	events     uint64
-	fullCount  uint64
-	schedCount uint64
-	bytes      int64
+	events                 uint64
+	fullCount              uint64
+	eventBytes, schedBytes int64
 }
 
 // NewRecorder builds a recorder pricing its work against the machine's
@@ -96,30 +97,32 @@ func (r *Recorder) OnEvent(e *trace.Event) uint64 {
 			r.fullIdx[i] = i
 		}
 	}
-	switch level {
-	case LevelSkip:
+	if level == LevelSkip {
 		// An incomplete schedule drives no replay, so it is not kept.
-		r.schedComplete, r.sched = false, nil
+		r.schedComplete, r.sched, r.schedBytes = false, nil, 0
 		return 0
-	case LevelSched:
-		if r.schedComplete {
-			r.sched = append(r.sched, e.TID)
-		}
-		r.schedCount++
-		r.bytes++
-		return r.cost.RecordByteCycles
-	default: // LevelFull
-		if !r.allFull {
-			r.fullIdx = append(r.fullIdx, idx)
-		}
-		if r.schedComplete {
-			r.sched = append(r.sched, e.TID)
-		}
-		r.fullCount++
-		b := FullEventBytes(e)
-		r.bytes += int64(b) + 1
-		return r.cost.RecordCost(b)
 	}
+	var b int
+	if r.schedComplete {
+		var prev trace.ThreadID
+		if n := len(r.sched); n > 0 {
+			prev = r.sched[n-1]
+		}
+		b = trace.SchedEntrySize(prev, e.TID)
+		r.schedBytes += int64(b)
+		r.sched = append(r.sched, e.TID)
+	}
+	if level == LevelSched {
+		return uint64(b) * r.cost.RecordByteCycles
+	}
+	if !r.allFull {
+		r.fullIdx = append(r.fullIdx, idx)
+	}
+	r.fullCount++
+	n := trace.EventSize(&r.last, e)
+	r.last = *e
+	r.eventBytes += int64(n)
+	return r.cost.RecordCost(n + b)
 }
 
 // fullOf projects the full-level events out of the run's trace: the trace
@@ -140,14 +143,9 @@ func (r *Recorder) fullOf(tr *trace.Log) []trace.Event {
 	return full
 }
 
-// Bytes returns the recorded log volume.
-func (r *Recorder) Bytes() int64 { return r.bytes }
-
-// Events returns how many events the recorder observed.
-func (r *Recorder) Events() uint64 { return r.events }
-
-// FullCount returns how many events were persisted in full.
-func (r *Recorder) FullCount() uint64 { return r.fullCount }
+// Bytes returns the recorded log volume: the bytes of the recording's
+// event and schedule sections, less their counts.
+func (r *Recorder) Bytes() int64 { return r.eventBytes + r.schedBytes }
 
 // Perfect determinism: everything, in full.
 func perfectPolicy() Policy {

@@ -63,9 +63,11 @@ type Recording struct {
 	// it there.
 	CheckpointBytes int64
 
-	// LogBytes is the recorded volume; Overhead the measured runtime
-	// overhead ratio; BaseCycles/TotalCycles the run's virtual times;
-	// EventCount the events observed.
+	// LogBytes is the recorded volume: what the file's event and
+	// schedule sections hold for Full and Sched, less their counts, which
+	// is what the recorder charged for them; Load measures it there.
+	// Overhead is the measured runtime overhead ratio; BaseCycles and
+	// TotalCycles the run's virtual times; EventCount the events observed.
 	LogBytes    int64
 	Overhead    float64
 	BaseCycles  uint64
@@ -101,7 +103,7 @@ func (r *Recorder) Capture(s *scenario.Scenario, view *scenario.RunView, model M
 		Streams:       streamsOf(full, view.Machine),
 		Failed:        failed,
 		FailureSig:    sig,
-		LogBytes:      r.bytes,
+		LogBytes:      r.Bytes(),
 		Overhead:      view.Result.Overhead(),
 		BaseCycles:    view.Result.BaseCycles(),
 		TotalCycles:   view.Result.TotalCycles(),
@@ -183,12 +185,12 @@ func (r *Recording) Summary() string {
 
 // The recording file format (.ddrc) is laid out in DESIGN.md "Wire
 // formats". Version 1 (before checkpoints), version 2 (a nested log whose
-// labels held the scalars) and version 3 (every snapshot naming every
-// thread and stream, and a stored checkpoint byte count) files are
-// refused.
+// labels held the scalars), version 3 (every snapshot naming every thread
+// and stream, and a stored checkpoint byte count) and version 4 (a stored
+// log byte count) files are refused.
 const (
 	recMagic   = "DDRC"
-	recVersion = 4
+	recVersion = 5
 
 	flagFailed        = 1 << 0
 	flagSchedComplete = 1 << 1
@@ -220,8 +222,7 @@ func (r *Recording) Save(w io.Writer) error {
 	}
 	ww.Byte(flags)
 	ww.String(r.FailureSig)
-	for _, v := range []uint64{uint64(r.LogBytes), uint64(math.Round(r.Overhead * 1000)),
-		r.BaseCycles, r.TotalCycles, r.EventCount} {
+	for _, v := range []uint64{uint64(math.Round(r.Overhead * 1000)), r.BaseCycles, r.TotalCycles, r.EventCount} {
 		ww.Uvarint(v)
 	}
 	ww.Uvarint(uint64(len(r.Streams)))
@@ -229,12 +230,7 @@ func (r *Recording) Save(w io.Writer) error {
 		ww.String(name)
 	}
 	trace.WriteEvents(ww, r.Full)
-	ww.Uvarint(uint64(len(r.Sched)))
-	prev := int64(0)
-	for _, tid := range r.Sched {
-		ww.Varint(int64(tid) - prev)
-		prev = int64(tid)
-	}
+	trace.WriteSched(ww, r.Sched)
 	checkpoint.WriteSnapshots(ww, r.Checkpoints)
 	_, err := ww.Finish()
 	return err
@@ -259,7 +255,6 @@ func Load(rd io.Reader) (*Recording, error) {
 	}
 	r.Failed, r.SchedComplete = flags&flagFailed != 0, flags&flagSchedComplete != 0
 	r.FailureSig = wr.String()
-	r.LogBytes = int64(wr.Uvarint())
 	r.Overhead = float64(wr.Uvarint()) / 1000
 	r.BaseCycles, r.TotalCycles, r.EventCount = wr.Uvarint(), wr.Uvarint(), wr.Uvarint()
 	if n := wr.Count("streams", 1); n > 0 {
@@ -268,15 +263,10 @@ func Load(rd io.Reader) (*Recording, error) {
 			r.Streams[i] = wr.String()
 		}
 	}
-	r.Full = trace.ReadEvents(wr)
-	if n := wr.Count("schedule entries", 1); n > 0 {
-		r.Sched = make([]trace.ThreadID, n)
-		prev := int64(0)
-		for i := range r.Sched {
-			prev += wr.Varint()
-			r.Sched[i] = trace.ThreadID(prev)
-		}
-	}
+	var eventBytes, schedBytes int64
+	r.Full, eventBytes = trace.ReadEvents(wr)
+	r.Sched, schedBytes = trace.ReadSched(wr)
+	r.LogBytes = eventBytes + schedBytes
 	r.Checkpoints, r.CheckpointBytes = checkpoint.ReadSnapshots(wr)
 	if err := wr.Err(); err != nil {
 		return nil, err

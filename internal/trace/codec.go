@@ -3,7 +3,8 @@ package trace
 import (
 	"errors"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 
 	"debugdet/internal/wire"
 )
@@ -13,7 +14,7 @@ import (
 
 const (
 	logMagic   = "DDTL"
-	logVersion = 1
+	logVersion = 2
 )
 
 // ErrCorrupt reports a malformed binary log.
@@ -35,12 +36,6 @@ func WriteLog(w *wire.Writer, l *Log) {
 	w.String(l.Header.Model)
 	w.Varint(l.Header.Seed)
 	WriteParams(w, l.Header.Params)
-	keys := sortedKeys(l.Header.Labels)
-	w.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		w.String(k)
-		w.String(l.Header.Labels[k])
-	}
 
 	// Iterate the table by index rather than copying it out: Encode
 	// runs once per recorded log, including inside EncodedSize on the
@@ -51,17 +46,6 @@ func WriteLog(w *wire.Writer, l *Log) {
 		w.String(l.Sites.Name(SiteID(i)))
 	}
 	WriteEvents(w, l.Events)
-}
-
-// sortedKeys returns m's keys in sorted order: maps are written that way
-// so encoding is deterministic.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Decode reads a log in the binary format.
@@ -84,13 +68,6 @@ func ReadLog(r *wire.Reader) *Log {
 	l.Header.Model = r.String()
 	l.Header.Seed = r.Varint()
 	l.Header.Params = ReadParams(r)
-	if n := r.Count("labels", 2); n > 0 {
-		l.Header.Labels = make(map[string]string, n)
-		for i := 0; i < n && r.Err() == nil; i++ {
-			k := r.String()
-			l.Header.Labels[k] = r.String()
-		}
-	}
 
 	ns := r.Count("sites", 1)
 	if ns == 0 {
@@ -106,14 +83,15 @@ func ReadLog(r *wire.Reader) *Log {
 		}
 		l.Sites.Register(name)
 	}
-	l.Events = ReadEvents(r)
+	l.Events, _ = ReadEvents(r)
 	return l
 }
 
 // WriteParams writes a parameter map: uvarint count, then (string, zigzag
 // varint) pairs in sorted key order.
 func WriteParams(w *wire.Writer, params map[string]int64) {
-	keys := sortedKeys(params)
+	keys := slices.AppendSeq(make([]string, 0, len(params)), maps.Keys(params))
+	slices.Sort(keys)
 	w.Uvarint(uint64(len(keys)))
 	for _, k := range keys {
 		w.String(k)
@@ -139,7 +117,7 @@ func ReadParams(r *wire.Reader) map[string]int64 {
 // sequence and time as deltas from the previous event (runs are monotone
 // in both, so deltas are tiny and the format approaches one byte per
 // field), thread, kind, site, object, taint and value. It is the only
-// place the per-event field sequence is written.
+// place the per-event field sequence is written; EventSize prices it.
 func WriteEvents(w *wire.Writer, events []Event) {
 	w.Uvarint(uint64(len(events)))
 	var prevSeq, prevTime uint64
@@ -157,10 +135,67 @@ func WriteEvents(w *wire.Writer, events []Event) {
 	}
 }
 
+// EventSize returns the bytes WriteEvents writes for e after prev, the
+// run's previous event (nil, or the zero Event, before its first). Summed
+// over a run it is the section less its count: what a recorder is charged
+// for the events it persists.
+func EventSize(prev, e *Event) int {
+	var prevSeq, prevTime uint64
+	if prev != nil {
+		prevSeq, prevTime = prev.Seq, prev.Time
+	}
+	// The kind, taint and value kind are a byte each.
+	n := 3 + wire.UvarintLen(e.Seq-prevSeq) + wire.UvarintLen(e.Time-prevTime) + wire.VarintLen(int64(e.TID)) +
+		wire.UvarintLen(uint64(e.Site)) + wire.UvarintLen(uint64(e.Obj))
+	switch e.Val.Kind {
+	case VNil:
+	case VInt, VBool:
+		n += wire.VarintLen(e.Val.Int)
+	case VString:
+		n += wire.UvarintLen(uint64(len(e.Val.Str))) + len(e.Val.Str)
+	case VBytes:
+		n += wire.UvarintLen(uint64(len(e.Val.Bytes))) + len(e.Val.Bytes)
+	}
+	return n
+}
+
+// WriteSched writes a schedule: uvarint count, then per entry its thread
+// as a zigzag delta from the previous entry's (from 0 for the first).
+// SchedEntrySize prices an entry.
+func WriteSched(w *wire.Writer, sched []ThreadID) {
+	w.Uvarint(uint64(len(sched)))
+	prev := ThreadID(0)
+	for _, tid := range sched {
+		w.Varint(int64(tid) - int64(prev))
+		prev = tid
+	}
+}
+
+// SchedEntrySize returns the bytes WriteSched writes for the entry tid
+// after the entry prev (0 before the first).
+func SchedEntrySize(prev, tid ThreadID) int { return wire.VarintLen(int64(tid) - int64(prev)) }
+
+// ReadSched reads a schedule written by WriteSched, and the bytes its
+// entries occupy.
+func ReadSched(r *wire.Reader) ([]ThreadID, int64) {
+	n := r.Count("schedule entries", 1)
+	if n == 0 {
+		return nil, 0
+	}
+	sched, start, prev := make([]ThreadID, n), r.Offset(), int64(0)
+	for i := range sched {
+		prev += r.Varint()
+		sched[i] = ThreadID(prev)
+	}
+	return sched, r.Offset() - start
+}
+
 // ReadEvents reads a run written by WriteEvents into one allocation of
-// exactly its length; an event is at least eight one-byte fields.
-func ReadEvents(r *wire.Reader) []Event {
+// exactly its length (an event is at least eight one-byte fields), and
+// the bytes its events occupy.
+func ReadEvents(r *wire.Reader) ([]Event, int64) {
 	events := make([]Event, r.Count("events", 8))
+	start := r.Offset()
 	var prevSeq, prevTime uint64
 	for i := range events {
 		e := &events[i]
@@ -177,10 +212,10 @@ func ReadEvents(r *wire.Reader) []Event {
 		e.Taint = Taint(r.Byte())
 		e.Val = ReadValue(r)
 		if r.Err() != nil {
-			return nil
+			return nil, 0
 		}
 	}
-	return events
+	return events, r.Offset() - start
 }
 
 // EncodedSize returns the size in bytes Encode would produce, without

@@ -19,12 +19,11 @@ type jsonEvent struct {
 }
 
 type jsonLog struct {
-	Scenario string            `json:"scenario"`
-	Model    string            `json:"model"`
-	Seed     int64             `json:"seed"`
-	Params   map[string]int64  `json:"params,omitempty"`
-	Labels   map[string]string `json:"labels,omitempty"`
-	Events   []jsonEvent       `json:"events"`
+	Scenario string           `json:"scenario"`
+	Model    string           `json:"model"`
+	Seed     int64            `json:"seed"`
+	Params   map[string]int64 `json:"params,omitempty"`
+	Events   []jsonEvent      `json:"events"`
 }
 
 // WriteJSON writes a human-readable JSON rendering of the log. It is an
@@ -35,7 +34,6 @@ func WriteJSON(w io.Writer, l *Log) error {
 		Model:    l.Header.Model,
 		Seed:     l.Header.Seed,
 		Params:   l.Header.Params,
-		Labels:   l.Header.Labels,
 		Events:   make([]jsonEvent, 0, len(l.Events)),
 	}
 	for _, e := range l.Events {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -80,29 +81,16 @@ func (t *SiteTable) Clone() *SiteTable {
 
 // Header carries the identity of the execution a log describes.
 type Header struct {
-	Scenario string            // scenario name
-	Model    string            // determinism model the log was recorded under
-	Seed     int64             // scheduler seed of the original execution
-	Params   map[string]int64  // scenario parameters
-	Labels   map[string]string // free-form annotations (e.g. recorder config)
+	Scenario string           // scenario name
+	Model    string           // determinism model the log was recorded under
+	Seed     int64            // scheduler seed of the original execution
+	Params   map[string]int64 // scenario parameters
 }
 
-// cloneParams deep-copies the mutable header maps.
+// clone deep-copies the mutable params map.
 func (h Header) clone() Header {
-	c := h
-	if h.Params != nil {
-		c.Params = make(map[string]int64, len(h.Params))
-		for k, v := range h.Params {
-			c.Params[k] = v
-		}
-	}
-	if h.Labels != nil {
-		c.Labels = make(map[string]string, len(h.Labels))
-		for k, v := range h.Labels {
-			c.Labels[k] = v
-		}
-	}
-	return c
+	h.Params = maps.Clone(h.Params)
+	return h
 }
 
 // Log is a recorded projection of an execution: a header, the site table in

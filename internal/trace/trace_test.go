@@ -18,7 +18,6 @@ func sampleLog() *Log {
 		Model:    "perfect",
 		Seed:     42,
 		Params:   map[string]int64{"clients": 3, "rows": 100},
-		Labels:   map[string]string{"note": "unit test"},
 	})
 	sA := l.Sites.Register("a.load")
 	sB := l.Sites.Register("b.store")
@@ -53,9 +52,6 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	if got.Header.Params["rows"] != 100 {
 		t.Fatal("params did not round-trip")
-	}
-	if got.Header.Labels["note"] != "unit test" {
-		t.Fatal("labels did not round-trip")
 	}
 	if got.SiteName(1) != "a.load" || got.SiteName(2) != "b.store" {
 		t.Fatal("site table did not round-trip")

@@ -47,10 +47,11 @@ func corpusTraceLines(t *testing.T, disableInline bool) string {
 }
 
 // TestCorpusTracesGolden pins what the VM executes — events, virtual time,
-// scheduling rounds and what each round offered — against bytes generated
-// before VM threads moved from goroutines onto coroutines: however a thread
-// is hosted and whether or not ops apply inline, every run of the corpus is
-// the run it was. Regenerate (only when an execution is meant to change) with
+// scheduling rounds and what each round offered — against lines generated
+// before VM threads moved from goroutines onto coroutines (the trace hashes
+// were regenerated when the log format dropped its labels, from the same
+// executions): however a thread is hosted and whether or not ops apply
+// inline, every run of the corpus is the run it was. Regenerate (only when an execution is meant to change) with
 // `go test ./internal/vm -run TestCorpusTracesGolden -update`.
 func TestCorpusTracesGolden(t *testing.T) {
 	const golden = "testdata/corpus_traces.golden"

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math/bits"
 )
 
 // Writer encodes primitives into a buffer in front of the destination. The
@@ -55,6 +56,12 @@ func (w *Writer) Uvarint(v uint64) {
 func (w *Writer) Varint(v int64) {
 	w.bw.Write(binary.AppendVarint(w.scratch(), v))
 }
+
+// UvarintLen returns the bytes Uvarint writes for v.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// VarintLen returns the bytes Varint writes for v.
+func VarintLen(v int64) int { return UvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
 
 // scratch returns the buffer's free space for a varint to be encoded
 // straight into: a local array would escape through Write and cost one

@@ -52,6 +52,23 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestVarintLen: UvarintLen and VarintLen are the bytes Uvarint and
+// Varint write, at every length boundary and at the ends of the types.
+func TestVarintLen(t *testing.T) {
+	for shift := 0; shift < 64; shift++ {
+		for _, u := range []uint64{1<<shift - 1, 1 << shift, 1<<shift + 1, math.MaxUint64 >> shift} {
+			if got, want := UvarintLen(u), len(encoded(t, func(w *Writer) { w.Uvarint(u) })); got != want {
+				t.Errorf("UvarintLen(%d) = %d, Uvarint writes %d", u, got, want)
+			}
+			for _, v := range []int64{int64(u), -int64(u), int64(u >> 1), -int64(u >> 1)} {
+				if got, want := VarintLen(v), len(encoded(t, func(w *Writer) { w.Varint(v) })); got != want {
+					t.Errorf("VarintLen(%d) = %d, Varint writes %d", v, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestCountIsBoundedByTheInput: a count passes exactly when its elements
 // fit in the bytes left, whichever way the Reader learned the input's
 // size — Len, Stat on a file, or reading an opaque source to its end.

@@ -10,6 +10,8 @@ import (
 
 	"debugdet"
 	"debugdet/internal/record"
+	"debugdet/internal/trace"
+	"debugdet/internal/vm"
 	"debugdet/internal/workload"
 )
 
@@ -28,9 +30,16 @@ const workLedger = "testdata/work.golden"
 // virtual cycles and the recording cycles charged to it. A change that
 // moves a count on purpose shows it as this file's diff; regenerate with
 // `go test -run TestWorkLedger -update .`.
+//
+// On every line the log bytes are one count: those Load measures in the
+// saved file are those the recorder charged, and the recording cycles are
+// RecordEventCycles per full event and snapshot plus RecordByteCycles per
+// log and checkpoint byte, and per byte of a schedule the recorder kept
+// and then dropped (see droppedSchedBytes).
 func TestWorkLedger(t *testing.T) {
 	ctx := context.Background()
 	eng := debugdet.New()
+	cost := vm.DefaultCostModel()
 	var b strings.Builder
 	b.WriteString("# scenario model ok attempts worksteps workcycles events logbytes full sched ddrc header rounds handoffs cycles recordcycles\n")
 	for _, s := range workload.All() {
@@ -44,6 +53,18 @@ func TestWorkLedger(t *testing.T) {
 				t.Fatalf("%s/%s: save: %v", s.Name, model, err)
 			}
 			r, rec, orig := ev.Replay, ev.Recording, ev.Orig.Result
+			loaded, err := debugdet.LoadRecording(bytes.NewReader(file.Bytes()))
+			if err != nil {
+				t.Fatalf("%s/%s: load: %v", s.Name, model, err)
+			}
+			if loaded.LogBytes != rec.LogBytes {
+				t.Errorf("%s/%s: the file holds %d log bytes, the recorder charged %d", s.Name, model, loaded.LogBytes, rec.LogBytes)
+			}
+			priced := cost.RecordEventCycles*uint64(len(rec.Full)+len(rec.Checkpoints)) +
+				cost.RecordByteCycles*uint64(rec.LogBytes+rec.CheckpointBytes+droppedSchedBytes(rec, ev.Orig.Trace.Events))
+			if orig.RecordCycles != priced {
+				t.Errorf("%s/%s: %d recording cycles charged, the recording prices at %d", s.Name, model, orig.RecordCycles, priced)
+			}
 			header := int64(file.Len()) - rec.LogBytes - rec.CheckpointBytes
 			fmt.Fprintf(&b, "%s %s %v %d %d %d %d %d %d %d %d %d %d %d %d %d\n", s.Name, model,
 				r.Ok, r.Attempts, r.WorkSteps, r.WorkCycles, orig.Steps, ev.LogBytes,
@@ -77,4 +98,22 @@ func TestWorkLedger(t *testing.T) {
 			}
 		}
 	}
+}
+
+// droppedSchedBytes returns the bytes of the schedule a recorder wrote and
+// then dropped, at the first event it skipped: the entries of the run's
+// events before it, which were all persisted in full (the corpus's
+// policies persist an event in full, or at the schedule level without ever
+// skipping). Those bytes were charged as written and are not in the file.
+func droppedSchedBytes(rec *record.Recording, run []trace.Event) int64 {
+	if rec.SchedComplete {
+		return 0
+	}
+	var n int64
+	var prev trace.ThreadID
+	for i := 0; i < len(rec.Full) && rec.Full[i].Seq == run[i].Seq; i++ {
+		n += int64(trace.SchedEntrySize(prev, run[i].TID))
+		prev = run[i].TID
+	}
+	return n
 }
