@@ -63,8 +63,8 @@ func TestInfoOnARecordingFile(t *testing.T) {
 	if out, code := runCLI(t, "record", "-scenario", "bank", "-ckpt", "64", "-out", path); code != 0 {
 		t.Fatalf("record exited %d:\n%s", code, out)
 	}
-	const want = `bank/perfect seed=0 events=415 full=415 sched=415 bytes=7556 overhead=3.05x failed=true sig="bank:imbalance"
-checkpoints: 6 (400 bytes)
+	const want = `bank/perfect seed=0 events=415 full=415 sched=415 bytes=4758 overhead=2.70x failed=true sig="bank:imbalance"
+checkpoints: 6 (399 bytes)
 segments: 7
     0  [       0,       64)        64 events
     1  [      64,      128)        64 events
@@ -87,7 +87,7 @@ func TestShowNamesReferencedStreams(t *testing.T) {
 	if out, code := runCLI(t, "record", "-scenario", "bank", "-model", "output", "-out", path); code != 0 {
 		t.Fatalf("record exited %d:\n%s", code, out)
 	}
-	const want = `bank/output seed=0 events=415 full=2 sched=0 bytes=38 overhead=1.01x failed=true sig="bank:imbalance"
+	const want = `bank/output seed=0 events=415 full=2 sched=0 bytes=22 overhead=1.01x failed=true sig="bank:imbalance"
 streams: 1=bank.total 2=bank.initial
 `
 	if out, code := runCLI(t, "show", "-in", path); code != 0 || !strings.HasPrefix(out, want) {
