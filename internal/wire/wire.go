@@ -57,8 +57,9 @@ func (w *Writer) Varint(v int64) {
 	w.bw.Write(binary.AppendVarint(w.scratch(), v))
 }
 
-// UvarintLen returns the bytes Uvarint writes for v.
-func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+// UvarintLen returns the bytes Uvarint writes for v: one per started 7
+// bits, and one for 0 (9b+64 over 64 is ceil(b/7) for b in 1..64).
+func UvarintLen(v uint64) int { return int(9*uint32(bits.Len64(v))+64) / 64 }
 
 // VarintLen returns the bytes Varint writes for v.
 func VarintLen(v int64) int { return UvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
