@@ -102,18 +102,18 @@ func (r *Recorder) OnEvent(e *trace.Event) uint64 {
 		r.schedComplete, r.sched, r.schedBytes = false, nil, 0
 		return 0
 	}
-	var b int
+	var entry int // the bytes of the event's schedule entry
 	if r.schedComplete {
 		var prev trace.ThreadID
 		if n := len(r.sched); n > 0 {
 			prev = r.sched[n-1]
 		}
-		b = trace.SchedEntrySize(prev, e.TID)
-		r.schedBytes += int64(b)
+		entry = trace.SchedEntrySize(prev, e.TID)
+		r.schedBytes += int64(entry)
 		r.sched = append(r.sched, e.TID)
 	}
 	if level == LevelSched {
-		return uint64(b) * r.cost.RecordByteCycles
+		return uint64(entry) * r.cost.RecordByteCycles
 	}
 	if !r.allFull {
 		r.fullIdx = append(r.fullIdx, idx)
@@ -122,7 +122,7 @@ func (r *Recorder) OnEvent(e *trace.Event) uint64 {
 	n := trace.EventSize(&r.last, e)
 	r.last = *e
 	r.eventBytes += int64(n)
-	return r.cost.RecordCost(n + b)
+	return r.cost.RecordCost(n + entry)
 }
 
 // fullOf projects the full-level events out of the run's trace: the trace
