@@ -199,7 +199,7 @@ func BenchmarkThreadSwitch(b *testing.B) {
 // BenchmarkRecorderPerEvent measures the recorder fast path for each
 // stock policy over a synthetic event stream. No policy copies an event as
 // it passes: capture projects the full-level ones out of the run's trace,
-// so perfect costs a policy call and a schedule append; once a policy has
+// so perfect costs a policy call and the event's pricing; once a policy has
 // left an event out, it also keeps one trace index per full event.
 func BenchmarkRecorderPerEvent(b *testing.B) {
 	models := []record.Model{record.Perfect, record.Value, record.Output, record.Failure}

@@ -139,7 +139,7 @@ func TestGoldenBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(gotSched, rec.Sched) {
+		if want, _ := rec.SchedFrom(0); !reflect.DeepEqual(gotSched, want) {
 			t.Fatal("feed log's schedule differs from the recorded one")
 		}
 		for i, si := range st.Segments() {

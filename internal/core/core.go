@@ -7,7 +7,8 @@
 //
 // For the debug-determinism model the recording policy records the
 // scenario's declared control streams and the thread schedule
-// (rcse.Policy); there is nothing to prepare before the production run.
+// (record.RCSEPolicy); there is nothing to prepare before the production
+// run.
 package core
 
 import (
@@ -16,7 +17,6 @@ import (
 
 	"debugdet/internal/flightrec"
 	"debugdet/internal/metrics"
-	"debugdet/internal/rcse"
 	"debugdet/internal/record"
 	"debugdet/internal/replay"
 	"debugdet/internal/scenario"
@@ -168,9 +168,9 @@ func (r *Runs) record(s *scenario.Scenario, model record.Model, o Options) (*rec
 
 // policyFor builds the model's recording policy on the run's machine: the
 // stock one, or RCSE's over the scenario's declared control streams.
-func policyFor(s *scenario.Scenario, model record.Model, m *vm.Machine) record.Policy {
+func policyFor(s *scenario.Scenario, model record.Model, m *vm.Machine) *record.Policy {
 	if model == record.DebugRCSE {
-		return rcse.NewPolicy(m, s.ControlStreams)
+		return record.RCSEPolicy(m, s.ControlStreams)
 	}
 	return record.PolicyFor(model)
 }
@@ -274,6 +274,6 @@ func (r *Runs) Evaluate(s *scenario.Scenario, model record.Model, o Options) (*E
 // PrepareRCSE returns the factory of the scenario's RCSE policy; the
 // error is always nil. bench/ compiles against this; ROADMAP item 1
 // deletes it.
-func PrepareRCSE(s *scenario.Scenario, _ Options) (func(*vm.Machine) record.Policy, error) {
-	return func(m *vm.Machine) record.Policy { return policyFor(s, record.DebugRCSE, m) }, nil
+func PrepareRCSE(s *scenario.Scenario, _ Options) (func(*vm.Machine) *record.Policy, error) {
+	return func(m *vm.Machine) *record.Policy { return policyFor(s, record.DebugRCSE, m) }, nil
 }

@@ -23,8 +23,7 @@ const (
 	manVersion    = 1
 	feedMagic     = "DDFL"
 	feedVersion   = 1
-	flagSchedDone = 1
-	flagFailed    = 2
+	flagFailed    = 2 // bit 0 is unused
 	flagFinalized = 4
 )
 
@@ -118,9 +117,6 @@ func encodeManifest(w io.Writer, m *manifest) error {
 	ww.Uvarint(m.Meta.Interval)
 	ww.Uvarint(m.Meta.EventCount)
 	var flags byte
-	if m.Meta.SchedComplete {
-		flags |= flagSchedDone
-	}
 	if m.Meta.Failed {
 		flags |= flagFailed
 	}
@@ -160,7 +156,6 @@ func decodeManifest(r io.Reader) (*manifest, error) {
 	m.Meta.Interval = rd.Uvarint()
 	m.Meta.EventCount = rd.Uvarint()
 	flags := rd.Byte()
-	m.Meta.SchedComplete = flags&flagSchedDone != 0
 	m.Meta.Failed = flags&flagFailed != 0
 	m.Finalized = flags&flagFinalized != 0
 	m.Meta.FailureSig = rd.String()

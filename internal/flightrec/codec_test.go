@@ -135,16 +135,15 @@ func TestSegmentRejectsCorruptKind(t *testing.T) {
 func manifestFixture() *manifest {
 	return &manifest{
 		Meta: Meta{
-			Scenario:      "bank",
-			Model:         record.Perfect,
-			Seed:          7,
-			Params:        scenario.Params{"transfers": 40, "accounts": 3},
-			Streams:       []string{"in", "out"},
-			SchedComplete: true,
-			Failed:        true,
-			FailureSig:    "imbalance",
-			EventCount:    1234,
-			Interval:      256,
+			Scenario:   "bank",
+			Model:      record.Perfect,
+			Seed:       7,
+			Params:     scenario.Params{"transfers": 40, "accounts": 3},
+			Streams:    []string{"in", "out"},
+			Failed:     true,
+			FailureSig: "imbalance",
+			EventCount: 1234,
+			Interval:   256,
 		},
 		Finalized: true,
 		FeedCount: 1234,
@@ -215,7 +214,7 @@ func TestFeedLogRoundtrip(t *testing.T) {
 	if !reflect.DeepEqual(perThread, want) {
 		t.Fatal("feed-log feeds differ from checkpoint.Feeds derivation")
 	}
-	if !reflect.DeepEqual(sched, rec.Sched) {
+	if want, _ := rec.SchedFrom(0); !reflect.DeepEqual(sched, want) {
 		t.Fatal("feed-log schedule differs from recorded schedule")
 	}
 }

@@ -95,7 +95,7 @@ func TestFlightRecordMatchesRecording(t *testing.T) {
 					res.Failed, res.FailureSig, plain.Failed, plain.FailureSig)
 			}
 			meta := st.Meta()
-			if meta.Scenario != s.Name || meta.Model != record.Perfect || !meta.SchedComplete {
+			if meta.Scenario != s.Name || meta.Model != record.Perfect {
 				t.Fatalf("meta %+v", meta)
 			}
 			if meta.EventCount != uint64(len(plain.Full)) {
@@ -119,7 +119,7 @@ func TestFlightRecordMatchesRecording(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(sched, plain.Sched) {
+			if want, _ := plain.SchedFrom(0); !reflect.DeepEqual(sched, want) {
 				t.Fatal("schedule differs from plain recording")
 			}
 

@@ -140,12 +140,11 @@ func NewRecorder(m *vm.Machine, name string, seed int64, params scenario.Params,
 		o:    o,
 		cost: m.Cost(),
 		meta: Meta{
-			Scenario:      name,
-			Model:         record.Perfect,
-			Seed:          seed,
-			Params:        params,
-			SchedComplete: true,
-			Interval:      o.Interval,
+			Scenario: name,
+			Model:    record.Perfect,
+			Seed:     seed,
+			Params:   params,
+			Interval: o.Interval,
 		},
 		feedF:     f,
 		nextIndex: 1,

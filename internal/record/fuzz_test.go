@@ -8,6 +8,8 @@ import (
 	"os"
 	"runtime"
 	"testing"
+
+	"debugdet/internal/trace"
 )
 
 // allocated returns the bytes f allocates.
@@ -45,6 +47,12 @@ func FuzzLoadRecording(f *testing.F) {
 	f.Add(append(data[:tail:tail], huge...))
 	f.Add(append(data[:tail+1:tail+1], huge...))
 	f.Add(append(data[:tail-1:tail-1], huge...))
+	// An RCSE recording whose schedule misses one of the run's events.
+	var short bytes.Buffer
+	if err := (&Recording{Model: DebugRCSE, EventCount: 3, Sched: []trace.ThreadID{0, 1}}).Save(&short); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(short.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rec *Recording

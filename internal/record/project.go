@@ -48,7 +48,7 @@ func Run(s *scenario.Scenario, seed int64, params scenario.Params, maxSteps, int
 // cost added and re-priced in order, each after the previous copy; run's
 // own RecordCycles, the writer's charge for the unprojected snapshots, is
 // replaced by the re-priced one.
-func Project(s *scenario.Scenario, run *scenario.RunView, ckpt *checkpoint.Writer, model Model, policy Policy) (*Recording, *scenario.RunView) {
+func Project(s *scenario.Scenario, run *scenario.RunView, ckpt *checkpoint.Writer, model Model, policy *Policy) (*Recording, *scenario.RunView) {
 	r := NewRecorder(run.Machine, policy)
 	var snaps, projected []*vm.Snapshot
 	if ckpt != nil {
@@ -77,7 +77,7 @@ func Project(s *scenario.Scenario, run *scenario.RunView, ckpt *checkpoint.Write
 	res := *run.Result
 	res.RecordCycles = cycles + ckptCycles
 	tr := *run.Trace
-	tr.Header.Model = policy.Name()
+	tr.Header.Model = policy.Name
 	res.Trace = &tr
 	view := &scenario.RunView{Machine: run.Machine, Result: &res, Trace: &tr}
 

@@ -34,40 +34,87 @@ func TestModelNamesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStockPolicyLevels pins which events each stock policy persists in
+// full, and that none of them keeps a schedule.
 func TestStockPolicyLevels(t *testing.T) {
 	cases := []struct {
 		model Model
 		kind  trace.EventKind
-		want  Level
+		full  bool
 	}{
-		{Perfect, trace.EvLoad, LevelFull},
-		{Perfect, trace.EvLock, LevelFull},
-		{Perfect, trace.EvYield, LevelFull},
-		{Value, trace.EvLoad, LevelFull},
-		{Value, trace.EvStore, LevelFull},
-		{Value, trace.EvInput, LevelFull},
-		{Value, trace.EvLock, LevelSkip},
-		{Value, trace.EvYield, LevelSkip},
-		{Value, trace.EvFail, LevelFull},
-		{Output, trace.EvOutput, LevelFull},
-		{Output, trace.EvInput, LevelSkip},
-		{Output, trace.EvLoad, LevelSkip},
-		{Output, trace.EvCrash, LevelFull},
-		{Failure, trace.EvOutput, LevelSkip},
-		{Failure, trace.EvFail, LevelSkip},
+		{Perfect, trace.EvLoad, true},
+		{Perfect, trace.EvLock, true},
+		{Perfect, trace.EvYield, true},
+		{Value, trace.EvLoad, true},
+		{Value, trace.EvStore, true},
+		{Value, trace.EvInput, true},
+		{Value, trace.EvLock, false},
+		{Value, trace.EvYield, false},
+		{Value, trace.EvFail, true},
+		{Output, trace.EvOutput, true},
+		{Output, trace.EvInput, false},
+		{Output, trace.EvLoad, false},
+		{Output, trace.EvCrash, true},
+		{Failure, trace.EvOutput, false},
+		{Failure, trace.EvFail, false},
 	}
 	for _, c := range cases {
 		p := PolicyFor(c.model)
 		if p == nil {
 			t.Fatalf("no stock policy for %v", c.model)
 		}
+		if p.Sched {
+			t.Errorf("%v policy keeps a schedule", c.model)
+		}
 		e := trace.Event{Kind: c.kind}
-		if got := p.Level(&e); got != c.want {
-			t.Errorf("%v policy level(%v) = %v, want %v", c.model, c.kind, got, c.want)
+		if got := p.Full(&e); got != c.full {
+			t.Errorf("%v policy full(%v) = %v, want %v", c.model, c.kind, got, c.full)
 		}
 	}
 	if PolicyFor(DebugRCSE) != nil {
 		t.Fatal("DebugRCSE must have no stock policy")
+	}
+}
+
+// TestPolicy pins that the RCSE policy keeps the schedule and records the
+// inputs of the named streams in full, including a stream the program
+// registers only after the policy was built, and every other event as its
+// schedule entry only.
+func TestPolicy(t *testing.T) {
+	m := vm.New(vm.Config{Seed: 1})
+	data := m.Stream("data")
+	p := RCSEPolicy(m, []string{"ctl", "late"})
+	if p.Name != "rcse" || !p.Sched {
+		t.Fatalf("policy %q keeps schedule %v, want rcse keeping it", p.Name, p.Sched)
+	}
+	ctl := m.Stream("ctl")
+	late := m.Stream("late") // registered after the build, as a thread body would
+	for _, id := range []trace.ObjID{ctl, late, ctl} {
+		e := trace.Event{Kind: trace.EvInput, Obj: id}
+		if !p.Full(&e) {
+			t.Fatalf("input of control stream %q not recorded", m.StreamName(id))
+		}
+	}
+	in := trace.Event{Kind: trace.EvInput, Obj: data}
+	if p.Full(&in) {
+		t.Fatal("data stream input recorded in full")
+	}
+	store := trace.Event{Kind: trace.EvStore, Obj: ctl}
+	if p.Full(&store) {
+		t.Fatal("non-input event on the stream's object recorded in full")
+	}
+}
+
+// TestPolicyFloorIsSchedule pins the RCSE policy of a scenario that
+// declares no control streams: every event, input included, is kept as its
+// schedule entry only.
+func TestPolicyFloorIsSchedule(t *testing.T) {
+	m := vm.New(vm.Config{Seed: 1})
+	p := RCSEPolicy(m, nil)
+	for _, e := range []trace.Event{{Kind: trace.EvStore}, {Kind: trace.EvInput, Obj: m.Stream("any")}} {
+		if p.Full(&e) || !p.Sched {
+			t.Fatalf("%v event recorded in full or without its schedule entry", e.Kind)
+		}
 	}
 }
 
@@ -83,23 +130,20 @@ func TestRecorderAccounting(t *testing.T) {
 	if rec.Bytes() == 0 || rec.events != 1 || len(full) != 1 {
 		t.Fatalf("accounting: bytes=%d events=%d full=%d", rec.Bytes(), rec.events, len(full))
 	}
-	if !rec.schedComplete {
-		t.Fatal("perfect recorder lost schedule completeness")
+	if rec.schedBytes != 0 {
+		t.Fatalf("perfect recorder charged %d schedule bytes", rec.schedBytes)
 	}
 
 	rec2 := NewRecorder(m, PolicyFor(Failure))
-	if cost := rec2.OnEvent(&e); cost != 0 {
-		t.Fatalf("skip-level recording charged %d", cost)
-	}
-	if rec2.schedComplete {
-		t.Fatal("skipping recorder still claims a complete schedule")
+	if cost := rec2.OnEvent(&e); cost != 0 || rec2.Bytes() != 0 {
+		t.Fatalf("failure recorder charged %d cycles for %d bytes", cost, rec2.Bytes())
 	}
 }
 
 func TestSchedLevelCheaperThanFull(t *testing.T) {
 	m := vm.New(vm.Config{})
-	sched := NewRecorder(m, PolicyFunc{N: "s", F: func(*trace.Event) Level { return LevelSched }})
-	full := NewRecorder(m, PolicyFunc{N: "f", F: func(*trace.Event) Level { return LevelFull }})
+	sched := NewRecorder(m, &Policy{Name: "s", Sched: true, Full: func(*trace.Event) bool { return false }})
+	full := NewRecorder(m, &Policy{Name: "f", Sched: true, Full: func(*trace.Event) bool { return true }})
 	e := trace.Event{Kind: trace.EvSend, Val: trace.Bytes_(make([]byte, 100))}
 	cs := sched.OnEvent(&e)
 	cf := full.OnEvent(&e)
@@ -123,8 +167,8 @@ func TestRecordEndToEndOnSum(t *testing.T) {
 	if rec.EventCount != view.Result.Steps {
 		t.Fatalf("event count %d != steps %d", rec.EventCount, view.Result.Steps)
 	}
-	if !rec.SchedComplete || len(rec.Sched) != int(rec.EventCount) {
-		t.Fatalf("schedule: complete=%v len=%d events=%d", rec.SchedComplete, len(rec.Sched), rec.EventCount)
+	if sched, _ := rec.SchedFrom(0); rec.Sched != nil || len(sched) != int(rec.EventCount) {
+		t.Fatalf("schedule: %d stored, %d derived, %d events", len(rec.Sched), len(sched), rec.EventCount)
 	}
 	if rec.Overhead <= 1.0 {
 		t.Fatalf("perfect recording overhead = %v, want > 1", rec.Overhead)
@@ -175,7 +219,7 @@ func TestRecordingSaveLoadRoundTrip(t *testing.T) {
 	if got.Failed != rec.Failed || got.FailureSig != rec.FailureSig {
 		t.Fatal("failure identity did not round-trip")
 	}
-	if got.SchedComplete != rec.SchedComplete || got.LogBytes != rec.LogBytes ||
+	if got.LogBytes != rec.LogBytes ||
 		got.EventCount != rec.EventCount {
 		t.Fatal("metadata did not round-trip")
 	}
@@ -231,10 +275,12 @@ func TestLoadRejectsTruncation(t *testing.T) {
 }
 
 // TestLoadFailuresAreTyped: whatever is wrong with a file — its version,
-// its model byte, an event, a count, its stream table — Load says so with
-// an error that wraps ErrBadRecording. Versions 1 (before checkpoints), 2
-// (a nested log with decimal labels), 3 (every snapshot naming every
-// thread and stream) and 4 (a stored log byte count) are no longer read.
+// its model byte or flags, an event, a count, its stream table, events or
+// a schedule its model does not have — Load says so with an error that
+// wraps ErrBadRecording. Versions 1 (before checkpoints), 2 (a nested log
+// with decimal labels), 3 (every snapshot naming every thread and stream),
+// 4 (a stored log byte count) and 5 (a schedule under any model, and a
+// flag saying whether it was whole) are no longer read.
 func TestLoadFailuresAreTyped(t *testing.T) {
 	file := func(r *Recording) []byte {
 		var buf bytes.Buffer
@@ -257,6 +303,9 @@ func TestLoadFailuresAreTyped(t *testing.T) {
 	// An empty recording ends: stream count 0, event count 0, schedule
 	// count 0, then the five-byte empty snapshot section.
 	empty := file(&Recording{})
+	// good's flags follow the magic, the version, an empty scenario name,
+	// the model, a zero seed and an empty parameter map.
+	flagsAt := len(recMagic) + 5
 	cases := []struct {
 		name string
 		data []byte
@@ -266,11 +315,19 @@ func TestLoadFailuresAreTyped(t *testing.T) {
 		{"version 2", patch(good, len(recMagic), 2), "unsupported version 2"},
 		{"version 3", patch(good, len(recMagic), 3), "unsupported version 3"},
 		{"version 4", patch(good, len(recMagic), 4), "unsupported version 4"},
+		{"version 5", patch(good, len(recMagic), 5), "unsupported version 5"},
 		{"unknown model", file(&Recording{Model: 9}), "unknown model 9"},
+		{"flag bit 1", patch(good, flagsAt, 2), "unknown flags 0x2"},
 		{"bad event kind", file(&Recording{Full: []trace.Event{{Kind: 200}}}), "bad event kind 200"},
 		{"stream count", patch(empty, len(empty)-8, 100), "100 streams"},
 		{"unnamed referenced stream", file(&Recording{Streams: []string{"in"}, Full: []trace.Event{input}}),
 			"event 0 (input) references stream 1"},
+		{"perfect short of events", file(&Recording{Model: Perfect, EventCount: 2, Full: []trace.Event{{Kind: trace.EvYield}}}),
+			"perfect recording holds 1 of the run's 2 events"},
+		{"rcse short of schedule", file(&Recording{Model: DebugRCSE, EventCount: 2, Sched: []trace.ThreadID{1}}),
+			"debug-rcse schedule holds 1 of the run's 2 events"},
+		{"schedule under value", file(&Recording{Model: Value, Sched: []trace.ThreadID{1}}),
+			"value recording holds 1 schedule entries"},
 	}
 	for _, tc := range cases {
 		_, err := Load(bytes.NewReader(tc.data))

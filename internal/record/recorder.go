@@ -1,59 +1,44 @@
 package record
 
 import (
+	"slices"
+
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
 )
 
-// Level is the fidelity at which one event is persisted.
-type Level uint8
-
-// Levels.
-const (
-	// LevelSkip persists nothing.
-	LevelSkip Level = iota
-	// LevelSched persists only the scheduling decision (the thread ID):
-	// an entry in the schedule stream, while that is kept.
-	LevelSched
-	// LevelFull persists the complete event including its value payload.
-	LevelFull
-)
-
-// Policy decides the fidelity level for each event. Policies may be
-// stateful (the RCSE policy caches which streams it records).
-type Policy interface {
-	Name() string
-	Level(e *trace.Event) Level
+// Policy is what a recording holds: the events it persists in full, and
+// whether it keeps the run's thread schedule. A policy that keeps the
+// schedule keeps every event's thread in it, so the schedule always covers
+// the whole run; only RCSE's does (a perfect recording's schedule is the
+// threads of its full events, see Recording.SchedFrom).
+type Policy struct {
+	Name string
+	// Full reports whether an event is persisted in full. It may be
+	// stateful (RCSE's caches which streams it records), so a policy
+	// serves one recorder.
+	Full func(e *trace.Event) bool
+	// Sched keeps the thread of every event in the recording's schedule.
+	Sched bool
 }
-
-// PolicyFunc adapts a function to Policy.
-type PolicyFunc struct {
-	N string
-	F func(e *trace.Event) Level
-}
-
-// Name implements Policy.
-func (p PolicyFunc) Name() string { return p.N }
-
-// Level implements Policy.
-func (p PolicyFunc) Level(e *trace.Event) Level { return p.F(e) }
 
 // Recorder persists an execution's events according to a policy. It
 // implements vm.Observer, but is driven offline over a finished run's trace
 // (Project): since recording cost is kept off the virtual clock, that is
 // the run a live recorder would have seen.
 //
-// It charges each persisted event the bytes it adds to the recording file,
-// as the trace codec prices them: a full event's share of the event
-// section, and its schedule entry while the schedule is kept. Bytes is
-// what the two sections hold: a dropped schedule's bytes leave it. Each
-// full event costs RecordEventCycles and each byte RecordByteCycles.
+// It charges each event the bytes it adds to the recording file, as the
+// trace codec prices them: a full event's share of the event section, and
+// its schedule entry when the policy keeps the schedule. Bytes is what the
+// two sections hold. Each full event costs RecordEventCycles and each byte
+// RecordByteCycles.
 //
-// The full-level events are not copied as they pass: the run's trace
-// already holds each one, so the recorder keeps only which of them are
-// full, and Capture projects them out of the trace (see fullOf).
+// Neither the full events nor the schedule are copied as they pass: the
+// run's trace already holds each event, so the recorder keeps only which
+// of them are full, and Capture projects the full events and the schedule
+// out of the trace (see fullOf).
 type Recorder struct {
-	policy Policy
+	policy *Policy
 	cost   *vm.CostModel
 
 	// allFull stays true while every event so far was full-level (always,
@@ -62,15 +47,10 @@ type Recorder struct {
 	allFull bool
 	fullIdx []int
 	// last is the last full-level event, which the next one is priced
-	// after (the zero Event before the first).
-	last trace.Event
-
-	// schedComplete stays true while every event so far has contributed
-	// at least a schedule entry — the condition under which the schedule
-	// stream can drive a ReplayScheduler. sched holds the entries while it
-	// does and is nil after.
-	schedComplete bool
-	sched         []trace.ThreadID
+	// after (the zero Event before the first); lastTID is the thread of
+	// the last event, which its schedule entry is priced after.
+	last    trace.Event
+	lastTID trace.ThreadID
 
 	events                 uint64
 	fullCount              uint64
@@ -79,8 +59,8 @@ type Recorder struct {
 
 // NewRecorder builds a recorder pricing its work against the machine's
 // cost model.
-func NewRecorder(m *vm.Machine, policy Policy) *Recorder {
-	return &Recorder{policy: policy, cost: m.Cost(), allFull: true, schedComplete: true}
+func NewRecorder(m *vm.Machine, policy *Policy) *Recorder {
+	return &Recorder{policy: policy, cost: m.Cost(), allFull: true}
 }
 
 // OnEvent implements vm.Observer. The machine appends every event to its
@@ -89,30 +69,20 @@ func NewRecorder(m *vm.Machine, policy Policy) *Recorder {
 func (r *Recorder) OnEvent(e *trace.Event) uint64 {
 	idx := int(r.events)
 	r.events++
-	level := r.policy.Level(e)
-	if level != LevelFull && r.allFull {
-		r.allFull = false
-		r.fullIdx = make([]int, r.fullCount)
-		for i := range r.fullIdx {
-			r.fullIdx[i] = i
-		}
-	}
-	if level == LevelSkip {
-		// An incomplete schedule drives no replay, so it is not kept.
-		r.schedComplete, r.sched, r.schedBytes = false, nil, 0
-		return 0
-	}
 	var entry int // the bytes of the event's schedule entry
-	if r.schedComplete {
-		var prev trace.ThreadID
-		if n := len(r.sched); n > 0 {
-			prev = r.sched[n-1]
-		}
-		entry = trace.SchedEntrySize(prev, e.TID)
+	if r.policy.Sched {
+		entry = trace.SchedEntrySize(r.lastTID, e.TID)
+		r.lastTID = e.TID
 		r.schedBytes += int64(entry)
-		r.sched = append(r.sched, e.TID)
 	}
-	if level == LevelSched {
+	if !r.policy.Full(e) {
+		if r.allFull {
+			r.allFull = false
+			r.fullIdx = make([]int, r.fullCount)
+			for i := range r.fullIdx {
+				r.fullIdx[i] = i
+			}
+		}
 		return uint64(entry) * r.cost.RecordByteCycles
 	}
 	if !r.allFull {
@@ -147,9 +117,10 @@ func (r *Recorder) fullOf(tr *trace.Log) []trace.Event {
 // event and schedule sections, less their counts.
 func (r *Recorder) Bytes() int64 { return r.eventBytes + r.schedBytes }
 
-// Perfect determinism: everything, in full.
-func perfectPolicy() Policy {
-	return PolicyFunc{N: "perfect", F: func(*trace.Event) Level { return LevelFull }}
+// Perfect determinism: everything, in full. The thread order is that of
+// the full events, so no schedule is kept beside them.
+func perfectPolicy() *Policy {
+	return &Policy{Name: "perfect", Full: func(*trace.Event) bool { return true }}
 }
 
 // Value determinism: every value read or written at every execution point
@@ -157,13 +128,8 @@ func perfectPolicy() Policy {
 // cross-thread ordering. Synchronization events are not persisted at all —
 // replay must rediscover a consistent interleaving, which is exactly the
 // extra work value-deterministic systems push to debug time.
-func valuePolicy() Policy {
-	return PolicyFunc{N: "value", F: func(e *trace.Event) Level {
-		if ValueLogged(e.Kind) {
-			return LevelFull
-		}
-		return LevelSkip
-	}}
+func valuePolicy() *Policy {
+	return &Policy{Name: "value", Full: func(e *trace.Event) bool { return ValueLogged(e.Kind) }}
 }
 
 // ValueLogged reports whether value determinism logs events of kind k: the
@@ -183,27 +149,49 @@ func ValueLogged(k trace.EventKind) bool {
 
 // Output determinism, lightest ODR scheme: outputs only. Inputs, paths,
 // schedules and race orders are all left to inference.
-func outputPolicy() Policy {
-	return PolicyFunc{N: "output", F: func(e *trace.Event) Level {
+func outputPolicy() *Policy {
+	return &Policy{Name: "output", Full: func(e *trace.Event) bool {
 		//lint:exhaustive-default output determinism records outputs and failures only; every other kind is inferred at debug time
 		switch e.Kind {
 		case trace.EvOutput, trace.EvFail, trace.EvCrash:
-			return LevelFull
+			return true
 		}
-		return LevelSkip
+		return false
 	}}
 }
 
 // Failure determinism: nothing at runtime. The failure signature is
 // extracted from the run result post-mortem (see Capture).
-func failurePolicy() Policy {
-	return PolicyFunc{N: "failure", F: func(*trace.Event) Level { return LevelSkip }}
+func failurePolicy() *Policy {
+	return &Policy{Name: "failure", Full: func(*trace.Event) bool { return false }}
 }
 
-// PolicyFor returns the stock policy for a model. DebugRCSE has no stock
-// policy — it is built by the rcse package from the scenario's control
-// streams — so requesting it returns nil and the caller must supply one.
-func PolicyFor(m Model) Policy {
+// RCSEPolicy returns debug determinism's policy on machine m (root
+// cause-driven selectivity, §3.1): the thread schedule, and every input of
+// the named control streams in full. A program may register a stream when
+// a thread first draws from it, after the policy is built, so the policy
+// resolves a stream's name the first time one of its inputs appears and
+// caches the answer.
+func RCSEPolicy(m *vm.Machine, streams []string) *Policy {
+	control := make(map[trace.ObjID]bool)
+	return &Policy{Name: "rcse", Sched: true, Full: func(e *trace.Event) bool {
+		if e.Kind != trace.EvInput {
+			return false
+		}
+		c, ok := control[e.Obj]
+		if !ok {
+			c = slices.Contains(streams, m.StreamName(e.Obj))
+			control[e.Obj] = c
+		}
+		return c
+	}}
+}
+
+// PolicyFor returns the stock policy for a model. DebugRCSE has none: its
+// policy needs the scenario's control streams and the run's machine
+// (RCSEPolicy), which this signature, the one bench/ compiles against,
+// does not carry. Requesting it returns nil.
+func PolicyFor(m Model) *Policy {
 	switch m {
 	case Perfect:
 		return perfectPolicy()

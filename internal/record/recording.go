@@ -31,12 +31,11 @@ type Recording struct {
 
 	// Full are the fully recorded events, in global order.
 	Full []trace.Event
-	// Sched is the schedule stream (thread per recorded decision). It is
-	// kept only when SchedComplete, the one case a replayer reads it.
+	// Sched is the thread schedule, one entry per event of the run. Only
+	// debug determinism (RCSE) keeps one, the one model whose replayer
+	// forces a schedule it could not derive: a perfect recording's is the
+	// threads of Full (SchedFrom), and every other model's is nil.
 	Sched []trace.ThreadID
-	// SchedComplete reports whether Sched covers every event of the run,
-	// i.e. whether it can drive a strict ReplayScheduler.
-	SchedComplete bool
 
 	// Failed and FailureSig describe the run's terminal condition as a
 	// bug report would: the signature is produced by the scenario's
@@ -82,33 +81,37 @@ type Recording struct {
 
 // Capture finalizes a recording of the run the recorder observed: it
 // stores the recorder's streams and the run's failure identity and
-// overhead numbers, and nothing a replayer does not read: the schedule
-// only when it is complete, stream names only where Full references them.
+// overhead numbers, and nothing a replayer does not read: a schedule only
+// when the policy keeps one, stream names only where Full references them.
 // view must be the run as the model sees it — its Result charged with the
 // recorder's cycles — and view.Trace the run's trace from its first event:
-// the recording's Full is projected out of it, and under perfect
-// determinism shares its array. Project is the one caller outside tests.
+// the recording's Full and Sched are projected out of it, and under
+// perfect determinism Full shares its array. Project is the one caller
+// outside tests.
 func (r *Recorder) Capture(s *scenario.Scenario, view *scenario.RunView, model Model) *Recording {
 	failed, sig := s.CheckFailure(view)
 	h := view.Trace.Header
 	full := r.fullOf(view.Trace)
+	var sched []trace.ThreadID
+	if r.policy.Sched {
+		sched = view.Trace.Schedule()
+	}
 	return &Recording{
-		Scenario:      s.Name,
-		Model:         model,
-		Seed:          h.Seed,
-		Params:        scenario.Params(h.Params).Clone(nil),
-		Full:          full,
-		Sched:         r.sched,
-		SchedComplete: r.schedComplete,
-		Streams:       streamsOf(full, view.Machine),
-		Failed:        failed,
-		FailureSig:    sig,
-		LogBytes:      r.Bytes(),
-		Overhead:      view.Result.Overhead(),
-		BaseCycles:    view.Result.BaseCycles(),
-		TotalCycles:   view.Result.TotalCycles(),
-		EventCount:    r.events,
-		cache:         &planCache{},
+		Scenario:    s.Name,
+		Model:       model,
+		Seed:        h.Seed,
+		Params:      scenario.Params(h.Params).Clone(nil),
+		Full:        full,
+		Sched:       sched,
+		Streams:     streamsOf(full, view.Machine),
+		Failed:      failed,
+		FailureSig:  sig,
+		LogBytes:    r.Bytes(),
+		Overhead:    view.Result.Overhead(),
+		BaseCycles:  view.Result.BaseCycles(),
+		TotalCycles: view.Result.TotalCycles(),
+		EventCount:  r.events,
+		cache:       &planCache{},
 	}
 }
 
@@ -186,14 +189,14 @@ func (r *Recording) Summary() string {
 // The recording file format (.ddrc) is laid out in DESIGN.md "Wire
 // formats". Version 1 (before checkpoints), version 2 (a nested log whose
 // labels held the scalars), version 3 (every snapshot naming every thread
-// and stream, and a stored checkpoint byte count) and version 4 (a stored
-// log byte count) files are refused.
+// and stream, and a stored checkpoint byte count), version 4 (a stored log
+// byte count) and version 5 (a schedule under every model that kept one
+// whole, and a flag saying so) files are refused.
 const (
 	recMagic   = "DDRC"
-	recVersion = 5
+	recVersion = 6
 
-	flagFailed        = 1 << 0
-	flagSchedComplete = 1 << 1
+	flagFailed = 1 << 0
 )
 
 // ErrBadRecording reports a malformed recording file.
@@ -216,9 +219,6 @@ func (r *Recording) Save(w io.Writer) error {
 	var flags byte
 	if r.Failed {
 		flags |= flagFailed
-	}
-	if r.SchedComplete {
-		flags |= flagSchedComplete
 	}
 	ww.Byte(flags)
 	ww.String(r.FailureSig)
@@ -250,10 +250,10 @@ func Load(rd io.Reader) (*Recording, error) {
 	r.Seed = wr.Varint()
 	r.Params = scenario.Params(trace.ReadParams(wr))
 	flags := wr.Byte()
-	if flags&^(flagFailed|flagSchedComplete) != 0 {
+	if flags&^flagFailed != 0 {
 		wr.Failf("unknown flags %#x", flags)
 	}
-	r.Failed, r.SchedComplete = flags&flagFailed != 0, flags&flagSchedComplete != 0
+	r.Failed = flags&flagFailed != 0
 	r.FailureSig = wr.String()
 	r.Overhead = float64(wr.Uvarint()) / 1000
 	r.BaseCycles, r.TotalCycles, r.EventCount = wr.Uvarint(), wr.Uvarint(), wr.Uvarint()
@@ -276,6 +276,18 @@ func Load(rd io.Reader) (*Recording, error) {
 			return nil, fmt.Errorf("%w: event %d (%s) references stream %d, which the table does not name",
 				ErrBadRecording, i, e.Kind, e.Obj)
 		}
+	}
+	// A perfect recording holds every event of the run and an RCSE one
+	// the schedule of every event, as their replayers need; no other
+	// model keeps a schedule.
+	full, sched := uint64(len(r.Full)), uint64(len(r.Sched))
+	switch {
+	case r.Model == Perfect && full != r.EventCount:
+		return nil, fmt.Errorf("%w: perfect recording holds %d of the run's %d events", ErrBadRecording, full, r.EventCount)
+	case r.Model == DebugRCSE && sched != r.EventCount:
+		return nil, fmt.Errorf("%w: %s schedule holds %d of the run's %d events", ErrBadRecording, r.Model, sched, r.EventCount)
+	case r.Model != DebugRCSE && sched != 0:
+		return nil, fmt.Errorf("%w: %s recording holds %d schedule entries", ErrBadRecording, r.Model, sched)
 	}
 	// The codec persists only the live-state portion of each snapshot;
 	// the per-stream histories are projections of the event prefix and

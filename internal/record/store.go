@@ -21,9 +21,6 @@ type Meta struct {
 	// at least every stream the store's input and output events
 	// reference; a Recording's names only those (see Recording.Streams).
 	Streams []string
-	// SchedComplete reports whether the store's schedule covers every
-	// event of the run (required for seek and segmented replay).
-	SchedComplete bool
 	// Failed and FailureSig are the run's terminal condition per the
 	// scenario's failure specification.
 	Failed     bool
@@ -61,13 +58,17 @@ func (si SegmentInfo) Events() uint64 { return si.To - si.From }
 // and a flight recorder's spill directory through one entry point each.
 
 // replayPlan holds the projections of a recording's event log that replay
-// consumes — segment table, recorded input source, shared feed plan. They
+// consumes — segment table, perfect schedule, recorded input source, shared
+// feed plan. They
 // are derived at most once per recording state and then shared read-only by
 // every Seek, Segmented and Debugger call, so the store methods are safe for
 // concurrent use.
 type replayPlan struct {
 	key  planKey
 	segs []SegmentInfo
+
+	schedOnce sync.Once
+	sched     []trace.ThreadID
 
 	inputsOnce sync.Once
 	inputs     vm.InputSource
@@ -145,14 +146,13 @@ func (r *Recording) Meta() Meta {
 		interval = r.Checkpoints[0].Seq
 	}
 	return Meta{
-		Scenario:      r.Scenario,
-		Model:         r.Model,
-		Seed:          r.Seed,
-		Params:        r.Params,
-		Streams:       r.Streams,
-		SchedComplete: r.SchedComplete,
-		Failed:        r.Failed,
-		FailureSig:    r.FailureSig,
+		Scenario:   r.Scenario,
+		Model:      r.Model,
+		Seed:       r.Seed,
+		Params:     r.Params,
+		Streams:    r.Streams,
+		Failed:     r.Failed,
+		FailureSig: r.FailureSig,
 		// The retained horizon, not r.EventCount: replay bounds index
 		// into Full, and relaxed models record fewer events than they
 		// observe.
@@ -202,13 +202,20 @@ func (r *Recording) Feeds(snap *vm.Snapshot) ([][]vm.FeedEntry, error) {
 	return p.feeds.At(snap)
 }
 
-// SchedFrom implements SegmentStore (the Sched field has the short name);
-// the returned slice aliases Sched.
+// SchedFrom implements SegmentStore (the Sched field has the short name).
+// A perfect recording's schedule is the threads of Full, derived once per
+// recording state; any other recording's aliases Sched.
 func (r *Recording) SchedFrom(from uint64) ([]trace.ThreadID, error) {
-	if from >= uint64(len(r.Sched)) {
+	sched := r.Sched
+	if r.Model == Perfect {
+		p := r.plan()
+		p.schedOnce.Do(func() { p.sched = (&trace.Log{Events: r.Full}).Schedule() })
+		sched = p.sched
+	}
+	if from >= uint64(len(sched)) {
 		return nil, nil
 	}
-	return r.Sched[from:], nil
+	return sched[from:], nil
 }
 
 // Inputs implements SegmentStore: the recorded per-stream input sequences,

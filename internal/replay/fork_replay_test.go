@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"debugdet/internal/rcse"
 	"debugdet/internal/record"
 	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
@@ -27,7 +26,7 @@ func recordRCSE(t *testing.T, name string, undeclared bool) (*scenario.Scenario,
 		s.ControlStreams = nil
 	}
 	run, _ := record.Run(s, s.DefaultSeed, nil, 0, 0)
-	rec, _ := record.Project(s, run, nil, record.DebugRCSE, rcse.NewPolicy(run.Machine, s.ControlStreams))
+	rec, _ := record.Project(s, run, nil, record.DebugRCSE, record.RCSEPolicy(run.Machine, s.ControlStreams))
 	return s, rec
 }
 

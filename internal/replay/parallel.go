@@ -84,7 +84,7 @@ type chunk struct {
 // call's.
 func Segmented(s *scenario.Scenario, st flightrec.Store, o Options) (*SegmentedResult, error) {
 	meta := st.Meta()
-	if meta.Model != record.Perfect || !meta.SchedComplete {
+	if meta.Model != record.Perfect {
 		return nil, ErrSeekUnsupported
 	}
 	infos := st.Segments()

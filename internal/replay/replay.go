@@ -132,10 +132,11 @@ func Replay(s *scenario.Scenario, rec *record.Recording, o Options) *Result {
 	}
 	switch rec.Model {
 	case record.Perfect, record.DebugRCSE:
-		if !rec.SchedComplete {
-			return &Result{Note: fmt.Sprintf("%s recording lacks a complete schedule", rec.Model)}
+		io.Schedule, _ = rec.SchedFrom(0)
+		if n := uint64(len(io.Schedule)); n != rec.EventCount {
+			return &Result{Note: fmt.Sprintf("%s recording schedules %d of the run's %d events", rec.Model, n, rec.EventCount)}
 		}
-		io.Schedule, io.ForcedInputs = rec.Sched, rec.InputsByStream()
+		io.ForcedInputs = rec.InputsByStream()
 		if rec.Model == record.Perfect {
 			io.Budget, io.BaseSeed = 1, rec.Seed
 			return search(s, terminal, io, "deterministic re-execution")

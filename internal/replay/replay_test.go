@@ -171,9 +171,12 @@ func TestFailureReplayShrinksWhenAllowed(t *testing.T) {
 	}
 }
 
+// TestPerfectReplayRefusesIncompleteSchedule: a perfect recording that
+// lost the tail of its events has lost the tail of its schedule, the
+// threads of those events, and its replay does not accept.
 func TestPerfectReplayRefusesIncompleteSchedule(t *testing.T) {
 	s, rec, _ := recordScenario(t, "sum", record.Perfect)
-	rec.SchedComplete = false
+	rec.Full = rec.Full[:len(rec.Full)/2]
 	res := Replay(s, rec, Options{})
 	if res.Ok {
 		t.Fatal("replay accepted an incomplete schedule as perfect")
@@ -182,13 +185,13 @@ func TestPerfectReplayRefusesIncompleteSchedule(t *testing.T) {
 
 func TestPerfectReplayDetectsTamperedSchedule(t *testing.T) {
 	s, rec, _ := recordScenario(t, "bank", record.Perfect)
-	// Corrupt the tail of the schedule so the forced order becomes
-	// infeasible mid-run.
-	if len(rec.Sched) < 30 {
+	// Corrupt the threads of the tail of the events, the perfect
+	// schedule, so the forced order becomes infeasible mid-run.
+	if len(rec.Full) < 30 {
 		t.Fatal("schedule too short to tamper with")
 	}
-	for i := len(rec.Sched) / 2; i < len(rec.Sched); i++ {
-		rec.Sched[i] = 99 // nonexistent thread
+	for i := len(rec.Full) / 2; i < len(rec.Full); i++ {
+		rec.Full[i].TID = 99 // nonexistent thread
 	}
 	res := Replay(s, rec, Options{})
 	if res.Ok {

@@ -24,9 +24,9 @@ import (
 // flight recorder's spill directory (flightrec.Open).
 
 // ErrSeekUnsupported reports a recording that checkpointed seek cannot
-// operate on: seek needs the complete schedule and every event value,
-// which only perfect-determinism recordings persist.
-var ErrSeekUnsupported = errors.New("replay: seek requires a perfect recording with a complete schedule")
+// operate on: seek needs every event, its thread and its value, which only
+// perfect-determinism recordings persist.
+var ErrSeekUnsupported = errors.New("replay: seek requires a perfect recording")
 
 // SeekSession is a replay positioned part-way through a recording. The
 // underlying machine is paused and inspectable (threads, cells, channels,
@@ -89,7 +89,7 @@ func replayExec(st flightrec.Store, meta flightrec.Meta, o Options, schedFrom ui
 // always supports.
 func Seek(s *scenario.Scenario, st flightrec.Store, target uint64, o Options) (*SeekSession, error) {
 	meta := st.Meta()
-	if meta.Model != record.Perfect || !meta.SchedComplete {
+	if meta.Model != record.Perfect {
 		return nil, ErrSeekUnsupported
 	}
 	sess := &SeekSession{s: s, meta: meta}

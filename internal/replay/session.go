@@ -53,7 +53,7 @@ type DebugOptions struct {
 // return data only inside the retained range.
 func NewDebugger(s *scenario.Scenario, st flightrec.Store, o DebugOptions) (*Debugger, error) {
 	meta := st.Meta()
-	if meta.Model != record.Perfect || !meta.SchedComplete {
+	if meta.Model != record.Perfect {
 		return nil, ErrSeekUnsupported
 	}
 	d := &Debugger{

@@ -113,9 +113,10 @@ func TestEnabledSetCorpusSchedulers(t *testing.T) {
 			t.Fatal(err)
 		}
 		inputs, _ := rec.Inputs()
+		sched, _ := rec.SchedFrom(0)
 		forced := s.Exec(scenario.ExecOptions{
 			Seed: rec.Seed, Params: rec.Params, Inputs: inputs, RelaxTime: true, LogRounds: true,
-			Scheduler: vm.NewReplayScheduler(rec.Sched),
+			Scheduler: vm.NewReplayScheduler(sched),
 		})
 		if !trace.EventsEqual(forced.Trace, base.Trace, true) {
 			t.Errorf("%s: forced replay differs from the recorded run", s.Name)

@@ -9,7 +9,6 @@ import (
 
 	"debugdet"
 	"debugdet/internal/checkpoint"
-	"debugdet/internal/rcse"
 	"debugdet/internal/record"
 	"debugdet/internal/scenario"
 	"debugdet/internal/vm"
@@ -23,11 +22,11 @@ import (
 func recordLiveReference(s *scenario.Scenario, model record.Model, seed int64, interval uint64) (*record.Recording, *scenario.RunView) {
 	var r *record.Recorder
 	var w *checkpoint.Writer
-	var policy record.Policy
+	var policy *record.Policy
 	view := s.Exec(scenario.ExecOptions{Seed: seed, ObserverFactory: func(m *vm.Machine) []vm.Observer {
 		policy = record.PolicyFor(model)
 		if model == record.DebugRCSE {
-			policy = rcse.NewPolicy(m, s.ControlStreams)
+			policy = record.RCSEPolicy(m, s.ControlStreams)
 		}
 		r = record.NewRecorder(m, policy)
 		obs := []vm.Observer{r}
@@ -37,7 +36,7 @@ func recordLiveReference(s *scenario.Scenario, model record.Model, seed int64, i
 		}
 		return obs
 	}})
-	view.Trace.Header.Model = policy.Name()
+	view.Trace.Header.Model = policy.Name
 	rec := r.Capture(s, view, model)
 	if w != nil {
 		rec.Checkpoints, rec.CheckpointBytes = w.Snapshots(), w.Bytes()

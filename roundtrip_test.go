@@ -179,7 +179,8 @@ func TestCheckpointedRecordingRoundTripSeek(t *testing.T) {
 // and the SDK's ticket-oversell at every model:
 //   - the stream table names exactly the streams its input and output
 //     events reference, under the run's names;
-//   - the schedule is kept only when it is complete;
+//   - a recording has schedule entries if and only if its model is
+//     debug-rcse, and then one per event of the run;
 //   - Save → Load → Save writes the same bytes;
 //   - the loaded recording replays as the in-memory one does: the same
 //     verdict, attempts, work steps and DF.
@@ -231,8 +232,8 @@ func TestRecordingHoldsWhatReplayReads(t *testing.T) {
 				t.Errorf("%s: stream %d named %q, want %q", name, id, sname, want)
 			}
 		}
-		if rec.Sched != nil && !rec.SchedComplete {
-			t.Errorf("%s: an incomplete schedule of %d entries is kept", name, len(rec.Sched))
+		if rcse := c.model == debugdet.DebugRCSE; rcse != (len(rec.Sched) > 0) || rcse && uint64(len(rec.Sched)) != rec.EventCount {
+			t.Errorf("%s: %d schedule entries for %d events", name, len(rec.Sched), rec.EventCount)
 		}
 
 		var first, second bytes.Buffer

@@ -369,17 +369,12 @@ func TestRunEventsStoredOnce(t *testing.T) {
 
 	t.Run("full after k full events", func(t *testing.T) {
 		const k = 50
-		level := func(e *trace.Event) record.Level {
-			if e.Seq < k || e.Seq%3 == 0 {
-				return record.LevelFull
-			}
-			return record.LevelSched
-		}
+		full := func(e *trace.Event) bool { return e.Seq < k || e.Seq%3 == 0 }
 		run, _ := record.Run(s, 1, nil, 0, 0)
-		rec, view := record.Project(s, run, nil, record.Value, record.PolicyFunc{N: "k-full", F: level})
+		rec, view := record.Project(s, run, nil, record.Value, &record.Policy{Name: "k-full", Full: full})
 		var want []trace.Event
 		for i := range view.Trace.Events {
-			if level(&view.Trace.Events[i]) == record.LevelFull {
+			if full(&view.Trace.Events[i]) {
 				want = append(want, view.Trace.Events[i])
 			}
 		}

@@ -10,7 +10,6 @@ import (
 
 	"debugdet"
 	"debugdet/internal/record"
-	"debugdet/internal/trace"
 	"debugdet/internal/vm"
 	"debugdet/internal/workload"
 )
@@ -33,9 +32,8 @@ const workLedger = "testdata/work.golden"
 //
 // On every line the log bytes are one count: those Load measures in the
 // saved file are those the recorder charged, and the recording cycles are
-// RecordEventCycles per full event and snapshot plus RecordByteCycles per
-// log and checkpoint byte, and per byte of a schedule the recorder kept
-// and then dropped (see droppedSchedBytes).
+// exactly RecordEventCycles per full event and snapshot plus
+// RecordByteCycles per log and checkpoint byte.
 func TestWorkLedger(t *testing.T) {
 	ctx := context.Background()
 	eng := debugdet.New()
@@ -61,7 +59,7 @@ func TestWorkLedger(t *testing.T) {
 				t.Errorf("%s/%s: the file holds %d log bytes, the recorder charged %d", s.Name, model, loaded.LogBytes, rec.LogBytes)
 			}
 			priced := cost.RecordEventCycles*uint64(len(rec.Full)+len(rec.Checkpoints)) +
-				cost.RecordByteCycles*uint64(rec.LogBytes+rec.CheckpointBytes+droppedSchedBytes(rec, ev.Orig.Trace.Events))
+				cost.RecordByteCycles*uint64(rec.LogBytes+rec.CheckpointBytes)
 			if orig.RecordCycles != priced {
 				t.Errorf("%s/%s: %d recording cycles charged, the recording prices at %d", s.Name, model, orig.RecordCycles, priced)
 			}
@@ -98,22 +96,4 @@ func TestWorkLedger(t *testing.T) {
 			}
 		}
 	}
-}
-
-// droppedSchedBytes returns the bytes of the schedule a recorder wrote and
-// then dropped, at the first event it skipped: the entries of the run's
-// events before it, which were all persisted in full (the corpus's
-// policies persist an event in full, or at the schedule level without ever
-// skipping). Those bytes were charged as written and are not in the file.
-func droppedSchedBytes(rec *record.Recording, run []trace.Event) int64 {
-	if rec.SchedComplete {
-		return 0
-	}
-	var n int64
-	var prev trace.ThreadID
-	for i := 0; i < len(rec.Full) && rec.Full[i].Seq == run[i].Seq; i++ {
-		n += int64(trace.SchedEntrySize(prev, run[i].TID))
-		prev = run[i].TID
-	}
-	return n
 }
