@@ -63,7 +63,7 @@ func TestInfoOnARecordingFile(t *testing.T) {
 	if out, code := runCLI(t, "record", "-scenario", "bank", "-ckpt", "64", "-out", path); code != 0 {
 		t.Fatalf("record exited %d:\n%s", code, out)
 	}
-	const want = `bank/perfect seed=0 events=415 full=415 sched=415 bytes=4758 overhead=2.70x failed=true sig="bank:imbalance"
+	const want = `bank/perfect seed=0 events=415 full=415 sched=0 bytes=4343 overhead=2.64x failed=true sig="bank:imbalance"
 checkpoints: 6 (399 bytes)
 segments: 7
     0  [       0,       64)        64 events

@@ -16,7 +16,7 @@ import (
 )
 
 // goldenDir holds one fixed run — bank, seed 5, checkpoint interval 64 —
-// as the encoders wrote it: the recording (.ddrc version 5), its bare
+// as the encoders wrote it: the recording (.ddrc version 6), its bare
 // snapshot section, and the spill directory of the same run
 // flight-recorded with a ring of one segment. A file is rewritten only by
 // a deliberate change to a format, which bumps that container's version

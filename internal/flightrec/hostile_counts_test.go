@@ -96,7 +96,7 @@ func hostileCases() []hostileCase {
 	// flags, failure signature, overhead, base and total cycles, events.
 	ddrc := func(w *wire.Writer) {
 		w.Magic("DDRC")
-		w.Byte(5)
+		w.Byte(6)
 		w.String("x")
 		uvarints(w, 5)
 		uvarints(w, 4)
