@@ -167,8 +167,19 @@ func TestRecordEndToEndOnSum(t *testing.T) {
 	if rec.EventCount != view.Result.Steps {
 		t.Fatalf("event count %d != steps %d", rec.EventCount, view.Result.Steps)
 	}
-	if sched, _ := rec.SchedFrom(0); rec.Sched != nil || len(sched) != int(rec.EventCount) {
+	// A perfect recording stores no schedule: it is the threads of Full,
+	// derived once per recording.
+	sched, _ := rec.SchedFrom(0)
+	if rec.Sched != nil || len(sched) != int(rec.EventCount) {
 		t.Fatalf("schedule: %d stored, %d derived, %d events", len(rec.Sched), len(sched), rec.EventCount)
+	}
+	for i, e := range rec.Full {
+		if sched[i] != e.TID {
+			t.Fatalf("schedule entry %d is thread %d, event %d ran on %d", i, sched[i], i, e.TID)
+		}
+	}
+	if again, _ := rec.SchedFrom(1); &again[0] != &sched[1] {
+		t.Fatal("a second SchedFrom derived the schedule again")
 	}
 	if rec.Overhead <= 1.0 {
 		t.Fatalf("perfect recording overhead = %v, want > 1", rec.Overhead)

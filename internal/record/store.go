@@ -59,10 +59,9 @@ func (si SegmentInfo) Events() uint64 { return si.To - si.From }
 
 // replayPlan holds the projections of a recording's event log that replay
 // consumes — segment table, perfect schedule, recorded input source, shared
-// feed plan. They
-// are derived at most once per recording state and then shared read-only by
-// every Seek, Segmented and Debugger call, so the store methods are safe for
-// concurrent use.
+// feed plan. They are derived at most once per recording state and then
+// shared read-only by every Seek, Segmented and Debugger call, so the store
+// methods are safe for concurrent use.
 type replayPlan struct {
 	key  planKey
 	segs []SegmentInfo
