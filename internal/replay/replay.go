@@ -132,7 +132,7 @@ func Replay(s *scenario.Scenario, rec *record.Recording, o Options) *Result {
 	}
 	switch rec.Model {
 	case record.Perfect, record.DebugRCSE:
-		io.Schedule, _ = rec.SchedFrom(0)
+		io.Schedule, _ = rec.SchedFrom(0) // a Recording's SchedFrom never fails
 		if n := uint64(len(io.Schedule)); n != rec.EventCount {
 			return &Result{Note: fmt.Sprintf("%s recording schedules %d of the run's %d events", rec.Model, n, rec.EventCount)}
 		}
