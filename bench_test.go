@@ -21,9 +21,10 @@ import (
 	"debugdet/internal/workload"
 )
 
-// The benchmarks below measure the framework's own building blocks; eight
-// of them (VMStepThroughput, SchedRound, ThreadSwitch, CheckpointSeek,
-// FeedReplay, SegmentedReplay, FlightRecorder, ForkedSearch) also assert a
+// The benchmarks below measure the framework's own building blocks; seven
+// of them (BenchmarkVMStepThroughput, BenchmarkSchedRound,
+// BenchmarkThreadSwitch, BenchmarkCheckpointSeek, BenchmarkFeedReplay,
+// BenchmarkSegmentedReplay, BenchmarkFlightRecorder) also assert a
 // dual-path, scaling or restored-state contract and run once in CI.
 // Regenerating the paper's artifacts is timed by bench/'s corpus workload
 // and eval.fig1_ms, not here. Run with:
@@ -487,46 +488,6 @@ func BenchmarkSegmentedReplay(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkForkedSearch measures equivalence-pruned candidate execution
-// (infer.Options.Fork) on the T-FORK sensitivity sweep: the recorded schedule
-// and control-plane inputs forced, the budget spent re-executing across
-// data seeds. On a control-only scenario every candidate is equivalent to
-// the trunk, so the forked mode executes one run and prunes the rest —
-// the scratch/forked ratio is the wall-clock win T-FORK reports in
-// worksteps. The forked result is bit-identical to the scratch one
-// (pinned by the eval and infer tests).
-func BenchmarkForkedSearch(b *testing.B) {
-	s := workload.Bank()
-	v := s.Exec(scenario.ExecOptions{Seed: s.DefaultSeed})
-	forced := map[string][]trace.Value{"xfer.pick": v.Result.InputsUsed["xfer.pick"]}
-	reject := func(*scenario.RunView) bool { return false }
-	opts := infer.Options{
-		Budget:       40,
-		BaseSeed:     7,
-		Workers:      1,
-		Schedule:     v.Trace.Schedule(),
-		ForcedInputs: forced,
-	}
-	b.Run("scratch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			out := infer.Search(s, reject, opts)
-			if out.Err != nil || out.Attempts != opts.Budget {
-				b.Fatalf("scratch sweep: err=%v attempts=%d", out.Err, out.Attempts)
-			}
-		}
-	})
-	b.Run("forked", func(b *testing.B) {
-		fo := opts
-		fo.Fork = true
-		for i := 0; i < b.N; i++ {
-			out := infer.Search(s, reject, fo)
-			if out.Err != nil || out.Attempts != opts.Budget {
-				b.Fatalf("forked sweep: err=%v attempts=%d", out.Err, out.Attempts)
-			}
-		}
-	})
 }
 
 // BenchmarkSearchCandidates measures what a search allocates per candidate

@@ -57,12 +57,8 @@ type Options struct {
 	// GOMAXPROCS, 1 = sequential; negative rejected). The evaluation
 	// result is identical for every worker count.
 	Workers int
-	// ForkReplay enables equivalence-pruned candidate execution in the
-	// replay-inference search: a candidate equivalent to an earlier one
-	// is pruned to zero executed work. The replayed execution, acceptance
-	// and attempt counts are bit-identical to the unpruned search; only
-	// the executed work (and with it DE's denominator) shrinks. See
-	// infer.Options.Fork and the T-FORK table.
+	// ForkReplay is ignored. bench/ compiles against it; ROADMAP item 1
+	// deletes it.
 	ForkReplay bool
 	// FlightRecorder configures RecordStreaming's always-on bounded-memory
 	// recording: the spill directory, the in-memory ring size and the
@@ -99,7 +95,6 @@ func (o Options) replayOptions() replay.Options {
 		ShrinkParams: o.ShrinkParams,
 		MaxSteps:     o.MaxSteps,
 		Workers:      o.Workers,
-		Fork:         o.ForkReplay,
 	}
 }
 

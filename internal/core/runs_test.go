@@ -12,8 +12,8 @@ import (
 
 // TestGridsExecuteEachRunOnce: a grid executes each distinct production
 // run once, however many cells project it. The benchmark's corpus grid —
-// every scenario under every model, plus forked output and failure cells,
-// 119 cells — and Fig. 1's 85 cells each execute one run per scenario.
+// every scenario under every model, plus its output and failure cells again
+// with options of their own, 119 cells — and Fig. 1's 85 cells each execute one run per scenario.
 func TestGridsExecuteEachRunOnce(t *testing.T) {
 	scenarios := len(workload.All())
 	eng := debugdet.New()
@@ -23,7 +23,7 @@ func TestGridsExecuteEachRunOnce(t *testing.T) {
 			jobs = append(jobs, debugdet.Job{Scenario: s.Name, Model: m})
 		}
 		for _, m := range []debugdet.Model{debugdet.Output, debugdet.Failure} {
-			jobs = append(jobs, debugdet.Job{Scenario: s.Name, Model: m, Options: &debugdet.Options{ForkReplay: true}})
+			jobs = append(jobs, debugdet.Job{Scenario: s.Name, Model: m, Options: &debugdet.Options{}})
 		}
 	}
 	before := core.Executions()

@@ -66,7 +66,6 @@ var experiments = []struct {
 	}},
 	{"ckpt", func(r *Run) (string, error) { return table(r, TableCheckpoint, RenderTableCheckpoint) }},
 	{"stat", func(r *Run) (string, error) { return table(r, TableStat, RenderTableStat) }},
-	{"fork", func(r *Run) (string, error) { return table(r, TableFork, RenderTableFork) }},
 }
 
 // rendered runs a row source and prints its rows.

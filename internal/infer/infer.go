@@ -87,18 +87,8 @@ type Options struct {
 	// WorkSteps, Note — is identical for every worker count; see Search
 	// for the contract.
 	Workers int
-	// Fork enables equivalence-pruned candidate execution: completed
-	// candidates are retained — with their scheduling rounds — in a
-	// bounded forest, each later candidate is dry-run against the forest,
-	// and a candidate equivalent to a retained execution is pruned to zero
-	// executed work; every other candidate runs from scratch (see forker).
-	// The accepted execution, Ok, Attempts, AcceptedParams and Note are
-	// bit-identical to the unpruned search at every worker count;
-	// WorkCycles and WorkSteps count only the work actually executed — the
-	// measured win — and so depend on the forest policy (sequential
-	// searches grow the forest as they go; parallel searches freeze it
-	// after the first candidate so workers share it read-only, keeping the
-	// counts deterministic per worker-count mode).
+	// Fork is ignored. bench/ compiles against it; ROADMAP item 1 deletes
+	// it.
 	Fork bool
 }
 
@@ -215,7 +205,7 @@ func prioritize(plan []paramTry, o Options) []paramTry {
 // discarded unobserved.
 //
 // A rejected candidate's trace array backs a later candidate's trace (see
-// forker.Discard), so accept must not retain a view it rejects, nor its
+// runner.Discard), so accept must not retain a view it rejects, nor its
 // trace; the accepted view, or the last one when the budget runs out, is
 // the caller's to keep.
 func Search(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options) *Outcome {
@@ -230,58 +220,26 @@ func Search(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options
 	}
 	plan := buildPlan(s, o)
 
-	// ran is one executed candidate: the finished view and the steps and
-	// virtual cycles of work actually executed (whole-run totals, or zero
-	// for a candidate pruned as equivalent to a retained one).
-	type ran struct {
-		view          *scenario.RunView
-		steps, cycles uint64
-	}
-	// Every candidate runs through one forker; without Fork, or with no
-	// second candidate to prune (perfect replay), its forest stays empty
-	// and frozen, so each candidate runs from scratch.
-	f := newForker(forkerConfig{Scenario: s, MaxSteps: o.MaxSteps, RelaxTime: o.Schedule != nil})
-	run := func(pt paramTry) ran {
-		view, steps, cycles := f.Run(planCandidate(s, o, pt))
-		return ran{view, steps, cycles}
-	}
-	var trunk *ran
-	switch {
-	case !o.Fork || len(plan) == 1:
-		f.Freeze()
-	case par.Workers(o.Workers, len(plan)) > 1 && o.Ctx.Err() == nil:
-		// See Options.Fork. A sequential search grows the forest as
-		// candidates complete. A parallel one executes the first candidate
-		// (the trunk) here and freezes the forest before fanning out, so
-		// workers prune against a shared read-only trunk — keeping every
-		// count deterministic across worker schedules.
-		r := run(plan[0])
-		f.Freeze()
-		trunk = &r
-	}
-
+	r := &runner{s: s}
 	out := &Outcome{}
-	for i, r := range par.Ordered(o.Ctx, len(plan), o.Workers, func(_ context.Context, i int) ran {
-		if i == 0 && trunk != nil {
-			return *trunk
-		}
-		return run(plan[i])
+	for i, v := range par.Ordered(o.Ctx, len(plan), o.Workers, func(_ context.Context, i int) *scenario.RunView {
+		return r.Run(planCandidate(s, o, plan[i]))
 	}) {
 		pt := plan[i]
 		out.Attempts++
-		out.WorkCycles += r.cycles
-		out.WorkSteps += r.steps
-		if accept(r.view) {
-			out.View = r.view
+		out.WorkCycles += v.Result.Cycles
+		out.WorkSteps += v.Result.Steps
+		if accept(v) {
+			out.View = v
 			out.Ok = true
 			out.AcceptedParams = pt.p
 			out.Note = fmt.Sprintf("%s attempt %d", pt.note, pt.idx)
 			return out
 		}
 		if i == len(plan)-1 {
-			out.View = r.view
+			out.View = v
 		} else {
-			f.Discard(r.view)
+			r.Discard(v)
 		}
 	}
 	if out.Attempts < len(plan) {
@@ -296,13 +254,15 @@ func Search(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options
 // planCandidate describes one candidate of the plan. Candidates are
 // bit-deterministic functions of (scenario, options, pt.idx), which is
 // what makes the search embarrassingly parallel.
-func planCandidate(s *scenario.Scenario, o Options, pt paramTry) candidate {
+func planCandidate(s *scenario.Scenario, o Options, pt paramTry) scenario.ExecOptions {
 	i := int64(pt.idx)
-	return candidate{
+	return scenario.ExecOptions{
 		Seed:      o.BaseSeed + i,
-		Scheduler: func() vm.Scheduler { return candidateScheduler(o, i) },
-		Inputs:    func() vm.InputSource { return candidateInputs(s, o, pt.p, i) },
 		Params:    pt.p,
+		Scheduler: candidateScheduler(o, i),
+		Inputs:    candidateInputs(s, o, pt.p, i),
+		MaxSteps:  o.MaxSteps,
+		RelaxTime: o.Schedule != nil,
 	}
 }
 

@@ -1,0 +1,60 @@
+package infer
+
+import (
+	"sync"
+
+	"debugdet/internal/scenario"
+	"debugdet/internal/trace"
+)
+
+// runner executes a search's candidates, each from scratch. Search owns one
+// per call and is its only user, so every candidate loop in the module is
+// Search's.
+//
+// A candidate's machine and trace array are allocated once per concurrent
+// run, not once per candidate: Discard hands a rejected view's machine and
+// array back to the spare list, and the next Run builds into them (see
+// scenario.ExecInto). Run and Discard are safe for concurrent use.
+type runner struct {
+	s *scenario.Scenario
+
+	mu    sync.Mutex
+	spare []*scenario.RunView
+}
+
+// Run executes one candidate, built into a discarded view when one is
+// spare.
+func (r *runner) Run(o scenario.ExecOptions) *scenario.RunView {
+	return scenario.ExecInto(r.s, o, r.takeSpare())
+}
+
+// Discard declares a view Run returned dead: the caller (a search that
+// rejected the candidate) keeps no reference to it, its machine or its
+// trace. The view's machine and trace array go back to the spare list for
+// the next Run, the array cleared so it pins nothing the events pointed
+// to. The view's Machine and Trace.Events are nil afterwards, so a caller
+// that breaks the contract reads nothing rather than a later candidate's
+// run.
+func (r *runner) Discard(v *scenario.RunView) {
+	if v.Machine == nil {
+		return
+	}
+	events := v.Trace.Events
+	clear(events)
+	dead := &scenario.RunView{Machine: v.Machine, Trace: &trace.Log{Events: events[:0]}}
+	v.Machine, v.Trace.Events = nil, nil
+	r.mu.Lock()
+	r.spare = append(r.spare, dead)
+	r.mu.Unlock()
+}
+
+// takeSpare returns a discarded view to build the next run into, or nil
+// when none is spare.
+func (r *runner) takeSpare() (v *scenario.RunView) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if n := len(r.spare); n > 0 {
+		v, r.spare = r.spare[n-1], r.spare[:n-1]
+	}
+	return v
+}

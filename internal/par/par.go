@@ -16,11 +16,9 @@ import (
 // that reject negatives validate before they get here) means GOMAXPROCS,
 // and more workers than items is clamped to n.
 //
-// An explicit count is not clamped to GOMAXPROCS: infer.Search picks its
-// forest policy from the resolved count (grown at 1, frozen after the
-// trunk above), so a clamp would make a forked search's WorkSteps depend
-// on the host's P count. Extra workers on too few Ps only interleave, and
-// Ordered's results do not depend on how.
+// An explicit count is not clamped to GOMAXPROCS, so what a caller asked
+// for does not depend on the host's P count. Extra workers on too few Ps
+// only interleave, and Ordered's results do not depend on how.
 func Workers(workers, n int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

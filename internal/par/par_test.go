@@ -59,9 +59,7 @@ func TestOrderedPreservesOrder(t *testing.T) {
 }
 
 // TestWorkersIgnoresGOMAXPROCS pins that an explicit worker count survives
-// a host with fewer Ps: only 0 reads GOMAXPROCS, and only n clamps. A
-// forked search picks its forest policy from the resolved count, so a
-// clamp would make its WorkSteps depend on the host.
+// a host with fewer Ps: only 0 reads GOMAXPROCS, and only n clamps.
 func TestWorkersIgnoresGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, tc := range []struct{ workers, n, want int }{

@@ -13,7 +13,7 @@ const fuzzBudget = 16
 
 // FuzzDifferentialOracles drives the full oracle harness from
 // fuzzer-provided seeds: replay reproduction, DF monotonicity,
-// worker-count invariance, fork equivalence and shrink soundness must
+// worker-count invariance and shrink soundness must
 // hold on every generated program the engine can reach.
 func FuzzDifferentialOracles(f *testing.F) {
 	for s := int64(0); s < int64(len(progen.Families())); s++ {
@@ -23,24 +23,6 @@ func FuzzDifferentialOracles(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		p := progen.ForSeed(seed)
 		if _, err := Check(p, fuzzBudget); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-// FuzzForkEquivalence focuses the fuzz budget on the fork-equivalence
-// oracle alone: equivalence-pruned candidate execution must accept the
-// bit-identical result as from-scratch search at every worker count, on
-// every generated program. The focused target
-// explores many more seeds per second than the full harness.
-func FuzzForkEquivalence(f *testing.F) {
-	for s := int64(0); s < int64(len(progen.Families())); s++ {
-		f.Add(s)
-	}
-	f.Add(int64(997))
-	f.Fuzz(func(t *testing.T, seed int64) {
-		p := progen.ForSeed(seed)
-		if err := CheckForkEquivalence(p, fuzzBudget); err != nil {
 			t.Fatal(err)
 		}
 	})

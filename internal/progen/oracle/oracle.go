@@ -2,9 +2,9 @@
 // invariants of the record/replay system that must hold on *every* valid
 // program, checked over generated ones — (a) replay reproduction, (b) DF
 // monotonicity up the model hierarchy, (c) worker-count invariance of
-// inference, (d) fork equivalence of equivalence-pruned search, (e)
-// shrink soundness. Each oracle returns nil when the invariant holds and
-// a descriptive error when it is violated; Check runs all five. The oracles are deterministic functions of the program,
+// inference, (d) shrink soundness. Each oracle returns nil when the
+// invariant holds and a descriptive error when it is violated; Check runs
+// all four. The oracles are deterministic functions of the program,
 // so a seed that passes once passes forever — which is what lets the
 // normal test suite sweep a fixed seed corpus while go test -fuzz
 // explores new seeds.
@@ -58,9 +58,6 @@ func Check(p progen.Program, budget int) (Report, error) {
 		return rep, err
 	}
 	if err := CheckWorkerInvariance(p, budget); err != nil {
-		return rep, err
-	}
-	if err := CheckForkEquivalence(p, budget); err != nil {
 		return rep, err
 	}
 	shrunk, failed, sig, err := CheckShrinkSoundness(p, budget)
@@ -204,61 +201,6 @@ func CheckWorkerInvariance(p progen.Program, budget int) error {
 	return nil
 }
 
-// CheckForkEquivalence is oracle (d): equivalence-pruned candidate
-// execution (replay.Options.Fork / infer.Options.Fork) must accept the
-// identical candidate as the unpruned search — same acceptance, same
-// attempt count, same note, same event stream and failure identity — at
-// every worker count. Only the work counters may legitimately differ
-// (shrinking them is the point of pruning), and pruning must never
-// execute more events than scratch.
-func CheckForkEquivalence(p progen.Program, budget int) error {
-	rec, _, err := core.Record(p.Scenario, record.Failure, evalOpts(p, budget, 1))
-	if err != nil {
-		return fmt.Errorf("progen: failure record: %w", err)
-	}
-	base := replay.Replay(p.Scenario, rec, replay.Options{Budget: budget, Workers: 1})
-	if base.Err != nil {
-		return fmt.Errorf("progen: scratch replay: %w", base.Err)
-	}
-	for _, workers := range []int{1, 3} {
-		fork := replay.Replay(p.Scenario, rec, replay.Options{
-			Budget:  budget,
-			Workers: workers,
-			Fork:    true,
-		})
-		if fork.Err != nil {
-			return fmt.Errorf("progen: forked replay (workers=%d): %w", workers, fork.Err)
-		}
-		if fork.Ok != base.Ok || fork.Attempts != base.Attempts || fork.Note != base.Note {
-			return fmt.Errorf("progen: fork variance on %s (gen=%d seed=%d, workers=%d): ok=%v attempts=%d note=%q vs scratch ok=%v attempts=%d note=%q",
-				p.Scenario.Name, p.GenSeed, p.Seed, workers,
-				fork.Ok, fork.Attempts, fork.Note, base.Ok, base.Attempts, base.Note)
-		}
-		if (base.View == nil) != (fork.View == nil) {
-			return fmt.Errorf("progen: fork variance on %s (gen=%d seed=%d): one replay has a view, the other does not",
-				p.Scenario.Name, p.GenSeed, p.Seed)
-		}
-		if base.View != nil {
-			if !trace.EventsEqual(base.View.Trace, fork.View.Trace, false) {
-				return fmt.Errorf("progen: forked replay of %s (gen=%d seed=%d, workers=%d) accepted a different event stream",
-					p.Scenario.Name, p.GenSeed, p.Seed, workers)
-			}
-			bf, bs := p.Scenario.CheckFailure(base.View)
-			ff, fs := p.Scenario.CheckFailure(fork.View)
-			if bf != ff || bs != fs {
-				return fmt.Errorf("progen: forked replay failure identity %v/%q, scratch %v/%q",
-					ff, fs, bf, bs)
-			}
-		}
-		if fork.WorkSteps > base.WorkSteps {
-			return fmt.Errorf("progen: forked replay of %s (gen=%d seed=%d, workers=%d) executed more steps (%d) than scratch (%d)",
-				p.Scenario.Name, p.GenSeed, p.Seed, workers,
-				fork.WorkSteps, base.WorkSteps)
-		}
-	}
-	return nil
-}
-
 // shrinkSets returns the family's reduced parameter sets (fewer threads,
 // iterations or messages), each merged over the program's own parameters
 // so the generator seed is preserved.
@@ -283,7 +225,7 @@ func shrinkSets(p progen.Program) []scenario.Params {
 	return sets
 }
 
-// CheckShrinkSoundness is oracle (e): ESD-style shrinking must be sound —
+// CheckShrinkSoundness is oracle (d): ESD-style shrinking must be sound —
 // when the failure-determinism search accepts an execution synthesized
 // from a reduced parameter set, that shrunken execution still exhibits
 // the original failure signature, the accepted parameters really are one

@@ -31,11 +31,7 @@
 //
 // The RCSE replayer (replay.Replay, model debug-rcse) forces the schedule
 // and every recorded input, and re-synthesizes the rest by search. It reads
-// the recording alone, never the declared streams. Because every candidate
-// in that search shares the forced schedule and inputs, it benefits most
-// from equivalence-pruned candidate execution (infer.Options.Fork,
-// replay.Options.Fork): a candidate that draws the same data-plane values
-// as an earlier one is pruned to zero work.
+// the recording alone, never the declared streams.
 package record
 
 import "fmt"

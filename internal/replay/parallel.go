@@ -35,7 +35,8 @@ type SegmentedResult struct {
 	// Segments is how many trace segments were replayed.
 	Segments int
 	// Mismatch is the sequence number of the first replayed event that
-	// differed from the recording (-1 when none).
+	// differed from the recording, or the point where a replay that
+	// reproduced every recorded event diverged (-1 when neither).
 	Mismatch int64
 	// WorkSteps is the total events executed across all segments —
 	// the same as a sequential replay; the win is wall-clock.
@@ -184,13 +185,8 @@ func Segmented(s *scenario.Scenario, st flightrec.Store, o Options) (*SegmentedR
 	}
 	res.WorkSteps = uint64(total)
 	res.Ok = final.ok
-	mismatch, err := validateStitched(st, infos, stitched.Events, infos[0].From)
-	if err != nil {
+	if err := judge(res, st, infos, stitched.Events, final.view.Result); err != nil {
 		return nil, err
-	}
-	if mismatch >= 0 {
-		res.Ok = false
-		res.Mismatch = mismatch
 	}
 
 	// The final segment's machine carries the complete final state
@@ -214,6 +210,26 @@ func adoptBoundary(st flightrec.Store, m *vm.Machine, from uint64) error {
 		return fmt.Errorf("replay: segmented: no boundary snapshot")
 	}
 	return m.AdoptCounters(cp)
+}
+
+// judge validates the stitched replay against the store and records the
+// verdict in res: the first event that differs, or, when the replay
+// reproduced every stored event and its final machine then diverged (the
+// schedule of a recording whose events were cut short ends there), the
+// divergence point, said in the note.
+func judge(res *SegmentedResult, st flightrec.Store, infos []flightrec.SegmentInfo, stitched []trace.Event, final *vm.Result) error {
+	mismatch, err := validateStitched(st, infos, stitched, infos[0].From)
+	if err != nil {
+		return err
+	}
+	if mismatch < 0 && final.Outcome == vm.OutcomeDiverged {
+		mismatch = int64(final.DivergedAt)
+		res.Note += fmt.Sprintf("; every stored event reproduced, then the replay diverged at %d", mismatch)
+	}
+	if mismatch >= 0 {
+		res.Ok, res.Mismatch = false, mismatch
+	}
+	return nil
 }
 
 // validateStitched compares the stitched replay positionally against the

@@ -58,12 +58,8 @@ type Options struct {
 	// search uses them to visit its PCT candidates first. See
 	// infer.Options.Suspects for the bit-identity contract.
 	Suspects []sites.Suspect
-	// Fork enables equivalence-pruned candidate execution for every
-	// search-shaped model (output, failure, debug-rcse): a candidate
-	// equivalent to an earlier one is pruned to zero executed work.
-	// Acceptance, Attempts and the replayed view are bit-identical to the
-	// unpruned replay; only WorkCycles/WorkSteps shrink. See
-	// infer.Options.Fork.
+	// Fork is ignored. bench/ compiles against it; ROADMAP item 1 deletes
+	// it.
 	Fork bool
 }
 
@@ -125,7 +121,6 @@ func Replay(s *scenario.Scenario, rec *record.Recording, o Options) *Result {
 		Params:   rec.Params,
 		MaxSteps: o.MaxSteps,
 		Workers:  o.Workers,
-		Fork:     o.Fork,
 	}
 	terminal := func(v *scenario.RunView) bool {
 		return matchesTerminal(s, rec.Failed, rec.FailureSig, v)

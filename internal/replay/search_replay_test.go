@@ -30,17 +30,15 @@ func recordRCSE(t *testing.T, name string, undeclared bool) (*scenario.Scenario,
 	return s, rec
 }
 
-// TestForkedReplayMatchesScratch pins two contracts of the one candidate
+// TestReplayWorkerInvariance pins the worker contract of the one candidate
 // loop every search-shaped model (debug-rcse, output, failure) replays
-// through, infer.Search. Worker invariance: the from-scratch replay at 4
-// workers has the same Ok, Attempts, Note, view and WorkSteps as at 1.
-// Fork equivalence: Replay with Fork on accepts the identical result at 1
-// and 4 workers, while never executing more events. The RCSE cases that
-// take more than one try pin the candidate loop's input derivation:
-// disk-snapres needs 3 tries, disk-tornwal with no declared streams 7, and
-// msgdrop with none is still not accepted after the 8 RCSE allows; a
-// replay that fails keeps its last try as its view.
-func TestForkedReplayMatchesScratch(t *testing.T) {
+// through, infer.Search: the replay at 4 workers has the same Ok, Attempts,
+// Note, view and WorkSteps as at 1. The RCSE cases that take more than one
+// try pin the candidate loop's input derivation: disk-snapres needs 3
+// tries, disk-tornwal with no declared streams 7, and msgdrop with none is
+// still not accepted after the 8 RCSE allows; a replay that fails keeps its
+// last try as its view.
+func TestReplayWorkerInvariance(t *testing.T) {
 	cases := []struct {
 		scenario   string
 		model      record.Model
@@ -71,33 +69,19 @@ func TestForkedReplayMatchesScratch(t *testing.T) {
 			}
 			base := Replay(s, rec, Options{Budget: 120, Workers: 1})
 			if base.Ok != tc.ok || (tc.attempts != 0 && base.Attempts != tc.attempts) {
-				t.Fatalf("scratch replay: ok=%v attempts=%d, want ok=%v attempts=%d (%s)",
+				t.Fatalf("1 worker: ok=%v attempts=%d, want ok=%v attempts=%d (%s)",
 					base.Ok, base.Attempts, tc.ok, tc.attempts, base.Note)
 			}
 			if base.View == nil {
-				t.Fatal("scratch replay returned no view")
+				t.Fatal("the replay returned no view")
 			}
-			for _, o := range []Options{
-				{Budget: 120, Workers: 4},
-				{Budget: 120, Workers: 1, Fork: true},
-				{Budget: 120, Workers: 4, Fork: true},
-			} {
-				got := Replay(s, rec, o)
-				if base.Ok != got.Ok || base.Attempts != got.Attempts || base.Note != got.Note {
-					t.Fatalf("workers=%d fork=%v replay diverges: ok=%v attempts=%d note=%q vs ok=%v attempts=%d note=%q",
-						o.Workers, o.Fork, got.Ok, got.Attempts, got.Note, base.Ok, base.Attempts, base.Note)
-				}
-				if got.View == nil || !trace.EventsEqual(base.View.Trace, got.View.Trace, false) {
-					t.Fatalf("workers=%d fork=%v replay produced a different event sequence", o.Workers, o.Fork)
-				}
-				if !o.Fork && got.WorkSteps != base.WorkSteps {
-					t.Fatalf("scratch replay at %d workers executed %d steps, at 1 worker %d",
-						o.Workers, got.WorkSteps, base.WorkSteps)
-				}
-				if got.WorkSteps > base.WorkSteps {
-					t.Fatalf("forked replay executed more steps (%d) than scratch (%d)",
-						got.WorkSteps, base.WorkSteps)
-				}
+			got := Replay(s, rec, Options{Budget: 120, Workers: 4})
+			if base.Ok != got.Ok || base.Attempts != got.Attempts || base.Note != got.Note || base.WorkSteps != got.WorkSteps {
+				t.Fatalf("4 workers: ok=%v attempts=%d note=%q steps=%d; 1 worker: ok=%v attempts=%d note=%q steps=%d",
+					got.Ok, got.Attempts, got.Note, got.WorkSteps, base.Ok, base.Attempts, base.Note, base.WorkSteps)
+			}
+			if got.View == nil || !trace.EventsEqual(base.View.Trace, got.View.Trace, false) {
+				t.Fatal("4 workers: the replay produced a different event sequence")
 			}
 		})
 	}

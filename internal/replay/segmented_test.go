@@ -43,12 +43,8 @@ func segmentedPerSegment(s *scenario.Scenario, st flightrec.Store, o Options) (*
 		stitched = append(stitched, final.Trace.Events...)
 	}
 	res.WorkSteps = uint64(len(stitched))
-	mismatch, err := validateStitched(st, infos, stitched, infos[0].From)
-	if err != nil {
+	if err := judge(res, st, infos, stitched, final.Result); err != nil {
 		return nil, err
-	}
-	if mismatch >= 0 {
-		res.Ok, res.Mismatch = false, mismatch
 	}
 	log := trace.NewLog(final.Trace.Header)
 	log.Sites = final.Trace.Sites
@@ -152,7 +148,8 @@ type brokenRecording struct {
 // no feed or input derives from, so every restore still sees the recorded
 // prefix), the event stream cut short (its schedule, the threads of the
 // stored events, ends at the stored horizon: the replay runs past it where
-// one thread alone can go on, and stops there otherwise) and the event
+// one thread alone can go on, and diverges there otherwise, which the
+// verdict names as well) and the event
 // stream extended (the replay ends before the stored events do).
 func brokenRecordings(t *testing.T, rec *record.Recording) []brokenRecording {
 	t.Helper()
@@ -200,17 +197,8 @@ func TestSegmentedVerdictOnBrokenRecordings(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", ctx, err)
 			}
-			want := broken.mismatch
-			if broken.name == "short" && ref.View.Result.Outcome == vm.OutcomeDiverged {
-				// Stopped at the horizon, having reproduced every stored
-				// event: nothing differs.
-				want = -1
-				if ref.WorkSteps != uint64(len(st.Full)) {
-					t.Fatalf("%s: the replay stopped after %d of %d stored events", ctx, ref.WorkSteps, len(st.Full))
-				}
-			}
-			if ref.Ok || ref.Mismatch != want {
-				t.Fatalf("%s: reference ok=%v mismatch=%d, want a mismatch at %d", ctx, ref.Ok, ref.Mismatch, want)
+			if ref.Ok || ref.Mismatch != broken.mismatch {
+				t.Fatalf("%s: reference ok=%v mismatch=%d, want a mismatch at %d", ctx, ref.Ok, ref.Mismatch, broken.mismatch)
 			}
 			for _, workers := range segmentedWorkers(ref.Segments) {
 				res, err := Segmented(s, st, Options{Workers: workers})
@@ -252,12 +240,25 @@ func TestSegmentedRecoversFromAShortSegment(t *testing.T) {
 	}
 }
 
+// countingScheduler delegates to a scheduler and counts the rounds it
+// decides: observation only.
+type countingScheduler struct {
+	vm.Scheduler
+	picks uint64
+}
+
+func (c *countingScheduler) Pick(m *vm.Machine, enabled []*vm.Thread) *vm.Thread {
+	c.picks++
+	return c.Scheduler.Pick(m, enabled)
+}
+
 // TestForcedPickCorpusEquivalence replays every corpus scenario's perfect
-// recording twice — with the round log on and off — and requires
-// event-identical traces, times included, and equal results: the log is pure
-// observation. (Named for Machine.forcedPick, the replay-only scheduling
-// round the unlogged run took until the enabled set was maintained
-// incrementally; both runs now take the one round there is.)
+// recording twice — with the replay scheduler observed and not — and
+// requires event-identical traces, times included, equal results, and one
+// observed pick per scheduling round. (Named for Machine.forcedPick, the
+// replay-only scheduling round the plain run took until the enabled set
+// was maintained incrementally; both runs now take the one round there
+// is.)
 func TestForcedPickCorpusEquivalence(t *testing.T) {
 	for _, s := range workload.All() {
 		s := s
@@ -269,30 +270,27 @@ func TestForcedPickCorpusEquivalence(t *testing.T) {
 			}
 			inputs, _ := rec.Inputs()
 			sched, _ := rec.SchedFrom(0)
-			run := func(logRounds bool) *scenario.RunView {
+			run := func(sc vm.Scheduler) *scenario.RunView {
 				return s.Exec(scenario.ExecOptions{
 					Seed:      rec.Seed,
 					Params:    rec.Params,
-					Scheduler: vm.NewReplayScheduler(sched),
+					Scheduler: sc,
 					Inputs:    inputs,
 					RelaxTime: true,
-					LogRounds: logRounds,
 				})
 			}
-			logged, plain := run(true), run(false)
-			if len(logged.Machine.Rounds()) == 0 {
-				t.Fatal("logged replay kept no rounds")
+			counted := &countingScheduler{Scheduler: vm.NewReplayScheduler(sched)}
+			observed, plain := run(counted), run(vm.NewReplayScheduler(sched))
+			if counted.picks != observed.Result.SchedRounds {
+				t.Fatalf("%d picks observed over %d scheduling rounds", counted.picks, observed.Result.SchedRounds)
 			}
-			if plain.Machine.Rounds() != nil {
-				t.Fatal("unlogged replay kept rounds")
+			if !trace.EventsEqual(plain.Trace, observed.Trace, false) {
+				t.Fatal("the plain replay's trace differs from the observed one's")
 			}
-			if !trace.EventsEqual(plain.Trace, logged.Trace, false) {
-				t.Fatal("unlogged replay's trace differs from the logged one's")
-			}
-			p, l := *plain.Result, *logged.Result
+			p, l := *plain.Result, *observed.Result
 			p.Trace, l.Trace = nil, nil
 			if !reflect.DeepEqual(p, l) {
-				t.Fatalf("results differ:\nunlogged %+v\nlogged   %+v", p, l)
+				t.Fatalf("results differ:\nplain    %+v\nobserved %+v", p, l)
 			}
 			if len(plain.Trace.Events) != len(rec.Full) {
 				t.Fatalf("replay has %d events, recording %d", len(plain.Trace.Events), len(rec.Full))

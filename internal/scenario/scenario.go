@@ -190,11 +190,6 @@ type ExecOptions struct {
 	// RelaxTime lifts time gates on sleeps and timeouts, required when a
 	// complete recorded schedule is being forced (see vm.Config.RelaxTime).
 	RelaxTime bool
-	// LogRounds keeps the machine's scheduling-round log (see
-	// vm.Config.LogRounds) — pure observation, read back through
-	// RunView.Machine.Rounds(). Equivalence-pruned search sets it on the
-	// executions it retains to prune candidates against.
-	LogRounds bool
 }
 
 // Exec (with ExecInto), Start and Restore are the launcher: the one place
@@ -218,7 +213,6 @@ func (s *Scenario) config(o ExecOptions) (vm.Config, Params) {
 		MaxSteps:     o.MaxSteps,
 		CollectTrace: !o.DisableTrace,
 		RelaxTime:    o.RelaxTime,
-		LogRounds:    o.LogRounds,
 	}, p
 }
 

@@ -25,10 +25,11 @@ func corpusTraceLines(t *testing.T, disableInline bool) string {
 	for _, s := range append(workload.All(), workload.Variants()...) {
 		steps := uint64(0)
 		for _, sched := range []string{"random", "pct"} {
-			o := scenario.ExecOptions{Seed: s.DefaultSeed, LogRounds: true, MaxSteps: stepBound}
+			log := &vm.RoundLog{Scheduler: vm.NewRandomScheduler(s.DefaultSeed)}
 			if sched == "pct" {
-				o.Scheduler = vm.NewPCTScheduler(s.DefaultSeed, steps, 3)
+				log.Scheduler = vm.NewPCTScheduler(s.DefaultSeed, steps, 3)
 			}
+			o := scenario.ExecOptions{Seed: s.DefaultSeed, Scheduler: log, MaxSteps: stepBound}
 			if disableInline {
 				o.ObserverFactory = func(m *vm.Machine) []vm.Observer { m.DisableInline(); return nil }
 			}
@@ -40,7 +41,7 @@ func corpusTraceLines(t *testing.T, disableInline bool) string {
 			}
 			r := v.Result
 			fmt.Fprintf(&b, "%s %s outcome=%s steps=%d cycles=%d rounds=%d evals=%d trace=%016x roundlog=%016x\n",
-				s.Name, sched, r.Outcome, r.Steps, r.Cycles, r.SchedRounds, r.SchedEvals, h.Sum64(), roundsHash(v.Machine.Rounds()))
+				s.Name, sched, r.Outcome, r.Steps, r.Cycles, r.SchedRounds, r.SchedEvals, h.Sum64(), roundsHash(log.Rounds))
 		}
 	}
 	return b.String()

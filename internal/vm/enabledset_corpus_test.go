@@ -36,7 +36,7 @@ func ranClean(t testing.TB, since, want uint64) {
 const stepBound = 300000
 
 // roundsHash hashes a round log: every round's seq, enabled IDs and pick.
-func roundsHash(rounds []vm.SchedRound) uint64 {
+func roundsHash(rounds []vm.Round) uint64 {
 	h := fnv.New64a()
 	put := func(v uint64) {
 		var b [8]byte
@@ -88,8 +88,9 @@ var goldenRounds = map[string]uint64{
 func TestEnabledSetCorpusSchedulers(t *testing.T) {
 	for _, s := range workload.All() {
 		since := vm.RoundsCompared()
-		base := s.Exec(scenario.ExecOptions{Seed: s.DefaultSeed, LogRounds: true})
-		rounds := base.Machine.Rounds()
+		log := &vm.RoundLog{Scheduler: vm.NewRandomScheduler(s.DefaultSeed)}
+		base := s.Exec(scenario.ExecOptions{Seed: s.DefaultSeed, Scheduler: log})
+		rounds := log.Rounds
 		if got := roundsHash(rounds); got != goldenRounds[s.Name] {
 			t.Errorf("%q: 0x%016x, // round log hash; the golden value is 0x%016x", s.Name, got, goldenRounds[s.Name])
 		}
@@ -105,7 +106,7 @@ func TestEnabledSetCorpusSchedulers(t *testing.T) {
 			vm.NewRoundRobinScheduler(),
 			vm.NewSketchScheduler(sketch, vm.NewRandomScheduler(s.DefaultSeed+1)),
 		} {
-			s.Exec(scenario.ExecOptions{Seed: s.DefaultSeed, Scheduler: sched, LogRounds: true, MaxSteps: stepBound})
+			s.Exec(scenario.ExecOptions{Seed: s.DefaultSeed, Scheduler: &vm.RoundLog{Scheduler: sched}, MaxSteps: stepBound})
 		}
 
 		rec, _, err := record.Record(s, record.Perfect, s.DefaultSeed, nil)
@@ -115,8 +116,8 @@ func TestEnabledSetCorpusSchedulers(t *testing.T) {
 		inputs, _ := rec.Inputs()
 		sched, _ := rec.SchedFrom(0)
 		forced := s.Exec(scenario.ExecOptions{
-			Seed: rec.Seed, Params: rec.Params, Inputs: inputs, RelaxTime: true, LogRounds: true,
-			Scheduler: vm.NewReplayScheduler(sched),
+			Seed: rec.Seed, Params: rec.Params, Inputs: inputs, RelaxTime: true,
+			Scheduler: &vm.RoundLog{Scheduler: vm.NewReplayScheduler(sched)},
 		})
 		if !trace.EventsEqual(forced.Trace, base.Trace, true) {
 			t.Errorf("%s: forced replay differs from the recorded run", s.Name)

@@ -20,10 +20,11 @@ type ids = []trace.ThreadID
 // thread is enabled, which is how the cases run their tails out.
 func forceSchedule(t *testing.T, schedule ids, build func(m *Machine) func(*Thread)) (*Machine, *Result, []ids) {
 	t.Helper()
-	m := New(Config{Scheduler: NewReplayScheduler(schedule), LogRounds: true, CollectTrace: true})
+	log := &RoundLog{Scheduler: NewReplayScheduler(schedule)}
+	m := New(Config{Scheduler: log, CollectTrace: true})
 	res := m.Run(build(m))
 	var offered []ids
-	for _, r := range m.Rounds() {
+	for _, r := range log.Rounds {
 		offered = append(offered, r.Enabled)
 	}
 	noMismatch(t)

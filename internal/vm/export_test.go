@@ -5,6 +5,8 @@ import (
 	"os"
 	"sync/atomic"
 	"testing"
+
+	"debugdet/internal/trace"
 )
 
 // The full scan the maintained enabled set replaced stays here as its
@@ -70,6 +72,35 @@ func (m *Machine) ScanEnabledIDs() []int {
 		ids = append(ids, int(t.id))
 	}
 	return ids
+}
+
+// RoundLog is a Scheduler that delegates to another and logs every
+// scheduling round it is asked to decide: m.Seq() at pick time, the IDs of
+// the enabled set it was offered and the pick. A round the inner scheduler
+// refuses (nil: the machine stops diverged) is not logged.
+type RoundLog struct {
+	Scheduler
+	Rounds []Round
+}
+
+// Round is one logged scheduling decision.
+type Round struct {
+	Seq     uint64
+	Enabled []trace.ThreadID
+	Pick    trace.ThreadID
+}
+
+// Pick implements Scheduler.
+func (l *RoundLog) Pick(m *Machine, enabled []*Thread) *Thread {
+	ids := make([]trace.ThreadID, len(enabled))
+	for i, t := range enabled {
+		ids[i] = t.id
+	}
+	t := l.Scheduler.Pick(m, enabled)
+	if t != nil {
+		l.Rounds = append(l.Rounds, Round{Seq: m.Seq(), Enabled: ids, Pick: t.id})
+	}
+	return t
 }
 
 // DisableInline turns the inline fast path off on a machine that has not

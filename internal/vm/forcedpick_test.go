@@ -56,17 +56,18 @@ func sleepyMain(m *Machine) func(*Thread) {
 }
 
 // bothRounds runs the program under the configuration twice — round log off,
-// then on — with a scheduler from mk each time, and fails unless the runs
+// then on (RoundLog around the scheduler) — with a scheduler from mk each time, and fails unless the runs
 // are indistinguishable. It returns the unlogged run.
 func bothRounds(t *testing.T, cfg Config, mk func() *ReplayScheduler) (*ReplayScheduler, *Result) {
 	t.Helper()
 	fastS, slowS := mk(), mk()
-	cfg.Scheduler, cfg.LogRounds = fastS, false
-	fm, fast := sleepyProgram(cfg)
-	cfg.Scheduler, cfg.LogRounds = slowS, true
-	sm, slow := sleepyProgram(cfg)
-	if len(fm.Rounds()) != 0 || len(sm.Rounds()) == 0 {
-		t.Fatal("LogRounds did not select which run keeps a round log")
+	cfg.Scheduler = fastS
+	_, fast := sleepyProgram(cfg)
+	log := &RoundLog{Scheduler: slowS}
+	cfg.Scheduler = log
+	_, slow := sleepyProgram(cfg)
+	if len(log.Rounds) == 0 {
+		t.Fatal("the logged run logged no round")
 	}
 	if !trace.EventsEqual(fast.Trace, slow.Trace, false) {
 		t.Fatalf("traces differ: %d events unlogged, %d logged", len(fast.Trace.Events), len(slow.Trace.Events))

@@ -74,12 +74,6 @@ type Config struct {
 	// is unexported because its one use is the package's own tests, which
 	// pin that equivalence.
 	disableInline bool
-	// LogRounds makes the machine keep a log of every scheduling decision
-	// — (seq, enabled set, pick) per round; see SchedRound — readable via
-	// Rounds. Pure observation: the log perturbs neither the execution
-	// nor its virtual clock. Equivalence-pruned search enables it on the
-	// executions it retains to prune candidates against.
-	LogRounds bool
 }
 
 // Result describes a finished execution.
@@ -191,9 +185,6 @@ type Machine struct {
 	diverged uint64
 
 	tr *trace.Log
-
-	// rounds is the scheduling-decision log (Config.LogRounds).
-	rounds []SchedRound
 
 	// The maintained enabled set (enabledset.go): ready is the ID-ordered
 	// slice schedulers are handed, ran the thread whose op was applied last
@@ -485,9 +476,6 @@ func (m *Machine) pickNext() *Thread {
 				})
 				m.diverged = m.seq
 				return nil
-			}
-			if m.cfg.LogRounds {
-				m.logRound(m.ready, t)
 			}
 			return t
 		}

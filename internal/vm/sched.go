@@ -13,9 +13,7 @@ import (
 //
 // A Pick must depend only on the scheduler's own state, m.Seq(), and the
 // IDs of the enabled threads — never on other machine or thread state.
-// Every built-in scheduler obeys this, and SchedSim relies on it: pruned
-// search dry-runs schedulers over recorded rounds using fabricated
-// threads that carry nothing but their IDs.
+// Every built-in scheduler obeys this.
 type Scheduler interface {
 	Name() string
 	Pick(m *Machine, enabled []*Thread) *Thread

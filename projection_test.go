@@ -111,8 +111,9 @@ func TestProjectionMatchesLive(t *testing.T) {
 
 // TestBatchMatchesStandalone: a batch whose cells share production runs
 // evaluates every cell exactly as a standalone Evaluate does. The grid is
-// the benchmark's corpus grid — every scenario under every model, plus
-// forked output and failure cells — and cells the run cache must keep
+// the benchmark's corpus grid — every scenario under every model, plus its
+// output and failure cells again with options of their own (the
+// benchmark's ForkReplay cells; the field is ignored) — and cells the run cache must keep
 // apart: two seeds of one scenario and a parameter override. Several
 // workers read each shared run at once, which the race detector checks.
 func TestBatchMatchesStandalone(t *testing.T) {
@@ -124,7 +125,7 @@ func TestBatchMatchesStandalone(t *testing.T) {
 			jobs = append(jobs, debugdet.Job{Scenario: s.Name, Model: m})
 		}
 		for _, m := range []debugdet.Model{debugdet.Output, debugdet.Failure} {
-			jobs = append(jobs, debugdet.Job{Scenario: s.Name, Model: m, Options: &debugdet.Options{ForkReplay: true}})
+			jobs = append(jobs, debugdet.Job{Scenario: s.Name, Model: m, Options: &debugdet.Options{}})
 		}
 	}
 	for _, m := range []debugdet.Model{debugdet.Value, debugdet.DebugRCSE} {
@@ -145,11 +146,7 @@ func TestBatchMatchesStandalone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := debugdet.Options{Seed: j.Seed, Params: j.Params, Workers: 1}
-		if j.Options != nil {
-			o.ForkReplay = j.Options.ForkReplay
-		}
-		want, err := eng.Evaluate(ctx, s, j.Model, o)
+		want, err := eng.Evaluate(ctx, s, j.Model, debugdet.Options{Seed: j.Seed, Params: j.Params, Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: standalone: %v", name, err)
 		}
