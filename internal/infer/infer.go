@@ -207,7 +207,8 @@ func prioritize(plan []paramTry, o Options) []paramTry {
 // A rejected candidate's trace array backs a later candidate's trace (see
 // runner.Discard), so accept must not retain a view it rejects, nor its
 // trace; the accepted view, or the last one when the budget runs out, is
-// the caller's to keep.
+// the caller's to keep. The candidates' threads share the search's thread
+// coroutines, which end when Search returns.
 func Search(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options) *Outcome {
 	if err := o.Validate(); err != nil {
 		return &Outcome{Err: err, Note: "invalid options"}
@@ -221,6 +222,9 @@ func Search(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options
 	plan := buildPlan(s, o)
 
 	r := &runner{s: s}
+	// par.Ordered has stopped its workers before Search returns, so every
+	// machine is finished and every host idle.
+	defer r.hosts.Close()
 	out := &Outcome{}
 	for i, v := range par.Ordered(o.Ctx, len(plan), o.Workers, func(_ context.Context, i int) *scenario.RunView {
 		return r.Run(planCandidate(s, o, plan[i]))

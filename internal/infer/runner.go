@@ -5,6 +5,7 @@ import (
 
 	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
+	"debugdet/internal/vm"
 )
 
 // runner executes a search's candidates, each from scratch. Search owns one
@@ -14,9 +15,12 @@ import (
 // A candidate's machine and trace array are allocated once per concurrent
 // run, not once per candidate: Discard hands a rejected view's machine and
 // array back to the spare list, and the next Run builds into them (see
-// scenario.ExecInto). Run and Discard are safe for concurrent use.
+// scenario.ExecInto). Every candidate's threads run on the coroutines of
+// hosts, which finished candidates' threads have left idle; Search closes
+// the pool when it returns. Run and Discard are safe for concurrent use.
 type runner struct {
-	s *scenario.Scenario
+	s     *scenario.Scenario
+	hosts vm.Hosts
 
 	mu    sync.Mutex
 	spare []*scenario.RunView
@@ -25,7 +29,7 @@ type runner struct {
 // Run executes one candidate, built into a discarded view when one is
 // spare.
 func (r *runner) Run(o scenario.ExecOptions) *scenario.RunView {
-	return scenario.ExecInto(r.s, o, r.takeSpare())
+	return scenario.ExecInto(r.s, o, r.takeSpare(), &r.hosts)
 }
 
 // Discard declares a view Run returned dead: the caller (a search that

@@ -3,9 +3,12 @@ package infer
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"debugdet/internal/par"
 	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
@@ -146,6 +149,60 @@ func TestSearchReusesRejectedMachines(t *testing.T) {
 			c := planCandidate(s, tc.opts, paramTry{p: full, idx: int(out.View.Trace.Header.Seed - tc.opts.BaseSeed)})
 			if err := runDiff(out.View, s.Exec(c)); err != nil {
 				t.Fatalf("accepted candidate %d: %v", c.Seed, err)
+			}
+		})
+	}
+}
+
+// TestSearchReusesThreadHosts pins the coroutine reuse behind the runner's
+// host pool, as TestSearchReusesRejectedMachines pins the machine reuse. A
+// search's hosts live until Search returns, so the goroutines accept sees
+// beyond the baseline and the workers are the hosts made so far: a
+// 60-candidate hyperkv-dataloss search makes at most one run's threads of
+// them sequentially and at most 34 runs' worth with two workers, not one
+// per thread of every candidate, and ends them all before it returns.
+func TestSearchReusesThreadHosts(t *testing.T) {
+	s, err := workload.ByName("hyperkv-dataloss")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]struct {
+		opts    Options
+		maxRuns int
+	}{
+		"sequential": {Options{Budget: 60, BaseSeed: 3, Workers: 1}, 1},
+		"workers=2":  {Options{Budget: 60, BaseSeed: 3, Workers: 2}, 34},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			workers := par.Workers(tc.opts.Workers, tc.opts.Budget)
+			if workers == 1 {
+				workers = 0 // Ordered runs a single worker on the caller's goroutine
+			}
+			hosts, threads := 0, 0
+			out := Search(s, func(v *scenario.RunView) bool {
+				hosts = max(hosts, runtime.NumGoroutine()-before-workers)
+				threads = max(threads, len(v.Machine.Threads()))
+				return false
+			}, tc.opts)
+			if out.Ok || out.Attempts != tc.opts.Budget {
+				t.Fatalf("ok=%v attempts=%d, want every one of %d candidates rejected", out.Ok, out.Attempts, tc.opts.Budget)
+			}
+			if hosts == 0 {
+				t.Fatal("no thread coroutine outlived its candidate: nothing was pooled")
+			}
+			if hosts > tc.maxRuns*threads {
+				t.Fatalf("%d candidates of up to %d threads made %d hosts, want at most %d",
+					out.Attempts, threads, hosts, tc.maxRuns*threads)
+			}
+			n := runtime.NumGoroutine()
+			for i := 0; n > before && i < 200; i++ {
+				time.Sleep(5 * time.Millisecond) // a finished worker may not have exited yet
+				n = runtime.NumGoroutine()
+			}
+			if n != before {
+				t.Fatalf("%d goroutines before the search, %d after it returned", before, n)
 			}
 		})
 	}

@@ -173,8 +173,7 @@ func Segmented(s *scenario.Scenario, st flightrec.Store, o Options) (*SegmentedR
 	if done < workers {
 		return nil, ctx.Err()
 	}
-	stitched := trace.NewLog(final.view.Trace.Header)
-	stitched.Sites = final.view.Trace.Sites
+	stitched := &trace.Log{Header: final.view.Trace.Header, Sites: final.view.Trace.Sites}
 	if len(pieces) == 1 {
 		stitched.Events = pieces[0] // one finished machine's trace: nothing to copy
 	} else {

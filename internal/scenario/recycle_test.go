@@ -2,6 +2,7 @@ package scenario_test
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"debugdet/internal/scenario"
@@ -12,21 +13,24 @@ import (
 
 // TestRecycledRunMatchesFresh pins recycled ≡ fresh: every corpus
 // scenario run into the machine and trace array of another scenario's
-// finished run (ExecInto, vm.Recycle) yields the trace, outputs, inputs
-// and outcome of a run on a fresh machine. The donors chain through the
-// corpus, so each table is refilled after growing and after shrinking; a
-// stale channel buffer, name-map entry or thread field shows as a
-// different execution.
+// finished run, its threads on the coroutines that run's threads left idle
+// (ExecInto, vm.Recycle), yields the trace, outputs, inputs and outcome of
+// a run on a fresh machine. The donors chain through the corpus, so each
+// table is refilled after growing and after shrinking; a stale channel
+// buffer, name-map entry, thread field or host shows as a different
+// execution. Once the pool is closed no coroutine is left.
 func TestRecycledRunMatchesFresh(t *testing.T) {
+	before := runtime.NumGoroutine()
+	hosts := new(vm.Hosts)
 	corpus := workload.All()
 	last := corpus[len(corpus)-1]
-	donor := last.Exec(scenario.ExecOptions{Seed: last.DefaultSeed})
+	donor := scenario.ExecInto(last, scenario.ExecOptions{Seed: last.DefaultSeed}, nil, hosts)
 	for _, s := range corpus {
 		o := scenario.ExecOptions{Seed: s.DefaultSeed}
 		fresh := s.Exec(o)
 		m := donor.Machine
 		cells, streams := objectNames(m)
-		got := scenario.ExecInto(s, o, donor)
+		got := scenario.ExecInto(s, o, donor, hosts)
 		switch {
 		case got.Machine != m:
 			t.Fatalf("%s: ran on a new machine, not the donor's", s.Name)
@@ -55,6 +59,10 @@ func TestRecycledRunMatchesFresh(t *testing.T) {
 			}
 		}
 		donor = got
+	}
+	hosts.Close()
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("%d goroutines before the runs, %d after closing their hosts", before, n)
 	}
 }
 

@@ -225,11 +225,12 @@ func (o ExecOptions) attach(m *vm.Machine) {
 	}
 }
 
-// start is Start on dead's tables (see vm.Recycle; nil is a fresh
-// machine), handing Exec the effective parameters for its trace header.
-func (s *Scenario) start(o ExecOptions, dead *vm.Machine) (*vm.Machine, Params) {
+// start is Start on dead's tables and hosts' coroutines (see vm.Recycle;
+// nil is a fresh machine, and no pool), handing Exec the effective
+// parameters for its trace header.
+func (s *Scenario) start(o ExecOptions, dead *vm.Machine, hosts *vm.Hosts) (*vm.Machine, Params) {
 	cfg, p := s.config(o)
-	m := vm.Recycle(dead, cfg)
+	m := vm.Recycle(dead, cfg, hosts)
 	main := s.Build(m, p)
 	o.attach(m)
 	m.Start(main)
@@ -241,7 +242,7 @@ func (s *Scenario) start(o ExecOptions, dead *vm.Machine) (*vm.Machine, Params) 
 // Machine.Finish (which an abandoned machine needs too, to release its
 // threads). Seek sessions and the debugger replay on such machines.
 func (s *Scenario) Start(o ExecOptions) *vm.Machine {
-	m, _ := s.start(o, nil)
+	m, _ := s.start(o, nil, nil)
 	return m
 }
 
@@ -260,19 +261,20 @@ func (s *Scenario) Restore(o ExecOptions, snap *vm.Snapshot, feeds [][]vm.FeedEn
 }
 
 // Exec builds and runs the scenario once, returning the finished view.
-func (s *Scenario) Exec(o ExecOptions) *RunView { return ExecInto(s, o, nil) }
+func (s *Scenario) Exec(o ExecOptions) *RunView { return ExecInto(s, o, nil, nil) }
 
 // ExecInto is Exec built into spare, a finished traced view nothing reads
-// any more (a search's rejected candidate): the run reuses spare's machine
-// tables (vm.Recycle) and appends its trace into spare's event array,
-// which the view's trace may outgrow. A nil spare is Exec.
-func ExecInto(s *Scenario, o ExecOptions, spare *RunView) *RunView {
+// any more (a search's rejected candidate), with its threads run on the
+// idle coroutines of hosts: the run reuses spare's machine tables and the
+// pool's hosts (vm.Recycle) and appends its trace into spare's event array,
+// which the view's trace may outgrow. A nil spare and nil hosts is Exec.
+func ExecInto(s *Scenario, o ExecOptions, spare *RunView, hosts *vm.Hosts) *RunView {
 	var dead *vm.Machine
 	var events []trace.Event
 	if spare != nil {
 		dead, events = spare.Machine, spare.Trace.Events
 	}
-	m, p := s.start(o, dead)
+	m, p := s.start(o, dead, hosts)
 	if tr := m.Trace(); tr != nil {
 		tr.Events = events[:0]
 	}

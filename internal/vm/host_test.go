@@ -143,3 +143,39 @@ func TestForeignThreadUseCrashesTheCaller(t *testing.T) {
 		}
 	}
 }
+
+// TestFinishReleasesEveryCoroutine: a run whose last event is a done
+// thread's — a body's panic, or an exit at the step limit — ends that
+// thread's coroutine too. Both used to stay parked forever: the machine
+// stopped on the event and never resumed the thread, and releaseAll skipped
+// it because it was done.
+func TestFinishReleasesEveryCoroutine(t *testing.T) {
+	cases := map[string]struct {
+		cfg  Config
+		body func(s trace.SiteID, c trace.ObjID) func(*Thread)
+		want Outcome
+	}{
+		"panic": {Config{Seed: 1}, func(s trace.SiteID, c trace.ObjID) func(*Thread) {
+			return func(t *Thread) {
+				t.Load(s, c)
+				panic("boom")
+			}
+		}, OutcomeCrashed},
+		"exit at the step limit": {Config{Seed: 1, MaxSteps: 2}, func(s trace.SiteID, c trace.ObjID) func(*Thread) {
+			return func(t *Thread) { t.Load(s, c) }
+		}, OutcomeAborted},
+	}
+	for name, tc := range cases {
+		before := runtime.NumGoroutine()
+		for range 100 {
+			m := New(tc.cfg)
+			c, s := m.NewCell("c", trace.Int(0)), m.Site("s")
+			if res := m.Run(tc.body(s, c)); res.Outcome != tc.want {
+				t.Fatalf("%s: outcome %v, want %v", name, res.Outcome, tc.want)
+			}
+		}
+		if n := runtime.NumGoroutine(); n != before {
+			t.Fatalf("%s: %d goroutines before 100 runs, %d after", name, before, n)
+		}
+	}
+}

@@ -10,7 +10,8 @@
 // given a scheduler seed and an input source the execution, and hence its
 // event trace, is bit-identical across runs. That property is what
 // record/replay needs and what the Go runtime scheduler cannot provide (see
-// DESIGN.md §1).
+// DESIGN.md §1). A coroutine hosts one thread body, or, for the machines of
+// one search, which share a pool of them (Hosts), each body in turn.
 package vm
 
 import (
@@ -156,6 +157,7 @@ type Machine struct {
 	sched     Scheduler
 	inputs    InputSource
 	observers []Observer
+	hosts     *Hosts // the pool the threads' hosts come from and go back to
 
 	// current is the thread the driver last switched to: the only one whose
 	// body can be running, so the only one whose ops are legitimate.
@@ -203,7 +205,7 @@ type Machine struct {
 }
 
 // New returns a machine with the given configuration.
-func New(cfg Config) *Machine { return Recycle(nil, cfg) }
+func New(cfg Config) *Machine { return Recycle(nil, cfg, nil) }
 
 // Recycle is New built into the tables of dead, a finished machine that
 // nothing reads any more: its name maps are cleared and its object
@@ -211,8 +213,11 @@ func New(cfg Config) *Machine { return Recycle(nil, cfg) }
 // slot overwritten before the next program reads it, so a search that
 // discards candidates allocates them once per concurrent run. The machine
 // returned is dead itself, reset; a nil or unfinished dead gives a fresh
-// machine. Only the scenario launcher calls it.
-func Recycle(dead *Machine, cfg Config) *Machine {
+// machine. The machine's threads run on hosts, idle ones of the pool when
+// it has some, and their hosts go back to it as their bodies return; a nil
+// pool gives each thread a coroutine of its own. Only the scenario launcher
+// calls it.
+func Recycle(dead *Machine, cfg Config, hosts *Hosts) *Machine {
 	if cfg.Scheduler == nil {
 		cfg.Scheduler = NewRandomScheduler(cfg.Seed)
 	}
@@ -247,10 +252,10 @@ func Recycle(dead *Machine, cfg Config) *Machine {
 		inputs:    cfg.Inputs,
 		ready:     m.ready[:0],
 		nextWake:  noWake,
+		hosts:     hosts,
 	}
 	if cfg.CollectTrace {
-		m.tr = trace.NewLog(trace.Header{Seed: cfg.Seed})
-		m.tr.Sites = m.sites
+		m.tr = &trace.Log{Header: trace.Header{Seed: cfg.Seed}, Sites: m.sites}
 		// The trace is sized in Continue (see reserve), so an array the
 		// launcher installs before the first Continue is used as it is.
 	}
@@ -632,8 +637,11 @@ func (m *Machine) stop(oc Outcome, term trace.Event) {
 	m.terminal = term
 }
 
-// releaseAll resumes every live thread so its coroutine can unwind; the
-// syscall path panics with errMachineStopped which threadMain swallows.
+// releaseAll resumes every thread whose host is still attached so its body
+// can unwind: a parked live one (the syscall path panics with
+// errMachineStopped, which threadMain swallows), and a done one whose last
+// event stopped the machine — a panic's crash, or an exit at the step
+// limit — which was never resumed to return.
 func (m *Machine) releaseAll() {
 	m.stopped = true
 	if m.outcome == OutcomeOK && m.liveNonDaemon > 0 {
@@ -646,6 +654,8 @@ func (m *Machine) releaseAll() {
 		if !t.done {
 			t.done = true
 			m.live--
+		}
+		if t.h != nil {
 			m.switchTo(t)
 		}
 	}

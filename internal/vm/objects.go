@@ -47,8 +47,14 @@ func (c *chanState) empty() bool { return c.size() == 0 }
 
 func (c *chanState) front() slot { return c.buf[c.head] }
 
+// push appends s. The first push into a buffer too small for min(cap, 8)
+// slots (none yet, or a recycled slot's) allocates that many, and push
+// compacts in place, so deep channels grow at most once per high-water mark.
 func (c *chanState) push(s slot) {
-	if len(c.buf) == cap(c.buf) && c.head > 0 {
+	switch {
+	case len(c.buf) == 0 && cap(c.buf) < min(c.cap, 8):
+		c.buf = make([]slot, 0, min(c.cap, 8))
+	case len(c.buf) == cap(c.buf) && c.head > 0:
 		n := copy(c.buf, c.buf[c.head:])
 		c.buf = c.buf[:n]
 		c.head = 0
@@ -132,19 +138,13 @@ func (m *Machine) NewChan(name string, capacity int) trace.ObjID {
 		capacity = 1
 	}
 	id := trace.ObjID(len(m.chans))
-	pre := capacity
-	if pre > 8 {
-		pre = 8 // push compacts in place, so deep channels grow at most once per high-water mark
-	}
 	// A recycled machine's earlier run left a buffer in this slot: reuse it.
+	// Otherwise the first push allocates one.
 	var buf []slot
 	if int(id) < cap(m.chans) {
-		buf = m.chans[:id+1][id].buf
+		buf = m.chans[:id+1][id].buf[:0]
 	}
-	if cap(buf) < pre {
-		buf = make([]slot, 0, pre)
-	}
-	m.chans = append(m.chans, chanState{name: name, cap: capacity, buf: buf[:0]})
+	m.chans = append(m.chans, chanState{name: name, cap: capacity, buf: buf})
 	return id
 }
 

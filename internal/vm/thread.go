@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"sync"
 
 	"debugdet/internal/trace"
 )
@@ -71,10 +72,9 @@ type Thread struct {
 	name string
 	body func(*Thread)
 
-	// next switches to the thread's coroutine until it parks (true) or its
-	// body has returned (false); yield, called on the coroutine, parks it.
-	next  func() (struct{}, bool)
-	yield func(struct{}) bool
+	// h is the coroutine running the body (see host), nil before launch
+	// and once the body has returned.
+	h *host
 
 	pending opReq
 	result  trace.Value
@@ -163,7 +163,7 @@ func (t *Thread) syscall() trace.Value {
 			m.picked, m.pickedValid = next, true
 		}
 	}
-	t.yield(struct{}{})
+	t.h.yield(struct{}{})
 	if m.stopped {
 		panic(errMachineStopped)
 	}
@@ -208,7 +208,7 @@ func (t *Thread) consumeFeed(code opCode) *FeedEntry {
 // driver reports as the restore error, and unwinds once resumed.
 func (t *Thread) parkRestoreError(msg string) {
 	t.pending = opReq{code: opPanic, msg: msg}
-	t.yield(struct{}{})
+	t.h.yield(struct{}{})
 	panic(errMachineStopped)
 }
 
@@ -447,24 +447,98 @@ func (m *Machine) startThread(t *Thread) {
 	m.park(t)
 }
 
-// launch is the one thread host: it puts t's body on a coroutine and runs it
-// until it parks at an operation (true) or returns (false, which only a
-// feed-replayed thread can). No stop function is kept: a parked thread is
-// ended by resuming it on a stopped machine (releaseAll).
+// host is a coroutine (iter.Pull) of the goroutine driving the machine,
+// running one thread body at a time. Without a pool it returns after its
+// body, ending the coroutine. With one (see Hosts) it lets go of the thread
+// and parks idle instead, and the driver puts it in the pool, where a later
+// launch, on this machine or another using the pool, gives it its next
+// thread; an idle host given no thread returns.
+type host struct {
+	t     *Thread // the thread whose body runs; nil once it has returned
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+}
+
+// Hosts is a pool of idle hosts, shared by the machines of one search (see
+// Recycle): a host whose body has returned waits here, and a later launch
+// runs its thread on it instead of on a new coroutine. It is safe for
+// concurrent use; a nil *Hosts is no pool.
+type Hosts struct {
+	mu   sync.Mutex
+	idle []*host
+}
+
+// take returns an idle host, or nil when there is none.
+func (p *Hosts) take() (h *host) {
+	if p == nil {
+		return nil
+	}
+	p.mu.Lock()
+	if n := len(p.idle); n > 0 {
+		h, p.idle = p.idle[n-1], p.idle[:n-1]
+	}
+	p.mu.Unlock()
+	return h
+}
+
+func (p *Hosts) put(h *host) {
+	p.mu.Lock()
+	p.idle = append(p.idle, h)
+	p.mu.Unlock()
+}
+
+// Close ends the idle hosts' coroutines. Call it once no machine using the
+// pool runs or will run: every host is idle then, its machine finished.
+func (p *Hosts) Close() {
+	p.mu.Lock()
+	idle := p.idle
+	p.idle = nil
+	p.mu.Unlock()
+	for _, h := range idle {
+		h.next() // given no thread, the host returns
+	}
+}
+
+// launch puts t's body on a host, an idle one of the pool's if there is one,
+// and runs it until it parks at an operation (true) or returns (false,
+// which only a feed-replayed thread can). No stop function is kept: a
+// parked thread is ended by resuming it on a stopped machine (releaseAll).
 func (m *Machine) launch(t *Thread) bool {
-	t.next, _ = iter.Pull(func(yield func(struct{}) bool) {
-		t.yield = yield
-		m.threadMain(t)
-	})
+	h := m.hosts.take()
+	if h == nil {
+		h = new(host)
+		pool := m.hosts
+		h.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+			h.yield = yield
+			for h.t != nil {
+				h.t.m.threadMain(h.t)
+				h.t = nil
+				if pool == nil {
+					return
+				}
+				yield(struct{}{})
+			}
+		})
+	}
+	h.t, t.h = t, h
 	return m.switchTo(t)
 }
 
 // switchTo runs t on the calling goroutine until it parks (true) or its body
-// has returned (false). A runtime.Goexit in the body surfaces here.
+// has returned (false): its host has let go of it, and goes back to the pool
+// when it parked idle. A runtime.Goexit in the body surfaces here.
 func (m *Machine) switchTo(t *Thread) bool {
 	m.current = t
-	_, parked := t.next()
-	return parked
+	h := t.h
+	_, ok := h.next()
+	if ok && h.t == t {
+		return true
+	}
+	if ok { // h parked idle
+		m.hosts.put(h)
+	}
+	t.h = nil
+	return false
 }
 
 // threadMain runs the thread body, converting returns into exit ops and
@@ -479,7 +553,7 @@ func (m *Machine) threadMain(t *Thread) {
 		// so the failure is part of the execution model rather than
 		// tearing down the host process.
 		t.pending = opReq{code: opPanic, msg: fmt.Sprint(r)}
-		t.yield(struct{}{})
+		t.h.yield(struct{}{})
 		// The machine stops on the crash; nothing more to do.
 	}()
 	t.body(t)
