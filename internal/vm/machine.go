@@ -157,7 +157,8 @@ type Machine struct {
 	sched     Scheduler
 	inputs    InputSource
 	observers []Observer
-	hosts     *Hosts // the pool the threads' hosts come from and go back to
+	hosts     *Hosts  // the pool the threads' hosts come from and go back to
+	idle      []*host // hosts whose bodies returned, for the next launch
 
 	// current is the thread the driver last switched to: the only one whose
 	// body can be running, so the only one whose ops are legitimate.
@@ -214,9 +215,9 @@ func New(cfg Config) *Machine { return Recycle(nil, cfg, nil) }
 // discards candidates allocates them once per concurrent run. The machine
 // returned is dead itself, reset; a nil or unfinished dead gives a fresh
 // machine. The machine's threads run on hosts, idle ones of the pool when
-// it has some, and their hosts go back to it as their bodies return; a nil
-// pool gives each thread a coroutine of its own. Only the scenario launcher
-// calls it.
+// it has some, and Finish gives the pool back every host whose body has
+// returned; a nil pool gives each thread a coroutine of its own. Only the
+// scenario launcher calls it.
 func Recycle(dead *Machine, cfg Config, hosts *Hosts) *Machine {
 	if cfg.Scheduler == nil {
 		cfg.Scheduler = NewRandomScheduler(cfg.Seed)
@@ -253,6 +254,7 @@ func Recycle(dead *Machine, cfg Config, hosts *Hosts) *Machine {
 		ready:     m.ready[:0],
 		nextWake:  noWake,
 		hosts:     hosts,
+		idle:      m.idle[:0],
 	}
 	if cfg.CollectTrace {
 		m.tr = &trace.Log{Header: trace.Header{Seed: cfg.Seed}, Sites: m.sites}
@@ -417,6 +419,11 @@ func (m *Machine) Finish() *Result {
 	}
 	m.finished = true
 	m.releaseAll()
+	if len(m.idle) > 0 {
+		m.hosts.put(m.idle)
+		clear(m.idle)
+		m.idle = m.idle[:0]
+	}
 	for _, o := range m.observers {
 		if f, ok := o.(FinishObserver); ok {
 			f.OnFinish(m.outcome)

@@ -448,21 +448,21 @@ func (m *Machine) startThread(t *Thread) {
 }
 
 // host is a coroutine (iter.Pull) of the goroutine driving the machine,
-// running one thread body at a time. Without a pool it returns after its
-// body, ending the coroutine. With one (see Hosts) it lets go of the thread
-// and parks idle instead, and the driver puts it in the pool, where a later
-// launch, on this machine or another using the pool, gives it its next
-// thread; an idle host given no thread returns.
+// running one thread body at a time. When the body returns the host lets go
+// of the thread (t.h = nil) and, without a pool, returns, ending the
+// coroutine. With one (see Hosts) it parks idle on its machine's idle list
+// instead: a later launch on the machine gives it its next thread, and
+// Finish gives it back to the pool for the search's other machines. An idle
+// host resumed with no thread returns.
 type host struct {
-	t     *Thread // the thread whose body runs; nil once it has returned
+	t     *Thread // the thread whose body runs; nil while idle
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 }
 
 // Hosts is a pool of idle hosts, shared by the machines of one search (see
-// Recycle): a host whose body has returned waits here, and a later launch
-// runs its thread on it instead of on a new coroutine. It is safe for
-// concurrent use; a nil *Hosts is no pool.
+// Recycle): a launch runs its thread on one of them instead of on a new
+// coroutine. It is safe for concurrent use; a nil *Hosts is no pool.
 type Hosts struct {
 	mu   sync.Mutex
 	idle []*host
@@ -481,9 +481,9 @@ func (p *Hosts) take() (h *host) {
 	return h
 }
 
-func (p *Hosts) put(h *host) {
+func (p *Hosts) put(hs []*host) {
 	p.mu.Lock()
-	p.idle = append(p.idle, h)
+	p.idle = append(p.idle, hs...)
 	p.mu.Unlock()
 }
 
@@ -499,23 +499,27 @@ func (p *Hosts) Close() {
 	}
 }
 
-// launch puts t's body on a host, an idle one of the pool's if there is one,
-// and runs it until it parks at an operation (true) or returns (false,
-// which only a feed-replayed thread can). No stop function is kept: a
-// parked thread is ended by resuming it on a stopped machine (releaseAll).
+// launch puts t's body on a host — an idle one of the machine's, else of the
+// pool's, else a new one — and runs it until it parks at an operation (true)
+// or returns (false, which only a feed-replayed thread can). No stop
+// function is kept: a parked thread is ended by resuming it on a stopped
+// machine (releaseAll).
 func (m *Machine) launch(t *Thread) bool {
-	h := m.hosts.take()
-	if h == nil {
+	var h *host
+	if n := len(m.idle); n > 0 {
+		h, m.idle = m.idle[n-1], m.idle[:n-1]
+	} else if h = m.hosts.take(); h == nil {
 		h = new(host)
 		pool := m.hosts
 		h.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 			h.yield = yield
-			for h.t != nil {
-				h.t.m.threadMain(h.t)
-				h.t = nil
+			for t := h.t; t != nil; t = h.t {
+				t.m.threadMain(t)
+				h.t, t.h = nil, nil
 				if pool == nil {
 					return
 				}
+				t.m.idle = append(t.m.idle, h)
 				yield(struct{}{})
 			}
 		})
@@ -525,20 +529,12 @@ func (m *Machine) launch(t *Thread) bool {
 }
 
 // switchTo runs t on the calling goroutine until it parks (true) or its body
-// has returned (false): its host has let go of it, and goes back to the pool
-// when it parked idle. A runtime.Goexit in the body surfaces here.
+// has returned (false), its host having let go of it. A runtime.Goexit in
+// the body surfaces here.
 func (m *Machine) switchTo(t *Thread) bool {
 	m.current = t
-	h := t.h
-	_, ok := h.next()
-	if ok && h.t == t {
-		return true
-	}
-	if ok { // h parked idle
-		m.hosts.put(h)
-	}
-	t.h = nil
-	return false
+	_, ok := t.h.next()
+	return ok && t.h != nil
 }
 
 // threadMain runs the thread body, converting returns into exit ops and
