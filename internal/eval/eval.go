@@ -13,14 +13,11 @@ import (
 
 	"debugdet/internal/core"
 	"debugdet/internal/dynokv"
-	"debugdet/internal/lint/sites"
 	"debugdet/internal/par"
 	"debugdet/internal/plane"
 	"debugdet/internal/progen"
 	"debugdet/internal/record"
-	"debugdet/internal/replay"
 	"debugdet/internal/scenario"
-	"debugdet/internal/trace"
 	"debugdet/internal/workload"
 )
 
@@ -515,161 +512,4 @@ func ShrinkCell(o Options) (Cell, error) {
 		return Cell{}, err
 	}
 	return cellOf(ev), nil
-}
-
-// StatScenarios lists the deadlock family measured by T-STAT: the corpus
-// scenarios whose root cause is a lock-order inversion, which is the bug
-// class detlint's static lockorder analysis can implicate ahead of time.
-var StatScenarios = []string{"deadlock", "fuzz-deadlock"}
-
-// statSearchSeeds are the inference seeds T-STAT aggregates over: one
-// seed would measure a single search trajectory; summing a handful shows
-// the expected saving rather than a lucky draw.
-var statSearchSeeds = []int64{7, 8, 9, 10, 11, 12, 13, 14}
-
-// statTriageOffset starts the triage scan just past the failing default
-// seed, so the triage evidence comes from runs other than the one being
-// debugged — the static-seeding claim is that suspects known *before* the
-// failure speed up its reconstruction.
-const statTriageOffset = 1
-
-// statIterations measures the family at a single lock round per thread.
-// At the corpus defaults (several rounds) nearly every schedule deadlocks
-// and the search accepts its first candidate — no search to speed up. One
-// round makes the inversion window rare, which is the regime the paper
-// cares about and the regime where deferring deadlock-blind PCT
-// candidates pays.
-const statIterations = 1
-
-// statRecordScan bounds the scan for a failing production seed at the
-// T-STAT parameterization.
-const statRecordScan = 64
-
-// StatRow is one deadlock-family measurement of static search seeding
-// (T-STAT): the same failure-determinism replay with and without
-// detlint-derived lock-order suspects.
-type StatRow struct {
-	Scenario string
-	// Suspects is the number of suspect lock pairs triage produced;
-	// TriageRuns is the executions the triage scan spent.
-	Suspects   int
-	TriageRuns int
-	// BaseAttempts/BaseWorkSteps measure the unseeded search;
-	// SeededAttempts/SeededWorkSteps the suspect-seeded one. Each is
-	// summed over statSearchSeeds.
-	BaseAttempts    int
-	SeededAttempts  int
-	BaseWorkSteps   uint64
-	SeededWorkSteps uint64
-	// Identical reports that for every search seed both searches
-	// accepted the bit-identical execution (same note, same event
-	// stream): the seeding changed how fast the answer was found, not
-	// the answer.
-	Identical bool
-}
-
-// TableStat measures how static lock-order triage seeds the
-// failure-determinism search (T-STAT). For each deadlock-family scenario
-// it triages default-parameter runs into suspects, records a failing
-// production run at the rare-inversion parameterization under the failure
-// model, and replays it twice per search seed — without and with the
-// suspects — comparing total search work and accepted executions.
-func TableStat(o Options) ([]StatRow, error) {
-	o = o.withDefaults()
-	return grid(o, len(StatScenarios), func(i int) (StatRow, error) {
-		name := StatScenarios[i]
-		s, err := workload.ByName(name)
-		if err != nil {
-			return StatRow{}, err
-		}
-		suspects, triageRuns := sites.TriageSeeds(s, s.DefaultSeed+statTriageOffset, 0, nil)
-		if len(suspects) == 0 {
-			return StatRow{}, fmt.Errorf("stat %s: triage produced no suspects", name)
-		}
-		// The two family members name their round-count parameter
-		// differently; setting both keys configures either.
-		params := scenario.Params{"iterations": statIterations, "iters": statIterations}
-		failSeed, ok := statFailingSeed(s, params)
-		if !ok {
-			return StatRow{}, fmt.Errorf("stat %s: no failing seed in %d tries", name, statRecordScan)
-		}
-		rec, _, err := core.Record(s, record.Failure, core.Options{
-			Ctx:    o.Ctx,
-			Seed:   failSeed,
-			Params: params,
-		})
-		if err != nil {
-			return StatRow{}, fmt.Errorf("stat %s: %w", name, err)
-		}
-		row := StatRow{
-			Scenario:   name,
-			Suspects:   len(suspects),
-			TriageRuns: triageRuns,
-			Identical:  true,
-		}
-		for _, seed := range statSearchSeeds {
-			ro := replay.Options{
-				Ctx:        o.Ctx,
-				Budget:     o.ReplayBudget,
-				SearchSeed: seed,
-				Workers:    1,
-			}
-			base := replay.Replay(s, rec, ro)
-			ro.Suspects = suspects
-			seeded := replay.Replay(s, rec, ro)
-			if base.Err != nil {
-				return row, base.Err
-			}
-			if seeded.Err != nil {
-				return row, seeded.Err
-			}
-			if !base.Ok || !seeded.Ok {
-				return StatRow{}, fmt.Errorf("stat %s seed %d: search failed (base %q, seeded %q)",
-					name, seed, base.Note, seeded.Note)
-			}
-			row.BaseAttempts += base.Attempts
-			row.SeededAttempts += seeded.Attempts
-			row.BaseWorkSteps += base.WorkSteps
-			row.SeededWorkSteps += seeded.WorkSteps
-			row.Identical = row.Identical && sameAccepted(base, seeded)
-		}
-		return row, nil
-	})
-}
-
-// statFailingSeed scans for a production seed that exhibits the failure
-// at the T-STAT parameterization.
-func statFailingSeed(s *scenario.Scenario, p scenario.Params) (int64, bool) {
-	for i := int64(0); i < statRecordScan; i++ {
-		seed := s.DefaultSeed + i
-		v := s.Exec(scenario.ExecOptions{Seed: seed, Params: p})
-		if failed, _ := s.CheckFailure(v); failed {
-			return seed, true
-		}
-	}
-	return 0, false
-}
-
-// sameAccepted reports whether two replays accepted the bit-identical
-// execution: same search note (which encodes the accepted candidate's
-// original plan index) and same event stream.
-func sameAccepted(a, b *replay.Result) bool {
-	return a.Ok && b.Ok && a.Note == b.Note &&
-		trace.EventsEqual(a.View.Trace, b.View.Trace, false)
-}
-
-// RenderTableStat prints T-STAT.
-func RenderTableStat(rows []StatRow) string {
-	var b strings.Builder
-	b.WriteString("Table STAT — static lock-order triage seeding the failure-determinism search\n")
-	b.WriteString("(identical = seeded search accepted the bit-identical execution)\n\n")
-	fmt.Fprintf(&b, "%-16s %8s %7s %14s %20s %10s\n",
-		"scenario", "suspects", "triage", "attempts", "worksteps", "identical")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-16s %8d %7d %6d -> %5d %9d -> %8d %10v\n",
-			r.Scenario, r.Suspects, r.TriageRuns,
-			r.BaseAttempts, r.SeededAttempts,
-			r.BaseWorkSteps, r.SeededWorkSteps, r.Identical)
-	}
-	return b.String()
 }

@@ -65,7 +65,6 @@ var experiments = []struct {
 		return RenderTableFuzz(cells, r.gen), nil
 	}},
 	{"ckpt", func(r *Run) (string, error) { return table(r, TableCheckpoint, RenderTableCheckpoint) }},
-	{"stat", func(r *Run) (string, error) { return table(r, TableStat, RenderTableStat) }},
 }
 
 // rendered runs a row source and prints its rows.

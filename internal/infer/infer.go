@@ -29,7 +29,6 @@ import (
 	"context"
 	"fmt"
 
-	"debugdet/internal/lint/sites"
 	"debugdet/internal/par"
 	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
@@ -66,20 +65,6 @@ type Options struct {
 	Schedule []trace.ThreadID
 	// MaxSteps bounds each candidate execution (0 = VM default).
 	MaxSteps uint64
-	// Suspects are statically implicated lock-order inversions (from
-	// detlint's lockorder analysis via sites.Triage). When non-empty and
-	// no schedule is forced, the search visits its uniform-random
-	// candidates before its PCT ones: an ABBA deadlock fires only when
-	// both threads are preempted inside the hold-one-wait-for-the-other
-	// window, and PCT's long single-thread priority runs serialize the
-	// critical sections right past it, while random interleaving samples
-	// the window directly. Seeding is a stable reordering — every
-	// candidate keeps its identity (seed, scheduler, inputs, note, all
-	// keyed on the candidate's original index) — so whenever the
-	// unseeded search would accept a random-scheduler candidate, the
-	// seeded search accepts the bit-identical execution and only
-	// Attempts/WorkCycles/WorkSteps shrink.
-	Suspects []sites.Suspect
 	// Workers is the number of candidate executions run concurrently
 	// (default GOMAXPROCS; 1 opts out of parallelism; negative is rejected
 	// by Validate). Candidates are bit-deterministic functions of their
@@ -134,19 +119,16 @@ type Outcome struct {
 	Err error
 }
 
-// paramTry is one slot of the candidate plan. idx is the candidate's
-// original plan index, which — not the visiting position — keys the
-// candidate's seed, scheduler, inputs and note, so reordering the plan
-// (static seeding) changes what is tried first, never what is tried.
+// paramTry is one slot of the candidate plan; its position in the plan
+// keys the candidate's seed, scheduler, inputs and note.
 type paramTry struct {
 	p    scenario.Params
 	note string
-	idx  int
 }
 
 // buildPlan lays out the parameter schedule: shrunken configurations first
 // (a few tries each), then the full configuration for the remaining
-// budget; static seeding then reorders the visiting order.
+// budget.
 func buildPlan(s *scenario.Scenario, o Options) []paramTry {
 	var plan []paramTry
 	perShrink := o.Budget / 8
@@ -165,34 +147,7 @@ func buildPlan(s *scenario.Scenario, o Options) []paramTry {
 	if len(plan) > o.Budget {
 		plan = plan[:o.Budget]
 	}
-	for i := range plan {
-		plan[i].idx = i
-	}
-	return prioritize(plan, o)
-}
-
-// prioritize applies static seeding: with lock-order suspects in hand and
-// no forced schedule, visit the uniform-random candidates first and defer
-// the PCT ones (stable partition — relative order within each class is
-// preserved; see Options.Suspects for why random wins on ABBA windows).
-// Candidate identity is keyed on paramTry.idx, so this changes only the
-// visiting order.
-func prioritize(plan []paramTry, o Options) []paramTry {
-	if len(o.Suspects) == 0 || o.Schedule != nil {
-		return plan
-	}
-	out := make([]paramTry, 0, len(plan))
-	for _, pt := range plan {
-		if !usesPCT(int64(pt.idx)) {
-			out = append(out, pt)
-		}
-	}
-	for _, pt := range plan {
-		if usesPCT(int64(pt.idx)) {
-			out = append(out, pt)
-		}
-	}
-	return out
+	return plan
 }
 
 // Search runs candidate executions of s until accept returns true or the
@@ -227,7 +182,7 @@ func Search(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options
 	defer r.hosts.Close()
 	out := &Outcome{}
 	for i, v := range par.Ordered(o.Ctx, len(plan), o.Workers, func(_ context.Context, i int) *scenario.RunView {
-		return r.Run(planCandidate(s, o, plan[i]))
+		return r.Run(planCandidate(s, o, i, plan[i].p))
 	}) {
 		pt := plan[i]
 		out.Attempts++
@@ -237,7 +192,7 @@ func Search(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options
 			out.View = v
 			out.Ok = true
 			out.AcceptedParams = pt.p
-			out.Note = fmt.Sprintf("%s attempt %d", pt.note, pt.idx)
+			out.Note = fmt.Sprintf("%s attempt %d", pt.note, i)
 			return out
 		}
 		if i == len(plan)-1 {
@@ -255,16 +210,15 @@ func Search(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options
 	return out
 }
 
-// planCandidate describes one candidate of the plan. Candidates are
-// bit-deterministic functions of (scenario, options, pt.idx), which is
-// what makes the search embarrassingly parallel.
-func planCandidate(s *scenario.Scenario, o Options, pt paramTry) scenario.ExecOptions {
-	i := int64(pt.idx)
+// planCandidate describes the i-th candidate of the plan, run with
+// parameters p. Candidates are bit-deterministic functions of (scenario,
+// options, i), which is what makes the search embarrassingly parallel.
+func planCandidate(s *scenario.Scenario, o Options, i int, p scenario.Params) scenario.ExecOptions {
 	return scenario.ExecOptions{
-		Seed:      o.BaseSeed + i,
-		Params:    pt.p,
-		Scheduler: candidateScheduler(o, i),
-		Inputs:    candidateInputs(s, o, pt.p, i),
+		Seed:      o.BaseSeed + int64(i),
+		Params:    p,
+		Scheduler: candidateScheduler(o, int64(i)),
+		Inputs:    candidateInputs(s, o, p, int64(i)),
 		MaxSteps:  o.MaxSteps,
 		RelaxTime: o.Schedule != nil,
 	}
@@ -278,16 +232,13 @@ func candidateScheduler(o Options, i int64) vm.Scheduler {
 		return vm.NewReplayScheduler(o.Schedule)
 	}
 	seed := mix(o.BaseSeed, i)
-	if usesPCT(i) {
+	// Every third candidate runs PCT, to reach low-probability orderings
+	// that uniform random sampling misses.
+	if i%3 == 2 {
 		return vm.NewPCTScheduler(seed, 4096, 3)
 	}
 	return vm.NewRandomScheduler(seed)
 }
-
-// usesPCT reports whether candidate i uses the PCT scheduler: every third
-// candidate, to reach low-probability orderings that uniform random
-// sampling misses. prioritize keys static seeding on the same predicate.
-func usesPCT(i int64) bool { return i%3 == 2 }
 
 // candidateInputs builds the i-th candidate's input source: forced
 // recorded streams over a searched base (see Options.Schedule for the

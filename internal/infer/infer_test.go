@@ -3,7 +3,6 @@ package infer
 import (
 	"testing"
 
-	"debugdet/internal/lint/sites"
 	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
@@ -163,92 +162,3 @@ func TestMixDistributes(t *testing.T) {
 }
 
 var _ = vm.ZeroInputs // silence unused-import lint in minimal builds
-
-// TestPrioritizeStablePartition checks the static-seeding reorder: with
-// suspects and no forced schedule, non-PCT candidates come first, each
-// class keeps its relative order, every original index survives exactly
-// once, and candidate identity rides on idx rather than position.
-func TestPrioritizeStablePartition(t *testing.T) {
-	s := &scenario.Scenario{DefaultParams: scenario.Params{}}
-	o := Options{Budget: 20, Suspects: []sites.Suspect{{Locks: [2]string{"A", "B"}}}}
-	plan := buildPlan(s, o)
-	if len(plan) != 20 {
-		t.Fatalf("plan length = %d, want 20", len(plan))
-	}
-	split := -1
-	for i, pt := range plan {
-		if usesPCT(int64(pt.idx)) {
-			if split == -1 {
-				split = i
-			}
-		} else if split != -1 {
-			t.Fatalf("random candidate idx %d after PCT block started at %d", pt.idx, split)
-		}
-	}
-	if split == -1 {
-		t.Fatal("no PCT candidates in plan")
-	}
-	seen := make(map[int]bool)
-	prev := -1
-	for i, pt := range plan {
-		if seen[pt.idx] {
-			t.Fatalf("idx %d duplicated", pt.idx)
-		}
-		seen[pt.idx] = true
-		if i == split {
-			prev = -1 // order resets at the class boundary
-		}
-		if pt.idx <= prev {
-			t.Fatalf("relative order broken at position %d: idx %d after %d", i, pt.idx, prev)
-		}
-		prev = pt.idx
-	}
-	for i := 0; i < 20; i++ {
-		if !seen[i] {
-			t.Fatalf("idx %d missing from seeded plan", i)
-		}
-	}
-
-	// No suspects, or a forced schedule, leaves the plan untouched.
-	for _, o := range []Options{
-		{Budget: 20},
-		{Budget: 20, Suspects: o.Suspects, Schedule: []trace.ThreadID{0}},
-	} {
-		for i, pt := range buildPlan(s, o) {
-			if pt.idx != i {
-				t.Fatalf("unseeded plan reordered: position %d has idx %d", i, pt.idx)
-			}
-		}
-	}
-}
-
-// TestSeededSearchBitIdentical runs the failure search on the deadlock
-// scenario with and without suspects at a seed where the unseeded search
-// accepts a random-scheduler candidate: the accepted execution must be
-// bit-identical and the seeded search must not work harder.
-func TestSeededSearchBitIdentical(t *testing.T) {
-	s, err := workload.ByName("deadlock")
-	if err != nil {
-		t.Fatal(err)
-	}
-	accept := func(v *scenario.RunView) bool {
-		failed, sig := s.CheckFailure(v)
-		return failed && sig == "deadlock:abba"
-	}
-	o := Options{Budget: 60, BaseSeed: 7, Workers: 1}
-	base := Search(s, accept, o)
-	o.Suspects = []sites.Suspect{{Locks: [2]string{"A", "B"}}}
-	seeded := Search(s, accept, o)
-	if !base.Ok || !seeded.Ok {
-		t.Fatalf("search failed: base %v seeded %v", base.Note, seeded.Note)
-	}
-	if base.Note != seeded.Note {
-		t.Fatalf("accepted candidates differ: %q vs %q", base.Note, seeded.Note)
-	}
-	if !trace.EventsEqual(base.View.Trace, seeded.View.Trace, false) {
-		t.Fatal("accepted executions differ")
-	}
-	if seeded.Attempts > base.Attempts {
-		t.Fatalf("seeding increased attempts: %d -> %d", base.Attempts, seeded.Attempts)
-	}
-}

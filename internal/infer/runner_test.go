@@ -146,7 +146,7 @@ func TestSearchReusesRejectedMachines(t *testing.T) {
 				t.Fatalf("%d candidates used %d distinct machines, want at most %d", out.Attempts, len(machines), tc.maxMachines)
 			}
 			full := s.DefaultParams.Clone(tc.opts.Params)
-			c := planCandidate(s, tc.opts, paramTry{p: full, idx: int(out.View.Trace.Header.Seed - tc.opts.BaseSeed)})
+			c := planCandidate(s, tc.opts, int(out.View.Trace.Header.Seed-tc.opts.BaseSeed), full)
 			if err := runDiff(out.View, s.Exec(c)); err != nil {
 				t.Fatalf("accepted candidate %d: %v", c.Seed, err)
 			}

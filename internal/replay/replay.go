@@ -26,7 +26,6 @@ import (
 	"fmt"
 
 	"debugdet/internal/infer"
-	"debugdet/internal/lint/sites"
 	"debugdet/internal/record"
 	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
@@ -53,11 +52,6 @@ type Options struct {
 	// models (0 = GOMAXPROCS, 1 = sequential). Results are identical
 	// for every worker count; see infer.Search.
 	Workers int
-	// Suspects are statically implicated lock-order inversions (from
-	// detlint's lockorder analysis via sites.Triage); failure-determinism
-	// search uses them to visit its PCT candidates first. See
-	// infer.Options.Suspects for the bit-identity contract.
-	Suspects []sites.Suspect
 	// Fork is ignored. bench/ compiles against it; ROADMAP item 1 deletes
 	// it.
 	Fork bool
@@ -147,7 +141,7 @@ func Replay(s *scenario.Scenario, rec *record.Recording, o Options) *Result {
 		if !rec.Failed {
 			return &Result{Note: "original run did not fail; nothing to synthesize"}
 		}
-		io.ShrinkParams, io.Suspects = o.ShrinkParams, o.Suspects
+		io.ShrinkParams = o.ShrinkParams
 		return search(s, func(v *scenario.RunView) bool {
 			failed, sig := s.CheckFailure(v)
 			return failed && sig == rec.FailureSig
