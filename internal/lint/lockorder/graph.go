@@ -2,21 +2,23 @@ package lockorder
 
 import (
 	"fmt"
+	"go/token"
 	"sort"
 )
 
 // Key identifies one lock in a lock-order graph. Obj carries a comparable
-// identity (a types.Object for source analysis, a trace.ObjID for trace
-// triage); Name is the human-readable label diagnostics use.
+// identity (the lock variable's types.Object, or the expression text
+// scoped to its enclosing function); Name is the human-readable label
+// diagnostics use.
 type Key struct {
 	Obj  any
 	Name string
 }
 
-// BodyID identifies one acquisition context: a function body for source
-// analysis, a thread for trace triage. Cycles whose edges all come from
-// the same context are still reported — the same closure can run in two
-// threads — but the context shows up in the diagnostic.
+// BodyID identifies one acquisition context: a function body. Cycles
+// whose edges all come from the same body are still reported — the same
+// closure can run in two threads — but the body shows up in the
+// diagnostic.
 type BodyID struct {
 	ID   any
 	Name string
@@ -26,9 +28,8 @@ type BodyID struct {
 type Edge struct {
 	From, To Key
 	Body     BodyID
-	// Tag is caller payload describing the acquisition site of To (an AST
-	// position or a trace.SiteID).
-	Tag any
+	// Tag is the source position of the call that acquired To.
+	Tag token.Pos
 	// Gates are the other locks held at the acquisition. Two opposing
 	// edges that share a gate lock cannot interleave into a deadlock (the
 	// gate serializes them): the standard Goodlock refinement.
@@ -82,7 +83,7 @@ func NewGraph() *Graph {
 // Acquire records that body acquired lock at tag, adding ordering edges
 // from every lock the body already holds. Re-acquiring a held lock adds no
 // edges (self-deadlock is a different bug class, caught dynamically).
-func (g *Graph) Acquire(body BodyID, lock Key, tag any) {
+func (g *Graph) Acquire(body BodyID, lock Key, tag token.Pos) {
 	held := g.held[body]
 	for _, h := range held {
 		if h == lock {
@@ -112,9 +113,6 @@ func (g *Graph) Release(body BodyID, lock Key) {
 		}
 	}
 }
-
-// Edges exposes the accumulated ordering edges (for tests and reports).
-func (g *Graph) Edges() []Edge { return g.edges }
 
 // Cycles returns the potential-deadlock cycles: pairs of gate-disjoint
 // opposing edges (the ABBA class), one cycle per unordered lock pair,

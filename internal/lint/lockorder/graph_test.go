@@ -1,21 +1,31 @@
 package lockorder
 
-import "testing"
+import (
+	"go/token"
+	"testing"
+)
 
 func key(name string) Key    { return Key{Obj: name, Name: name} }
 func bid(name string) BodyID { return BodyID{ID: name, Name: name} }
+
+// Acquisition positions; a graph only stores and returns them.
+const (
+	s1, s2, s3, s4, s2re token.Pos = 1, 2, 3, 4, 5
+	g1, g2               token.Pos = 11, 12
+	px, py               token.Pos = 21, 22
+)
 
 // TestGraphABBA: opposing orders across two bodies form one cycle.
 func TestGraphABBA(t *testing.T) {
 	g := NewGraph()
 	a, b := key("a"), key("b")
 	t1, t2 := bid("t1"), bid("t2")
-	g.Acquire(t1, a, "s1")
-	g.Acquire(t1, b, "s2")
+	g.Acquire(t1, a, s1)
+	g.Acquire(t1, b, s2)
 	g.Release(t1, b)
 	g.Release(t1, a)
-	g.Acquire(t2, b, "s3")
-	g.Acquire(t2, a, "s4")
+	g.Acquire(t2, b, s3)
+	g.Acquire(t2, a, s4)
 	cycles := g.Cycles()
 	if len(cycles) != 1 {
 		t.Fatalf("cycles = %d, want 1: %v", len(cycles), cycles)
@@ -24,8 +34,8 @@ func TestGraphABBA(t *testing.T) {
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("cycle locks = %v, want [a b]", got)
 	}
-	if cycles[0].Edges[0].Tag != "s2" {
-		t.Fatalf("first edge tag = %v, want s2 (first inserted)", cycles[0].Edges[0].Tag)
+	if cycles[0].Edges[0].Tag != s2 {
+		t.Fatalf("first edge tag = %v, want %v (first inserted)", cycles[0].Edges[0].Tag, s2)
 	}
 }
 
@@ -34,15 +44,15 @@ func TestGraphGate(t *testing.T) {
 	g := NewGraph()
 	gate, a, b := key("g"), key("a"), key("b")
 	t1, t2 := bid("t1"), bid("t2")
-	g.Acquire(t1, gate, "g1")
-	g.Acquire(t1, a, "s1")
-	g.Acquire(t1, b, "s2")
+	g.Acquire(t1, gate, g1)
+	g.Acquire(t1, a, s1)
+	g.Acquire(t1, b, s2)
 	g.Release(t1, b)
 	g.Release(t1, a)
 	g.Release(t1, gate)
-	g.Acquire(t2, gate, "g2")
-	g.Acquire(t2, b, "s3")
-	g.Acquire(t2, a, "s4")
+	g.Acquire(t2, gate, g2)
+	g.Acquire(t2, b, s3)
+	g.Acquire(t2, a, s4)
 	if cycles := g.Cycles(); len(cycles) != 0 {
 		t.Fatalf("gated inversion reported: %v", cycles)
 	}
@@ -55,13 +65,13 @@ func TestGraphDedup(t *testing.T) {
 	a, b := key("a"), key("b")
 	t1, t2 := bid("t1"), bid("t2")
 	for i := 0; i < 3; i++ {
-		g.Acquire(t1, a, "s1")
-		g.Acquire(t1, b, "s2")
-		g.Acquire(t1, b, "s2-re") // no-op: already held
+		g.Acquire(t1, a, s1)
+		g.Acquire(t1, b, s2)
+		g.Acquire(t1, b, s2re) // no-op: already held
 		g.Release(t1, b)
 		g.Release(t1, a)
-		g.Acquire(t2, b, "s3")
-		g.Acquire(t2, a, "s4")
+		g.Acquire(t2, b, s3)
+		g.Acquire(t2, a, s4)
 		g.Release(t2, a)
 		g.Release(t2, b)
 	}
@@ -75,12 +85,12 @@ func TestGraphDisjointPairs(t *testing.T) {
 	g := NewGraph()
 	t1, t2 := bid("t1"), bid("t2")
 	for _, pair := range [][2]Key{{key("a"), key("b")}, {key("c"), key("d")}} {
-		g.Acquire(t1, pair[0], "x")
-		g.Acquire(t1, pair[1], "y")
+		g.Acquire(t1, pair[0], px)
+		g.Acquire(t1, pair[1], py)
 		g.Release(t1, pair[1])
 		g.Release(t1, pair[0])
-		g.Acquire(t2, pair[1], "x")
-		g.Acquire(t2, pair[0], "y")
+		g.Acquire(t2, pair[1], px)
+		g.Acquire(t2, pair[0], py)
 		g.Release(t2, pair[0])
 		g.Release(t2, pair[1])
 	}

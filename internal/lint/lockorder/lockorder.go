@@ -7,19 +7,15 @@
 // B held while taking A in another — are reported as potential ABBA
 // deadlocks.
 //
-// The same graph core triages recorded executions (see
-// internal/lint/sites), where lock identities are runtime object IDs
-// rather than source expressions; that runtime form is what seeds RCSE
-// search. The source analyzer is deliberately intra-body: it does not
-// propagate lock arguments through call sites, so a factory closure
-// instantiated with (a,b) and (b,a) is flagged by the trace triage, not
-// here.
+// The analyzer is deliberately intra-body: it does not propagate lock
+// arguments through call sites, so a factory closure instantiated with
+// (a,b) and (b,a) is not flagged; the VM reports such a deadlock when a
+// run reaches it.
 package lockorder
 
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"debugdet/internal/lint/analysis"
@@ -53,7 +49,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			continue
 		}
 		e1, e2 := c.Edges[0], c.Edges[1]
-		pass.Reportf(e1.Tag.(token.Pos),
+		pass.Reportf(e1.Tag,
 			"potential ABBA deadlock: %s acquires %s while holding %s, but %s acquires %s while holding %s (annotate //lint:%s <why> to waive)",
 			e1.Body.Name, e1.To.Name, e1.From.Name,
 			e2.Body.Name, e2.To.Name, e2.From.Name, Directive)
@@ -65,14 +61,13 @@ func run(pass *analysis.Pass) (interface{}, error) {
 // directive.
 func waived(pass *analysis.Pass, dirsByFile map[string]*analysis.Directives, c Cycle) bool {
 	for _, e := range c.Edges {
-		pos := e.Tag.(token.Pos)
-		dirs := dirsByFile[pass.Fset.Position(pos).Filename]
+		dirs := dirsByFile[pass.Fset.Position(e.Tag).Filename]
 		if dirs == nil {
 			continue
 		}
-		if d, ok := dirs.At(pass.Fset, pos, Directive); ok {
+		if d, ok := dirs.At(pass.Fset, e.Tag, Directive); ok {
 			if d.Justification == "" {
-				pass.Reportf(pos, "//lint:%s needs a justification", Directive)
+				pass.Reportf(e.Tag, "//lint:%s needs a justification", Directive)
 			}
 			return true
 		}
