@@ -102,7 +102,9 @@ func TestSnapshotsAreImmutableAfterCapture(t *testing.T) {
 
 // TestSnapshotCostIgnoresHistory: capture on a machine that has emitted
 // 10k stream values allocates for its live state (a thread, a stream
-// table), not for the ~560 KB of history.
+// table), not for the ~560 KB of history. The bound is per capture,
+// averaged over many, so that allocations the process makes elsewhere
+// between the two reads of the counters do not count against it.
 func TestSnapshotCostIgnoresHistory(t *testing.T) {
 	const values = 10000
 	m := New(Config{Seed: 1})
@@ -115,14 +117,18 @@ func TestSnapshotCostIgnoresHistory(t *testing.T) {
 	m.Continue(values)
 	defer m.Finish()
 
+	const captures = 64
 	var before, after runtime.MemStats
+	var snap *Snapshot
 	runtime.ReadMemStats(&before)
-	snap := m.Snapshot(NoRunningThread)
+	for range captures {
+		snap = m.Snapshot(NoRunningThread)
+	}
 	runtime.ReadMemStats(&after)
 	if got := len(snap.Streams[out].Outputs); got != values {
 		t.Fatalf("snapshot holds %d outputs, want %d", got, values)
 	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<10 {
-		t.Fatalf("Snapshot allocated %d bytes with %d values of history; it must not copy the history", alloc, values)
+	if alloc := (after.TotalAlloc - before.TotalAlloc) / captures; alloc > 4<<10 {
+		t.Fatalf("Snapshot allocated %d bytes per capture with %d values of history; it must not copy the history", alloc, values)
 	}
 }
