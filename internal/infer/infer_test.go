@@ -5,7 +5,6 @@ import (
 
 	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
-	"debugdet/internal/vm"
 	"debugdet/internal/workload"
 )
 
@@ -160,5 +159,3 @@ func TestMixDistributes(t *testing.T) {
 		t.Fatalf("mix collides too much: %d distinct of 100", len(seen))
 	}
 }
-
-var _ = vm.ZeroInputs // silence unused-import lint in minimal builds
