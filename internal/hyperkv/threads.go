@@ -119,7 +119,7 @@ func (cl *Cluster) handleCommit(t *vm.Thread, s int, msg simnet.Message) {
 		// not-owned and snapshot its rows right here.
 		t.Yield(st.rsWindow)
 	}
-	t.Store(st.rsStore, cl.rows[s][key], trace.Bytes_(msg.Blob))
+	t.Store(st.rsStore, cl.rows[s][key], trace.Blob(string(msg.Blob)))
 	// Oracle accounting (not part of the store's logic): if the range was
 	// migrated away and its snapshot already completed, this row just
 	// vanished — committed to a server that will ignore it.
@@ -192,7 +192,7 @@ func (cl *Cluster) adminThread(t *vm.Thread, s int) {
 					continue
 				}
 				keys = append(keys, int64(key))
-				blob = append(blob, v.Bytes...)
+				blob = append(blob, v.Str...)
 			}
 			t.Store(st.admSnapDone, cl.snapdone[s][r], trace.Int(1))
 			if cfg.Fixed {
@@ -207,9 +207,9 @@ func (cl *Cluster) adminThread(t *vm.Thread, s int) {
 			if cfg.Fixed {
 				t.Lock(st.rsLock, cl.lock[s])
 			}
+			rows := string(msg.Blob)
 			for i, key := range msg.Nums[1:] {
-				row := msg.Blob[i*RowSize : (i+1)*RowSize]
-				t.Store(st.admInstall, cl.rows[s][key], trace.Bytes_(row))
+				t.Store(st.admInstall, cl.rows[s][key], trace.Blob(rows[i*RowSize:(i+1)*RowSize]))
 			}
 			t.Store(st.admOwn, cl.owned[s][r], trace.Int(1))
 			t.Store(st.admOwn, cl.snapdone[s][r], trace.Int(0))

@@ -1,6 +1,7 @@
 package plane
 
 import (
+	"strings"
 	"testing"
 
 	"debugdet/internal/trace"
@@ -35,7 +36,7 @@ func buildMixedWorkload(t *testing.T) (*vm.Result, *vm.Machine) {
 			for i := 0; i < 200; i++ {
 				t.ClearTaint()
 				t.Input(sDataIn, dataIn)
-				t.Send(sDataSend, dataCh, trace.Bytes_(make([]byte, 256)))
+				t.Send(sDataSend, dataCh, trace.Blob(strings.Repeat("\x00", 256)))
 			}
 			t.Send(sDataSend, dataCh, trace.Str("eof"))
 		})

@@ -144,7 +144,7 @@ func TestSchedLevelCheaperThanFull(t *testing.T) {
 	m := vm.New(vm.Config{})
 	sched := NewRecorder(m, &Policy{Name: "s", Sched: true, Full: func(*trace.Event) bool { return false }})
 	full := NewRecorder(m, &Policy{Name: "f", Sched: true, Full: func(*trace.Event) bool { return true }})
-	e := trace.Event{Kind: trace.EvSend, Val: trace.Bytes_(make([]byte, 100))}
+	e := trace.Event{Kind: trace.EvSend, Val: trace.Blob(strings.Repeat("\x00", 100))}
 	cs := sched.OnEvent(&e)
 	cf := full.OnEvent(&e)
 	if cs >= cf {

@@ -18,6 +18,7 @@ package simdisk
 
 import (
 	"encoding/binary"
+	"strings"
 
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
@@ -28,32 +29,42 @@ import (
 const fieldBytes = 8
 
 // Encode frames the fields as one WAL record: each field big-endian in 8
-// bytes, followed by an 8-byte FNV-1a checksum of the field bytes.
-func Encode(fields ...int64) []byte {
-	b := make([]byte, fieldBytes*(len(fields)+1))
-	for i, f := range fields {
-		binary.BigEndian.PutUint64(b[fieldBytes*i:], uint64(f))
+// bytes, followed by an 8-byte FNV-1a checksum of the field bytes. The
+// record is built once, at its final size.
+func Encode(fields ...int64) string {
+	var b strings.Builder
+	b.Grow(fieldBytes * (len(fields) + 1))
+	var w [fieldBytes]byte
+	for _, f := range fields {
+		binary.BigEndian.PutUint64(w[:], uint64(f))
+		b.Write(w[:])
 	}
-	binary.BigEndian.PutUint64(b[fieldBytes*len(fields):], checksum(b[:fieldBytes*len(fields)]))
-	return b
+	binary.BigEndian.PutUint64(w[:], checksum(b.String()))
+	b.Write(w[:])
+	return b.String()
 }
 
 // Decode unframes a record, verifying its checksum trailer. ok is false
 // for torn, truncated or otherwise corrupt records — the signal a correct
 // recovery path uses to stop at the last good record.
-func Decode(b []byte) (fields []int64, ok bool) {
+func Decode(b string) (fields []int64, ok bool) {
 	if len(b) < fieldBytes || len(b)%fieldBytes != 0 {
 		return nil, false
 	}
 	n := len(b)/fieldBytes - 1
-	if checksum(b[:fieldBytes*n]) != binary.BigEndian.Uint64(b[fieldBytes*n:]) {
+	if checksum(b[:fieldBytes*n]) != word(b, n) {
 		return nil, false
 	}
 	fields = make([]int64, n)
 	for i := range fields {
-		fields[i] = int64(binary.BigEndian.Uint64(b[fieldBytes*i:]))
+		fields[i] = int64(word(b, i))
 	}
 	return fields, true
+}
+
+// word returns the i-th big-endian field word of b.
+func word(b string, i int) uint64 {
+	return binary.BigEndian.Uint64([]byte(b[fieldBytes*i : fieldBytes*(i+1)]))
 }
 
 // DecodeLoose unframes a record without verifying anything: short records
@@ -62,11 +73,10 @@ func Decode(b []byte) (fields []int64, ok bool) {
 // record it returns deterministic garbage. It exists to model recovery
 // code that trusts the device — the injected defect of the torn-WAL
 // scenario — and must never be used where corruption matters.
-func DecodeLoose(b []byte) []int64 {
+func DecodeLoose(b string) []int64 {
 	padded := b
-	if len(b)%fieldBytes != 0 {
-		padded = make([]byte, (len(b)/fieldBytes+1)*fieldBytes)
-		copy(padded, b)
+	if pad := len(b) % fieldBytes; pad != 0 {
+		padded += strings.Repeat("\x00", fieldBytes-pad)
 	}
 	words := len(padded) / fieldBytes
 	n := words - 1 // drop the trailer word
@@ -75,17 +85,17 @@ func DecodeLoose(b []byte) []int64 {
 	}
 	fields := make([]int64, n)
 	for i := range fields {
-		fields[i] = int64(binary.BigEndian.Uint64(padded[fieldBytes*i:]))
+		fields[i] = int64(word(padded, i))
 	}
 	return fields
 }
 
 // checksum is 64-bit FNV-1a over the field bytes.
-func checksum(b []byte) uint64 {
+func checksum(b string) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
-	for _, c := range b {
-		h ^= uint64(c)
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
 		h *= prime
 	}
 	return h
@@ -94,7 +104,7 @@ func checksum(b []byte) uint64 {
 // Append frames the fields and writes them as one record on the disk. The
 // write is volatile until an fsync or barrier.
 func Append(t *vm.Thread, site trace.SiteID, disk trace.ObjID, fields ...int64) {
-	t.DiskWrite(site, disk, trace.Bytes_(Encode(fields...)))
+	t.DiskWrite(site, disk, trace.Blob(Encode(fields...)))
 }
 
 // Scan reads every record off the disk, oldest first, until the
@@ -102,13 +112,13 @@ func Append(t *vm.Thread, site trace.SiteID, disk trace.ObjID, fields ...int64) 
 // crash tore the tail — for the caller's Decode/DecodeLoose to interpret.
 // Every read is a VM operation, so a recovery scan is replayed faithfully
 // under every determinism model.
-func Scan(t *vm.Thread, site trace.SiteID, disk trace.ObjID) [][]byte {
-	var recs [][]byte
+func Scan(t *vm.Thread, site trace.SiteID, disk trace.ObjID) []string {
+	var recs []string
 	for i := 0; ; i++ {
 		v := t.DiskRead(site, disk, i)
 		if v.IsNil() {
 			return recs
 		}
-		recs = append(recs, v.Bytes)
+		recs = append(recs, v.Str)
 	}
 }

@@ -1,7 +1,6 @@
 package simdisk
 
 import (
-	"bytes"
 	"testing"
 
 	"debugdet/internal/trace"
@@ -50,9 +49,9 @@ func TestDecodeRejectsEveryTruncation(t *testing.T) {
 func TestDecodeRejectsBitFlip(t *testing.T) {
 	b := Encode(3, 1000, 77)
 	for i := range b {
-		mut := append([]byte(nil), b...)
+		mut := []byte(b)
 		mut[i] ^= 0x40
-		if _, ok := Decode(mut); ok {
+		if _, ok := Decode(string(mut)); ok {
 			t.Fatalf("Decode accepted a record with byte %d flipped", i)
 		}
 	}
@@ -87,8 +86,8 @@ func TestDecodeLooseOnTornRecord(t *testing.T) {
 	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
 		t.Fatalf("DecodeLoose(torn 28B) = %v, want [0 1 2]", got)
 	}
-	if out := DecodeLoose(nil); len(out) != 0 {
-		t.Fatalf("DecodeLoose(nil) = %v, want empty", out)
+	if out := DecodeLoose(""); len(out) != 0 {
+		t.Fatalf("DecodeLoose(\"\") = %v, want empty", out)
 	}
 	if out := DecodeLoose(b[:3]); len(out) != 0 {
 		t.Fatalf("DecodeLoose(3B) = %v, want empty (single padded word is the trailer)", out)
@@ -102,7 +101,7 @@ func TestAppendScanThroughMachine(t *testing.T) {
 	m := vm.New(vm.Config{Seed: 1, CollectTrace: true})
 	d := m.NewDisk("wal", vm.DiskFaults{TornBytes: 28})
 	s := m.Site("test.simdisk")
-	var scanned [][]byte
+	var scanned []string
 	res := m.Run(func(th *vm.Thread) {
 		Append(th, s, d, 0, 1, 1, 100)
 		th.DiskFsync(s, d)
@@ -128,7 +127,7 @@ func TestAppendScanThroughMachine(t *testing.T) {
 		t.Fatal("Decode accepted the torn record")
 	}
 	whole := Encode(0, 1, 2, 200)
-	if !bytes.Equal(scanned[1], whole[:28]) {
+	if scanned[1] != whole[:28] {
 		t.Fatal("torn record is not a byte prefix of the whole record")
 	}
 	reads := 0

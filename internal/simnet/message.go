@@ -14,8 +14,10 @@ package simnet
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"debugdet/internal/trace"
+	"debugdet/internal/wire"
 )
 
 // Message is a structured network message. Fields are positional by
@@ -35,32 +37,45 @@ func (m Message) String() string {
 }
 
 // Encode serializes the message into a VM value (a byte blob). The
-// encoding is length-prefixed and deterministic.
+// encoding is length-prefixed and deterministic, and built once at its
+// final size.
 func (m Message) Encode() trace.Value {
-	var b []byte
-	b = appendString(b, m.Kind)
-	b = appendString(b, m.From)
-	b = binary.AppendUvarint(b, uint64(len(m.Args)))
+	n := strLen(m.Kind) + strLen(m.From) + wire.UvarintLen(uint64(len(m.Args)))
 	for _, a := range m.Args {
-		b = appendString(b, a)
+		n += strLen(a)
 	}
-	b = binary.AppendUvarint(b, uint64(len(m.Nums)))
-	for _, n := range m.Nums {
-		b = binary.AppendVarint(b, n)
+	n += wire.UvarintLen(uint64(len(m.Nums)))
+	for _, v := range m.Nums {
+		n += wire.VarintLen(v)
 	}
-	b = binary.AppendUvarint(b, uint64(len(m.Blob)))
-	b = append(b, m.Blob...)
-	return trace.Bytes_(b)
+	n += wire.UvarintLen(uint64(len(m.Blob))) + len(m.Blob)
+	var b strings.Builder
+	b.Grow(n)
+	writeString(&b, m.Kind)
+	writeString(&b, m.From)
+	writeUvarint(&b, uint64(len(m.Args)))
+	for _, a := range m.Args {
+		writeString(&b, a)
+	}
+	writeUvarint(&b, uint64(len(m.Nums)))
+	for _, v := range m.Nums {
+		var w [binary.MaxVarintLen64]byte
+		b.Write(binary.AppendVarint(w[:0], v))
+	}
+	writeUvarint(&b, uint64(len(m.Blob)))
+	b.Write(m.Blob)
+	return trace.Blob(b.String())
 }
 
 // DecodeMessage parses a value produced by Encode. It returns an error for
 // malformed input rather than panicking, since messages may be synthesized
-// by the inference engine.
+// by the inference engine. Kind, From and Args are substrings of the
+// value's payload; only Args, Nums and a non-empty Blob are allocated.
 func DecodeMessage(v trace.Value) (Message, error) {
 	if v.Kind != trace.VBytes {
 		return Message{}, fmt.Errorf("simnet: message value has kind %d, want bytes", v.Kind)
 	}
-	b := v.Bytes
+	b := v.Str
 	var m Message
 	var err error
 	if m.Kind, b, err = takeString(b); err != nil {
@@ -107,7 +122,7 @@ func DecodeMessage(v trace.Value) (Message, error) {
 		return Message{}, fmt.Errorf("simnet: blob truncated: have %d want %d", len(b), nBlob)
 	}
 	if nBlob > 0 {
-		m.Blob = b[:nBlob]
+		m.Blob = []byte(b[:nBlob])
 	}
 	return m, nil
 }
@@ -138,34 +153,51 @@ func (m Message) Num(i int) int64 {
 	return 0
 }
 
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
+// strLen is the bytes writeString writes for s.
+func strLen(s string) int { return wire.UvarintLen(uint64(len(s))) + len(s) }
+
+func writeString(b *strings.Builder, s string) {
+	writeUvarint(b, uint64(len(s)))
+	b.WriteString(s)
 }
 
-func takeUvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("bad uvarint")
+func writeUvarint(b *strings.Builder, v uint64) {
+	var w [binary.MaxVarintLen64]byte
+	b.Write(binary.AppendUvarint(w[:0], v))
+}
+
+// takeUvarint is binary.Uvarint on a string: a uvarint of at most ten
+// bytes whose value fits in 64 bits.
+func takeUvarint(b string) (uint64, string, error) {
+	var v uint64
+	for i := 0; i < len(b) && i < binary.MaxVarintLen64; i++ {
+		c := b[i]
+		if c < 0x80 {
+			if i == binary.MaxVarintLen64-1 && c > 1 {
+				break
+			}
+			return v | uint64(c)<<(7*i), b[i+1:], nil
+		}
+		v |= uint64(c&0x7f) << (7 * i)
 	}
-	return v, b[n:], nil
+	return 0, "", fmt.Errorf("bad uvarint")
 }
 
-func takeVarint(b []byte) (int64, []byte, error) {
-	v, n := binary.Varint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("bad varint")
+func takeVarint(b string) (int64, string, error) {
+	u, rest, err := takeUvarint(b)
+	if err != nil {
+		return 0, "", fmt.Errorf("bad varint")
 	}
-	return v, b[n:], nil
+	return int64(u>>1) ^ -int64(u&1), rest, nil
 }
 
-func takeString(b []byte) (string, []byte, error) {
+func takeString(b string) (string, string, error) {
 	n, rest, err := takeUvarint(b)
 	if err != nil {
-		return "", nil, err
+		return "", "", err
 	}
 	if uint64(len(rest)) < n {
-		return "", nil, fmt.Errorf("string truncated")
+		return "", "", fmt.Errorf("string truncated")
 	}
-	return string(rest[:n]), rest[n:], nil
+	return rest[:n], rest[n:], nil
 }

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"testing"
@@ -36,18 +37,17 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeMessageAllocs: decoding allocates each string it returns and
-// each of Args and Nums once, at its final size; a hostile count reserves
-// nothing.
+// TestDecodeMessageAllocs: decoding takes every string it returns from
+// the value's payload and allocates only Args and Nums, each once at its
+// final size; a hostile count reserves nothing.
 func TestDecodeMessageAllocs(t *testing.T) {
 	v := Message{Kind: "put", From: "node-1", Args: []string{"users", "row-42", "v7"}, Nums: []int64{7, -3}}.Encode()
-	// kind, from, three args, Args, Nums.
-	if allocs := testing.AllocsPerRun(100, func() { MustDecode(v) }); allocs != 7 {
-		t.Fatalf("decoding a 3-arg 2-num message allocated %.0f objects, want 7", allocs)
+	// Args, Nums.
+	if allocs := testing.AllocsPerRun(100, func() { MustDecode(v) }); allocs != 2 {
+		t.Fatalf("decoding a 3-arg 2-num message allocated %.0f objects, want 2", allocs)
 	}
-	hostile := appendString(appendString(nil, "put"), "node-1")
-	hostile = binary.AppendUvarint(hostile, 1<<62)
-	if _, err := DecodeMessage(trace.Bytes_(hostile)); err == nil || err.Error() != "simnet: arg 0: bad uvarint" {
+	hostile := "\x03put\x06node-1" + string(binary.AppendUvarint(nil, 1<<62))
+	if _, err := DecodeMessage(trace.Blob(hostile)); err == nil || err.Error() != "simnet: arg 0: bad uvarint" {
 		t.Fatalf("argc 2^62 with no bytes left: err %v", err)
 	}
 }
@@ -63,14 +63,38 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	if _, err := DecodeMessage(trace.Int(5)); err == nil {
 		t.Fatal("accepted non-bytes value")
 	}
-	if _, err := DecodeMessage(trace.Bytes_([]byte{0xff})); err == nil {
+	if _, err := DecodeMessage(trace.Blob("\xff")); err == nil {
 		t.Fatal("accepted truncated bytes")
 	}
 	good := Message{Kind: "k", From: "f", Blob: []byte("xyz")}.Encode()
-	for cut := 1; cut < len(good.Bytes); cut++ {
-		if _, err := DecodeMessage(trace.Bytes_(good.Bytes[:cut])); err == nil {
+	for cut := 1; cut < len(good.Str); cut++ {
+		if _, err := DecodeMessage(trace.Blob(good.Str[:cut])); err == nil {
 			t.Fatalf("accepted truncation at %d", cut)
 		}
+	}
+}
+
+// TestTakeUvarintMatchesBinary: the string decoder accepts exactly what
+// binary.Uvarint accepts, with the same value and length, at the 64-bit
+// edges and on random bytes.
+func TestTakeUvarintMatchesBinary(t *testing.T) {
+	check := func(b []byte) bool {
+		want, n := binary.Uvarint(b)
+		got, rest, err := takeUvarint(string(b))
+		if n <= 0 {
+			return err != nil
+		}
+		return err == nil && got == want && len(rest) == len(b)-n
+	}
+	edges := [][]byte{nil, {0x80}, binary.AppendUvarint(nil, 1<<63), binary.AppendUvarint(nil, 1<<64-1),
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, bytes.Repeat([]byte{0xff}, 11)}
+	for _, b := range edges {
+		if !check(b) {
+			t.Fatalf("takeUvarint disagrees with binary.Uvarint on % x", b)
+		}
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -151,10 +151,8 @@ func EventSize(prev, e *Event) int {
 	case VNil:
 	case VInt, VBool:
 		n += wire.VarintLen(e.Val.Int)
-	case VString:
+	case VString, VBytes:
 		n += wire.UvarintLen(uint64(len(e.Val.Str))) + len(e.Val.Str)
-	case VBytes:
-		n += wire.UvarintLen(uint64(len(e.Val.Bytes))) + len(e.Val.Bytes)
 	}
 	return n
 }
@@ -226,17 +224,15 @@ func EncodedSize(l *Log) int64 {
 }
 
 // WriteValue writes one value: kind byte, then a zigzag varint (VInt,
-// VBool), a string or a blob.
+// VBool) or a uvarint length and the payload (VString, VBytes).
 func WriteValue(w *wire.Writer, v Value) {
 	w.Byte(byte(v.Kind))
 	switch v.Kind {
 	case VNil:
 	case VInt, VBool:
 		w.Varint(v.Int)
-	case VString:
+	case VString, VBytes:
 		w.String(v.Str)
-	case VBytes:
-		w.Blob(v.Bytes)
 	}
 }
 
@@ -247,10 +243,8 @@ func ReadValue(r *wire.Reader) Value {
 	case VNil:
 	case VInt, VBool:
 		v.Int = r.Varint()
-	case VString:
+	case VString, VBytes:
 		v.Str = r.String()
-	case VBytes:
-		v.Bytes = r.Blob()
 	default:
 		r.Failf("bad value kind %d", v.Kind)
 	}

@@ -15,6 +15,7 @@ type jsonEvent struct {
 	Site  string `json:"site,omitempty"`
 	Obj   uint64 `json:"obj,omitempty"`
 	Val   any    `json:"val,omitempty"`
+	Blob  bool   `json:"blob,omitempty"` // val is a VBytes payload, not a VString
 	Taint string `json:"taint,omitempty"`
 }
 
@@ -56,7 +57,7 @@ func WriteJSON(w io.Writer, l *Log) error {
 		case VString:
 			je.Val = e.Val.Str
 		case VBytes:
-			je.Val = string(e.Val.Bytes)
+			je.Val, je.Blob = e.Val.Str, true
 		}
 		if e.Taint != TaintNone {
 			je.Taint = e.Taint.String()

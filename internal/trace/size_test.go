@@ -27,7 +27,7 @@ func sectionBytes(events []trace.Event) int64 {
 func extremeEvents() []trace.Event {
 	vals := []trace.Value{trace.Nil, trace.Int(math.MinInt64), trace.Int(math.MaxInt64), trace.Int(-1),
 		trace.Int(63), trace.Int(64), trace.Bool(true), trace.Bool(false), trace.Str(""),
-		trace.Str(strings.Repeat("s", 300)), trace.Bytes_(nil), trace.Bytes_(make([]byte, 128))}
+		trace.Str(strings.Repeat("s", 300)), trace.Blob(""), trace.Blob(strings.Repeat("\x00", 128))}
 	tids := []trace.ThreadID{0, -1, math.MinInt32, math.MaxInt32, 63, -64, -65}
 	seqs := []uint64{0, 1, math.MaxUint64, 127, 128, 1 << 63, 5}
 	var events []trace.Event

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
 	"math/rand"
@@ -10,6 +11,8 @@ import (
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"debugdet/internal/wire"
 )
 
 func sampleLog() *Log {
@@ -100,7 +103,7 @@ func randomValue(r *rand.Rand) Value {
 	default:
 		b := make([]byte, r.Intn(64))
 		r.Read(b)
-		return Bytes_(b)
+		return Blob(string(b))
 	}
 }
 
@@ -219,7 +222,7 @@ func TestValueAccessors(t *testing.T) {
 	if Str("42").AsInt() != 0 {
 		t.Fatal("string AsInt must be 0")
 	}
-	if Bytes_([]byte("hi")).AsString() != "hi" {
+	if Blob("hi").AsString() != "hi" {
 		t.Fatal("bytes AsString broken")
 	}
 	if Int(123).Size() != 8 || Str("abc").Size() != 3 || Nil.Size() != 0 {
@@ -343,7 +346,59 @@ func TestDecodeReservesHonestCountExactly(t *testing.T) {
 // carries no padding (see Event), and every trace and full recording holds
 // one per event.
 func TestEventLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Event{}); got != 96 {
-		t.Fatalf("sizeof(Event) = %d, want 96: reorder the fields so a new one packs", got)
+	if got := unsafe.Sizeof(Event{}); got != 72 {
+		t.Fatalf("sizeof(Event) = %d, want 72: reorder the fields so a new one packs", got)
+	}
+}
+
+// TestValueLayout pins a value's size: a kind, an integer and one string
+// header, whose bytes serve both VString and VBytes. Every event, feed
+// entry, stream history and cell holds one.
+func TestValueLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Fatalf("sizeof(Value) = %d, want 32: a payload needs no header of its own", got)
+	}
+}
+
+// TestBlobIsNotAString: a blob and a string with the same bytes differ by
+// kind alone, and each keeps its kind through the binary codec and the
+// JSON export.
+func TestBlobIsNotAString(t *testing.T) {
+	str, blob := Str("ab"), Blob("ab")
+	if str.Equal(blob) || blob.Equal(str) || !blob.Equal(Blob("ab")) {
+		t.Fatal("a blob and a string with equal bytes compare equal")
+	}
+	for _, v := range []Value{str, blob} {
+		var buf bytes.Buffer
+		w := wire.NewWriter(&buf)
+		WriteValue(w, v)
+		if _, err := w.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		r := wire.NewReader(&buf, ErrCorrupt)
+		if got := ReadValue(r); r.Err() != nil || got.Kind != v.Kind || !got.Equal(v) {
+			t.Fatalf("%v read back as %v (kind %d, err %v)", v, got, got.Kind, r.Err())
+		}
+	}
+
+	l := NewLog(Header{Scenario: "kinds"})
+	l.Append(Event{Kind: EvOutput, Site: NoSite, Val: str})
+	l.Append(Event{Kind: EvOutput, Site: NoSite, Val: blob})
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, l); err != nil {
+		t.Fatal(err)
+	}
+	var jl jsonLog
+	if err := json.Unmarshal(buf.Bytes(), &jl); err != nil {
+		t.Fatal(err)
+	}
+	for i, je := range jl.Events {
+		kind := VString
+		if je.Blob {
+			kind = VBytes
+		}
+		if got := (Value{Kind: kind, Str: je.Val.(string)}); !got.Equal(l.Events[i].Val) {
+			t.Fatalf("event %d exported as %s, reads back as %v, want %v", i, buf.Bytes(), got, l.Events[i].Val)
+		}
 	}
 }

@@ -21,12 +21,13 @@ const (
 )
 
 // Value is a first-order VM value: a tagged union over nil, int64, bool,
-// string and []byte. The zero Value is nil.
+// string and byte blob. The zero Value is nil. A blob's bytes live in Str
+// like a string's, immutable once built; Kind alone tells the two apart,
+// so a blob and a string with equal bytes are not Equal.
 type Value struct {
-	Kind  ValueKind
-	Int   int64  // VInt (and VBool: 0/1)
-	Str   string // VString
-	Bytes []byte // VBytes
+	Kind ValueKind
+	Int  int64  // VInt (and VBool: 0/1)
+	Str  string // VString and VBytes
 }
 
 // Nil is the nil value.
@@ -51,9 +52,8 @@ func String_(s string) Value { return Value{Kind: VString, Str: s} }
 // Str is a short alias for String_.
 func Str(s string) Value { return String_(s) }
 
-// Bytes_ returns a byte-blob value. The slice is not copied; callers must
-// not mutate it after handing it to the VM.
-func Bytes_(b []byte) Value { return Value{Kind: VBytes, Bytes: b} }
+// Blob returns a byte-blob value holding the bytes of s.
+func Blob(s string) Value { return Value{Kind: VBytes, Str: s} }
 
 // AsInt returns the integer payload, coercing booleans; other kinds yield 0.
 func (v Value) AsInt() int64 {
@@ -70,23 +70,18 @@ func (v Value) AsBool() bool {
 	switch v.Kind {
 	case VBool, VInt:
 		return v.Int != 0
-	case VString:
+	case VString, VBytes:
 		return v.Str != ""
-	case VBytes:
-		return len(v.Bytes) != 0
 	}
 	return false
 }
 
-// AsString returns the string payload; VBytes is converted, other kinds are
-// formatted.
+// AsString returns the string or blob payload; other kinds are formatted.
 func (v Value) AsString() string {
 	//lint:exhaustive-default VNil renders as the empty string via the fallthrough
 	switch v.Kind {
-	case VString:
+	case VString, VBytes:
 		return v.Str
-	case VBytes:
-		return string(v.Bytes)
 	case VInt:
 		return strconv.FormatInt(v.Int, 10)
 	case VBool:
@@ -109,10 +104,8 @@ func (v Value) Size() int {
 		return 0
 	case VInt, VBool:
 		return 8
-	case VString:
+	case VString, VBytes:
 		return len(v.Str)
-	case VBytes:
-		return len(v.Bytes)
 	}
 	return 0
 }
@@ -128,18 +121,8 @@ func (v Value) Equal(o Value) bool {
 		return true
 	case VInt, VBool:
 		return v.Int == o.Int
-	case VString:
+	case VString, VBytes:
 		return v.Str == o.Str
-	case VBytes:
-		if len(v.Bytes) != len(o.Bytes) {
-			return false
-		}
-		for i := range v.Bytes {
-			if v.Bytes[i] != o.Bytes[i] {
-				return false
-			}
-		}
-		return true
 	}
 	return false
 }
@@ -159,10 +142,10 @@ func (v Value) String() string {
 	case VString:
 		return strconv.Quote(v.Str)
 	case VBytes:
-		if len(v.Bytes) > 16 {
-			return fmt.Sprintf("bytes[%d]", len(v.Bytes))
+		if len(v.Str) > 16 {
+			return fmt.Sprintf("bytes[%d]", len(v.Str))
 		}
-		return fmt.Sprintf("%q", v.Bytes)
+		return strconv.Quote(v.Str)
 	}
 	return "?"
 }

@@ -188,8 +188,8 @@ func (m *Machine) applyOp(t *Thread) {
 		keep, torn := d.crashKeep()
 		if torn {
 			r := &d.recs[keep-1]
-			if len(r.val.Bytes) > d.faults.TornBytes {
-				r.val = trace.Bytes_(append([]byte(nil), r.val.Bytes[:d.faults.TornBytes]...))
+			if r.val.Kind == trace.VBytes && len(r.val.Str) > d.faults.TornBytes {
+				r.val.Str = r.val.Str[:d.faults.TornBytes]
 			}
 		}
 		d.recs = d.recs[:keep]

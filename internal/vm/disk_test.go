@@ -66,27 +66,23 @@ func TestDiskCrashDropsUnsyncedWrites(t *testing.T) {
 }
 
 func TestDiskTornWriteTruncatesFirstVolatile(t *testing.T) {
-	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	const payload = "\x01\x02\x03\x04\x05\x06\x07\x08"
 	runDisk(t, DiskFaults{TornBytes: 3}, func(th *Thread, d trace.ObjID, s trace.SiteID) {
-		th.DiskWrite(s, d, trace.Bytes_(payload))
+		th.DiskWrite(s, d, trace.Blob(payload))
 		th.DiskFsync(s, d)
-		th.DiskWrite(s, d, trace.Bytes_(payload)) // first volatile: torn
-		th.DiskWrite(s, d, trace.Bytes_(payload)) // second volatile: dropped
+		th.DiskWrite(s, d, trace.Blob(payload)) // first volatile: torn
+		th.DiskWrite(s, d, trace.Blob(payload)) // second volatile: dropped
 		if keep := th.DiskCrash(s, d); keep != 2 {
 			t.Errorf("crash kept %d records, want 2 (durable + torn)", keep)
 		}
-		if got := th.DiskRead(s, d, 0); len(got.Bytes) != 8 {
-			t.Errorf("durable record truncated to %d bytes", len(got.Bytes))
+		if got := th.DiskRead(s, d, 0); got.Str != payload {
+			t.Errorf("durable record reads %q, want %q", got.Str, payload)
 		}
 		torn := th.DiskRead(s, d, 1)
-		if len(torn.Bytes) != 3 {
-			t.Errorf("torn record has %d bytes, want 3", len(torn.Bytes))
+		if torn.Kind != trace.VBytes || torn.Str != payload[:3] {
+			t.Errorf("torn record reads %v %q, want the blob %q", torn.Kind, torn.Str, payload[:3])
 		}
 	})
-	// The truncation copies: the original payload is untouched.
-	if payload[3] != 4 {
-		t.Fatal("torn-write truncation mutated the caller's bytes")
-	}
 }
 
 func TestDiskTornWriteSkipsNonBytesRecords(t *testing.T) {
@@ -179,7 +175,7 @@ func TestDiskSnapshotRestoreRoundTrip(t *testing.T) {
 		return func(th *Thread) {
 			th.DiskWrite(s, d, trace.Int(11))
 			th.DiskFsync(s, d)
-			th.DiskWrite(s, d, trace.Bytes_([]byte{9, 9}))
+			th.DiskWrite(s, d, trace.Blob("\x09\x09"))
 			th.DiskCrash(s, d)
 			th.DiskWrite(s, d, trace.Int(12))
 		}

@@ -398,3 +398,11 @@ func TestThreadSizeClass(t *testing.T) {
 		t.Fatalf("Thread is %d bytes: past the 288-byte size class", n)
 	}
 }
+
+// TestFeedEntryLayout pins a feed entry's size: a restore holds one per
+// event its threads replay, and its value is the 32-byte trace.Value.
+func TestFeedEntryLayout(t *testing.T) {
+	if n := unsafe.Sizeof(FeedEntry{}); n != 48 {
+		t.Fatalf("sizeof(FeedEntry) = %d, want 48", n)
+	}
+}

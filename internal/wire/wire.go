@@ -13,6 +13,7 @@ import (
 	"io"
 	"io/fs"
 	"math/bits"
+	"strings"
 )
 
 // Writer encodes primitives into a buffer in front of the destination. The
@@ -79,12 +80,6 @@ func (w *Writer) scratch() []byte {
 func (w *Writer) String(s string) {
 	w.Uvarint(uint64(len(s)))
 	w.bw.WriteString(s)
-}
-
-// Blob writes a uvarint length and p.
-func (w *Writer) Blob(p []byte) {
-	w.Uvarint(uint64(len(p)))
-	w.bw.Write(p)
 }
 
 // Magic writes a container's magic string, unprefixed.
@@ -234,21 +229,26 @@ func (r *Reader) Claim(what string, n uint64, minElemBytes int) int {
 	return int(n)
 }
 
-// Blob reads a uvarint length and that many bytes.
-func (r *Reader) Blob() []byte {
-	b := make([]byte, r.Count("blob bytes", 1))
-	if r.err != nil {
-		return nil
+// String reads a uvarint length and that many bytes as a string, built
+// in place at its checked length: one allocation, none for "".
+func (r *Reader) String() string {
+	n := r.Count("string bytes", 1)
+	if r.err != nil || n == 0 {
+		return ""
 	}
-	if _, err := io.ReadFull(&r.br, b); err != nil {
-		r.Failf("%v", err)
-		return nil
+	var b strings.Builder
+	b.Grow(n)
+	for b.Len() < n {
+		p, err := r.br.Peek(min(n-b.Len(), r.br.Size()))
+		b.Write(p)
+		r.br.Discard(len(p))
+		if err != nil {
+			r.Failf("%v", err)
+			return ""
+		}
 	}
-	return b
+	return b.String()
 }
-
-// String reads a uvarint length and that many bytes as a string.
-func (r *Reader) String() string { return string(r.Blob()) }
 
 // Magic reads a container's magic string and fails unless it is magic.
 func (r *Reader) Magic(magic string) {

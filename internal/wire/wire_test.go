@@ -33,7 +33,7 @@ func TestRoundTrip(t *testing.T) {
 		w.Uvarint(math.MaxUint64)
 		w.Varint(math.MinInt64)
 		w.String("héllo")
-		w.Blob(nil)
+		w.String("")
 		w.Uvarint(2)
 		w.Byte(1)
 		w.Byte(2)
@@ -41,8 +41,8 @@ func TestRoundTrip(t *testing.T) {
 	r := NewReader(bytes.NewReader(data), errFormat)
 	r.Magic("TEST")
 	r.Version(7)
-	if u, v, s, b := r.Uvarint(), r.Varint(), r.String(), r.Blob(); u != math.MaxUint64 || v != math.MinInt64 || s != "héllo" || b == nil || len(b) != 0 {
-		t.Fatalf("read %d %d %q %v", u, v, s, b)
+	if u, v, s, e := r.Uvarint(), r.Varint(), r.String(), r.String(); u != math.MaxUint64 || v != math.MinInt64 || s != "héllo" || e != "" {
+		t.Fatalf("read %d %d %q %q", u, v, s, e)
 	}
 	if n := r.Count("bytes", 1); n != 2 || !r.More() || r.Byte() != 1 || r.Byte() != 2 || r.More() {
 		t.Fatalf("count %d, then the wrong bytes or the wrong end", n)
@@ -120,7 +120,7 @@ func TestErrorSticks(t *testing.T) {
 	}
 	r.Failf("a later complaint")
 	r.Magic("xy")
-	if r.Byte() != 0 || r.Uvarint() != 0 || r.Varint() != 0 || r.Blob() != nil || r.Count("x", 1) != 0 || r.More() || r.Err() != first {
+	if r.Byte() != 0 || r.Uvarint() != 0 || r.Varint() != 0 || r.String() != "" || r.Count("x", 1) != 0 || r.More() || r.Err() != first {
 		t.Fatalf("reads after the failure returned data or replaced the error: %v", r.Err())
 	}
 
@@ -147,6 +147,41 @@ func TestErrorSticks(t *testing.T) {
 		t.Errorf("read error lost: %v", r.Err())
 	}
 }
+
+// TestStringAllocatesOnce: a string longer than the Reader's buffer is
+// read across refills into one allocation of its length.
+func TestStringAllocatesOnce(t *testing.T) {
+	long := strings.Repeat("0123456789", 1000)
+	const runs = 20
+	data := encoded(t, func(w *Writer) {
+		for range runs + 1 { // AllocsPerRun adds a warm-up call
+			w.String(long)
+		}
+	})
+	r := NewReader(bytes.NewReader(data), errFormat)
+	allocs := testing.AllocsPerRun(runs, func() {
+		if s := r.String(); s != long {
+			t.Fatalf("read %d bytes, want the %d written", len(s), len(long))
+		}
+	})
+	if allocs != 1 || r.Err() != nil || r.More() {
+		t.Fatalf("a %d-byte string cost %.0f allocations, want 1 (err %v)", len(long), allocs, r.Err())
+	}
+
+	// A source shorter than it claims fails the string, not the count.
+	lying := struct {
+		io.Reader
+		lenOf
+	}{bytes.NewReader(data[:3000]), lenOf(len(data))}
+	if r := NewReader(lying, errFormat); r.String() != "" || !errors.Is(r.Err(), errFormat) {
+		t.Fatalf("a string cut short by the source read cleanly: %v", r.Err())
+	}
+}
+
+// lenOf is a source's claimed length.
+type lenOf int
+
+func (n lenOf) Len() int { return int(n) }
 
 // TestWriteErrorSurfacesFromFinish: encoders never check a write; the
 // first failure comes back from Finish with the bytes that did land.

@@ -29,11 +29,11 @@ type DiskSnap = vm.DiskSnap
 
 // EncodeRecord frames int64 fields as one checksummed WAL record
 // (simdisk framing). Torn prefixes of the encoding fail DecodeRecord.
-func EncodeRecord(fields ...int64) []byte { return simdisk.Encode(fields...) }
+func EncodeRecord(fields ...int64) []byte { return []byte(simdisk.Encode(fields...)) }
 
 // DecodeRecord unframes a WAL record, verifying its checksum trailer; ok
 // is false for torn or corrupt records.
-func DecodeRecord(b []byte) (fields []int64, ok bool) { return simdisk.Decode(b) }
+func DecodeRecord(b []byte) (fields []int64, ok bool) { return simdisk.Decode(string(b)) }
 
 // AppendRecord frames the fields and writes them as one record on the
 // disk. The write is volatile until an fsync or barrier.
@@ -42,7 +42,12 @@ func AppendRecord(t *Thread, site trace.SiteID, disk trace.ObjID, fields ...int6
 }
 
 // ScanDisk reads every record off the disk, oldest first. Raw bytes are
-// returned — possibly torn — for DecodeRecord to interpret.
+// returned — possibly torn — for DecodeRecord to interpret; each is the
+// caller's own copy.
 func ScanDisk(t *Thread, site trace.SiteID, disk trace.ObjID) [][]byte {
-	return simdisk.Scan(t, site, disk)
+	var recs [][]byte
+	for _, r := range simdisk.Scan(t, site, disk) {
+		recs = append(recs, []byte(r))
+	}
+	return recs
 }

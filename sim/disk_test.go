@@ -54,7 +54,7 @@ func TestDiskEndToEnd(t *testing.T) {
 		t.Fatalf("len=%d durable=%d, want 3/3", m.DiskLen(d), m.DiskDurable(d))
 	}
 	recs := m.DiskRecords(d)
-	if len(recs) != 3 || len(recs[2].Bytes) != 12 {
+	if len(recs) != 3 || len(recs[2].Str) != 12 {
 		t.Fatalf("records = %v", recs)
 	}
 

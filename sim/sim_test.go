@@ -62,6 +62,36 @@ func TestMachineEndToEnd(t *testing.T) {
 	}
 }
 
+// TestBytesValueIsACopy: trace.Bytes copies its slice, so a thread that
+// reuses one buffer for successive outputs records each payload as it
+// was, and the caller's later writes reach neither the outputs nor the
+// trace.
+func TestBytesValueIsACopy(t *testing.T) {
+	m := sim.New(sim.Config{Seed: 1, CollectTrace: true})
+	out := m.Stream("blob.out")
+	s := m.Site("op")
+	buf := []byte("aa")
+	res := m.Run(func(t *sim.Thread) {
+		t.Output(s, out, trace.Bytes(buf))
+		copy(buf, "bb")
+		t.Output(s, out, trace.Bytes(buf))
+	})
+	copy(buf, "zz")
+	got := res.Outputs["blob.out"]
+	if len(got) != 2 || got[0].AsString() != "aa" || got[1].AsString() != "bb" {
+		t.Fatalf("outputs = %v, want the blobs \"aa\" and \"bb\"", got)
+	}
+	var traced []string
+	for _, e := range res.Trace.Events {
+		if e.Kind == trace.EvOutput {
+			traced = append(traced, e.Val.AsString())
+		}
+	}
+	if len(traced) != 2 || traced[0] != "aa" || traced[1] != "bb" {
+		t.Fatalf("traced outputs = %q, want [aa bb]", traced)
+	}
+}
+
 // TestSchedulersAndInputs exercises the stock scheduler constructors and
 // input sources through the aliases.
 func TestSchedulersAndInputs(t *testing.T) {

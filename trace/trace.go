@@ -93,8 +93,9 @@ func Bool(v bool) Value { return itrace.Bool(v) }
 // Str builds a string value.
 func Str(s string) Value { return itrace.Str(s) }
 
-// Bytes builds a byte-slice value.
-func Bytes(b []byte) Value { return itrace.Bytes_(b) }
+// Bytes builds a byte-blob value from a copy of b: the caller may reuse
+// b afterwards without changing the value, or anything that recorded it.
+func Bytes(b []byte) Value { return itrace.Blob(string(b)) }
 
 // SiteTable interns static program locations.
 type SiteTable = itrace.SiteTable
