@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"debugdet/internal/checkpoint"
 	"debugdet/internal/record"
+	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
 	"debugdet/internal/workload"
@@ -259,4 +261,30 @@ func TestRestoreRejectsCorruptFeeds(t *testing.T) {
 	if _, err := vm.Restore(cfg, setup, cp, feeds); err == nil {
 		t.Fatal("restore accepted a corrupted feed")
 	}
+}
+
+// BenchmarkPlanFeeds times the feed fold over a recording's events, the
+// derivation a recording's first restore pays once: dynokv-staleread at 200
+// rounds (about 139k events) with a checkpoint every 1024 events, reported
+// per event folded.
+func BenchmarkPlanFeeds(b *testing.B) {
+	s, err := workload.ByName("dynokv-staleread")
+	if err != nil {
+		b.Fatal(err)
+	}
+	run, w := record.Run(s, s.DefaultSeed, scenario.Params{"rounds": 200}, 0, 1024)
+	rec, _ := record.Project(s, run, w, record.Perfect, record.PolicyFor(record.Perfect))
+	records := float64(len(rec.Full))
+	var before, after runtime.MemStats
+	b.ResetTimer()
+	runtime.ReadMemStats(&before)
+	for range b.N {
+		if _, err := checkpoint.PlanFeeds(rec.Full, rec.Checkpoints); err != nil {
+			b.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/records, "ns/record")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/records, "B/record")
 }

@@ -79,11 +79,16 @@ func prefix[T any](s []T, n int) []T {
 	return s[:n:n]
 }
 
-// FeedPlan is the feed fold: every thread's feed, carved out of one array
-// allocated once, and at each boundary reached the number of each
-// thread's records before it. Count every record, Carve, then Feed every
-// record in the same order; the plan is then read-only and safe for
-// concurrent use.
+// MaxFeedRecords is the most records a FeedPlan folds: Carve indexes them
+// with int32s. Callers refuse a longer run before reserving anything.
+const MaxFeedRecords = math.MaxInt32
+
+// FeedPlan is the feed fold: every thread's feed, a run of one array, and
+// at each boundary reached the number of each thread's records before it.
+// Count every record's thread, then hand Carve the records' entries and
+// threads in record order; Carve reorders the entries in place, so the
+// feeds are that array and no copy of it. The plan is then read-only and
+// safe for concurrent use.
 type FeedPlan struct {
 	tally                  // count: records per thread
 	full  [][]vm.FeedEntry // by thread, from Carve on
@@ -104,22 +109,45 @@ func (p *FeedPlan) Count(tid trace.ThreadID) {
 	p.n++
 }
 
-// Carve ends the count, marking a boundary at its end, and reserves every
-// thread's feed as a capacity-limited run of one array.
-func (p *FeedPlan) Carve() {
+// Carve ends the count, marking a boundary at its end, and makes every
+// thread's feed a capacity-limited run of entries: the counted records'
+// entries and threads, in record order. It sorts entries by thread in
+// place, stably, and the plan keeps them; the caller must not write them
+// again.
+func (p *FeedPlan) Carve(entries []vm.FeedEntry, tids []trace.ThreadID) {
 	p.mark()
-	carved := make([]vm.FeedEntry, p.n)
+	if uint64(len(entries)) != p.n || uint64(len(tids)) != p.n || p.n > MaxFeedRecords {
+		panic(fmt.Sprintf("checkpoint: Carve of %d entries and %d thread IDs after counting %d records", len(entries), len(tids), p.n))
+	}
+	// An entry's destination is its thread's offset plus its rank within
+	// the thread.
 	p.full = make([][]vm.FeedEntry, len(p.count))
-	off := 0
+	next, off := make([]int32, len(p.count)), 0
 	for tid, n := range p.count {
-		p.full[tid] = carved[off : off : off+n]
+		p.full[tid], next[tid] = entries[off:off+n:off+n], int32(off)
 		off += n
 	}
-}
-
-// Feed appends the next record's entry to its thread's feed.
-func (p *FeedPlan) Feed(tid trace.ThreadID, fe *vm.FeedEntry) {
-	p.full[tid] = append(p.full[tid], *fe)
+	dest := make([]int32, len(tids))
+	for i, tid := range tids {
+		dest[i] = next[tid]
+		next[tid]++
+	}
+	// Walk each cycle of the permutation once, holding one entry: it goes
+	// to its destination and takes up the entry there. A placed index
+	// points at itself.
+	for i := range dest {
+		at := int32(i)
+		if dest[i] == at {
+			continue
+		}
+		held, j := entries[i], dest[i]
+		dest[i] = at
+		for j != at {
+			held, entries[j] = entries[j], held
+			j, dest[j] = dest[j], j
+		}
+		entries[i] = held
+	}
 }
 
 // At slices the feeds for restoring cp out of the plan. A thread table
@@ -148,7 +176,11 @@ func (p *FeedPlan) feeds(seq uint64, threads int) ([][]vm.FeedEntry, error) {
 // stream on threads below threads, marking bounds.
 func planEvents(events []trace.Event, seq uint64, threads int, bounds []uint64) (*FeedPlan, error) {
 	evs := events[:min(seq, uint64(len(events)))]
+	if len(evs) > MaxFeedRecords {
+		return nil, fmt.Errorf("checkpoint: %d events to fold, a feed plan holds at most %d", len(evs), MaxFeedRecords)
+	}
 	p := NewFeedPlan(bounds)
+	entries, tids := make([]vm.FeedEntry, len(evs)), make([]trace.ThreadID, len(evs))
 	for i := range evs {
 		e := &evs[i]
 		if e.Seq != uint64(i) {
@@ -158,13 +190,9 @@ func planEvents(events []trace.Event, seq uint64, threads int, bounds []uint64) 
 			return nil, fmt.Errorf("checkpoint: event %d belongs to thread %d, snapshot has %d threads", i, e.TID, threads)
 		}
 		p.Count(e.TID)
+		entries[i], tids[i] = FeedEntryOf(e.Kind, e.Obj, e.Val, e.Taint), e.TID
 	}
-	p.Carve()
-	for i := range evs {
-		e := &evs[i]
-		fe := FeedEntryOf(e.Kind, e.Obj, e.Val, e.Taint)
-		p.Feed(e.TID, &fe)
-	}
+	p.Carve(entries, tids)
 	return p, nil
 }
 

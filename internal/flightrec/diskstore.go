@@ -16,10 +16,13 @@ import (
 // eagerly; segment files lazily (and cached); the feed log on first
 // demand, in one pass that drives checkpoint's feed and stream folds — the
 // derivation a recording's restore inputs come from too — and keeps the
-// schedule stream. Every boundary snapshot's stream histories and every
+// schedule stream. The feed log's entries are read into one array, which
+// the feed fold then sorts by thread in place; the schedule is the threads
+// it sorts by. Every boundary snapshot's stream histories and every
 // restore's feeds are prefixes of the folds' shared arrays, never copies.
-// Opening a store therefore costs O(run) memory at debug time — the
-// bounded resource is the recorder's memory at record time, not the
+// Opening a store therefore costs O(run) memory at debug time — a feed
+// entry and a schedule entry per record, and the stream histories — and
+// the bounded resource is the recorder's memory at record time, not the
 // debugger's.
 //
 // A DiskStore is safe for concurrent readers.
@@ -229,7 +232,9 @@ func (ds *DiskStore) feedData() (*feedData, error) {
 // holding that count against the bytes the feed log has, so a hostile
 // manifest reserves nothing — and sizes nothing else by a number read from
 // the file: thread and stream IDs are bounded by the threads spawned so
-// far and the manifest's stream table before a record reaches a fold.
+// far and the manifest's stream table before a record reaches a fold. The
+// feed fold then carves the entries, in place, into every thread's feed,
+// reading the schedule as their threads.
 func (ds *DiskStore) scanFeeds() (*feedData, error) {
 	f, err := os.Open(filepath.Join(ds.dir, feedLogName))
 	if err != nil {
@@ -242,13 +247,19 @@ func (ds *DiskStore) scanFeeds() (*feedData, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
+	// The fold indexes entries with int32s. Claim has held the count to
+	// half the log's bytes, so only a feed log of 4 GiB or more gets here.
+	if declared > checkpoint.MaxFeedRecords {
+		return nil, fmt.Errorf("%w: manifest declares %d feed entries, a store holds at most %d",
+			ErrCorrupt, declared, checkpoint.MaxFeedRecords)
+	}
 	names, bounds := ds.man.Meta.Streams, ds.SnapshotSeqs()
 	fd := &feedData{
 		plan:    checkpoint.NewFeedPlan(bounds),
 		streams: checkpoint.NewStreamFold(len(names), bounds),
 		sched:   make([]trace.ThreadID, 0, declared),
 	}
-	entries := make([]vm.FeedEntry, 0, declared) // in event order
+	entries := make([]vm.FeedEntry, 0, declared) // in event order, until carved
 	spawned := 0
 	count, err := readFeedLog(r, func(i uint64, fe *feedEntry) error {
 		// Thread IDs are dense in spawn order: thread t runs only after
@@ -274,10 +285,7 @@ func (ds *DiskStore) scanFeeds() (*feedData, error) {
 	if count != ds.man.FeedCount {
 		return nil, fmt.Errorf("%w: feed log has %d entries, manifest declares %d", ErrCorrupt, count, ds.man.FeedCount)
 	}
-	fd.plan.Carve()
-	for i, tid := range fd.sched {
-		fd.plan.Feed(tid, &entries[i])
-	}
+	fd.plan.Carve(entries, fd.sched)
 	fd.inputs = fd.streams.Inputs(names)
 	return fd, nil
 }

@@ -307,10 +307,11 @@ var ErrBadSnapshot = errors.New("vm: snapshot contradicts the restored threads")
 // added to the thread's taint register (the slot or stream taint of
 // loads, receives and inputs) — feed replay ORs it in at the recorded
 // program point, so the register interleaves correctly with the body's
-// own ClearTaint/AddTaint calls.
+// own ClearTaint/AddTaint calls. Val leads so that the three one-byte
+// fields share its trailing word: 40 bytes, not 48.
 type FeedEntry struct {
-	Kind  trace.EventKind
 	Val   trace.Value
+	Kind  trace.EventKind
 	OK    bool
 	Taint trace.Taint
 }

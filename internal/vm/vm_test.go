@@ -400,9 +400,10 @@ func TestThreadSizeClass(t *testing.T) {
 }
 
 // TestFeedEntryLayout pins a feed entry's size: a restore holds one per
-// event its threads replay, and its value is the 32-byte trace.Value.
+// event its threads replay, and its value is the 32-byte trace.Value, with
+// the kind, result and taint bytes packed into the word after it.
 func TestFeedEntryLayout(t *testing.T) {
-	if n := unsafe.Sizeof(FeedEntry{}); n != 48 {
-		t.Fatalf("sizeof(FeedEntry) = %d, want 48", n)
+	if n := unsafe.Sizeof(FeedEntry{}); n != 40 {
+		t.Fatalf("sizeof(FeedEntry) = %d, want 40", n)
 	}
 }
