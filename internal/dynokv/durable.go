@@ -168,7 +168,7 @@ func (c DurableConfig) baseOps() int {
 // and an environment re-write in snapres mode.
 func (c DurableConfig) maxVer() int64 { return int64(c.Puts) + 2 }
 
-// durSites holds every instrumentation site, named for the plane classifier.
+// durSites holds every instrumentation site; a trace event names its site.
 type durSites struct {
 	cliPayload, cliSend, cliAck, cliRewriteIn, cliPace trace.SiteID
 	nodeRecv, nodeAck, memStore                        trace.SiteID

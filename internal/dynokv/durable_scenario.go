@@ -3,7 +3,6 @@ package dynokv
 import (
 	"fmt"
 
-	"debugdet/internal/plane"
 	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
@@ -75,26 +74,6 @@ func durableInputs(seed int64, p scenario.Params) vm.InputSource {
 	})
 }
 
-// durablePlaneTruth is the ground-truth site classification shared by the
-// durability scenarios. The verification and snapshot-scan sites are
-// deliberately undeclared: they run rarely but touch per-key data, so their
-// plane is genuinely ambiguous under [3]'s definition.
-func durablePlaneTruth() map[string]plane.Plane {
-	return map[string]plane.Plane{
-		"dur.payload.in":      plane.Data,
-		"dur.op.send":         plane.Data,
-		"dur.node.recv":       plane.Data,
-		"dur.mem.store":       plane.Data,
-		"dur.wal.append":      plane.Data,
-		"dur.recover.scan":    plane.Data,
-		"dur.recover.install": plane.Data,
-		"dur.wal.fsync":       plane.Control,
-		"dur.crash.plan":      plane.Control,
-		"dur.crash.point":     plane.Control,
-		"report.out":          plane.Control,
-	}
-}
-
 // TornWAL returns the disk-tornwal scenario: crash recovery decodes a torn
 // WAL record without verifying its checksum trailer and installs garbage.
 func TornWAL() *scenario.Scenario {
@@ -151,7 +130,6 @@ func TornWAL() *scenario.Scenario {
 				},
 			},
 		},
-		PlaneTruth:     durablePlaneTruth(),
 		ControlStreams: []string{StreamCrashPlan},
 	}
 }
@@ -211,7 +189,6 @@ func FsyncLoss() *scenario.Scenario {
 				},
 			},
 		},
-		PlaneTruth:     durablePlaneTruth(),
 		ControlStreams: []string{StreamCrashPlan},
 	}
 }
@@ -270,7 +247,6 @@ func SnapRes() *scenario.Scenario {
 				},
 			},
 		},
-		PlaneTruth:     durablePlaneTruth(),
 		ControlStreams: []string{StreamCrashPlan},
 	}
 }

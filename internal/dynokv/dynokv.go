@@ -243,7 +243,7 @@ type Cluster struct {
 	m     *vm.Machine
 }
 
-// sites holds every instrumentation site, named for the plane classifier.
+// sites holds every instrumentation site; a trace event names its site.
 type sites struct {
 	cliPayload, cliSeq, cliPutSend, cliGetSend, cliDelSend trace.SiteID
 	cliReply, cliAck, cliRepair, cliRewriteIn, cliPace     trace.SiteID

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"debugdet/internal/plane"
 	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
@@ -171,19 +170,6 @@ func StaleRead() *scenario.Scenario {
 				},
 			},
 		},
-		PlaneTruth: map[string]plane.Plane{
-			"client.payload.in": plane.Data,
-			"client.put.send":   plane.Data,
-			"client.get.send":   plane.Data,
-			"client.reply":      plane.Data,
-			"node.recv":         plane.Data,
-			"node.store":        plane.Data,
-			"node.load":         plane.Data,
-			"node.reply":        plane.Data,
-			"node.wipe.in":      plane.Control,
-			"node.wipe.clear":   plane.Control,
-			"client.repair":     plane.Control,
-		},
 		ControlStreams: controlStreams(ModeStaleRead, 3),
 	}
 }
@@ -243,22 +229,6 @@ func Resurrect() *scenario.Scenario {
 					return v.Machine.CellByName(CellRewrites).AsInt() > 0
 				},
 			},
-		},
-		PlaneTruth: map[string]plane.Plane{
-			"client.payload.in": plane.Data,
-			"client.put.send":   plane.Data,
-			"client.del.send":   plane.Data,
-			"client.reply":      plane.Data,
-			"node.recv":         plane.Data,
-			"node.store":        plane.Data,
-			"node.reply":        plane.Data,
-			"sync.plan":         plane.Control,
-			"sync.push.send":    plane.Control,
-			"node.push.scan":    plane.Control,
-			"report.out":        plane.Control,
-			// node.gc and the verification-read sites are deliberately
-			// undeclared: they run rarely but handle per-key data, so
-			// their plane is genuinely ambiguous under [3]'s definition.
 		},
 		ControlStreams: controlStreams(ModeResurrect, 3),
 	}
@@ -320,22 +290,6 @@ func LostHint() *scenario.Scenario {
 					return v.Machine.CellByName(CellHintsWiped).AsInt() > 0
 				},
 			},
-		},
-		PlaneTruth: map[string]plane.Plane{
-			"client.payload.in": plane.Data,
-			"client.put.send":   plane.Data,
-			"client.reply":      plane.Data,
-			"node.recv":         plane.Data,
-			"node.store":        plane.Data,
-			"node.reply":        plane.Data,
-			"fault.plan":        plane.Control,
-			"fault.down":        plane.Control,
-			"fault.up":          plane.Control,
-			"hint.recv":         plane.Control,
-			"report.out":        plane.Control,
-			// The hint transfer sites (hint.send, hint.deliver) copy write
-			// payloads at low rate — ambiguous under [3]'s definition —
-			// and are deliberately undeclared.
 		},
 		ControlStreams: controlStreams(ModeLostHint, 4),
 	}

@@ -8,13 +8,11 @@ package eval
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"debugdet/internal/core"
 	"debugdet/internal/dynokv"
 	"debugdet/internal/par"
-	"debugdet/internal/plane"
 	"debugdet/internal/progen"
 	"debugdet/internal/record"
 	"debugdet/internal/scenario"
@@ -428,52 +426,6 @@ func RenderTableFuzz(cells []Cell, gen *int64) string {
 		f.note = fmt.Sprintf("(all four templates regenerated from generator seed %d)", progen.Normalize(*gen))
 	}
 	return renderFamily(f, cells)
-}
-
-// PlaneRow is one scenario's classification-accuracy measurement (T-PLANE).
-type PlaneRow struct {
-	Scenario string
-	Accuracy float64
-	Verdicts []string
-}
-
-// TablePlane evaluates the control-plane classifier against each
-// scenario's ground truth, supporting the paper's reliance on [3]'s "high
-// accuracy" claim.
-func TablePlane(o Options) ([]PlaneRow, error) {
-	o = o.withDefaults()
-	var subjects []*scenario.Scenario
-	for _, s := range o.corpus() {
-		if len(s.PlaneTruth) == 0 {
-			continue
-		}
-		subjects = append(subjects, s)
-	}
-	rows, err := grid(o, len(subjects), func(i int) (PlaneRow, error) {
-		s := subjects[i]
-		v := s.Exec(scenario.ExecOptions{Seed: s.DefaultSeed + 101})
-		c := plane.ClassifyTrace(v.Trace, plane.Options{})
-		acc, verdicts := plane.Accuracy(c, v.Machine.Sites(), s.PlaneTruth)
-		return PlaneRow{Scenario: s.Name, Accuracy: acc, Verdicts: verdicts}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Scenario < rows[j].Scenario })
-	return rows, nil
-}
-
-// RenderTablePlane prints T-PLANE.
-func RenderTablePlane(rows []PlaneRow) string {
-	var b strings.Builder
-	b.WriteString("Table PLANE — control/data-plane classification accuracy vs ground truth\n\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-18s accuracy = %.2f\n", r.Scenario, r.Accuracy)
-		for _, v := range r.Verdicts {
-			fmt.Fprintf(&b, "    %s\n", v)
-		}
-	}
-	return b.String()
 }
 
 // TableDU renders the corpus-wide DU = DF×DE comparison (T-DU) from Fig. 1

@@ -211,25 +211,6 @@ func TestTableFuzzConverges(t *testing.T) {
 	}
 }
 
-func TestTablePlaneHighAccuracy(t *testing.T) {
-	rows, err := TablePlane(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) == 0 {
-		t.Fatal("no plane rows")
-	}
-	for _, r := range rows {
-		if r.Accuracy < 0.9 {
-			t.Errorf("%s classification accuracy %.2f below 0.9:\n%s",
-				r.Scenario, r.Accuracy, strings.Join(r.Verdicts, "\n"))
-		}
-	}
-	if txt := RenderTablePlane(rows); !strings.Contains(txt, "accuracy") {
-		t.Fatal("plane rendering broken")
-	}
-}
-
 func TestShrinkCellExceedsUnitEfficiency(t *testing.T) {
 	c, err := ShrinkCell(small)
 	if err != nil {

@@ -54,7 +54,6 @@ var experiments = []struct {
 	{"fig2", func(r *Run) (string, error) { return rendered(r.fig2, RenderFig2) }},
 	{"df", func(r *Run) (string, error) { return rendered(r.fig2, TableDF) }},
 	{"overhead", func(r *Run) (string, error) { return rendered(r.fig2, TableOverhead) }},
-	{"plane", func(r *Run) (string, error) { return table(r, TablePlane, RenderTablePlane) }},
 	{"dynokv", func(r *Run) (string, error) { return table(r, TableDynoKV, RenderTableDynoKV) }},
 	{"disk", func(r *Run) (string, error) { return table(r, TableDisk, RenderTableDisk) }},
 	{"fuzz", func(r *Run) (string, error) {

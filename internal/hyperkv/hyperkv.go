@@ -142,7 +142,7 @@ type Cluster struct {
 	m     *vm.Machine
 }
 
-// sites holds every instrumentation site, named for the plane classifier.
+// sites holds every instrumentation site; a trace event names its site.
 type sites struct {
 	cliRoute, cliDataIn, cliSend, cliReply, cliAckCount         trace.SiteID
 	rsRecv, rsCheck, rsWindow, rsStore, rsOracle, rsReply       trace.SiteID

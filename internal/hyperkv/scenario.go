@@ -3,7 +3,6 @@ package hyperkv
 import (
 	"fmt"
 
-	"debugdet/internal/plane"
 	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
@@ -79,33 +78,6 @@ func Scenario() *scenario.Scenario {
 					return v.Machine.CellByName(CellOOM).AsInt() > 0
 				},
 			},
-		},
-		// Ground truth follows the cited study's definition [3]: code
-		// regions that process table data at high rate (the per-row
-		// commit path) are data plane, including their ownership check;
-		// administrative code that runs rarely (migration, the master,
-		// the dump protocol) is control plane even where it copies row
-		// data, because it executes at low rate and is metadata-driven.
-		PlaneTruth: map[string]plane.Plane{
-			"client.datain":       plane.Data,
-			"client.commit.send":  plane.Data,
-			"rs.commit.recv":      plane.Data,
-			"rs.commit.check":     plane.Data,
-			"rs.commit.store":     plane.Data,
-			"rs.migrate.mark":     plane.Control,
-			"rs.migrate.snapshot": plane.Control,
-			"rs.migrate.snapdone": plane.Control,
-			"rs.migrate.transfer": plane.Control,
-			"rs.transfer.install": plane.Control,
-			"rs.transfer.own":     plane.Control,
-			"client.route":        plane.Control,
-			"master.plan":         plane.Control,
-			"master.migrate.send": plane.Control,
-			"master.recv":         plane.Control,
-			"master.route.update": plane.Control,
-			"dump.memcheck":       plane.Control,
-			"dump.send":           plane.Control,
-			"dump.output":         plane.Control,
 		},
 		ControlStreams: controlStreams(3),
 	}

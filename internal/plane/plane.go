@@ -11,11 +11,13 @@
 //     propagated by the VM (bulk-input-derived values mark data-plane
 //     flow).
 //
-// No recorder uses the classification: a site-level record of the control
-// plane held nothing the RCSE replayer forces, so RCSE records the declared
-// control streams instead (package rcse). The classifier is kept as a
-// measurement: T-PLANE scores it against each scenario's ground truth
-// (scenario.Scenario.PlaneTruth).
+// Nothing in the library uses the classification. Measured as RCSE's
+// stream set, it needs more attempts than the scenarios' declared
+// control streams (EXPERIMENTS.md "The plane verdict"), so RCSE records
+// the declared streams (record.RCSEPolicy). The package is kept only for
+// the benchmark's plane.classify_us_per_event probe, and goes with
+// internal/race and internal/invariant once the benchmark stops calling
+// it (ROADMAP item 2).
 package plane
 
 import (
@@ -181,39 +183,4 @@ func classifyOne(p SiteProfile, maxRate float64, opts Options) Plane {
 // ClassifyTrace is the convenience composition Profile + Classify.
 func ClassifyTrace(l *trace.Log, opts Options) *Classification {
 	return Classify(Profile(l), opts)
-}
-
-// Accuracy compares a classification against ground truth (site name →
-// plane) and returns the fraction of ground-truth sites classified
-// correctly, along with the per-site verdicts for reporting. Sites absent
-// from the classification count as control: unknown code would be
-// recorded at high fidelity rather than silently relaxed, matching the
-// paper's bias toward debugging utility.
-func Accuracy(c *Classification, sites *trace.SiteTable, truth map[string]Plane) (float64, []string) {
-	if len(truth) == 0 {
-		return 1, nil
-	}
-	names := make([]string, 0, len(truth))
-	for name := range truth {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	correct := 0
-	var verdicts []string
-	for _, name := range names {
-		want := truth[name]
-		got := Control
-		if id, ok := sites.Lookup(name); ok {
-			if p, ok := c.Planes[id]; ok {
-				got = p
-			}
-		}
-		mark := "WRONG"
-		if got == want {
-			correct++
-			mark = "ok"
-		}
-		verdicts = append(verdicts, fmt.Sprintf("%-32s want=%-7s got=%-7s %s", name, want, got, mark))
-	}
-	return float64(correct) / float64(len(truth)), verdicts
 }

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sort"
 
-	"debugdet/internal/plane"
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
 )
@@ -153,9 +152,6 @@ type Scenario struct {
 	// RootCauses enumerates the possible root causes for the failure, in
 	// a stable order. Debugging fidelity's 1/n uses n = len(RootCauses).
 	RootCauses []RootCause
-	// PlaneTruth is the ground-truth control/data classification of the
-	// scenario's sites (by name), for evaluating the plane classifier.
-	PlaneTruth map[string]plane.Plane
 	// ControlStreams names the input streams whose values RCSE records
 	// (control-plane inputs); all other streams are data-plane and are
 	// re-drawn from the search domain at replay time. Only the recorder

@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 
-	"debugdet/internal/plane"
 	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
@@ -58,13 +57,6 @@ func Bank() *scenario.Scenario {
 				return total != initial
 			},
 		}},
-		// The bank moves no bulk data: every site is metadata-driven and
-		// low-rate, so the whole application is control plane.
-		PlaneTruth: map[string]plane.Plane{
-			"xfer.read":  plane.Control,
-			"xfer.write": plane.Control,
-			"bank.audit": plane.Control,
-		},
 		ControlStreams: []string{"xfer.pick"},
 	}
 }

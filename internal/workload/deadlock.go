@@ -41,8 +41,6 @@ func Deadlock() *scenario.Scenario {
 				return v.Result.Outcome == vm.OutcomeDeadlock
 			},
 		}},
-		// No plane ground truth: the program moves no payloads, so the
-		// relative-rate heuristic has nothing meaningful to separate.
 	}
 }
 

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"debugdet/internal/plane"
 	"debugdet/internal/scenario"
 	"debugdet/internal/simnet"
 	"debugdet/internal/trace"
@@ -74,13 +73,6 @@ func MsgDrop() *scenario.Scenario {
 					return processed < sent
 				},
 			},
-		},
-		PlaneTruth: map[string]plane.Plane{
-			"src.payload.in": plane.Data,
-			"src.send":       plane.Data,
-			"worker.recv":    plane.Data,
-			"worker.slot":    plane.Data,
-			"report.out":     plane.Data, // reports counts derived from the data path
 		},
 		ControlStreams: []string{"net.drop:src->server", "net.lat:src->server"},
 	}

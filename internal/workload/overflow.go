@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"debugdet/internal/plane"
 	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
@@ -58,11 +57,6 @@ func Overflow() *scenario.Scenario {
 				return false
 			},
 		}},
-		PlaneTruth: map[string]plane.Plane{
-			"srv.copy":    plane.Data,
-			"srv.sizein":  plane.Control,
-			"srv.observe": plane.Control,
-		},
 		ControlStreams: []string{"req.size"},
 	}
 }

@@ -6,7 +6,6 @@
 package workload
 
 import (
-	"debugdet/internal/plane"
 	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
@@ -64,11 +63,6 @@ func Sum() *scenario.Scenario {
 				return okA && okB && a+b == 4
 			},
 		}},
-		PlaneTruth: map[string]plane.Plane{
-			"sum.read":    plane.Data,
-			"sum.compute": plane.Data,
-			"sum.write":   plane.Data, // emits the data-derived result
-		},
 		ControlStreams: []string{"in.a", "in.b"},
 	}
 }
