@@ -1,6 +1,8 @@
 package hyperkv
 
 import (
+	"strings"
+
 	"debugdet/internal/simnet"
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
@@ -8,16 +10,17 @@ import (
 
 // rowBlob derives a fixed-size row payload from an input integer. Replays
 // that re-draw data inputs produce different contents of identical shape.
-func rowBlob(seedVal int64) []byte {
-	b := make([]byte, RowSize)
+func rowBlob(seedVal int64) string {
+	var b strings.Builder
+	b.Grow(RowSize)
 	x := uint64(seedVal)*2654435761 + 12345
-	for i := range b {
+	for range RowSize {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
-		b[i] = byte(x)
+		b.WriteByte(byte(x))
 	}
-	return b
+	return b.String()
 }
 
 // clientThread loads the client's shard of rows, routing each commit to
@@ -119,7 +122,7 @@ func (cl *Cluster) handleCommit(t *vm.Thread, s int, msg simnet.Message) {
 		// not-owned and snapshot its rows right here.
 		t.Yield(st.rsWindow)
 	}
-	t.Store(st.rsStore, cl.rows[s][key], trace.Blob(string(msg.Blob)))
+	t.Store(st.rsStore, cl.rows[s][key], trace.Blob(msg.Blob))
 	// Oracle accounting (not part of the store's logic): if the range was
 	// migrated away and its snapshot already completed, this row just
 	// vanished — committed to a server that will ignore it.
@@ -185,14 +188,16 @@ func (cl *Cluster) adminThread(t *vm.Thread, s int) {
 			}
 			t.Store(st.admMark, cl.owned[s][r], trace.Int(0))
 			var keys []int64
-			var blob []byte
-			for _, key := range cfg.keysOfRange(r) {
+			var blob strings.Builder
+			rangeKeys := cfg.keysOfRange(r)
+			blob.Grow(len(rangeKeys) * RowSize)
+			for _, key := range rangeKeys {
 				v := t.Load(st.admSnap, cl.rows[s][key])
 				if v.IsNil() {
 					continue
 				}
 				keys = append(keys, int64(key))
-				blob = append(blob, v.Str...)
+				blob.WriteString(v.Str)
 			}
 			t.Store(st.admSnapDone, cl.snapdone[s][r], trace.Int(1))
 			if cfg.Fixed {
@@ -200,16 +205,15 @@ func (cl *Cluster) adminThread(t *vm.Thread, s int) {
 			}
 			nums := append([]int64{int64(r)}, keys...)
 			cl.Net.Send(t, st.admXfer, me, adminNode(dst), simnet.Message{
-				Kind: MsgTransfer, From: me, Nums: nums, Blob: blob,
+				Kind: MsgTransfer, From: me, Nums: nums, Blob: blob.String(),
 			})
 		case MsgTransfer:
 			r := int(msg.Num(0))
 			if cfg.Fixed {
 				t.Lock(st.rsLock, cl.lock[s])
 			}
-			rows := string(msg.Blob)
 			for i, key := range msg.Nums[1:] {
-				t.Store(st.admInstall, cl.rows[s][key], trace.Blob(rows[i*RowSize:(i+1)*RowSize]))
+				t.Store(st.admInstall, cl.rows[s][key], trace.Blob(msg.Blob[i*RowSize:(i+1)*RowSize]))
 			}
 			t.Store(st.admOwn, cl.owned[s][r], trace.Int(1))
 			t.Store(st.admOwn, cl.snapdone[s][r], trace.Int(0))

@@ -27,7 +27,7 @@ type Message struct {
 	From string   // sender node name
 	Args []string // string arguments
 	Nums []int64  // numeric arguments
-	Blob []byte   // bulk payload
+	Blob string   // bulk payload
 }
 
 // String renders the message for diagnostics.
@@ -63,14 +63,14 @@ func (m Message) Encode() trace.Value {
 		b.Write(binary.AppendVarint(w[:0], v))
 	}
 	writeUvarint(&b, uint64(len(m.Blob)))
-	b.Write(m.Blob)
+	b.WriteString(m.Blob)
 	return trace.Blob(b.String())
 }
 
 // DecodeMessage parses a value produced by Encode. It returns an error for
 // malformed input rather than panicking, since messages may be synthesized
-// by the inference engine. Kind, From and Args are substrings of the
-// value's payload; only Args, Nums and a non-empty Blob are allocated.
+// by the inference engine. Kind, From, Args and Blob are substrings of
+// the value's payload; only the Args and Nums slices are allocated.
 func DecodeMessage(v trace.Value) (Message, error) {
 	if v.Kind != trace.VBytes {
 		return Message{}, fmt.Errorf("simnet: message value has kind %d, want bytes", v.Kind)
@@ -121,9 +121,7 @@ func DecodeMessage(v trace.Value) (Message, error) {
 	if uint64(len(b)) < nBlob {
 		return Message{}, fmt.Errorf("simnet: blob truncated: have %d want %d", len(b), nBlob)
 	}
-	if nBlob > 0 {
-		m.Blob = []byte(b[:nBlob])
-	}
+	m.Blob = b[:nBlob]
 	return m, nil
 }
 

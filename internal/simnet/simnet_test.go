@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -17,7 +18,7 @@ func TestMessageRoundTrip(t *testing.T) {
 		From: "client-1",
 		Args: []string{"users", "row-42"},
 		Nums: []int64{7, -3, 0},
-		Blob: []byte("payload bytes"),
+		Blob: "payload bytes",
 	}
 	got, err := DecodeMessage(msg.Encode())
 	if err != nil {
@@ -32,19 +33,24 @@ func TestMessageRoundTrip(t *testing.T) {
 	if len(got.Nums) != 3 || got.Num(1) != -3 {
 		t.Fatalf("nums mismatch: %v", got.Nums)
 	}
-	if string(got.Blob) != "payload bytes" {
+	if got.Blob != "payload bytes" {
 		t.Fatalf("blob mismatch: %q", got.Blob)
 	}
 }
 
-// TestDecodeMessageAllocs: decoding takes every string it returns from
-// the value's payload and allocates only Args and Nums, each once at its
-// final size; a hostile count reserves nothing.
+// TestDecodeMessageAllocs: decoding takes every string it returns, the
+// blob included, from the value's payload and allocates only Args and
+// Nums, each once at its final size; a hostile count reserves nothing.
 func TestDecodeMessageAllocs(t *testing.T) {
 	v := Message{Kind: "put", From: "node-1", Args: []string{"users", "row-42", "v7"}, Nums: []int64{7, -3}}.Encode()
 	// Args, Nums.
 	if allocs := testing.AllocsPerRun(100, func() { MustDecode(v) }); allocs != 2 {
 		t.Fatalf("decoding a 3-arg 2-num message allocated %.0f objects, want 2", allocs)
+	}
+	commit := Message{Kind: "commit", From: "client-0", Args: []string{"users"}, Nums: []int64{42}, Blob: strings.Repeat("r", 64)}.Encode()
+	// Args, Nums; the blob is a substring too.
+	if allocs := testing.AllocsPerRun(100, func() { MustDecode(commit) }); allocs != 2 {
+		t.Fatalf("decoding a message with a 64-byte blob allocated %.0f objects, want 2", allocs)
 	}
 	hostile := "\x03put\x06node-1" + string(binary.AppendUvarint(nil, 1<<62))
 	if _, err := DecodeMessage(trace.Blob(hostile)); err == nil || err.Error() != "simnet: arg 0: bad uvarint" {
@@ -66,7 +72,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	if _, err := DecodeMessage(trace.Blob("\xff")); err == nil {
 		t.Fatal("accepted truncated bytes")
 	}
-	good := Message{Kind: "k", From: "f", Blob: []byte("xyz")}.Encode()
+	good := Message{Kind: "k", From: "f", Blob: "xyz"}.Encode()
 	for cut := 1; cut < len(good.Str); cut++ {
 		if _, err := DecodeMessage(trace.Blob(good.Str[:cut])); err == nil {
 			t.Fatalf("accepted truncation at %d", cut)
@@ -109,15 +115,16 @@ func TestQuickMessageRoundTrip(t *testing.T) {
 			m.Nums = append(m.Nums, r.Int63()-r.Int63())
 		}
 		if r.Intn(2) == 0 {
-			m.Blob = make([]byte, r.Intn(100))
-			r.Read(m.Blob)
+			b := make([]byte, r.Intn(100))
+			r.Read(b)
+			m.Blob = string(b)
 		}
 		got, err := DecodeMessage(m.Encode())
 		if err != nil {
 			return false
 		}
 		if got.Kind != m.Kind || got.From != m.From || len(got.Args) != len(m.Args) ||
-			len(got.Nums) != len(m.Nums) || len(got.Blob) != len(m.Blob) {
+			len(got.Nums) != len(m.Nums) || got.Blob != m.Blob {
 			return false
 		}
 		for i := range m.Args {
@@ -127,11 +134,6 @@ func TestQuickMessageRoundTrip(t *testing.T) {
 		}
 		for i := range m.Nums {
 			if got.Nums[i] != m.Nums[i] {
-				return false
-			}
-		}
-		for i := range m.Blob {
-			if got.Blob[i] != m.Blob[i] {
 				return false
 			}
 		}
