@@ -114,6 +114,13 @@ func (p *FeedPlan) Count(tid trace.ThreadID) {
 // entries and threads, in record order. It sorts entries by thread in
 // place, stably, and the plan keeps them; the caller must not write them
 // again.
+//
+// Carve panics on a caller's bug, never on store input. Both callers,
+// planEvents and flightrec's DiskStore.scanFeeds, append one entry and
+// one thread for each Count in the same loop, and both refuse more than
+// MaxFeedRecords records before reserving anything. A spill directory
+// whose manifest miscounts its feed log is ErrCorrupt before Carve runs
+// (flightrec's TestHostileFeedLog).
 func (p *FeedPlan) Carve(entries []vm.FeedEntry, tids []trace.ThreadID) {
 	p.mark()
 	if uint64(len(entries)) != p.n || uint64(len(tids)) != p.n || p.n > MaxFeedRecords {
