@@ -92,10 +92,12 @@ func TestClassifierSeparatesPlanes(t *testing.T) {
 			t.Fatalf("site %s not registered", name)
 		}
 		if got := c.Planes[id]; got != want {
-			for _, p := range c.Profiles {
-				t.Logf("profile: %s", p)
-			}
 			t.Errorf("%s classified %v, want %v", name, got, want)
+		}
+	}
+	if t.Failed() {
+		for _, p := range c.Profiles {
+			t.Logf("profile: %s", p)
 		}
 	}
 }
