@@ -285,6 +285,27 @@ func (f *StreamFold) extend(output bool, obj trace.ObjID, val *trace.Value) {
 	f.count[k]++
 }
 
+// reserve sizes each history for the inputs and outputs among events, the
+// records the fold will take, so that extend never grows one.
+func (f *StreamFold) reserve(events []trace.Event) {
+	counts := make([]int, len(f.hist))
+	for i := range events {
+		e := &events[i]
+		if (e.Kind == trace.EvInput || e.Kind == trace.EvOutput) && e.Obj < trace.ObjID(len(f.first)) {
+			k := 2 * int(e.Obj)
+			if e.Kind == trace.EvOutput {
+				k++
+			}
+			counts[k]++
+		}
+	}
+	for k, n := range counts {
+		if n > 0 {
+			f.hist[k] = make([]trace.Value, 0, n)
+		}
+	}
+}
+
 // Inputs returns, by name, the whole input history of every stream that
 // read any.
 func (f *StreamFold) Inputs(names []string) map[string][]trace.Value {
@@ -340,12 +361,13 @@ func (f *StreamFold) Fill(s *vm.Snapshot) error {
 func RehydrateStreams(snaps []*vm.Snapshot, events []trace.Event) error {
 	// One history per stream of the widest snapshot: stream IDs come
 	// straight from the file and must not size anything.
-	order, streams := make([]int, len(snaps)), 0
+	order, streams, last := make([]int, len(snaps)), 0, uint64(0)
 	for i, s := range snaps {
-		order[i], streams = i, max(streams, len(s.Streams))
+		order[i], streams, last = i, max(streams, len(s.Streams)), max(last, s.Seq)
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(snaps[a].Seq, snaps[b].Seq) })
 	f := NewStreamFold(streams, nil)
+	f.reserve(events[:min(last, uint64(len(events)))])
 	var firstErr error
 	firstBad := len(snaps)
 	for _, idx := range order {

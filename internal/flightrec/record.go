@@ -51,7 +51,7 @@ func Record(s *scenario.Scenario, seed int64, params scenario.Params, o Options)
 			return []vm.Observer{rec}
 		}})
 	if err != nil {
-		m.Finish() // releases the started main thread
+		vm.End(m) // releases the started main thread
 		return nil, err
 	}
 	m.Continue(0)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"debugdet/internal/checkpoint"
 	"debugdet/internal/scenario"
@@ -147,21 +148,34 @@ func (r *Recording) StreamName(id trace.ObjID) string {
 // run's draws from it (all of them or none), so the i-th value is the
 // stream's i-th draw: a replayer forces them by index.
 func (r *Recording) InputsByStream() map[string][]trace.Value {
-	out := make(map[string][]trace.Value)
-	for _, e := range r.Full {
-		if e.Kind == trace.EvInput {
-			name := r.StreamName(e.Obj)
-			out[name] = append(out[name], e.Val)
-		}
-	}
-	return out
+	return r.valuesByStream(trace.EvInput)
 }
 
 // OutputsByStream extracts the recorded output values per stream name.
 func (r *Recording) OutputsByStream() map[string][]trace.Value {
+	return r.valuesByStream(trace.EvOutput)
+}
+
+// valuesByStream gathers the values of the recorded events of one kind per
+// stream name, in recorded order. It counts them by stream ID first, so
+// each history is allocated once; IDs past the table share the last count,
+// as they share the name "".
+func (r *Recording) valuesByStream(kind trace.EventKind) map[string][]trace.Value {
+	counts := make([]int, len(r.Streams)+1)
+	for i := range r.Full {
+		if e := &r.Full[i]; e.Kind == kind {
+			counts[min(e.Obj, trace.ObjID(len(r.Streams)))]++
+		}
+	}
 	out := make(map[string][]trace.Value)
-	for _, e := range r.Full {
-		if e.Kind == trace.EvOutput {
+	for id, n := range counts {
+		if n > 0 {
+			name := r.StreamName(trace.ObjID(id))
+			out[name] = slices.Grow(out[name], n)
+		}
+	}
+	for i := range r.Full {
+		if e := &r.Full[i]; e.Kind == kind {
 			name := r.StreamName(e.Obj)
 			out[name] = append(out[name], e.Val)
 		}

@@ -161,11 +161,11 @@ func (k *SeekSession) RunToEnd() (view *scenario.RunView, ok bool) {
 	return k.view, k.ok
 }
 
-// Close abandons the session, releasing the machine's threads. It is safe
-// to call after RunToEnd (a no-op) and must be called otherwise.
+// Close abandons the session, releasing the machine's threads; it builds
+// no view. It is safe to call after RunToEnd (a no-op) and must be called
+// otherwise. RunToEnd after Close returns the abandoned run's view.
 func (k *SeekSession) Close() {
 	if k.view == nil {
-		res := k.Machine.Finish()
-		k.view = &scenario.RunView{Machine: k.Machine, Result: res, Trace: res.Trace}
+		vm.End(k.Machine)
 	}
 }

@@ -124,6 +124,32 @@ func TestSeekFallback(t *testing.T) {
 	}
 }
 
+// TestRunToEndAfterClose: Close ends a session's run without building a
+// view, and RunToEnd after it returns the abandoned run's: aborted where
+// the session stood, not replayed to the end.
+func TestRunToEndAfterClose(t *testing.T) {
+	s, err := workload.ByName("bank")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := checkpointedCorpusRecording(t, s)
+	target := rec.Checkpoints[len(rec.Checkpoints)/2].Seq + 5
+	sess, err := Seek(s, rec, target, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Close()
+	sess.Close()
+	view, ok := sess.RunToEnd()
+	if ok || view.Result.Outcome != vm.OutcomeAborted || view.Result.Steps != target || sess.ReplaySteps != 5 {
+		t.Fatalf("RunToEnd after Close: ok=%v outcome %s after %d steps (%d replayed), want the run aborted at %d",
+			ok, view.Result.Outcome, view.Result.Steps, sess.ReplaySteps, target)
+	}
+	if again, _ := sess.RunToEnd(); again != view {
+		t.Fatal("a second RunToEnd built another view")
+	}
+}
+
 // TestSeekUnsupportedModels pins the gate: seek, segmented replay and the
 // debugger refuse recordings that lack the complete event stream.
 func TestSeekUnsupportedModels(t *testing.T) {

@@ -3,6 +3,7 @@ package simnet
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
@@ -142,6 +143,11 @@ func (n *Network) Build() {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	if want := len(names) * (len(names) - 1); len(n.links) < want {
+		links := make(map[linkKey]*link, want)
+		maps.Copy(links, n.links)
+		n.links = links
+	}
 	for _, from := range names {
 		for _, to := range names {
 			if from != to {

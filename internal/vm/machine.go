@@ -16,6 +16,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 
 	"debugdet/internal/trace"
 )
@@ -142,6 +143,11 @@ type Machine struct {
 	chans   []chanState
 	streams []streamState
 	disks   []diskState
+	// base holds a restored machine's stream histories up to its snapshot,
+	// the snapshot's own read-only arrays: streams[i] holds only what the
+	// machine appended after base[i] until joinHistories makes one array
+	// of the two. Nil on a machine that was not restored, or once joined.
+	base []StreamSnap
 
 	streamIDs map[string]trace.ObjID
 	diskIDs   map[string]trace.ObjID
@@ -215,7 +221,7 @@ func New(cfg Config) *Machine { return Recycle(nil, cfg, nil) }
 // discards candidates allocates them once per concurrent run. The machine
 // returned is dead itself, reset; a nil or unfinished dead gives a fresh
 // machine. The machine's threads run on hosts, idle ones of the pool when
-// it has some, and Finish gives the pool back every host whose body has
+// it has some, and End gives the pool back every host whose body has
 // returned; a nil pool gives each thread a coroutine of its own. Only the
 // scenario launcher calls it.
 func Recycle(dead *Machine, cfg Config, hosts *Hosts) *Machine {
@@ -409,27 +415,11 @@ func (m *Machine) loop() {
 	m.completed, unwinding = true, false
 }
 
-// Finish ends the execution — releasing every parked thread, including
-// daemons — and builds the Result. Finishing a paused execution abandons
-// it: the outcome of an abandoned run is OutcomeAborted unless a terminal
-// event already stopped the machine. Finish may be called once.
+// Finish ends the execution (see End) and builds the Result. Finish after
+// End builds the ended run's Result.
 func (m *Machine) Finish() *Result {
-	if m.finished {
-		panic("vm: Finish called twice")
-	}
-	m.finished = true
-	m.releaseAll()
-	if len(m.idle) > 0 {
-		m.hosts.put(m.idle)
-		clear(m.idle)
-		m.idle = m.idle[:0]
-	}
-	for _, o := range m.observers {
-		if f, ok := o.(FinishObserver); ok {
-			f.OnFinish(m.outcome)
-		}
-	}
-
+	End(m)
+	m.joinHistories()
 	res := &Result{
 		Outcome:       m.outcome,
 		Terminal:      m.terminal,
@@ -454,6 +444,53 @@ func (m *Machine) Finish() *Result {
 		}
 	}
 	return res
+}
+
+// End ends m's execution without building its Result: it releases every
+// parked thread, daemons included, gives the host pool back every host
+// whose body returned and tells the FinishObservers the outcome. Ending a
+// paused execution abandons it: the outcome of an abandoned run is
+// OutcomeAborted unless a terminal event already stopped the machine. End
+// on an ended machine does nothing.
+func End(m *Machine) {
+	if m.finished {
+		return
+	}
+	m.finished = true
+	m.releaseAll()
+	if len(m.idle) > 0 {
+		m.hosts.put(m.idle)
+		clear(m.idle)
+		m.idle = m.idle[:0]
+	}
+	for _, o := range m.observers {
+		if f, ok := o.(FinishObserver); ok {
+			f.OnFinish(m.outcome)
+		}
+	}
+}
+
+// joinHistories makes each restored stream's history one array again: the
+// snapshot's, then what the machine appended after it. A stream that
+// appended nothing keeps the snapshot's array, which is capacity-limited,
+// so a later append copies it rather than writing into the snapshot.
+func (m *Machine) joinHistories() {
+	for i := range m.base {
+		st, b := &m.streams[i], &m.base[i]
+		st.inputs = joined(b.Inputs, st.inputs)
+		st.outputs = joined(b.Outputs, st.outputs)
+	}
+	m.base = nil
+}
+
+func joined(base, tail []trace.Value) []trace.Value {
+	switch {
+	case len(tail) == 0:
+		return base
+	case len(base) == 0:
+		return tail
+	}
+	return slices.Concat(base, tail)
 }
 
 // pickNext selects the next thread to run among those whose pending op is

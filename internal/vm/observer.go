@@ -22,10 +22,10 @@ type Observer interface {
 
 // FinishObserver is an optional extension of Observer for observers that
 // buffer state across events (segment recorders, streaming writers):
-// OnFinish fires exactly once, from Machine.Finish, after the execution
-// has stopped and before the Result is built. The machine is quiescent
-// during the call, so the observer may inspect it (StreamNames, Seq) and
-// flush whatever it buffered.
+// OnFinish fires exactly once, from End (which Machine.Finish calls),
+// after the execution has stopped and before any Result is built. The
+// machine is quiescent during the call, so the observer may inspect it
+// (StreamNames, Seq) and flush whatever it buffered.
 type FinishObserver interface {
 	Observer
 	OnFinish(outcome Outcome)

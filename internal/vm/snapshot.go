@@ -80,7 +80,8 @@ type DiskSnap struct {
 // appended to, so a snapshot holds a capacity-limited prefix of the live
 // array (every snapshot of one run, and the machine itself, share it)
 // instead of a copy — capture costs O(live state), not O(history). Restore
-// copies them when it installs a snapshot.
+// shares them too: the restored machine appends after them into arrays of
+// its own (see Machine.base).
 type StreamSnap struct {
 	Name    string
 	InIndex int
@@ -127,6 +128,7 @@ const NoRunningThread trace.ThreadID = -1
 // called from an observer (between apply and resume) or while the machine
 // is paused — never concurrently with running threads.
 func (m *Machine) Snapshot(running trace.ThreadID) *Snapshot {
+	m.joinHistories()
 	s := &Snapshot{
 		Seq:           m.seq,
 		Clock:         m.clock,
@@ -412,6 +414,15 @@ func (t *Thread) restoreSpawn(id int64, name string, body func(*Thread), daemon 
 // goroutine, which releases them on its way out.
 func Restore(cfg Config, setup func(*Machine) func(*Thread), snap *Snapshot, feeds [][]FeedEntry) (*Machine, error) {
 	m := New(cfg)
+	// Size the tables for the program the snapshot holds before setup
+	// builds it: their lengths are those of slices the snapshot already has.
+	m.cells = make([]cellState, 0, len(snap.Cells))
+	m.cellIDs = make(map[string]trace.ObjID, len(snap.Cells))
+	m.mutexes = make([]mutexState, 0, len(snap.Mutexes))
+	m.chans = make([]chanState, 0, len(snap.Chans))
+	m.streams = make([]streamState, 0, len(snap.Streams))
+	m.streamIDs = make(map[string]trace.ObjID, len(snap.Streams))
+	m.threads = make([]*Thread, 0, len(snap.Threads))
 	main := setup(m)
 	if len(m.threads) != 0 {
 		return nil, fmt.Errorf("vm: restore: setup started threads")
@@ -556,9 +567,8 @@ func Restore(cfg Config, setup func(*Machine) func(*Thread), snap *Snapshot, fee
 				ErrBadSnapshot, i, ss.Name, len(ss.Inputs), ss.InIndex)
 		}
 		st.inIndex = ss.InIndex
-		st.inputs = append(st.inputs[:0], ss.Inputs...)
-		st.outputs = append(st.outputs[:0], ss.Outputs...)
 	}
+	m.base = snap.Streams[:len(snap.Streams):len(snap.Streams)]
 	for i := range m.disks {
 		d := &m.disks[i]
 		ds := &snap.Disks[i]

@@ -132,3 +132,83 @@ func TestSnapshotCostIgnoresHistory(t *testing.T) {
 		t.Fatalf("Snapshot allocated %d bytes per capture with %d values of history; it must not copy the history", alloc, values)
 	}
 }
+
+// TestRestoreSharesHistories: a restored machine appends after its
+// snapshot's stream histories instead of copying them, so a restore
+// allocates the same at an early and a late snapshot and the snapshot's
+// arrays never change. What the machine then reports — its Result, and a
+// snapshot it takes after appending — holds the whole histories of a fresh
+// run.
+func TestRestoreSharesHistories(t *testing.T) {
+	cfg := Config{Seed: 7, Inputs: SeededInputs(7, 1000), CollectTrace: true}
+	setup := echoProgram(300)
+	m := New(cfg)
+	body := setup(m)
+	obs := &everyN{m: m, n: 64}
+	m.Attach(obs)
+	res := m.Run(body)
+	if res.Outcome != OutcomeOK || len(obs.snaps) < 10 {
+		t.Fatalf("outcome %v with %d snapshots", res.Outcome, len(obs.snaps))
+	}
+	restore := func(snap *Snapshot, feeds [][]FeedEntry) *Machine {
+		rcfg := cfg
+		rcfg.Scheduler = NewReplayScheduler(res.Trace.Schedule()[snap.SchedPos:])
+		m2, err := Restore(rcfg, setup, snap, feeds)
+		if err != nil {
+			t.Fatalf("restore at %d: %v", snap.Seq, err)
+		}
+		return m2
+	}
+
+	// The bytes one restore allocates, averaged over many so that
+	// allocations elsewhere in the process between the two reads of the
+	// counters hardly count.
+	cost := func(snap *Snapshot) uint64 {
+		feeds := feedsFor(res.Trace.Events, snap.Seq, len(snap.Threads))
+		const restores = 32
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range restores {
+			End(restore(snap, feeds))
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / restores
+	}
+	early, late := obs.snaps[1], obs.snaps[len(obs.snaps)-1]
+	history := 0
+	for _, st := range late.Streams {
+		history += len(st.Inputs) + len(st.Outputs)
+	}
+	earlyCost, lateCost := cost(early), cost(late)
+	t.Logf("restore allocates %d B at event %d, %d B at event %d (%d history values)", earlyCost, early.Seq, lateCost, late.Seq, history)
+	if history < 1000 || lateCost > earlyCost+1<<10 {
+		t.Fatalf("restore allocates %d B at event %d but %d B at event %d, with %d history values: it copies the histories",
+			earlyCost, early.Seq, lateCost, late.Seq, history)
+	}
+
+	for i, snap := range obs.snaps[:len(obs.snaps)-1] {
+		feeds := feedsFor(res.Trace.Events, snap.Seq, len(snap.Threads))
+		// Appending until the next snapshot's position, then capturing
+		// there, must see the histories the fresh run had at that point.
+		next := obs.snaps[i+1]
+		m2 := restore(snap, feeds)
+		m2.Continue(next.Seq)
+		if err := m2.Snapshot(NoRunningThread).EqualState(next); err != nil {
+			t.Fatalf("restored at %d, snapshot at %d differs from the fresh run's: %v", snap.Seq, next.Seq, err)
+		}
+		m2.Continue(0)
+		res2 := m2.Finish()
+		// Without a snapshot in between, the Result joins the histories.
+		m3 := restore(snap, feeds)
+		m3.Continue(0)
+		res3 := m3.Finish()
+		for _, r := range []*Result{res2, res3} {
+			if !reflect.DeepEqual(r.Outputs, res.Outputs) || !reflect.DeepEqual(r.InputsUsed, res.InputsUsed) {
+				t.Fatalf("restored at %d: result histories differ from the fresh run's", snap.Seq)
+			}
+		}
+		if !reflect.DeepEqual(snap.Streams, obs.copies[i].Streams) {
+			t.Fatalf("restored machines appending after the snapshot at %d changed it", snap.Seq)
+		}
+	}
+}

@@ -407,3 +407,12 @@ func TestFeedEntryLayout(t *testing.T) {
 		t.Fatalf("sizeof(FeedEntry) = %d, want 40", n)
 	}
 }
+
+// TestStreamStateLayout pins a stream's size at 80 bytes: a restored
+// machine keeps the snapshot's histories in a table of its own (see
+// Machine.base) rather than in two more slices per stream.
+func TestStreamStateLayout(t *testing.T) {
+	if n := unsafe.Sizeof(streamState{}); n != 80 {
+		t.Fatalf("sizeof(streamState) = %d, want 80", n)
+	}
+}
