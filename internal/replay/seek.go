@@ -49,8 +49,9 @@ type SeekSession struct {
 	// far — the seek-latency denominator checkpoints shrink.
 	ReplaySteps uint64
 
-	view *scenario.RunView
-	ok   bool
+	view   *scenario.RunView
+	ok     bool
+	closed bool
 }
 
 // replayExec assembles the launch options every replay machine of a
@@ -152,20 +153,24 @@ func (k *SeekSession) RunToEnd() (view *scenario.RunView, ok bool) {
 	if k.view != nil {
 		return k.view, k.ok
 	}
-	before := k.Machine.Seq()
-	k.Machine.Continue(0)
-	k.ReplaySteps += k.Machine.Seq() - before
+	if !k.closed {
+		before := k.Machine.Seq()
+		k.Machine.Continue(0)
+		k.ReplaySteps += k.Machine.Seq() - before
+	}
 	res := k.Machine.Finish()
 	k.view = &scenario.RunView{Machine: k.Machine, Result: res, Trace: res.Trace}
-	k.ok = matchesTerminal(k.s, k.meta.Failed, k.meta.FailureSig, k.view)
+	k.ok = !k.closed && matchesTerminal(k.s, k.meta.Failed, k.meta.FailureSig, k.view)
 	return k.view, k.ok
 }
 
 // Close abandons the session, releasing the machine's threads; it builds
 // no view. It is safe to call after RunToEnd (a no-op) and must be called
-// otherwise. RunToEnd after Close returns the abandoned run's view.
+// otherwise. RunToEnd after Close returns the abandoned run's view, never
+// accepted: an abandoned replay reproduces nothing.
 func (k *SeekSession) Close() {
 	if k.view == nil {
+		k.closed = true
 		vm.End(k.Machine)
 	}
 }

@@ -126,27 +126,39 @@ func TestSeekFallback(t *testing.T) {
 
 // TestRunToEndAfterClose: Close ends a session's run without building a
 // view, and RunToEnd after it returns the abandoned run's: aborted where
-// the session stood, not replayed to the end.
+// the session stood, not replayed to the end, and never accepted — also
+// for a recording that did not fail, whose failure check finds nothing in
+// the abandoned prefix either.
 func TestRunToEndAfterClose(t *testing.T) {
-	s, err := workload.ByName("bank")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := checkpointedCorpusRecording(t, s)
-	target := rec.Checkpoints[len(rec.Checkpoints)/2].Seq + 5
-	sess, err := Seek(s, rec, target, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess.Close()
-	sess.Close()
-	view, ok := sess.RunToEnd()
-	if ok || view.Result.Outcome != vm.OutcomeAborted || view.Result.Steps != target || sess.ReplaySteps != 5 {
-		t.Fatalf("RunToEnd after Close: ok=%v outcome %s after %d steps (%d replayed), want the run aborted at %d",
-			ok, view.Result.Outcome, view.Result.Steps, sess.ReplaySteps, target)
-	}
-	if again, _ := sess.RunToEnd(); again != view {
-		t.Fatal("a second RunToEnd built another view")
+	for _, c := range []struct {
+		name   string
+		failed bool
+	}{{"bank", true}, {"hyperkv-fixed", false}} {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := workload.ByName(c.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := checkpointedCorpusRecording(t, s)
+			if rec.Failed != c.failed {
+				t.Fatalf("recording failed=%v, want %v", rec.Failed, c.failed)
+			}
+			target := rec.Checkpoints[len(rec.Checkpoints)/2].Seq + 5
+			sess, err := Seek(s, rec, target, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess.Close()
+			sess.Close()
+			view, ok := sess.RunToEnd()
+			if ok || view.Result.Outcome != vm.OutcomeAborted || view.Result.Steps != target || sess.ReplaySteps != 5 {
+				t.Fatalf("RunToEnd after Close: ok=%v outcome %s after %d steps (%d replayed), want the run aborted at %d",
+					ok, view.Result.Outcome, view.Result.Steps, sess.ReplaySteps, target)
+			}
+			if again, ok := sess.RunToEnd(); again != view || ok {
+				t.Fatalf("a second RunToEnd returned another view or ok=%v", ok)
+			}
+		})
 	}
 }
 

@@ -103,14 +103,16 @@ func TestSecondSeekCostIndependentOfRecordingLength(t *testing.T) {
 			sess.Close()
 		}
 		seek() // derives the recording's plan
-		// The least of several seeks: allocated forces a GC, which empties
-		// the sync.Pool caches fmt keeps per P, and with more than one P a
-		// seek sometimes refills them (about 2 KB, not the seek's own cost).
-		least := allocated(seek)
-		for range 4 {
-			least = min(least, allocated(seek))
-		}
-		return least, rec.EventCount
+		// The mean of five seeks in one measurement, every one counted:
+		// allocated forces a GC, which empties the sync.Pool caches fmt
+		// keeps per P, and the seek after it may refill them (about 2 KB
+		// once per measurement, not the seek's own cost).
+		const seeks = 5
+		return allocated(func() {
+			for range seeks {
+				seek()
+			}
+		}) / seeks, rec.EventCount
 	}
 	short, nShort := seekCost(1500)
 	long, nLong := seekCost(3100)
