@@ -7,8 +7,9 @@
 // The suite checks exhaustive handling of trace event/value kinds
 // (evexhaustive), determinism-contract violations in the VM and replay
 // packages (nondet), inconsistent lock acquisition orders across thread
-// bodies (lockorder), the SDK boundary for commands and examples
-// (sdkpurity), and godoc coverage of the public surface (docs).
+// bodies (lockorder), and godoc coverage of the public surface (docs). The
+// SDK boundary for commands and examples is a row of the root package's
+// guards_test.go, which `go test .` runs.
 //
 // Findings print one per line as file:line:col: analyzer: message, and the
 // command exits 1 when any exist — CI runs it as the static-analysis job.

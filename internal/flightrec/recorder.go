@@ -14,8 +14,10 @@ import (
 )
 
 // DefaultRingSegments is how many sealed segments stay in memory when
-// Options.RingSegments is zero: enough that a short seek back never
-// touches disk, small enough that the ring stays a few segments of RAM.
+// Options.RingSegments is zero, small enough that the ring stays a few
+// segments of RAM. No reader sees the ring: Record reopens the spill
+// directory with Open once the run is finalized, so every seek reads its
+// segments from disk.
 const DefaultRingSegments = 4
 
 // Options configures the flight recorder.

@@ -13,9 +13,12 @@
 //   - lockorder: intra-body lockset analysis over vm.Thread Lock/Unlock
 //     sequences; inconsistent acquisition orders across thread bodies are
 //     reported as potential ABBA deadlocks;
-//   - sdkpurity: commands and examples build against the public SDK only;
 //   - docs: the public packages carry package comments and exported-symbol
 //     godoc (the former cmd/docslint, on the shared driver).
+//
+// Import and naming rules — the SDK boundary for commands and examples,
+// and the architecture verdicts — are not analyzers: they are rows of
+// the root package's guards_test.go, which needs no type information.
 package lint
 
 import (
@@ -31,7 +34,6 @@ import (
 	"debugdet/internal/lint/load"
 	"debugdet/internal/lint/lockorder"
 	"debugdet/internal/lint/nondet"
-	"debugdet/internal/lint/sdkpurity"
 )
 
 // Analyzers returns the full suite, in reporting order.
@@ -40,7 +42,6 @@ func Analyzers() []*analysis.Analyzer {
 		evexhaustive.Analyzer,
 		nondet.Analyzer,
 		lockorder.Analyzer,
-		sdkpurity.Analyzer,
 		docs.Analyzer,
 	}
 }

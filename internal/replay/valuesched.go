@@ -52,8 +52,6 @@ type valueGuidedScheduler struct {
 	rr       int // rotation for free-move fairness
 	consumed int
 	total    int
-	// deadEnd records that matching became impossible (true divergence).
-	deadEnd bool
 }
 
 func newValueGuidedScheduler(rec *record.Recording, inputs *stagedInputs) *valueGuidedScheduler {
@@ -113,7 +111,8 @@ func (s *valueGuidedScheduler) advance(tid trace.ThreadID) {
 	}
 }
 
-// Pick implements vm.Scheduler.
+// Pick implements vm.Scheduler. It returns nil once matching has become
+// impossible, which ends the run as vm.OutcomeDiverged.
 func (s *valueGuidedScheduler) Pick(m *vm.Machine, enabled []*vm.Thread) *vm.Thread {
 	want, more := s.wantedThread()
 	if !more {
@@ -138,11 +137,9 @@ func (s *valueGuidedScheduler) Pick(m *vm.Machine, enabled []*vm.Thread) *vm.Thr
 		}
 		wantEv := s.logs[want][s.pos[want]]
 		if wantEv.Kind != p.Kind || wantEv.Site != p.Site || wantEv.Obj != p.Obj {
-			s.deadEnd = true
 			return nil
 		}
 		if p.Kind != trace.EvInput && p.ValKnown && !p.Val.Equal(wantEv.Val) {
-			s.deadEnd = true
 			return nil
 		}
 		if wantEv.Kind == trace.EvInput {
@@ -181,7 +178,6 @@ func (s *valueGuidedScheduler) Pick(m *vm.Machine, enabled []*vm.Thread) *vm.Thr
 		s.rr++
 		return acquires[s.rr%len(acquires)]
 	}
-	s.deadEnd = true
 	return nil
 }
 

@@ -76,12 +76,11 @@ func (c *chanState) pop() slot {
 // streamState is one input or output stream connecting the program to its
 // environment.
 type streamState struct {
-	name     string
-	inIndex  int           // next input index to consume
-	inputs   []trace.Value // inputs consumed so far, in consumption order
-	outputs  []trace.Value // outputs emitted so far
-	inTaint  trace.Taint   // taint class applied to inputs from this stream
-	declared bool          // registered explicitly (vs auto-created)
+	name    string
+	inIndex int           // next input index to consume
+	inputs  []trace.Value // inputs consumed so far, in consumption order
+	outputs []trace.Value // outputs emitted so far
+	inTaint trace.Taint   // taint class applied to inputs from this stream
 }
 
 // NewCell registers a shared-memory cell with an initial value and returns
@@ -167,7 +166,6 @@ func (m *Machine) Stream(name string) trace.ObjID {
 func (m *Machine) DeclareStream(name string, taint trace.Taint) trace.ObjID {
 	id := m.Stream(name)
 	m.streams[id].inTaint = taint
-	m.streams[id].declared = true
 	return id
 }
 

@@ -90,8 +90,8 @@ func buildBank(m *vm.Machine, p scenario.Params) func(*vm.Thread) {
 		return func(t *vm.Thread) {
 			for i := 0; i < nTransfers; i++ {
 				pick := t.Input(sPick, pickIn).AsInt()
-				from := int(pick) % nAcc
-				to := int(pick>>8) % nAcc
+				from := int(pick % int64(nAcc))
+				to := int((pick >> 8) % int64(nAcc))
 				if to == from {
 					to = (to + 1) % nAcc
 				}
