@@ -442,8 +442,7 @@ func BenchmarkFlightRecorder(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := flightrec.Record(s, s.DefaultSeed, scenario.Params{"transfers": 400}, flightrec.Options{
-			RingSegments: 2,
-			SpillDir:     b.TempDir(),
+			SpillDir: b.TempDir(),
 		})
 		if err != nil {
 			b.Fatal(err)

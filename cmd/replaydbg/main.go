@@ -36,7 +36,6 @@ type opts struct {
 	to       uint64
 	script   string
 	spill    string
-	ring     int
 	retain   int
 	sweep    int64
 	params   debugdet.Params
@@ -72,9 +71,6 @@ func scriptFlag(fs *flag.FlagSet, o *opts) {
 }
 func spillFlag(fs *flag.FlagSet, o *opts) {
 	fs.StringVar(&o.spill, "spill", "", "spill directory: record with the always-on flight recorder instead of an in-memory recording")
-}
-func ringFlag(fs *flag.FlagSet, o *opts) {
-	fs.IntVar(&o.ring, "ring", 0, "flight recorder: sealed segments kept in memory (0 = default)")
 }
 func retainFlag(fs *flag.FlagSet, o *opts) {
 	fs.IntVar(&o.retain, "retain", 0, "flight recorder: spilled segments kept on disk (0 = keep all)")
@@ -116,7 +112,7 @@ func init() {
 			[]func(*flag.FlagSet, *opts){scenarioFlag, seedFlag, sweepFlag, paramFlag},
 			func(o *opts) { runRun(o) }},
 		{"record", "record a production run under a determinism model",
-			[]func(*flag.FlagSet, *opts){scenarioFlag, modelFlag, seedFlag, outFlag, ckptFlag, spillFlag, ringFlag, retainFlag},
+			[]func(*flag.FlagSet, *opts){scenarioFlag, modelFlag, seedFlag, outFlag, ckptFlag, spillFlag, retainFlag},
 			func(o *opts) { runRecord(o) }},
 		{"replay", "replay a recording front-to-back",
 			[]func(*flag.FlagSet, *opts){scenarioFlag, inFlag, budgetFlag},
@@ -332,9 +328,9 @@ func runRecord(o *opts) {
 	}
 }
 
-// runRecordStreaming records with the always-on flight recorder: segments
-// rotate through a bounded in-memory ring and spill to -spill; nothing
-// else of the run is kept in memory.
+// runRecordStreaming records with the always-on flight recorder: each
+// segment spills to -spill as it seals; nothing else of the run is kept in
+// memory.
 func runRecordStreaming(s *debugdet.Scenario, o *opts) {
 	if o.model != "" && o.model != "perfect" {
 		fatal(fmt.Errorf("-spill records under the perfect model (streaming needs the complete event stream); drop -model %s", o.model))
@@ -343,16 +339,15 @@ func runRecordStreaming(s *debugdet.Scenario, o *opts) {
 		Seed:               o.seed,
 		CheckpointInterval: o.ckpt,
 		FlightRecorder: &debugdet.FlightRecorderOptions{
-			SpillDir:     o.spill,
-			RingSegments: o.ring,
-			Retention:    o.retain,
+			SpillDir:  o.spill,
+			Retention: o.retain,
 		},
 	})
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("flight-recorded %s: %d events in %d segments (%d spilled, %d evicted)\n",
-		s.Name, fr.Events, fr.Segments, fr.Spilled, fr.Evicted)
+	fmt.Printf("flight-recorded %s: %d events in %d segments (%d evicted)\n",
+		s.Name, fr.Events, fr.Segments, fr.Evicted)
 	fmt.Printf("bytes: log=%d checkpoints=%d feed-log=%d; peak recorder memory %d\n",
 		fr.LogBytes, fr.CheckpointBytes, fr.FeedBytes, fr.PeakMemBytes)
 	fmt.Printf("original run: failed=%v sig=%q\n", fr.Failed, fr.FailureSig)

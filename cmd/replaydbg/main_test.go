@@ -120,11 +120,10 @@ func TestInfoBadSpillDirIsUsageError(t *testing.T) {
 	}
 }
 
-// TestRecordRejectsNegativeKnobs: negative -ring/-retain are rejected
-// before the spill directory is created.
+// TestRecordRejectsNegativeKnobs: a negative -retain is rejected before
+// the spill directory is created.
 func TestRecordRejectsNegativeKnobs(t *testing.T) {
 	for _, tc := range []struct{ flag, field string }{
-		{"-ring", "RingSegments"},
 		{"-retain", "Retention"},
 	} {
 		dir := filepath.Join(t.TempDir(), "spill")

@@ -62,8 +62,8 @@ type (
 	// SegmentInfo describes one checkpoint-delimited segment of a store.
 	SegmentInfo = flightrec.SegmentInfo
 	// FlightRecorderOptions configures Engine.RecordStreaming's bounded-
-	// memory recording (Options.FlightRecorder): rotation interval,
-	// in-memory ring size, spill directory and on-disk retention.
+	// memory recording (Options.FlightRecorder): rotation interval, spill
+	// directory and on-disk retention. Its RingSegments is ignored.
 	FlightRecorderOptions = flightrec.Options
 	// FlightRecording is a finished streaming recording: the reopened
 	// segment store plus the recorder's accounting (peak memory, spill

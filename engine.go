@@ -137,10 +137,10 @@ func (e *Engine) Record(ctx context.Context, s *Scenario, model Model, o Options
 
 // RecordStreaming runs the scenario once with the flight recorder
 // attached — the always-on production-run mode. Instead of accumulating a
-// monolithic in-memory Recording, events rotate through a bounded segment
-// ring and spill to o.FlightRecorder.SpillDir as checkpoint-delimited
-// .ddseg files plus a feed log and manifest; recorder memory stays O(ring)
-// no matter how long the run is. The returned result carries the reopened
+// monolithic in-memory Recording, the run is cut into checkpoint-delimited
+// segments, each spilled to o.FlightRecorder.SpillDir as a .ddseg file as
+// it seals, plus a feed log and manifest; recorder memory stays one
+// segment no matter how long the run is. The returned result carries the reopened
 // SegmentStore, which Seek, ReplaySegmented and Debug take exactly as they
 // take a Recording. Streaming recording is always perfect-model.
 func (e *Engine) RecordStreaming(ctx context.Context, s *Scenario, o Options) (*FlightRecording, error) {

@@ -18,7 +18,7 @@ import (
 // goldenDir holds one fixed run — bank, seed 5, checkpoint interval 64 —
 // as the encoders wrote it: the recording (.ddrc version 6), its bare
 // snapshot section, and the spill directory of the same run
-// flight-recorded with a ring of one segment. A file is rewritten only by
+// flight-recorded. A file is rewritten only by
 // a deliberate change to a format, which bumps that container's version
 // byte, or to what a recorder charges, which every snapshot stores as its
 // recording cycles.
@@ -49,7 +49,7 @@ func TestGoldenBytes(t *testing.T) {
 	}
 	spill := filepath.Join(t.TempDir(), "spill")
 	fr, err := eng.RecordStreaming(ctx, s, debugdet.Options{Seed: 5,
-		FlightRecorder: &debugdet.FlightRecorderOptions{Interval: 64, RingSegments: 1, SpillDir: spill}})
+		FlightRecorder: &debugdet.FlightRecorderOptions{Interval: 64, SpillDir: spill}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,6 +66,9 @@ var guards = []guard{
 	{name: "fork-switch", match: keyedTrue("Fork", "ForkReplay"),
 		allow: []string{"bench/", "fork_inert_test.go"},
 		why:   "a fork switch is set: it is ignored (only bench/ and TestForkOptionsAreInert set it; EXPERIMENTS.md \"The pruning verdict\")"},
+	{name: "ring-segments", match: ident("RingSegments"),
+		allow: []string{"bench/", "internal/flightrec/recorder.go"},
+		why:   "the flight recorder's ring size is used: it is ignored, a sealed segment spills at once (DESIGN.md §6 \"Segments and rotation\")"},
 	{name: "rcse-knobs", match: ident("ThresholdSelector", "SuspectSelector", "RaceSampleRate", "InvariantCost"),
 		why: "an RCSE knob is back: record.RCSEPolicy records the declared streams and the schedule only (EXPERIMENTS.md \"The trigger verdict\")"},
 	{name: "code-selection", match: ident("*CodeSelector*", "*DisableCodeSelection*"),

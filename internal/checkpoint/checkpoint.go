@@ -41,8 +41,8 @@ func NewWriter(m *vm.Machine, interval uint64) *Writer {
 // retained writer prices a snapshot after its predecessor, whose thread
 // and stream names it does not repeat, so a streamed run charges at least
 // the RecordCycles of a retained one. Ownership of every snapshot moves to
-// the sink, so a bounded-memory consumer (the flight recorder's segment
-// ring) does not pay for a second, unbounded copy in the writer.
+// the sink, so a bounded-memory consumer (the flight recorder's building
+// segment) does not pay for a second, unbounded copy in the writer.
 // Snapshots returns nil for a streaming writer; Bytes still accumulates.
 func NewStreamingWriter(m *vm.Machine, interval uint64, sink func(snap *vm.Snapshot, size int64)) *Writer {
 	w := NewWriter(m, interval)

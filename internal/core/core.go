@@ -61,7 +61,7 @@ type Options struct {
 	// deletes it.
 	ForkReplay bool
 	// FlightRecorder configures RecordStreaming's always-on bounded-memory
-	// recording: the spill directory, the in-memory ring size and the
+	// recording: the rotation interval, the spill directory and the
 	// on-disk retention cap. Only RecordStreaming reads it; Record and
 	// Evaluate build monolithic recordings and ignore it.
 	FlightRecorder *flightrec.Options
@@ -179,8 +179,7 @@ func RecordOnly(s *scenario.Scenario, model record.Model, o Options) (*record.Re
 
 // RecordStreaming runs the scenario once with the flight recorder
 // attached: an always-on, bounded-memory production run whose segments
-// rotate through a fixed-size ring and spill to o.FlightRecorder.SpillDir,
-// instead of accumulating a monolithic in-memory Recording. The run is
+// spill to o.FlightRecorder.SpillDir as they seal, instead of accumulating a monolithic in-memory Recording. The run is
 // always a perfect-model recording — streaming needs the complete event
 // stream, and the spill directory replays through the same seek, segmented
 // and debug paths as a checkpointed recording.

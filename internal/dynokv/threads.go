@@ -443,8 +443,8 @@ func (cl *Cluster) syncThread(t *vm.Thread) {
 		t.Sleep(st.syncPace, cfg.SyncEvery)
 		t.Add(st.syncEpoch, cl.epoch, 1)
 		pick := t.Input(st.syncPlan, plan).AsInt()
-		src := int(pick) % cfg.Nodes
-		dst := (src + 1 + int(pick>>8)%(cfg.Nodes-1)) % cfg.Nodes
+		src := int(pick % int64(cfg.Nodes))
+		dst := (src + 1 + int((pick>>8)%int64(cfg.Nodes-1))) % cfg.Nodes
 		cl.Net.Send(t, st.syncPushSend, "syncer", nodeName(src), simnet.Message{
 			Kind: MsgPush, From: "syncer", Nums: []int64{int64(dst)},
 		})
@@ -459,7 +459,7 @@ func (cl *Cluster) faultThread(t *vm.Thread) {
 	cfg := cl.Cfg
 	st := &cl.sites
 	pick := t.Input(st.faultPlan, t.Machine().Stream(StreamDownPlan)).AsInt()
-	victim := int(pick) % cfg.TotalKeys()
+	victim := int(pick % int64(cfg.TotalKeys()))
 	if victim < 0 {
 		victim = -victim
 	}

@@ -2,6 +2,7 @@ package flightrec
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -241,7 +242,13 @@ func (ds *DiskStore) scanFeeds() (*feedData, error) {
 		return nil, fmt.Errorf("flightrec: feed log: %w", err)
 	}
 	defer f.Close()
-	r := wire.NewReader(f, ErrCorrupt)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("flightrec: feed log: %w", err)
+	}
+	// The manifest's byte count is the log's committed prefix: a run that
+	// stopped between two seals leaves entries past it, the last maybe torn.
+	r := wire.NewReader(io.NewSectionReader(f, 0, min(ds.man.FeedBytes, fi.Size())), ErrCorrupt)
 	// An entry is at least a thread varint and a kind byte.
 	declared := r.Claim("feed entries declared by the manifest", ds.man.FeedCount, 2)
 	if err := r.Err(); err != nil {

@@ -7,11 +7,10 @@
 // not the memory half: it accumulates one unbounded in-memory Recording.
 // The flight recorder closes the gap by streaming. Checkpoints — the
 // periodic VM snapshots of package checkpoint — delimit the event stream
-// into segments; sealed segments rotate through a fixed-size in-memory
-// ring, and when the ring overflows the oldest segment is encoded to a
-// compact .ddseg file in the spill directory. Recording therefore runs
-// indefinitely at O(ring) memory, and the spill directory always holds the
-// most recent tail of the execution, time-travel-ready.
+// into segments, and each segment is encoded to a compact .ddseg file in
+// the spill directory as it seals. Recording therefore runs indefinitely
+// holding one segment in memory, the building one, and the spill directory
+// always holds the most recent tail of the execution, time-travel-ready.
 //
 // On-disk layout of a spill directory:
 //
@@ -25,7 +24,9 @@
 //     segments are evicted.
 //   - manifest.ddmf — run identity (scenario, model, seed, params,
 //     streams), terminal condition, and the segment table. Rewritten
-//     atomically (write-temp-then-rename) on every spill and at finish.
+//     atomically (write-temp-then-rename) on every spill and at finish,
+//     after the feed log is flushed, so a process that dies mid-run
+//     leaves a directory that opens as the run up to its last seal.
 //
 // Retention caps how many sealed segments stay on disk; older .ddseg
 // files are deleted as newer ones spill. The feed log still grows

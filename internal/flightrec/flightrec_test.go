@@ -2,6 +2,7 @@ package flightrec_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -84,7 +85,7 @@ func TestFlightRecordMatchesRecording(t *testing.T) {
 			if interval < 4 {
 				interval = 4
 			}
-			res := flightRecord(t, s, flightrec.Options{Interval: interval, RingSegments: 2})
+			res := flightRecord(t, s, flightrec.Options{Interval: interval})
 			st := res.Store
 
 			if res.Events != uint64(len(plain.Full)) {
@@ -185,7 +186,7 @@ func TestLogBytesAreTheSegmentEventSections(t *testing.T) {
 	for _, s := range flightScenarios(t) {
 		t.Run(s.Name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "spill")
-			res := flightRecord(t, s, flightrec.Options{Interval: 64, RingSegments: 1, SpillDir: dir})
+			res := flightRecord(t, s, flightrec.Options{Interval: 64, SpillDir: dir})
 			var sections int64
 			for _, si := range res.Store.Segments() {
 				data, err := os.ReadFile(filepath.Join(dir, si.File))
@@ -438,7 +439,7 @@ func TestFlightRetention(t *testing.T) {
 	if interval < 4 {
 		interval = 4
 	}
-	res := flightRecord(t, stale, flightrec.Options{Interval: interval, RingSegments: 1, Retention: 3})
+	res := flightRecord(t, stale, flightrec.Options{Interval: interval, Retention: 3})
 	st := res.Store
 
 	if res.Evicted == 0 {
@@ -573,15 +574,12 @@ func TestOpenRejectsMissing(t *testing.T) {
 	}
 }
 
-// TestOptionsValidate pins the validation contract: negative ring and
-// retention knobs are rejected by Validate and by Record — before the
-// spill directory is created, so a rejected recording leaves no artifact.
+// TestOptionsValidate pins the validation contract: a negative retention
+// is rejected by Validate and by Record — before the spill directory is
+// created, so a rejected recording leaves no artifact.
 func TestOptionsValidate(t *testing.T) {
 	if err := (flightrec.Options{}).Validate(); err != nil {
 		t.Fatalf("zero options rejected: %v", err)
-	}
-	if err := (flightrec.Options{RingSegments: -1}).Validate(); err == nil || !strings.Contains(err.Error(), "RingSegments") {
-		t.Fatalf("negative RingSegments: err = %v", err)
 	}
 	if err := (flightrec.Options{Retention: -1}).Validate(); err == nil || !strings.Contains(err.Error(), "Retention") {
 		t.Fatalf("negative Retention: err = %v", err)
@@ -593,6 +591,90 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
 		t.Fatalf("rejected Record still created %s", dir)
+	}
+}
+
+// TestStoppedRunIsReadable: a run stopped between two rotations, with no
+// OnFinish and no Finalize — a recording process killed mid-run — leaves a
+// spill directory that Open reads as the run up to its last seal: the
+// manifest lists every segment sealed so far, and a seek into the last one
+// restores from its boundary snapshot and replays a plain recording's
+// events. At an interval of 8192 a segment's feed entries outgrow the feed
+// log's 64 KiB buffer, so the log also holds entries past the manifest, the
+// last one torn. This is the process-crash window only: nothing calls
+// Sync, so a machine crash can still lose what the page cache held
+// (ROADMAP item 4(b)).
+func TestStoppedRunIsReadable(t *testing.T) {
+	s, err := workload.ByName("dynokv-staleread")
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := scenario.Params{"rounds": 50}
+	plain, _, err := record.Record(s, record.Perfect, s.DefaultSeed, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		interval uint64
+		tail     bool // the feed log runs past the manifest
+	}{{4096, false}, {8192, true}} {
+		interval := tc.interval
+		t.Run(fmt.Sprint(interval), func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "spill")
+			var rec *flightrec.Recorder
+			m := s.Start(scenario.ExecOptions{Seed: s.DefaultSeed, Params: params, DisableTrace: true,
+				ObserverFactory: func(m *vm.Machine) []vm.Observer {
+					if rec, err = flightrec.NewRecorder(m, s.Name, s.DefaultSeed, s.DefaultParams.Clone(params), flightrec.Options{Interval: interval, SpillDir: dir}); err != nil {
+						t.Fatal(err)
+					}
+					return []vm.Observer{rec}
+				}})
+			stop := 3*interval + interval*9/10
+			if stop >= uint64(len(plain.Full)) {
+				t.Fatalf("the run has %d events, the test stops it at %d", len(plain.Full), stop)
+			}
+			m.Continue(stop)
+			defer func() {
+				vm.End(m) // abandons the run; Finalize closes the feed log
+				if err := rec.Finalize(false, ""); err != nil {
+					t.Error(err)
+				}
+			}()
+
+			st, err := flightrec.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sealed := 3 * interval
+			segs := st.Segments()
+			if st.Finalized() || len(segs) != 3 || st.Meta().EventCount != sealed || st.FeedCount() != sealed {
+				t.Fatalf("stopped at %d: finalized=%v, %d segments, %d events, %d feed entries; want 3 segments and %d events",
+					stop, st.Finalized(), len(segs), st.Meta().EventCount, st.FeedCount(), sealed)
+			}
+			for i, si := range segs {
+				if si.From != uint64(i)*interval || si.To != si.From+interval {
+					t.Fatalf("segment %d covers [%d, %d)", i, si.From, si.To)
+				}
+			}
+			fi, err := os.Stat(filepath.Join(dir, flightrec.FeedLogName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tail := fi.Size() > st.FeedBytes(); tail != tc.tail {
+				t.Fatalf("feed log of %d bytes, the manifest declares %d: want a tail past it %v", fi.Size(), st.FeedBytes(), tc.tail)
+			}
+			last := segs[len(segs)-1]
+			sess, err := replay.Seek(s, st, sealed, replay.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			if !sess.FromCheckpoint || sess.SuffixFrom != last.From || sess.Pos() != sealed {
+				t.Fatalf("seek %d: FromCheckpoint=%v SuffixFrom=%d Pos=%d, want a restore at %d",
+					sealed, sess.FromCheckpoint, sess.SuffixFrom, sess.Pos(), last.From)
+			}
+			assertEventsMatch(t, "last sealed segment", sess.Machine.Trace().Events, plain.Full[last.From:sealed])
+		})
 	}
 }
 
@@ -609,7 +691,7 @@ func retainedRecording(t *testing.T, retention int) (*scenario.Scenario, *record
 	if interval < 4 {
 		interval = 4
 	}
-	res := flightRecord(t, s, flightrec.Options{Interval: interval, RingSegments: 1, Retention: retention})
+	res := flightRecord(t, s, flightrec.Options{Interval: interval, Retention: retention})
 	if res.Evicted == 0 {
 		t.Fatalf("retention %d over %d segments evicted nothing", retention, res.Segments)
 	}

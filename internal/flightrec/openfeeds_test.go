@@ -21,7 +21,7 @@ func feedFixture(tb testing.TB, dir string) (*vm.Snapshot, uint64) {
 		tb.Fatal(err)
 	}
 	res, err := flightrec.Record(s, s.DefaultSeed, scenario.Params{"rounds": 40},
-		flightrec.Options{Interval: 1024, RingSegments: 2, SpillDir: dir})
+		flightrec.Options{Interval: 1024, SpillDir: dir})
 	if err != nil {
 		tb.Fatal(err)
 	}

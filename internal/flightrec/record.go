@@ -24,11 +24,13 @@ type RecordResult struct {
 	CheckpointBytes int64
 	// FeedBytes is the feed log's on-disk size.
 	FeedBytes int64
-	// PeakMemBytes is the recorder's in-memory high-water mark — the
-	// measured O(ring) bound.
+	// PeakMemBytes is the recorder's in-memory high-water mark: the
+	// largest building segment, its boundary snapshot plus its event
+	// section.
 	PeakMemBytes int64
 	// Segments, Spilled and Evicted count the sealed segments, how many
-	// reached disk, and how many retention deleted again.
+	// reached disk, and how many retention deleted again. A segment spills
+	// as it seals, so Spilled equals Segments.
 	Segments, Spilled, Evicted int
 	// Failed and FailureSig are the run's terminal condition.
 	Failed     bool
@@ -38,8 +40,8 @@ type RecordResult struct {
 // Record runs one execution of s under the perfect determinism model with
 // the flight recorder attached, then finalizes and reopens the spill
 // directory. Trace collection is disabled — the event stream goes to the
-// segment ring and feed log instead of an unbounded in-memory log — so
-// the run's memory is O(ring) regardless of length.
+// building segment and the feed log instead of an unbounded in-memory
+// log — so the recorder's memory is one segment regardless of length.
 func Record(s *scenario.Scenario, seed int64, params scenario.Params, o Options) (*RecordResult, error) {
 	var rec *Recorder
 	var err error
@@ -73,7 +75,7 @@ func Record(s *scenario.Scenario, seed int64, params scenario.Params, o Options)
 		FeedBytes:       rec.feedW.Written(),
 		PeakMemBytes:    rec.peakMem,
 		Segments:        rec.sealed,
-		Spilled:         len(rec.spilled) + rec.evicted,
+		Spilled:         rec.sealed,
 		Evicted:         rec.evicted,
 		Failed:          failed,
 		FailureSig:      sig,

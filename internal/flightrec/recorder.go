@@ -13,23 +13,14 @@ import (
 	"debugdet/internal/wire"
 )
 
-// DefaultRingSegments is how many sealed segments stay in memory when
-// Options.RingSegments is zero, small enough that the ring stays a few
-// segments of RAM. No reader sees the ring: Record reopens the spill
-// directory with Open once the run is finalized, so every seek reads its
-// segments from disk.
-const DefaultRingSegments = 4
-
 // Options configures the flight recorder.
 type Options struct {
 	// Interval is the checkpoint/segment-rotation interval in events
 	// (0 = checkpoint.DefaultInterval). Each rotation seals the current
 	// segment at a boundary snapshot.
 	Interval uint64
-	// RingSegments is how many sealed segments stay in memory before the
-	// oldest spills to disk (0 = DefaultRingSegments). Peak recorder
-	// memory is O((RingSegments+2) · segment size): the ring, the
-	// building segment, and the segment being encoded for spill.
+	// Deprecated: ignored. A sealed segment spills to disk at once, so
+	// the recorder holds one segment, the building one.
 	RingSegments int
 	// SpillDir is the directory receiving sealed segments, the manifest
 	// and the feed log. Required: restoring a boundary snapshot needs
@@ -44,12 +35,8 @@ type Options struct {
 }
 
 // Validate rejects option values that would otherwise be silently
-// reinterpreted: a negative ring size would disable sealing entirely and
-// a negative retention would evict every spilled segment.
+// reinterpreted: a negative retention would evict every spilled segment.
 func (o Options) Validate() error {
-	if o.RingSegments < 0 {
-		return fmt.Errorf("flightrec: Options.RingSegments must not be negative (got %d; use 0 for the default ring of %d)", o.RingSegments, DefaultRingSegments)
-	}
 	if o.Retention < 0 {
 		return fmt.Errorf("flightrec: Options.Retention must not be negative (got %d; use 0 to keep all segments)", o.Retention)
 	}
@@ -61,23 +48,21 @@ func (o Options) withDefaults() Options {
 	if o.Interval == 0 {
 		o.Interval = checkpoint.DefaultInterval
 	}
-	if o.RingSegments == 0 {
-		o.RingSegments = DefaultRingSegments
-	}
 	return o
 }
 
 // Recorder is the streaming perfect-model recorder: a vm.Observer that
-// rotates checkpoint-delimited segments through a bounded in-memory ring
-// and spills sealed segments to the spill directory. It charges what the
-// segment files hold, priced as the codecs write it: each event's
-// RecordCost of its share of the building segment's event section (after
-// the segment's previous event; a segment has no schedule section), and
-// each boundary snapshot's standalone encoded size. Recording cost is
-// kept off the virtual clock, so a flight-recorded run and a monolithic
-// recording of the same (scenario, seed) share one virtual schedule. The
-// feed log and manifest are bookkeeping projections of already-priced data
-// and are tracked in the stats but not charged again.
+// cuts the run into checkpoint-delimited segments and spills each to the
+// spill directory as it seals, so it holds one segment, the building one.
+// It charges what the segment files hold, priced as the codecs write it:
+// each event's RecordCost of its share of the building segment's event
+// section (after the segment's previous event; a segment has no schedule
+// section), and each boundary snapshot's standalone encoded size.
+// Recording cost is kept off the virtual clock, so a flight-recorded run
+// and a monolithic recording of the same (scenario, seed) share one
+// virtual schedule. The feed log and manifest are bookkeeping projections
+// of already-priced data and are tracked in the stats but not charged
+// again.
 //
 // I/O errors inside OnEvent cannot propagate through the observer
 // interface; the first one is retained and recording degrades to a no-op
@@ -93,26 +78,20 @@ type Recorder struct {
 	feedF *os.File
 	feedW *wire.Writer
 
-	// cur is the building segment and ring the sealed ones still in
-	// memory; curB and ringB are their footprints, the bytes of their
-	// boundary snapshot and event section, summed as the events arrive.
-	// free is the event array of the segment spilled last, for the next
-	// one to build in: a recorder in steady state allocates no event
-	// storage.
-	cur       *Segment
+	// cur is the building segment and curB its footprint, the bytes of
+	// its boundary snapshot and event section, summed as the events
+	// arrive. Every segment builds in the one event array: a recorder in
+	// steady state allocates no event storage.
+	cur       Segment
 	curB      int64
-	ring      []*Segment
-	ringB     []int64
-	free      []trace.Event
 	spilled   []SegmentInfo
 	evicted   int
 	nextIndex int
 
-	events   uint64
-	bytes    int64
-	memBytes int64
-	peakMem  int64
-	sealed   int
+	events  uint64
+	bytes   int64
+	peakMem int64
+	sealed  int
 
 	err       error
 	finished  bool
@@ -151,7 +130,10 @@ func NewRecorder(m *vm.Machine, name string, seed int64, params scenario.Params,
 		feedF:     f,
 		nextIndex: 1,
 	}
-	r.cur = &Segment{Events: r.eventBuf()}
+	// An Interval chosen to mean "never rotate" reserves no more than
+	// this; a longer segment grows.
+	const maxReservedEvents = 1 << 14
+	r.cur.Events = make([]trace.Event, 0, min(o.Interval, maxReservedEvents))
 	r.feedW = wire.NewWriterSize(f, 1<<16)
 	writeFeedHeader(r.feedW)
 	r.ckpt = checkpoint.NewStreamingWriter(m, o.Interval, r.rotate)
@@ -175,14 +157,14 @@ func (r *Recorder) OnEvent(e *trace.Event) uint64 {
 	}
 	b := trace.EventSize(prev, e)
 	r.bytes += int64(b)
-	r.curB += int64(b)
-	r.memBytes += int64(b)
-	cost := r.cost.RecordCost(b)
-	cost += r.ckpt.OnEvent(e)
-	if r.memBytes > r.peakMem {
-		r.peakMem = r.memBytes
-	}
-	return cost
+	r.grow(int64(b))
+	return r.cost.RecordCost(b) + r.ckpt.OnEvent(e)
+}
+
+// grow adds n bytes to the building segment's footprint.
+func (r *Recorder) grow(n int64) {
+	r.curB += n
+	r.peakMem = max(r.peakMem, r.curB)
 }
 
 // rotate is the checkpoint writer's sink: seal the building segment at
@@ -194,73 +176,40 @@ func (r *Recorder) rotate(snap *vm.Snapshot, size int64) {
 	}
 	// Drop the captured stream histories before taking ownership: they
 	// are projections of the event prefix and are rehydrated from the
-	// feed log at open. Holding them would make ring memory proportional
-	// to the whole run, not the ring. The codec never encodes them, so size
-	// stands.
+	// feed log at open. Holding them would make the building segment's
+	// memory proportional to the whole run. The codec never encodes them,
+	// so size stands.
 	for i := range snap.Streams {
 		snap.Streams[i].Inputs = nil
 		snap.Streams[i].Outputs = nil
 	}
 	r.seal(snap.Seq)
-	r.cur = &Segment{
+	r.cur = Segment{
 		SegmentInfo: SegmentInfo{Index: r.nextIndex, From: snap.Seq, To: snap.Seq},
 		Snap:        snap,
-		Events:      r.eventBuf(),
+		Events:      r.cur.Events[:0],
 	}
 	r.nextIndex++
-	r.curB = size
-	r.memBytes += r.curB
-	if r.memBytes > r.peakMem {
-		r.peakMem = r.memBytes
-	}
+	r.curB = 0
+	r.grow(size)
 }
 
-// maxReservedEvents caps what eventBuf reserves, so an Interval chosen to
-// mean "never rotate" costs nothing up front; a longer segment grows.
-const maxReservedEvents = 1 << 14
-
-// eventBuf returns an empty event array for a new building segment: the
-// one the last spill released, or a fresh one sized for a whole segment.
-func (r *Recorder) eventBuf() []trace.Event {
-	if buf := r.free; buf != nil {
-		r.free = nil
-		return buf
-	}
-	return make([]trace.Event, 0, min(r.o.Interval, maxReservedEvents))
-}
-
-// seal closes the building segment at `to`, pushes it into the ring and
-// spills the ring's oldest segment if it overflows.
+// seal closes the building segment at `to`, encodes it to its .ddseg
+// file, applies retention and rewrites the manifest.
 func (r *Recorder) seal(to uint64) {
-	seg := r.cur
+	seg := &r.cur
 	seg.To = to
 	if uint64(len(seg.Events)) != seg.To-seg.From {
 		r.fail(fmt.Errorf("flightrec: segment [%d, %d) sealed with %d events", seg.From, seg.To, len(seg.Events)))
 		return
 	}
-	r.ring = append(r.ring, seg)
-	r.ringB = append(r.ringB, r.curB)
-	r.curB = 0
 	r.sealed++
-	for len(r.ring) > r.o.RingSegments {
-		r.spillOldest()
-	}
-}
-
-// spillOldest encodes the ring's oldest segment to its .ddseg file,
-// applies retention, and rewrites the manifest.
-func (r *Recorder) spillOldest() {
-	seg, b := r.ring[0], r.ringB[0]
-	r.ring = r.ring[1:]
-	r.ringB = r.ringB[1:]
 	if err := r.spill(seg); err != nil {
 		r.fail(err)
 		return
 	}
-	r.memBytes -= b
-	r.free = seg.Events[:0]
 	r.trimRetention()
-	if err := r.writeManifest(); err != nil {
+	if err := r.writeManifest(false); err != nil {
 		r.fail(err)
 	}
 }
@@ -304,9 +253,9 @@ func (r *Recorder) trimRetention() {
 }
 
 // OnFinish implements vm.FinishObserver: seal the final partial segment,
-// spill the whole ring, flush the feed log and write the manifest. The
-// terminal condition is stamped later by Finalize, once the scenario's
-// failure spec has inspected the finished run.
+// which writes the manifest. The terminal condition is stamped later by
+// Finalize, once the scenario's failure spec has inspected the finished
+// run.
 func (r *Recorder) OnFinish(vm.Outcome) {
 	if r.finished {
 		return
@@ -315,18 +264,8 @@ func (r *Recorder) OnFinish(vm.Outcome) {
 	if r.err != nil {
 		return
 	}
-	if len(r.cur.Events) > 0 || (len(r.ring) == 0 && len(r.spilled) == 0) {
+	if len(r.cur.Events) > 0 || r.sealed == 0 {
 		r.seal(r.cur.From + uint64(len(r.cur.Events)))
-	}
-	for len(r.ring) > 0 {
-		r.spillOldest()
-	}
-	if _, err := r.feedW.Finish(); err != nil {
-		r.fail(fmt.Errorf("flightrec: feed log: %w", err))
-		return
-	}
-	if err := r.writeManifest(); err != nil {
-		r.fail(err)
 	}
 }
 
@@ -343,9 +282,6 @@ func (r *Recorder) Finalize(failed bool, sig string) error {
 	}
 	r.finalized = true
 	if r.feedF != nil {
-		if _, err := r.feedW.Finish(); err != nil && r.err == nil {
-			r.err = fmt.Errorf("flightrec: feed log: %w", err)
-		}
 		if err := r.feedF.Close(); err != nil && r.err == nil {
 			r.err = fmt.Errorf("flightrec: feed log: %w", err)
 		}
@@ -356,7 +292,7 @@ func (r *Recorder) Finalize(failed bool, sig string) error {
 	}
 	r.meta.Failed = failed
 	r.meta.FailureSig = sig
-	if err := r.writeManifestFinal(true); err != nil {
+	if err := r.writeManifest(true); err != nil {
 		r.fail(err)
 	}
 	return r.err
@@ -369,11 +305,14 @@ func (r *Recorder) fail(err error) {
 	}
 }
 
-// writeManifest rewrites the manifest mid-run (finalized flag off).
-func (r *Recorder) writeManifest() error { return r.writeManifestFinal(false) }
-
-// writeManifestFinal rewrites the manifest atomically (temp + rename).
-func (r *Recorder) writeManifestFinal(final bool) error {
+// writeManifest flushes the feed log and rewrites the manifest atomically
+// (temp + rename), so the directory reads as the run up to here: a process
+// that dies before Finalize leaves a store Open can seek in. Nothing calls
+// Sync, so a machine crash may still lose the tail.
+func (r *Recorder) writeManifest(final bool) error {
+	if _, err := r.feedW.Finish(); err != nil {
+		return fmt.Errorf("flightrec: feed log: %w", err)
+	}
 	meta := r.meta
 	meta.EventCount = r.events
 	meta.Streams = r.m.StreamNames()

@@ -12,15 +12,14 @@ import (
 )
 
 // soakOptions is the flight-recorder configuration the soak runs use: a
-// segment every 4096 events, a two-segment ring, eight segments of disk
-// retention.
+// segment every 4096 events and eight segments of disk retention.
 func soakOptions(dir string) flightrec.Options {
-	return flightrec.Options{Interval: 4096, RingSegments: 2, Retention: 8, SpillDir: dir}
+	return flightrec.Options{Interval: 4096, Retention: 8, SpillDir: dir}
 }
 
 // TestSoakMillionEventRecording is the tentpole acceptance soak: a dynokv
 // run scaled past a million events records through the flight recorder at
-// O(ring) peak memory, and seeking into the retained tail reproduces the
+// one segment of peak memory, and seeking into the retained tail reproduces the
 // recorded suffix exactly, with segmented validation invariant across
 // worker counts.
 func TestSoakMillionEventRecording(t *testing.T) {
@@ -39,15 +38,13 @@ func TestSoakMillionEventRecording(t *testing.T) {
 		t.Fatalf("soak run is only %d events; want >= 1M", res.Events)
 	}
 
-	// Peak recorder memory must be O(ring): bounded by the ring plus the
-	// building and spilling segments, with 2x headroom — and in no
-	// relation to the run's total event volume.
-	avgSeg := res.LogBytes / int64(res.Segments)
-	ring := soakOptions("").RingSegments
-	ringBound := 2 * int64(ring+2) * avgSeg // ring + building + spilling segments, then 2x headroom
-	if res.PeakMemBytes > ringBound {
-		t.Fatalf("peak recorder memory %d exceeds the ring bound %d (avg segment %d bytes, %d segments)",
-			res.PeakMemBytes, ringBound, avgSeg, res.Segments)
+	// Peak recorder memory is the building segment, its snapshot and
+	// events: bounded by twice the average segment — and in no relation to
+	// the run's total event volume.
+	avgSeg := (res.LogBytes + res.CheckpointBytes) / int64(res.Segments)
+	if res.PeakMemBytes > 2*avgSeg {
+		t.Fatalf("peak recorder memory %d exceeds twice the average segment, %d bytes (%d segments)",
+			res.PeakMemBytes, avgSeg, res.Segments)
 	}
 	if res.PeakMemBytes*20 > res.LogBytes {
 		t.Fatalf("peak recorder memory %d is not small against the %d-byte run", res.PeakMemBytes, res.LogBytes)
@@ -108,8 +105,8 @@ func TestSoakMillionEventRecording(t *testing.T) {
 
 // TestSoakMemoryGrowthContrast is the bounded-memory claim measured: as
 // the run doubles, the monolithic recorder's in-memory event log doubles
-// with it, while the flight recorder's peak memory stays flat at the ring
-// bound.
+// with it, while the flight recorder's peak memory stays flat at one
+// segment.
 func TestSoakMemoryGrowthContrast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak contrast in -short mode")
@@ -147,7 +144,7 @@ func TestSoakMemoryGrowthContrast(t *testing.T) {
 	}
 	peakRatio := float64(pts[1].peak) / float64(pts[0].peak)
 	if peakRatio > 1.5 {
-		t.Fatalf("flight-recorder peak grew %.0f%% when the run doubled; the ring bound is broken",
+		t.Fatalf("flight-recorder peak grew %.0f%% when the run doubled; the one-segment bound is broken",
 			(peakRatio-1)*100)
 	}
 	if pts[1].peak*4 > pts[1].monoBytes {

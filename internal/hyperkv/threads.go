@@ -237,9 +237,9 @@ func (cl *Cluster) masterThread(t *vm.Thread) {
 		// Pace migrations into the middle of the load phase.
 		t.Sleep(st.mstSleep, 1500)
 		pick := t.Input(st.mstPlan, plan).AsInt()
-		r := int(pick) % cfg.Ranges
+		r := int(pick % int64(cfg.Ranges))
 		src := int(t.Load(st.mstRoute, cl.routing[r]).AsInt())
-		dst := (src + 1 + int(pick>>8)%(cfg.Servers-1)) % cfg.Servers
+		dst := (src + 1 + int((pick>>8)%int64(cfg.Servers-1))) % cfg.Servers
 		if dst == src {
 			dst = (src + 1) % cfg.Servers
 		}

@@ -488,7 +488,7 @@ func buildCrashPoint(m *vm.Machine, p scenario.Params) func(*vm.Thread) {
 		if plan < 0 {
 			plan = -plan
 		}
-		crashAfter := 1 + int(plan)%recs
+		crashAfter := 1 + int(plan%int64(recs))
 		acked, durable := 0, 0
 		for i := 0; i < crashAfter; i++ {
 			payload := t.Input(sPayload, payloadIn).AsInt()

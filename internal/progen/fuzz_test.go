@@ -48,8 +48,8 @@ func FuzzProgramGeneration(f *testing.F) {
 
 // FuzzSustainedFlightRecording drives the sustained long-running template
 // through the flight recorder from fuzzer-provided generator seeds: every
-// generated traffic shape must rotate segments past a small ring, spill
-// to disk, keep recorder memory far below the event volume, and reopen
+// generated traffic shape must rotate segments, spill each to disk as it
+// seals, keep recorder memory far below the event volume, and reopen
 // with the whole run retained and the event count intact.
 // FuzzCrashPoint sweeps the crash-point durability template over
 // fuzzer-provided (generator, environment) seed pairs — the generator
@@ -97,18 +97,17 @@ func FuzzSustainedFlightRecording(f *testing.F) {
 		g := Normalize(seed)
 		s := Sustained()
 		res, err := flightrec.Record(s, s.DefaultSeed, scenario.Params{"gen": g}, flightrec.Options{
-			RingSegments: 2,
-			SpillDir:     t.TempDir(),
+			SpillDir: t.TempDir(),
 		})
 		if err != nil {
 			t.Fatalf("gen %d: %v", g, err)
 		}
-		if res.Segments < 10 || res.Spilled < res.Segments-2 {
+		if res.Segments < 10 || res.Spilled != res.Segments {
 			t.Fatalf("gen %d: %d segments, %d spilled; sustained traffic must rotate and spill",
 				g, res.Segments, res.Spilled)
 		}
 		if res.PeakMemBytes >= res.LogBytes/4 {
-			t.Fatalf("gen %d: peak recorder memory %d vs %d event bytes; ring bound is broken",
+			t.Fatalf("gen %d: peak recorder memory %d vs %d event bytes; the one-segment bound is broken",
 				g, res.PeakMemBytes, res.LogBytes)
 		}
 		lo, hi := flightrec.Retained(res.Store)

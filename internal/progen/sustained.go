@@ -15,8 +15,7 @@ const sustainedGen, sustainedSeed = 1, 2
 // base dynokv-staleread run is ~2.2k events at 3 rounds and event count
 // scales linearly in rounds, so 28-36 rounds lands the sustained program
 // at roughly 10x the corpus scenario — long enough that a default-interval
-// flight recorder rotates dozens of segments and spills past any
-// plausible ring.
+// flight recorder rotates dozens of segments.
 const sustainedRoundsLo, sustainedRoundsHi = 28, 36
 
 // Sustained returns the fuzz-sustained template variant: the

@@ -48,13 +48,12 @@ func TestSustainedFixedVariantHealthy(t *testing.T) {
 }
 
 // TestSustainedFlightRotation is the satellite contract: a sustained run
-// under the flight recorder rotates well past the ring and spills, while
-// recorder memory stays orders of magnitude below the event volume.
+// under the flight recorder rotates many segments and spills each as it
+// seals, while recorder memory stays orders of magnitude below the event volume.
 func TestSustainedFlightRotation(t *testing.T) {
 	s := Sustained()
 	res, err := flightrec.Record(s, s.DefaultSeed, nil, flightrec.Options{
-		RingSegments: 2,
-		SpillDir:     t.TempDir(),
+		SpillDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,8 +64,8 @@ func TestSustainedFlightRotation(t *testing.T) {
 	if res.Segments < 10 {
 		t.Fatalf("only %d segments sealed; rotation is not exercised", res.Segments)
 	}
-	if res.Spilled < res.Segments-2 {
-		t.Fatalf("spilled %d of %d sealed segments; ring overflow should spill", res.Spilled, res.Segments)
+	if res.Spilled != res.Segments {
+		t.Fatalf("spilled %d of %d sealed segments; a sealed segment spills at once", res.Spilled, res.Segments)
 	}
 	if res.PeakMemBytes >= res.LogBytes/4 {
 		t.Fatalf("peak recorder memory %d is not small against the %d-byte event volume",

@@ -342,12 +342,21 @@ func TestDecodeReservesHonestCountExactly(t *testing.T) {
 	}
 }
 
+// perWord returns the size a layout pin expects: w64 on a 64-bit platform
+// and w32 on a 32-bit one, where words and pointers are half as wide.
+func perWord(w64, w32 uintptr) uintptr {
+	if unsafe.Sizeof(uintptr(0)) == 4 {
+		return w32
+	}
+	return w64
+}
+
 // TestEventLayout pins an event's size: its fields are ordered so that it
 // carries no padding (see Event), and every trace and full recording holds
 // one per event.
 func TestEventLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Event{}); got != 72 {
-		t.Fatalf("sizeof(Event) = %d, want 72: reorder the fields so a new one packs", got)
+	if got, want := unsafe.Sizeof(Event{}), perWord(72, 56); got != want {
+		t.Fatalf("sizeof(Event) = %d, want %d: reorder the fields so a new one packs", got, want)
 	}
 }
 
@@ -355,8 +364,8 @@ func TestEventLayout(t *testing.T) {
 // header, whose bytes serve both VString and VBytes. Every event, feed
 // entry, stream history and cell holds one.
 func TestValueLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Value{}); got != 32 {
-		t.Fatalf("sizeof(Value) = %d, want 32: a payload needs no header of its own", got)
+	if got, want := unsafe.Sizeof(Value{}), perWord(32, 20); got != want {
+		t.Fatalf("sizeof(Value) = %d, want %d: a payload needs no header of its own", got, want)
 	}
 }
 

@@ -399,20 +399,29 @@ func TestThreadSizeClass(t *testing.T) {
 	}
 }
 
+// perWord returns the size a layout pin expects: w64 on a 64-bit platform
+// and w32 on a 32-bit one, where words and pointers are half as wide.
+func perWord(w64, w32 uintptr) uintptr {
+	if unsafe.Sizeof(uintptr(0)) == 4 {
+		return w32
+	}
+	return w64
+}
+
 // TestFeedEntryLayout pins a feed entry's size: a restore holds one per
-// event its threads replay, and its value is the 32-byte trace.Value, with
+// event its threads replay, and its value is a trace.Value (32 bytes), with
 // the kind, result and taint bytes packed into the word after it.
 func TestFeedEntryLayout(t *testing.T) {
-	if n := unsafe.Sizeof(FeedEntry{}); n != 40 {
-		t.Fatalf("sizeof(FeedEntry) = %d, want 40", n)
+	if n, want := unsafe.Sizeof(FeedEntry{}), perWord(40, 24); n != want {
+		t.Fatalf("sizeof(FeedEntry) = %d, want %d", n, want)
 	}
 }
 
-// TestStreamStateLayout pins a stream's size at 80 bytes: a restored
-// machine keeps the snapshot's histories in a table of its own (see
-// Machine.base) rather than in two more slices per stream.
+// TestStreamStateLayout pins a stream's size at 80 bytes (40 on 32 bits):
+// a restored machine keeps the snapshot's histories in a table of its own
+// (see Machine.base) rather than in two more slices per stream.
 func TestStreamStateLayout(t *testing.T) {
-	if n := unsafe.Sizeof(streamState{}); n != 80 {
-		t.Fatalf("sizeof(streamState) = %d, want 80", n)
+	if n, want := unsafe.Sizeof(streamState{}), perWord(80, 40); n != want {
+		t.Fatalf("sizeof(streamState) = %d, want %d", n, want)
 	}
 }

@@ -125,14 +125,16 @@ func (s *source) Read(p []byte) (int, error) {
 
 // NewReader returns a Reader on src whose failures wrap sentinel. The
 // bytes src can deliver bound every count read from it: a source that can
-// tell (Len, or Stat on a regular file) is believed; any other is read to
-// its end first, so there is one bound and one path whatever the caller
-// hands in.
+// tell (Len, Size, or Stat on a regular file) is believed; any other is
+// read to its end first, so there is one bound and one path whatever the
+// caller hands in.
 func NewReader(src io.Reader, sentinel error) *Reader {
 	r := &Reader{src: src, sentinel: sentinel, size: -1}
 	switch s := src.(type) {
 	case interface{ Len() int }:
 		r.size = int64(s.Len())
+	case interface{ Size() int64 }:
+		r.size = s.Size()
 	case interface{ Stat() (fs.FileInfo, error) }:
 		if fi, err := s.Stat(); err == nil && fi.Mode().IsRegular() {
 			r.size = fi.Size()

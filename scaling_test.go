@@ -182,7 +182,7 @@ func TestSegmentedStoreRestoresOncePerWorker(t *testing.T) {
 	rec, err := eng.RecordStreaming(ctx, s, debugdet.Options{
 		Params: debugdet.Params{"rounds": 20},
 		FlightRecorder: &debugdet.FlightRecorderOptions{
-			Interval: 1024, RingSegments: 2, Retention: 8, SpillDir: filepath.Join(t.TempDir(), "spill"),
+			Interval: 1024, Retention: 8, SpillDir: filepath.Join(t.TempDir(), "spill"),
 		},
 	})
 	if err != nil {

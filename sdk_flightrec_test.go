@@ -23,9 +23,8 @@ func TestPublicFlightRecorder(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "spill")
 	res, err := eng.RecordStreaming(context.Background(), s, debugdet.Options{
 		FlightRecorder: &debugdet.FlightRecorderOptions{
-			Interval:     64,
-			RingSegments: 2,
-			SpillDir:     dir,
+			Interval: 64,
+			SpillDir: dir,
 		},
 	})
 	if err != nil {
@@ -81,9 +80,9 @@ func TestPublicFlightRecorder(t *testing.T) {
 	}
 }
 
-// TestPublicOptionValidation pins the Options contract: negative
-// CheckpointInterval, RingSegments and Retention are rejected with a
-// clear error everywhere options flow, and streaming recording requires
+// TestPublicOptionValidation pins the Options contract: a negative
+// CheckpointInterval or Retention is rejected with a clear error
+// everywhere options flow, and streaming recording requires
 // a spill directory.
 func TestPublicOptionValidation(t *testing.T) {
 	eng := debugdet.New()
@@ -106,15 +105,13 @@ func TestPublicOptionValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "SpillDir") {
 		t.Fatalf("missing spill dir: err = %v", err)
 	}
-	// Negative flight-recorder knobs are rejected before any file is
-	// created, both through the engine and at the recorder layer: a
-	// negative ring would never seal a segment, a negative retention would
-	// evict everything.
+	// A negative retention is rejected before any file is created, both
+	// through the engine and at the recorder layer: it would evict
+	// everything.
 	for _, tc := range []struct {
 		name string
 		fo   debugdet.FlightRecorderOptions
 	}{
-		{"RingSegments", debugdet.FlightRecorderOptions{SpillDir: t.TempDir(), RingSegments: -1}},
 		{"Retention", debugdet.FlightRecorderOptions{SpillDir: t.TempDir(), Retention: -2}},
 	} {
 		fo := tc.fo
