@@ -5,7 +5,7 @@
 // //lint:exhaustive-default directive.
 //
 // The repo threads EventKind by hand through codec, JSON, race, plane,
-// recorder, value-replay, flight-recorder and VM cost/peek/snapshot
+// recorder, value-replay, flight-recorder and VM cost/apply/inspection
 // switches; a new event family that silently skips one of those layers is
 // exactly the bug class this analyzer turns into a compile-time error
 // (PR 7 wired five disk kinds through every one of those switches by

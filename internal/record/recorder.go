@@ -124,10 +124,12 @@ func perfectPolicy() *Policy {
 }
 
 // Value determinism: every value read or written at every execution point
-// (loads, stores, sends, receives, inputs, outputs, probes), with no
-// cross-thread ordering. Synchronization events are not persisted at all —
-// replay must rediscover a consistent interleaving, which is exactly the
-// extra work value-deterministic systems push to debug time.
+// (loads, stores, sends, receives, inputs, outputs, probes, disk ops,
+// failures), each event with its sequence number, so the log keeps the
+// order of its own events across threads. Synchronization events are not
+// persisted at all — replay must rediscover an interleaving of them that
+// reproduces the logged events in that order, which is exactly the extra
+// work value-deterministic systems push to debug time.
 func valuePolicy() *Policy {
 	return &Policy{Name: "value", Full: func(e *trace.Event) bool { return ValueLogged(e.Kind) }}
 }

@@ -47,14 +47,49 @@ func TestPerfectReplayAllScenarios(t *testing.T) {
 	}
 }
 
+// panicking is a one-thread program whose body stores, loads and then
+// indexes a nil slice: its run ends in a Go panic, which the VM reports as
+// the thread's crash event.
+func panicking() *scenario.Scenario {
+	return &scenario.Scenario{
+		Name: "panic",
+		Build: func(m *vm.Machine, _ scenario.Params) func(*vm.Thread) {
+			x := m.NewCell("x", trace.Int(0))
+			site := m.Site("body")
+			return func(t *vm.Thread) {
+				t.Store(site, x, trace.Int(3))
+				var xs []int
+				_ = xs[t.Load(site, x).AsInt()]
+			}
+		},
+		Inputs: func(int64, scenario.Params) vm.InputSource { return vm.ZeroInputs },
+		Failure: scenario.FailureSpec{Name: "panic", Check: func(v *scenario.RunView) (bool, string) {
+			return v.Result.Outcome == vm.OutcomeCrashed, ""
+		}},
+	}
+}
+
 func TestValueReplayReproducesFailures(t *testing.T) {
+	var rows []*scenario.Scenario
 	for _, name := range []string{"sum", "overflow", "msgdrop", "hyperkv-dataloss", "bank"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			s, rec, orig := recordScenario(t, name, record.Value)
+		s, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, s)
+	}
+	for _, s := range append(rows, panicking()) {
+		t.Run(s.Name, func(t *testing.T) {
+			rec, orig, err := record.Record(s, record.Value, s.DefaultSeed, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			res := Replay(s, rec, Options{})
 			if !res.Ok {
-				t.Fatalf("value replay not ok: %s", res.Note)
+				t.Fatalf("value replay not ok: %s (outcome %s)", res.Note, res.View.Result.Outcome)
+			}
+			if got, want := res.View.Result.Outcome, orig.Result.Outcome; got != want {
+				t.Fatalf("replay outcome %s, recorded %s", got, want)
 			}
 			// Per-thread value sequences must match exactly.
 			origFailed, origSig := s.CheckFailure(orig)

@@ -8,10 +8,9 @@ import (
 )
 
 // stagedInputs is the input source for value-deterministic replay. The
-// guided scheduler stages the logged value for each Input operation just
-// before the machine applies it; Next returns the staged value for the
-// stream. Staging is idempotent between operations, so machine peeks are
-// harmless.
+// guided scheduler stages the logged value for each Input operation when it
+// picks the thread to apply it; Next returns the staged value for the
+// stream, which stays staged until that stream's next logged input.
 type stagedInputs struct {
 	staged map[string]trace.Value
 	base   vm.InputSource
@@ -29,102 +28,69 @@ func (s *stagedInputs) Next(stream string, index int) trace.Value {
 	return s.base.Next(stream, index)
 }
 
-// valueGuidedScheduler rebuilds an interleaving consistent with the
-// recorded per-thread value logs. The strategy is gated: the recording's
-// value events are reproduced in their recorded order (the logs are kept
-// with their global indexes), and between them threads may only perform
-// unlogged operations — synchronization, yields, sleeps — which cannot
-// change any logged value. By induction the machine state seen by each
-// logged event equals the original, so every load, receive and input
-// yields the recorded value: exactly the value-determinism guarantee. The
-// replay may still interleave the unlogged operations differently than the
-// original did, which is the cross-CPU ordering iDNA-style systems do not
-// promise to reproduce.
+// valueGuidedScheduler rebuilds an interleaving that reproduces the
+// recording's value log: every value-logged event, in the order it was
+// recorded. The strategy is gated: the log's events are reproduced in that
+// order, and between them threads may only perform unlogged operations —
+// synchronization, yields, sleeps — which cannot change any logged value.
+// By induction the machine state seen by each logged event equals the
+// original, so every load, receive and input yields the recorded value:
+// exactly the value-determinism guarantee. The scheduler observes each
+// event the machine emits and checks it against the log, value included;
+// a differing event ends the replay at the next pick. The replay may still
+// interleave the unlogged operations differently than the original did.
 type valueGuidedScheduler struct {
-	logs map[trace.ThreadID][]trace.Event
-	gidx map[trace.ThreadID][]int // recording-order index per logged event
-	pos  map[trace.ThreadID]int
-	next map[trace.ThreadID]int // global index of thread's next wanted event
+	log     []trace.Event // the recording's value log, in recorded order
+	next    int           // index of the next logged event to emit
+	differs bool          // an emitted event differed from its log entry
 
 	inputs  *stagedInputs
 	streams []string // stream names by ObjID, from the recording
 
-	rr       int // rotation for free-move fairness
-	consumed int
-	total    int
+	rr int // rotation for free-move fairness
 }
 
 func newValueGuidedScheduler(rec *record.Recording, inputs *stagedInputs) *valueGuidedScheduler {
-	logs := make(map[trace.ThreadID][]trace.Event)
-	gidx := make(map[trace.ThreadID][]int)
-	for i, e := range rec.Full {
-		logs[e.TID] = append(logs[e.TID], e)
-		gidx[e.TID] = append(gidx[e.TID], i)
-	}
-	s := &valueGuidedScheduler{
-		logs:    logs,
-		gidx:    gidx,
-		pos:     make(map[trace.ThreadID]int),
-		next:    make(map[trace.ThreadID]int),
-		inputs:  inputs,
-		streams: rec.Streams,
-		total:   len(rec.Full),
-	}
-	//lint:nondet-ok per-key map write guarded by a per-key predicate; order cannot be observed
-	for tid, idx := range gidx {
-		if len(idx) > 0 {
-			s.next[tid] = idx[0]
-		}
-	}
-	return s
+	return &valueGuidedScheduler{log: rec.Full, inputs: inputs, streams: rec.Streams}
 }
 
 // Name implements vm.Scheduler.
 func (s *valueGuidedScheduler) Name() string { return "value-guided" }
 
-// Done reports whether every logged event was matched.
-func (s *valueGuidedScheduler) Done() bool { return s.consumed == s.total }
+// Done reports whether every logged event was emitted as recorded.
+func (s *valueGuidedScheduler) Done() bool { return s.next == len(s.log) && !s.differs }
 
-// wantedThread returns the thread owning the globally next unconsumed
-// logged event.
-func (s *valueGuidedScheduler) wantedThread() (trace.ThreadID, bool) {
-	best := trace.ThreadID(-1)
-	bestIdx := -1
-	//lint:nondet-ok min-reduction over distinct global indexes (one owner per index); the minimum is unique
-	for tid, idx := range s.next {
-		if bestIdx == -1 || idx < bestIdx {
-			best, bestIdx = tid, idx
+// OnEvent implements vm.Observer: the next value-logged event the machine
+// emits must be the log's next event. Events past the log's end are not
+// checked.
+func (s *valueGuidedScheduler) OnEvent(e *trace.Event) uint64 {
+	if s.next < len(s.log) && record.ValueLogged(e.Kind) {
+		w := &s.log[s.next]
+		s.next++
+		if e.TID != w.TID || e.Kind != w.Kind || e.Site != w.Site || e.Obj != w.Obj || !e.Val.Equal(w.Val) {
+			s.differs = true
 		}
 	}
-	return best, bestIdx >= 0
-}
-
-// advance consumes thread tid's next logged event.
-func (s *valueGuidedScheduler) advance(tid trace.ThreadID) {
-	i := s.pos[tid]
-	s.pos[tid] = i + 1
-	s.consumed++
-	if i+1 < len(s.gidx[tid]) {
-		s.next[tid] = s.gidx[tid][i+1]
-	} else {
-		delete(s.next, tid)
-	}
+	return 0
 }
 
 // Pick implements vm.Scheduler. It returns nil once matching has become
 // impossible, which ends the run as vm.OutcomeDiverged.
 func (s *valueGuidedScheduler) Pick(m *vm.Machine, enabled []*vm.Thread) *vm.Thread {
-	want, more := s.wantedThread()
-	if !more {
+	if s.differs {
+		return nil
+	}
+	if s.next == len(s.log) {
 		// Horizon passed: let the program run out naturally.
 		s.rr++
 		return enabled[s.rr%len(enabled)]
 	}
 
-	// If the wanted thread is enabled, it must either match its log entry
+	// If the wanted thread is enabled, it must either be at its log entry
 	// or be sitting at an unlogged op on the way to it.
+	want := &s.log[s.next]
 	for _, t := range enabled {
-		if t.ID() != want {
+		if t.ID() != want.TID {
 			continue
 		}
 		p, ok := m.PeekEvent(t)
@@ -135,17 +101,12 @@ func (s *valueGuidedScheduler) Pick(m *vm.Machine, enabled []*vm.Thread) *vm.Thr
 			// The wanted thread first needs a free move of its own.
 			return t
 		}
-		wantEv := s.logs[want][s.pos[want]]
-		if wantEv.Kind != p.Kind || wantEv.Site != p.Site || wantEv.Obj != p.Obj {
+		if want.Kind != p.Kind || want.Site != p.Site || want.Obj != p.Obj {
 			return nil
 		}
-		if p.Kind != trace.EvInput && p.ValKnown && !p.Val.Equal(wantEv.Val) {
-			return nil
+		if want.Kind == trace.EvInput {
+			s.inputs.staged[s.streamName(want.Obj)] = want.Val
 		}
-		if wantEv.Kind == trace.EvInput {
-			s.inputs.staged[s.streamName(wantEv.Obj)] = wantEv.Val
-		}
-		s.advance(want)
 		return t
 	}
 
@@ -196,12 +157,13 @@ func replayValue(s *scenario.Scenario, rec *record.Recording, o Options) *Result
 	inputs := newStagedInputs(s.SearchSource(o.SearchSeed, s.DefaultParams.Clone(rec.Params)))
 	sched := newValueGuidedScheduler(rec, inputs)
 	view := s.Exec(scenario.ExecOptions{
-		Seed:      rec.Seed,
-		Params:    rec.Params,
-		Scheduler: sched,
-		Inputs:    inputs,
-		MaxSteps:  o.MaxSteps,
-		RelaxTime: true,
+		Seed:            rec.Seed,
+		Params:          rec.Params,
+		Scheduler:       sched,
+		Inputs:          inputs,
+		ObserverFactory: func(*vm.Machine) []vm.Observer { return []vm.Observer{sched} },
+		MaxSteps:        o.MaxSteps,
+		RelaxTime:       true,
 	})
 	res.Attempts = 1
 	res.WorkCycles = view.Result.Cycles

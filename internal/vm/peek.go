@@ -2,133 +2,33 @@ package vm
 
 import "debugdet/internal/trace"
 
-// PendingOp is a read-only view of a parked thread's next operation, with
-// the event it would produce if applied in the current machine state. The
-// value-deterministic replayer uses it to pick, at every step, a thread
-// whose next event matches the recorded per-thread log (greedy value-guided
-// scheduling).
+// PendingOp names the event a parked thread's next operation would emit if
+// applied in the current machine state: its kind, site and object. The
+// value-deterministic replayer uses it to tell a thread's logged operations
+// from its unlogged ones; it checks the values themselves as the machine
+// emits them.
 type PendingOp struct {
 	Kind trace.EventKind
 	Site trace.SiteID
 	Obj  trace.ObjID
-	// Val is the predicted event value: the value that would be read
-	// (loads, receives, inputs), written (stores) or transmitted (sends,
-	// outputs). ValKnown is false when the value cannot be predicted
-	// without applying the op.
-	Val      trace.Value
-	ValKnown bool
 }
 
-// PeekEvent predicts the event thread t would emit if its pending op were
-// applied now. The prediction is only meaningful while t is parked and its
-// op is enabled; ok is false otherwise. Peeking never mutates machine
-// state: in particular it does not consume inputs or channel slots.
+// PeekEvent names the event thread t would emit if its pending op were
+// applied now: the op's kind from opTable, a yield for a try-variant its
+// channel cannot serve. The answer is only meaningful while t is parked and
+// its op is enabled; ok is false for a finished or idle thread. Peeking
+// never mutates machine state.
 func (m *Machine) PeekEvent(t *Thread) (PendingOp, bool) {
-	if t.done {
+	req := &t.pending
+	if t.done || req.code == opNone {
 		return PendingOp{}, false
 	}
-	req := &t.pending
-	p := PendingOp{Site: req.site, Obj: req.obj}
-	switch req.code {
-	case opLoad:
-		p.Kind = trace.EvLoad
-		p.Val = m.cells[req.obj].slot.val
-		p.ValKnown = true
-	case opStore:
-		p.Kind = trace.EvStore
-		if req.msg == "add" {
-			p.Val = trace.Int(m.cells[req.obj].slot.val.AsInt() + req.val.AsInt())
-		} else {
-			p.Val = req.val
-		}
-		p.ValKnown = true
-	case opLock:
-		p.Kind = trace.EvLock
-	case opUnlock:
-		p.Kind = trace.EvUnlock
-	case opSend:
-		p.Kind = trace.EvSend
-		p.Val = req.val
-		p.ValKnown = true
-	case opTrySend:
-		// A try-send against a full channel emits a yield, not a send.
-		if m.chans[req.obj].full() {
-			p.Kind = trace.EvYield
-		} else {
-			p.Kind = trace.EvSend
-			p.Val = req.val
-			p.ValKnown = true
-		}
-	case opRecv, opTryRecv, opRecvTimeout:
-		if ch := &m.chans[req.obj]; !ch.empty() {
-			p.Kind = trace.EvRecv
-			p.Val = ch.front().val
-			p.ValKnown = true
-		} else if req.code == opRecv {
-			p.Kind = trace.EvRecv
-		} else {
-			// Try/timeout variants fall through to a yield when empty.
+	op := &opTable[req.code]
+	p := PendingOp{Kind: op.kind, Site: req.site, Obj: req.obj}
+	if op.try {
+		if ch := &m.chans[req.obj]; op.kind == trace.EvSend && ch.full() || op.kind == trace.EvRecv && ch.empty() {
 			p.Kind = trace.EvYield
 		}
-	case opInput:
-		p.Kind = trace.EvInput
-		s := &m.streams[req.obj]
-		p.Val = m.inputs.Next(s.name, s.inIndex)
-		p.ValKnown = true
-	case opOutput:
-		p.Kind = trace.EvOutput
-		p.Val = req.val
-		p.ValKnown = true
-	case opYield:
-		p.Kind = trace.EvYield
-	case opSleep:
-		p.Kind = trace.EvSleep
-	case opObserve:
-		p.Kind = trace.EvObserve
-		p.Val = req.val
-		p.ValKnown = true
-	case opSpawn:
-		p.Kind = trace.EvSpawn
-	case opExit:
-		p.Kind = trace.EvExit
-	case opFail:
-		p.Kind = trace.EvFail
-		p.Val = trace.Str(req.msg)
-		p.ValKnown = true
-	case opCrash, opPanic:
-		p.Kind = trace.EvCrash
-		p.Val = trace.Str(req.msg)
-		p.ValKnown = true
-	case opDiskWrite:
-		p.Kind = trace.EvDiskWrite
-		p.Val = req.val
-		p.ValKnown = true
-	case opDiskRead:
-		p.Kind = trace.EvDiskRead
-		d := &m.disks[req.obj]
-		if idx := int(req.deadline); idx >= 0 && idx < len(d.recs) {
-			p.Val = d.recs[idx].val
-		} else {
-			p.Val = trace.Nil
-		}
-		p.ValKnown = true
-	case opDiskFsync:
-		p.Kind = trace.EvDiskFsync
-		d := &m.disks[req.obj]
-		p.Val = trace.Int(int64(d.fsyncDurable(d.fsyncs + 1)))
-		p.ValKnown = true
-	case opDiskBarrier:
-		p.Kind = trace.EvDiskBarrier
-		p.Val = trace.Int(int64(len(m.disks[req.obj].recs)))
-		p.ValKnown = true
-	case opDiskCrash:
-		p.Kind = trace.EvDiskCrash
-		keep, _ := m.disks[req.obj].crashKeep()
-		p.Val = trace.Int(int64(keep))
-		p.ValKnown = true
-	//lint:exhaustive-default opNone has no observable pending state; peeking it reports not-peekable
-	default:
-		return PendingOp{}, false
 	}
 	return p, true
 }

@@ -45,7 +45,7 @@ type ThreadSnap struct {
 	// checkpoint event (it had not issued its next operation yet when the
 	// snapshot was taken — it re-issues it deterministically on restore).
 	PendingValid bool
-	// PendingCode is the raw operation code (see opNames for rendering).
+	// PendingCode is the raw operation code (see OpName for rendering).
 	PendingCode uint8
 	// PendingObj is the operation's object, when it has one.
 	PendingObj trace.ObjID
@@ -319,56 +319,11 @@ type FeedEntry struct {
 }
 
 // feedCompatible reports whether an operation issued during feed replay
-// can have produced an event of the given kind.
+// can have produced an event of the given kind: its own kind, or a yield
+// for a try-variant. Feed replay never issues opNone or opPanic.
 func feedCompatible(code opCode, kind trace.EventKind) bool {
-	//lint:exhaustive-default opNone and opPanic never appear in feeds; the fallthrough rejects them as incompatible
-	switch code {
-	case opLoad:
-		return kind == trace.EvLoad
-	case opStore:
-		return kind == trace.EvStore
-	case opLock:
-		return kind == trace.EvLock
-	case opUnlock:
-		return kind == trace.EvUnlock
-	case opSend:
-		return kind == trace.EvSend
-	case opRecv:
-		return kind == trace.EvRecv
-	case opTrySend:
-		return kind == trace.EvSend || kind == trace.EvYield
-	case opTryRecv, opRecvTimeout:
-		return kind == trace.EvRecv || kind == trace.EvYield
-	case opInput:
-		return kind == trace.EvInput
-	case opOutput:
-		return kind == trace.EvOutput
-	case opYield:
-		return kind == trace.EvYield
-	case opSleep:
-		return kind == trace.EvSleep
-	case opObserve:
-		return kind == trace.EvObserve
-	case opSpawn:
-		return kind == trace.EvSpawn
-	case opExit:
-		return kind == trace.EvExit
-	case opFail:
-		return kind == trace.EvFail
-	case opCrash:
-		return kind == trace.EvCrash
-	case opDiskWrite:
-		return kind == trace.EvDiskWrite
-	case opDiskRead:
-		return kind == trace.EvDiskRead
-	case opDiskFsync:
-		return kind == trace.EvDiskFsync
-	case opDiskBarrier:
-		return kind == trace.EvDiskBarrier
-	case opDiskCrash:
-		return kind == trace.EvDiskCrash
-	}
-	return false
+	op := &opTable[code]
+	return kind == op.kind || op.try && kind == trace.EvYield
 }
 
 // restoreSpawn binds a feed-replayed spawn to its pre-created thread
@@ -608,23 +563,11 @@ func (m *Machine) AdoptCounters(snap *Snapshot) error {
 	return nil
 }
 
-// opNames renders operation codes for thread inspection.
-var opNames = [...]string{
-	opNone: "idle", opLoad: "load", opStore: "store", opLock: "lock",
-	opUnlock: "unlock", opSend: "send", opRecv: "recv", opTrySend: "try-send",
-	opTryRecv: "try-recv", opRecvTimeout: "recv-timeout", opInput: "input",
-	opOutput: "output", opYield: "yield", opSleep: "sleep", opObserve: "observe",
-	opSpawn: "spawn", opExit: "exit", opFail: "fail", opCrash: "crash",
-	opPanic: "panic", opDiskWrite: "disk-write", opDiskRead: "disk-read",
-	opDiskFsync: "disk-fsync", opDiskBarrier: "disk-barrier",
-	opDiskCrash: "disk-crash",
-}
-
 // OpName renders a ThreadSnap.PendingCode as the operation's lower-case
 // name.
 func OpName(code uint8) string {
-	if int(code) < len(opNames) && opNames[code] != "" {
-		return opNames[code]
+	if int(code) < len(opTable) {
+		return opTable[code].name
 	}
 	return fmt.Sprintf("op(%d)", code)
 }

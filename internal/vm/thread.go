@@ -47,6 +47,43 @@ const (
 	opDiskCrash
 )
 
+// opTable describes each operation: its name, as thread inspection renders
+// it, and the kind of event applying it emits. A try-variant (try) emits a
+// yield instead when its channel cannot serve it: a try-send on a full
+// channel, a try-recv or recv-timeout on an empty one. An unlock by a
+// non-owner emits a crash, which no peek foresees.
+var opTable = [...]struct {
+	name string
+	kind trace.EventKind
+	try  bool
+}{
+	opNone:        {"idle", trace.EvNone, false},
+	opLoad:        {"load", trace.EvLoad, false},
+	opStore:       {"store", trace.EvStore, false},
+	opLock:        {"lock", trace.EvLock, false},
+	opUnlock:      {"unlock", trace.EvUnlock, false},
+	opSend:        {"send", trace.EvSend, false},
+	opRecv:        {"recv", trace.EvRecv, false},
+	opTrySend:     {"try-send", trace.EvSend, true},
+	opTryRecv:     {"try-recv", trace.EvRecv, true},
+	opRecvTimeout: {"recv-timeout", trace.EvRecv, true},
+	opInput:       {"input", trace.EvInput, false},
+	opOutput:      {"output", trace.EvOutput, false},
+	opYield:       {"yield", trace.EvYield, false},
+	opSleep:       {"sleep", trace.EvSleep, false},
+	opObserve:     {"observe", trace.EvObserve, false},
+	opSpawn:       {"spawn", trace.EvSpawn, false},
+	opExit:        {"exit", trace.EvExit, false},
+	opFail:        {"fail", trace.EvFail, false},
+	opCrash:       {"crash", trace.EvCrash, false},
+	opPanic:       {"panic", trace.EvCrash, false},
+	opDiskWrite:   {"disk-write", trace.EvDiskWrite, false},
+	opDiskRead:    {"disk-read", trace.EvDiskRead, false},
+	opDiskFsync:   {"disk-fsync", trace.EvDiskFsync, false},
+	opDiskBarrier: {"disk-barrier", trace.EvDiskBarrier, false},
+	opDiskCrash:   {"disk-crash", trace.EvDiskCrash, false},
+}
+
 // opReq is a pending operation, filled in by the thread before parking.
 type opReq struct {
 	code      opCode
