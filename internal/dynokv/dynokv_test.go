@@ -179,7 +179,7 @@ func TestSearchDomainsCoverFaults(t *testing.T) {
 	// production inputs keep the faults off.
 	for _, s := range Family() {
 		prod := s.Inputs(s.DefaultSeed, s.DefaultParams)
-		src := s.SearchSource(11, s.DefaultParams)
+		src := s.SearchSource(11)
 		for _, d := range s.InputDomains {
 			sawMax := false
 			for i := 0; i < 400 && !sawMax; i++ {

@@ -218,7 +218,7 @@ func planCandidate(s *scenario.Scenario, o Options, i int, p scenario.Params) sc
 		Seed:      o.BaseSeed + int64(i),
 		Params:    p,
 		Scheduler: candidateScheduler(o, int64(i)),
-		Inputs:    candidateInputs(s, o, p, int64(i)),
+		Inputs:    candidateInputs(s, o, int64(i)),
 		MaxSteps:  o.MaxSteps,
 		RelaxTime: o.Schedule != nil,
 	}
@@ -243,12 +243,12 @@ func candidateScheduler(o Options, i int64) vm.Scheduler {
 // candidateInputs builds the i-th candidate's input source: forced
 // recorded streams over a searched base (see Options.Schedule for the
 // base's seed under a forced schedule).
-func candidateInputs(s *scenario.Scenario, o Options, p scenario.Params, i int64) vm.InputSource {
+func candidateInputs(s *scenario.Scenario, o Options, i int64) vm.InputSource {
 	seed := mix(o.BaseSeed, i*7919+13)
 	if o.Schedule != nil {
 		seed = o.BaseSeed + i
 	}
-	base := s.SearchSource(seed, p)
+	base := s.SearchSource(seed)
 	if len(o.ForcedInputs) == 0 {
 		return base
 	}

@@ -154,7 +154,7 @@ func (s *valueGuidedScheduler) streamName(id trace.ObjID) string {
 // consumes the whole log or reveals a genuine divergence.
 func replayValue(s *scenario.Scenario, rec *record.Recording, o Options) *Result {
 	res := &Result{Note: "value-guided gated scheduling"}
-	inputs := newStagedInputs(s.SearchSource(o.SearchSeed, s.DefaultParams.Clone(rec.Params)))
+	inputs := newStagedInputs(s.SearchSource(o.SearchSeed))
 	sched := newValueGuidedScheduler(rec, inputs)
 	view := s.Exec(scenario.ExecOptions{
 		Seed:            rec.Seed,

@@ -136,16 +136,11 @@ type Scenario struct {
 	// Inputs returns the production environment for a seed: the input
 	// source the original execution consumed. Replay-time machinery must
 	// NOT call this — production inputs are not replayable from a seed;
-	// the seed stands in for the outside world. Inference uses
-	// SearchInputs instead.
+	// the seed stands in for the outside world. Inference draws from
+	// SearchSource instead.
 	Inputs func(seed int64, p Params) vm.InputSource
-	// SearchInputs returns an input source that samples the scenario's
-	// input domains, for inference-based replay. Nil means inputs are
-	// drawn uniformly from InputDomains via vm.SeededInputs-style
-	// hashing.
-	SearchInputs func(searchSeed int64, p Params) vm.InputSource
-	// InputDomains declare per-stream search spaces (used when
-	// SearchInputs is nil, and by documentation).
+	// InputDomains declare per-stream search spaces: SearchSource draws
+	// each declared stream uniformly from its domain.
 	InputDomains []InputDomain
 	// Failure is the scenario's failure specification.
 	Failure FailureSpec
@@ -311,10 +306,11 @@ func (s *Scenario) PresentCauses(v *RunView) []string {
 	return out
 }
 
-// DomainInputs builds the default search input source: every stream with a
-// declared domain draws uniformly from it; undeclared streams draw small
-// non-negative integers. Deterministic in (searchSeed, stream, index).
-func (s *Scenario) DomainInputs(searchSeed int64) vm.InputSource {
+// SearchSource is the input source of inference-based replay: every
+// stream with a declared domain draws uniformly from it; undeclared streams
+// draw small non-negative integers. Deterministic in (searchSeed, stream,
+// index).
+func (s *Scenario) SearchSource(searchSeed int64) vm.InputSource {
 	domains := make(map[string]InputDomain, len(s.InputDomains))
 	for _, d := range s.InputDomains {
 		domains[d.Stream] = d
@@ -326,12 +322,4 @@ func (s *Scenario) DomainInputs(searchSeed int64) vm.InputSource {
 		}
 		return trace.Int(h % 1024)
 	})
-}
-
-// SearchSource resolves the scenario's search-input mechanism.
-func (s *Scenario) SearchSource(searchSeed int64, p Params) vm.InputSource {
-	if s.SearchInputs != nil {
-		return s.SearchInputs(searchSeed, p)
-	}
-	return s.DomainInputs(searchSeed)
 }

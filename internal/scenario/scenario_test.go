@@ -84,7 +84,7 @@ func TestExecParamOverridesDoNotStick(t *testing.T) {
 
 func TestDomainInputsRespectDeclaredRanges(t *testing.T) {
 	s := minimalScenario()
-	src := s.DomainInputs(9)
+	src := s.SearchSource(9)
 	for i := 0; i < 100; i++ {
 		v := src.Next("x", i).AsInt()
 		if v < 10 || v > 19 {
@@ -100,13 +100,13 @@ func TestDomainInputsRespectDeclaredRanges(t *testing.T) {
 
 func TestDomainInputsDeterministic(t *testing.T) {
 	s := minimalScenario()
-	a, b := s.DomainInputs(5), s.DomainInputs(5)
+	a, b := s.SearchSource(5), s.SearchSource(5)
 	for i := 0; i < 50; i++ {
 		if !a.Next("x", i).Equal(b.Next("x", i)) {
 			t.Fatal("same-seed domain inputs differ")
 		}
 	}
-	c := s.DomainInputs(6)
+	c := s.SearchSource(6)
 	same := true
 	for i := 0; i < 50; i++ {
 		if !a.Next("x", i).Equal(c.Next("x", i)) {
@@ -115,19 +115,6 @@ func TestDomainInputsDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different-seed domain inputs identical")
-	}
-}
-
-func TestSearchSourcePrefersScenarioHook(t *testing.T) {
-	s := minimalScenario()
-	called := false
-	s.SearchInputs = func(seed int64, p Params) vm.InputSource {
-		called = true
-		return vm.ZeroInputs
-	}
-	s.SearchSource(1, s.DefaultParams)
-	if !called {
-		t.Fatal("SearchInputs hook not used")
 	}
 }
 

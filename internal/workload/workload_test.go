@@ -289,7 +289,7 @@ func TestDeadlockAlternativeSeedsMayComplete(t *testing.T) {
 
 func TestScenarioSearchSourceCoversDomains(t *testing.T) {
 	s := Overflow()
-	src := s.SearchSource(5, s.DefaultParams)
+	src := s.SearchSource(5)
 	sawBig := false
 	for i := 0; i < 200; i++ {
 		v := src.Next("req.size", i).AsInt()
