@@ -113,6 +113,8 @@ var guards = []guard{
 	{name: "plane-import", match: imports(planePkg),
 		allow: []string{"bench/"},
 		why:   "the plane classifier is back in the library: it chose RCSE's streams worse than the declared set (EXPERIMENTS.md \"The plane verdict\")"},
+	{name: "value-prediction", match: ident("ValKnown"),
+		why: "value prediction is back in the VM: a peek names an op's event, and value replay checks each value as the machine emits it (DESIGN.md §2 \"Value replay walks its log\")"},
 	{name: "sdk-purity", match: imports("debugdet/internal/..."),
 		in: []string{"cmd/", "examples/"}, allow: []string{"cmd/detlint/"},
 		why: "commands and examples import only the public SDK, never debugdet/internal: an internal capability a demo needs is a missing public API; cmd/detlint fronts internal/lint and is not an SDK client (DESIGN.md §0)"},
