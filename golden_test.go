@@ -228,3 +228,54 @@ func TestModelRecordingsGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestCommittedRecordingsReplayAsFresh: every committed .ddrc was written
+// on amd64. Loaded here, each replays with the verdict, attempts and work
+// steps of a fresh recording of its cell, so a recording written at one
+// word size replays at another (CI runs this under GOARCH=386 as well).
+func TestCommittedRecordingsReplayAsFresh(t *testing.T) {
+	ctx := context.Background()
+	eng := debugdet.New()
+	models, _ := filepath.Glob(filepath.Join(modelsDir, "*.ddrc"))
+	golden, _ := filepath.Glob(filepath.Join(goldenDir, "*.ddrc"))
+	paths := append(models, golden...)
+	if len(paths) != 7 {
+		t.Fatalf("%d committed recordings, want the 6 model cells and bank.ddrc", len(paths))
+	}
+	type verdict struct {
+		Ok        bool
+		Attempts  int
+		WorkSteps uint64
+	}
+	for _, path := range paths {
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			loaded, err := debugdet.LoadRecording(bufio.NewReader(f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := eng.ByName(loaded.Scenario)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, _, err := eng.Record(ctx, s, loaded.Model, debugdet.Options{Seed: loaded.Seed, Params: loaded.Params})
+			if err != nil {
+				t.Fatal(err)
+			}
+			replayOf := func(r *debugdet.Recording) verdict {
+				res, err := eng.Replay(ctx, s, r, debugdet.ReplayOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return verdict{res.Ok, res.Attempts, res.WorkSteps}
+			}
+			if got, want := replayOf(loaded), replayOf(fresh); got != want {
+				t.Errorf("the committed recording replays as %+v, a fresh one as %+v", got, want)
+			}
+		})
+	}
+}
