@@ -47,23 +47,30 @@ func TestPerfectReplayAllScenarios(t *testing.T) {
 	}
 }
 
-// panicking is a one-thread program whose body stores, loads and then
-// indexes a nil slice: its run ends in a Go panic, which the VM reports as
-// the thread's crash event.
-func panicking() *scenario.Scenario {
+// crashing is a one-thread program whose body stores, loads and then
+// faults: the VM reports the fault as the thread's crash event, an event
+// the op that faulted does not name. Under "panic" the body indexes a nil
+// slice, a Go panic; under "foreign-unlock" it unlocks a mutex it does not
+// hold.
+func crashing(name string) *scenario.Scenario {
 	return &scenario.Scenario{
-		Name: "panic",
+		Name: name,
 		Build: func(m *vm.Machine, _ scenario.Params) func(*vm.Thread) {
 			x := m.NewCell("x", trace.Int(0))
+			mu := m.NewMutex("mu")
 			site := m.Site("body")
 			return func(t *vm.Thread) {
 				t.Store(site, x, trace.Int(3))
+				i := t.Load(site, x).AsInt()
+				if name == "foreign-unlock" {
+					t.Unlock(site, mu)
+				}
 				var xs []int
-				_ = xs[t.Load(site, x).AsInt()]
+				_ = xs[i]
 			}
 		},
 		Inputs: func(int64, scenario.Params) vm.InputSource { return vm.ZeroInputs },
-		Failure: scenario.FailureSpec{Name: "panic", Check: func(v *scenario.RunView) (bool, string) {
+		Failure: scenario.FailureSpec{Name: name, Check: func(v *scenario.RunView) (bool, string) {
 			return v.Result.Outcome == vm.OutcomeCrashed, ""
 		}},
 	}
@@ -78,7 +85,7 @@ func TestValueReplayReproducesFailures(t *testing.T) {
 		}
 		rows = append(rows, s)
 	}
-	for _, s := range append(rows, panicking()) {
+	for _, s := range append(rows, crashing("panic"), crashing("foreign-unlock")) {
 		t.Run(s.Name, func(t *testing.T) {
 			rec, orig, err := record.Record(s, record.Value, s.DefaultSeed, nil)
 			if err != nil {
