@@ -183,8 +183,8 @@ func (r *Recording) valuesByStream(kind trace.EventKind) map[string][]trace.Valu
 	return out
 }
 
-// EventsByThread splits the fully recorded events per thread (the
-// per-thread value logs value determinism replays against).
+// EventsByThread splits the fully recorded events per thread, each in
+// recorded order.
 func (r *Recording) EventsByThread() map[trace.ThreadID][]trace.Event {
 	out := make(map[trace.ThreadID][]trace.Event)
 	for _, e := range r.Full {
