@@ -494,9 +494,10 @@ func BenchmarkSegmentedReplay(b *testing.B) {
 // for output on a stream the program never writes, on one worker, over
 // bank and over hyperkv-dataloss, whose simnet mesh gives each machine
 // many more channels and threads. The first candidate allocates the
-// machine, the trace array and a coroutine per thread, and every rejected
-// one hands all three on (see infer.Search), so B/op is what a candidate
-// allocates beyond them, not 200 machines, traces and sets of coroutines.
+// machine (its site table and scheduler generator included), the trace
+// array and a coroutine per thread, and every rejected one hands them all
+// on (see infer.Search), so B/op is what a candidate allocates beyond
+// them, not 200 machines, traces and sets of coroutines.
 func BenchmarkSearchCandidates(b *testing.B) {
 	for _, name := range []string{"bank", "hyperkv-dataloss"} {
 		s, err := workload.ByName(name)

@@ -65,6 +65,11 @@ type Options struct {
 	Schedule []trace.ThreadID
 	// MaxSteps bounds each candidate execution (0 = VM default).
 	MaxSteps uint64
+	// Events is the length of the run a replay searches for, as its
+	// recording's header states it (0 = unknown): a candidate that finds
+	// no discarded trace array to build into starts one at that length,
+	// clamped (trace.Presize), rather than at the VM's default.
+	Events uint64
 	// Workers is the number of candidate executions run concurrently
 	// (default GOMAXPROCS; 1 opts out of parallelism; negative is rejected
 	// by Validate). Candidates are bit-deterministic functions of their
@@ -176,7 +181,7 @@ func Search(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options
 	}
 	plan := buildPlan(s, o)
 
-	r := &runner{s: s}
+	r := &runner{s: s, events: o.Events, maxSteps: o.MaxSteps}
 	// par.Ordered has stopped its workers before Search returns, so every
 	// machine is finished and every host idle.
 	defer r.hosts.Close()

@@ -12,15 +12,21 @@ import (
 // per call and is its only user, so every candidate loop in the module is
 // Search's.
 //
-// A candidate's machine and trace array are allocated once per concurrent
-// run, not once per candidate: Discard hands a rejected view's machine and
-// array back to the spare list, and the next Run builds into them (see
-// scenario.ExecInto). Every candidate's threads run on the coroutines of
-// hosts, which finished candidates' threads have left idle; Search closes
-// the pool when it returns. Run and Discard are safe for concurrent use.
+// A candidate's machine, trace array, site table and scheduler generator
+// are allocated once per concurrent run, not once per candidate: Discard
+// hands a rejected view back to the spare list, and the next Run builds
+// into it (see scenario.ExecInto and vm.Recycle), reseeding the spare
+// machine's generator for its own scheduler. A Run that finds no spare, a
+// worker's first, starts its trace array at the searched run's recorded
+// length (Options.Events, clamped by trace.Presize), or at the VM's
+// default when that is unknown. Every candidate's threads run on the
+// coroutines of hosts, which finished candidates' threads have left idle;
+// Search closes the pool when it returns. Nothing outlives the Search. Run
+// and Discard are safe for concurrent use.
 type runner struct {
-	s     *scenario.Scenario
-	hosts vm.Hosts
+	s                *scenario.Scenario
+	hosts            vm.Hosts
+	events, maxSteps uint64
 
 	mu    sync.Mutex
 	spare []*scenario.RunView
@@ -29,16 +35,20 @@ type runner struct {
 // Run executes one candidate, built into a discarded view when one is
 // spare.
 func (r *runner) Run(o scenario.ExecOptions) *scenario.RunView {
-	return scenario.ExecInto(r.s, o, r.takeSpare(), &r.hosts)
+	spare := r.takeSpare()
+	if spare == nil && r.events > 0 {
+		spare = &scenario.RunView{Trace: &trace.Log{Events: trace.Presize(r.events, r.maxSteps)}}
+	}
+	return scenario.ExecInto(r.s, o, spare, &r.hosts)
 }
 
 // Discard declares a view Run returned dead: the caller (a search that
 // rejected the candidate) keeps no reference to it, its machine or its
-// trace. The view's machine and trace array go back to the spare list for
-// the next Run, the array cleared so it pins nothing the events pointed
-// to. The view's Machine and Trace.Events are nil afterwards, so a caller
-// that breaks the contract reads nothing rather than a later candidate's
-// run.
+// trace. The view's machine, with its site table and scheduler, and its
+// trace array go back to the spare list for the next Run, the array
+// cleared so it pins nothing the events pointed to. The view's Machine,
+// Trace.Events and Trace.Sites are nil afterwards, so a caller that breaks
+// the contract reads nothing rather than a later candidate's run.
 func (r *runner) Discard(v *scenario.RunView) {
 	if v.Machine == nil {
 		return
@@ -46,7 +56,7 @@ func (r *runner) Discard(v *scenario.RunView) {
 	events := v.Trace.Events
 	clear(events)
 	dead := &scenario.RunView{Machine: v.Machine, Trace: &trace.Log{Events: events[:0]}}
-	v.Machine, v.Trace.Events = nil, nil
+	v.Machine, v.Trace.Events, v.Trace.Sites = nil, nil, nil
 	r.mu.Lock()
 	r.spare = append(r.spare, dead)
 	r.mu.Unlock()

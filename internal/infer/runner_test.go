@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -47,8 +48,8 @@ func TestSearchValidatesOptions(t *testing.T) {
 }
 
 // runDiff reports how a search's view differs from a from-scratch
-// execution of the same candidate: outcome, steps, cycles, events,
-// outputs or inputs.
+// execution of the same candidate: outcome, steps, cycles, events, site
+// names, outputs or inputs.
 func runDiff(got, want *scenario.RunView) error {
 	switch {
 	case got.Result.Outcome != want.Result.Outcome:
@@ -58,12 +59,25 @@ func runDiff(got, want *scenario.RunView) error {
 			got.Result.Steps, got.Result.Cycles, want.Result.Steps, want.Result.Cycles)
 	case !trace.EventsEqual(got.Trace, want.Trace, false):
 		return fmt.Errorf("traces differ")
+	case !slices.Equal(got.Trace.Sites.Names(), want.Trace.Sites.Names()):
+		return fmt.Errorf("site tables differ")
 	case !reflect.DeepEqual(got.Result.Outputs, want.Result.Outputs):
 		return fmt.Errorf("outputs differ")
 	case !reflect.DeepEqual(got.Result.InputsUsed, want.Result.InputsUsed):
 		return fmt.Errorf("inputs differ")
 	}
 	return nil
+}
+
+// reuseCases are the search shapes the reuse pins run: every candidate in
+// flight holds its own machine, one sequentially and, with two workers, at
+// most par.Ordered's window (16 per worker) plus the two running.
+var reuseCases = map[string]struct {
+	opts Options
+	max  int
+}{
+	"sequential": {Options{Budget: 60, BaseSeed: 3, Workers: 1}, 1},
+	"workers=2":  {Options{Budget: 60, BaseSeed: 3, Workers: 2}, 34},
 }
 
 // TestSearchReusesRejectedTraces pins the trace reuse behind Discard: a
@@ -74,14 +88,7 @@ func runDiff(got, want *scenario.RunView) error {
 // search returns, has Trace.Events nil once rejected.
 func TestSearchReusesRejectedTraces(t *testing.T) {
 	s := workload.Bank()
-	cases := map[string]struct {
-		opts      Options
-		maxArrays int
-	}{
-		"sequential": {Options{Budget: 60, BaseSeed: 3, Workers: 1}, 1},
-		"workers=2":  {Options{Budget: 60, BaseSeed: 3, Workers: 2}, 34},
-	}
-	for name, tc := range cases {
+	for name, tc := range reuseCases {
 		t.Run(name, func(t *testing.T) {
 			arrays := make(map[*trace.Event]bool)
 			var views []*scenario.RunView
@@ -93,9 +100,9 @@ func TestSearchReusesRejectedTraces(t *testing.T) {
 			if out.Ok || out.Attempts != tc.opts.Budget {
 				t.Fatalf("ok=%v attempts=%d, want every one of %d candidates rejected", out.Ok, out.Attempts, tc.opts.Budget)
 			}
-			if len(arrays) > tc.maxArrays {
+			if len(arrays) > tc.max {
 				t.Fatalf("%d rejected candidates used %d distinct trace arrays, want at most %d",
-					out.Attempts, len(arrays), tc.maxArrays)
+					out.Attempts, len(arrays), tc.max)
 			}
 			if last := views[len(views)-1]; out.View != last || last.Trace.Events == nil {
 				t.Fatal("the exhausted search did not return its last candidate's view intact")
@@ -118,14 +125,7 @@ func TestSearchReusesRejectedTraces(t *testing.T) {
 // from-scratch execution of its candidate.
 func TestSearchReusesRejectedMachines(t *testing.T) {
 	s := workload.Bank()
-	cases := map[string]struct {
-		opts        Options
-		maxMachines int
-	}{
-		"sequential": {Options{Budget: 60, BaseSeed: 3, Workers: 1}, 1},
-		"workers=2":  {Options{Budget: 60, BaseSeed: 3, Workers: 2}, 34},
-	}
-	for name, tc := range cases {
+	for name, tc := range reuseCases {
 		t.Run(name, func(t *testing.T) {
 			machines := make(map[*vm.Machine]bool)
 			var views []*scenario.RunView
@@ -142,13 +142,127 @@ func TestSearchReusesRejectedMachines(t *testing.T) {
 					t.Fatalf("rejected candidate %d kept its machine or its events", v.Trace.Header.Seed)
 				}
 			}
-			if len(machines) > tc.maxMachines {
-				t.Fatalf("%d candidates used %d distinct machines, want at most %d", out.Attempts, len(machines), tc.maxMachines)
+			if len(machines) > tc.max {
+				t.Fatalf("%d candidates used %d distinct machines, want at most %d", out.Attempts, len(machines), tc.max)
 			}
 			full := s.DefaultParams.Clone(tc.opts.Params)
 			c := planCandidate(s, tc.opts, int(out.View.Trace.Header.Seed-tc.opts.BaseSeed), full)
 			if err := runDiff(out.View, s.Exec(c)); err != nil {
 				t.Fatalf("accepted candidate %d: %v", c.Seed, err)
+			}
+		})
+	}
+}
+
+// generator returns the address of the generator m's scheduler draws
+// from, 0 when the scheduler has none (it is not a random or PCT one).
+func generator(m *vm.Machine) uintptr {
+	sched := reflect.ValueOf(m).Elem().FieldByName("sched").Elem()
+	if sched.Kind() != reflect.Pointer {
+		return 0
+	}
+	rng := sched.Elem().FieldByName("rng")
+	if !rng.IsValid() {
+		return 0
+	}
+	return rng.Pointer()
+}
+
+// TestSearchReusesGenerators pins the generator reuse behind vm.Recycle,
+// as TestSearchReusesRejectedMachines pins the machine reuse: the random
+// and PCT schedulers of a search that rejects its candidates draw from as
+// few distinct generators as the candidates use machines, each built into
+// a spare reseeding the generator its last scheduler drew from.
+func TestSearchReusesGenerators(t *testing.T) {
+	s := workload.Bank()
+	for name, tc := range reuseCases {
+		t.Run(name, func(t *testing.T) {
+			machines := make(map[*vm.Machine]bool)
+			gens := make(map[uintptr]bool)
+			out := Search(s, func(v *scenario.RunView) bool {
+				machines[v.Machine] = true
+				gens[generator(v.Machine)] = true
+				return false
+			}, tc.opts)
+			if out.Ok || out.Attempts != tc.opts.Budget {
+				t.Fatalf("ok=%v attempts=%d, want every one of %d candidates rejected", out.Ok, out.Attempts, tc.opts.Budget)
+			}
+			if gens[0] {
+				t.Fatal("a candidate's scheduler drew from no generator")
+			}
+			if len(gens) > len(machines) || len(gens) > tc.max {
+				t.Fatalf("%d candidates on %d machines drew from %d distinct generators, want at most %d",
+					out.Attempts, len(machines), len(gens), min(len(machines), tc.max))
+			}
+		})
+	}
+}
+
+// TestSearchReusesSiteTables pins the site-table reuse behind vm.Recycle:
+// a search that rejects its candidates registers their sites in as few
+// distinct tables as the candidates use machines, and every rejected
+// view's Trace.Sites is nil once discarded.
+func TestSearchReusesSiteTables(t *testing.T) {
+	s := workload.Bank()
+	for name, tc := range reuseCases {
+		t.Run(name, func(t *testing.T) {
+			machines := make(map[*vm.Machine]bool)
+			tables := make(map[*trace.SiteTable]bool)
+			var views []*scenario.RunView
+			out := Search(s, func(v *scenario.RunView) bool {
+				machines[v.Machine] = true
+				tables[v.Trace.Sites] = true
+				views = append(views, v)
+				return false
+			}, tc.opts)
+			if out.Ok || out.Attempts != tc.opts.Budget {
+				t.Fatalf("ok=%v attempts=%d, want every one of %d candidates rejected", out.Ok, out.Attempts, tc.opts.Budget)
+			}
+			if len(tables) > len(machines) || len(tables) > tc.max {
+				t.Fatalf("%d candidates on %d machines used %d distinct site tables, want at most %d",
+					out.Attempts, len(machines), len(tables), min(len(machines), tc.max))
+			}
+			for _, v := range views[:len(views)-1] {
+				if v.Trace.Sites != nil {
+					t.Fatalf("rejected candidate %d kept its site table", v.Trace.Header.Seed)
+				}
+			}
+		})
+	}
+}
+
+// TestCrossoverCandidateMatchesFresh: a PCT candidate built into a random
+// candidate's spare, and a random one into a PCT one's, takes over the
+// spare's machine and generator and runs exactly as a fresh execution of
+// its candidate, site names included.
+func TestCrossoverCandidateMatchesFresh(t *testing.T) {
+	s := workload.Bank()
+	o := Options{BaseSeed: 3}
+	full := s.DefaultParams.Clone(nil)
+	cases := map[string]struct {
+		donor, cand int
+		sched       string
+	}{
+		"pct into random": {0, 2, "pct"},
+		"random into pct": {2, 3, "random"},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			r := &runner{s: s}
+			defer r.hosts.Close()
+			donor := r.Run(planCandidate(s, o, tc.donor, full))
+			m, gen := donor.Machine, generator(donor.Machine)
+			r.Discard(donor)
+			c := planCandidate(s, o, tc.cand, full)
+			if c.Scheduler.Name() != tc.sched {
+				t.Fatalf("candidate %d runs %s, want %s", tc.cand, c.Scheduler.Name(), tc.sched)
+			}
+			got := r.Run(c)
+			if got.Machine != m || generator(got.Machine) != gen {
+				t.Fatal("the candidate did not take over the spare's machine and generator")
+			}
+			if err := runDiff(got, s.Exec(planCandidate(s, o, tc.cand, full))); err != nil {
+				t.Fatalf("candidate %d built into candidate %d's spare: %v", tc.cand, tc.donor, err)
 			}
 		})
 	}

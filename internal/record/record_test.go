@@ -446,22 +446,6 @@ func TestRecordingIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestEventsByThreadPreservesOrder(t *testing.T) {
-	s := workload.Bank()
-	rec, _, err := Record(s, Value, 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byThread := rec.EventsByThread()
-	for tid, evs := range byThread {
-		for i := 1; i < len(evs); i++ {
-			if evs[i].Seq <= evs[i-1].Seq {
-				t.Fatalf("thread %d events out of order at %d", tid, i)
-			}
-		}
-	}
-}
-
 // recordCheckpointedBank is the shared fixture for the format-compat
 // tests: a perfect-model bank recording with checkpoints attached, the
 // way core.Record builds one for Options.CheckpointInterval.

@@ -183,16 +183,6 @@ func (r *Recording) valuesByStream(kind trace.EventKind) map[string][]trace.Valu
 	return out
 }
 
-// EventsByThread splits the fully recorded events per thread, each in
-// recorded order.
-func (r *Recording) EventsByThread() map[trace.ThreadID][]trace.Event {
-	out := make(map[trace.ThreadID][]trace.Event)
-	for _, e := range r.Full {
-		out[e.TID] = append(out[e.TID], e)
-	}
-	return out
-}
-
 // Summary renders the recording for logs and CLI output.
 func (r *Recording) Summary() string {
 	return fmt.Sprintf("%s/%s seed=%d events=%d full=%d sched=%d bytes=%d overhead=%.2fx failed=%v sig=%q",

@@ -133,6 +133,7 @@ func Replay(s *scenario.Scenario, rec *record.Recording, o Options) *Result {
 		io.Budget = min(8, o.Budget)
 		return search(s, terminal, io, "forced schedule + recorded inputs")
 	case record.Output:
+		io.Events = rec.EventCount
 		want := rec.OutputsByStream()
 		return search(s, func(v *scenario.RunView) bool {
 			return outputsMatch(want, v)
@@ -141,7 +142,7 @@ func Replay(s *scenario.Scenario, rec *record.Recording, o Options) *Result {
 		if !rec.Failed {
 			return &Result{Note: "original run did not fail; nothing to synthesize"}
 		}
-		io.ShrinkParams = o.ShrinkParams
+		io.ShrinkParams, io.Events = o.ShrinkParams, rec.EventCount
 		return search(s, func(v *scenario.RunView) bool {
 			failed, sig := s.CheckFailure(v)
 			return failed && sig == rec.FailureSig

@@ -124,7 +124,11 @@ func TestValueReplayMatchesPerThreadValues(t *testing.T) {
 			replayByThread[e.TID] = append(replayByThread[e.TID], e)
 		}
 	}
-	for tid, want := range rec.EventsByThread() {
+	recByThread := make(map[trace.ThreadID][]trace.Event)
+	for _, e := range rec.Full {
+		recByThread[e.TID] = append(recByThread[e.TID], e)
+	}
+	for tid, want := range recByThread {
 		got := replayByThread[tid]
 		if len(got) < len(want) {
 			t.Fatalf("thread %d replayed %d value events, want >= %d", tid, len(got), len(want))

@@ -156,7 +156,10 @@ func replayValue(s *scenario.Scenario, rec *record.Recording, o Options) *Result
 	res := &Result{Note: "value-guided gated scheduling"}
 	inputs := newStagedInputs(s.SearchSource(o.SearchSeed))
 	sched := newValueGuidedScheduler(rec, inputs)
-	view := s.Exec(scenario.ExecOptions{
+	// The run's trace starts at the recorded length (clamped, the header
+	// being unverified), not at a production run's default.
+	first := &scenario.RunView{Trace: &trace.Log{Events: trace.Presize(rec.EventCount, o.MaxSteps)}}
+	view := scenario.ExecInto(s, scenario.ExecOptions{
 		Seed:            rec.Seed,
 		Params:          rec.Params,
 		Scheduler:       sched,
@@ -164,7 +167,7 @@ func replayValue(s *scenario.Scenario, rec *record.Recording, o Options) *Result
 		ObserverFactory: func(*vm.Machine) []vm.Observer { return []vm.Observer{sched} },
 		MaxSteps:        o.MaxSteps,
 		RelaxTime:       true,
-	})
+	}, first, nil)
 	res.Attempts = 1
 	res.WorkCycles = view.Result.Cycles
 	res.WorkSteps = view.Result.Steps

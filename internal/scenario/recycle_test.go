@@ -3,6 +3,7 @@ package scenario_test
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"debugdet/internal/scenario"
@@ -15,10 +16,10 @@ import (
 // scenario run into the machine and trace array of another scenario's
 // finished run, its threads on the coroutines that run's threads left idle
 // (ExecInto, vm.Recycle), yields the trace, outputs, inputs and outcome of
-// a run on a fresh machine. The donors chain through the corpus, so each
-// table is refilled after growing and after shrinking; a stale channel
-// buffer, name-map entry, thread field or host shows as a different
-// execution. Once the pool is closed no coroutine is left.
+// a run on a fresh machine, site table included. The donors chain through
+// the corpus, so each table is refilled after growing and after shrinking;
+// a stale channel buffer, name-map or site-table entry, thread field or
+// host shows as a different execution. Once the pool is closed no coroutine is left.
 func TestRecycledRunMatchesFresh(t *testing.T) {
 	before := runtime.NumGoroutine()
 	hosts := new(vm.Hosts)
@@ -41,6 +42,8 @@ func TestRecycledRunMatchesFresh(t *testing.T) {
 				got.Result.Steps, got.Result.Cycles, fresh.Result.Steps, fresh.Result.Cycles)
 		case !trace.EventsEqual(got.Trace, fresh.Trace, false):
 			t.Fatalf("%s: trace differs from a fresh run's", s.Name)
+		case !slices.Equal(got.Trace.Sites.Names(), fresh.Trace.Sites.Names()):
+			t.Fatalf("%s: site table differs from a fresh run's", s.Name)
 		case !reflect.DeepEqual(got.Result.Outputs, fresh.Result.Outputs):
 			t.Fatalf("%s: outputs differ from a fresh run's", s.Name)
 		case !reflect.DeepEqual(got.Result.InputsUsed, fresh.Result.InputsUsed):

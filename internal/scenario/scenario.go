@@ -255,10 +255,12 @@ func (s *Scenario) Restore(o ExecOptions, snap *vm.Snapshot, feeds [][]vm.FeedEn
 func (s *Scenario) Exec(o ExecOptions) *RunView { return ExecInto(s, o, nil, nil) }
 
 // ExecInto is Exec built into spare, a finished traced view nothing reads
-// any more (a search's rejected candidate), with its threads run on the
-// idle coroutines of hosts: the run reuses spare's machine tables and the
-// pool's hosts (vm.Recycle) and appends its trace into spare's event array,
-// which the view's trace may outgrow. A nil spare and nil hosts is Exec.
+// any more (a search's rejected candidate) or one that holds only an event
+// array (a replay's first candidate, sized from its recording), with its
+// threads run on the idle coroutines of hosts: the run reuses spare's
+// machine tables, site table and scheduler generator and the pool's hosts
+// (vm.Recycle) and appends its trace into spare's event array, which the
+// view's trace may outgrow. A nil spare and nil hosts is Exec.
 func ExecInto(s *Scenario, o ExecOptions, spare *RunView, hosts *vm.Hosts) *RunView {
 	var dead *vm.Machine
 	var events []trace.Event

@@ -29,6 +29,19 @@ func NewSiteTable() *SiteTable {
 	return t
 }
 
+// ResetSites returns t emptied to a new table's state, its storage kept, or
+// a new table when t is nil. Nothing may read t any more: the machine that
+// registered its sites is dead, and the logs that shared it are gone.
+func ResetSites(t *SiteTable) *SiteTable {
+	if t == nil {
+		return NewSiteTable()
+	}
+	clear(t.names[1:])
+	t.names = t.names[:1]
+	clear(t.ids)
+	return t
+}
+
 // Register returns the ID for name, assigning the next free ID on first use.
 func (t *SiteTable) Register(name string) SiteID {
 	if id, ok := t.ids[name]; ok {
@@ -141,6 +154,28 @@ func Reserve(events []Event, n int) []Event {
 	grown := make([]Event, len(events), max(len(events)+n, 2*len(events)))
 	copy(grown, events)
 	return grown
+}
+
+// maxPresize caps Presize: 64 Ki events, 4.5 MiB of 72-byte events. It is
+// far above every corpus run, and a run longer than the cap grows from it.
+const maxPresize = 64 << 10
+
+// Presize returns an empty event array with room for the n events a
+// recording's header says its run had, for the first candidate of a replay
+// that does not force the schedule (whose length Reserve knows). The
+// header's count is not verified against the file (output, failure and
+// value recordings do not keep every event), so a hostile or corrupt one
+// must not size the array: n is clamped to limit, a run's step bound
+// (0 = none), and to maxPresize. n == 0 gives nil, which the machine
+// sizes as a production run.
+func Presize(n, limit uint64) []Event {
+	if limit > 0 {
+		n = min(n, limit)
+	}
+	if n == 0 {
+		return nil
+	}
+	return make([]Event, 0, min(n, maxPresize))
 }
 
 // Len returns the number of events.

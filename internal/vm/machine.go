@@ -215,15 +215,17 @@ type Machine struct {
 func New(cfg Config) *Machine { return Recycle(nil, cfg, nil) }
 
 // Recycle is New built into the tables of dead, a finished machine that
-// nothing reads any more: its name maps are cleared and its object
-// tables, channel buffers and thread records cut to length zero, each
-// slot overwritten before the next program reads it, so a search that
-// discards candidates allocates them once per concurrent run. The machine
-// returned is dead itself, reset; a nil or unfinished dead gives a fresh
-// machine. The machine's threads run on hosts, idle ones of the pool when
-// it has some, and End gives the pool back every host whose body has
-// returned; a nil pool gives each thread a coroutine of its own. Only the
-// scenario launcher calls it.
+// nothing reads any more: its name maps are cleared, its site table
+// emptied and its object tables, channel buffers and thread records cut
+// to length zero, each slot overwritten before the next program reads it,
+// and a seeded scheduler (random or PCT) in cfg takes over the generator
+// of dead's, reseeded (see adopt). So a search that discards candidates
+// allocates them once per concurrent run. The machine returned is dead
+// itself, reset; a nil or unfinished dead gives a fresh machine. The
+// machine's threads run on hosts, idle ones of the pool when it has some,
+// and End gives the pool back every host whose body has returned; a nil
+// pool gives each thread a coroutine of its own. Only the scenario
+// launcher calls it.
 func Recycle(dead *Machine, cfg Config, hosts *Hosts) *Machine {
 	if cfg.Scheduler == nil {
 		cfg.Scheduler = NewRandomScheduler(cfg.Seed)
@@ -242,12 +244,13 @@ func Recycle(dead *Machine, cfg Config, hosts *Hosts) *Machine {
 	if m == nil || !m.finished {
 		m = &Machine{streamIDs: make(map[string]trace.ObjID), ready: make([]*Thread, 0, 8)}
 	}
+	adopt(cfg.Scheduler, m.sched)
 	clear(m.cellIDs)
 	clear(m.streamIDs)
 	*m = Machine{
 		cfg:       cfg,
 		cost:      cfg.Cost,
-		sites:     trace.NewSiteTable(),
+		sites:     trace.ResetSites(m.sites),
 		cells:     m.cells[:0],
 		cellIDs:   m.cellIDs,
 		mutexes:   m.mutexes[:0],
@@ -351,10 +354,11 @@ func (m *Machine) Continue(stopAt uint64) bool {
 // Fallback) each remaining decision is one event to append, up to stopAt,
 // so the trace is allocated at that length once rather than grown toward
 // it; a run that outlives its schedule (the unique-continuation rule)
-// grows as usual past the reservation. Any other run that has no trace
-// capacity yet gets 1024 events, enough for a typical execution to append
-// without growth reallocations; an installed array (a search reusing a
-// rejected candidate's, see Trace) is used as it is.
+// grows as usual past the reservation. An installed array (a search
+// reusing a rejected candidate's, or a replay's first candidate sized from
+// its recording, see Trace) is used as it is. Any other run that has no
+// trace capacity yet, a production run whose length nothing predicts, gets
+// 1024 events.
 func (m *Machine) reserve(stopAt uint64) {
 	if m.tr == nil {
 		return

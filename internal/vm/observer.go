@@ -111,3 +111,13 @@ func (m *MapInputs) Next(stream string, index int) trace.Value {
 func newRand(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
+
+// reseed returns rng reseeded, or newRand(seed) when rng is nil. Seeding a
+// generator resets all of its state, so the two draw the same stream.
+func reseed(rng *rand.Rand, seed int64) *rand.Rand {
+	if rng == nil {
+		return newRand(seed)
+	}
+	rng.Seed(seed)
+	return rng
+}

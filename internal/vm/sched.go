@@ -46,23 +46,64 @@ func (s *RoundRobinScheduler) Pick(_ *Machine, enabled []*Thread) *Thread {
 	return t
 }
 
+// seeded is a scheduler that draws from a generator of its own. Its
+// constructor leaves the generator unallocated, so that Recycle can hand
+// it the one a dead machine's scheduler gives up (see adopt): start seeds
+// rng, or a new generator when rng is nil, and takes the scheduler's
+// initial draws from it, unless the scheduler has started already; stop
+// gives the generator up, nil when the scheduler never started. A
+// scheduler no machine started starts on its first Pick.
+type seeded interface {
+	start(rng *rand.Rand)
+	stop() *rand.Rand
+}
+
+// adopt hands dead's generator to s when both are seeded schedulers:
+// reseeding it draws exactly the stream of a new generator of s's seed,
+// without the 4.9 KB a new one allocates.
+func adopt(s, dead Scheduler) {
+	to, ok := s.(seeded)
+	from, fromOK := dead.(seeded)
+	if !ok || !fromOK || s == dead {
+		return
+	}
+	if rng := from.stop(); rng != nil {
+		to.start(rng)
+	}
+}
+
 // RandomScheduler picks uniformly at random among enabled threads using a
 // seeded generator: the production scheduler model. Same seed, same
 // program, same inputs — same execution.
 type RandomScheduler struct {
-	rng *rand.Rand
+	seed int64
+	rng  *rand.Rand // nil until the scheduler starts (see seeded)
 }
 
 // NewRandomScheduler returns a seeded random scheduler.
 func NewRandomScheduler(seed int64) *RandomScheduler {
-	return &RandomScheduler{rng: newRand(seed)}
+	return &RandomScheduler{seed: seed}
 }
 
 // Name implements Scheduler.
 func (s *RandomScheduler) Name() string { return "random" }
 
+func (s *RandomScheduler) start(rng *rand.Rand) {
+	if s.rng == nil {
+		s.rng = reseed(rng, s.seed)
+	}
+}
+
+func (s *RandomScheduler) stop() (rng *rand.Rand) {
+	rng, s.rng = s.rng, nil
+	return rng
+}
+
 // Pick implements Scheduler.
 func (s *RandomScheduler) Pick(_ *Machine, enabled []*Thread) *Thread {
+	if s.rng == nil {
+		s.start(nil)
+	}
 	return enabled[s.rng.Intn(len(enabled))]
 }
 
@@ -73,7 +114,10 @@ func (s *RandomScheduler) Pick(_ *Machine, enabled []*Thread) *Thread {
 // finds rare orderings with provable probability and is used by the
 // inference engine to diversify its search.
 type PCTScheduler struct {
-	rng *rand.Rand
+	seed         int64
+	expectedLen  uint64
+	changePoints int
+	rng          *rand.Rand // nil until the scheduler starts (see seeded)
 	// prio is dense, indexed by thread ID (IDs are assigned in spawn
 	// order, so the slice stays compact). prioUnset marks threads that
 	// have not arrived yet.
@@ -99,22 +143,32 @@ const pctRankSpace = 1000000
 // NewPCTScheduler returns a PCT scheduler with the given number of
 // priority-change points spread over an expected execution length.
 func NewPCTScheduler(seed int64, expectedLen uint64, changePoints int) *PCTScheduler {
-	rng := newRand(seed)
-	s := &PCTScheduler{
-		rng:  rng,
-		used: make(map[int]struct{}, 8),
+	return &PCTScheduler{
+		seed:         seed,
+		expectedLen:  max(expectedLen, 1),
+		changePoints: changePoints,
+		used:         make(map[int]struct{}, 8),
 	}
-	if expectedLen == 0 {
-		expectedLen = 1
-	}
-	for i := 0; i < changePoints; i++ {
-		s.changeAt = append(s.changeAt, uint64(rng.Int63n(int64(expectedLen))))
-	}
-	return s
 }
 
 // Name implements Scheduler.
 func (s *PCTScheduler) Name() string { return "pct" }
+
+// start draws the change points, the generator's first draws.
+func (s *PCTScheduler) start(rng *rand.Rand) {
+	if s.rng != nil {
+		return
+	}
+	s.rng = reseed(rng, s.seed)
+	for i := 0; i < s.changePoints; i++ {
+		s.changeAt = append(s.changeAt, uint64(s.rng.Int63n(int64(s.expectedLen))))
+	}
+}
+
+func (s *PCTScheduler) stop() (rng *rand.Rand) {
+	rng, s.rng = s.rng, nil
+	return rng
+}
 
 // rank draws a fresh, distinct, positive priority rank.
 func (s *PCTScheduler) rank() int {
@@ -141,6 +195,9 @@ func (s *PCTScheduler) changePoint(seq uint64) bool {
 
 // Pick implements Scheduler.
 func (s *PCTScheduler) Pick(m *Machine, enabled []*Thread) *Thread {
+	if s.rng == nil {
+		s.start(nil)
+	}
 	// Assign priorities lazily on arrival; each arrival gets a distinct
 	// random rank (enabled is in thread-ID order, so assignment order is
 	// deterministic).
