@@ -517,3 +517,35 @@ func BenchmarkSearchCandidates(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCorpusGrid evaluates the corpus grid as bench/'s corpus
+// workload does: every scenario under every model, plus a second output
+// and failure cell per scenario with explicit Options (bench/ sets the
+// ignored fork switch on those), in one EvaluateBatch on two workers. Its
+// B/op is the workload's alloc_mb_per_op without the harness's saving and
+// fingerprinting, so it can be profiled with -memprofile.
+func BenchmarkCorpusGrid(b *testing.B) {
+	eng, ctx := New(WithWorkers(2)), context.Background()
+	var jobs []Job
+	for _, s := range eng.Scenarios() {
+		for _, m := range Models() {
+			jobs = append(jobs, Job{Scenario: s.Name, Model: m})
+		}
+		for _, m := range []Model{Output, Failure} {
+			jobs = append(jobs, Job{Scenario: s.Name, Model: m, Options: &Options{}})
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		for r, err := range eng.EvaluateBatch(ctx, jobs) {
+			if err != nil {
+				b.Fatalf("%s/%s: %v", r.Job.Scenario, r.Job.Model, err)
+			}
+			n++
+		}
+		if n != len(jobs) {
+			b.Fatalf("%d of %d cells evaluated", n, len(jobs))
+		}
+	}
+}

@@ -124,37 +124,6 @@ type Outcome struct {
 	Err error
 }
 
-// paramTry is one slot of the candidate plan; its position in the plan
-// keys the candidate's seed, scheduler, inputs and note.
-type paramTry struct {
-	p    scenario.Params
-	note string
-}
-
-// buildPlan lays out the parameter schedule: shrunken configurations first
-// (a few tries each), then the full configuration for the remaining
-// budget.
-func buildPlan(s *scenario.Scenario, o Options) []paramTry {
-	var plan []paramTry
-	perShrink := o.Budget / 8
-	if perShrink < 4 {
-		perShrink = 4
-	}
-	for i, sp := range o.ShrinkParams {
-		for j := 0; j < perShrink; j++ {
-			plan = append(plan, paramTry{p: sp, note: fmt.Sprintf("shrink[%d]", i)})
-		}
-	}
-	full := s.DefaultParams.Clone(o.Params)
-	for len(plan) < o.Budget {
-		plan = append(plan, paramTry{p: full, note: "full"})
-	}
-	if len(plan) > o.Budget {
-		plan = plan[:o.Budget]
-	}
-	return plan
-}
-
 // Search runs candidate executions of s until accept returns true or the
 // budget is exhausted, under the worker contract (DESIGN.md §0): candidates
 // keep their plan indices, accept is invoked on the caller's goroutine in
@@ -164,10 +133,11 @@ func buildPlan(s *scenario.Scenario, o Options) []paramTry {
 // it. Candidates executed speculatively beyond the accepted index are
 // discarded unobserved.
 //
-// A rejected candidate's trace array backs a later candidate's trace (see
-// runner.Discard), so accept must not retain a view it rejects, nor its
-// trace; the accepted view, or the last one when the budget runs out, is
-// the caller's to keep. The candidates' threads share the search's thread
+// A rejected candidate's machine, trace array and stream histories back a
+// later candidate's run (see runner.Discard), so accept must not retain a
+// view it rejects, nor its trace, nor its Result's Outputs and InputsUsed;
+// the accepted view, or the last one when the budget runs out, is the
+// caller's to keep. The candidates' threads share the search's thread
 // coroutines, which end when Search returns.
 func Search(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options) *Outcome {
 	if err := o.Validate(); err != nil {
@@ -179,34 +149,37 @@ func Search(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options
 	if o.Budget == 0 {
 		o.Budget = 200
 	}
-	plan := buildPlan(s, o)
+	pl := newPlan(s, o)
 
 	r := &runner{s: s, events: o.Events, maxSteps: o.MaxSteps}
 	// par.Ordered has stopped its workers before Search returns, so every
 	// machine is finished and every host idle.
 	defer r.hosts.Close()
 	out := &Outcome{}
-	for i, v := range par.Ordered(o.Ctx, len(plan), o.Workers, func(_ context.Context, i int) *scenario.RunView {
-		return r.Run(planCandidate(s, o, i, plan[i].p))
+	for i, v := range par.Ordered(o.Ctx, o.Budget, o.Workers, func(_ context.Context, i int) *scenario.RunView {
+		return r.Run(pl.candidate(i))
 	}) {
-		pt := plan[i]
 		out.Attempts++
 		out.WorkCycles += v.Result.Cycles
 		out.WorkSteps += v.Result.Steps
 		if accept(v) {
+			p, shrunk := pl.params(i)
 			out.View = v
 			out.Ok = true
-			out.AcceptedParams = pt.p
-			out.Note = fmt.Sprintf("%s attempt %d", pt.note, i)
+			out.AcceptedParams = p
+			out.Note = fmt.Sprintf("full attempt %d", i)
+			if shrunk >= 0 {
+				out.Note = fmt.Sprintf("shrink[%d] attempt %d", shrunk, i)
+			}
 			return out
 		}
-		if i == len(plan)-1 {
+		if i == o.Budget-1 {
 			out.View = v
 		} else {
 			r.Discard(v)
 		}
 	}
-	if out.Attempts < len(plan) {
+	if out.Attempts < o.Budget {
 		out.Err = o.Ctx.Err()
 		out.Note = "search canceled"
 		return out
@@ -215,17 +188,47 @@ func Search(s *scenario.Scenario, accept func(*scenario.RunView) bool, o Options
 	return out
 }
 
-// planCandidate describes the i-th candidate of the plan, run with
-// parameters p. Candidates are bit-deterministic functions of (scenario,
-// options, i), which is what makes the search embarrassingly parallel.
-func planCandidate(s *scenario.Scenario, o Options, i int, p scenario.Params) scenario.ExecOptions {
+// plan describes a search's candidates: the parameter schedule (each
+// ShrinkParams entry for perShrink candidates, at least 4, then the full
+// configuration for the rest of the budget) and the input sources.
+// Candidates are bit-deterministic functions of (scenario, options,
+// index), computed from the index when a worker runs one, which is what
+// makes the search embarrassingly parallel.
+type plan struct {
+	o         Options
+	perShrink int
+	full      scenario.Params
+	sources   func(searchSeed int64) vm.InputSource
+}
+
+func newPlan(s *scenario.Scenario, o Options) *plan {
+	return &plan{
+		o:         o,
+		perShrink: max(o.Budget/8, 4),
+		full:      s.DefaultParams.Clone(o.Params),
+		sources:   scenario.SearchSources(s),
+	}
+}
+
+// params returns the i-th candidate's parameters and the index of the
+// ShrinkParams entry they are, or -1 for the full configuration.
+func (pl *plan) params(i int) (scenario.Params, int) {
+	if k := i / pl.perShrink; k < len(pl.o.ShrinkParams) {
+		return pl.o.ShrinkParams[k], k
+	}
+	return pl.full, -1
+}
+
+// candidate describes the i-th candidate.
+func (pl *plan) candidate(i int) scenario.ExecOptions {
+	p, _ := pl.params(i)
 	return scenario.ExecOptions{
-		Seed:      o.BaseSeed + int64(i),
+		Seed:      pl.o.BaseSeed + int64(i),
 		Params:    p,
-		Scheduler: candidateScheduler(o, int64(i)),
-		Inputs:    candidateInputs(s, o, int64(i)),
-		MaxSteps:  o.MaxSteps,
-		RelaxTime: o.Schedule != nil,
+		Scheduler: candidateScheduler(pl.o, int64(i)),
+		Inputs:    pl.inputs(int64(i)),
+		MaxSteps:  pl.o.MaxSteps,
+		RelaxTime: pl.o.Schedule != nil,
 	}
 }
 
@@ -245,15 +248,16 @@ func candidateScheduler(o Options, i int64) vm.Scheduler {
 	return vm.NewRandomScheduler(seed)
 }
 
-// candidateInputs builds the i-th candidate's input source: forced
-// recorded streams over a searched base (see Options.Schedule for the
-// base's seed under a forced schedule).
-func candidateInputs(s *scenario.Scenario, o Options, i int64) vm.InputSource {
+// inputs builds the i-th candidate's input source: forced recorded
+// streams over a searched base (see Options.Schedule for the base's seed
+// under a forced schedule).
+func (pl *plan) inputs(i int64) vm.InputSource {
+	o := pl.o
 	seed := mix(o.BaseSeed, i*7919+13)
 	if o.Schedule != nil {
 		seed = o.BaseSeed + i
 	}
-	base := s.SearchSource(seed)
+	base := pl.sources(seed)
 	if len(o.ForcedInputs) == 0 {
 		return base
 	}

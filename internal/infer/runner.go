@@ -12,14 +12,15 @@ import (
 // per call and is its only user, so every candidate loop in the module is
 // Search's.
 //
-// A candidate's machine, trace array, site table and scheduler generator
-// are allocated once per concurrent run, not once per candidate: Discard
-// hands a rejected view back to the spare list, and the next Run builds
-// into it (see scenario.ExecInto and vm.Recycle), reseeding the spare
-// machine's generator for its own scheduler. A Run that finds no spare, a
-// worker's first, starts its trace array at the searched run's recorded
-// length (Options.Events, clamped by trace.Presize), or at the VM's
-// default when that is unknown. Every candidate's threads run on the
+// A candidate's machine, trace array, site table, scheduler generator,
+// stream histories and result maps are allocated once per concurrent run,
+// not once per candidate: Discard hands a rejected view back to the spare
+// list, and the next Run builds into it (see scenario.ExecInto and
+// vm.Recycle), reseeding the spare machine's generator for its own
+// scheduler and appending its inputs and outputs into the spare's
+// arrays. A Run that finds no spare, a worker's first, starts its trace
+// array at the searched run's recorded length (Options.Events, clamped by
+// trace.Presize), or at the VM's default when that is unknown. Every candidate's threads run on the
 // coroutines of hosts, which finished candidates' threads have left idle;
 // Search closes the pool when it returns. Nothing outlives the Search. Run
 // and Discard are safe for concurrent use.
@@ -43,12 +44,14 @@ func (r *runner) Run(o scenario.ExecOptions) *scenario.RunView {
 }
 
 // Discard declares a view Run returned dead: the caller (a search that
-// rejected the candidate) keeps no reference to it, its machine or its
-// trace. The view's machine, with its site table and scheduler, and its
-// trace array go back to the spare list for the next Run, the array
-// cleared so it pins nothing the events pointed to. The view's Machine,
-// Trace.Events and Trace.Sites are nil afterwards, so a caller that breaks
-// the contract reads nothing rather than a later candidate's run.
+// rejected the candidate) keeps no reference to it, its machine, its trace
+// or its Result's Outputs and InputsUsed. The view's machine, with its
+// site table, scheduler, stream histories and result maps, and its trace
+// array go back to the spare list for the next Run, the array cleared so
+// it pins nothing the events pointed to. The view's Machine, Trace.Events,
+// Trace.Sites, Result.Outputs and Result.InputsUsed are nil afterwards, so
+// a caller that breaks the contract reads nothing rather than a later
+// candidate's run.
 func (r *runner) Discard(v *scenario.RunView) {
 	if v.Machine == nil {
 		return
@@ -57,6 +60,7 @@ func (r *runner) Discard(v *scenario.RunView) {
 	clear(events)
 	dead := &scenario.RunView{Machine: v.Machine, Trace: &trace.Log{Events: events[:0]}}
 	v.Machine, v.Trace.Events, v.Trace.Sites = nil, nil, nil
+	v.Result.Outputs, v.Result.InputsUsed = nil, nil
 	r.mu.Lock()
 	r.spare = append(r.spare, dead)
 	r.mu.Unlock()

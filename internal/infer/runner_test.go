@@ -120,8 +120,8 @@ func TestSearchReusesRejectedTraces(t *testing.T) {
 // as TestSearchReusesRejectedTraces pins the trace reuse: a search that
 // rejects all but its last candidate builds its candidates into as many
 // machines as it allocates trace arrays — one sequentially, at most 34
-// with two workers. Every rejected view has Machine nil once discarded,
-// and the accepted view, built into a recycled machine, equals a
+// with two workers. Every rejected view has Machine, Trace.Events and its
+// Result's InputsUsed and Outputs nil once discarded, and the accepted view, built into a recycled machine, equals a
 // from-scratch execution of its candidate.
 func TestSearchReusesRejectedMachines(t *testing.T) {
 	s := workload.Bank()
@@ -138,15 +138,14 @@ func TestSearchReusesRejectedMachines(t *testing.T) {
 				t.Fatalf("ok=%v attempts=%d, want the last of %d candidates accepted", out.Ok, out.Attempts, tc.opts.Budget)
 			}
 			for _, v := range views[:len(views)-1] {
-				if v.Machine != nil || v.Trace.Events != nil {
-					t.Fatalf("rejected candidate %d kept its machine or its events", v.Trace.Header.Seed)
+				if v.Machine != nil || v.Trace.Events != nil || v.Result.InputsUsed != nil || v.Result.Outputs != nil {
+					t.Fatalf("rejected candidate %d kept its machine, its events or its result maps", v.Trace.Header.Seed)
 				}
 			}
 			if len(machines) > tc.max {
 				t.Fatalf("%d candidates used %d distinct machines, want at most %d", out.Attempts, len(machines), tc.max)
 			}
-			full := s.DefaultParams.Clone(tc.opts.Params)
-			c := planCandidate(s, tc.opts, int(out.View.Trace.Header.Seed-tc.opts.BaseSeed), full)
+			c := newPlan(s, tc.opts).candidate(int(out.View.Trace.Header.Seed - tc.opts.BaseSeed))
 			if err := runDiff(out.View, s.Exec(c)); err != nil {
 				t.Fatalf("accepted candidate %d: %v", c.Seed, err)
 			}
@@ -231,14 +230,60 @@ func TestSearchReusesSiteTables(t *testing.T) {
 	}
 }
 
+// TestSearchReusesStreamHistories pins the history reuse behind
+// vm.Recycle, as TestSearchReusesSiteTables pins the site-table reuse: a
+// search that rejects its candidates appends each one's inputs and
+// outputs into the arrays the candidate its machine ran before left, so a
+// stream's history moves to a new array only when a candidate outgrows
+// every earlier one on its machine.
+func TestSearchReusesStreamHistories(t *testing.T) {
+	s := workload.Bank()
+	type history struct {
+		m      *vm.Machine
+		stream string
+		output bool
+	}
+	for name, tc := range reuseCases {
+		t.Run(name, func(t *testing.T) {
+			longest := make(map[history]int)
+			arrays := make(map[*trace.Value]bool)
+			grown := 0
+			note := func(m *vm.Machine, h map[string][]trace.Value, output bool) {
+				for stream, vals := range h {
+					k := history{m, stream, output}
+					if len(vals) > longest[k] {
+						longest[k] = len(vals)
+						grown++
+					}
+					arrays[&vals[0]] = true
+				}
+			}
+			out := Search(s, func(v *scenario.RunView) bool {
+				note(v.Machine, v.Result.InputsUsed, false)
+				note(v.Machine, v.Result.Outputs, true)
+				return false
+			}, tc.opts)
+			if out.Ok || out.Attempts != tc.opts.Budget {
+				t.Fatalf("ok=%v attempts=%d, want every one of %d candidates rejected", out.Ok, out.Attempts, tc.opts.Budget)
+			}
+			if len(longest) == 0 {
+				t.Fatal("no candidate consumed an input or wrote an output")
+			}
+			if len(arrays) > grown {
+				t.Fatalf("%d candidates kept their histories in %d distinct arrays, but outgrew their machines' earlier ones only %d times",
+					out.Attempts, len(arrays), grown)
+			}
+		})
+	}
+}
+
 // TestCrossoverCandidateMatchesFresh: a PCT candidate built into a random
 // candidate's spare, and a random one into a PCT one's, takes over the
 // spare's machine and generator and runs exactly as a fresh execution of
 // its candidate, site names included.
 func TestCrossoverCandidateMatchesFresh(t *testing.T) {
 	s := workload.Bank()
-	o := Options{BaseSeed: 3}
-	full := s.DefaultParams.Clone(nil)
+	pl := newPlan(s, Options{Budget: 200, BaseSeed: 3})
 	cases := map[string]struct {
 		donor, cand int
 		sched       string
@@ -250,10 +295,10 @@ func TestCrossoverCandidateMatchesFresh(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			r := &runner{s: s}
 			defer r.hosts.Close()
-			donor := r.Run(planCandidate(s, o, tc.donor, full))
+			donor := r.Run(pl.candidate(tc.donor))
 			m, gen := donor.Machine, generator(donor.Machine)
 			r.Discard(donor)
-			c := planCandidate(s, o, tc.cand, full)
+			c := pl.candidate(tc.cand)
 			if c.Scheduler.Name() != tc.sched {
 				t.Fatalf("candidate %d runs %s, want %s", tc.cand, c.Scheduler.Name(), tc.sched)
 			}
@@ -261,7 +306,7 @@ func TestCrossoverCandidateMatchesFresh(t *testing.T) {
 			if got.Machine != m || generator(got.Machine) != gen {
 				t.Fatal("the candidate did not take over the spare's machine and generator")
 			}
-			if err := runDiff(got, s.Exec(planCandidate(s, o, tc.cand, full))); err != nil {
+			if err := runDiff(got, s.Exec(pl.candidate(tc.cand))); err != nil {
 				t.Fatalf("candidate %d built into candidate %d's spare: %v", tc.cand, tc.donor, err)
 			}
 		})

@@ -313,15 +313,24 @@ func (s *Scenario) PresentCauses(v *RunView) []string {
 // draw small non-negative integers. Deterministic in (searchSeed, stream,
 // index).
 func (s *Scenario) SearchSource(searchSeed int64) vm.InputSource {
+	return SearchSources(s)(searchSeed)
+}
+
+// SearchSources returns s.SearchSource as a function of the search seed,
+// with s's domain table built once for every source it returns: a search
+// draws each of its candidates' inputs from one.
+func SearchSources(s *Scenario) func(searchSeed int64) vm.InputSource {
 	domains := make(map[string]InputDomain, len(s.InputDomains))
 	for _, d := range s.InputDomains {
 		domains[d.Stream] = d
 	}
-	return vm.InputSourceFunc(func(stream string, index int) trace.Value {
-		h := vm.HashValue(searchSeed, stream, index)
-		if d, ok := domains[stream]; ok && d.Max > d.Min {
-			return trace.Int(d.Min + h%(d.Max-d.Min+1))
-		}
-		return trace.Int(h % 1024)
-	})
+	return func(searchSeed int64) vm.InputSource {
+		return vm.InputSourceFunc(func(stream string, index int) trace.Value {
+			h := vm.HashValue(searchSeed, stream, index)
+			if d, ok := domains[stream]; ok && d.Max > d.Min {
+				return trace.Int(d.Min + h%(d.Max-d.Min+1))
+			}
+			return trace.Int(h % 1024)
+		})
+	}
 }

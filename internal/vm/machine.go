@@ -148,6 +148,14 @@ type Machine struct {
 	// machine appended after base[i] until joinHistories makes one array
 	// of the two. Nil on a machine that was not restored, or once joined.
 	base []StreamSnap
+	// shared is set once a snapshot reads the stream histories: Snapshot
+	// hands out prefixes of them, and Restore appends after a snapshot's.
+	// Recycle then drops the histories rather than append the next run
+	// into arrays a snapshot holds.
+	shared bool
+	// outputs and inputsUsed are the maps Finish fills for the Result;
+	// Recycle clears them for the next run.
+	outputs, inputsUsed map[string][]trace.Value
 
 	streamIDs map[string]trace.ObjID
 	diskIDs   map[string]trace.ObjID
@@ -215,12 +223,15 @@ type Machine struct {
 func New(cfg Config) *Machine { return Recycle(nil, cfg, nil) }
 
 // Recycle is New built into the tables of dead, a finished machine that
-// nothing reads any more: its name maps are cleared, its site table
-// emptied and its object tables, channel buffers and thread records cut
-// to length zero, each slot overwritten before the next program reads it,
-// and a seeded scheduler (random or PCT) in cfg takes over the generator
-// of dead's, reseeded (see adopt). So a search that discards candidates
-// allocates them once per concurrent run. The machine returned is dead
+// nothing reads any more, its Result's Outputs and InputsUsed included:
+// its name maps and result maps are cleared, its site table emptied and
+// its object tables, channel buffers, stream histories and thread records
+// cut to length zero, each slot overwritten before the next program reads
+// it, and a seeded scheduler (random or PCT) in cfg takes over the
+// generator of dead's, reseeded (see adopt). So a search that discards
+// candidates allocates them once per concurrent run. The stream histories
+// of a machine a snapshot was taken of, or restored from, are dropped
+// instead: the snapshot reads them. The machine returned is dead
 // itself, reset; a nil or unfinished dead gives a fresh machine. The
 // machine's threads run on hosts, idle ones of the pool when it has some,
 // and End gives the pool back every host whose body has returned; a nil
@@ -247,23 +258,31 @@ func Recycle(dead *Machine, cfg Config, hosts *Hosts) *Machine {
 	adopt(cfg.Scheduler, m.sched)
 	clear(m.cellIDs)
 	clear(m.streamIDs)
+	clear(m.outputs)
+	clear(m.inputsUsed)
+	streams := m.streams[:0]
+	if m.shared {
+		streams = nil
+	}
 	*m = Machine{
-		cfg:       cfg,
-		cost:      cfg.Cost,
-		sites:     trace.ResetSites(m.sites),
-		cells:     m.cells[:0],
-		cellIDs:   m.cellIDs,
-		mutexes:   m.mutexes[:0],
-		chans:     m.chans[:0],
-		streams:   m.streams[:0],
-		streamIDs: m.streamIDs,
-		threads:   m.threads[:0],
-		sched:     cfg.Scheduler,
-		inputs:    cfg.Inputs,
-		ready:     m.ready[:0],
-		nextWake:  noWake,
-		hosts:     hosts,
-		idle:      m.idle[:0],
+		cfg:        cfg,
+		cost:       cfg.Cost,
+		sites:      trace.ResetSites(m.sites),
+		cells:      m.cells[:0],
+		cellIDs:    m.cellIDs,
+		mutexes:    m.mutexes[:0],
+		chans:      m.chans[:0],
+		streams:    streams,
+		streamIDs:  m.streamIDs,
+		outputs:    m.outputs,
+		inputsUsed: m.inputsUsed,
+		threads:    m.threads[:0],
+		sched:      cfg.Scheduler,
+		inputs:     cfg.Inputs,
+		ready:      m.ready[:0],
+		nextWake:   noWake,
+		hosts:      hosts,
+		idle:       m.idle[:0],
 	}
 	if cfg.CollectTrace {
 		m.tr = &trace.Log{Header: trace.Header{Seed: cfg.Seed}, Sites: m.sites}
@@ -420,10 +439,16 @@ func (m *Machine) loop() {
 }
 
 // Finish ends the execution (see End) and builds the Result. Finish after
-// End builds the ended run's Result.
+// End builds the ended run's Result. The Result's Outputs and InputsUsed
+// are maps the machine keeps, holding its stream histories, so they are
+// valid until the machine is recycled (see Recycle).
 func (m *Machine) Finish() *Result {
 	End(m)
 	m.joinHistories()
+	if m.outputs == nil {
+		m.outputs = make(map[string][]trace.Value)
+		m.inputsUsed = make(map[string][]trace.Value)
+	}
 	res := &Result{
 		Outcome:       m.outcome,
 		Terminal:      m.terminal,
@@ -431,8 +456,8 @@ func (m *Machine) Finish() *Result {
 		Steps:         m.seq,
 		Cycles:        m.clock,
 		RecordCycles:  m.recordCycles,
-		Outputs:       make(map[string][]trace.Value),
-		InputsUsed:    make(map[string][]trace.Value),
+		Outputs:       m.outputs,
+		InputsUsed:    m.inputsUsed,
 		DivergedAt:    m.diverged,
 		SchedRounds:   m.schedRounds,
 		SchedEvals:    m.schedEvals,

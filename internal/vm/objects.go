@@ -154,7 +154,14 @@ func (m *Machine) Stream(name string) trace.ObjID {
 		return id
 	}
 	id := trace.ObjID(len(m.streams))
-	m.streams = append(m.streams, streamState{name: name})
+	// A recycled machine's earlier run left histories in this slot: append
+	// into them. Otherwise the first input or output allocates.
+	st := streamState{name: name}
+	if int(id) < cap(m.streams) {
+		old := &m.streams[:id+1][id]
+		st.inputs, st.outputs = old.inputs[:0], old.outputs[:0]
+	}
+	m.streams = append(m.streams, st)
 	m.streamIDs[name] = id
 	return id
 }

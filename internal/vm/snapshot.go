@@ -129,6 +129,7 @@ const NoRunningThread trace.ThreadID = -1
 // is paused — never concurrently with running threads.
 func (m *Machine) Snapshot(running trace.ThreadID) *Snapshot {
 	m.joinHistories()
+	m.shared = true
 	s := &Snapshot{
 		Seq:           m.seq,
 		Clock:         m.clock,
@@ -524,6 +525,7 @@ func Restore(cfg Config, setup func(*Machine) func(*Thread), snap *Snapshot, fee
 		st.inIndex = ss.InIndex
 	}
 	m.base = snap.Streams[:len(snap.Streams):len(snap.Streams)]
+	m.shared = true
 	for i := range m.disks {
 		d := &m.disks[i]
 		ds := &snap.Disks[i]

@@ -212,3 +212,49 @@ func TestRestoreSharesHistories(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycleLeavesSnapshotsAlone: a recycled machine appends its run's
+// inputs and outputs into the arrays its last run left, except when a
+// snapshot reads them. A machine snapshotted while it ran holds the
+// snapshot's prefixes, and a restored one that appended nothing to a
+// stream keeps the snapshot's own array as that stream's history, so
+// recycling either and running again must leave the snapshot's
+// histories as they were.
+func TestRecycleLeavesSnapshotsAlone(t *testing.T) {
+	cfg := Config{Seed: 7, Inputs: SeededInputs(7, 1000), CollectTrace: true}
+	setup := echoProgram(300)
+	m := New(cfg)
+	body := setup(m)
+	obs := &everyN{m: m, n: 64}
+	m.Attach(obs)
+	res := m.Run(body)
+	if res.Outcome != OutcomeOK || len(obs.snaps) < 2 {
+		t.Fatalf("outcome %v with %d snapshots", res.Outcome, len(obs.snaps))
+	}
+	snap := obs.snaps[1]
+	restored, err := Restore(cfg, setup, snap, feedsFor(res.Trace.Events, snap.Seq, len(snap.Threads)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored.Finish() // abandoned at the snapshot: every history is the snapshot's array
+	other := Config{Seed: 9, Inputs: SeededInputs(9, 1000), CollectTrace: true}
+	for _, tc := range []struct {
+		name string
+		dead *Machine
+	}{{"restored", restored}, {"snapshotted", m}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m2 := Recycle(tc.dead, other, nil)
+			if m2 != tc.dead {
+				t.Fatal("a finished machine was not recycled")
+			}
+			if res2 := m2.Run(setup(m2)); res2.Outcome != OutcomeOK {
+				t.Fatalf("recycled run: outcome %v", res2.Outcome)
+			}
+			for i, snap := range obs.snaps {
+				if !reflect.DeepEqual(snap.Streams, obs.copies[i].Streams) {
+					t.Fatalf("the recycled machine's run changed the histories of the snapshot at %d", snap.Seq)
+				}
+			}
+		})
+	}
+}
