@@ -283,7 +283,7 @@ func TestSearchReusesStreamHistories(t *testing.T) {
 // its candidate, site names included.
 func TestCrossoverCandidateMatchesFresh(t *testing.T) {
 	s := workload.Bank()
-	pl := newPlan(s, Options{Budget: 200, BaseSeed: 3})
+	pl := newPlan(s, Options{BaseSeed: 3})
 	cases := map[string]struct {
 		donor, cand int
 		sched       string
