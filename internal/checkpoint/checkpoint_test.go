@@ -3,7 +3,9 @@ package checkpoint_test
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -149,6 +151,31 @@ func TestSnapshotCodecTruncation(t *testing.T) {
 		}
 		if !errors.Is(err, checkpoint.ErrBadSnapshot) && !errors.Is(err, trace.ErrCorrupt) {
 			t.Fatalf("prefix of %d bytes: unexpected error class: %v", cut, err)
+		}
+	}
+}
+
+// TestSnapshotCodecRejectsWideObjID: a pending operation's object is an
+// ObjID, 32 bits wide. Written as a raw uvarint of 2^32 or more it makes
+// the section malformed, never a snapshot naming a truncated object.
+func TestSnapshotCodecRejectsWideObjID(t *testing.T) {
+	snap := &vm.Snapshot{Threads: []vm.ThreadSnap{{Name: "main", PendingValid: true, PendingObj: math.MaxUint32}}}
+	var buf bytes.Buffer
+	if _, err := checkpoint.EncodeSnapshots(&buf, []*vm.Snapshot{snap}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := checkpoint.DecodeSnapshots(bufioReader(buf.Bytes()))
+	if err != nil || len(got) != 1 || got[0].Threads[0].PendingObj != math.MaxUint32 {
+		t.Fatalf("pending object 2^32-1 did not round-trip: %v, %+v", err, got)
+	}
+	widest := binary.AppendUvarint(nil, math.MaxUint32)
+	if n := bytes.Count(buf.Bytes(), widest); n != 1 {
+		t.Fatalf("the section holds the uvarint of 2^32-1 %d times, want once", n)
+	}
+	for _, obj := range []uint64{1 << 32, 1 << 40, math.MaxUint64} {
+		data := bytes.Replace(buf.Bytes(), widest, binary.AppendUvarint(nil, obj), 1)
+		if _, err := checkpoint.DecodeSnapshots(bufioReader(data)); !errors.Is(err, checkpoint.ErrBadSnapshot) {
+			t.Errorf("pending object %d: error %v, want ErrBadSnapshot", obj, err)
 		}
 	}
 }

@@ -237,7 +237,7 @@ func readSnapshot(r *wire.Reader, prev *vm.Snapshot) *vm.Snapshot {
 		t.PendingValid = flags&4 != 0
 		t.Taint = trace.Taint(r.Byte())
 		t.PendingCode = r.Byte()
-		t.PendingObj = trace.ObjID(r.Uvarint())
+		t.PendingObj = trace.ReadObjID(r)
 		t.PendingDeadline = r.Uvarint()
 	}
 

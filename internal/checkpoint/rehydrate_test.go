@@ -2,6 +2,8 @@ package checkpoint_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -13,6 +15,7 @@ import (
 	"debugdet/internal/scenario"
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
+	"debugdet/internal/wire"
 	"debugdet/internal/workload"
 )
 
@@ -212,11 +215,13 @@ func TestRehydrateMatchesReferenceOnAdversarialInput(t *testing.T) {
 }
 
 // TestRehydrateHostileStreamID: a stream ID is read straight from the file
-// and must size nothing. An event naming stream 2^40 (or 2^64-1, which as
-// an int is negative) under any snapshot past it is the usual typed error,
-// at once and without reserving a slot per skipped ID.
+// and must size nothing. An event naming stream 2^31 (or 2^32-1, which as
+// an int on a 32-bit platform is negative) under any snapshot past it is
+// the usual typed error, at once and without reserving a slot per skipped
+// ID. A wider ID — 2^32, 2^40 or 2^64-1 written as a raw uvarint — never
+// reaches rehydration: the event section it sits in is corrupt.
 func TestRehydrateHostileStreamID(t *testing.T) {
-	for _, obj := range []trace.ObjID{1 << 40, math.MaxUint64} {
+	for _, obj := range []trace.ObjID{1 << 31, math.MaxUint32} {
 		events := streamEvents("i0 i0 . i0")
 		events[1].Obj = obj
 		snaps := []*vm.Snapshot{snapAt(1, 1), snapAt(4, 3)}
@@ -230,6 +235,26 @@ func TestRehydrateHostileStreamID(t *testing.T) {
 		}
 		if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
 			t.Errorf("stream %d: rehydrate allocated %d bytes", obj, d)
+		}
+	}
+
+	events := streamEvents("i0 i0 . i0")
+	events[1].Obj = math.MaxUint32
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf)
+	trace.WriteEvents(w, events)
+	if _, err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	widest := binary.AppendUvarint(nil, math.MaxUint32)
+	if n := bytes.Count(buf.Bytes(), widest); n != 1 {
+		t.Fatalf("the event section holds the uvarint of 2^32-1 %d times, want once", n)
+	}
+	for _, obj := range []uint64{1 << 32, 1 << 40, math.MaxUint64} {
+		data := bytes.Replace(buf.Bytes(), widest, binary.AppendUvarint(nil, obj), 1)
+		r := wire.NewReader(bytes.NewReader(data), trace.ErrCorrupt)
+		if got, _ := trace.ReadEvents(r); got != nil || !errors.Is(r.Err(), trace.ErrCorrupt) {
+			t.Errorf("stream %d: read %d events, error %v, want trace.ErrCorrupt", obj, len(got), r.Err())
 		}
 	}
 }

@@ -257,7 +257,7 @@ func readFeedLog(r *wire.Reader, fn func(i uint64, fe *feedEntry) error) (uint64
 		}
 		obj, val, taint := feedFields(fe.Kind)
 		if obj {
-			fe.Obj = trace.ObjID(r.Uvarint())
+			fe.Obj = trace.ReadObjID(r)
 		}
 		if val {
 			fe.Val = trace.ReadValue(r)

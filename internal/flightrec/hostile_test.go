@@ -17,6 +17,18 @@ import (
 	"debugdet/internal/workload"
 )
 
+// wideStream is a feed log holding one entry of kind on stream obj, which
+// is written as a raw uvarint: an ObjID cannot hold 2^32 or more.
+func wideStream(t *testing.T, kind trace.EventKind, obj uint64) []byte {
+	t.Helper()
+	log := flightrec.FeedLogBytes([]trace.Event{{Kind: kind, Obj: math.MaxUint32, Val: trace.Int(1)}})
+	widest := binary.AppendUvarint(nil, math.MaxUint32)
+	if n := bytes.Count(log, widest); n != 1 {
+		t.Fatalf("the feed log holds the uvarint of 2^32-1 %d times, want once", n)
+	}
+	return bytes.Replace(log, widest, binary.AppendUvarint(nil, obj), 1)
+}
+
 // TestHostileFeedLog: a feed log or manifest that names a stream, a thread
 // or an entry count the run cannot have had is reported as corrupt by the
 // first seek that needs the feed log — no panic, and nothing reserved on
@@ -35,8 +47,10 @@ func TestHostileFeedLog(t *testing.T) {
 		// declare, from the feed log's size in bytes.
 		count func(logBytes uint64) uint64
 	}{
-		{"input from stream 2^63", flightrec.FeedLogBytes([]trace.Event{{Kind: trace.EvInput, Obj: 1 << 63, Val: trace.Int(1)}}), nil},
-		{"output to stream 2^64-1", flightrec.FeedLogBytes([]trace.Event{{Kind: trace.EvOutput, Obj: math.MaxUint64, Val: trace.Int(1)}}), nil},
+		{"output to stream 2^32-1", flightrec.FeedLogBytes([]trace.Event{{Kind: trace.EvOutput, Obj: math.MaxUint32, Val: trace.Int(1)}}), nil},
+		{"input from stream 2^32", wideStream(t, trace.EvInput, 1<<32), nil},
+		{"input from stream 2^63", wideStream(t, trace.EvInput, 1<<63), nil},
+		{"output to stream 2^64-1", wideStream(t, trace.EvOutput, math.MaxUint64), nil},
 		{"thread 2^24", flightrec.FeedLogBytes([]trace.Event{{TID: 1 << 24, Kind: trace.EvYield}}), nil},
 		{"thread 2^31-1", flightrec.FeedLogBytes([]trace.Event{{TID: math.MaxInt32, Kind: trace.EvYield}}), nil},
 		{"thread 2^31", append(binary.AppendVarint(header[:len(header):len(header)], 1<<31), byte(trace.EvYield)), nil},

@@ -88,3 +88,55 @@ func TestUnknownNodePanics(t *testing.T) {
 	n := New(m, Options{})
 	n.MustNode("ghost")
 }
+
+// mustPanic runs f and fails unless it panics with the message want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if got := recover(); got != want {
+			t.Fatalf("panic %v, want %q", got, want)
+		}
+	}()
+	f()
+}
+
+// TestMeshNeedsBuild: the links exist once Build has laid them out, so a
+// node added after Build, and a link configured or used before it, is a
+// panic that says so — never a link found at another pair's index.
+func TestMeshNeedsBuild(t *testing.T) {
+	setup := func(build bool) (*vm.Machine, *Network) {
+		m := vm.New(vm.Config{})
+		n := New(m, Options{})
+		n.AddNode("a")
+		n.AddNode("b")
+		if build {
+			n.Build()
+		}
+		return m, n
+	}
+	t.Run("AddNode after Build", func(t *testing.T) {
+		_, n := setup(true)
+		mustPanic(t, "simnet: AddNode(c) after Build", func() { n.AddNode("c") })
+	})
+	t.Run("SetLink before Build", func(t *testing.T) {
+		_, n := setup(false)
+		mustPanic(t, "simnet: SetLink(a, b) before Build", func() { n.SetLink("a", "b", LinkConfig{}) })
+	})
+	t.Run("SetLink to itself", func(t *testing.T) {
+		_, n := setup(true)
+		mustPanic(t, "simnet: SetLink(a, a): no link from a node to itself", func() { n.SetLink("a", "a", LinkConfig{}) })
+	})
+	t.Run("Send before Build", func(t *testing.T) {
+		m, n := setup(false)
+		s := m.Site("test")
+		var got any
+		m.Run(func(t *vm.Thread) {
+			defer func() { got = recover() }()
+			n.Send(t, s, "a", "b", Message{Kind: "x"})
+		})
+		if want := "simnet: Send(a, b) before Build"; got != want {
+			t.Fatalf("panic %v, want %q", got, want)
+		}
+	})
+}

@@ -1,11 +1,8 @@
 package simnet
 
 import (
-	"cmp"
-	"fmt"
 	"maps"
 	"slices"
-	"sort"
 
 	"debugdet/internal/trace"
 	"debugdet/internal/vm"
@@ -36,27 +33,31 @@ type Options struct {
 type Node struct {
 	Name  string
 	Inbox trace.ObjID // channel carrying encoded messages
+	index int         // position in name order, set by Build
 }
 
-// linkKey names the directed link from → to.
-type linkKey struct{ from, to string }
-
+// link is one directed link's configuration and objects.
 type link struct {
-	from, to string
-	cfg      LinkConfig
-	ch       trace.ObjID // staging channel feeding the pump
-	latIn    trace.ObjID // input stream for jitter
-	dropIn   trace.ObjID // input stream for drop decisions
+	cfg    LinkConfig
+	ch     trace.ObjID // staging channel feeding the pump
+	dst    trace.ObjID // the receiving node's inbox
+	latIn  trace.ObjID // input stream for jitter
+	dropIn trace.ObjID // input stream for drop decisions
 }
 
-// Network is a virtual network bound to one machine. Build the topology
-// before Run; call Start from the program's main thread to launch the pump
-// daemons.
+// Network is a virtual network bound to one machine. Add the nodes, then
+// Build the links before Run; call Start from the program's main thread
+// to launch the pump daemons.
 type Network struct {
 	m     *vm.Machine
 	opts  Options
 	nodes map[string]*Node
-	links map[linkKey]*link
+	built bool
+	// names lists the nodes in name order and links holds the link from
+	// names[i] to names[j] at i*len(names)+j (the diagonal is unused); Build
+	// sets both.
+	names []string
+	links []link
 
 	sPumpRecv trace.SiteID
 	sPumpSend trace.SiteID
@@ -77,7 +78,6 @@ func New(m *vm.Machine, opts Options) *Network {
 		m:         m,
 		opts:      opts,
 		nodes:     make(map[string]*Node),
-		links:     make(map[linkKey]*link),
 		sPumpRecv: m.Site("simnet.pump.recv"),
 		sPumpSend: m.Site("simnet.pump.deliver"),
 		sPumpLat:  m.Site("simnet.pump.latency"),
@@ -87,8 +87,12 @@ func New(m *vm.Machine, opts Options) *Network {
 }
 
 // AddNode registers a node and returns it. Node registration order must be
-// deterministic (it allocates VM objects).
+// deterministic (it allocates VM objects), and every node is added before
+// Build.
 func (n *Network) AddNode(name string) *Node {
+	if n.built {
+		panic("simnet: AddNode(" + name + ") after Build")
+	}
 	if _, ok := n.nodes[name]; ok {
 		panic("simnet: duplicate node " + name)
 	}
@@ -110,48 +114,48 @@ func (n *Network) MustNode(name string) *Node {
 }
 
 // SetLink overrides the configuration of the directed link from → to.
-// Links are created lazily on first configuration or first send.
+// Call it after Build.
 func (n *Network) SetLink(from, to string, cfg LinkConfig) {
-	l := n.getLink(from, to)
-	l.cfg = cfg
+	n.link("SetLink", from, to).cfg = cfg
 }
 
-func (n *Network) getLink(from, to string) *link {
-	key := linkKey{from, to}
-	if l, ok := n.links[key]; ok {
-		return l
+// link returns the directed link from → to, which op uses.
+func (n *Network) link(op, from, to string) *link {
+	if !n.built {
+		panic("simnet: " + op + "(" + from + ", " + to + ") before Build")
 	}
-	name := fmt.Sprintf("link:%s->%s", from, to)
-	l := &link{
-		from:   from,
-		to:     to,
-		cfg:    n.opts.DefaultLink,
-		ch:     n.m.NewChan(name, n.opts.InboxCapacity),
-		latIn:  n.m.DeclareStream("net.lat:"+from+"->"+to, trace.TaintEnv),
-		dropIn: n.m.DeclareStream("net.drop:"+from+"->"+to, trace.TaintEnv),
+	i, j := n.MustNode(from).index, n.MustNode(to).index
+	if i == j {
+		panic("simnet: " + op + "(" + from + ", " + to + "): no link from a node to itself")
 	}
-	n.links[key] = l
-	return l
+	return &n.links[i*len(n.names)+j]
 }
 
-// Build pre-creates all point-to-point links between registered nodes.
-// Call it after AddNode calls and before Run, so that VM object allocation
-// does not depend on message order.
+// Build creates the links between every ordered pair of registered nodes,
+// in (from, to) name order, which fixes their object IDs. Call it after
+// the AddNode calls and before Run; a second call does nothing.
 func (n *Network) Build() {
-	names := make([]string, 0, len(n.nodes))
-	for name := range n.nodes {
-		names = append(names, name)
+	if n.built {
+		return
 	}
-	sort.Strings(names)
-	if want := len(names) * (len(names) - 1); len(n.links) < want {
-		links := make(map[linkKey]*link, want)
-		maps.Copy(links, n.links)
-		n.links = links
+	n.built = true
+	n.names = slices.Sorted(maps.Keys(n.nodes))
+	k := len(n.names)
+	for i, name := range n.names {
+		n.nodes[name].index = i
 	}
-	for _, from := range names {
-		for _, to := range names {
-			if from != to {
-				n.getLink(from, to)
+	n.links = make([]link, k*k)
+	for i, from := range n.names {
+		for j, to := range n.names {
+			if i == j {
+				continue
+			}
+			n.links[i*k+j] = link{
+				cfg:    n.opts.DefaultLink,
+				ch:     n.m.NewChan("link:"+from+"->"+to, n.opts.InboxCapacity),
+				dst:    n.nodes[to].Inbox,
+				latIn:  n.m.DeclareStream("net.lat:"+from+"->"+to, trace.TaintEnv),
+				dropIn: n.m.DeclareStream("net.drop:"+from+"->"+to, trace.TaintEnv),
 			}
 		}
 	}
@@ -161,24 +165,23 @@ func (n *Network) Build() {
 // the pumps' thread IDs. Call from the main thread after Build. Pumps are
 // daemons: they do not keep the machine alive.
 func (n *Network) Start(t *vm.Thread) {
-	links := make([]*link, 0, len(n.links))
-	for _, l := range n.links {
-		links = append(links, l)
-	}
-	slices.SortFunc(links, func(a, b *link) int {
-		return cmp.Or(cmp.Compare(a.from, b.from), cmp.Compare(a.to, b.to))
-	})
-	for _, l := range links {
-		t.SpawnDaemon(n.sPumpSend, "pump:"+l.from+">"+l.to, func(t *vm.Thread) {
-			n.pump(t, l)
-		})
+	k := len(n.names)
+	for i, from := range n.names {
+		for j, to := range n.names {
+			if i == j {
+				continue
+			}
+			l := &n.links[i*k+j]
+			t.SpawnDaemon(n.sPumpSend, "pump:"+from+">"+to, func(t *vm.Thread) {
+				n.pump(t, l)
+			})
+		}
 	}
 }
 
 // pump moves messages across one link, applying drop and latency drawn
 // from the link's environment streams.
 func (n *Network) pump(t *vm.Thread, l *link) {
-	dst := n.MustNode(l.to).Inbox
 	for {
 		v := t.Recv(n.sPumpRecv, l.ch)
 		if l.cfg.DropPercent > 0 {
@@ -199,7 +202,7 @@ func (n *Network) pump(t *vm.Thread, l *link) {
 		if delay > 0 {
 			t.Sleep(n.sPumpLat, delay)
 		}
-		t.Send(n.sPumpSend, dst, v)
+		t.Send(n.sPumpSend, l.dst, v)
 		n.delivered++
 	}
 }
@@ -211,8 +214,7 @@ func (n *Network) Send(t *vm.Thread, site trace.SiteID, from, to string, msg Mes
 	if site == trace.NoSite {
 		site = n.sSend
 	}
-	l := n.getLink(from, to)
-	t.Send(site, l.ch, msg.Encode())
+	t.Send(site, n.link("Send", from, to).ch, msg.Encode())
 }
 
 // Recv blocks on the node's inbox and decodes the next message.

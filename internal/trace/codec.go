@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"maps"
+	"math"
 	"slices"
 
 	"debugdet/internal/wire"
@@ -206,7 +207,7 @@ func ReadEvents(r *wire.Reader) ([]Event, int64) {
 			r.Failf("bad event kind %d", e.Kind)
 		}
 		e.Site = SiteID(r.Uvarint())
-		e.Obj = ObjID(r.Uvarint())
+		e.Obj = ReadObjID(r)
 		e.Taint = Taint(r.Byte())
 		e.Val = ReadValue(r)
 		if r.Err() != nil {
@@ -214,6 +215,18 @@ func ReadEvents(r *wire.Reader) ([]Event, int64) {
 		}
 	}
 	return events, r.Offset() - start
+}
+
+// ReadObjID reads an object ID written as a uvarint. An ID wider than 32
+// bits names no object any machine can have: it fails the reader rather
+// than being truncated to one that exists.
+func ReadObjID(r *wire.Reader) ObjID {
+	v := r.Uvarint()
+	if v > math.MaxUint32 {
+		r.Failf("object %d out of range", v)
+		return 0
+	}
+	return ObjID(v)
 }
 
 // EncodedSize returns the size in bytes Encode would produce, without

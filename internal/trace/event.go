@@ -27,8 +27,10 @@ const NoSite SiteID = 0
 
 // ObjID identifies a dynamic object: a memory cell, mutex, channel or
 // input/output stream, depending on the event kind. Object namespaces are
-// independent per kind.
-type ObjID uint64
+// independent per kind. Every ID is a dense index into its machine's table
+// for the kind (a spawn's child thread ID is a non-negative int32), so 32
+// bits hold them all; decoders reject a wider one (ReadObjID).
+type ObjID uint32
 
 // EventKind enumerates the observable operation classes of the VM.
 type EventKind uint8
@@ -149,8 +151,8 @@ func (t Taint) String() string {
 type Event struct {
 	Seq   uint64    // position in the global total order, starting at 0
 	Time  uint64    // virtual time (cycles) at which the op completed
-	Obj   ObjID     // object acted on (see kind docs)
 	Val   Value     // payload (see kind docs)
+	Obj   ObjID     // object acted on (see kind docs)
 	TID   ThreadID  // thread that performed the op
 	Site  SiteID    // static program location, NoSite for machine events
 	Kind  EventKind // operation class

@@ -39,7 +39,7 @@ func extremeEvents() []trace.Event {
 				TID:   tid,
 				Kind:  trace.EvStore,
 				Site:  trace.SiteID(math.MaxUint32 >> (4 * (j % 9))),
-				Obj:   trace.ObjID(math.MaxUint64 >> (7 * (i % 10))),
+				Obj:   trace.ObjID(math.MaxUint32 >> (7 * (i % 5))),
 				Taint: trace.TaintData,
 				Val:   v,
 			})

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -311,6 +312,31 @@ func TestDecodeBoundsReservationByInput(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsWideObjID: an object ID is 32 bits wide. Written as a
+// raw uvarint of 2^32 or more it makes the log corrupt, never an event
+// naming a truncated object.
+func TestDecodeRejectsWideObjID(t *testing.T) {
+	l := NewLog(Header{Scenario: "x"})
+	l.Append(Event{Kind: EvInput, Obj: math.MaxUint32, Val: Int(1)})
+	var buf bytes.Buffer
+	if _, err := Encode(&buf, l); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Decode(bytes.NewReader(buf.Bytes())); err != nil || got.Events[0].Obj != math.MaxUint32 {
+		t.Fatalf("object 2^32-1 did not round-trip: %v, %v", err, got)
+	}
+	widest := binary.AppendUvarint(nil, math.MaxUint32)
+	if n := bytes.Count(buf.Bytes(), widest); n != 1 {
+		t.Fatalf("the log holds the uvarint of 2^32-1 %d times, want once", n)
+	}
+	for _, obj := range []uint64{1 << 32, 1 << 40, math.MaxUint64} {
+		data := bytes.Replace(buf.Bytes(), widest, binary.AppendUvarint(nil, obj), 1)
+		if _, err := Decode(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("object %d: error %v, want ErrCorrupt", obj, err)
+		}
+	}
+}
+
 // TestDecodeReservesHonestCountExactly: an honest log's events land in one
 // allocation of exactly their number, from a sized reader; from an unsized
 // one they still all arrive.
@@ -355,7 +381,7 @@ func perWord(w64, w32 uintptr) uintptr {
 // carries no padding (see Event), and every trace and full recording holds
 // one per event.
 func TestEventLayout(t *testing.T) {
-	if got, want := unsafe.Sizeof(Event{}), perWord(72, 56); got != want {
+	if got, want := unsafe.Sizeof(Event{}), perWord(64, 52); got != want {
 		t.Fatalf("sizeof(Event) = %d, want %d: reorder the fields so a new one packs", got, want)
 	}
 }

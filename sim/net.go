@@ -24,8 +24,9 @@ type Node = simnet.Node
 // Message is the wire format of the simulated network.
 type Message = simnet.Message
 
-// NewNetwork builds a network on the machine. Add nodes and links, then
-// Build before the machine runs and Start from the main thread.
+// NewNetwork builds a network on the machine. Add the nodes, Build the
+// links between them and configure any with SetLink, all before the
+// machine runs; then Start from the main thread.
 func NewNetwork(m *Machine, opts NetworkOptions) *Network { return simnet.New(m, opts) }
 
 // DecodeMessage decodes a message from its encoded Value form.
