@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"debugdet/internal/flightrec"
@@ -32,33 +33,39 @@ func wideStream(t *testing.T, kind trace.EventKind, obj uint64) []byte {
 // TestHostileFeedLog: a feed log or manifest that names a stream, a thread
 // or an entry count the run cannot have had is reported as corrupt by the
 // first seek that needs the feed log — no panic, and nothing reserved on
-// the file's word: under 1 MB allocated by the whole failed seek. (Before
-// the checks, a stream ID ≥ 2^63 went negative through int() and panicked
-// at the index, and a 10-byte log naming thread 2^24 allocated 16 M empty
-// feeds — 3 GB — and succeeded.)
+// the file's word: under 1 MB allocated by the whole failed seek. A stream
+// ID of 2^32 or more, which no ObjID holds, is refused as it is decoded.
+// (Before the checks, a stream ID ≥ 2^63 went negative through int() and
+// panicked at the index, and a 10-byte log naming thread 2^24 allocated
+// 16 M empty feeds — 3 GB — and succeeded.)
 func TestHostileFeedLog(t *testing.T) {
 	s := workload.Bank()
 	spawn := trace.Event{TID: 0, Kind: trace.EvSpawn, Obj: 1}
 	header := flightrec.FeedLogBytes(nil)
+	// entries makes the manifest declare the n entries a hand-made log
+	// holds, so that the seek reads them rather than refusing the count.
+	entries := func(n uint64) func(uint64) uint64 { return func(uint64) uint64 { return n } }
 	cases := []struct {
 		name string
 		log  []byte // nil keeps the recorded feed log
 		// count, when set, gives the entry count the manifest is made to
 		// declare, from the feed log's size in bytes.
 		count func(logBytes uint64) uint64
+		// want, when set, is what the error must say.
+		want string
 	}{
-		{"output to stream 2^32-1", flightrec.FeedLogBytes([]trace.Event{{Kind: trace.EvOutput, Obj: math.MaxUint32, Val: trace.Int(1)}}), nil},
-		{"input from stream 2^32", wideStream(t, trace.EvInput, 1<<32), nil},
-		{"input from stream 2^63", wideStream(t, trace.EvInput, 1<<63), nil},
-		{"output to stream 2^64-1", wideStream(t, trace.EvOutput, math.MaxUint64), nil},
-		{"thread 2^24", flightrec.FeedLogBytes([]trace.Event{{TID: 1 << 24, Kind: trace.EvYield}}), nil},
-		{"thread 2^31-1", flightrec.FeedLogBytes([]trace.Event{{TID: math.MaxInt32, Kind: trace.EvYield}}), nil},
-		{"thread 2^31", append(binary.AppendVarint(header[:len(header):len(header)], 1<<31), byte(trace.EvYield)), nil},
-		{"thread -2^40", append(binary.AppendVarint(header[:len(header):len(header)], -(1<<40)), byte(trace.EvYield)), nil},
-		{"thread 1 before any spawn", flightrec.FeedLogBytes([]trace.Event{{TID: 1, Kind: trace.EvYield}}), nil},
-		{"thread 2 after one spawn", flightrec.FeedLogBytes([]trace.Event{spawn, {TID: 1, Kind: trace.EvYield}, {TID: 2, Kind: trace.EvYield}}), nil},
-		{"manifest counts more entries than the log has bytes", nil, func(uint64) uint64 { return 1 << 40 }},
-		{"manifest counts one entry per byte", nil, func(n uint64) uint64 { return n }},
+		{"output to stream 2^32-1", flightrec.FeedLogBytes([]trace.Event{{Kind: trace.EvOutput, Obj: math.MaxUint32, Val: trace.Int(1)}}), entries(1), ""},
+		{"input from stream 2^32", wideStream(t, trace.EvInput, 1<<32), entries(1), "object 4294967296 out of range"},
+		{"input from stream 2^63", wideStream(t, trace.EvInput, 1<<63), entries(1), "object 9223372036854775808 out of range"},
+		{"output to stream 2^64-1", wideStream(t, trace.EvOutput, math.MaxUint64), entries(1), "object 18446744073709551615 out of range"},
+		{"thread 2^24", flightrec.FeedLogBytes([]trace.Event{{TID: 1 << 24, Kind: trace.EvYield}}), entries(1), ""},
+		{"thread 2^31-1", flightrec.FeedLogBytes([]trace.Event{{TID: math.MaxInt32, Kind: trace.EvYield}}), entries(1), ""},
+		{"thread 2^31", append(binary.AppendVarint(header[:len(header):len(header)], 1<<31), byte(trace.EvYield)), entries(1), ""},
+		{"thread -2^40", append(binary.AppendVarint(header[:len(header):len(header)], -(1<<40)), byte(trace.EvYield)), entries(1), ""},
+		{"thread 1 before any spawn", flightrec.FeedLogBytes([]trace.Event{{TID: 1, Kind: trace.EvYield}}), entries(1), ""},
+		{"thread 2 after one spawn", flightrec.FeedLogBytes([]trace.Event{spawn, {TID: 1, Kind: trace.EvYield}, {TID: 2, Kind: trace.EvYield}}), entries(3), ""},
+		{"manifest counts more entries than the log has bytes", nil, func(uint64) uint64 { return 1 << 40 }, ""},
+		{"manifest counts one entry per byte", nil, func(n uint64) uint64 { return n }, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -90,8 +97,8 @@ func TestHostileFeedLog(t *testing.T) {
 			}
 			_, err = replay.Seek(s, st, target, replay.Options{})
 			runtime.ReadMemStats(&after)
-			if !errors.Is(err, flightrec.ErrCorrupt) {
-				t.Fatalf("seek: err = %v, want ErrCorrupt", err)
+			if !errors.Is(err, flightrec.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("seek: err = %v, want ErrCorrupt saying %q", err, tc.want)
 			}
 			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
 				t.Fatalf("failed seek allocated %d bytes", alloc)

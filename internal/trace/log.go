@@ -156,7 +156,7 @@ func Reserve(events []Event, n int) []Event {
 	return grown
 }
 
-// maxPresize caps Presize: 64 Ki events, 4.5 MiB of 72-byte events. It is
+// maxPresize caps Presize: 64 Ki events, 4 MiB of 64-byte events. It is
 // far above every corpus run, and a run longer than the cap grows from it.
 const maxPresize = 64 << 10
 
