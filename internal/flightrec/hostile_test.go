@@ -112,6 +112,28 @@ func TestHostileFeedLog(t *testing.T) {
 	}
 }
 
+// TestSegmentRejectsWideSite: a .ddseg event whose site is written as a
+// raw uvarint of 2^32 or more makes the segment corrupt; it used to decode
+// as the site 2^32 below it.
+func TestSegmentRejectsWideSite(t *testing.T) {
+	var buf bytes.Buffer
+	seg := &flightrec.Segment{SegmentInfo: flightrec.SegmentInfo{From: 0, To: 1}, Events: []trace.Event{{Kind: trace.EvYield, Site: math.MaxUint32}}}
+	if _, err := flightrec.EncodeSegment(&buf, seg); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := flightrec.DecodeSegment(bytes.NewReader(buf.Bytes())); err != nil || got.Events[0].Site != math.MaxUint32 {
+		t.Fatalf("site 2^32-1 did not round-trip: %v", err)
+	}
+	widest := binary.AppendUvarint(nil, math.MaxUint32)
+	if n := bytes.Count(buf.Bytes(), widest); n != 1 {
+		t.Fatalf("the segment holds the uvarint of 2^32-1 %d times, want once", n)
+	}
+	data := bytes.Replace(buf.Bytes(), widest, binary.AppendUvarint(nil, 1<<32+5), 1)
+	if _, err := flightrec.DecodeSegment(bytes.NewReader(data)); !errors.Is(err, flightrec.ErrCorrupt) || !strings.Contains(err.Error(), "site 4294967301 out of range") {
+		t.Fatalf("site 2^32+5: error %v, want ErrCorrupt saying so", err)
+	}
+}
+
 // tamperSegment rewrites the boundary snapshot of the spill directory's
 // segment si through tamper.
 func tamperSegment(t *testing.T, dir string, si flightrec.SegmentInfo, tamper func(*vm.Snapshot)) {

@@ -45,25 +45,54 @@ type link struct {
 	dropIn trace.ObjID // input stream for drop decisions
 }
 
+// linkName names one link's objects: its channel, its latency and drop
+// streams and its pump thread. run is the pump's body, made by the first
+// Start that uses the entry.
+type linkName struct {
+	ch, lat, drop, pump string
+	run                 func(*vm.Thread)
+}
+
+// reuse is what a network on a recycled machine takes from the network the
+// machine's previous run built, and hands on to the next run's.
+type reuse struct {
+	// prev is the previous run's network, until Build; net is the network
+	// that last built, whose links the pump bodies in names move.
+	prev, net *Network
+	// names, laid out as the links of net, names each link's objects; the
+	// unused diagonal entry of node i holds its inbox name in ch.
+	names []linkName
+}
+
 // Network is a virtual network bound to one machine. Add the nodes, then
 // Build the links before Run; call Start from the program's main thread
 // to launch the pump daemons.
+//
+// Build keeps the network on its machine (vm.Keep). The first network
+// made on the machine recycled from that run adopts its nodes and, when the
+// two have the same nodes, its link array and object names, so a search's
+// candidates lay their mesh out once per machine.
 type Network struct {
 	m     *vm.Machine
 	opts  Options
 	nodes map[string]*Node
-	built bool
 	// names lists the nodes in name order and links holds the link from
 	// names[i] to names[j] at i*len(names)+j (the diagonal is unused); Build
 	// sets both.
 	names []string
 	links []link
+	// reuse is set on a recycled machine whose previous run built a
+	// network; its names are this network's once Build has run. A network
+	// on a fresh machine concatenates its object names instead. (One
+	// pointer, so a network on a fresh machine is no larger than before.)
+	reuse *reuse
 
 	sPumpRecv trace.SiteID
 	sPumpSend trace.SiteID
 	sPumpLat  trace.SiteID
 	sPumpDrop trace.SiteID
 	sSend     trace.SiteID
+	built     bool
 
 	delivered uint64
 	dropped   uint64
@@ -74,7 +103,7 @@ func New(m *vm.Machine, opts Options) *Network {
 	if opts.InboxCapacity == 0 {
 		opts.InboxCapacity = 64
 	}
-	return &Network{
+	n := &Network{
 		m:         m,
 		opts:      opts,
 		nodes:     make(map[string]*Node),
@@ -84,6 +113,14 @@ func New(m *vm.Machine, opts Options) *Network {
 		sPumpDrop: m.Site("simnet.pump.drop"),
 		sSend:     m.Site("simnet.send"),
 	}
+	if p, _ := vm.TakeKept(m).(*Network); p != nil {
+		n.reuse, p.reuse = p.reuse, nil
+		if n.reuse == nil {
+			n.reuse = new(reuse)
+		}
+		n.reuse.prev = p
+	}
+	return n
 }
 
 // AddNode registers a node and returns it. Node registration order must be
@@ -96,10 +133,21 @@ func (n *Network) AddNode(name string) *Node {
 	if _, ok := n.nodes[name]; ok {
 		panic("simnet: duplicate node " + name)
 	}
-	node := &Node{
-		Name:  name,
-		Inbox: n.m.NewChan("inbox:"+name, n.opts.InboxCapacity),
+	var node *Node
+	inbox := ""
+	if r := n.reuse; r != nil {
+		// The previous run's node of that name is dead: rewrite it.
+		if node = r.prev.nodes[name]; node != nil && r.names != nil {
+			inbox = r.names[node.index*(len(r.prev.names)+1)].ch
+		}
 	}
+	if node == nil {
+		node = new(Node)
+	}
+	if inbox == "" {
+		inbox = "inbox:" + name
+	}
+	*node = Node{Name: name, Inbox: n.m.NewChan(inbox, n.opts.InboxCapacity)}
 	n.nodes[name] = node
 	return node
 }
@@ -133,32 +181,94 @@ func (n *Network) link(op, from, to string) *link {
 
 // Build creates the links between every ordered pair of registered nodes,
 // in (from, to) name order, which fixes their object IDs. Call it after
-// the AddNode calls and before Run; a second call does nothing.
+// the AddNode calls and before Run; a second call does nothing. On a
+// recycled machine whose previous network had the same nodes it rewrites
+// that network's links in place, every one back to the default
+// configuration.
 func (n *Network) Build() {
 	if n.built {
 		return
 	}
 	n.built = true
-	n.names = slices.Sorted(maps.Keys(n.nodes))
+	vm.Keep(n.m, n)
+	var p *Network
+	if r := n.reuse; r != nil {
+		p, r.prev = r.prev, nil
+	}
+	adopt := p != nil && p.hasNodes(n.nodes)
+	if adopt {
+		n.names, n.links = p.names, p.links
+	} else {
+		n.names = slices.Sorted(maps.Keys(n.nodes))
+		n.links = make([]link, len(n.names)*len(n.names))
+	}
+	if p != nil {
+		if !adopt || n.reuse.names == nil {
+			n.reuse.names = meshNames(n.names)
+		}
+		n.reuse.net = n
+	}
 	k := len(n.names)
 	for i, name := range n.names {
 		n.nodes[name].index = i
 	}
-	n.links = make([]link, k*k)
+	vm.ReserveStreams(n.m, 2*k*(k-1))
 	for i, from := range n.names {
 		for j, to := range n.names {
 			if i == j {
 				continue
 			}
+			var ch, lat, drop string
+			if n.reuse != nil {
+				ln := &n.reuse.names[i*k+j]
+				ch, lat, drop = ln.ch, ln.lat, ln.drop
+			} else {
+				ch, lat, drop = "link:"+from+"->"+to, "net.lat:"+from+"->"+to, "net.drop:"+from+"->"+to
+			}
 			n.links[i*k+j] = link{
 				cfg:    n.opts.DefaultLink,
-				ch:     n.m.NewChan("link:"+from+"->"+to, n.opts.InboxCapacity),
+				ch:     n.m.NewChan(ch, n.opts.InboxCapacity),
 				dst:    n.nodes[to].Inbox,
-				latIn:  n.m.DeclareStream("net.lat:"+from+"->"+to, trace.TaintEnv),
-				dropIn: n.m.DeclareStream("net.drop:"+from+"->"+to, trace.TaintEnv),
+				latIn:  n.m.DeclareStream(lat, trace.TaintEnv),
+				dropIn: n.m.DeclareStream(drop, trace.TaintEnv),
 			}
 		}
 	}
+}
+
+// hasNodes reports whether the network's nodes are exactly those of nodes.
+func (n *Network) hasNodes(nodes map[string]*Node) bool {
+	if len(n.names) != len(nodes) {
+		return false
+	}
+	for _, name := range n.names {
+		if _, ok := nodes[name]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// meshNames names the objects of the nodes names, in name order, laid out
+// as Network.links and reuse.names.
+func meshNames(names []string) []linkName {
+	k := len(names)
+	out := make([]linkName, k*k)
+	for i, from := range names {
+		for j, to := range names {
+			if i == j {
+				out[i*k+j].ch = "inbox:" + from
+				continue
+			}
+			out[i*k+j] = linkName{
+				ch:   "link:" + from + "->" + to,
+				lat:  "net.lat:" + from + "->" + to,
+				drop: "net.drop:" + from + "->" + to,
+				pump: "pump:" + from + ">" + to,
+			}
+		}
+	}
+	return out
 }
 
 // Start launches one pump daemon per link, in (from, to) order, which fixes
@@ -169,6 +279,15 @@ func (n *Network) Start(t *vm.Thread) {
 	for i, from := range n.names {
 		for j, to := range n.names {
 			if i == j {
+				continue
+			}
+			if r := n.reuse; r != nil {
+				ln := &r.names[i*k+j]
+				if ln.run == nil {
+					at := i*k + j
+					ln.run = func(t *vm.Thread) { r.net.pump(t, &r.net.links[at]) }
+				}
+				t.SpawnDaemon(n.sPumpSend, ln.pump, ln.run)
 				continue
 			}
 			l := &n.links[i*k+j]

@@ -129,3 +129,50 @@ func TestRecycledMeshMatchesFresh(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycledMeshAllocatesNoPerLink: a run built into a machine whose
+// previous run built a network with the same nodes allocates as many times
+// for six nodes (30 links) as for three (6 links): New, AddNode and Build
+// adopt the nodes, links and names, and the rest of the run does not
+// depend on the mesh. The adopted link array is the previous network's;
+// a second network of the same run gets its own.
+func TestRecycledMeshAllocatesNoPerLink(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	allocs := map[int]float64{}
+	for _, k := range []int{3, 6} {
+		nodes := []string{"f", "e", "d", "c", "b", "a"}[:k]
+		var nets []*Network
+		count := 1
+		s := &scenario.Scenario{Name: "mesh", Build: func(m *vm.Machine, _ scenario.Params) func(*vm.Thread) {
+			nets = nets[:0]
+			for range count {
+				net := New(m, Options{})
+				for _, name := range nodes {
+					net.AddNode(name)
+				}
+				net.Build()
+				nets = append(nets, net)
+			}
+			return func(*vm.Thread) {}
+		}}
+		v := scenario.ExecInto(s, meshOptions, nil, nil)
+		prev := nets[0]
+		v = scenario.ExecInto(s, meshOptions, v, nil)
+		if &nets[0].links[1] != &prev.links[1] {
+			t.Fatalf("%d nodes: the recycled network did not adopt its predecessor's links", k)
+		}
+		count = 2
+		prev = nets[0]
+		v = scenario.ExecInto(s, meshOptions, v, nil)
+		if &nets[0].links[1] != &prev.links[1] || &nets[1].links[1] == &prev.links[1] {
+			t.Fatalf("%d nodes: of two networks in one run, the first must adopt the links and the second not", k)
+		}
+		count = 1
+		allocs[k] = testing.AllocsPerRun(20, func() { v = scenario.ExecInto(s, meshOptions, v, nil) })
+	}
+	if allocs[3] != allocs[6] {
+		t.Fatalf("a run that builds a mesh on a recycled machine: %v allocations for 3 nodes, %v for 6", allocs[3], allocs[6])
+	}
+}

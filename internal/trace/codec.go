@@ -184,6 +184,10 @@ func ReadSched(r *wire.Reader) ([]ThreadID, int64) {
 	sched, start, prev := make([]ThreadID, n), r.Offset(), int64(0)
 	for i := range sched {
 		prev += r.Varint()
+		if prev < math.MinInt32 || prev > math.MaxInt32 {
+			r.Failf("schedule entry %d: thread %d out of range", i, prev)
+			return nil, 0
+		}
 		sched[i] = ThreadID(prev)
 	}
 	return sched, r.Offset() - start
@@ -191,7 +195,9 @@ func ReadSched(r *wire.Reader) ([]ThreadID, int64) {
 
 // ReadEvents reads a run written by WriteEvents into one allocation of
 // exactly its length (an event is at least eight one-byte fields), and
-// the bytes its events occupy.
+// the bytes its events occupy. A thread outside int32, or a site or object
+// of 2^32 or more, fails the reader rather than being truncated to one
+// that exists.
 func ReadEvents(r *wire.Reader) ([]Event, int64) {
 	events := make([]Event, r.Count("events", 8))
 	start := r.Offset()
@@ -201,12 +207,20 @@ func ReadEvents(r *wire.Reader) ([]Event, int64) {
 		prevSeq += r.Uvarint()
 		prevTime += r.Uvarint()
 		e.Seq, e.Time = prevSeq, prevTime
-		e.TID = ThreadID(r.Varint())
+		tid := r.Varint()
+		if tid < math.MinInt32 || tid > math.MaxInt32 {
+			r.Failf("event %d: thread %d out of range", i, tid)
+		}
+		e.TID = ThreadID(tid)
 		e.Kind = EventKind(r.Byte())
 		if !e.Kind.Valid() {
 			r.Failf("bad event kind %d", e.Kind)
 		}
-		e.Site = SiteID(r.Uvarint())
+		site := r.Uvarint()
+		if site > math.MaxUint32 {
+			r.Failf("event %d: site %d out of range", i, site)
+		}
+		e.Site = SiteID(site)
 		e.Obj = ReadObjID(r)
 		e.Taint = Taint(r.Byte())
 		e.Val = ReadValue(r)

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -333,6 +334,60 @@ func TestDecodeRejectsWideObjID(t *testing.T) {
 		data := bytes.Replace(buf.Bytes(), widest, binary.AppendUvarint(nil, obj), 1)
 		if _, err := Decode(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("object %d: error %v, want ErrCorrupt", obj, err)
+		}
+	}
+}
+
+// TestDecodeRejectsWideThreadAndSite: an event's thread is an int32 and
+// its site 32 bits wide. Written as raw varints outside those ranges they
+// make the log corrupt, never an event naming a truncated thread or site
+// (site 2^32+5 used to decode as site 5). The same holds for a schedule
+// entry's thread.
+func TestDecodeRejectsWideThreadAndSite(t *testing.T) {
+	l := NewLog(Header{Scenario: "x"})
+	l.Append(Event{TID: math.MaxInt32, Kind: EvYield, Site: math.MaxUint32})
+	var buf bytes.Buffer
+	if _, err := Encode(&buf, l); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Decode(bytes.NewReader(buf.Bytes())); err != nil || got.Events[0].TID != math.MaxInt32 || got.Events[0].Site != math.MaxUint32 {
+		t.Fatalf("thread 2^31-1 and site 2^32-1 did not round-trip: %v, %v", err, got)
+	}
+	thread, site := binary.AppendVarint(nil, math.MaxInt32), binary.AppendUvarint(nil, math.MaxUint32)
+	for _, field := range [][]byte{thread, site} {
+		if n := bytes.Count(buf.Bytes(), field); n != 1 {
+			t.Fatalf("the log holds % x %d times, want once", field, n)
+		}
+	}
+	for _, row := range []struct {
+		name     string
+		old, raw []byte
+		want     string
+	}{
+		{"site 2^32", site, binary.AppendUvarint(nil, 1<<32), "event 0: site 4294967296 out of range"},
+		{"site 2^32+5", site, binary.AppendUvarint(nil, 1<<32+5), "event 0: site 4294967301 out of range"},
+		{"thread 2^31", thread, binary.AppendVarint(nil, 1<<31), "event 0: thread 2147483648 out of range"},
+		{"thread -2^31-1", thread, binary.AppendVarint(nil, -(1<<31)-1), "event 0: thread -2147483649 out of range"},
+	} {
+		data := bytes.Replace(buf.Bytes(), row.old, row.raw, 1)
+		if _, err := Decode(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), row.want) {
+			t.Errorf("%s: error %v, want ErrCorrupt saying %q", row.name, err, row.want)
+		}
+	}
+
+	var sched bytes.Buffer
+	w := wire.NewWriter(&sched)
+	WriteSched(w, []ThreadID{0, math.MaxInt32})
+	if _, err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(sched.Bytes(), thread); n != 1 {
+		t.Fatalf("the schedule holds % x %d times, want once", thread, n)
+	}
+	for _, tid := range []int64{1 << 31, -(1 << 31) - 1} {
+		r := wire.NewReader(bytes.NewReader(bytes.Replace(sched.Bytes(), thread, binary.AppendVarint(nil, tid), 1)), ErrCorrupt)
+		if got, _ := ReadSched(r); got != nil || !errors.Is(r.Err(), ErrCorrupt) {
+			t.Errorf("schedule thread %d: read %v, error %v, want ErrCorrupt", tid, got, r.Err())
 		}
 	}
 }

@@ -160,6 +160,13 @@ type Machine struct {
 	streamIDs map[string]trace.ObjID
 	diskIDs   map[string]trace.ObjID
 
+	// kept is what a run leaves for the next run built into the machine
+	// (Keep, TakeKept); Recycle carries it over. keptHere (beside finished,
+	// in padding) marks it as this run's own, which TakeKept never returns.
+	// One word pair, not two: a Machine is a 1280-byte allocation with its
+	// 8-byte malloc header, and 16 more bytes would take it to 1408.
+	kept any
+
 	threads       []*Thread
 	live          int // threads not yet done
 	liveNonDaemon int // non-daemon threads not yet done
@@ -193,6 +200,7 @@ type Machine struct {
 	stopped   bool
 	completed bool
 	finished  bool
+	keptHere  bool
 	// pauseAt makes the scheduling loop return to its driver once seq
 	// reaches it (0 = run to completion). Both the machine loop and the
 	// inline fast path honour it; see Continue.
@@ -283,6 +291,7 @@ func Recycle(dead *Machine, cfg Config, hosts *Hosts) *Machine {
 		nextWake:   noWake,
 		hosts:      hosts,
 		idle:       m.idle[:0],
+		kept:       m.kept,
 	}
 	if cfg.CollectTrace {
 		m.tr = &trace.Log{Header: trace.Header{Seed: cfg.Seed}, Sites: m.sites}
@@ -290,6 +299,25 @@ func Recycle(dead *Machine, cfg Config, hosts *Hosts) *Machine {
 		// launcher installs before the first Continue is used as it is.
 	}
 	return m
+}
+
+// Keep leaves v for the next run built into m by Recycle, in place of
+// anything m's run kept before: a package that builds the same structure
+// in every run (a simnet mesh) keeps it there, and the next run adopts its
+// arrays. A machine New or Restore returns starts with nothing kept.
+func Keep(m *Machine, v any) { m.kept, m.keptHere = v, true }
+
+// TakeKept returns what the run m was recycled from kept, and clears it,
+// so one caller of a run gets it. It returns nil on a fresh machine, to
+// every later caller, and once the run has kept something itself: a run
+// never sees its own.
+func TakeKept(m *Machine) any {
+	if m.keptHere {
+		return nil
+	}
+	v := m.kept
+	m.kept = nil
+	return v
 }
 
 // Site registers (or looks up) a static program location by name.

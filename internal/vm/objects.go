@@ -2,6 +2,8 @@ package vm
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"debugdet/internal/trace"
 )
@@ -164,6 +166,21 @@ func (m *Machine) Stream(name string) trace.ObjID {
 	m.streams = append(m.streams, st)
 	m.streamIDs[name] = id
 	return id
+}
+
+// ReserveStreams makes room in m's stream table for n more streams, so a
+// program that declares many at once (a simnet mesh) grows the table and
+// its name index once rather than one doubling at a time. It does nothing
+// when the table's capacity already holds them, as a recycled machine's or
+// a restored one's usually does.
+func ReserveStreams(m *Machine, n int) {
+	if cap(m.streams)-len(m.streams) >= n {
+		return
+	}
+	m.streams = slices.Grow(m.streams, n)
+	ids := make(map[string]trace.ObjID, len(m.streams)+n)
+	maps.Copy(ids, m.streamIDs)
+	m.streamIDs = ids
 }
 
 // DeclareStream registers a stream and sets the taint class its inputs
