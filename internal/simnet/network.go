@@ -36,32 +36,23 @@ type Node struct {
 	index int         // position in name order, set by Build
 }
 
-// link is one directed link's configuration and objects.
+// link is one directed link's configuration and objects, their names and
+// its pump. The names and run are laid out once per link array; Build
+// rewrites the rest for the network that holds the array (net).
 type link struct {
 	cfg    LinkConfig
 	ch     trace.ObjID // staging channel feeding the pump
 	dst    trace.ObjID // the receiving node's inbox
 	latIn  trace.ObjID // input stream for jitter
 	dropIn trace.ObjID // input stream for drop decisions
-}
+	net    *Network
 
-// linkName names one link's objects: its channel, its latency and drop
-// streams and its pump thread. run is the pump's body, made by the first
-// Start that uses the entry.
-type linkName struct {
-	ch, lat, drop, pump string
-	run                 func(*vm.Thread)
-}
-
-// reuse is what a network on a recycled machine takes from the network the
-// machine's previous run built, and hands on to the next run's.
-type reuse struct {
-	// prev is the previous run's network, until Build; net is the network
-	// that last built, whose links the pump bodies in names move.
-	prev, net *Network
-	// names, laid out as the links of net, names each link's objects; the
-	// unused diagonal entry of node i holds its inbox name in ch.
-	names []linkName
+	// chName, latName, dropName and pumpName name the channel, the two
+	// streams and the pump thread; node i's unused diagonal entry holds
+	// its inbox name in chName. run is the pump's body (nil on the
+	// diagonal).
+	chName, latName, dropName, pumpName string
+	run                                 func(*vm.Thread)
 }
 
 // Network is a virtual network bound to one machine. Add the nodes, then
@@ -77,15 +68,11 @@ type Network struct {
 	opts  Options
 	nodes map[string]*Node
 	// names lists the nodes in name order and links holds the link from
-	// names[i] to names[j] at i*len(names)+j (the diagonal is unused); Build
-	// sets both.
+	// names[i] to names[j] at i*len(names)+j; Build sets both.
 	names []string
 	links []link
-	// reuse is set on a recycled machine whose previous run built a
-	// network; its names are this network's once Build has run. A network
-	// on a fresh machine concatenates its object names instead. (One
-	// pointer, so a network on a fresh machine is no larger than before.)
-	reuse *reuse
+	// prev is the network the machine's previous run built, until Build.
+	prev *Network
 
 	sPumpRecv trace.SiteID
 	sPumpSend trace.SiteID
@@ -113,13 +100,7 @@ func New(m *vm.Machine, opts Options) *Network {
 		sPumpDrop: m.Site("simnet.pump.drop"),
 		sSend:     m.Site("simnet.send"),
 	}
-	if p, _ := vm.TakeKept(m).(*Network); p != nil {
-		n.reuse, p.reuse = p.reuse, nil
-		if n.reuse == nil {
-			n.reuse = new(reuse)
-		}
-		n.reuse.prev = p
-	}
+	n.prev, _ = vm.TakeKept(m).(*Network)
 	return n
 }
 
@@ -133,19 +114,15 @@ func (n *Network) AddNode(name string) *Node {
 	if _, ok := n.nodes[name]; ok {
 		panic("simnet: duplicate node " + name)
 	}
+	// The previous run's node of that name is dead: rewrite it, under the
+	// inbox name its links' diagonal holds.
 	var node *Node
-	inbox := ""
-	if r := n.reuse; r != nil {
-		// The previous run's node of that name is dead: rewrite it.
-		if node = r.prev.nodes[name]; node != nil && r.names != nil {
-			inbox = r.names[node.index*(len(r.prev.names)+1)].ch
-		}
-	}
-	if node == nil {
-		node = new(Node)
-	}
-	if inbox == "" {
-		inbox = "inbox:" + name
+	var inbox string
+	if p := n.prev; p != nil && p.nodes[name] != nil {
+		node = p.nodes[name]
+		inbox = p.links[node.index*(len(p.names)+1)].chName
+	} else {
+		node, inbox = new(Node), "inbox:"+name
 	}
 	*node = Node{Name: name, Inbox: n.m.NewChan(inbox, n.opts.InboxCapacity)}
 	n.nodes[name] = node
@@ -191,49 +168,50 @@ func (n *Network) Build() {
 	}
 	n.built = true
 	vm.Keep(n.m, n)
-	var p *Network
-	if r := n.reuse; r != nil {
-		p, r.prev = r.prev, nil
-	}
-	adopt := p != nil && p.hasNodes(n.nodes)
-	if adopt {
+	if p := n.prev; p != nil && p.hasNodes(n.nodes) {
 		n.names, n.links = p.names, p.links
 	} else {
 		n.names = slices.Sorted(maps.Keys(n.nodes))
-		n.links = make([]link, len(n.names)*len(n.names))
+		n.links = n.layout()
 	}
-	if p != nil {
-		if !adopt || n.reuse.names == nil {
-			n.reuse.names = meshNames(n.names)
-		}
-		n.reuse.net = n
-	}
+	n.prev = nil
 	k := len(n.names)
 	for i, name := range n.names {
 		n.nodes[name].index = i
 	}
-	vm.ReserveStreams(n.m, 2*k*(k-1))
-	for i, from := range n.names {
+	vm.Reserve(n.m, k*(k-1), 2*k*(k-1))
+	for i := range n.names {
 		for j, to := range n.names {
 			if i == j {
 				continue
 			}
-			var ch, lat, drop string
-			if n.reuse != nil {
-				ln := &n.reuse.names[i*k+j]
-				ch, lat, drop = ln.ch, ln.lat, ln.drop
-			} else {
-				ch, lat, drop = "link:"+from+"->"+to, "net.lat:"+from+"->"+to, "net.drop:"+from+"->"+to
-			}
-			n.links[i*k+j] = link{
-				cfg:    n.opts.DefaultLink,
-				ch:     n.m.NewChan(ch, n.opts.InboxCapacity),
-				dst:    n.nodes[to].Inbox,
-				latIn:  n.m.DeclareStream(lat, trace.TaintEnv),
-				dropIn: n.m.DeclareStream(drop, trace.TaintEnv),
-			}
+			l := &n.links[i*k+j]
+			l.cfg, l.dst, l.net = n.opts.DefaultLink, n.nodes[to].Inbox, n
+			l.ch = n.m.NewChan(l.chName, n.opts.InboxCapacity)
+			l.latIn = n.m.DeclareStream(l.latName, trace.TaintEnv)
+			l.dropIn = n.m.DeclareStream(l.dropName, trace.TaintEnv)
 		}
 	}
+}
+
+// layout returns a link array for the nodes n.names, with every link's
+// names and pump body.
+func (n *Network) layout() []link {
+	k := len(n.names)
+	links := make([]link, k*k)
+	for i, from := range n.names {
+		for j, to := range n.names {
+			l := &links[i*k+j]
+			if i == j {
+				l.chName = n.m.ChanName(n.nodes[from].Inbox)
+				continue
+			}
+			l.chName, l.latName = "link:"+from+"->"+to, "net.lat:"+from+"->"+to
+			l.dropName, l.pumpName = "net.drop:"+from+"->"+to, "pump:"+from+">"+to
+			l.run = func(t *vm.Thread) { l.net.pump(t, l) }
+		}
+	}
+	return links
 }
 
 // hasNodes reports whether the network's nodes are exactly those of nodes.
@@ -249,51 +227,13 @@ func (n *Network) hasNodes(nodes map[string]*Node) bool {
 	return true
 }
 
-// meshNames names the objects of the nodes names, in name order, laid out
-// as Network.links and reuse.names.
-func meshNames(names []string) []linkName {
-	k := len(names)
-	out := make([]linkName, k*k)
-	for i, from := range names {
-		for j, to := range names {
-			if i == j {
-				out[i*k+j].ch = "inbox:" + from
-				continue
-			}
-			out[i*k+j] = linkName{
-				ch:   "link:" + from + "->" + to,
-				lat:  "net.lat:" + from + "->" + to,
-				drop: "net.drop:" + from + "->" + to,
-				pump: "pump:" + from + ">" + to,
-			}
-		}
-	}
-	return out
-}
-
 // Start launches one pump daemon per link, in (from, to) order, which fixes
 // the pumps' thread IDs. Call from the main thread after Build. Pumps are
 // daemons: they do not keep the machine alive.
 func (n *Network) Start(t *vm.Thread) {
-	k := len(n.names)
-	for i, from := range n.names {
-		for j, to := range n.names {
-			if i == j {
-				continue
-			}
-			if r := n.reuse; r != nil {
-				ln := &r.names[i*k+j]
-				if ln.run == nil {
-					at := i*k + j
-					ln.run = func(t *vm.Thread) { r.net.pump(t, &r.net.links[at]) }
-				}
-				t.SpawnDaemon(n.sPumpSend, ln.pump, ln.run)
-				continue
-			}
-			l := &n.links[i*k+j]
-			t.SpawnDaemon(n.sPumpSend, "pump:"+from+">"+to, func(t *vm.Thread) {
-				n.pump(t, l)
-			})
+	for i := range n.links {
+		if l := &n.links[i]; l.run != nil {
+			t.SpawnDaemon(n.sPumpSend, l.pumpName, l.run)
 		}
 	}
 }

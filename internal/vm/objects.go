@@ -168,17 +168,20 @@ func (m *Machine) Stream(name string) trace.ObjID {
 	return id
 }
 
-// ReserveStreams makes room in m's stream table for n more streams, so a
-// program that declares many at once (a simnet mesh) grows the table and
-// its name index once rather than one doubling at a time. It does nothing
-// when the table's capacity already holds them, as a recycled machine's or
-// a restored one's usually does.
-func ReserveStreams(m *Machine, n int) {
-	if cap(m.streams)-len(m.streams) >= n {
+// Reserve makes room in m's tables for chans more channels and streams
+// more streams, so a program that declares many at once (a simnet mesh)
+// grows each table, and the stream name index, once rather than one
+// doubling at a time. It does nothing to a table whose capacity already
+// holds them, as a recycled machine's or a restored one's usually does.
+func Reserve(m *Machine, chans, streams int) {
+	if cap(m.chans)-len(m.chans) < chans {
+		m.chans = slices.Grow(m.chans, chans)
+	}
+	if cap(m.streams)-len(m.streams) >= streams {
 		return
 	}
-	m.streams = slices.Grow(m.streams, n)
-	ids := make(map[string]trace.ObjID, len(m.streams)+n)
+	m.streams = slices.Grow(m.streams, streams)
+	ids := make(map[string]trace.ObjID, len(m.streams)+streams)
 	maps.Copy(ids, m.streamIDs)
 	m.streamIDs = ids
 }
