@@ -220,8 +220,8 @@ func readSnapshot(r *wire.Reader, prev *vm.Snapshot) *vm.Snapshot {
 	s.Clock = r.Uvarint()
 	s.RecordCycles = r.Uvarint()
 	s.SchedPos = r.Uvarint()
-	s.Live = int(r.Uvarint())
-	s.LiveNonDaemon = int(r.Uvarint())
+	s.Live = r.Int("live threads", false)
+	s.LiveNonDaemon = r.Int("live non-daemon threads", false)
 
 	s.Threads = make([]vm.ThreadSnap, tableCount(r, "threads", oldThreads, 6))
 	for i := range s.Threads {
@@ -245,7 +245,7 @@ func readSnapshot(r *wire.Reader, prev *vm.Snapshot) *vm.Snapshot {
 
 	s.Mutexes = make([]trace.ThreadID, r.Count("mutexes", 1))
 	for i := range s.Mutexes {
-		s.Mutexes[i] = trace.ThreadID(r.Varint())
+		s.Mutexes[i] = trace.ThreadID(r.Int("mutex owner", true))
 	}
 
 	s.Chans = make([]vm.ChanSnap, r.Count("chans", 1))
@@ -262,15 +262,15 @@ func readSnapshot(r *wire.Reader, prev *vm.Snapshot) *vm.Snapshot {
 		} else {
 			s.Streams[i].Name = r.String()
 		}
-		s.Streams[i].InIndex = int(r.Uvarint())
+		s.Streams[i].InIndex = r.Int("stream input cursor", false)
 	}
 
 	s.Disks = make([]vm.DiskSnap, r.Count("disks", 3))
 	for i := range s.Disks {
 		d := &s.Disks[i]
 		d.Recs = readSlots(r, "disk records")
-		d.Durable = int(r.Uvarint())
-		d.Fsyncs = int(r.Uvarint())
+		d.Durable = r.Int("durable disk records", false)
+		d.Fsyncs = r.Int("disk fsyncs", false)
 	}
 	return s
 }

@@ -65,7 +65,7 @@ func DecodeSegment(r io.Reader) (*Segment, error) {
 	rd.Magic(segMagic)
 	rd.Version(segVersion)
 	seg := &Segment{}
-	seg.Index = int(rd.Uvarint())
+	seg.Index = rd.Int("segment index", false)
 	seg.From = rd.Uvarint()
 	seg.To = rd.Uvarint()
 	snaps, _ := checkpoint.ReadSnapshots(rd)
@@ -165,7 +165,7 @@ func decodeManifest(r io.Reader) (*manifest, error) {
 	m.Segments = make([]SegmentInfo, rd.Count("segments", 5))
 	for i := range m.Segments {
 		si := &m.Segments[i]
-		si.Index = int(rd.Uvarint())
+		si.Index = rd.Int("segment index", false)
 		si.From = rd.Uvarint()
 		si.To = rd.Uvarint()
 		si.Bytes = int64(rd.Uvarint())

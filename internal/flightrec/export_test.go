@@ -50,3 +50,16 @@ func SetFeedCount(dir string, n uint64) error {
 	}
 	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
+
+// ManifestBytes encodes a manifest that lists segs and nothing else.
+func ManifestBytes(segs []SegmentInfo) []byte {
+	var buf bytes.Buffer
+	encodeManifest(&buf, &manifest{Segments: segs})
+	return buf.Bytes()
+}
+
+// DecodeManifest decodes a manifest and returns its error.
+func DecodeManifest(data []byte) error {
+	_, err := decodeManifest(bytes.NewReader(data))
+	return err
+}

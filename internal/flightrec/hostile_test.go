@@ -1,9 +1,11 @@
 package flightrec_test
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"debugdet/internal/checkpoint"
 	"debugdet/internal/flightrec"
 	"debugdet/internal/replay"
 	"debugdet/internal/trace"
@@ -131,6 +134,97 @@ func TestSegmentRejectsWideSite(t *testing.T) {
 	data := bytes.Replace(buf.Bytes(), widest, binary.AppendUvarint(nil, 1<<32+5), 1)
 	if _, err := flightrec.DecodeSegment(bytes.NewReader(data)); !errors.Is(err, flightrec.ErrCorrupt) || !strings.Contains(err.Error(), "site 4294967301 out of range") {
 		t.Fatalf("site 2^32+5: error %v, want ErrCorrupt saying so", err)
+	}
+}
+
+// TestDecodersRejectWideIntegers: every integer a decoder narrows to an int
+// or a thread ID, written as the raw varint of 2^31, 2^32 or 2^63, is
+// refused with its container's corrupt-input error naming the field, and
+// written as 2^31-1 it decodes. The fields are a snapshot's live counts,
+// mutex owners (zigzag, so 2^63 is the bit pattern of -2^63), stream input
+// cursors and disk counts, in a snapshot section and in a segment's
+// boundary snapshot, and a segment's index in its file and in the
+// manifest. (A mutex owner of 2^32 used to decode as thread 0.)
+func TestDecodersRejectWideIntegers(t *testing.T) {
+	const widest = math.MaxInt32
+	type row struct {
+		field, container string
+		signed           bool
+		data             []byte // the container with the field at widest
+		decode           func([]byte) error
+		sentinel         error
+	}
+	section := func(data []byte) error {
+		_, err := checkpoint.DecodeSnapshots(bufio.NewReader(bytes.NewReader(data)))
+		return err
+	}
+	segment := func(data []byte) error {
+		_, err := flightrec.DecodeSegment(bytes.NewReader(data))
+		return err
+	}
+	encodeSegment := func(seg *flightrec.Segment) []byte {
+		var buf bytes.Buffer
+		if _, err := flightrec.EncodeSegment(&buf, seg); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var rows []row
+	for _, f := range []struct {
+		name   string
+		signed bool
+		set    func(*vm.Snapshot)
+	}{
+		{"live threads", false, func(s *vm.Snapshot) { s.Live = widest }},
+		{"live non-daemon threads", false, func(s *vm.Snapshot) { s.LiveNonDaemon = widest }},
+		{"mutex owner", true, func(s *vm.Snapshot) { s.Mutexes[0] = widest }},
+		{"stream input cursor", false, func(s *vm.Snapshot) { s.Streams[0].InIndex = widest }},
+		{"durable disk records", false, func(s *vm.Snapshot) { s.Disks[0].Durable = widest }},
+		{"disk fsyncs", false, func(s *vm.Snapshot) { s.Disks[0].Fsyncs = widest }},
+	} {
+		snap := &vm.Snapshot{
+			Live: 1, LiveNonDaemon: 1, Threads: []vm.ThreadSnap{{Name: "main"}}, Mutexes: []trace.ThreadID{-1},
+			Streams: []vm.StreamSnap{{Name: "in"}}, Disks: []vm.DiskSnap{{}},
+		}
+		f.set(snap)
+		var buf bytes.Buffer
+		if _, err := checkpoint.EncodeSnapshots(&buf, []*vm.Snapshot{snap}); err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows,
+			row{f.name, "snapshot section", f.signed, buf.Bytes(), section, checkpoint.ErrBadSnapshot},
+			row{f.name, "segment", f.signed, encodeSegment(&flightrec.Segment{Snap: snap}), segment, flightrec.ErrCorrupt})
+	}
+	rows = append(rows,
+		row{"segment index", "segment", false, encodeSegment(&flightrec.Segment{SegmentInfo: flightrec.SegmentInfo{Index: widest}}), segment, flightrec.ErrCorrupt},
+		row{"segment index", "manifest", false, flightrec.ManifestBytes([]flightrec.SegmentInfo{{Index: widest, File: "s"}}), flightrec.DecodeManifest, flightrec.ErrCorrupt})
+
+	for _, r := range rows {
+		raw := func(v uint64) []byte {
+			if r.signed {
+				return binary.AppendVarint(nil, int64(v))
+			}
+			return binary.AppendUvarint(nil, v)
+		}
+		if n := bytes.Count(r.data, raw(widest)); n != 1 {
+			t.Fatalf("%s in a %s: the varint of 2^31-1 appears %d times, want once", r.field, r.container, n)
+		}
+		if err := r.decode(r.data); err != nil {
+			t.Fatalf("%s in a %s: 2^31-1 does not decode: %v", r.field, r.container, err)
+		}
+		for _, bit := range []int{31, 32, 63} {
+			v := uint64(1) << bit
+			t.Run(fmt.Sprintf("%s in a %s at 2^%d", r.field, r.container, bit), func(t *testing.T) {
+				want := fmt.Sprintf("%s %d out of range", r.field, v)
+				if r.signed {
+					want = fmt.Sprintf("%s %d out of range", r.field, int64(v))
+				}
+				err := r.decode(bytes.Replace(r.data, raw(widest), raw(v), 1))
+				if !errors.Is(err, r.sentinel) || !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %v, want %v saying %q", err, r.sentinel, want)
+				}
+			})
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"math/bits"
 	"strings"
 )
@@ -208,6 +209,27 @@ func (r *Reader) Varint() int64 {
 		return 0
 	}
 	return v
+}
+
+// Int reads a field stored as a uvarint, or as a zigzag varint when
+// signed, and refuses a value outside int32 (below 0 when unsigned),
+// naming the field what: the int it returns is the value written on every
+// word size, never one truncated into range.
+func (r *Reader) Int(what string, signed bool) int {
+	if signed {
+		v := r.Varint()
+		if v < math.MinInt32 || v > math.MaxInt32 {
+			r.Failf("%s %d out of range", what, v)
+			return 0
+		}
+		return int(v)
+	}
+	v := r.Uvarint()
+	if v > math.MaxInt32 {
+		r.Failf("%s %d out of range", what, v)
+		return 0
+	}
+	return int(v)
 }
 
 // Count reads an element count and refuses it unless that many elements
