@@ -25,20 +25,20 @@ type recycleRun struct {
 }
 
 // TestRecycledRunMatchesFresh pins recycled ≡ fresh: every scenario run
-// into the machine and trace array of another scenario's finished run, its
-// threads on the coroutines that run's threads left idle (ExecInto,
-// vm.Recycle), yields the trace, outputs, inputs and outcome of a run on a
-// fresh machine, site table and every channel's and stream's name and ID
-// included. Each order chains its runs through one machine, each scenario
-// twice in a row (the second run finds its own mesh): the corpus in
-// catalog order and in seeded permutations (its networked scenarios build
-// meshes of several node sets), and the generated programs of seeds 0..49,
-// whose lost-message programs build a two-node mesh, with seed-chosen link
-// and inbox settings, between programs that build none. So each table is
-// refilled after growing and after shrinking; a
-// stale channel buffer, name-map or site-table entry, thread field, host
-// or channel name left by an earlier mesh shows as a different execution.
-// Once the pool is closed no coroutine is left.
+// into the machine and trace array of a finished run, its threads on the
+// coroutines that run's threads left idle (ExecInto, vm.Recycle), yields
+// the trace, outputs, inputs and outcome of a run on a fresh machine, site
+// table and every channel's and stream's name and ID included. Each order
+// chains its runs through one machine, each scenario twice in a row (the
+// second run finds its own mesh): the corpus in catalog order and in
+// seeded permutations (its networked scenarios build meshes of several
+// node sets), and the generated programs of seeds 0..49, whose
+// lost-message programs build a two-node mesh, with seed-chosen link and
+// inbox settings, between programs that build none. So each table is
+// refilled after growing and after shrinking; a stale channel buffer,
+// name-map or site-table entry, thread field, host or channel name left by
+// an earlier mesh shows as a different execution. Once the pool is closed
+// no coroutine is left.
 func TestRecycledRunMatchesFresh(t *testing.T) {
 	before := runtime.NumGoroutine()
 	hosts := new(vm.Hosts)
