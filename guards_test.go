@@ -115,6 +115,8 @@ var guards = []guard{
 		why:   "the plane classifier is back in the library: it chose RCSE's streams worse than the declared set (EXPERIMENTS.md \"The plane verdict\")"},
 	{name: "value-prediction", match: ident("ValKnown"),
 		why: "value prediction is back in the VM: a peek names an op's event, and value replay checks each value as the machine emits it (DESIGN.md §2 \"Value replay walks its log\")"},
+	{name: "strict-replay", match: ident("*SketchScheduler*", "Fallback", "Diverged"),
+		why: "a replay scheduler that takes over on divergence is back: a forced replay runs the thread its log names or diverges, and a departure is a failed candidate (DESIGN.md §2 \"Four replayers, one loop\")"},
 	{name: "sdk-purity", match: imports("debugdet/internal/..."),
 		in: []string{"cmd/", "examples/"}, allow: []string{"cmd/detlint/"},
 		why: "commands and examples import only the public SDK, never debugdet/internal: an internal capability a demo needs is a missing public API; cmd/detlint fronts internal/lint and is not an SDK client (DESIGN.md §0)"},

@@ -80,6 +80,26 @@ var goldenRounds = map[string]uint64{
 	"fuzz-crashpoint":  0x680bb1019bca85fa,
 }
 
+// sketchScheduler runs the thread forced for a sequence number when it is
+// enabled and leaves every other pick to base.
+type sketchScheduler struct {
+	forced map[uint64]trace.ThreadID
+	base   vm.Scheduler
+}
+
+func (s sketchScheduler) Name() string { return "sketch" }
+
+func (s sketchScheduler) Pick(m *vm.Machine, enabled []*vm.Thread) *vm.Thread {
+	if want, ok := s.forced[m.Seq()]; ok {
+		for _, t := range enabled {
+			if t.ID() == want {
+				return t
+			}
+		}
+	}
+	return s.base.Pick(m, enabled)
+}
+
 // TestEnabledSetCorpusSchedulers runs every corpus scenario under each
 // scheduler the repository has — random (whose round log must hash to the
 // full scan's), PCT, round-robin, a sketch over random, a strict replay of
@@ -104,7 +124,7 @@ func TestEnabledSetCorpusSchedulers(t *testing.T) {
 		for _, sched := range []vm.Scheduler{
 			vm.NewPCTScheduler(s.DefaultSeed, base.Result.Steps, 3),
 			vm.NewRoundRobinScheduler(),
-			vm.NewSketchScheduler(sketch, vm.NewRandomScheduler(s.DefaultSeed+1)),
+			sketchScheduler{sketch, vm.NewRandomScheduler(s.DefaultSeed + 1)},
 		} {
 			s.Exec(scenario.ExecOptions{Seed: s.DefaultSeed, Scheduler: &vm.RoundLog{Scheduler: sched}, MaxSteps: stepBound})
 		}

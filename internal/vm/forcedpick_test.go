@@ -15,8 +15,8 @@ import (
 // tests.) Each runs one configuration with the round log on and off — the
 // log is pure observation — and requires the runs to agree event for event,
 // Time included, and on every Result field, where following a schedule is
-// hardest: a schedule the program cannot follow, a scheduler with a
-// Fallback, and time gates that make the named thread wait for the clock.
+// hardest: a schedule the program cannot follow and time gates that make
+// the named thread wait for the clock.
 
 // sleepyProgram has a main thread that sleeps across a gap while workers
 // contend for a lock, so a strict-time replay must advance the clock before
@@ -77,9 +77,8 @@ func bothRounds(t *testing.T, cfg Config, mk func() *ReplayScheduler) (*ReplaySc
 	if !reflect.DeepEqual(f, s) {
 		t.Fatalf("results differ:\nunlogged %+v\nlogged   %+v", f, s)
 	}
-	if fastS.Pos() != slowS.Pos() || fastS.Diverged != slowS.Diverged {
-		t.Fatalf("scheduler state differs: unlogged pos %d diverged %v, logged pos %d diverged %v",
-			fastS.Pos(), fastS.Diverged, slowS.Pos(), slowS.Diverged)
+	if fastS.Pos() != slowS.Pos() {
+		t.Fatalf("scheduler state differs: unlogged pos %d, logged pos %d", fastS.Pos(), slowS.Pos())
 	}
 	return fastS, fast
 }
@@ -89,8 +88,8 @@ func TestForcedPickFollowsASchedule(t *testing.T) {
 	sched := orig.Trace.Schedule()
 	for _, relax := range []bool{true, false} {
 		rs, res := bothRounds(t, Config{Seed: 11, RelaxTime: relax}, func() *ReplayScheduler { return NewReplayScheduler(sched) })
-		if res.Outcome != OutcomeOK || rs.Diverged || rs.Pos() != len(sched) {
-			t.Fatalf("relax=%v: outcome %v diverged %v pos %d of %d", relax, res.Outcome, rs.Diverged, rs.Pos(), len(sched))
+		if res.Outcome != OutcomeOK || rs.Pos() != len(sched) {
+			t.Fatalf("relax=%v: outcome %v pos %d of %d", relax, res.Outcome, rs.Pos(), len(sched))
 		}
 		if !trace.EventsEqual(res.Trace, orig.Trace, relax) {
 			t.Fatalf("relax=%v: replay differs from the original run", relax)
@@ -133,32 +132,9 @@ func TestForcedPickTamperedSchedule(t *testing.T) {
 			at++
 		}
 		sched[at] = bad
-		rs, res := bothRounds(t, Config{Seed: 7, RelaxTime: true}, func() *ReplayScheduler { return NewReplayScheduler(sched) })
-		if bad != 0 && (res.Outcome != OutcomeDiverged || !rs.Diverged || res.DivergedAt != uint64(at)) {
-			t.Fatalf("thread %d at %d: outcome %v diverged %v at %d", bad, at, res.Outcome, rs.Diverged, res.DivergedAt)
-		}
-	}
-}
-
-func TestForcedPickWithFallback(t *testing.T) {
-	_, orig := sleepyProgram(Config{Seed: 9})
-	full := orig.Trace.Schedule()
-	tampered := append([]trace.ThreadID(nil), full...)
-	tampered[len(tampered)/3] = 77
-	for name, sched := range map[string][]trace.ThreadID{"short": full[:len(full)/2], "tampered": tampered} {
-		rs, res := bothRounds(t, Config{Seed: 9, RelaxTime: true}, func() *ReplayScheduler {
-			rs := NewReplayScheduler(sched)
-			rs.Fallback = NewRandomScheduler(99)
-			return rs
-		})
-		if res.Outcome == OutcomeDiverged {
-			t.Fatalf("%s: diverged despite a fallback", name)
-		}
-		if name == "short" && (rs.Pos() != len(sched) || rs.Diverged) {
-			t.Fatalf("short: consumed %d of %d decisions, diverged %v", rs.Pos(), len(sched), rs.Diverged)
-		}
-		if name == "tampered" && !rs.Diverged {
-			t.Fatal("tampered: fallback took over without Diverged being set")
+		_, res := bothRounds(t, Config{Seed: 7, RelaxTime: true}, func() *ReplayScheduler { return NewReplayScheduler(sched) })
+		if bad != 0 && (res.Outcome != OutcomeDiverged || res.DivergedAt != uint64(at)) {
+			t.Fatalf("thread %d at %d: outcome %v diverged at %d", bad, at, res.Outcome, res.DivergedAt)
 		}
 	}
 }

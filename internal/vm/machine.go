@@ -397,21 +397,20 @@ func (m *Machine) Continue(stopAt uint64) bool {
 }
 
 // reserve sizes the trace before the machine steps, the one place a trace
-// is sized ahead of its events. Under a strict replay schedule (no
-// Fallback) each remaining decision is one event to append, up to stopAt,
-// so the trace is allocated at that length once rather than grown toward
-// it; a run that outlives its schedule (the unique-continuation rule)
-// grows as usual past the reservation. An installed array (a search
-// reusing a rejected candidate's, or a replay's first candidate sized from
-// its recording, see Trace) is used as it is. Any other run that has no
-// trace capacity yet, a production run whose length nothing predicts, gets
-// 1024 events.
+// is sized ahead of its events. Under a replay schedule each remaining
+// decision is one event to append, up to stopAt, so the trace is allocated
+// at that length once rather than grown toward it; a run that outlives its
+// schedule (the unique-continuation rule) grows as usual past the
+// reservation. An installed array (a search reusing a rejected candidate's,
+// or a replay's first candidate sized from its recording, see Trace) is
+// used as it is. Any other run that has no trace capacity yet, a production
+// run whose length nothing predicts, gets 1024 events.
 func (m *Machine) reserve(stopAt uint64) {
 	if m.tr == nil {
 		return
 	}
 	rs, ok := m.sched.(*ReplayScheduler)
-	if !ok || rs.Fallback != nil {
+	if !ok {
 		if cap(m.tr.Events) == 0 {
 			m.tr.Events = trace.Reserve(m.tr.Events, 1024)
 		}

@@ -222,17 +222,14 @@ func (s *PCTScheduler) Pick(m *Machine, enabled []*Thread) *Thread {
 	return best
 }
 
-// ReplayScheduler forces the thread order of a recorded schedule. When the
-// log runs out or the demanded thread is not enabled, behaviour depends on
-// Fallback: nil means divergence (machine stops with OutcomeDiverged);
-// otherwise the fallback scheduler takes over, which is how sketch-guided
-// inference completes partial schedules.
+// ReplayScheduler forces the thread order of a recorded schedule. Each
+// pick runs the thread the log names; when that thread is not enabled the
+// replay has diverged: Pick returns nil and the machine stops with
+// OutcomeDiverged at DivergedAt. Past the log's end a run continues only
+// while one thread is enabled (the unique-continuation rule).
 type ReplayScheduler struct {
 	schedule []trace.ThreadID
 	pos      int
-	Fallback Scheduler
-	// Diverged reports whether the scheduler ever had to abandon the log.
-	Diverged bool
 }
 
 // NewReplayScheduler returns a scheduler that replays the given thread
@@ -257,55 +254,12 @@ func (s *ReplayScheduler) Pick(m *Machine, enabled []*Thread) *Thread {
 				return t
 			}
 		}
-		// Demanded thread not enabled.
-		s.Diverged = true
-		if s.Fallback != nil {
-			return s.Fallback.Pick(m, enabled)
-		}
 		return nil
-	}
-	// Log exhausted.
-	if s.Fallback != nil {
-		return s.Fallback.Pick(m, enabled)
 	}
 	if len(enabled) == 1 {
 		// Unique continuation: allow runs to finish deterministically
 		// past the recorded horizon.
 		return enabled[0]
 	}
-	s.Diverged = true
 	return nil
-}
-
-// SketchScheduler forces specific decisions at specific global steps and
-// delegates everything else to a base scheduler. The inference engine uses
-// it to pin down the ordering fragments it has already established while
-// searching over the rest.
-type SketchScheduler struct {
-	Forced map[uint64]trace.ThreadID
-	Base   Scheduler
-	// Misses counts forced decisions that could not be honoured because
-	// the demanded thread was not enabled.
-	Misses int
-}
-
-// NewSketchScheduler returns a sketch scheduler over the given base.
-func NewSketchScheduler(forced map[uint64]trace.ThreadID, base Scheduler) *SketchScheduler {
-	return &SketchScheduler{Forced: forced, Base: base}
-}
-
-// Name implements Scheduler.
-func (s *SketchScheduler) Name() string { return "sketch" }
-
-// Pick implements Scheduler.
-func (s *SketchScheduler) Pick(m *Machine, enabled []*Thread) *Thread {
-	if want, ok := s.Forced[m.seq]; ok {
-		for _, t := range enabled {
-			if t.id == want {
-				return t
-			}
-		}
-		s.Misses++
-	}
-	return s.Base.Pick(m, enabled)
 }

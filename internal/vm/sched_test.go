@@ -95,43 +95,6 @@ func TestReplaySchedulerExhaustionWithUniqueContinuation(t *testing.T) {
 	}
 }
 
-func TestReplaySchedulerFallback(t *testing.T) {
-	orig := schedProgram(NewRandomScheduler(4), 4)
-	short := orig.Trace.Schedule()[:10]
-	rs := NewReplayScheduler(short)
-	rs.Fallback = NewRandomScheduler(99)
-	res := schedProgram(rs, 4)
-	if res.Outcome != OutcomeOK {
-		t.Fatalf("fallback replay outcome = %v", res.Outcome)
-	}
-	if rs.Pos() != 10 {
-		t.Fatalf("consumed %d decisions, want 10", rs.Pos())
-	}
-}
-
-func TestSketchSchedulerForcesDecisions(t *testing.T) {
-	orig := schedProgram(NewRandomScheduler(8), 8)
-	// Force the first 20 decisions from the original; leave the rest to a
-	// different random base. The prefix must match the original exactly.
-	forced := make(map[uint64]trace.ThreadID)
-	for i, tid := range orig.Trace.Schedule() {
-		if i >= 20 {
-			break
-		}
-		forced[uint64(i)] = tid
-	}
-	sk := NewSketchScheduler(forced, NewRandomScheduler(1234))
-	res := schedProgram(sk, 8)
-	for i := 0; i < 20 && i < len(res.Trace.Events); i++ {
-		if res.Trace.Events[i].TID != orig.Trace.Events[i].TID {
-			t.Fatalf("sketch prefix diverged at %d", i)
-		}
-	}
-	if sk.Misses != 0 {
-		t.Fatalf("sketch misses = %d on a feasible prefix", sk.Misses)
-	}
-}
-
 func TestDaemonsDoNotCountForDeadlock(t *testing.T) {
 	// A daemon blocked forever must not trip deadlock detection once the
 	// program proper is done.

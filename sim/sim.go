@@ -52,9 +52,6 @@ type (
 	PCTScheduler = vm.PCTScheduler
 	// ReplayScheduler forces a complete recorded schedule.
 	ReplayScheduler = vm.ReplayScheduler
-	// SketchScheduler forces scheduling decisions at selected sequence
-	// numbers over a base scheduler.
-	SketchScheduler = vm.SketchScheduler
 )
 
 // NewRoundRobinScheduler returns a round-robin scheduler.
@@ -72,12 +69,6 @@ func NewPCTScheduler(seed int64, expectedLen uint64, changePoints int) *PCTSched
 // NewReplayScheduler returns a scheduler that forces a recorded schedule.
 func NewReplayScheduler(schedule []trace.ThreadID) *ReplayScheduler {
 	return vm.NewReplayScheduler(schedule)
-}
-
-// NewSketchScheduler returns a scheduler forcing the given (sequence →
-// thread) decisions over base.
-func NewSketchScheduler(forced map[uint64]trace.ThreadID, base Scheduler) *SketchScheduler {
-	return vm.NewSketchScheduler(forced, base)
 }
 
 // Observer sees every event as it is emitted and returns the extra virtual

@@ -102,9 +102,6 @@ func TestSchedulersAndInputs(t *testing.T) {
 	if sim.NewReplayScheduler([]trace.ThreadID{0, 0}) == nil {
 		t.Fatal("replay scheduler constructor returned nil")
 	}
-	if sim.NewSketchScheduler(map[uint64]trace.ThreadID{0: 0}, sim.NewRoundRobinScheduler()) == nil {
-		t.Fatal("sketch scheduler constructor returned nil")
-	}
 	if v := sim.SeededInputs(3, 10).Next("s", 0).AsInt(); v < 0 || v >= 10 {
 		t.Fatalf("SeededInputs out of range: %d", v)
 	}
