@@ -117,6 +117,8 @@ var guards = []guard{
 		why: "value prediction is back in the VM: a peek names an op's event, and value replay checks each value as the machine emits it (DESIGN.md §2 \"Value replay walks its log\")"},
 	{name: "strict-replay", match: ident("*SketchScheduler*", "Fallback", "Diverged"),
 		why: "a replay scheduler that takes over on divergence is back: a forced replay runs the thread its log names or diverges, and a departure is a failed candidate (DESIGN.md §2 \"Four replayers, one loop\")"},
+	{name: "varint-narrowing", match: convertsVarint(),
+		why: "a decoded varint is converted unchecked: read it through wire.Reader.Int, Int64 or trace.ReadObjID, which refuse a value the type cannot hold (DESIGN.md §6 \"Wire formats\")"},
 	{name: "sdk-purity", match: imports("debugdet/internal/..."),
 		in: []string{"cmd/", "examples/"}, allow: []string{"cmd/detlint/"},
 		why: "commands and examples import only the public SDK, never debugdet/internal: an internal capability a demo needs is a missing public API; cmd/detlint fronts internal/lint and is not an SDK client (DESIGN.md §0)"},
@@ -235,6 +237,27 @@ func chain(a, b string) matcher {
 		}
 		inner, ok := s.X.(*ast.SelectorExpr)
 		return ok && inner.Sel.Name == a
+	}
+}
+
+// convertsVarint matches an integer conversion applied directly to a
+// .Uvarint() or .Varint() call.
+func convertsVarint() matcher {
+	return func(n ast.Node, _ map[string]string) bool {
+		c, ok := n.(*ast.CallExpr)
+		if !ok || len(c.Args) != 1 {
+			return false
+		}
+		typ, ok := c.Fun.(*ast.Ident)
+		if !ok || !matchAny(typ.Name, []string{"int", "int8", "int16", "int32", "int64", "uint", "uint8", "uint16", "uint32", "uint64", "uintptr"}) {
+			return false
+		}
+		arg, ok := c.Args[0].(*ast.CallExpr)
+		if !ok || len(arg.Args) != 0 {
+			return false
+		}
+		s, ok := arg.Fun.(*ast.SelectorExpr)
+		return ok && (s.Sel.Name == "Uvarint" || s.Sel.Name == "Varint")
 	}
 }
 

@@ -160,7 +160,7 @@ func decodeManifest(r io.Reader) (*manifest, error) {
 	m.Finalized = flags&flagFinalized != 0
 	m.Meta.FailureSig = rd.String()
 	m.FeedCount = rd.Uvarint()
-	m.FeedBytes = int64(rd.Uvarint())
+	m.FeedBytes = rd.Int64("feed log bytes")
 	// A segment entry is four uvarints and a file name.
 	m.Segments = make([]SegmentInfo, rd.Count("segments", 5))
 	for i := range m.Segments {
@@ -168,7 +168,7 @@ func decodeManifest(r io.Reader) (*manifest, error) {
 		si.Index = rd.Int("segment index", false)
 		si.From = rd.Uvarint()
 		si.To = rd.Uvarint()
-		si.Bytes = int64(rd.Uvarint())
+		si.Bytes = rd.Int64("segment bytes")
 		si.File = rd.String()
 	}
 	if err := rd.Err(); err != nil {

@@ -30,9 +30,23 @@ func FeedLogBytes(events []trace.Event) []byte {
 	return buf.Bytes()
 }
 
+// ManifestName is the manifest's file name inside a spill directory.
+const ManifestName = manifestName
+
 // SetFeedCount rewrites the feed entry count a spill directory's manifest
 // declares.
 func SetFeedCount(dir string, n uint64) error {
+	return editManifest(dir, func(man *manifest) { man.FeedCount = n })
+}
+
+// SetFeedBytes rewrites the feed log byte count a spill directory's
+// manifest declares.
+func SetFeedBytes(dir string, n int64) error {
+	return editManifest(dir, func(man *manifest) { man.FeedBytes = n })
+}
+
+// editManifest rewrites a spill directory's manifest through edit.
+func editManifest(dir string, edit func(*manifest)) error {
 	path := filepath.Join(dir, manifestName)
 	f, err := os.Open(path)
 	if err != nil {
@@ -43,7 +57,7 @@ func SetFeedCount(dir string, n uint64) error {
 	if err != nil {
 		return err
 	}
-	man.FeedCount = n
+	edit(man)
 	var buf bytes.Buffer
 	if err := encodeManifest(&buf, man); err != nil {
 		return err
@@ -51,10 +65,11 @@ func SetFeedCount(dir string, n uint64) error {
 	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
-// ManifestBytes encodes a manifest that lists segs and nothing else.
-func ManifestBytes(segs []SegmentInfo) []byte {
+// ManifestBytes encodes a manifest that declares feedBytes of feed log,
+// lists segs and holds nothing else.
+func ManifestBytes(feedBytes int64, segs []SegmentInfo) []byte {
 	var buf bytes.Buffer
-	encodeManifest(&buf, &manifest{Segments: segs})
+	encodeManifest(&buf, &manifest{FeedBytes: feedBytes, Segments: segs})
 	return buf.Bytes()
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -144,13 +145,19 @@ func TestSegmentRejectsWideSite(t *testing.T) {
 // mutex owners (zigzag, so 2^63 is the bit pattern of -2^63), stream input
 // cursors and disk counts, in a snapshot section and in a segment's
 // boundary snapshot, and a segment's index in its file and in the
-// manifest. (A mutex owner of 2^32 used to decode as thread 0.)
+// manifest. The manifest's byte counts, of the feed log and of each
+// segment, are int64s: 2^63 and 2^64-1 are refused and 2^63-1 decodes.
+// (A mutex owner of 2^32 used to decode as thread 0, and a feed log byte
+// count of 2^63 as -2^63, which made the feed log unbounded.)
 func TestDecodersRejectWideIntegers(t *testing.T) {
 	const widest = math.MaxInt32
+	narrow := []uint64{1 << 31, 1 << 32, 1 << 63}
 	type row struct {
 		field, container string
 		signed           bool
-		data             []byte // the container with the field at widest
+		widest           uint64   // the widest value the field decodes
+		wide             []uint64 // values it refuses
+		data             []byte   // the container with the field at widest
 		decode           func([]byte) error
 		sentinel         error
 	}
@@ -192,12 +199,15 @@ func TestDecodersRejectWideIntegers(t *testing.T) {
 			t.Fatal(err)
 		}
 		rows = append(rows,
-			row{f.name, "snapshot section", f.signed, buf.Bytes(), section, checkpoint.ErrBadSnapshot},
-			row{f.name, "segment", f.signed, encodeSegment(&flightrec.Segment{Snap: snap}), segment, flightrec.ErrCorrupt})
+			row{f.name, "snapshot section", f.signed, widest, narrow, buf.Bytes(), section, checkpoint.ErrBadSnapshot},
+			row{f.name, "segment", f.signed, widest, narrow, encodeSegment(&flightrec.Segment{Snap: snap}), segment, flightrec.ErrCorrupt})
 	}
+	wide := []uint64{1 << 63, math.MaxUint64}
 	rows = append(rows,
-		row{"segment index", "segment", false, encodeSegment(&flightrec.Segment{SegmentInfo: flightrec.SegmentInfo{Index: widest}}), segment, flightrec.ErrCorrupt},
-		row{"segment index", "manifest", false, flightrec.ManifestBytes([]flightrec.SegmentInfo{{Index: widest, File: "s"}}), flightrec.DecodeManifest, flightrec.ErrCorrupt})
+		row{"segment index", "segment", false, widest, narrow, encodeSegment(&flightrec.Segment{SegmentInfo: flightrec.SegmentInfo{Index: widest}}), segment, flightrec.ErrCorrupt},
+		row{"segment index", "manifest", false, widest, narrow, flightrec.ManifestBytes(0, []flightrec.SegmentInfo{{Index: widest, File: "s"}}), flightrec.DecodeManifest, flightrec.ErrCorrupt},
+		row{"feed log bytes", "manifest", false, math.MaxInt64, wide, flightrec.ManifestBytes(math.MaxInt64, nil), flightrec.DecodeManifest, flightrec.ErrCorrupt},
+		row{"segment bytes", "manifest", false, math.MaxInt64, wide, flightrec.ManifestBytes(0, []flightrec.SegmentInfo{{Bytes: math.MaxInt64, File: "s"}}), flightrec.DecodeManifest, flightrec.ErrCorrupt})
 
 	for _, r := range rows {
 		raw := func(v uint64) []byte {
@@ -206,25 +216,69 @@ func TestDecodersRejectWideIntegers(t *testing.T) {
 			}
 			return binary.AppendUvarint(nil, v)
 		}
-		if n := bytes.Count(r.data, raw(widest)); n != 1 {
-			t.Fatalf("%s in a %s: the varint of 2^31-1 appears %d times, want once", r.field, r.container, n)
+		if n := bytes.Count(r.data, raw(r.widest)); n != 1 {
+			t.Fatalf("%s in a %s: the varint of %s appears %d times, want once", r.field, r.container, pow(r.widest), n)
 		}
 		if err := r.decode(r.data); err != nil {
-			t.Fatalf("%s in a %s: 2^31-1 does not decode: %v", r.field, r.container, err)
+			t.Fatalf("%s in a %s: %s does not decode: %v", r.field, r.container, pow(r.widest), err)
 		}
-		for _, bit := range []int{31, 32, 63} {
-			v := uint64(1) << bit
-			t.Run(fmt.Sprintf("%s in a %s at 2^%d", r.field, r.container, bit), func(t *testing.T) {
+		for _, v := range r.wide {
+			t.Run(fmt.Sprintf("%s in a %s at %s", r.field, r.container, pow(v)), func(t *testing.T) {
 				want := fmt.Sprintf("%s %d out of range", r.field, v)
 				if r.signed {
 					want = fmt.Sprintf("%s %d out of range", r.field, int64(v))
 				}
-				err := r.decode(bytes.Replace(r.data, raw(widest), raw(v), 1))
+				err := r.decode(bytes.Replace(r.data, raw(r.widest), raw(v), 1))
 				if !errors.Is(err, r.sentinel) || !strings.Contains(err.Error(), want) {
 					t.Fatalf("error %v, want %v saying %q", err, r.sentinel, want)
 				}
 			})
 		}
+	}
+}
+
+// pow writes v, a power of two or one less than one, as 2^31 or 2^31-1.
+func pow(v uint64) string {
+	if v&(v-1) == 0 {
+		return fmt.Sprintf("2^%d", bits.TrailingZeros64(v))
+	}
+	return fmt.Sprintf("2^%d-1", bits.Len64(v))
+}
+
+// TestOpenRejectsWideFeedBytes: a spill directory whose manifest declares
+// 2^63 bytes of feed log is refused as corrupt by Open, or else by the
+// first Feeds. (The count used to decode as -2^63, and the section of the
+// feed log it bounded as unbounded: the store read its whole feed log,
+// past the last seal.)
+func TestOpenRejectsWideFeedBytes(t *testing.T) {
+	res := flightRecord(t, workload.Bank(), flightrec.Options{Interval: 64})
+	dir := res.Store.Dir()
+	if err := flightrec.SetFeedBytes(dir, math.MaxInt64); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, flightrec.ManifestName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	widest := binary.AppendUvarint(nil, math.MaxInt64)
+	if n := bytes.Count(data, widest); n != 1 {
+		t.Fatalf("the manifest holds the uvarint of 2^63-1 %d times, want once", n)
+	}
+	if err := os.WriteFile(path, bytes.Replace(data, widest, binary.AppendUvarint(nil, 1<<63), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := flightrec.Open(dir)
+	if err == nil {
+		seqs := res.Store.SnapshotSeqs()
+		var snap *vm.Snapshot
+		if snap, err = st.BestSnapshot(seqs[len(seqs)-1]); err == nil {
+			_, err = st.Feeds(snap)
+		}
+	}
+	const want = "feed log bytes 9223372036854775808 out of range"
+	if !errors.Is(err, flightrec.ErrCorrupt) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want ErrCorrupt saying %q", err, want)
 	}
 }
 

@@ -232,6 +232,18 @@ func (r *Reader) Int(what string, signed bool) int {
 	return int(v)
 }
 
+// Int64 reads a byte count or offset stored as a uvarint and refuses a
+// value above MaxInt64, naming the field what: converted unchecked, 2^63
+// would read as a negative count.
+func (r *Reader) Int64(what string) int64 {
+	v := r.Uvarint()
+	if v > math.MaxInt64 {
+		r.Failf("%s %d out of range", what, v)
+		return 0
+	}
+	return int64(v)
+}
+
 // Count reads an element count and refuses it unless that many elements
 // of at least minElemBytes each fit in the bytes left. It is the one
 // bound on hostile input: whatever a decoder reserves for n elements is
