@@ -247,7 +247,7 @@ func Build(m *vm.Machine, cfg Config) *Cluster {
 	n := cfg.TotalRows()
 	cl.routing = make([]trace.ObjID, cfg.Ranges)
 	for r := 0; r < cfg.Ranges; r++ {
-		cl.routing[r] = m.NewCell(fmt.Sprintf("routing[%d]", r), trace.Int(int64(cfg.initialOwner(r))))
+		cl.routing[r] = m.NewCell(fmtRouting(r), trace.Int(int64(cfg.initialOwner(r))))
 	}
 	cl.owned = make([][]trace.ObjID, cfg.Servers)
 	cl.snapdone = make([][]trace.ObjID, cfg.Servers)

@@ -58,6 +58,6 @@ func RaceLostRows(v *scenario.RunView) int64 {
 	return lost
 }
 
-// fmtRouting returns the routing cell name for a range (shared with
-// tests).
+// fmtRouting returns the routing cell name for a range (Build's, and the
+// tests').
 func fmtRouting(r int) string { return fmt.Sprintf("routing[%d]", r) }

@@ -101,7 +101,7 @@ func randomValue(r *rand.Rand) Value {
 	case 3:
 		b := make([]byte, r.Intn(20))
 		r.Read(b)
-		return String_(string(b))
+		return Str(string(b))
 	default:
 		b := make([]byte, r.Intn(64))
 		r.Read(b)

@@ -45,12 +45,9 @@ func Bool(v bool) Value {
 	return Value{Kind: VBool, Int: i}
 }
 
-// String_ returns a string value. (Named with a trailing underscore because
-// String is the fmt.Stringer method on Value.)
-func String_(s string) Value { return Value{Kind: VString, Str: s} }
-
-// Str is a short alias for String_.
-func Str(s string) Value { return String_(s) }
+// Str returns a string value. (Not String: that is the fmt.Stringer method
+// on Value.)
+func Str(s string) Value { return Value{Kind: VString, Str: s} }
 
 // Blob returns a byte-blob value holding the bytes of s.
 func Blob(s string) Value { return Value{Kind: VBytes, Str: s} }
