@@ -249,7 +249,12 @@ func convertsVarint() matcher {
 			return false
 		}
 		typ, ok := c.Fun.(*ast.Ident)
-		if !ok || !matchAny(typ.Name, []string{"int", "int8", "int16", "int32", "int64", "uint", "uint8", "uint16", "uint32", "uint64", "uintptr"}) {
+		if !ok {
+			return false
+		}
+		switch typ.Name {
+		case "int", "int8", "int16", "int32", "int64", "uint", "uint8", "uint16", "uint32", "uint64", "uintptr", "byte", "rune":
+		default:
 			return false
 		}
 		arg, ok := c.Args[0].(*ast.CallExpr)
